@@ -21,14 +21,16 @@
 //!   so results are byte-identical regardless of worker count;
 //! * [`wire`] — the framed request/response protocol, with an incremental
 //!   [`wire::FrameDecoder`] for nonblocking reads;
-//! * [`reactor`] — a std-only readiness layer (nonblocking I/O
-//!   classification, vectored writes, park/unpark wakeups, accept-rate
-//!   token bucket, per-thread CPU clocks);
+//! * [`reactor`] — a std-only readiness layer (a per-shard edge-triggered
+//!   `epoll` poller with an `eventfd` waker on Linux, a timed-park
+//!   fallback elsewhere; nonblocking I/O classification, vectored writes,
+//!   accept-rate token bucket, per-thread CPU clocks);
 //! * [`server`] — a sharded multi-reactor event loop (`reactors` shards,
 //!   each owning a disjoint set of connections dealt round-robin at
 //!   accept, plus a disjoint stride of the session-id space): per-shard
-//!   state machines, ordered reply slots flushed with vectored writes,
-//!   overload shedding (`BUSY`), connection caps, per-shard timeouts and
+//!   state machines that block on socket readiness and visit only ready
+//!   connections, ordered reply slots flushed with vectored writes,
+//!   overload shedding (`BUSY`), connection caps, per-shard timers and
 //!   graceful drain;
 //! * [`session`] — authenticated long-lived channels over the KEM
 //!   (`lac-session`): KEM-negotiated directional keys, AEAD-style frame

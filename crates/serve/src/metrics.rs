@@ -18,11 +18,11 @@
 //!
 //! With a sharded front-end (`--reactors N`) each reactor shard also owns
 //! a [`ShardStats`] row: its accepted/open connections, routed pool
-//! completions, flushed reply frames, `writev` calls, open sessions and
-//! accumulated busy CPU time. The aggregate counters above stay the
-//! single source of truth for totals (every shard writes both), so
-//! existing consumers see one view; the per-shard rows are the raw
-//! breakdown behind `serve-ctl stats --per-shard` and the front-end
+//! completions, flushed reply frames, `writev` calls, open sessions,
+//! accumulated busy CPU time and poller wakeups. The aggregate counters
+//! above stay the single source of truth for totals (every shard writes
+//! both), so existing consumers see one view; the per-shard rows are the
+//! raw breakdown behind `serve-ctl stats --per-shard` and the front-end
 //! scaling metric (frames per busiest-shard CPU-second).
 
 use crate::Op;
@@ -381,6 +381,7 @@ pub struct ShardStats {
     frames_flushed: AtomicU64,
     sessions_open: AtomicU64,
     busy_ns: AtomicU64,
+    wakeups: AtomicU64,
 }
 
 impl ShardStats {
@@ -423,6 +424,11 @@ impl ShardStats {
         self.busy_ns.store(total, Ordering::Relaxed);
     }
 
+    /// Record one return of the shard's poller wait.
+    pub fn wakeup(&self) {
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy, tagged with the shard index.
     pub fn snapshot(&self, shard: usize) -> ShardSnapshot {
         ShardSnapshot {
@@ -434,6 +440,7 @@ impl ShardStats {
             frames_flushed: self.frames_flushed.load(Ordering::Relaxed),
             sessions_open: self.sessions_open.load(Ordering::Relaxed),
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
+            wakeups: self.wakeups.load(Ordering::Relaxed),
         }
     }
 }
@@ -458,6 +465,9 @@ pub struct ShardSnapshot {
     /// CPU time the shard has spent in productive passes, in ns
     /// (0 when the host has no per-thread CPU clock).
     pub busy_ns: u64,
+    /// Times the shard's poller wait returned: one per event batch,
+    /// wake or due timer — an idle shard does not wake.
+    pub wakeups: u64,
 }
 
 impl ShardSnapshot {
@@ -467,7 +477,7 @@ impl ShardSnapshot {
             "{{\"shard\": {}, \"shard_conns_accepted\": {}, \"shard_conns_open\": {}, \
              \"shard_completions\": {}, \"shard_writev_calls\": {}, \
              \"shard_frames_flushed\": {}, \"shard_sessions_open\": {}, \
-             \"shard_busy_ns\": {}}}",
+             \"shard_busy_ns\": {}, \"shard_wakeups\": {}}}",
             self.shard,
             self.conns_accepted,
             self.conns_open,
@@ -476,6 +486,7 @@ impl ShardSnapshot {
             self.frames_flushed,
             self.sessions_open,
             self.busy_ns,
+            self.wakeups,
         )
     }
 }
@@ -825,7 +836,7 @@ impl MetricsSnapshot {
         for s in &self.shards {
             out.push_str(&format!(
                 "  shard {}: conns open {} / accepted {}, completions {}, \
-                 frames {} in {} writev, sessions {}, busy {:.1} ms\n",
+                 frames {} in {} writev, sessions {}, busy {:.1} ms, wakeups {}\n",
                 s.shard,
                 s.conns_open,
                 s.conns_accepted,
@@ -834,6 +845,7 @@ impl MetricsSnapshot {
                 s.writev_calls,
                 s.sessions_open,
                 s.busy_ns as f64 / 1e6,
+                s.wakeups,
             ));
         }
         out.push_str(&format!(
@@ -999,6 +1011,7 @@ mod tests {
                     frames_flushed: 12,
                     sessions_open: 2,
                     busy_ns: 2_000_000,
+                    wakeups: 10,
                 },
                 ShardSnapshot {
                     shard: 1,
@@ -1009,6 +1022,7 @@ mod tests {
                     frames_flushed: 6,
                     sessions_open: 1,
                     busy_ns: 3_000_000,
+                    wakeups: 7,
                 },
             ],
         };
@@ -1035,6 +1049,7 @@ mod tests {
             "\"replay_drops\": 1",
             "\"shard\": 1",
             "\"shard_busy_ns\": 3000000",
+            "\"shard_wakeups\": 7",
             "\"frontend_busy_ns_max\": 3000000",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
@@ -1046,6 +1061,7 @@ mod tests {
         assert!(snap.to_text().contains("shed(BUSY) 5"));
         assert!(snap.to_text().contains("rekeys 4"));
         assert!(snap.to_text().contains("shard 1:"));
+        assert!(snap.to_text().contains("wakeups 7"));
     }
 
     #[test]
@@ -1061,6 +1077,8 @@ mod tests {
         m.shard(0).session_closed();
         m.shard(1).set_busy_ns(42);
         m.shard(1).set_busy_ns(99);
+        m.shard(0).wakeup();
+        m.shard(0).wakeup();
         let rows = m.shard_snapshots();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].shard, 0);
@@ -1071,6 +1089,7 @@ mod tests {
         assert_eq!(rows[1].writev_calls, 2);
         assert_eq!(rows[1].frames_flushed, 4);
         assert_eq!(rows[1].busy_ns, 99, "set_busy_ns stores totals");
+        assert_eq!((rows[0].wakeups, rows[1].wakeups), (2, 0));
         assert!(rows[1].to_json().contains("\"shard_frames_flushed\": 4"));
     }
 

@@ -389,10 +389,10 @@ pub struct Completion {
 pub enum ReplySink {
     /// A plain channel — the blocking [`Ticket`] path.
     Channel(mpsc::Sender<Reply>),
-    /// Event-loop routing: a [`Completion`] record plus an unpark of the
-    /// reactor thread, which is parked between readiness passes (the
-    /// fiber-parking idiom — `unpark` on a running thread just makes its
-    /// next park return immediately, so the wakeup can never be lost).
+    /// Event-loop routing: a [`Completion`] record plus a wake of the
+    /// owning reactor shard, which blocks in its poller between passes (a
+    /// wake sent while the shard is busy makes its next wait return at
+    /// once, so the wakeup can never be lost).
     Routed {
         /// Reactor-assigned connection id.
         conn: u64,
@@ -400,7 +400,7 @@ pub enum ReplySink {
         slot: u64,
         /// The reactor's completion channel.
         tx: mpsc::Sender<Completion>,
-        /// Waker for the reactor thread, rung after sending.
+        /// Waker for the owning reactor shard, rung after sending.
         wake: crate::reactor::Waker,
     },
 }
@@ -1017,7 +1017,7 @@ mod tests {
             ..ServeConfig::default()
         });
         let (tx, rx) = mpsc::channel();
-        let waker = crate::reactor::Parker::new().waker();
+        let waker = crate::reactor::Poller::new().expect("poller").waker();
         let job = |seq| Job::new(seq, Params::lac128(), BackendKind::Ct, JobKind::Keygen);
         let sink = |slot| ReplySink::Routed {
             conn: 7,

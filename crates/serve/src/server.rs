@@ -2,22 +2,31 @@
 //!
 //! The server runs `ServeConfig::reactors` **shards**. Each shard is its
 //! own event-loop thread owning a *disjoint* set of connections, with its
-//! own [`Parker`]/completion channel, its own timeout scan and its own
-//! slice of the session table — the hot path never takes a cross-shard
-//! lock. Shard 0 additionally owns the listener: accepted sockets are
-//! dealt round-robin into per-shard registration queues (followed by a
-//! wake of the target shard) and never migrate afterwards. Each
-//! connection is a state machine: an incremental [`FrameDecoder`] turns
-//! whatever bytes the kernel has into request frames, KEM jobs go to the
-//! [`ServePool`] through the nonblocking [`ServePool::try_submit`], and
-//! finished jobs come back over the *owning shard's* completion channel,
-//! which unparks just that shard (see [`crate::reactor`]). Replies queue
-//! in per-connection *slots* in request order — a slot is reserved when
-//! the request is read and filled when its job completes — so pipelined
+//! own [`Poller`]/completion channel, its own timers and its own slice of
+//! the session table — the hot path never takes a cross-shard lock. Shard
+//! 0 additionally owns the listener: accepted sockets are dealt
+//! round-robin into per-shard registration queues (followed by a wake of
+//! the target shard) and never migrate afterwards. Each connection is a
+//! state machine: an incremental [`FrameDecoder`] turns whatever bytes
+//! the kernel has into request frames, KEM jobs go to the [`ServePool`]
+//! through the nonblocking [`ServePool::try_submit`], and finished jobs
+//! come back over the *owning shard's* completion channel, which wakes
+//! just that shard (see [`crate::reactor`]). Replies queue in
+//! per-connection *slots* in request order — a slot is reserved when the
+//! request is read and filled when its job completes — so pipelined
 //! responses always leave in the order the requests arrived, no matter
 //! which worker finished first. That per-connection ordering is what
 //! keeps bench digests byte-identical across worker counts, reactor
 //! counts and connection interleavings.
+//!
+//! **Blocking on readiness.** A shard sleeps in its poller until a socket
+//! it owns has an event, a waker fires (a worker completion, a routed
+//! connection, a drain) or its earliest armed timer is due: a
+//! connection's read, write or idle deadline, the drain deadline, or the
+//! refill of throttled accepts. With no timer armed it sleeps with no
+//! timeout. A pass then visits only the connections that had an event, a
+//! routed completion, or reads left over by the [`READ_ROUNDS`] fairness
+//! bound; an idle connection costs nothing until its deadline.
 //!
 //! **Vectored flushes.** Completed reply slots are promoted whole (the
 //! encoded frame `Vec` moves, no copy) into a per-connection frame queue,
@@ -42,9 +51,9 @@
 //! too, every limit a [`ServeConfig`] knob and a metrics counter:
 //! connection cap (`max_conns`, global across shards, excess accepts
 //! closed), accept-rate limiting (token bucket on the accepting shard),
-//! idle / mid-frame-read / write-progress timeouts (scanned per shard),
-//! and per-connection write backpressure (reading pauses while the write
-//! queue is over `max_write_buffer`).
+//! idle / mid-frame-read / write-progress timeouts (per shard, on the
+//! shard's timer), and per-connection write backpressure (reading pauses
+//! while the write queue is over `max_write_buffer`).
 //!
 //! **Graceful drain.** A `SHUTDOWN` frame can arrive on *any* shard: it
 //! is acknowledged with `bye` there, and a shared drain flag (plus a
@@ -57,7 +66,7 @@ use crate::metrics::{FrontendStats, MetricsSnapshot, ShardStats};
 use crate::pool::{
     Completion, Job, JobKind, Reply, ReplySink, ServeConfig, ServePool, SubmitError, WarmReport,
 };
-use crate::reactor::{self, IoStatus, Parker, TokenBucket, Waker};
+use crate::reactor::{self, IoStatus, Poller, TokenBucket, Waker};
 use crate::session::{self, Direction, SessionFrame, SessionState, SessionTable};
 use crate::wire::{self, frame_to_job, FrameDecoder, Opcode, RequestFrame, ResponseFrame};
 use crate::{params_from_code, BackendKind};
@@ -65,16 +74,20 @@ use std::collections::{HashMap, VecDeque};
 use std::io::IoSlice;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Read-chunk size per socket attempt.
 const READ_CHUNK: usize = 16 * 1024;
-/// Max read chunks per connection per pass (fairness bound).
+/// Max read chunks per connection per pass (fairness bound); a
+/// connection that hits it is visited again on the next pass.
 const READ_ROUNDS: usize = 4;
-/// Shard park bound between passes: the timer granularity for
-/// timeouts and accept-token refill when no wakeups arrive.
-const PARK: Duration = Duration::from_millis(1);
+/// Poller token of the listener (connection ids never reach it).
+const LISTENER: u64 = u64::MAX - 1;
+/// Wait before retrying an accept that failed with the backlog non-empty
+/// (`EMFILE`, `ENFILE`, `ENOBUFS`): the backlog stays queued and is
+/// retried on this timer rather than on every pass.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// Throttled accepts held for later admission before excess is refused.
 const MAX_PENDING_ACCEPTS: usize = 64;
 /// Max frames gathered into one vectored flush (IOV_MAX is 1024 on
@@ -86,21 +99,31 @@ const MAX_WRITE_IOV: usize = 64;
 pub struct Server {
     listener: TcpListener,
     pool: Arc<ServePool>,
+    /// One poller per reactor shard, the listener already registered
+    /// with shard 0's.
+    pollers: Vec<Poller>,
 }
 
 impl Server {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and spawn
-    /// the worker pool. The listener is nonblocking from the start.
+    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), build
+    /// every shard's poller and spawn the worker pool. The listener is
+    /// nonblocking from the start.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from the bind.
+    /// Propagates socket errors from the bind and poller set-up errors
+    /// (descriptor exhaustion).
     pub fn bind(addr: &str, config: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
+        let mut pollers = (0..config.reactors.max(1))
+            .map(|_| Poller::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
+        pollers[0].register(&listener, LISTENER)?;
         Ok(Self {
             listener,
             pool: Arc::new(ServePool::new(config)),
+            pollers,
         })
     }
 
@@ -127,84 +150,71 @@ impl Server {
     /// includes every executed job). Shard 0 runs on the calling thread;
     /// shards 1..N on their own threads.
     pub fn run(self) -> MetricsSnapshot {
-        let reactors = self.pool.config().reactors.max(1);
-        let control = Arc::new(ShardControl::new(reactors));
-        let mut reg_txs = Vec::with_capacity(reactors);
-        let mut reg_rxs = Vec::with_capacity(reactors);
-        for _ in 0..reactors {
-            let (tx, rx) = mpsc::channel::<TcpStream>();
-            reg_txs.push(tx);
-            reg_rxs.push(Some(rx));
-        }
+        let Self {
+            listener,
+            pool,
+            pollers,
+        } = self;
+        let control = Arc::new(ShardControl {
+            draining: AtomicBool::new(false),
+            wakers: pollers.iter().map(Poller::waker).collect(),
+        });
+        let (reg_txs, reg_rxs): (Vec<_>, Vec<_>) =
+            pollers.iter().map(|_| mpsc::channel::<TcpStream>()).unzip();
+        let mut shards = pollers.into_iter().zip(reg_rxs);
+        let (poller, reg_rx) = shards.next().expect("at least one shard");
         let mut handles = Vec::new();
-        for (shard, slot) in reg_rxs.iter_mut().enumerate().skip(1) {
-            let reg_rx = slot.take().expect("each shard taken once");
-            let pool = Arc::clone(&self.pool);
+        for (shard, (poller, reg_rx)) in (1..).zip(shards) {
+            let pool = Arc::clone(&pool);
             let control = Arc::clone(&control);
             let handle = std::thread::Builder::new()
                 .name(format!("lac-serve-shard-{shard}"))
                 .spawn(move || {
-                    // Constructed on its own thread so the parker parks
-                    // the right thread.
-                    EventLoop::new(shard, None, reg_rx, Vec::new(), pool, control).run();
+                    EventLoop::new(shard, None, poller, reg_rx, Vec::new(), pool, control).run();
                 })
                 .expect("spawn reactor shard");
             handles.push(handle);
         }
-        let reg_rx = reg_rxs[0].take().expect("shard 0 taken once");
-        let pool = Arc::clone(&self.pool);
-        EventLoop::new(0, Some(self.listener), reg_rx, reg_txs, pool, control).run();
+        EventLoop::new(
+            0,
+            Some(listener),
+            poller,
+            reg_rx,
+            reg_txs,
+            Arc::clone(&pool),
+            control,
+        )
+        .run();
         for handle in handles {
             let _ = handle.join();
         }
         // Every shard has exited: drain the queue and join every worker
         // *before* the snapshot, so the final report covers all executed
         // work.
-        self.pool.shutdown();
-        self.pool.snapshot()
+        pool.shutdown();
+        pool.snapshot()
     }
 }
 
-/// Cross-shard coordination: the drain flag and a waker registry. The
+/// Cross-shard coordination: the drain flag and every shard's waker. The
 /// only shared front-end state outside the (atomic) metrics — touched on
 /// accept routing and shutdown, never on the per-frame hot path.
 struct ShardControl {
     draining: AtomicBool,
-    wakers: Mutex<Vec<Option<Waker>>>,
+    wakers: Vec<Waker>,
 }
 
 impl ShardControl {
-    fn new(reactors: usize) -> Self {
-        Self {
-            draining: AtomicBool::new(false),
-            wakers: Mutex::new(vec![None; reactors]),
-        }
-    }
-
-    /// Register a shard's waker (each shard does this as its loop starts).
-    fn register(&self, shard: usize, waker: Waker) {
-        self.wakers.lock().expect("waker registry poisoned")[shard] = Some(waker);
-    }
-
-    /// Wake one shard (accept routing). A shard that has not registered
-    /// yet simply finds its queue on the next park timeout.
+    /// Wake one shard (accept routing).
     fn wake(&self, shard: usize) {
-        if let Some(waker) = &self.wakers.lock().expect("waker registry poisoned")[shard] {
-            waker.wake();
-        }
+        self.wakers[shard].wake();
     }
 
     /// Raise the drain flag and wake every shard so each begins its own
-    /// local drain immediately instead of on the next park timeout.
+    /// local drain immediately.
     fn request_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        for waker in self
-            .wakers
-            .lock()
-            .expect("waker registry poisoned")
-            .iter()
-            .flatten()
-        {
+        for waker in &self.wakers {
             waker.wake();
         }
     }
@@ -268,6 +278,12 @@ struct Conn {
     closing: bool,
     /// Remove this connection at the next opportunity.
     dead: bool,
+    /// The socket may hold unread bytes: set by a poller event, cleared
+    /// once a read comes up short. Edge-triggered readiness reports new
+    /// bytes once, so whatever a pass leaves unread stays flagged here.
+    readable: bool,
+    /// Already on the shard's visit list for the next pass.
+    queued: bool,
 }
 
 impl Conn {
@@ -287,7 +303,15 @@ impl Conn {
             paused: false,
             closing: false,
             dead: false,
+            readable: true,
+            queued: false,
         }
+    }
+
+    /// A pass should read this connection again without waiting for a
+    /// new event: bytes may remain and nothing stops reading them.
+    fn read_pending(&self) -> bool {
+        self.readable && !(self.dead || self.closing || self.paused)
     }
 
     /// Append a ready response in the next slot.
@@ -323,10 +347,11 @@ struct PendingOpen {
     rekey: Option<u64>,
 }
 
-/// One reactor shard: owns a disjoint set of sockets, parks between
-/// passes, and is unparked by pool workers delivering completions for
-/// *its* connections, by the accepting shard routing it a new connection,
-/// or by the drain broadcast.
+/// One reactor shard: owns a disjoint set of sockets and blocks in its
+/// poller between passes, until one of its sockets has an event, a timer
+/// is due, or it is woken by a pool worker delivering a completion for
+/// *its* connections, by the accepting shard routing it a new
+/// connection, or by the drain broadcast.
 struct EventLoop {
     /// This shard's index; shard 0 owns the listener.
     shard: usize,
@@ -334,6 +359,12 @@ struct EventLoop {
     reactors: usize,
     /// The accept socket (shard 0 only).
     listener: Option<TcpListener>,
+    /// The listener may have queued connections (set by its events,
+    /// cleared once an accept finds the backlog empty).
+    listener_ready: bool,
+    /// No accept retry before this instant (set when an accept failed
+    /// with connections still queued).
+    accept_backoff: Option<Instant>,
     /// Connections routed here by the accepting shard.
     reg_rx: mpsc::Receiver<TcpStream>,
     /// Registration queues to every shard (accepting shard only; empty
@@ -344,6 +375,11 @@ struct EventLoop {
     pool: Arc<ServePool>,
     control: Arc<ShardControl>,
     conns: HashMap<u64, Conn>,
+    /// Connections the next pass visits (each flagged `queued`).
+    visit: Vec<u64>,
+    /// Earliest connection deadline armed since the last timeout scan —
+    /// a lower bound, since a deadline only moves later once set.
+    conn_timer: Option<Instant>,
     next_id: u64,
     pending_accepts: VecDeque<TcpStream>,
     accept_bucket: TokenBucket,
@@ -351,7 +387,7 @@ struct EventLoop {
     drain_deadline: Option<Instant>,
     tx: mpsc::Sender<Completion>,
     rx: mpsc::Receiver<Completion>,
-    parker: Parker,
+    poller: Poller,
     /// This shard's slice of the session table, bounded with LRU
     /// eviction. Shard-owned: session crypto is symmetric-only and runs
     /// inline; only handshake encaps goes to the pool.
@@ -365,8 +401,6 @@ struct EventLoop {
     next_session_id: u64,
     /// Accumulated CPU time of productive passes (ns).
     busy_ns: u64,
-    /// Last timeout scan (throttled to the park granularity).
-    last_timeout_scan: Instant,
     // Knobs copied out of ServeConfig.
     session_rekey_after: u64,
     max_conns: u64,
@@ -381,6 +415,7 @@ impl EventLoop {
     fn new(
         shard: usize,
         listener: Option<TcpListener>,
+        poller: Poller,
         reg_rx: mpsc::Receiver<TcpStream>,
         reg_txs: Vec<mpsc::Sender<TcpStream>>,
         pool: Arc<ServePool>,
@@ -393,12 +428,16 @@ impl EventLoop {
             shard,
             reactors,
             listener,
+            listener_ready: false,
+            accept_backoff: None,
             reg_rx,
             reg_txs,
             next_rr: 0,
             pool,
             control,
             conns: HashMap::new(),
+            visit: Vec::new(),
+            conn_timer: None,
             // Per-shard conn ids stride by the shard count so they stay
             // globally unique (handy in logs; routing never needs it).
             next_id: shard as u64,
@@ -408,7 +447,7 @@ impl EventLoop {
             drain_deadline: None,
             tx,
             rx,
-            parker: Parker::new(),
+            poller,
             // Each shard holds its share of the global bound. Few
             // internal sub-shards so tiny capacities still evict in
             // near-global LRU order within the slice.
@@ -419,7 +458,6 @@ impl EventLoop {
             pending_opens: HashMap::new(),
             next_session_id: shard as u64 + 1,
             busy_ns: 0,
-            last_timeout_scan: Instant::now(),
             session_rekey_after: cfg.session_rekey_after,
             max_conns: cfg.max_conns.max(1) as u64,
             idle_timeout: timeout(cfg.idle_timeout_ms),
@@ -441,9 +479,19 @@ impl EventLoop {
     }
 
     fn run(mut self) {
-        self.control.register(self.shard, self.parker.waker());
+        let mut ready = Vec::new();
         loop {
+            ready.clear();
+            self.poller.wait(self.wait_timeout(), &mut ready);
+            self.shard_stats().wakeup();
             let pass_cpu = reactor::thread_cpu_ns();
+            for &token in &ready {
+                if token == LISTENER {
+                    self.listener_ready = true;
+                } else {
+                    self.queue(token, true);
+                }
+            }
             let mut progress = self.register_pass();
             progress |= self.route_completions();
             progress |= self.accept_pass();
@@ -451,7 +499,7 @@ impl EventLoop {
             self.timeout_pass();
             if progress {
                 // Busy-time accounting: only passes that did work count,
-                // so idle 1 ms ticks don't dilute the scaling metric.
+                // so timer-only wakeups don't dilute the scaling metric.
                 self.busy_ns += reactor::thread_cpu_ns().saturating_sub(pass_cpu);
                 self.shard_stats().set_busy_ns(self.busy_ns);
             }
@@ -463,9 +511,6 @@ impl EventLoop {
                 if self.conns.is_empty() || expired {
                     break;
                 }
-            }
-            if !progress {
-                self.parker.park(PARK);
             }
         }
         // Account for connections still open at the deadline, plus any
@@ -481,6 +526,46 @@ impl EventLoop {
             self.shard_stats().conn_closed();
         }
         self.shard_stats().set_busy_ns(self.busy_ns);
+    }
+
+    /// How long the next wait may block: not at all while connections
+    /// are queued for a visit, otherwise until the earliest armed timer
+    /// (none armed: indefinitely, until an event or a wake).
+    fn wait_timeout(&self) -> Option<Duration> {
+        if !self.visit.is_empty() {
+            return Some(Duration::ZERO);
+        }
+        let accepting = self.listener.is_some() && !self.draining;
+        let backoff = self
+            .accept_backoff
+            .filter(|_| accepting && self.listener_ready);
+        let refill =
+            (accepting && !self.pending_accepts.is_empty()).then(|| self.accept_bucket.refill_at());
+        [self.conn_timer, self.drain_deadline, backoff, refill]
+            .into_iter()
+            .flatten()
+            .min()
+            .map(|due| due.saturating_duration_since(Instant::now()))
+    }
+
+    /// Put a connection on the next pass's visit list (once), and note
+    /// that its socket may be readable when a poller event says so.
+    fn queue(&mut self, id: u64, readable: bool) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.readable |= readable;
+            if !conn.queued {
+                conn.queued = true;
+                self.visit.push(id);
+            }
+        }
+    }
+
+    /// Drop a connection's poller registration and balance the gauges
+    /// (the caller has removed it from `conns`, closing the socket).
+    fn closed(&mut self, id: u64) {
+        self.poller.deregister(id);
+        self.frontend().conn_closed();
+        self.shard_stats().conn_closed();
     }
 
     /// Install connections the accepting shard routed here. During a
@@ -500,10 +585,19 @@ impl EventLoop {
         any
     }
 
+    /// Register a connection with this shard's poller and visit it on
+    /// this pass: bytes may have arrived before registration.
     fn install(&mut self, stream: TcpStream) {
         let id = self.next_id;
         self.next_id += self.reactors as u64;
+        if self.poller.register(&stream, id).is_err() {
+            // The kernel will not watch it (memory or watch quota): close
+            // it like any other failed connection.
+            self.closed(id);
+            return;
+        }
         self.conns.insert(id, Conn::new(stream));
+        self.queue(id, true);
     }
 
     /// Deliver worker completions into their reserved slots. Session
@@ -537,6 +631,7 @@ impl EventLoop {
             c.slots[index] = Some(encode(&response));
             c.inflight -= 1;
             c.last_activity = Instant::now();
+            self.queue(conn, false);
         }
         if routed > 0 {
             self.shard_stats().completions(routed);
@@ -601,10 +696,26 @@ impl EventLoop {
             self.admit(stream);
             progress = true;
         }
+        let now = Instant::now();
+        if !self.listener_ready || self.accept_backoff.is_some_and(|t| now < t) {
+            return progress;
+        }
+        self.accept_backoff = None;
         loop {
             let listener = self.listener.as_ref().expect("checked above");
-            let Ok(stream) = reactor::try_accept(listener) else {
-                break;
+            let stream = match reactor::try_accept(listener) {
+                Ok(stream) => stream,
+                Err(IoStatus::NotReady) => {
+                    // Backlog empty: the next connection is a new event.
+                    self.listener_ready = false;
+                    break;
+                }
+                Err(_) => {
+                    // Out of descriptors or buffers: the backlog stays
+                    // queued, and no new event will announce it.
+                    self.accept_backoff = Some(now + ACCEPT_BACKOFF);
+                    break;
+                }
             };
             progress = true;
             if !self.pending_accepts.is_empty() || !self.accept_bucket.try_take() {
@@ -661,16 +772,19 @@ impl EventLoop {
         }
     }
 
-    /// One read + flush round over every connection this shard owns.
+    /// One read + flush round over the queued connections. A connection
+    /// left with bytes to read (the fairness bound hit) is queued again,
+    /// so the next wait does not block.
     fn conn_pass(&mut self) -> bool {
         let mut progress = false;
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
-        for id in ids {
+        let visit = std::mem::take(&mut self.visit);
+        for &id in &visit {
             // Take the connection out of the map so frame handling can
             // borrow the loop (pool, completion channel) mutably.
             let Some(mut conn) = self.conns.remove(&id) else {
                 continue;
             };
+            conn.queued = false;
             progress |= self.read_conn(id, &mut conn);
             progress |= flush_conn(
                 &mut conn,
@@ -679,11 +793,22 @@ impl EventLoop {
                 self.pool.metrics().shard(self.shard),
             );
             if conn.dead {
-                self.frontend().conn_closed();
-                self.shard_stats().conn_closed();
-            } else {
-                self.conns.insert(id, conn);
+                self.closed(id);
+                continue;
             }
+            if let Some(due) = self.deadlines(&conn).into_iter().flatten().min() {
+                self.conn_timer = Some(self.conn_timer.map_or(due, |t| t.min(due)));
+            }
+            let again = conn.read_pending() && !self.draining;
+            self.conns.insert(id, conn);
+            if again {
+                self.queue(id, false);
+            }
+        }
+        // Keep the list's allocation when nothing was queued meanwhile.
+        if self.visit.is_empty() {
+            self.visit = visit;
+            self.visit.clear();
         }
         progress
     }
@@ -724,10 +849,16 @@ impl EventLoop {
                         return true;
                     }
                     if n < buf.len() {
+                        // A short read took everything queued; bytes
+                        // arriving later are a new event.
+                        conn.readable = false;
                         break;
                     }
                 }
-                IoStatus::NotReady => break,
+                IoStatus::NotReady => {
+                    conn.readable = false;
+                    break;
+                }
                 IoStatus::Closed => {
                     // Peer EOF: flush what we owe, then close.
                     conn.closing = true;
@@ -841,7 +972,7 @@ impl EventLoop {
             conn: id,
             slot,
             tx: self.tx.clone(),
-            wake: self.parker.waker(),
+            wake: self.poller.waker(),
         };
         match self.pool.try_submit(job, sink) {
             Ok(()) => {
@@ -952,7 +1083,7 @@ impl EventLoop {
             conn: id,
             slot,
             tx: self.tx.clone(),
-            wake: self.parker.waker(),
+            wake: self.poller.waker(),
         };
         match self.pool.try_submit(job, sink) {
             Ok(()) => {}
@@ -966,49 +1097,55 @@ impl EventLoop {
         }
     }
 
+    /// A connection's armed deadlines in reap-priority order: mid-frame
+    /// read, write progress, idle (only while it owes nothing).
+    fn deadlines(&self, conn: &Conn) -> [Option<Instant>; 3] {
+        let idle = conn.slots.is_empty() && conn.wbuf_len == 0 && !conn.closing;
+        [
+            self.read_timeout
+                .zip(conn.partial_since)
+                .map(|(t, s)| s + t),
+            self.write_timeout
+                .zip(conn.write_stalled_since)
+                .map(|(t, s)| s + t),
+            self.idle_timeout
+                .filter(|_| idle)
+                .map(|t| conn.last_activity + t),
+        ]
+    }
+
     /// Enforce idle / read / write timeouts over this shard's connections
-    /// and reap the losers. Scans are throttled to the park granularity —
-    /// the shard's cheap stand-in for a timer wheel, bounding scan work
-    /// to one pass per timer tick no matter how busy the loop is.
+    /// once the earliest armed deadline is due: reap the losers and re-arm
+    /// for the earliest survivor. A deadline is armed whenever a visit
+    /// leaves one set, so this full scan runs about once per timeout
+    /// period rather than per pass.
     fn timeout_pass(&mut self) {
         let now = Instant::now();
-        if now.duration_since(self.last_timeout_scan) < PARK {
+        if !self.conn_timer.is_some_and(|t| now >= t) {
             return;
         }
-        self.last_timeout_scan = now;
+        let frontend = self.pool.metrics().frontend();
+        let mut next: Option<Instant> = None;
         let mut reap = Vec::new();
-        for (&id, conn) in self.conns.iter_mut() {
-            if conn.dead {
-                reap.push(id);
-                continue;
-            }
-            let frontend = self.pool.metrics().frontend();
-            if self
-                .read_timeout
-                .is_some_and(|t| conn.partial_since.is_some_and(|s| now - s > t))
-            {
+        for (&id, conn) in &self.conns {
+            let [read, write, idle] = self.deadlines(conn);
+            if read.is_some_and(|d| now >= d) {
                 frontend.timeout_read();
                 reap.push(id);
-            } else if self
-                .write_timeout
-                .is_some_and(|t| conn.write_stalled_since.is_some_and(|s| now - s > t))
-            {
+            } else if write.is_some_and(|d| now >= d) {
                 frontend.timeout_write();
                 reap.push(id);
-            } else if self.idle_timeout.is_some_and(|t| {
-                conn.slots.is_empty()
-                    && conn.wbuf_len == 0
-                    && !conn.closing
-                    && now - conn.last_activity > t
-            }) {
+            } else if idle.is_some_and(|d| now >= d) {
                 frontend.timeout_idle();
                 reap.push(id);
+            } else if let Some(due) = [read, write, idle].into_iter().flatten().min() {
+                next = Some(next.map_or(due, |n| n.min(due)));
             }
         }
+        self.conn_timer = next;
         for id in reap {
             self.conns.remove(&id);
-            self.frontend().conn_closed();
-            self.shard_stats().conn_closed();
+            self.closed(id);
         }
     }
 
@@ -1024,8 +1161,13 @@ impl EventLoop {
         self.draining = true;
         self.drain_deadline = Some(Instant::now() + Duration::from_millis(self.drain_ms));
         self.pending_accepts.clear();
-        for conn in self.conns.values_mut() {
-            conn.closing = true;
+        // Visit every connection once: those owing nothing close now.
+        let ids: Vec<u64> = self.conns.keys().copied().collect();
+        for id in ids {
+            if let Some(conn) = self.conns.get_mut(&id) {
+                conn.closing = true;
+            }
+            self.queue(id, false);
         }
     }
 }
@@ -1111,7 +1253,7 @@ mod tests {
     use crate::client::Client;
     use crate::{params_code, BackendKind};
     use lac::Params;
-    use std::io::BufReader;
+    use std::io::{BufReader, Read, Write};
 
     fn spawn_with(config: ServeConfig) -> (SocketAddr, std::thread::JoinHandle<MetricsSnapshot>) {
         let server = Server::bind("127.0.0.1:0", config).expect("bind");
@@ -1442,6 +1584,188 @@ mod tests {
         ctl.shutdown().expect("shutdown");
         let snap = handle.join().expect("server");
         assert!(snap.frontend.timeouts_idle >= 1, "{:?}", snap.frontend);
+    }
+
+    #[test]
+    fn read_timeout_reaps_a_half_frame_on_a_silent_shard() {
+        let (addr, handle) = spawn_with(ServeConfig {
+            workers: 1,
+            queue_capacity: 8,
+            seed: [3u8; 32],
+            warm_iss: false,
+            read_timeout_ms: 50,
+            ..ServeConfig::default()
+        });
+        // Half a request header, then silence: nothing else reaches the
+        // server, so only the shard's own read deadline can wake it.
+        let mut frame = Vec::new();
+        wire::write_request(
+            &mut frame,
+            &RequestFrame {
+                opcode: Opcode::Ping,
+                params_code: 0,
+                backend_code: 0,
+                seq: 0,
+                payload: Vec::new(),
+            },
+        )
+        .expect("encode");
+        let mut stalled = TcpStream::connect(addr).expect("connect");
+        stalled
+            .write_all(&frame[..frame.len() / 2])
+            .expect("half a frame");
+        stalled
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut byte = [0u8; 1];
+        let reaped = match stalled.read(&mut byte) {
+            Ok(0) => true,
+            Ok(_) => false,
+            Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        };
+        assert!(reaped, "the half-frame connection must be closed");
+        let mut ctl = Client::connect(&addr.to_string()).expect("connect");
+        ctl.shutdown().expect("shutdown");
+        let snap = handle.join().expect("server");
+        assert!(snap.frontend.timeouts_read >= 1, "{:?}", snap.frontend);
+    }
+
+    #[test]
+    fn throttled_accepts_are_admitted_as_tokens_refill() {
+        let (addr, handle) = spawn_with(ServeConfig {
+            workers: 1,
+            queue_capacity: 8,
+            seed: [3u8; 32],
+            warm_iss: false,
+            accept_rps: 2,
+            ..ServeConfig::default()
+        });
+        // Five back-to-back connects, each with a ping queued: two fit the
+        // bucket's burst, the rest wait on the refill timer alone (no
+        // other traffic arrives to wake the shard).
+        let ping = RequestFrame {
+            opcode: Opcode::Ping,
+            params_code: 0,
+            backend_code: 0,
+            seq: 0,
+            payload: Vec::new(),
+        };
+        let mut streams: Vec<TcpStream> = (0..5)
+            .map(|_| {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                wire::write_request(&mut stream, &ping).expect("send ping");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .expect("read timeout");
+                stream
+            })
+            .collect();
+        for (i, stream) in streams.iter_mut().enumerate() {
+            let frame = wire::read_response(stream).expect("pong");
+            assert_eq!(frame.payload, b"pong", "connection {i}");
+        }
+        let mut ctl = Client::connect(&addr.to_string()).expect("connect");
+        ctl.shutdown().expect("shutdown");
+        let snap = handle.join().expect("server");
+        assert!(snap.frontend.accept_throttled >= 1, "{:?}", snap.frontend);
+        assert_eq!(snap.frontend.conns_open, 0);
+    }
+
+    #[test]
+    fn backpressure_pauses_reading_and_resumes_once_the_peer_drains() {
+        let (addr, handle) = spawn_with(ServeConfig {
+            workers: 1,
+            queue_capacity: 8,
+            seed: [3u8; 32],
+            warm_iss: false,
+            max_write_buffer: 16 * 1024,
+            ..ServeConfig::default()
+        });
+        // Pipeline far more STATS replies (over 1 KB each) than the
+        // socket buffers hold, without reading: the server's write queue
+        // passes max_write_buffer and it stops reading this connection.
+        // Once we drain, it must resume reading requests that arrived
+        // while it was paused — no new input event will announce them.
+        const REQUESTS: usize = 16_000;
+        let mut frame = Vec::new();
+        wire::write_request(
+            &mut frame,
+            &RequestFrame {
+                opcode: Opcode::Stats,
+                params_code: 0,
+                backend_code: 0,
+                seq: 0,
+                payload: Vec::new(),
+            },
+        )
+        .expect("encode");
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("read timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        let sender = std::thread::spawn(move || writer.write_all(&frame.repeat(REQUESTS)));
+        // Only makes the pause likely; every reply must arrive either way.
+        std::thread::sleep(Duration::from_millis(200));
+        let mut reader = BufReader::new(stream);
+        for i in 0..REQUESTS {
+            let reply = wire::read_response(&mut reader).expect("stats reply");
+            assert!(reply.error_message().is_none(), "reply {i}");
+        }
+        sender.join().expect("sender").expect("requests sent");
+        drop(reader);
+        let mut ctl = Client::connect(&addr.to_string()).expect("connect");
+        ctl.shutdown().expect("shutdown");
+        let snap = handle.join().expect("server");
+        assert!(
+            snap.frontend.frames_flushed > REQUESTS as u64,
+            "{:?}",
+            snap.frontend
+        );
+    }
+
+    /// A shard with nothing due blocks in its poller: one idle connection
+    /// under the default timeouts costs no periodic wakeups.
+    #[cfg(all(
+        target_os = "linux",
+        any(
+            target_arch = "x86_64",
+            target_arch = "aarch64",
+            target_arch = "riscv64"
+        )
+    ))]
+    #[test]
+    fn an_idle_shard_does_not_wake() {
+        let (addr, handle) = spawn_with(ServeConfig {
+            workers: 1,
+            queue_capacity: 8,
+            seed: [3u8; 32],
+            warm_iss: false,
+            ..ServeConfig::default()
+        });
+        let mut client = Client::connect(&addr.to_string()).expect("connect");
+        assert!(client.ping().is_ok());
+        let wakeups = |client: &mut Client| {
+            let stats = client.stats().expect("stats");
+            let key = "\"shard_wakeups\": ";
+            let at = stats.find(key).expect("wakeups key") + key.len();
+            let digits: String = stats[at..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse::<u64>().expect("wakeups value")
+        };
+        let before = wakeups(&mut client);
+        std::thread::sleep(Duration::from_millis(300));
+        let after = wakeups(&mut client);
+        // The second STATS request itself is one wakeup.
+        assert!(
+            after - before <= 5,
+            "idle shard woke {} times in 300 ms",
+            after - before
+        );
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server");
     }
 
     #[test]

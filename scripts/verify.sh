@@ -7,8 +7,9 @@
 #
 # Usage: scripts/verify.sh [--quick]
 #
-# --quick runs the CI-iteration subset — fmt, build, unit tests and one
-# table smoke — and skips the sweeps, bench-regression and serving gates.
+# --quick runs the CI-iteration subset — fmt, build, unit tests (the
+# workspace's and the benchmark package's) and a few smokes — and skips
+# the sweeps, bench-regression and serving gates.
 # Full mode (no flags) remains the tier-1 gate.
 set -eu
 
@@ -37,6 +38,14 @@ cargo build --release --offline --workspace
 echo
 echo "== cargo test -q --offline --workspace =="
 cargo test -q --offline --workspace
+
+echo
+echo "== cargo test --release --offline (perfbench) =="
+# The benchmark is a package of its own, outside the workspace, that
+# drives the system through lac-serve's public API (Server, Client,
+# ServePool). Building and testing it here makes an API change that
+# breaks the benchmark fail tier-1, in both modes.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 if [ "$QUICK" = 1 ]; then
     echo

@@ -397,7 +397,7 @@ fn cmd_serve_ctl(action: &str, opts: &Options) -> Result<String, String> {
                     out.push_str(&format!(
                         "  shard {index}: conns open {} / accepted {}, \
                          completions {}, frames {} in {} writev, \
-                         sessions {}, busy {:.1} ms\n",
+                         sessions {}, busy {:.1} ms, wakeups {}\n",
                         f("shard_conns_open"),
                         f("shard_conns_accepted"),
                         f("shard_completions"),
@@ -405,6 +405,7 @@ fn cmd_serve_ctl(action: &str, opts: &Options) -> Result<String, String> {
                         f("shard_writev_calls"),
                         f("shard_sessions_open"),
                         f("shard_busy_ns") as f64 / 1e6,
+                        f("shard_wakeups"),
                     ));
                 }
             }
