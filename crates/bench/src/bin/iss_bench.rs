@@ -9,20 +9,21 @@
 //! `scripts/bench_compare.sh`.
 //!
 //! Run: `cargo run --release -p lac-bench --bin iss_bench
-//!       [--json] [--iters N] [--engine classic|predecode|superblock|jit]
+//!       [--json] [--iters N] [--engine classic|superblock|jit]
 //!       [--sweep [--cells N] [--threads N]] [--smc]`
 //!
 //! With `--engine`, only that engine is measured (no differential check);
-//! the default is the full four-way comparison, which also prints the
-//! `"jit_over_superblock"` and `"jit_chain_over_jit"` ratios and the
-//! `"jit_supported"` flag behind `scripts/verify.sh`'s JIT gates (chained
-//! jit ≥ 3× superblock and ≥ 1.3× the unchained jit on hosts with a JIT
-//! backend; on others `Engine::Jit` silently degrades to the superblock
-//! interpreter and a one-line note is printed instead). With `--smc`, a
-//! self-modifying workload patches an already-chained block mid-run and
-//! the four engines' digests are compared — the unlink-exactness smoke
-//! behind `scripts/verify.sh --quick`. With `--sweep`, a fleet
-//! of `--cells` independent sweep cells runs on `--threads` workers twice
+//! the default compares every engine plus the JIT with chaining off, and
+//! also prints the `"jit_over_superblock"` and `"jit_chain_over_jit"`
+//! ratios and the `"jit_supported"` flag behind `scripts/verify.sh`'s JIT
+//! gates (chained jit ≥ 3× superblock and ≥ 1.3× the unchained jit on
+//! hosts with a JIT backend; on others `Engine::Jit` silently degrades to
+//! the superblock interpreter and a one-line note is printed instead).
+//! With `--smc`, a self-modifying workload patches an already-chained
+//! block mid-run and the three engines' digests are compared — the
+//! unlink-exactness smoke behind `scripts/verify.sh --quick`. With
+//! `--sweep`, a fleet of `--cells` independent sweep cells runs on
+//! `--threads` workers twice
 //! — per-cell cold starts vs the warm-start layer (shared trace cache +
 //! snapshot/restore) — and reports the `"warm_speedup"` ratio plus a
 //! `"digests_match"` bit-identity check; this is the binary behind
@@ -61,9 +62,9 @@ fn engine_arg() -> Result<Option<Engine>, String> {
             arg.strip_prefix("--engine=").map(str::to_owned)
         };
         if let Some(name) = name {
-            return iss::parse_engine(&name).map(Some).ok_or(format!(
-                "unknown engine {name:?} (classic|predecode|superblock|jit)"
-            ));
+            return iss::parse_engine(&name)
+                .map(Some)
+                .ok_or(format!("unknown engine {name:?} (classic|superblock|jit)"));
         }
     }
     Ok(None)
@@ -251,11 +252,9 @@ fn main() -> ExitCode {
         println!("  \"iters\": {iters},");
         println!("  \"jit_supported\": {},", lac_rv32::jit::host_supported());
         println!("  \"classic\": {},", json_run(&report.classic));
-        println!("  \"predecode\": {},", json_run(&report.predecode));
         println!("  \"superblock\": {},", json_run(&report.superblock));
         println!("  \"jit\": {},", json_run(&report.jit));
         println!("  \"jit_nochain\": {},", json_run(&report.jit_nochain));
-        println!("  \"speedup_predecode\": {:.2},", report.speedup_predecode);
         println!("  \"speedup_jit\": {:.2},", report.speedup_jit);
         println!(
             "  \"jit_over_superblock\": {:.2},",
@@ -276,13 +275,12 @@ fn main() -> ExitCode {
     } else {
         println!("ISS throughput — LAC decrypt recover loop, {iters} iterations");
         print_run("classic (decode each step):", &report.classic);
-        print_run("predecode (slot dispatch):", &report.predecode);
         print_run("superblock (trace cache):", &report.superblock);
         print_run("jit unchained (host code):", &report.jit_nochain);
         print_run("jit chained (host code):", &report.jit);
         println!(
-            "  speedup vs classic: predecode {:.2}x, superblock {:.2}x, jit {:.2}x",
-            report.speedup_predecode, report.speedup_superblock, report.speedup_jit
+            "  speedup vs classic: superblock {:.2}x, jit {:.2}x",
+            report.speedup_superblock, report.speedup_jit
         );
         println!(
             "  jit over superblock: {:.2}x, chained over unchained: {:.2}x",

@@ -5,17 +5,10 @@
 //!
 //! Run: `cargo run --release -p lac-bench --bin table1`
 //! (`--json` emits the same data as machine-readable JSON; `--threads N`
-//! caps the shard worker count, default all cores / `LAC_BENCH_THREADS`;
-//! `--iss-warm` routes the ISS probe through the warm-start layer;
-//! `--iss-engine classic|predecode|superblock|jit` selects its engine)
+//! caps the shard worker count, default all cores / `LAC_BENCH_THREADS`)
 
-use lac_bench::{iss_engine_arg, iss_warm_arg, json, table1, threads_arg};
+use lac_bench::{json, table1, threads_arg};
 
 fn main() {
-    table1::run(
-        json::requested(),
-        threads_arg(),
-        iss_warm_arg(),
-        iss_engine_arg(),
-    );
+    table1::run(json::requested(), threads_arg());
 }

@@ -10,17 +10,10 @@
 //!
 //! Run: `cargo run --release -p lac-bench --bin table2`
 //! (`--json` emits the same data as machine-readable JSON; `--threads N`
-//! caps the shard worker count, default all cores / `LAC_BENCH_THREADS`;
-//! `--iss-warm` routes the ISS probe through the warm-start layer;
-//! `--iss-engine classic|predecode|superblock|jit` selects its engine)
+//! caps the shard worker count, default all cores / `LAC_BENCH_THREADS`)
 
-use lac_bench::{iss_engine_arg, iss_warm_arg, json, table2, threads_arg};
+use lac_bench::{json, table2, threads_arg};
 
 fn main() {
-    table2::run(
-        json::requested(),
-        threads_arg(),
-        iss_warm_arg(),
-        iss_engine_arg(),
-    );
+    table2::run(json::requested(), threads_arg());
 }

@@ -6,14 +6,12 @@
 //! (retired instructions per wall-second, "MIPS"). It drives a
 //! `tests/riscv_decrypt.rs`-style workload — the LAC decryption recover
 //! loop with `pq.modq`, byte loads/stores and a backward branch — on the
-//! four execution engines of `lac-rv32`:
+//! three execution engines of `lac-rv32`:
 //!
 //! * the **JIT engine** (superblocks lowered to host machine code; falls
 //!   back to the superblock interpreter on unsupported hosts),
 //! * the **superblock engine** (trace-cached macro-op fusion, the
-//!   default),
-//! * the **predecoded engine** (decode once per code line, dispatch
-//!   single instructions from the cache), and
+//!   default), and
 //! * the **classic decode-every-step engine** (the differential oracle).
 //!
 //! All runs must produce bit-identical architectural results — the
@@ -40,18 +38,12 @@ const OUT_BASE: u32 = 0xC000;
 const COEFFS: u32 = 400;
 
 /// The engines under measurement, slowest first.
-pub const ENGINES: [Engine; 4] = [
-    Engine::Classic,
-    Engine::Predecode,
-    Engine::Superblock,
-    Engine::Jit,
-];
+pub const ENGINES: [Engine; 3] = [Engine::Classic, Engine::Superblock, Engine::Jit];
 
 /// The stable lowercase name of an engine (CLI flag values, JSON fields).
 pub fn engine_name(engine: Engine) -> &'static str {
     match engine {
         Engine::Classic => "classic",
-        Engine::Predecode => "predecode",
         Engine::Superblock => "superblock",
         Engine::Jit => "jit",
     }
@@ -61,7 +53,6 @@ pub fn engine_name(engine: Engine) -> &'static str {
 pub fn parse_engine(name: &str) -> Option<Engine> {
     match name {
         "classic" => Some(Engine::Classic),
-        "predecode" => Some(Engine::Predecode),
         "superblock" => Some(Engine::Superblock),
         "jit" => Some(Engine::Jit),
         _ => None,
@@ -81,14 +72,6 @@ pub struct IssRun {
     pub mips: f64,
     /// Hex SHA-256 over the architectural exit state and output buffer.
     pub digest: String,
-    /// Superblocks compiled locally by the CPU.
-    pub sb_compiles: u64,
-    /// Whole-block trace-cache dispatches.
-    pub sb_dispatches: u64,
-    /// Blocks adopted from a shared trace cache instead of compiled.
-    pub sb_shared_installs: u64,
-    /// Predecode lines filled.
-    pub pre_fills: u64,
     /// Superblocks translated to host code locally.
     pub jit_compiles: u64,
     /// Emitted host-code block entries.
@@ -107,13 +90,11 @@ pub struct IssRun {
     pub jit_unlinks: u64,
 }
 
-/// A four-way engine comparison on the same workload.
+/// An engine comparison on the same workload.
 #[derive(Debug, Clone)]
 pub struct IssReport {
     /// The decode-every-step oracle.
     pub classic: IssRun,
-    /// The predecoded single-instruction engine.
-    pub predecode: IssRun,
     /// The trace-cached superblock engine.
     pub superblock: IssRun,
     /// The host-code JIT tier (superblock fallback where unsupported).
@@ -122,8 +103,6 @@ pub struct IssReport {
     /// same translations, but every block returns to the Rust dispatch
     /// loop. Isolates the chaining win.
     pub jit_nochain: IssRun,
-    /// `classic.wall / predecode.wall` (>1 means predecode is faster).
-    pub speedup_predecode: f64,
     /// `classic.wall / superblock.wall` — the verify.sh gate figure.
     pub speedup_superblock: f64,
     /// `classic.wall / jit.wall`.
@@ -134,8 +113,8 @@ pub struct IssReport {
     /// `jit_nochain.wall / jit.wall` — the verify.sh chaining gate figure
     /// on supported hosts.
     pub jit_chain_over_jit: f64,
-    /// Whether all four engines produced bit-identical architectural
-    /// results.
+    /// Whether every run (three engines plus the unchained JIT) produced
+    /// bit-identical architectural results.
     pub digests_match: bool,
 }
 
@@ -214,7 +193,6 @@ fn measure_cpu(cpu: &mut Cpu, iters: u32) -> IssRun {
     hash.update(cpu.read_bytes(OUT_BASE, COEFFS as usize));
     let digest: String = hash.finalize().iter().map(|b| format!("{b:02x}")).collect();
 
-    let sb = cpu.superblock_stats();
     let jit = cpu.jit_stats();
     let wall_secs = (wall_micros.max(1)) as f64 / 1e6;
     IssRun {
@@ -223,10 +201,6 @@ fn measure_cpu(cpu: &mut Cpu, iters: u32) -> IssRun {
         wall_micros,
         mips: exit.instructions as f64 / wall_secs / 1e6,
         digest,
-        sb_compiles: sb.compiles,
-        sb_dispatches: sb.dispatches,
-        sb_shared_installs: sb.shared_installs,
-        pre_fills: cpu.predecode_stats().0,
         jit_compiles: jit.compiles,
         jit_dispatches: jit.dispatches,
         jit_shared_installs: jit.shared_installs,
@@ -259,30 +233,6 @@ pub fn run_path_nochain(iters: u32, engine: Engine) -> IssRun {
     measure_cpu(machine.cpu_mut(), iters)
 }
 
-/// Run the workload through the warm-start layer: snapshot the pristine
-/// machine, prime a [`SharedTraceCache`] with one run, then measure a CPU
-/// restored from the image with the shared cache attached. The digest
-/// must equal [`run_path`]'s for the same `iters` — warm start is a
-/// host-speed optimisation only.
-///
-/// # Panics
-///
-/// Panics if the workload traps (a build-time bug).
-pub fn run_path_warm(iters: u32, engine: Engine) -> IssRun {
-    let mut machine = workload(iters);
-    machine.cpu_mut().set_engine(engine);
-    let image = machine.snapshot();
-    let shared = Arc::new(SharedTraceCache::new());
-
-    let mut primer = Cpu::from_image(&image);
-    primer.attach_shared_cache(Arc::clone(&shared));
-    measure_cpu(&mut primer, iters);
-
-    let mut cpu = Cpu::from_image(&image);
-    cpu.attach_shared_cache(shared);
-    measure_cpu(&mut cpu, iters)
-}
-
 /// Wall-clock repetitions per engine in [`compare`]. The workload is a
 /// pure function of `iters`, so repeats only tighten the timing: we keep
 /// the best (least-interfered) run, which is the standard estimator for
@@ -297,11 +247,10 @@ pub fn measure(iters: u32, engine: Engine) -> IssRun {
         .expect("COMPARE_REPS > 0")
 }
 
-/// Measure all four engines on the same `iters`-sized workload, best of
-/// [`COMPARE_REPS`] runs each.
+/// Measure every engine, plus the JIT with chaining off, on the same
+/// `iters`-sized workload, best of [`COMPARE_REPS`] runs each.
 pub fn compare(iters: u32) -> IssReport {
     let classic = measure(iters, Engine::Classic);
-    let predecode = measure(iters, Engine::Predecode);
     let superblock = measure(iters, Engine::Superblock);
     let jit = measure(iters, Engine::Jit);
     let jit_nochain = (0..COMPARE_REPS)
@@ -311,22 +260,18 @@ pub fn compare(iters: u32) -> IssReport {
     let ratio = |slow: &IssRun, fast: &IssRun| {
         slow.wall_micros.max(1) as f64 / fast.wall_micros.max(1) as f64
     };
-    let speedup_predecode = ratio(&classic, &predecode);
     let speedup_superblock = ratio(&classic, &superblock);
     let speedup_jit = ratio(&classic, &jit);
     let jit_over_superblock = ratio(&superblock, &jit);
     let jit_chain_over_jit = ratio(&jit_nochain, &jit);
-    let digests_match = classic.digest == predecode.digest
-        && classic.digest == superblock.digest
+    let digests_match = classic.digest == superblock.digest
         && classic.digest == jit.digest
         && classic.digest == jit_nochain.digest;
     IssReport {
         classic,
-        predecode,
         superblock,
         jit,
         jit_nochain,
-        speedup_predecode,
         speedup_superblock,
         speedup_jit,
         jit_over_superblock,
@@ -342,7 +287,7 @@ pub struct SmcReport {
     pub classic_digest: String,
     /// Digest from the chained JIT tier (superblock fallback elsewhere).
     pub jit_digest: String,
-    /// Whether all four engines produced bit-identical results.
+    /// Whether all three engines produced bit-identical results.
     pub digests_match: bool,
     /// Chain links the JIT run installed before the patch landed.
     pub jit_links_installed: u64,
@@ -387,7 +332,7 @@ fn smc_workload() -> Machine {
     Machine::assemble(&src).expect("SMC workload assembles")
 }
 
-/// Run the self-modifying workload on all four engines and compare
+/// Run the self-modifying workload on all three engines and compare
 /// digests — the `--smc` mode behind `scripts/verify.sh --quick`'s
 /// unlink smoke.
 ///
@@ -401,61 +346,16 @@ pub fn smc_check() -> SmcReport {
         measure_cpu(machine.cpu_mut(), 1)
     };
     let classic = run(Engine::Classic);
-    let predecode = run(Engine::Predecode);
     let superblock = run(Engine::Superblock);
     let jit = run(Engine::Jit);
     SmcReport {
-        digests_match: classic.digest == predecode.digest
-            && classic.digest == superblock.digest
-            && classic.digest == jit.digest,
+        digests_match: classic.digest == superblock.digest && classic.digest == jit.digest,
         classic_digest: classic.digest,
         jit_digest: jit.digest,
         jit_links_installed: jit.jit_links_installed,
         jit_chained_dispatches: jit.jit_chained_dispatches,
         jit_unlinks: jit.jit_unlinks,
     }
-}
-
-/// The volatile `"iss_*"` JSON fields the table binaries append to their
-/// `--json` output (wall-clock figures and cache counters, so
-/// `scripts/bench_compare.sh` and the sharding-determinism check both
-/// filter keys with this prefix). `engine` is the table binaries'
-/// `--iss-engine` flag (default superblock); the `"iss_digest"` field is
-/// engine-independent, which is how `scripts/verify.sh` checks jit vs
-/// classic digest parity on a table1 smoke.
-pub fn json_fields(iters: u32, engine: Engine) -> String {
-    format_iss_fields(&run_path(iters, engine), engine, false)
-}
-
-/// Warm-start variant of [`json_fields`] (the table binaries' `--iss-warm`
-/// flag): the probe runs through snapshot/restore plus a shared trace
-/// cache. Everything outside the stripped `iss_*` prefix is unchanged, so
-/// a warm `--json` run diffs clean against a cold one.
-pub fn json_fields_warm(iters: u32, engine: Engine) -> String {
-    format_iss_fields(&run_path_warm(iters, engine), engine, true)
-}
-
-fn format_iss_fields(run: &IssRun, engine: Engine, warm: bool) -> String {
-    format!(
-        "\"iss_engine\": \"{}\", \"iss_warm\": {}, \"iss_instructions\": {}, \"iss_wall_us\": {}, \"iss_mips\": {:.2}, \"iss_digest\": \"{}\", \"iss_sb_compiles\": {}, \"iss_sb_dispatches\": {}, \"iss_sb_shared_installs\": {}, \"iss_pre_fills\": {}, \"iss_jit_compiles\": {}, \"iss_jit_dispatches\": {}, \"iss_jit_shared_installs\": {}, \"iss_jit_fallbacks\": {}, \"iss_jit_links_installed\": {}, \"iss_jit_chained_dispatches\": {}, \"iss_jit_unlinks\": {}",
-        engine_name(engine),
-        warm,
-        run.instructions,
-        run.wall_micros,
-        run.mips,
-        run.digest,
-        run.sb_compiles,
-        run.sb_dispatches,
-        run.sb_shared_installs,
-        run.pre_fills,
-        run.jit_compiles,
-        run.jit_dispatches,
-        run.jit_shared_installs,
-        run.jit_fallbacks,
-        run.jit_links_installed,
-        run.jit_chained_dispatches,
-        run.jit_unlinks
-    )
 }
 
 /// A cold-vs-warm fleet comparison: `cells` independent sweep cells run
@@ -550,7 +450,6 @@ mod tests {
     fn all_engines_agree_architecturally() {
         let report = compare(2);
         assert!(report.digests_match, "engines diverged");
-        assert_eq!(report.classic.instructions, report.predecode.instructions);
         assert_eq!(report.classic.instructions, report.superblock.instructions);
         assert_eq!(report.classic.instructions, report.jit.instructions);
         assert_eq!(report.classic.cycles, report.superblock.cycles);
@@ -598,20 +497,6 @@ mod tests {
         assert_ne!(one.digest, three.digest);
         // Same shape twice → identical digest (pure function of iters).
         assert_eq!(run_path(3, Engine::Superblock).digest, three.digest);
-    }
-
-    #[test]
-    fn warm_path_is_bit_identical_and_installs_shared_blocks() {
-        let cold = run_path(3, Engine::Superblock);
-        let warm = run_path_warm(3, Engine::Superblock);
-        assert_eq!(warm.digest, cold.digest, "warm start changed results");
-        assert_eq!(warm.instructions, cold.instructions);
-        assert_eq!(warm.cycles, cold.cycles);
-        assert!(
-            warm.sb_shared_installs > 0,
-            "the measured CPU should adopt the primer's blocks: {warm:?}"
-        );
-        assert_eq!(warm.sb_compiles, 0, "nothing left to compile locally");
     }
 
     #[test]

@@ -61,40 +61,6 @@ pub mod json {
     }
 }
 
-/// Whether `--iss-warm` was passed on the command line: the table
-/// binaries route their trailing ISS-throughput probe through the
-/// warm-start layer ([`iss::run_path_warm`]). Everything outside the
-/// stripped `iss_*` JSON fields is unchanged, so `scripts/verify.sh`
-/// diffs warm output against cold output to check digest invariance.
-pub fn iss_warm_arg() -> bool {
-    std::env::args().any(|a| a == "--iss-warm")
-}
-
-/// Parse `--iss-engine NAME` / `--iss-engine=NAME` from the command line:
-/// the execution engine for the table binaries' trailing ISS-throughput
-/// probe (default superblock). The probe's digest is engine-independent,
-/// so `scripts/verify.sh` runs a table smoke once with `jit` and once
-/// with `classic` and compares the stripped `"iss_digest"` fields.
-///
-/// Exits with status 2 on an unknown engine name.
-pub fn iss_engine_arg() -> lac_rv32::Engine {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        let name = if arg == "--iss-engine" {
-            args.next()
-        } else {
-            arg.strip_prefix("--iss-engine=").map(str::to_owned)
-        };
-        if let Some(name) = name {
-            return iss::parse_engine(&name).unwrap_or_else(|| {
-                eprintln!("error: unknown ISS engine {name:?} (classic|predecode|superblock|jit)");
-                std::process::exit(2);
-            });
-        }
-    }
-    lac_rv32::Engine::Superblock
-}
-
 /// Parse `--threads N` / `--threads=N` from the command line (the table
 /// binaries' worker-count override; see [`shard::thread_count`]).
 pub fn threads_arg() -> Option<usize> {

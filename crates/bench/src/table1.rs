@@ -4,15 +4,11 @@
 //! 16 injected errors) are independent deterministic measurements, so they
 //! are fanned out over [`crate::shard`] workers — one cell per job — and
 //! merged back in row order. The `--json` output is byte-identical for any
-//! thread count; the only wall-clock-dependent fields are the `"iss_*"`
-//! throughput keys, which every comparison in `scripts/` filters out.
+//! thread count.
 
-use crate::{iss, json, ratio, shard, thousands, PAPER_TABLE1};
+use crate::{json, ratio, shard, thousands, PAPER_TABLE1};
 use lac_bch::BchCode;
 use lac_meter::{CycleLedger, NullMeter, Phase};
-
-/// Iterations of the ISS throughput probe appended to table output.
-const ISS_ITERS: u32 = 200;
 
 /// One measured Table I cell.
 pub struct Measured {
@@ -66,7 +62,7 @@ pub fn measure_cells(threads: usize) -> Vec<Measured> {
     })
 }
 
-fn emit_json(cells: &[Measured], iss_warm: bool, iss_engine: lac_rv32::Engine) {
+fn emit_json(cells: &[Measured]) {
     let mut rows = Vec::new();
     for ((label, fails, paper), m) in PAPER_TABLE1.iter().zip(cells) {
         let col = |name: &str, measured: u64, paper: u64| {
@@ -98,34 +94,19 @@ fn emit_json(cells: &[Measured], iss_warm: bool, iss_engine: lac_rv32::Engine) {
         "    \"constant_time_overhead\": {:.4}",
         ct0.decode as f64 / vt0.decode as f64
     );
-    println!("  }},");
-    let fields = if iss_warm {
-        iss::json_fields_warm(ISS_ITERS, iss_engine)
-    } else {
-        iss::json_fields(ISS_ITERS, iss_engine)
-    };
-    println!("  {fields}");
+    println!("  }}");
     println!("}}");
 }
 
 /// Render Table I to stdout.
 ///
 /// `threads = None` resolves via [`shard::thread_count`] (flag, env,
-/// available parallelism). `iss_warm` routes the trailing ISS-throughput
-/// probe through the warm-start layer (`--iss-warm`); `iss_engine`
-/// selects the probe's execution engine (`--iss-engine`, default
-/// superblock). The stripped `--json` output is identical either way.
-/// Measurement values are independent of the thread count; only the
-/// trailing ISS-throughput report is wall-clock.
-pub fn run(
-    emit_json_output: bool,
-    threads: Option<usize>,
-    iss_warm: bool,
-    iss_engine: lac_rv32::Engine,
-) {
+/// available parallelism). Measurement values are independent of the
+/// thread count.
+pub fn run(emit_json_output: bool, threads: Option<usize>) {
     let cells = measure_cells(shard::thread_count(threads));
     if emit_json_output {
-        emit_json(&cells, iss_warm, iss_engine);
+        emit_json(&cells);
         return;
     }
     println!("Table I — cycle count BCH(511, 367, 16) on RISC-V");
@@ -173,19 +154,6 @@ pub fn run(
         "  constant-time overhead: {:.2}x  [paper: {:.2}x]",
         ct0.decode as f64 / vt0.decode as f64,
         514_169.0 / 171_522.0
-    );
-    let probe = if iss_warm {
-        iss::run_path_warm(ISS_ITERS, iss_engine)
-    } else {
-        iss::run_path(ISS_ITERS, iss_engine)
-    };
-    println!(
-        "\nISS throughput: {:.2} MIPS ({} instructions in {} us, {} engine{})",
-        probe.mips,
-        thousands(probe.instructions),
-        probe.wall_micros,
-        iss::engine_name(iss_engine),
-        if iss_warm { ", warm start" } else { "" }
     );
 }
 

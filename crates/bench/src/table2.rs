@@ -4,15 +4,10 @@
 //! BCH, optimized}) are independent deterministic measurements, so they
 //! are fanned out over [`crate::shard`] workers — one parameter-set/
 //! backend cell per job — and merged back in row order. The `--json`
-//! output is byte-identical for any thread count; only the `"iss_*"`
-//! throughput keys are wall-clock-dependent, and every comparison in
-//! `scripts/` filters them out.
+//! output is byte-identical for any thread count.
 
-use crate::{iss, json, measure_kem, ratio, shard, thousands, KemRow, PAPER_TABLE2};
+use crate::{json, measure_kem, ratio, shard, thousands, KemRow, PAPER_TABLE2};
 use lac::{AcceleratedBackend, Backend, Params, SoftwareBackend};
-
-/// Iterations of the ISS throughput probe appended to table output.
-const ISS_ITERS: u32 = 200;
 
 /// Constructor for one backend configuration column.
 type BackendCtor = fn() -> Box<dyn Backend>;
@@ -66,7 +61,7 @@ fn print_row(row: &KemRow, paper: Option<&[u64; 7]>) {
     }
 }
 
-fn emit_json(rows: &[KemRow], iss_warm: bool, iss_engine: lac_rv32::Engine) {
+fn emit_json(rows: &[KemRow]) {
     let mut out = Vec::new();
     for row in rows {
         let paper = PAPER_TABLE2
@@ -111,34 +106,19 @@ fn emit_json(rows: &[KemRow], iss_warm: bool, iss_engine: lac_rv32::Engine) {
     println!("{{");
     println!("  \"table\": \"II\",");
     println!("  \"rows\": [\n{}\n  ],", out.join(",\n"));
-    println!("  \"speedups\": [\n{}\n  ],", speedups.join(",\n"));
-    let fields = if iss_warm {
-        iss::json_fields_warm(ISS_ITERS, iss_engine)
-    } else {
-        iss::json_fields(ISS_ITERS, iss_engine)
-    };
-    println!("  {fields}");
+    println!("  \"speedups\": [\n{}\n  ]", speedups.join(",\n"));
     println!("}}");
 }
 
 /// Render Table II to stdout.
 ///
 /// `threads = None` resolves via [`shard::thread_count`] (flag, env,
-/// available parallelism). `iss_warm` routes the trailing ISS-throughput
-/// probe through the warm-start layer (`--iss-warm`); `iss_engine`
-/// selects the probe's execution engine (`--iss-engine`, default
-/// superblock). The stripped `--json` output is identical either way.
-/// Measurement values are independent of the thread count; only the
-/// trailing ISS-throughput report is wall-clock.
-pub fn run(
-    emit_json_output: bool,
-    threads: Option<usize>,
-    iss_warm: bool,
-    iss_engine: lac_rv32::Engine,
-) {
+/// available parallelism). Measurement values are independent of the
+/// thread count.
+pub fn run(emit_json_output: bool, threads: Option<usize>) {
     let rows = measure_rows(shard::thread_count(threads));
     if emit_json_output {
-        emit_json(&rows, iss_warm, iss_engine);
+        emit_json(&rows);
         return;
     }
     println!("Table II — cycle count for the key encapsulation and performance bottlenecks");
@@ -247,19 +227,6 @@ pub fn run(
             paper_factor
         );
     }
-    let probe = if iss_warm {
-        iss::run_path_warm(ISS_ITERS, iss_engine)
-    } else {
-        iss::run_path(ISS_ITERS, iss_engine)
-    };
-    println!(
-        "\nISS throughput: {:.2} MIPS ({} instructions in {} us, {} engine{})",
-        probe.mips,
-        thousands(probe.instructions),
-        probe.wall_micros,
-        iss::engine_name(iss_engine),
-        if iss_warm { ", warm start" } else { "" }
-    );
 }
 
 #[cfg(test)]

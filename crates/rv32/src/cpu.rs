@@ -9,7 +9,7 @@
 //! * +34 cycles for divisions (iterative divider),
 //! * PQ instructions stall for however long the PQ-ALU device reports.
 //!
-//! Four execution engines share one `execute` core, so they are
+//! Three execution engines share one `execute` core, so they are
 //! architecturally indistinguishable (same registers, memory, traps,
 //! modelled cycles and retired-instruction counts):
 //!
@@ -19,16 +19,13 @@
 //!   unsupported hosts;
 //! * the **superblock engine** (default; see [`crate::superblock`])
 //!   compiles hot straight-line regions into trace-cached blocks of fused
-//!   macro-ops and retires them whole;
-//! * the **predecoded engine** ([`Engine::Predecode`]; see
-//!   [`crate::predecode`]) decodes each 16-bit code slot once into a
-//!   direct-mapped cache and dispatches single instructions from it —
-//!   stores into cached code invalidate the affected lines, so
-//!   self-modifying code still works;
-//! * the **decode-every-step classic engine** ([`Cpu::step`], enabled
-//!   with [`Cpu::set_predecode`]`(false)` or [`Engine::Classic`])
-//!   re-decodes on every instruction and serves as the differential
-//!   oracle for the fast engines.
+//!   macro-ops and retires them whole, interpreting cold code one
+//!   instruction at a time from the predecode cache ([`crate::predecode`]:
+//!   each 16-bit code slot decoded once; stores into cached code
+//!   invalidate the affected lines, so self-modifying code still works);
+//! * the **decode-every-step classic engine** ([`Cpu::step`],
+//!   [`Engine::Classic`]) re-decodes on every instruction and serves as
+//!   the differential oracle for the fast engines.
 
 use crate::inst::{decode, decompress, AluOp, BranchOp, CsrOp, Inst, LoadOp, PqUnit, StoreOp};
 use crate::jit::{self, JitCtx, JitState, JitStats};
@@ -42,7 +39,7 @@ use crate::warm::{WarmImage, WarmState};
 use std::fmt;
 use std::sync::Arc;
 
-/// Which execution engine [`Cpu::run`] dispatches through. All four are
+/// Which execution engine [`Cpu::run`] dispatches through. All three are
 /// bit-identical architecturally; they differ only in host speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
@@ -50,8 +47,6 @@ pub enum Engine {
     /// engine and the differential oracle the fast ones are tested
     /// against.
     Classic,
-    /// Dispatch single instructions from the predecode cache.
-    Predecode,
     /// Trace-cached superblock execution with macro-op fusion (default).
     Superblock,
     /// Superblocks lowered to host machine code (see [`crate::jit`]).
@@ -276,24 +271,6 @@ impl Cpu {
         self.engine
     }
 
-    /// Compatibility selector predating [`Engine`]: `true` picks the
-    /// predecoded single-instruction engine, `false` the classic
-    /// decode-every-step oracle. (The superblock engine is the default;
-    /// use [`Cpu::set_engine`] to return to it.)
-    pub fn set_predecode(&mut self, enabled: bool) {
-        self.engine = if enabled {
-            Engine::Predecode
-        } else {
-            Engine::Classic
-        };
-    }
-
-    /// Whether a predecode-backed fast engine (predecoded or superblock)
-    /// is selected.
-    pub fn predecode_enabled(&self) -> bool {
-        self.engine != Engine::Classic
-    }
-
     /// Predecode-cache lifetime counters: `(lines_filled, lines_invalidated)`.
     pub fn predecode_stats(&self) -> (u64, u64) {
         self.cache.stats()
@@ -510,51 +487,6 @@ impl Cpu {
         }
     }
 
-    /// Execute one instruction through the predecode cache. Architecturally
-    /// identical to [`Cpu::step`]; only the fetch/decode machinery differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`Trap`]s as [`Cpu::step`] would at this PC.
-    #[inline]
-    pub fn step_predecoded(&mut self) -> Result<bool, Trap> {
-        let pc = self.pc;
-        if pc & 1 != 0 {
-            // Odd PCs cannot be keyed to a halfword slot; take the slow
-            // path for this instruction (it will fault or decode garbage
-            // exactly as the oracle does).
-            return self.step();
-        }
-        let slot = match self.cache.lookup(&self.ram, pc) {
-            Some(slot) => slot,
-            // Beyond RAM entirely: the slow path's 2-byte fetch faults.
-            None => return Err(Trap::MemoryFault { pc, addr: pc }),
-        };
-        match slot {
-            Slot::Inst { inst, word, len } => {
-                let mut flight = Flight {
-                    cycles: self.cycles + 1,
-                    instructions: self.instructions + 1,
-                };
-                let outcome = self.execute(pc, word, inst, u32::from(len), &mut flight);
-                self.cycles = flight.cycles;
-                self.instructions = flight.instructions;
-                match outcome? {
-                    Some(next_pc) => {
-                        self.pc = next_pc;
-                        Ok(false)
-                    }
-                    None => {
-                        self.pc = pc;
-                        Ok(true)
-                    }
-                }
-            }
-            Slot::Trap(trap) => Err(trap),
-            Slot::Empty => unreachable!("lookup never returns Empty"),
-        }
-    }
-
     /// The shared execution core: retire `inst` fetched at `pc`.
     /// `word` is the raw (decompressed) encoding, used only for trap values.
     ///
@@ -698,7 +630,6 @@ impl Cpu {
     pub fn run(&mut self, max_instructions: u64) -> Result<ExitState, Trap> {
         match self.engine {
             Engine::Classic => self.run_slow(max_instructions),
-            Engine::Predecode => self.run_predecoded(max_instructions),
             Engine::Superblock => self.run_blocks(max_instructions, false),
             Engine::Jit => {
                 if self.jit.usable() {
@@ -724,92 +655,23 @@ impl Cpu {
         Err(Trap::OutOfFuel)
     }
 
-    /// The batched fast loop behind [`Cpu::run`]: dispatch from the
-    /// predecode cache with the PC, fuel and in-flight counters held in
-    /// locals, syncing them back to the architectural fields only at loop
-    /// exits (ecall, trap, fuel exhaustion, odd-PC fallback). The per-
-    /// instruction accounting order matches [`Cpu::step`] exactly: fuel is
-    /// checked first, counters increment only after a successful decode,
-    /// and a trapping instruction leaves the PC at the faulting address.
-    fn run_predecoded(&mut self, max_instructions: u64) -> Result<ExitState, Trap> {
-        if self.pc & 1 != 0 {
-            // An odd PC cannot be keyed to a halfword slot, and an even
-            // successor can only arise through a jump the oracle handles
-            // identically — so run the whole budget on the oracle. (Jump
-            // and branch targets are even by encoding and `jalr` clears
-            // bit 0, hence inside the loop below the PC stays even.)
-            return self.run_slow(max_instructions);
-        }
-        let mut fuel = max_instructions;
-        let mut pc = self.pc;
-        let mut flight = Flight {
-            cycles: self.cycles,
-            instructions: self.instructions,
-        };
-        macro_rules! sync {
-            () => {
-                self.pc = pc;
-                self.cycles = flight.cycles;
-                self.instructions = flight.instructions;
-            };
-        }
-        loop {
-            if fuel == 0 {
-                sync!();
-                return Err(Trap::OutOfFuel);
-            }
-            fuel -= 1;
-            let mut slot = self.cache.slot_at(pc);
-            if let Slot::Empty = slot {
-                slot = match self.cache.fill(&self.ram, pc) {
-                    Some(slot) => slot,
-                    // Beyond RAM entirely: the slow path's 2-byte fetch
-                    // faults.
-                    None => {
-                        sync!();
-                        return Err(Trap::MemoryFault { pc, addr: pc });
-                    }
-                };
-            }
-            match slot {
-                Slot::Inst { inst, word, len } => {
-                    flight.cycles += 1;
-                    flight.instructions += 1;
-                    match self.execute(pc, word, inst, u32::from(len), &mut flight) {
-                        Ok(Some(next_pc)) => pc = next_pc,
-                        Ok(None) => {
-                            sync!();
-                            return Ok(self.exit_state());
-                        }
-                        Err(trap) => {
-                            sync!();
-                            return Err(trap);
-                        }
-                    }
-                }
-                Slot::Trap(trap) => {
-                    sync!();
-                    return Err(trap);
-                }
-                Slot::Empty => unreachable!("lookup never returns Empty"),
-            }
-        }
-    }
-
     /// The trace-cached dispatch loop behind [`Cpu::run`] for
     /// [`Engine::Superblock`] and [`Engine::Jit`]. Hot block heads execute
     /// as compiled superblocks (one fuel/counter update per block); cold or
     /// fuel-starved stretches interpret single instructions from the
-    /// predecode cache exactly like [`Cpu::run_predecoded`], stopping at
-    /// block boundaries so heads accumulate heat. With `use_jit` set,
+    /// predecode cache, stopping at block boundaries so heads accumulate
+    /// heat. With `use_jit` set,
     /// dispatched blocks additionally carry emitted host code and retire
     /// through [`Cpu::exec_jit_block`]; everything else — hotness,
     /// generation validation, fuel, trap accounting — is byte-for-byte the
     /// same loop, which is what makes the tiers bit-identical.
     fn run_blocks(&mut self, max_instructions: u64, use_jit: bool) -> Result<ExitState, Trap> {
         if self.pc & 1 != 0 {
-            // Same argument as `run_predecoded`: an odd entry PC runs the
-            // whole budget on the oracle; inside the loop PCs stay even.
+            // An odd PC cannot be keyed to a halfword slot, and an even
+            // successor can only arise through a jump the oracle handles
+            // identically — so run the whole budget on the oracle. (Jump
+            // and branch targets are even by encoding and `jalr` clears
+            // bit 0, hence inside the loop below the PC stays even.)
             return self.run_slow(max_instructions);
         }
         let mut fuel = max_instructions;

@@ -16,17 +16,16 @@
 //! * [`inst`] — instruction decoding for RV32I, the M extension, the C
 //!   (compressed) extension via decompression, and the PQ instructions;
 //! * [`cpu`] — a RISCY-like interpreter with a documented cycle model and
-//!   four engines: a JIT tier lowering superblocks to host machine code,
-//!   a trace-cached superblock engine with macro-op fusion (default), a
-//!   predecoded single-instruction dispatch path, and the
-//!   decode-every-step oracle the faster tiers are differentially tested
-//!   against;
+//!   three engines: a JIT tier lowering superblocks to host machine code,
+//!   a trace-cached superblock engine with macro-op fusion (default), and
+//!   the decode-every-step oracle the faster tiers are differentially
+//!   tested against;
 //! * [`jit`] — dynamic binary translation of compiled superblocks to
 //!   x86-64 host code in W^X exec buffers, with exact fallback to the
 //!   superblock interpreter on unsupported hosts;
-//! * [`predecode`] — the direct-mapped decode-once instruction cache
-//!   behind the fast engines, with store invalidation for self-modifying
-//!   code;
+//! * [`predecode`] — the direct-mapped decode-once instruction cache the
+//!   superblock and JIT tiers interpret cold code from, with store
+//!   invalidation for self-modifying code;
 //! * [`superblock`] — straight-line block discovery, macro-op fusion and
 //!   the PC-indexed trace cache behind the superblock engine;
 //! * [`pq`] — the PQ-ALU device state machines (input buffers, busy

@@ -1,4 +1,5 @@
-//! The predecode cache behind the interpreter's fast dispatch path.
+//! The predecode cache the superblock and JIT tiers interpret cold code
+//! from.
 //!
 //! The slow path ([`crate::cpu::Cpu::step`]) re-fetches, re-decompresses
 //! and re-decodes the raw instruction word on every retired instruction,

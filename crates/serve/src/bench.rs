@@ -1,1017 +1,199 @@
-//! `bench-serve`: a closed-loop load generator for the serving layer.
+//! `bench-serve`: one scheduled-arrival load driver for the serving layer.
 //!
-//! Spawns an in-process server on an ephemeral port (or targets an
-//! external `--addr`), drives it with `clients` closed-loop connections
-//! issuing `requests` total operations, and reports:
+//! A run is a [`Script`] — `requests` KEM operations, or `sessions` full
+//! session lifecycles — dealt over `conns` lanes, one connection each:
+//! action k rides lane k % conns. One arrival rule covers every script:
 //!
-//! * **wall-clock throughput** — requests per second of host time (on a
-//!   single-core host this does *not* scale with workers; it is reported
-//!   for completeness);
-//! * **modelled throughput** — requests per modelled megacycle of
-//!   *makespan*, where each worker is one modelled RISCY core and the
-//!   makespan is the busiest core's cycle total. This is the number the
-//!   worker-scaling acceptance check uses: it is deterministic and
-//!   host-independent, like every other cycle figure in this repo;
-//! * a client-observed **latency histogram** (p50/p99/max);
-//! * a **response digest** — SHA-256 over every response payload in a
-//!   scheduling-independent order. With a fixed `--seed`, the digest is
-//!   byte-identical for any worker count (the determinism guarantee).
+//! * **closed** (`target_qps == 0`): a lane sends its next action when the
+//!   previous reply has arrived;
+//! * **paced** (`target_qps > 0`): action k is *due* at
+//!   `start + k / target_qps`, whether or not earlier replies arrived.
 //!
-//! The digest construction: client `c` hashes its own responses in its
-//! own request order; the run digest hashes the per-client digests in
-//! client order. Request `r` is always issued by client `r % clients`
-//! with DRBG lane `r + 1`, so the partition — and hence the digest — is
-//! independent of timing.
+//! Latency is always taken from the due time (a closed action is due when
+//! it is sent), so a server that falls behind a paced schedule shows up as
+//! latency, never as coordinated omission. Paced KEM lanes pipeline: a
+//! writer sends on schedule and a reader pairs replies with due times in
+//! order, which the server guarantees per connection. Closed lanes and
+//! every session lane keep one action in flight; session runs clamp their
+//! lanes to `min(conns, sessions, queue)`, so one handshake in flight per
+//! lane never sheds and a clean run reports zero `BUSY`.
 //!
-//! # Open loop
+//! Each reply is counted once as ok, `BUSY` (a shed, not a failure) or
+//! error, timed into its latency class (KEM requests; session handshakes
+//! vs session messages), and folded into the run **digest**: lane `l`
+//! hashes what its actions yielded in its own order (reply payloads for
+//! KEM; epoch secrets, epochs and echoed plaintexts for sessions, never the
+//! arrival-order session ids; the error text of a failed action), and the
+//! run digest hashes the lane digests in lane order under a domain tag.
+//! KEM request `r` always rides lane `r % conns` with DRBG lane `r + 1`, so
+//! with a fixed `--seed` the digest is independent of worker count, reactor
+//! count, `BATCH` framing and the arrival rule.
 //!
-//! [`run_open_loop`] is the tail-latency companion: instead of closed-loop
-//! clients (whose arrival rate collapses to the service rate under load,
-//! hiding queueing delay), it fires requests on a fixed schedule — request
-//! `r` is *due* at `start + r/target_qps` on connection `r % conns`,
-//! whether or not earlier replies have arrived. Each connection runs a
-//! writer thread (sends on schedule, pipelining) and a reader thread
-//! (consumes replies in request order, which the server guarantees per
-//! connection). Latency is measured from the request's *scheduled* time,
-//! not its actual send time, so coordinated omission cannot flatter the
-//! tail; `BUSY` sheds are counted separately from errors. The report
-//! carries interpolated p50/p99/p999.
+//! Server-side figures — worker and reactor counts, the modelled makespan,
+//! write coalescing, busiest-shard CPU time, the session table — come from
+//! one `STATS` poll after the load, for an in-process server and an
+//! external `addr` alike. An in-process server is then shut down, and the
+//! run returns only after it has drained.
 
-use crate::client::Client;
+use crate::client::{Client, BUSY_MSG};
 use crate::metrics::{Histogram, HistogramSnapshot};
 use crate::pool::ServeConfig;
 use crate::server::Server;
-use crate::wire::{self, Opcode, RequestFrame};
+use crate::wire::{self, Opcode, RequestFrame, ResponseFrame};
 use crate::{params_code, BackendKind, Op};
 use lac::{Kem, Params};
 use lac_meter::NullMeter;
 use lac_rand::Sha256CtrRng;
 use lac_sha256::Sha256;
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Load-generator configuration.
+/// What a run sends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Script {
+    /// `requests` KEM operations of one kind.
+    Kem {
+        /// Operation to drive.
+        op: Op,
+        /// Total requests across all lanes.
+        requests: usize,
+        /// Requests per wire frame on closed lanes: 1 sends classic
+        /// frames, N > 1 packs each lane's requests into `BATCH` frames of
+        /// up to N items (same work, same digest, fewer round trips).
+        batch: usize,
+    },
+    /// `sessions` session lifecycles: open, `chats` sealed messages with a
+    /// rekey whenever `rekey_every` were sent in the epoch, then close.
+    Sessions {
+        /// Total sessions to open across all lanes.
+        sessions: usize,
+        /// Sealed chat messages per session.
+        chats: usize,
+        /// Client-driven rekey cadence; 0 never rekeys.
+        rekey_every: u64,
+        /// Keep every session open until the run ends (occupancy mode:
+        /// fills the bounded table and shows LRU eviction beyond it).
+        hold: bool,
+    },
+}
+
+/// One load run: a script, its arrival rule and the server it targets.
 #[derive(Debug, Clone)]
-pub struct BenchConfig {
-    /// Worker threads for the in-process server (ignored with `addr`).
-    pub workers: usize,
-    /// Reactor shards for the in-process server (ignored with `addr`).
-    pub reactors: usize,
-    /// Closed-loop client connections.
-    pub clients: usize,
-    /// Total requests across all clients.
-    pub requests: usize,
-    /// Operation to drive.
-    pub op: Op,
-    /// Parameter set.
+pub struct LoadConfig {
+    /// What to send.
+    pub script: Script,
+    /// Parameter set of every KEM operation and handshake.
     pub params: Params,
-    /// Execution backend.
+    /// Execution backend of every KEM operation and handshake.
     pub backend: BackendKind,
-    /// Requests per wire frame: 1 sends classic per-request frames; N>1
-    /// packs each client's requests into `BATCH` frames of up to N items
-    /// (same work, same digest, fewer round trips).
-    pub batch: usize,
+    /// Lanes the script is dealt over (one connection each).
+    pub conns: usize,
+    /// Arrival rule: 0 runs closed lanes; a positive rate paces action k
+    /// to `k / target_qps` seconds after the start.
+    pub target_qps: f64,
     /// Root seed (`u64` convenience form, like the CLI's `--seed`).
     pub seed: u64,
-    /// Queue capacity for the in-process server.
-    pub queue_capacity: usize,
     /// Target an already-running server instead of spawning one.
     pub addr: Option<String>,
+    /// Connect/read/write deadline per connection in ms (0 = none).
+    pub timeout_ms: u64,
+    /// Worker threads of the in-process server (unused with `addr`).
+    pub workers: usize,
+    /// Reactor shards of the in-process server (unused with `addr`).
+    pub reactors: usize,
+    /// Queue capacity of the in-process server. Session runs also clamp
+    /// their lanes to it.
+    pub queue_capacity: usize,
+    /// Session-table bound of the in-process server.
+    pub session_capacity: usize,
+    /// Server-enforced rekey-after-N policy of the in-process server
+    /// (0 disables; `rekey_every` drives client-side rekeys).
+    pub session_rekey_after: u64,
 }
 
-impl Default for BenchConfig {
+impl Default for LoadConfig {
     fn default() -> Self {
+        let server = ServeConfig::default();
         Self {
-            workers: 4,
-            reactors: 1,
-            clients: 4,
-            requests: 64,
-            op: Op::Encaps,
+            script: Script::Kem {
+                op: Op::Encaps,
+                requests: 64,
+                batch: 1,
+            },
             params: Params::lac128(),
             backend: BackendKind::Ct,
-            batch: 1,
+            conns: 4,
+            target_qps: 0.0,
             seed: 1,
-            queue_capacity: 64,
             addr: None,
+            timeout_ms: 10_000,
+            workers: server.workers,
+            reactors: server.reactors,
+            queue_capacity: server.queue_capacity,
+            session_capacity: server.session_capacity,
+            session_rekey_after: server.session_rekey_after,
         }
     }
 }
 
-/// Results of one load-generator run.
+/// The actions a script issues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// A KEM request.
+    Request,
+    /// A session-opening handshake.
+    Open,
+    /// A rekey handshake.
+    Rekey,
+    /// A sealed chat message.
+    Chat,
+    /// A session close.
+    Close,
+}
+
+impl Action {
+    /// Latency class: 0 for KEM requests and handshakes, 1 for session
+    /// messages.
+    fn class(self) -> usize {
+        usize::from(matches!(self, Action::Chat | Action::Close))
+    }
+}
+
+/// Results of one [`run`].
 #[derive(Debug, Clone)]
-pub struct BenchReport {
-    /// Echo of the run's shape.
-    pub workers: usize,
-    /// Reactor shards the server ran.
-    pub reactors: usize,
-    /// Client connection count.
-    pub clients: usize,
-    /// Requests completed (success or error reply).
-    pub requests: usize,
-    /// Requests that came back as protocol-level errors.
+pub struct LoadReport {
+    /// The run's configuration.
+    pub cfg: LoadConfig,
+    /// Lanes actually driven.
+    pub lanes: usize,
+    /// Successful replies per action, indexed by `Action as usize`.
+    pub ok: [u64; 5],
+    /// Actions the server shed with `BUSY`.
+    pub busy: u64,
+    /// Failed actions: error replies, and session-lane transport errors.
     pub errors: u64,
-    /// Operation driven.
-    pub op: Op,
-    /// Parameter set driven.
-    pub params: Params,
-    /// Backend driven.
-    pub backend: BackendKind,
-    /// Requests per wire frame (1 = classic framing, N>1 = `BATCH`).
-    pub batch: usize,
-    /// Wall-clock duration of the request phase, in microseconds.
+    /// Due-time → reply latency per class: KEM requests or session
+    /// handshakes in `[0]`, session messages in `[1]`.
+    pub latency: [HistogramSnapshot; 2],
+    /// Wall-clock time from the start to the last reply, µs.
     pub wall_micros: u64,
-    /// Wall-clock requests per second.
-    pub wall_req_per_sec: f64,
-    /// Busiest modelled core's cycle total (0 when targeting `addr` and
-    /// the remote stats could not be parsed).
-    pub makespan_cycles: u64,
-    /// Requests per modelled megacycle of makespan.
-    pub req_per_mcycle: f64,
-    /// Client-observed request latency.
-    pub latency: HistogramSnapshot,
-    /// Hex SHA-256 over all response payloads (scheduling-independent).
+    /// Hex SHA-256 over every lane's replies (see the module docs).
     pub digest: String,
-    /// Vectored flushes the front-end issued.
-    pub writev_calls: u64,
-    /// Reply frames retired through those flushes.
-    pub frames_flushed: u64,
-    /// Mean frames retired per vectored flush (the coalescing ratio).
-    pub frames_per_flush: f64,
-    /// Front-end throughput normalized to the busiest shard's CPU time:
-    /// flushed frames per busy second. Scheduler-independent, so it
-    /// measures reactor scaling even when shards timeshare one core.
-    pub frames_per_busy_sec: f64,
-    /// The server's own final/polled metrics snapshot as JSON.
+    /// The server's `STATS` JSON, polled after the load (before an
+    /// in-process server shuts down: in `hold` mode its `open` gauge is
+    /// the end-of-run table occupancy).
     pub server_stats_json: String,
-}
-
-/// Write-coalescing + shard-busy stats shared by every report shape.
-#[derive(Debug, Clone, Copy, Default)]
-struct FrontendIo {
-    writev_calls: u64,
-    frames_flushed: u64,
-    frames_per_flush: f64,
-    frames_per_busy_sec: f64,
-}
-
-impl FrontendIo {
-    /// From the in-process server's final (post-drain) snapshot.
-    fn from_snapshot(snap: &crate::metrics::MetricsSnapshot) -> Self {
-        Self {
-            writev_calls: snap.frontend.writev_calls,
-            frames_flushed: snap.frontend.frames_flushed,
-            frames_per_flush: snap.frontend.frames_per_flush(),
-            frames_per_busy_sec: snap.frontend_frames_per_busy_sec(),
-        }
-    }
-
-    /// From an external server's stats JSON (aggregate keys precede the
-    /// `shard_`-prefixed per-shard rows, so a flat scan finds them).
-    fn from_stats_json(json: &str) -> Self {
-        let writev_calls = extract_u64(json, "writev_calls").unwrap_or(0);
-        let frames_flushed = extract_u64(json, "frames_flushed").unwrap_or(0);
-        let busy = extract_u64(json, "frontend_busy_ns_max").unwrap_or(0);
-        Self {
-            writev_calls,
-            frames_flushed,
-            frames_per_flush: if writev_calls > 0 {
-                frames_flushed as f64 / writev_calls as f64
-            } else {
-                0.0
-            },
-            frames_per_busy_sec: if busy > 0 {
-                frames_flushed as f64 * 1e9 / busy as f64
-            } else {
-                0.0
-            },
-        }
-    }
 }
 
 /// Derive the 32-byte pool seed from the CLI-style `u64` seed.
 ///
 /// `lac-suite serve --seed N` and `bench-serve --seed N` both go through
-/// this, so a generator pointed at an external server reproduces the
+/// this, so a run pointed at an external server reproduces the
 /// in-process digests.
 pub fn pool_seed(seed: u64) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(b"lac-serve:bench-root-seed:v1");
     h.update(&seed.to_le_bytes());
     h.finalize()
-}
-
-/// Deterministic key/ciphertext fixtures for encaps/decaps runs, built
-/// locally so they never pollute the server's metrics.
-fn fixtures(cfg: &BenchConfig) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    let kem = Kem::new(cfg.params);
-    let mut backend = cfg.backend.build();
-    let mut rng = Sha256CtrRng::from_seed(pool_seed(cfg.seed)).fork(u64::MAX);
-    let (pk, sk) = kem.keygen(&mut rng, backend.as_mut(), &mut NullMeter);
-    let (ct, _) = kem.encapsulate(&mut rng, &pk, backend.as_mut(), &mut NullMeter);
-    (pk.to_bytes(), sk.to_bytes(), ct.to_bytes())
-}
-
-/// Pull `"key": <u64>` out of a flat JSON string (no serde in-tree; the
-/// stats JSON is machine-generated, so a textual scan is reliable).
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Run the load generator (see module docs).
-///
-/// # Errors
-///
-/// Connection failures, fixture/transport errors, or a worker-thread
-/// failure. Per-request protocol errors are *counted*, not fatal.
-pub fn run(cfg: &BenchConfig) -> Result<BenchReport, String> {
-    let (pk, sk, ct) = fixtures(cfg);
-
-    // Spawn the in-process server unless targeting an external one.
-    let (addr, server_thread) = match &cfg.addr {
-        Some(addr) => (addr.clone(), None),
-        None => {
-            let server = Server::bind(
-                "127.0.0.1:0",
-                ServeConfig {
-                    workers: cfg.workers,
-                    reactors: cfg.reactors.max(1),
-                    queue_capacity: cfg.queue_capacity,
-                    seed: pool_seed(cfg.seed),
-                    warm_iss: true,
-                    ..ServeConfig::default()
-                },
-            )
-            .map_err(|e| format!("bind: {e}"))?;
-            let addr = server
-                .local_addr()
-                .map_err(|e| format!("local_addr: {e}"))?
-                .to_string();
-            (addr, Some(std::thread::spawn(move || server.run())))
-        }
-    };
-
-    let latency = Arc::new(Histogram::new());
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for client_index in 0..cfg.clients.max(1) {
-        let addr = addr.clone();
-        let cfg = cfg.clone();
-        let (pk, sk, ct) = (pk.clone(), sk.clone(), ct.clone());
-        let latency = Arc::clone(&latency);
-        handles.push(std::thread::spawn(
-            move || -> Result<([u8; 32], u64), String> {
-                let mut client = Client::connect(&addr).map_err(|e| format!("connect: {e}"))?;
-                let mut digest = Sha256::new();
-                let mut errors = 0u64;
-                let clients = cfg.clients.max(1);
-                let batch = cfg.batch.max(1);
-                if batch == 1 {
-                    let mut r = client_index;
-                    while r < cfg.requests {
-                        // Lane r+1: lane 0 is reserved for ad-hoc CLI traffic
-                        // and u64::MAX for the fixtures.
-                        let seq = r as u64 + 1;
-                        let t0 = Instant::now();
-                        let outcome: Result<Vec<u8>, String> = match cfg.op {
-                            Op::Keygen => client
-                                .keygen(&cfg.params, cfg.backend, seq)
-                                .map(|(pk, sk)| [pk, sk].concat()),
-                            Op::Encaps => client
-                                .encaps(&cfg.params, cfg.backend, seq, &pk)
-                                .map(|(ct, shared)| [ct.as_slice(), &shared].concat()),
-                            Op::Decaps => client
-                                .decaps(&cfg.params, cfg.backend, seq, &sk, &ct)
-                                .map(|shared| shared.to_vec()),
-                        };
-                        latency.record(t0.elapsed());
-                        match outcome {
-                            Ok(payload) => digest.update(&payload),
-                            Err(message) => {
-                                errors += 1;
-                                digest.update(message.as_bytes());
-                            }
-                        }
-                        r += clients;
-                    }
-                } else {
-                    // Same request partition (r % clients) and DRBG lanes
-                    // (r + 1) as the per-request path, packed into BATCH
-                    // frames — so the run digest is batch-size independent.
-                    let make_frame = |seq: u64| {
-                        let payload = match cfg.op {
-                            Op::Keygen => Vec::new(),
-                            Op::Encaps => pk.clone(),
-                            Op::Decaps => [sk.as_slice(), &ct].concat(),
-                        };
-                        RequestFrame {
-                            opcode: match cfg.op {
-                                Op::Keygen => Opcode::Keygen,
-                                Op::Encaps => Opcode::Encaps,
-                                Op::Decaps => Opcode::Decaps,
-                            },
-                            params_code: params_code(&cfg.params),
-                            backend_code: cfg.backend.code(),
-                            seq,
-                            payload,
-                        }
-                    };
-                    let seqs: Vec<u64> = (client_index..cfg.requests)
-                        .step_by(clients)
-                        .map(|r| r as u64 + 1)
-                        .collect();
-                    for chunk in seqs.chunks(batch) {
-                        let frames: Vec<RequestFrame> =
-                            chunk.iter().copied().map(make_frame).collect();
-                        let t0 = Instant::now();
-                        let responses = client.batch(&frames)?;
-                        // One latency sample per round trip: with batching
-                        // the histogram measures frames, not requests.
-                        latency.record(t0.elapsed());
-                        for response in responses {
-                            match response.error_message() {
-                                None => digest.update(&response.payload),
-                                Some(message) => {
-                                    errors += 1;
-                                    digest.update(message.as_bytes());
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok((digest.finalize(), errors))
-            },
-        ));
-    }
-
-    let mut run_digest = Sha256::new();
-    run_digest.update(b"lac-serve:bench-digest:v1");
-    let mut errors = 0u64;
-    for handle in handles {
-        let (client_digest, client_errors) = handle
-            .join()
-            .map_err(|_| "client thread panicked".to_string())??;
-        run_digest.update(&client_digest);
-        errors += client_errors;
-    }
-    let wall_micros = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-
-    // Fetch stats, then shut the in-process server down.
-    let mut control = Client::connect(&addr).map_err(|e| format!("control connect: {e}"))?;
-    let server_stats_json = control.stats().unwrap_or_default();
-    let (workers, reactors, makespan_cycles, io) = if let Some(thread) = server_thread {
-        control.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-        let final_snapshot = thread
-            .join()
-            .map_err(|_| "server thread panicked".to_string())?;
-        (
-            cfg.workers,
-            cfg.reactors.max(1),
-            final_snapshot.makespan_cycles(),
-            FrontendIo::from_snapshot(&final_snapshot),
-        )
-    } else {
-        // An external server's shape comes from its own stats, not cfg.
-        (
-            extract_u64(&server_stats_json, "workers").unwrap_or(0) as usize,
-            extract_u64(&server_stats_json, "reactors").unwrap_or(1) as usize,
-            extract_u64(&server_stats_json, "makespan_cycles").unwrap_or(0),
-            FrontendIo::from_stats_json(&server_stats_json),
-        )
-    };
-
-    let digest_hex: String = run_digest
-        .finalize()
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
-    let wall_secs = wall_micros as f64 / 1e6;
-    Ok(BenchReport {
-        workers,
-        reactors,
-        clients: cfg.clients.max(1),
-        requests: cfg.requests,
-        errors,
-        op: cfg.op,
-        params: cfg.params,
-        backend: cfg.backend,
-        batch: cfg.batch.max(1),
-        wall_micros,
-        wall_req_per_sec: if wall_secs > 0.0 {
-            cfg.requests as f64 / wall_secs
-        } else {
-            0.0
-        },
-        makespan_cycles,
-        req_per_mcycle: if makespan_cycles > 0 {
-            cfg.requests as f64 * 1e6 / makespan_cycles as f64
-        } else {
-            0.0
-        },
-        latency: latency.snapshot(),
-        digest: digest_hex,
-        writev_calls: io.writev_calls,
-        frames_flushed: io.frames_flushed,
-        frames_per_flush: io.frames_per_flush,
-        frames_per_busy_sec: io.frames_per_busy_sec,
-        server_stats_json,
-    })
-}
-
-/// Open-loop (target-QPS) load configuration; see the module docs.
-#[derive(Debug, Clone)]
-pub struct OpenLoopConfig {
-    /// Worker threads for the in-process server (ignored with `addr`).
-    pub workers: usize,
-    /// Reactor shards for the in-process server (ignored with `addr`).
-    pub reactors: usize,
-    /// Connections the schedule is striped across (request `r` rides
-    /// connection `r % conns`).
-    pub conns: usize,
-    /// Offered load in requests/second. Arrivals follow the schedule even
-    /// when the server falls behind — that is the point.
-    pub target_qps: f64,
-    /// How long to keep offering load, in milliseconds.
-    pub duration_ms: u64,
-    /// Operation to drive.
-    pub op: Op,
-    /// Parameter set.
-    pub params: Params,
-    /// Execution backend.
-    pub backend: BackendKind,
-    /// Root seed (`u64` convenience form, like the CLI's `--seed`).
-    pub seed: u64,
-    /// Queue capacity for the in-process server.
-    pub queue_capacity: usize,
-    /// Target an already-running server instead of spawning one.
-    pub addr: Option<String>,
-    /// Connect/read/write deadline per connection in ms (0 = none).
-    pub timeout_ms: u64,
-}
-
-impl Default for OpenLoopConfig {
-    fn default() -> Self {
-        Self {
-            workers: 4,
-            reactors: 1,
-            conns: 2,
-            target_qps: 200.0,
-            duration_ms: 500,
-            op: Op::Encaps,
-            params: Params::lac128(),
-            backend: BackendKind::Ct,
-            seed: 1,
-            queue_capacity: 64,
-            addr: None,
-            timeout_ms: 10_000,
-        }
-    }
-}
-
-/// Results of one open-loop run.
-#[derive(Debug, Clone)]
-pub struct OpenLoopReport {
-    /// Echo of the run's shape.
-    pub workers: usize,
-    /// Reactor shards the server ran.
-    pub reactors: usize,
-    /// Connection count.
-    pub conns: usize,
-    /// Offered load the schedule aimed for.
-    pub target_qps: f64,
-    /// Configured load duration in ms.
-    pub duration_ms: u64,
-    /// Requests actually put on the wire.
-    pub offered: u64,
-    /// Successful replies.
-    pub completions: u64,
-    /// Requests the server shed with `BUSY` (overload, not failure).
-    pub busy: u64,
-    /// Error replies plus transport failures.
-    pub errors: u64,
-    /// Replies per second of wall time (completions + busy + errors —
-    /// the server answered them all).
-    pub achieved_qps: f64,
-    /// Wall-clock time from first scheduled arrival to last reply, µs.
-    pub wall_micros: u64,
-    /// Scheduled-arrival→reply latency (coordinated-omission safe).
-    pub latency: HistogramSnapshot,
-    /// Vectored flushes the front-end issued.
-    pub writev_calls: u64,
-    /// Reply frames retired through those flushes.
-    pub frames_flushed: u64,
-    /// Mean frames retired per vectored flush.
-    pub frames_per_flush: f64,
-    /// Flushed frames per busiest-shard CPU second.
-    pub frames_per_busy_sec: f64,
-    /// The server's final/polled metrics snapshot as JSON.
-    pub server_stats_json: String,
-    /// Operation driven.
-    pub op: Op,
-    /// Parameter set driven.
-    pub params: Params,
-    /// Backend driven.
-    pub backend: BackendKind,
-}
-
-impl OpenLoopReport {
-    /// Flat JSON object for `--json` output.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bench\": \"serve-open-loop\", \"op\": \"{}\", \"params\": \"{}\", \
-             \"backend\": \"{}\", \"workers\": {}, \"reactors\": {}, \"conns\": {}, \
-             \"target_qps\": {:.1}, \"duration_ms\": {}, \"offered\": {}, \
-             \"completions\": {}, \"busy\": {}, \"errors\": {}, \
-             \"achieved_qps\": {:.1}, \"wall_us\": {}, \
-             \"writev_calls\": {}, \"frames_flushed\": {}, \
-             \"frames_per_flush\": {:.2}, \"frames_per_busy_sec\": {:.1}, \
-             \"latency\": {}, \"server\": {}}}",
-            self.op.label(),
-            self.params.name(),
-            self.backend.name(),
-            self.workers,
-            self.reactors,
-            self.conns,
-            self.target_qps,
-            self.duration_ms,
-            self.offered,
-            self.completions,
-            self.busy,
-            self.errors,
-            self.achieved_qps,
-            self.wall_micros,
-            self.writev_calls,
-            self.frames_flushed,
-            self.frames_per_flush,
-            self.frames_per_busy_sec,
-            self.latency.to_json(),
-            if self.server_stats_json.is_empty() {
-                "null"
-            } else {
-                &self.server_stats_json
-            },
-        )
-    }
-
-    /// Human-readable summary with the interpolated tail.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "bench-serve open-loop: target {:.0} req/s for {} ms — {} on {} / {}, {} workers, {} reactors, {} conns\n",
-            self.target_qps,
-            self.duration_ms,
-            self.op.label(),
-            self.params.name(),
-            self.backend.name(),
-            self.workers,
-            self.reactors,
-            self.conns,
-        ));
-        out.push_str(&format!(
-            "  offered {} requests, completed {}, busy {}, errors {}\n",
-            self.offered, self.completions, self.busy, self.errors
-        ));
-        out.push_str(&format!(
-            "  achieved: {:.1} replies/s over {:.1} ms\n",
-            self.achieved_qps,
-            self.wall_micros as f64 / 1e3
-        ));
-        out.push_str(&format!(
-            "  latency: p50 {:.1} us, p99 {:.1} us, p999 {:.1} us, max {} us\n",
-            self.latency.quantile_micros_interp(0.50),
-            self.latency.quantile_micros_interp(0.99),
-            self.latency.quantile_micros_interp(0.999),
-            self.latency.max_micros,
-        ));
-        out
-    }
-}
-
-/// Run the open-loop generator (see the module docs).
-///
-/// # Errors
-///
-/// Connection failures, fixture/transport errors, a non-positive
-/// `target_qps`, or a worker-thread failure. `BUSY` sheds and per-request
-/// protocol errors are *counted*, not fatal.
-pub fn run_open_loop(cfg: &OpenLoopConfig) -> Result<OpenLoopReport, String> {
-    if cfg.target_qps.is_nan() || cfg.target_qps <= 0.0 {
-        return Err("open loop needs --target-qps > 0".into());
-    }
-    let conns = cfg.conns.max(1);
-    let (pk, sk, ct) = fixtures(&BenchConfig {
-        op: cfg.op,
-        params: cfg.params,
-        backend: cfg.backend,
-        seed: cfg.seed,
-        ..BenchConfig::default()
-    });
-
-    let (addr, server_thread) = match &cfg.addr {
-        Some(addr) => (addr.clone(), None),
-        None => {
-            let server = Server::bind(
-                "127.0.0.1:0",
-                ServeConfig {
-                    workers: cfg.workers,
-                    reactors: cfg.reactors.max(1),
-                    queue_capacity: cfg.queue_capacity,
-                    seed: pool_seed(cfg.seed),
-                    warm_iss: true,
-                    ..ServeConfig::default()
-                },
-            )
-            .map_err(|e| format!("bind: {e}"))?;
-            let addr = server
-                .local_addr()
-                .map_err(|e| format!("local_addr: {e}"))?
-                .to_string();
-            (addr, Some(std::thread::spawn(move || server.run())))
-        }
-    };
-
-    let latency = Arc::new(Histogram::new());
-    let started = Instant::now();
-    let mut pairs = Vec::new();
-    for conn_index in 0..conns {
-        // One socket per connection, split into a scheduling writer and a
-        // reply reader: replies come back in request order per connection
-        // (a server guarantee), so the reader pairs each reply with the
-        // next scheduled timestamp from the writer.
-        let stream = if cfg.timeout_ms > 0 {
-            let deadline = std::time::Duration::from_millis(cfg.timeout_ms);
-            let target: std::net::SocketAddr =
-                addr.parse().map_err(|e| format!("bad addr {addr}: {e}"))?;
-            let s = std::net::TcpStream::connect_timeout(&target, deadline)
-                .map_err(|e| format!("connect: {e}"))?;
-            s.set_read_timeout(Some(deadline)).ok();
-            s.set_write_timeout(Some(deadline)).ok();
-            s
-        } else {
-            std::net::TcpStream::connect(&addr).map_err(|e| format!("connect: {e}"))?
-        };
-        stream.set_nodelay(true).ok();
-        let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-        let mut reader = std::io::BufReader::new(stream);
-        let (sched_tx, sched_rx) = std::sync::mpsc::channel::<Instant>();
-
-        let make_frame = {
-            let (pk, sk, ct) = (pk.clone(), sk.clone(), ct.clone());
-            let (op, params, backend) = (cfg.op, cfg.params, cfg.backend);
-            move |seq: u64| RequestFrame {
-                opcode: match op {
-                    Op::Keygen => Opcode::Keygen,
-                    Op::Encaps => Opcode::Encaps,
-                    Op::Decaps => Opcode::Decaps,
-                },
-                params_code: params_code(&params),
-                backend_code: backend.code(),
-                seq,
-                payload: match op {
-                    Op::Keygen => Vec::new(),
-                    Op::Encaps => pk.clone(),
-                    Op::Decaps => [sk.as_slice(), &ct].concat(),
-                },
-            }
-        };
-        let (qps, duration_ms) = (cfg.target_qps, cfg.duration_ms);
-        let write_handle = std::thread::spawn(move || -> Result<u64, String> {
-            let horizon = std::time::Duration::from_millis(duration_ms);
-            let mut sent = 0u64;
-            let mut r = conn_index as u64;
-            loop {
-                let due = std::time::Duration::from_secs_f64(r as f64 / qps);
-                if due >= horizon {
-                    break;
-                }
-                let sched = started + due;
-                let now = Instant::now();
-                if sched > now {
-                    std::thread::sleep(sched - now);
-                }
-                // Lane r+1: lane 0 is reserved, u64::MAX is the fixtures.
-                wire::write_request(&mut writer, &make_frame(r + 1))
-                    .map_err(|e| format!("send: {e}"))?;
-                // The reader pairs replies with scheduled times in order.
-                let _ = sched_tx.send(sched);
-                sent += 1;
-                r += conns as u64;
-            }
-            Ok(sent)
-        });
-        let latency = Arc::clone(&latency);
-        let read_handle = std::thread::spawn(move || -> Result<(u64, u64, u64), String> {
-            let (mut ok, mut busy, mut errors) = (0u64, 0u64, 0u64);
-            while let Ok(sched) = sched_rx.recv() {
-                let response =
-                    wire::read_response(&mut reader).map_err(|e| format!("recv: {e}"))?;
-                latency.record(sched.elapsed());
-                if response.is_busy() {
-                    busy += 1;
-                } else if response.error_message().is_some() {
-                    errors += 1;
-                } else {
-                    ok += 1;
-                }
-            }
-            Ok((ok, busy, errors))
-        });
-        pairs.push((write_handle, read_handle));
-    }
-
-    let (mut offered, mut completions, mut busy, mut errors) = (0u64, 0u64, 0u64, 0u64);
-    for (write_handle, read_handle) in pairs {
-        offered += write_handle
-            .join()
-            .map_err(|_| "writer thread panicked".to_string())??;
-        let (ok, b, e) = read_handle
-            .join()
-            .map_err(|_| "reader thread panicked".to_string())??;
-        completions += ok;
-        busy += b;
-        errors += e;
-    }
-    let wall_micros = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-
-    let mut control = Client::connect(&addr).map_err(|e| format!("control connect: {e}"))?;
-    let server_stats_json = control.stats().unwrap_or_default();
-    let (workers, reactors, io) = if let Some(thread) = server_thread {
-        control.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-        let final_snapshot = thread
-            .join()
-            .map_err(|_| "server thread panicked".to_string())?;
-        (
-            cfg.workers,
-            cfg.reactors.max(1),
-            FrontendIo::from_snapshot(&final_snapshot),
-        )
-    } else {
-        (
-            extract_u64(&server_stats_json, "workers").unwrap_or(0) as usize,
-            extract_u64(&server_stats_json, "reactors").unwrap_or(1) as usize,
-            FrontendIo::from_stats_json(&server_stats_json),
-        )
-    };
-
-    let wall_secs = wall_micros as f64 / 1e6;
-    let answered = completions + busy + errors;
-    Ok(OpenLoopReport {
-        workers,
-        reactors,
-        conns,
-        target_qps: cfg.target_qps,
-        duration_ms: cfg.duration_ms,
-        offered,
-        completions,
-        busy,
-        errors,
-        achieved_qps: if wall_secs > 0.0 {
-            answered as f64 / wall_secs
-        } else {
-            0.0
-        },
-        wall_micros,
-        latency: latency.snapshot(),
-        writev_calls: io.writev_calls,
-        frames_flushed: io.frames_flushed,
-        frames_per_flush: io.frames_per_flush,
-        frames_per_busy_sec: io.frames_per_busy_sec,
-        server_stats_json,
-        op: cfg.op,
-        params: cfg.params,
-        backend: cfg.backend,
-    })
-}
-
-/// Stateful session-workload configuration (`bench-serve --sessions`).
-///
-/// Drives the full session lifecycle through the reactor: each of
-/// `conns` lanes opens its share of `sessions`, chats
-/// `chats_per_session` sealed messages on each, rekeys whenever
-/// `rekey_every` messages have been sent in the current epoch, and
-/// (unless `hold`) closes the session. Lanes are closed-loop at the
-/// transport level (one outstanding op each) but arrivals are paced on a
-/// fixed schedule when `target_qps > 0`, and latency is measured from
-/// the *scheduled* time — running the schedule past saturation shows up
-/// as growing latency, never as coordinated omission.
-///
-/// `hold` keeps every session open until the run ends — the occupancy
-/// mode used to demonstrate the bounded table at 10⁵+ concurrent
-/// sessions with LRU eviction beyond `session_capacity`.
-#[derive(Debug, Clone)]
-pub struct SessionLoadConfig {
-    /// Worker threads for the in-process server.
-    pub workers: usize,
-    /// Reactor shards for the in-process server. Session crypto runs
-    /// inline on the owning shard, so this workload is the one that
-    /// actually measures front-end scaling.
-    pub reactors: usize,
-    /// Lanes (connections); each lane drives `sessions / conns` sessions
-    /// sequentially. Clamped to `sessions` and to `queue_capacity` (one
-    /// outstanding handshake per lane never sheds).
-    pub conns: usize,
-    /// Total sessions to open across all lanes.
-    pub sessions: usize,
-    /// Sealed chat messages per session.
-    pub chats_per_session: usize,
-    /// Client-driven rekey cadence: rekey before a chat once this many
-    /// messages were sent in the epoch; 0 never rekeys.
-    pub rekey_every: u64,
-    /// Keep sessions open instead of closing them (occupancy mode).
-    pub hold: bool,
-    /// Target op arrival rate across all lanes; 0 = unpaced.
-    pub target_qps: f64,
-    /// Parameter set for the handshakes.
-    pub params: Params,
-    /// Execution backend for the handshakes.
-    pub backend: BackendKind,
-    /// Root seed (`u64` convenience form, like the CLI's `--seed`).
-    pub seed: u64,
-    /// Queue capacity for the in-process server.
-    pub queue_capacity: usize,
-    /// Session-table bound for the in-process server.
-    pub session_capacity: usize,
-    /// Server-enforced rekey-after-N policy (0 disables; the bench's own
-    /// `rekey_every` drives rekeys client-side).
-    pub session_rekey_after: u64,
-}
-
-impl Default for SessionLoadConfig {
-    fn default() -> Self {
-        Self {
-            workers: 4,
-            reactors: 1,
-            conns: 4,
-            sessions: 16,
-            chats_per_session: 4,
-            rekey_every: 0,
-            hold: false,
-            target_qps: 0.0,
-            params: Params::lac128(),
-            backend: BackendKind::Ct,
-            seed: 1,
-            queue_capacity: 64,
-            session_capacity: 1 << 17,
-            session_rekey_after: 0,
-        }
-    }
-}
-
-/// Results of one session-workload run.
-#[derive(Debug, Clone)]
-pub struct SessionLoadReport {
-    /// Echo of the run's shape.
-    pub workers: usize,
-    /// Reactor shards the server ran.
-    pub reactors: usize,
-    /// Lanes actually used.
-    pub conns: usize,
-    /// Sessions opened (as configured).
-    pub sessions: usize,
-    /// Chats per session (as configured).
-    pub chats_per_session: usize,
-    /// Client rekey cadence (as configured).
-    pub rekey_every: u64,
-    /// Whether sessions were held open.
-    pub hold: bool,
-    /// Successful opens.
-    pub opened: u64,
-    /// Successful chat echoes.
-    pub chats: u64,
-    /// Successful rekeys.
-    pub rekeys: u64,
-    /// Successful closes.
-    pub closes: u64,
-    /// Ops shed with `BUSY` (zero by construction when lanes fit the
-    /// queue).
-    pub busy: u64,
-    /// Failed ops (protocol errors; transport failures abort the run).
-    pub errors: u64,
-    /// Wall-clock duration of the load phase, µs.
-    pub wall_micros: u64,
-    /// Completed ops per second of wall time.
-    pub achieved_qps: f64,
-    /// Handshake (open + rekey) latency, scheduled-arrival → reply.
-    pub handshake_latency: HistogramSnapshot,
-    /// Message (chat + close) latency, scheduled-arrival → reply.
-    pub message_latency: HistogramSnapshot,
-    /// Hex SHA-256 over every lane's client-visible crypto transcript
-    /// (shared-secret-derived epoch secrets, epochs, echoed plaintexts) —
-    /// worker-count independent by the per-job DRBG fork discipline.
-    /// Server-assigned session ids are excluded: they are arrival-order
-    /// dependent (and shard-striped, so also reactor-count dependent).
-    pub digest: String,
-    /// Vectored flushes the front-end issued.
-    pub writev_calls: u64,
-    /// Reply frames retired through those flushes.
-    pub frames_flushed: u64,
-    /// Mean frames retired per vectored flush.
-    pub frames_per_flush: f64,
-    /// Flushed frames per busiest-shard CPU second — the reactor-scaling
-    /// headline for this workload.
-    pub frames_per_busy_sec: f64,
-    /// Server stats JSON polled *before* shutdown: in `hold` mode its
-    /// `sessions.open` gauge is the end-of-run table occupancy.
-    pub server_stats_json: String,
-}
-
-impl SessionLoadReport {
-    /// Flat JSON object for `--json` output.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bench\": \"serve-sessions\", \"workers\": {}, \"reactors\": {}, \
-             \"conns\": {}, \
-             \"sessions\": {}, \"chats_per_session\": {}, \"rekey_every\": {}, \
-             \"hold\": {}, \"opened\": {}, \"chats\": {}, \"rekeys\": {}, \
-             \"closes\": {}, \"busy\": {}, \"errors\": {}, \"wall_us\": {}, \
-             \"achieved_qps\": {:.1}, \
-             \"writev_calls\": {}, \"frames_flushed\": {}, \
-             \"frames_per_flush\": {:.2}, \"frames_per_busy_sec\": {:.1}, \
-             \"handshake_latency\": {}, \
-             \"message_latency\": {}, \"digest\": \"{}\", \"server\": {}}}",
-            self.workers,
-            self.reactors,
-            self.conns,
-            self.sessions,
-            self.chats_per_session,
-            self.rekey_every,
-            self.hold,
-            self.opened,
-            self.chats,
-            self.rekeys,
-            self.closes,
-            self.busy,
-            self.errors,
-            self.wall_micros,
-            self.achieved_qps,
-            self.writev_calls,
-            self.frames_flushed,
-            self.frames_per_flush,
-            self.frames_per_busy_sec,
-            self.handshake_latency.to_json(),
-            self.message_latency.to_json(),
-            self.digest,
-            if self.server_stats_json.is_empty() {
-                "null"
-            } else {
-                &self.server_stats_json
-            },
-        )
-    }
-
-    /// Human-readable summary: handshake and message tails separately.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "bench-serve sessions: {} sessions × {} chats (rekey every {}{}) — {} workers, {} reactors, {} conns\n",
-            self.sessions,
-            self.chats_per_session,
-            self.rekey_every,
-            if self.hold { ", hold" } else { "" },
-            self.workers,
-            self.reactors,
-            self.conns,
-        ));
-        out.push_str(&format!(
-            "  ops: opened {}, chats {}, rekeys {}, closes {}, busy {}, errors {}\n",
-            self.opened, self.chats, self.rekeys, self.closes, self.busy, self.errors
-        ));
-        out.push_str(&format!(
-            "  achieved: {:.1} ops/s over {:.1} ms\n",
-            self.achieved_qps,
-            self.wall_micros as f64 / 1e3
-        ));
-        out.push_str(&format!(
-            "  handshake latency: p50 {:.1} us, p99 {:.1} us, p999 {:.1} us, max {} us\n",
-            self.handshake_latency.quantile_micros_interp(0.50),
-            self.handshake_latency.quantile_micros_interp(0.99),
-            self.handshake_latency.quantile_micros_interp(0.999),
-            self.handshake_latency.max_micros,
-        ));
-        out.push_str(&format!(
-            "  message   latency: p50 {:.1} us, p99 {:.1} us, p999 {:.1} us, max {} us\n",
-            self.message_latency.quantile_micros_interp(0.50),
-            self.message_latency.quantile_micros_interp(0.99),
-            self.message_latency.quantile_micros_interp(0.999),
-            self.message_latency.max_micros,
-        ));
-        out.push_str(&format!(
-            "  writes: {} frames in {} writev calls ({:.2} frames/flush), {:.0} frames/busy-s\n",
-            self.frames_flushed, self.writev_calls, self.frames_per_flush, self.frames_per_busy_sec
-        ));
-        for key in ["open", "evicted", "replay_drops", "tag_failures"] {
-            if let Some(v) = extract_u64(&self.server_stats_json, key) {
-                out.push_str(&format!("  table {key}: {v}\n"));
-            }
-        }
-        out.push_str(&format!("  session digest: {}\n", self.digest));
-        out
-    }
 }
 
 /// Derive the client-side keygen root seed for session handshakes (the
@@ -1024,251 +206,629 @@ fn session_client_seed(seed: u64) -> [u8; 32] {
     h.finalize()
 }
 
-/// Run the stateful session workload (see [`SessionLoadConfig`]).
-///
-/// # Errors
-///
-/// Connection/transport failures or a worker-thread failure. Per-op
-/// protocol errors are *counted*, not fatal (the session's remaining
-/// script is skipped).
-pub fn run_sessions(cfg: &SessionLoadConfig) -> Result<SessionLoadReport, String> {
-    if cfg.sessions == 0 {
-        return Err("--sessions needs at least one session".into());
+/// Scan a flat JSON object for `"key": <u64>`. Only exact keys match
+/// (`"open"` never matches `"conns_open"`), and the first match wins: the
+/// stats snapshot renders its aggregates before the `shard_`-prefixed
+/// per-shard rows, so a flat scan finds the aggregate values.
+pub fn json_u64(json: &str, key: &str) -> Option<u64> {
+    let needle = format!("\"{key}\": ");
+    let start = json.find(&needle)? + needle.len();
+    let rest = &json[start..];
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// `numerator / denominator`, or 0 for an empty denominator.
+fn per(numerator: f64, denominator: f64) -> f64 {
+    if denominator > 0.0 {
+        numerator / denominator
+    } else {
+        0.0
     }
-    // One outstanding handshake per lane: lanes ≤ queue_capacity means
-    // the pool can never shed a handshake with BUSY, so a clean run has
-    // zero busy and zero errors by construction.
-    let lanes = cfg.conns.max(1).min(cfg.sessions).min(cfg.queue_capacity);
+}
 
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            workers: cfg.workers,
-            reactors: cfg.reactors.max(1),
-            queue_capacity: cfg.queue_capacity,
-            seed: pool_seed(cfg.seed),
-            warm_iss: true,
-            session_capacity: cfg.session_capacity,
-            session_rekey_after: cfg.session_rekey_after,
-            ..ServeConfig::default()
-        },
-    )
-    .map_err(|e| format!("bind: {e}"))?;
-    let addr = server
-        .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?
-        .to_string();
-    let server_thread = std::thread::spawn(move || server.run());
+/// The payload every frame of a KEM script carries: nothing for keygen, a
+/// fixed public key for encaps, a fixed secret key ‖ ciphertext for
+/// decaps. The fixtures come from DRBG lane `u64::MAX` of the pool seed
+/// and are built locally, so they never touch the server's metrics.
+fn kem_payload(op: Op, cfg: &LoadConfig) -> Vec<u8> {
+    if op == Op::Keygen {
+        return Vec::new();
+    }
+    let kem = Kem::new(cfg.params);
+    let mut backend = cfg.backend.build();
+    let mut rng = Sha256CtrRng::from_seed(pool_seed(cfg.seed)).fork(u64::MAX);
+    let (pk, sk) = kem.keygen(&mut rng, backend.as_mut(), &mut NullMeter);
+    if op == Op::Encaps {
+        return pk.to_bytes();
+    }
+    let (ct, _) = kem.encapsulate(&mut rng, &pk, backend.as_mut(), &mut NullMeter);
+    [sk.to_bytes(), ct.to_bytes()].concat()
+}
 
-    let handshake_latency = Arc::new(Histogram::new());
-    let message_latency = Arc::new(Histogram::new());
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for lane in 0..lanes {
-        let addr = addr.clone();
-        let cfg = cfg.clone();
-        let handshake_latency = Arc::clone(&handshake_latency);
-        let message_latency = Arc::clone(&message_latency);
-        handles.push(std::thread::spawn(
-            move || -> Result<([u8; 32], [u64; 6]), String> {
-                let mut client = Client::connect(&addr).map_err(|e| format!("connect: {e}"))?;
-                let kem = Kem::new(cfg.params);
-                let mut backend = cfg.backend.build();
-                let mut rng =
-                    Sha256CtrRng::from_seed(session_client_seed(cfg.seed)).fork(lane as u64);
-                let mut digest = Sha256::new();
-                // opened, chats, rekeys, closes, busy, errors
-                let mut counts = [0u64; 6];
-                // Lane-local op index → global schedule slot `lane + k*lanes`.
-                let mut op_index = 0u64;
-                // Handshake DRBG lanes: unique per lane and handshake,
-                // disjoint from the request lanes (r+1) and the fixture
-                // lane (u64::MAX) used by the other bench modes.
-                let mut handshake_seq = (lane as u64 + 1) << 32;
-                let schedule = |op_index: u64| -> Instant {
-                    if cfg.target_qps > 0.0 {
-                        let due = started
-                            + std::time::Duration::from_secs_f64(
-                                (lane as u64 + op_index * lanes as u64) as f64 / cfg.target_qps,
-                            );
-                        let now = Instant::now();
-                        if due > now {
-                            std::thread::sleep(due - now);
+/// When a lane's actions are due.
+#[derive(Debug, Clone, Copy)]
+struct Schedule {
+    start: Instant,
+    lane: usize,
+    lanes: usize,
+    target_qps: f64,
+}
+
+impl Schedule {
+    /// Due time of the lane's `j`-th action (global action
+    /// `lane + j * lanes`), blocking until then. Closed lanes are due now.
+    fn due(&self, j: usize) -> Instant {
+        if self.target_qps <= 0.0 {
+            return Instant::now();
+        }
+        let k = self.lane + j * self.lanes;
+        let due = self.start + Duration::from_secs_f64(k as f64 / self.target_qps);
+        if let Some(wait) = due.checked_duration_since(Instant::now()) {
+            std::thread::sleep(wait);
+        }
+        due
+    }
+}
+
+/// One lane's share of a run: its schedule, digest and outcome counts.
+struct Lane<'a> {
+    schedule: Schedule,
+    latency: &'a [Histogram; 2],
+    digest: Sha256,
+    ok: [u64; 5],
+    busy: u64,
+    errors: u64,
+}
+
+impl Lane<'_> {
+    /// Count, time and fold one action: `Ok` hashes the bytes it yielded,
+    /// `Err` its error text. Returns whether it succeeded.
+    fn record(
+        &mut self,
+        action: Action,
+        due: Instant,
+        outcome: Result<&[u8], impl AsRef<str>>,
+    ) -> bool {
+        self.latency[action.class()].record(due.elapsed());
+        match outcome {
+            Ok(bytes) => {
+                self.ok[action as usize] += 1;
+                self.digest.update(bytes);
+                true
+            }
+            Err(message) => {
+                let message = message.as_ref();
+                if message == BUSY_MSG {
+                    self.busy += 1;
+                } else {
+                    self.errors += 1;
+                }
+                self.digest.update(message.as_bytes());
+                false
+            }
+        }
+    }
+
+    /// [`Lane::record`] for a raw KEM reply frame.
+    fn record_reply(&mut self, due: Instant, response: &ResponseFrame) {
+        let message = response.error_message();
+        let outcome = match &message {
+            _ if response.is_busy() => Err(BUSY_MSG),
+            Some(message) => Err(message.as_str()),
+            None => Ok(&response.payload[..]),
+        };
+        self.record(Action::Request, due, outcome);
+    }
+
+    /// Drive this lane's share of a KEM script.
+    fn kem(
+        &mut self,
+        mut client: Client,
+        cfg: &LoadConfig,
+        (op, requests, batch): (Op, usize, usize),
+        payload: &[u8],
+    ) -> Result<(), String> {
+        let opcode = match op {
+            Op::Keygen => Opcode::Keygen,
+            Op::Encaps => Opcode::Encaps,
+            Op::Decaps => Opcode::Decaps,
+        };
+        let frames: Vec<RequestFrame> = (self.schedule.lane..requests)
+            .step_by(self.schedule.lanes)
+            .map(|r| RequestFrame {
+                opcode,
+                params_code: params_code(&cfg.params),
+                backend_code: cfg.backend.code(),
+                // Lane 0 is reserved for ad-hoc CLI traffic, u64::MAX for
+                // the fixtures.
+                seq: r as u64 + 1,
+                payload: payload.to_vec(),
+            })
+            .collect();
+        if cfg.target_qps > 0.0 {
+            // Pipelined: the writer keeps the schedule, the reader pairs
+            // replies with due times in request order.
+            let (mut writer, mut reader) = client.into_split();
+            let (due_tx, due_rx) = std::sync::mpsc::channel();
+            let schedule = self.schedule;
+            return std::thread::scope(|scope| {
+                let sender = scope.spawn(move || -> Result<(), String> {
+                    for (j, frame) in frames.iter().enumerate() {
+                        let due = schedule.due(j);
+                        wire::write_request(&mut writer, frame)
+                            .map_err(|e| format!("send: {e}"))?;
+                        if due_tx.send(due).is_err() {
+                            break; // the reader failed; its error is reported
                         }
-                        due
-                    } else {
-                        Instant::now()
                     }
-                };
-                let mut s = lane;
-                while s < cfg.sessions {
-                    // Open.
-                    let sched = schedule(op_index);
-                    op_index += 1;
+                    Ok(())
+                });
+                let mut received = Ok(());
+                while let Ok(due) = due_rx.recv() {
+                    match wire::read_response(&mut reader) {
+                        Ok(response) => self.record_reply(due, &response),
+                        Err(e) => {
+                            received = Err(format!("recv: {e}"));
+                            break;
+                        }
+                    }
+                }
+                drop(due_rx);
+                let sent = sender
+                    .join()
+                    .map_err(|_| "writer thread panicked".to_string())?;
+                received.and(sent)
+            });
+        }
+        for (j, chunk) in frames.chunks(batch.max(1)).enumerate() {
+            let due = self.schedule.due(j);
+            if batch > 1 {
+                // Same request→lane deal and DRBG lanes as classic frames,
+                // so the digest does not depend on the framing.
+                client.batch_streamed(chunk, |_, response| self.record_reply(due, &response))?;
+            } else {
+                let response = client.request(&chunk[0])?;
+                self.record_reply(due, &response);
+            }
+        }
+        Ok(())
+    }
+
+    /// Drive this lane's share of a session script.
+    fn sessions(
+        &mut self,
+        mut client: Client,
+        cfg: &LoadConfig,
+        (sessions, chats, rekey_every, hold): (usize, usize, u64, bool),
+    ) {
+        let Schedule { lane, lanes, .. } = self.schedule;
+        let kem = Kem::new(cfg.params);
+        let mut backend = cfg.backend.build();
+        let mut rng = Sha256CtrRng::from_seed(session_client_seed(cfg.seed)).fork(lane as u64);
+        let (schedule, mut j) = (self.schedule, 0);
+        let mut due = || {
+            j += 1;
+            schedule.due(j - 1)
+        };
+        // Handshake DRBG lanes: unique per lane and handshake, disjoint
+        // from the KEM request lanes (r + 1) and the fixture lane.
+        let mut handshake_seq = (lane as u64 + 1) << 32;
+        for s in (lane..sessions).step_by(lanes) {
+            let at = due();
+            handshake_seq += 1;
+            let opened =
+                client.session_open(&kem, backend.as_mut(), cfg.backend, handshake_seq, &mut rng);
+            let outcome = opened.as_ref().map(|session| &session.epoch_secret[..]);
+            self.record(Action::Open, at, outcome);
+            let Ok(mut session) = opened else {
+                continue;
+            };
+            let mut failed = false;
+            for chat in 0..chats {
+                if session.rekey_due(rekey_every) {
+                    let at = due();
                     handshake_seq += 1;
-                    let opened = client.session_open(
+                    let rekeyed = client.session_rekey(
                         &kem,
                         backend.as_mut(),
                         cfg.backend,
+                        &mut session,
                         handshake_seq,
                         &mut rng,
                     );
-                    handshake_latency.record(sched.elapsed());
-                    let mut session = match opened {
-                        Ok(session) => {
-                            counts[0] += 1;
-                            digest.update(&session.epoch_secret);
-                            session
-                        }
-                        Err(message) => {
-                            counts[if message == crate::client::BUSY_MSG {
-                                4
-                            } else {
-                                5
-                            }] += 1;
-                            digest.update(message.as_bytes());
-                            s += lanes;
-                            continue;
-                        }
-                    };
-                    let mut failed = false;
-                    for chat in 0..cfg.chats_per_session {
-                        if session.rekey_due(cfg.rekey_every) {
-                            let sched = schedule(op_index);
-                            op_index += 1;
-                            handshake_seq += 1;
-                            let rekeyed = client.session_rekey(
-                                &kem,
-                                backend.as_mut(),
-                                cfg.backend,
-                                &mut session,
-                                handshake_seq,
-                                &mut rng,
-                            );
-                            handshake_latency.record(sched.elapsed());
-                            match rekeyed {
-                                Ok(()) => {
-                                    counts[2] += 1;
-                                    digest.update(&session.epoch_secret);
-                                    digest.update(&session.epoch.to_le_bytes());
-                                }
-                                Err(message) => {
-                                    counts[5] += 1;
-                                    digest.update(message.as_bytes());
-                                    failed = true;
-                                    break;
-                                }
-                            }
-                        }
-                        let plaintext = format!("lane {lane} session {s} chat {chat}");
-                        let sched = schedule(op_index);
-                        op_index += 1;
-                        let echoed = client.session_send(&mut session, plaintext.as_bytes());
-                        message_latency.record(sched.elapsed());
-                        match echoed {
-                            Ok(echo) => {
-                                counts[1] += 1;
-                                digest.update(&echo);
-                            }
-                            Err(message) => {
-                                counts[5] += 1;
-                                digest.update(message.as_bytes());
-                                failed = true;
-                                break;
-                            }
-                        }
+                    let epoch = [&session.epoch_secret[..], &session.epoch.to_le_bytes()].concat();
+                    if !self.record(Action::Rekey, at, rekeyed.as_ref().map(|()| &epoch[..])) {
+                        failed = true;
+                        break;
                     }
-                    if !cfg.hold && !failed {
-                        let sched = schedule(op_index);
-                        op_index += 1;
-                        let closed = client.session_close(session);
-                        message_latency.record(sched.elapsed());
-                        match closed {
-                            Ok(()) => counts[3] += 1,
-                            Err(message) => {
-                                counts[5] += 1;
-                                digest.update(message.as_bytes());
-                            }
-                        }
-                    }
-                    s += lanes;
                 }
-                Ok((digest.finalize(), counts))
-            },
-        ));
-    }
-
-    let mut run_digest = Sha256::new();
-    run_digest.update(b"lac-serve:session-digest:v1");
-    let mut totals = [0u64; 6];
-    for handle in handles {
-        let (lane_digest, counts) = handle
-            .join()
-            .map_err(|_| "lane thread panicked".to_string())??;
-        run_digest.update(&lane_digest);
-        for (total, count) in totals.iter_mut().zip(counts) {
-            *total += count;
+                let plaintext = format!("lane {lane} session {s} chat {chat}");
+                let at = due();
+                let echoed = client.session_send(&mut session, plaintext.as_bytes());
+                if !self.record(Action::Chat, at, echoed.as_deref()) {
+                    failed = true;
+                    break;
+                }
+            }
+            if !hold && !failed {
+                let at = due();
+                let closed = client.session_close(session);
+                self.record(Action::Close, at, closed.as_ref().map(|()| &[][..]));
+            }
         }
     }
-    let wall_micros = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+}
 
-    // Poll stats *before* shutdown: in hold mode this snapshots the
-    // end-of-run table occupancy; then drain the server.
-    let mut control = Client::connect(&addr).map_err(|e| format!("control connect: {e}"))?;
-    let server_stats_json = control.stats().unwrap_or_default();
-    control.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    let final_snapshot = server_thread
-        .join()
-        .map_err(|_| "server thread panicked".to_string())?;
-    let io = FrontendIo::from_snapshot(&final_snapshot);
+/// Run one script against an in-process or external server (see the
+/// module docs).
+///
+/// # Errors
+///
+/// Bind/connect failures, a KEM-lane transport failure, a lane-thread
+/// panic, an invalid `target_qps`, a paced `BATCH` script or an empty
+/// session script. `BUSY` sheds and per-action protocol errors are
+/// *counted*, not fatal.
+pub fn run(cfg: &LoadConfig) -> Result<LoadReport, String> {
+    if !cfg.target_qps.is_finite() || cfg.target_qps < 0.0 {
+        return Err(format!("bad target rate {} req/s", cfg.target_qps));
+    }
+    let (lanes, payload) = match cfg.script {
+        Script::Kem { batch, .. } if batch > 1 && cfg.target_qps > 0.0 => {
+            return Err("BATCH framing needs closed lanes (no --target-qps)".into())
+        }
+        Script::Kem { op, .. } => (cfg.conns.max(1), kem_payload(op, cfg)),
+        Script::Sessions { sessions: 0, .. } => {
+            return Err("--sessions needs at least one session".into())
+        }
+        Script::Sessions { sessions, .. } => {
+            let lanes = cfg.conns.max(1).min(sessions);
+            (lanes.min(cfg.queue_capacity), Vec::new())
+        }
+    };
 
-    let digest_hex: String = run_digest
-        .finalize()
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
-    let [opened, chats, rekeys, closes, busy, errors] = totals;
-    let completed = opened + chats + rekeys + closes;
-    let wall_secs = wall_micros as f64 / 1e6;
-    Ok(SessionLoadReport {
-        workers: cfg.workers,
-        reactors: cfg.reactors.max(1),
-        conns: lanes,
-        sessions: cfg.sessions,
-        chats_per_session: cfg.chats_per_session,
-        rekey_every: cfg.rekey_every,
-        hold: cfg.hold,
-        opened,
-        chats,
-        rekeys,
-        closes,
+    let (addr, server) = match &cfg.addr {
+        Some(addr) => (addr.clone(), None),
+        None => {
+            let server = Server::bind(
+                "127.0.0.1:0",
+                ServeConfig {
+                    workers: cfg.workers,
+                    reactors: cfg.reactors.max(1),
+                    queue_capacity: cfg.queue_capacity,
+                    seed: pool_seed(cfg.seed),
+                    session_capacity: cfg.session_capacity,
+                    session_rekey_after: cfg.session_rekey_after,
+                    ..ServeConfig::default()
+                },
+            )
+            .map_err(|e| format!("bind: {e}"))?;
+            let addr = server
+                .local_addr()
+                .map_err(|e| format!("local_addr: {e}"))?
+                .to_string();
+            (addr, Some(std::thread::spawn(move || server.run())))
+        }
+    };
+
+    let latency = [Histogram::new(), Histogram::new()];
+    let start = Instant::now();
+    let results: Vec<Result<Lane, String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..lanes)
+            .map(|lane| {
+                let (addr, latency, payload) = (&addr, &latency, &payload);
+                scope.spawn(move || -> Result<Lane, String> {
+                    let client = Client::connect_with_timeout(addr, cfg.timeout_ms)
+                        .map_err(|e| format!("connect: {e}"))?;
+                    let mut state = Lane {
+                        schedule: Schedule {
+                            start,
+                            lane,
+                            lanes,
+                            target_qps: cfg.target_qps,
+                        },
+                        latency,
+                        digest: Sha256::new(),
+                        ok: [0; 5],
+                        busy: 0,
+                        errors: 0,
+                    };
+                    match cfg.script {
+                        Script::Kem {
+                            op,
+                            requests,
+                            batch,
+                        } => state.kem(client, cfg, (op, requests, batch), payload)?,
+                        Script::Sessions {
+                            sessions,
+                            chats,
+                            rekey_every,
+                            hold,
+                        } => state.sessions(client, cfg, (sessions, chats, rekey_every, hold)),
+                    }
+                    Ok(state)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| Err("lane thread panicked".into()))
+            })
+            .collect()
+    });
+    let wall_micros = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+
+    // One stats poll for either kind of server, then shut an in-process
+    // one down and wait for its drain, before any lane error returns.
+    let stats = Client::connect_with_timeout(&addr, cfg.timeout_ms)
+        .map_err(|e| format!("control connect: {e}"))
+        .and_then(|mut control| {
+            let json = control.stats().unwrap_or_default();
+            if let Some(thread) = server {
+                control.shutdown().map_err(|e| format!("shutdown: {e}"))?;
+                thread
+                    .join()
+                    .map_err(|_| "server thread panicked".to_string())?;
+            }
+            Ok(json)
+        });
+
+    let mut run_digest = Sha256::new();
+    run_digest.update(match cfg.script {
+        Script::Kem { .. } => b"lac-serve:bench-digest:v1",
+        Script::Sessions { .. } => b"lac-serve:session-digest:v1",
+    });
+    let (mut ok, mut busy, mut errors) = ([0u64; 5], 0, 0);
+    for lane in results {
+        let lane = lane?;
+        run_digest.update(&lane.digest.finalize());
+        for (total, count) in ok.iter_mut().zip(lane.ok) {
+            *total += count;
+        }
+        busy += lane.busy;
+        errors += lane.errors;
+    }
+    Ok(LoadReport {
+        cfg: cfg.clone(),
+        lanes,
+        ok,
         busy,
         errors,
+        latency: [latency[0].snapshot(), latency[1].snapshot()],
         wall_micros,
-        achieved_qps: if wall_secs > 0.0 {
-            completed as f64 / wall_secs
-        } else {
-            0.0
-        },
-        handshake_latency: handshake_latency.snapshot(),
-        message_latency: message_latency.snapshot(),
-        digest: digest_hex,
-        writev_calls: io.writev_calls,
-        frames_flushed: io.frames_flushed,
-        frames_per_flush: io.frames_per_flush,
-        frames_per_busy_sec: io.frames_per_busy_sec,
-        server_stats_json,
+        digest: run_digest
+            .finalize()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect(),
+        server_stats_json: stats?,
     })
+}
+
+impl LoadReport {
+    /// An integer from the server's stats snapshot (0 when absent).
+    pub fn stat(&self, key: &str) -> u64 {
+        json_u64(&self.server_stats_json, key).unwrap_or(0)
+    }
+
+    /// Successful replies of every action.
+    pub fn completions(&self) -> u64 {
+        self.ok.iter().sum()
+    }
+
+    /// Replies per second of wall time (ok, busy and error: the server
+    /// answered them all).
+    pub fn achieved_qps(&self) -> f64 {
+        let replies = self.completions() + self.busy + self.errors;
+        per(replies as f64 * 1e6, self.wall_micros as f64)
+    }
+
+    /// Completions per modelled megacycle of the server's makespan (its
+    /// busiest worker's cycle total; one modelled RISCY core per worker).
+    /// Deterministic and host-independent: the worker sweep compares it.
+    pub fn req_per_mcycle(&self) -> f64 {
+        per(
+            self.completions() as f64 * 1e6,
+            self.stat("makespan_cycles") as f64,
+        )
+    }
+
+    /// Flushed reply frames per busiest-shard CPU second: front-end
+    /// throughput that measures reactor scaling even when shards
+    /// timeshare one core (0 without a per-thread CPU clock).
+    pub fn frames_per_busy_sec(&self) -> f64 {
+        per(
+            self.stat("frames_flushed") as f64 * 1e9,
+            self.stat("frontend_busy_ns_max") as f64,
+        )
+    }
+
+    /// Latency classes this script reports: JSON key, text label, histogram.
+    fn classes(&self) -> Vec<(&'static str, &'static str, &HistogramSnapshot)> {
+        match self.cfg.script {
+            Script::Kem { .. } => vec![("latency", "latency", &self.latency[0])],
+            Script::Sessions { .. } => vec![
+                ("handshake_latency", "handshake latency", &self.latency[0]),
+                ("message_latency", "message   latency", &self.latency[1]),
+            ],
+        }
+    }
+
+    /// Flat JSON object for `--json` output. The driver's own keys come
+    /// before the embedded `"server"` snapshot, so first-match scanners
+    /// read them, not the server's.
+    pub fn to_json(&self) -> String {
+        let [_, opened, rekeys, chats_ok, closes] = self.ok;
+        let (bench, script) = match self.cfg.script {
+            Script::Kem {
+                op,
+                requests,
+                batch,
+            } => (
+                if self.cfg.target_qps > 0.0 {
+                    "serve-open-loop"
+                } else {
+                    "serve-closed-loop"
+                },
+                format!(
+                    "\"op\": \"{}\", \"requests\": {requests}, \"batch\": {batch}",
+                    op.label()
+                ),
+            ),
+            Script::Sessions {
+                sessions,
+                chats,
+                rekey_every,
+                hold,
+            } => (
+                "serve-sessions",
+                format!(
+                    "\"sessions\": {sessions}, \"chats_per_session\": {chats}, \
+                     \"rekey_every\": {rekey_every}, \"hold\": {hold}, \"opened\": {opened}, \
+                     \"chats\": {chats_ok}, \"rekeys\": {rekeys}, \"closes\": {closes}"
+                ),
+            ),
+        };
+        let latency: Vec<String> = self
+            .classes()
+            .iter()
+            .map(|(key, _, histogram)| format!("\"{key}\": {}", histogram.to_json()))
+            .collect();
+        let (writev_calls, frames) = (self.stat("writev_calls"), self.stat("frames_flushed"));
+        format!(
+            "{{\"bench\": \"{bench}\", {script}, \"params\": \"{}\", \"backend\": \"{}\", \
+             \"workers\": {}, \"reactors\": {}, \"conns\": {}, \"target_qps\": {:.1}, \
+             \"completions\": {}, \"busy\": {}, \"errors\": {}, \"wall_us\": {}, \
+             \"achieved_qps\": {:.1}, \"makespan_cycles\": {}, \"req_per_mcycle\": {:.4}, \
+             \"writev_calls\": {writev_calls}, \"frames_flushed\": {frames}, \
+             \"frames_per_flush\": {:.2}, \"frames_per_busy_sec\": {:.1}, {}, \
+             \"digest\": \"{}\", \"server\": {}}}",
+            self.cfg.params.name(),
+            self.cfg.backend.name(),
+            self.stat("workers"),
+            self.stat("reactors"),
+            self.lanes,
+            self.cfg.target_qps,
+            self.completions(),
+            self.busy,
+            self.errors,
+            self.wall_micros,
+            self.achieved_qps(),
+            self.stat("makespan_cycles"),
+            self.req_per_mcycle(),
+            per(frames as f64, writev_calls as f64),
+            self.frames_per_busy_sec(),
+            latency.join(", "),
+            self.digest,
+            if self.server_stats_json.is_empty() {
+                "null"
+            } else {
+                &self.server_stats_json
+            },
+        )
+    }
+
+    /// Human-readable summary.
+    pub fn to_text(&self) -> String {
+        let script = match self.cfg.script {
+            Script::Kem {
+                op,
+                requests,
+                batch,
+            } => format!(
+                "{requests} × {}{}",
+                op.label(),
+                if batch > 1 {
+                    format!(" (batch {batch})")
+                } else {
+                    String::new()
+                }
+            ),
+            Script::Sessions {
+                sessions,
+                chats,
+                rekey_every,
+                hold,
+            } => format!(
+                "{sessions} sessions × {chats} chats (rekey every {rekey_every}{})",
+                if hold { ", hold" } else { "" }
+            ),
+        };
+        let mut out = format!(
+            "bench-serve {}: {script} on {} / {} — {} workers, {} reactors, {} conns\n",
+            if self.cfg.target_qps > 0.0 {
+                format!("open-loop at {:.0} req/s", self.cfg.target_qps)
+            } else {
+                "closed-loop".to_string()
+            },
+            self.cfg.params.name(),
+            self.cfg.backend.name(),
+            self.stat("workers"),
+            self.stat("reactors"),
+            self.lanes,
+        );
+        out.push_str(&format!(
+            "  replies: ok {}, busy {}, errors {}",
+            self.completions(),
+            self.busy,
+            self.errors
+        ));
+        if let Script::Sessions { .. } = self.cfg.script {
+            let [_, opened, rekeys, chats, closes] = self.ok;
+            out.push_str(&format!(
+                " (opened {opened}, chats {chats}, rekeys {rekeys}, closes {closes})"
+            ));
+        }
+        out.push_str(&format!(
+            "\n  wall: {:.1} ms, {:.1} replies/s\n  modelled ({}-core RISCY): makespan {} cycles, \
+             {:.3} req/Mcycle\n",
+            self.wall_micros as f64 / 1e3,
+            self.achieved_qps(),
+            self.stat("workers"),
+            self.stat("makespan_cycles"),
+            self.req_per_mcycle(),
+        ));
+        for (_, label, histogram) in self.classes() {
+            out.push_str(&format!(
+                "  {label}: p50 {:.1} us, p99 {:.1} us, p999 {:.1} us, max {} us\n",
+                histogram.quantile_micros_interp(0.50),
+                histogram.quantile_micros_interp(0.99),
+                histogram.quantile_micros_interp(0.999),
+                histogram.max_micros,
+            ));
+        }
+        out.push_str(&format!(
+            "  writes: {} frames in {} writev calls, {:.0} frames/busy-s\n",
+            self.stat("frames_flushed"),
+            self.stat("writev_calls"),
+            self.frames_per_busy_sec()
+        ));
+        if let Script::Sessions { .. } = self.cfg.script {
+            out.push_str(&format!(
+                "  table: open {}, evicted {}, replay drops {}, tag failures {}\n",
+                self.stat("open"),
+                self.stat("evicted"),
+                self.stat("replay_drops"),
+                self.stat("tag_failures")
+            ));
+        }
+        out.push_str(&format!("  digest: {}\n", self.digest));
+        out
+    }
 }
 
 /// One sweep over several worker counts with everything else fixed.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
     /// One report per worker count, in the order given.
-    pub runs: Vec<BenchReport>,
+    pub runs: Vec<LoadReport>,
     /// Modelled-throughput ratio `last.req_per_mcycle / first.req_per_mcycle`.
     pub scaling: f64,
-    /// Whether every run produced the same response digest.
+    /// Whether every run produced the same digest.
     pub deterministic: bool,
 }
 
@@ -1278,7 +838,7 @@ pub struct SweepReport {
 ///
 /// Propagates the first failing run; rejects an empty `worker_counts` or
 /// an external `addr` (worker count is a server-side property).
-pub fn run_sweep(cfg: &BenchConfig, worker_counts: &[usize]) -> Result<SweepReport, String> {
+pub fn run_sweep(cfg: &LoadConfig, worker_counts: &[usize]) -> Result<SweepReport, String> {
     if worker_counts.is_empty() {
         return Err("sweep needs at least one worker count".into());
     }
@@ -1291,101 +851,12 @@ pub fn run_sweep(cfg: &BenchConfig, worker_counts: &[usize]) -> Result<SweepRepo
         cfg.workers = workers;
         runs.push(run(&cfg)?);
     }
-    let first = runs.first().expect("non-empty");
-    let last = runs.last().expect("non-empty");
-    let scaling = if first.req_per_mcycle > 0.0 {
-        last.req_per_mcycle / first.req_per_mcycle
-    } else {
-        0.0
-    };
-    let deterministic = runs.iter().all(|r| r.digest == first.digest);
+    let (first, last) = (&runs[0], &runs[runs.len() - 1]);
     Ok(SweepReport {
+        scaling: per(last.req_per_mcycle(), first.req_per_mcycle()),
+        deterministic: runs.iter().all(|r| r.digest == first.digest),
         runs,
-        scaling,
-        deterministic,
     })
-}
-
-impl BenchReport {
-    /// Flat JSON object for `--json` output.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"op\": \"{}\", \"params\": \"{}\", \"backend\": \"{}\", \
-             \"workers\": {}, \"reactors\": {}, \"clients\": {}, \"requests\": {}, \
-             \"batch\": {}, \"errors\": {}, \
-             \"wall_us\": {}, \"wall_req_per_sec\": {:.2}, \
-             \"makespan_cycles\": {}, \"req_per_mcycle\": {:.4}, \
-             \"writev_calls\": {}, \"frames_flushed\": {}, \
-             \"frames_per_flush\": {:.2}, \"frames_per_busy_sec\": {:.1}, \
-             \"latency\": {}, \"digest\": \"{}\", \"server\": {}}}",
-            self.op.label(),
-            self.params.name(),
-            self.backend.name(),
-            self.workers,
-            self.reactors,
-            self.clients,
-            self.requests,
-            self.batch,
-            self.errors,
-            self.wall_micros,
-            self.wall_req_per_sec,
-            self.makespan_cycles,
-            self.req_per_mcycle,
-            self.writev_calls,
-            self.frames_flushed,
-            self.frames_per_flush,
-            self.frames_per_busy_sec,
-            self.latency.to_json(),
-            self.digest,
-            if self.server_stats_json.is_empty() {
-                "null"
-            } else {
-                &self.server_stats_json
-            },
-        )
-    }
-
-    /// Human-readable summary.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "bench-serve: {} × {} on {} / {} — {} workers, {} reactors, {} clients{}\n",
-            self.requests,
-            self.op.label(),
-            self.params.name(),
-            self.backend.name(),
-            self.workers,
-            self.reactors,
-            self.clients,
-            if self.batch > 1 {
-                format!(", batch {}", self.batch)
-            } else {
-                String::new()
-            }
-        ));
-        out.push_str(&format!(
-            "  wall: {:.1} ms total, {:.1} req/s\n",
-            self.wall_micros as f64 / 1e3,
-            self.wall_req_per_sec
-        ));
-        out.push_str(&format!(
-            "  modelled ({}-core RISCY): makespan {} cycles, {:.3} req/Mcycle\n",
-            self.workers, self.makespan_cycles, self.req_per_mcycle
-        ));
-        out.push_str(&format!(
-            "  latency: p50 <= {} us, p99 <= {} us, max {} us, errors {}\n",
-            self.latency.quantile_micros(0.50),
-            self.latency.quantile_micros(0.99),
-            self.latency.max_micros,
-            self.errors
-        ));
-        out.push_str(&format!(
-            "  writes: {} frames in {} writev calls ({:.2} frames/flush), {:.0} frames/busy-s\n",
-            self.frames_flushed, self.writev_calls, self.frames_per_flush, self.frames_per_busy_sec
-        ));
-        out.push_str(&format!("  response digest: {}\n", self.digest));
-        out
-    }
 }
 
 impl SweepReport {
@@ -1407,34 +878,24 @@ impl SweepReport {
 
     /// Human-readable sweep table.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        let first = &self.runs[0];
-        out.push_str(&format!(
-            "bench-serve sweep: {} × {} on {} / {}, {} clients\n\n",
-            first.requests,
-            first.op.label(),
-            first.params.name(),
-            first.backend.name(),
-            first.clients
-        ));
-        out.push_str(&format!(
-            "{:>8} {:>18} {:>16} {:>14} {:>12}\n",
-            "workers", "makespan cycles", "req/Mcycle", "wall req/s", "p99 us"
-        ));
+        let mut out = format!(
+            "bench-serve sweep: {} conns\n\n{:>8} {:>18} {:>16} {:>14} {:>12}\n",
+            self.runs[0].lanes, "workers", "makespan cycles", "req/Mcycle", "wall req/s", "p99 us"
+        );
         for run in &self.runs {
             out.push_str(&format!(
-                "{:>8} {:>18} {:>16.3} {:>14.1} {:>12}\n",
-                run.workers,
-                run.makespan_cycles,
-                run.req_per_mcycle,
-                run.wall_req_per_sec,
-                run.latency.quantile_micros(0.99)
+                "{:>8} {:>18} {:>16.3} {:>14.1} {:>12.1}\n",
+                run.stat("workers"),
+                run.stat("makespan_cycles"),
+                run.req_per_mcycle(),
+                run.achieved_qps(),
+                run.latency[0].quantile_micros_interp(0.99)
             ));
         }
         out.push_str(&format!(
             "\nmodelled scaling {} -> {} workers: {:.2}x\ndigests identical across worker counts: {}\n",
-            self.runs.first().map(|r| r.workers).unwrap_or(0),
-            self.runs.last().map(|r| r.workers).unwrap_or(0),
+            self.runs[0].stat("workers"),
+            self.runs[self.runs.len() - 1].stat("workers"),
             self.scaling,
             self.deterministic
         ));
@@ -1446,54 +907,75 @@ impl SweepReport {
 mod tests {
     use super::*;
 
-    fn tiny_cfg() -> BenchConfig {
-        BenchConfig {
-            workers: 2,
-            reactors: 1,
-            clients: 2,
-            requests: 6,
-            op: Op::Encaps,
-            params: Params::lac128(),
+    fn tiny_kem(requests: usize, batch: usize) -> LoadConfig {
+        LoadConfig {
+            script: Script::Kem {
+                op: Op::Encaps,
+                requests,
+                batch,
+            },
             backend: BackendKind::Hw,
-            batch: 1,
+            conns: 2,
             seed: 42,
+            workers: 2,
             queue_capacity: 8,
-            addr: None,
+            ..LoadConfig::default()
+        }
+    }
+
+    fn tiny_sessions() -> LoadConfig {
+        LoadConfig {
+            script: Script::Sessions {
+                sessions: 4,
+                chats: 3,
+                rekey_every: 2,
+                hold: false,
+            },
+            conns: 2,
+            seed: 42,
+            workers: 2,
+            queue_capacity: 8,
+            session_capacity: 16,
+            ..LoadConfig::default()
         }
     }
 
     #[test]
     fn bench_runs_and_reports() {
-        let report = run(&tiny_cfg()).expect("bench runs");
-        assert_eq!(report.requests, 6);
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.latency.count, 6);
-        assert!(report.makespan_cycles > 0);
-        assert!(report.req_per_mcycle > 0.0);
+        let report = run(&tiny_kem(6, 1)).expect("bench runs");
+        assert_eq!(report.completions(), 6);
+        assert_eq!((report.busy, report.errors), (0, 0));
+        assert_eq!(report.latency[0].count, 6);
+        assert!(report.stat("makespan_cycles") > 0);
+        assert!(report.req_per_mcycle() > 0.0);
+        assert_eq!(report.stat("workers"), 2);
         assert_eq!(report.digest.len(), 64);
         let json = report.to_json();
         assert!(json.contains("\"op\": \"encaps\""), "{json}");
         assert!(json.contains("\"makespan_cycles\""), "{json}");
-        assert!(report.to_text().contains("response digest"));
+        let text = report.to_text();
+        assert!(
+            text.contains("closed-loop") && text.contains("digest"),
+            "{text}"
+        );
     }
 
     #[test]
     fn digest_is_worker_count_independent_and_seed_sensitive() {
-        let one = run(&BenchConfig {
+        let one = run(&LoadConfig {
             workers: 1,
-            ..tiny_cfg()
+            ..tiny_kem(6, 1)
         })
         .expect("1 worker");
-        let three = run(&BenchConfig {
+        let three = run(&LoadConfig {
             workers: 3,
-            ..tiny_cfg()
+            ..tiny_kem(6, 1)
         })
         .expect("3 workers");
         assert_eq!(one.digest, three.digest);
-
-        let other_seed = run(&BenchConfig {
+        let other_seed = run(&LoadConfig {
             seed: 43,
-            ..tiny_cfg()
+            ..tiny_kem(6, 1)
         })
         .expect("other seed");
         assert_ne!(one.digest, other_seed.digest);
@@ -1501,135 +983,98 @@ mod tests {
 
     #[test]
     fn digest_is_batch_size_independent() {
-        let classic = run(&tiny_cfg()).expect("per-request framing");
-        let batched = run(&BenchConfig {
-            batch: 3,
-            ..tiny_cfg()
-        })
-        .expect("batched framing");
+        let classic = run(&tiny_kem(6, 1)).expect("per-request framing");
+        let batched = run(&tiny_kem(6, 3)).expect("batched framing");
         assert_eq!(classic.digest, batched.digest);
         assert_eq!(batched.errors, 0);
-        assert_eq!(batched.requests, classic.requests);
-        // 6 requests over 2 clients at batch 3 = one frame per client.
-        assert_eq!(batched.latency.count, 2);
+        // One latency sample per request, timed to its streamed reply.
+        assert_eq!(batched.latency[0].count, 6);
         assert!(batched.to_json().contains("\"batch\": 3"));
         assert!(batched.to_text().contains("batch 3"));
     }
 
     #[test]
     fn sweep_reports_scaling_and_determinism() {
-        let sweep = run_sweep(&tiny_cfg(), &[1, 2]).expect("sweep");
+        let sweep = run_sweep(&tiny_kem(6, 1), &[1, 2]).expect("sweep");
         assert_eq!(sweep.runs.len(), 2);
         assert!(sweep.deterministic);
         assert!(sweep.scaling > 1.0, "scaling {}", sweep.scaling);
         assert!(sweep.to_json().contains("\"deterministic\": true"));
         assert!(sweep.to_text().contains("modelled scaling"));
-        assert!(run_sweep(&tiny_cfg(), &[]).is_err());
-        assert!(run_sweep(
-            &BenchConfig {
-                addr: Some("127.0.0.1:1".into()),
-                ..tiny_cfg()
-            },
-            &[1]
-        )
-        .is_err());
+        assert!(run_sweep(&tiny_kem(6, 1), &[]).is_err());
+        let external = LoadConfig {
+            addr: Some("127.0.0.1:1".into()),
+            ..tiny_kem(6, 1)
+        };
+        assert!(run_sweep(&external, &[1]).is_err());
     }
 
     #[test]
     fn open_loop_reports_tail_latency() {
-        let report = run_open_loop(&OpenLoopConfig {
-            workers: 2,
-            conns: 2,
+        // 8 requests never outnumber the 8-slot queue, so none is shed.
+        let paced = run(&LoadConfig {
             target_qps: 400.0,
-            duration_ms: 150,
-            queue_capacity: 64,
-            ..OpenLoopConfig::default()
+            ..tiny_kem(8, 1)
         })
-        .expect("open loop runs");
-        assert!(report.offered > 0, "{report:?}");
-        assert_eq!(
-            report.offered,
-            report.completions + report.busy + report.errors
-        );
-        assert!(report.completions > 0, "{report:?}");
-        assert_eq!(report.latency.count, report.offered);
-        let json = report.to_json();
+        .expect("paced run");
+        assert_eq!((paced.completions(), paced.busy, paced.errors), (8, 0, 0));
+        assert_eq!(paced.latency[0].count, 8);
+        assert_eq!(paced.digest, run(&tiny_kem(8, 1)).expect("closed").digest);
+        let json = paced.to_json();
         assert!(json.contains("\"bench\": \"serve-open-loop\""), "{json}");
         assert!(json.contains("\"p999_us\""), "{json}");
-        let text = report.to_text();
-        assert!(text.contains("p999"), "{text}");
-        assert!(run_open_loop(&OpenLoopConfig {
-            target_qps: 0.0,
-            ..OpenLoopConfig::default()
-        })
-        .is_err());
-    }
-
-    #[test]
-    fn extract_u64_scans_flat_json() {
-        let json = "{\"a\": 12, \"makespan_cycles\": 3456, \"b\": {}}";
-        assert_eq!(extract_u64(json, "makespan_cycles"), Some(3456));
-        assert_eq!(extract_u64(json, "a"), Some(12));
-        assert_eq!(extract_u64(json, "missing"), None);
-    }
-
-    fn tiny_session_cfg() -> SessionLoadConfig {
-        SessionLoadConfig {
-            workers: 2,
-            conns: 2,
-            sessions: 4,
-            chats_per_session: 3,
-            rekey_every: 2,
-            seed: 42,
-            queue_capacity: 8,
-            session_capacity: 16,
-            ..SessionLoadConfig::default()
+        assert!(paced.to_text().contains("p999"));
+        for bad in [-1.0, f64::NAN] {
+            let cfg = LoadConfig {
+                target_qps: bad,
+                ..tiny_kem(4, 1)
+            };
+            assert!(run(&cfg).is_err());
         }
+        let paced_batch = LoadConfig {
+            target_qps: 100.0,
+            ..tiny_kem(4, 2)
+        };
+        assert!(run(&paced_batch).is_err());
     }
 
     #[test]
     fn session_bench_runs_full_lifecycle() {
-        let report = run_sessions(&tiny_session_cfg()).expect("session bench runs");
-        assert_eq!(report.opened, 4);
-        assert_eq!(report.chats, 4 * 3);
+        let report = run(&tiny_sessions()).expect("session bench runs");
+        let ok = |action: Action| report.ok[action as usize];
+        assert_eq!(ok(Action::Open), 4);
+        assert_eq!(ok(Action::Chat), 4 * 3);
         // 3 chats with rekey_every 2 → exactly one rekey per session.
-        assert_eq!(report.rekeys, 4);
-        assert_eq!(report.closes, 4);
-        assert_eq!(report.busy, 0);
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.handshake_latency.count, 4 + 4);
-        assert_eq!(report.message_latency.count, 4 * 3 + 4);
-        assert_eq!(report.digest.len(), 64);
-        // The pre-shutdown stats snapshot saw every session reaped.
-        assert_eq!(extract_u64(&report.server_stats_json, "open"), Some(0));
-        assert_eq!(extract_u64(&report.server_stats_json, "opened"), Some(4));
-        assert_eq!(extract_u64(&report.server_stats_json, "rekeys"), Some(4));
+        assert_eq!(ok(Action::Rekey), 4);
+        assert_eq!(ok(Action::Close), 4);
+        assert_eq!((report.busy, report.errors), (0, 0));
+        assert_eq!(report.latency[0].count, 4 + 4);
+        assert_eq!(report.latency[1].count, 4 * 3 + 4);
+        // The post-load stats poll saw every session reaped.
+        assert_eq!(report.stat("open"), 0);
+        assert_eq!(report.stat("opened"), 4);
+        assert_eq!(report.stat("rekeys"), 4);
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"serve-sessions\""), "{json}");
         assert!(json.contains("\"handshake_latency\""), "{json}");
         let text = report.to_text();
         assert!(text.contains("handshake latency"), "{text}");
-        assert!(text.contains("session digest"), "{text}");
+        assert!(text.contains("digest"), "{text}");
     }
 
     #[test]
     fn session_digest_is_worker_count_independent_and_seed_sensitive() {
-        let one = run_sessions(&SessionLoadConfig {
-            workers: 1,
-            ..tiny_session_cfg()
-        })
-        .expect("1 worker");
-        let three = run_sessions(&SessionLoadConfig {
-            workers: 3,
-            ..tiny_session_cfg()
-        })
-        .expect("3 workers");
+        let with_workers = |workers| LoadConfig {
+            workers,
+            ..tiny_sessions()
+        };
+        let one = run(&with_workers(1)).expect("1 worker");
+        let three = run(&with_workers(3)).expect("3 workers");
         assert_eq!(one.digest, three.digest);
         assert_eq!(one.errors, 0);
-
-        let other_seed = run_sessions(&SessionLoadConfig {
+        let other_seed = run(&LoadConfig {
             seed: 43,
-            ..tiny_session_cfg()
+            ..tiny_sessions()
         })
         .expect("other seed");
         assert_ne!(one.digest, other_seed.digest);
@@ -1637,26 +1082,33 @@ mod tests {
 
     #[test]
     fn session_hold_mode_fills_the_table_and_evicts_beyond_capacity() {
-        let report = run_sessions(&SessionLoadConfig {
-            sessions: 6,
-            chats_per_session: 0,
-            rekey_every: 0,
-            hold: true,
+        let report = run(&LoadConfig {
+            script: Script::Sessions {
+                sessions: 6,
+                chats: 0,
+                rekey_every: 0,
+                hold: true,
+            },
             session_capacity: 4,
-            ..tiny_session_cfg()
+            ..tiny_sessions()
         })
         .expect("hold run");
-        assert_eq!(report.opened, 6);
-        assert_eq!(report.closes, 0);
+        assert_eq!(report.ok[Action::Open as usize], 6);
+        assert_eq!(report.ok[Action::Close as usize], 0);
         assert_eq!(report.errors, 0);
         // Table bounded at 4: the 2 oldest sessions were LRU-evicted and
-        // the rest were still open when the pre-shutdown snapshot ran.
-        assert_eq!(extract_u64(&report.server_stats_json, "open"), Some(4));
-        assert_eq!(extract_u64(&report.server_stats_json, "evicted"), Some(2));
-        assert!(run_sessions(&SessionLoadConfig {
-            sessions: 0,
-            ..tiny_session_cfg()
-        })
-        .is_err());
+        // the rest were still open when the stats poll ran.
+        assert_eq!(report.stat("open"), 4);
+        assert_eq!(report.stat("evicted"), 2);
+        let empty = LoadConfig {
+            script: Script::Sessions {
+                sessions: 0,
+                chats: 0,
+                rekey_every: 0,
+                hold: false,
+            },
+            ..tiny_sessions()
+        };
+        assert!(run(&empty).is_err());
     }
 }

@@ -84,6 +84,13 @@ impl Client {
         })
     }
 
+    /// Split into the raw write half and the buffered read half, for
+    /// callers that pipeline: one thread writes requests while another
+    /// reads the in-order replies.
+    pub fn into_split(self) -> (TcpStream, BufReader<TcpStream>) {
+        (self.writer, self.reader)
+    }
+
     /// Send one raw frame and read its response.
     ///
     /// # Errors

@@ -39,9 +39,11 @@
 //!   `SessionClose`;
 //! * [`client`] — blocking `std::net` endpoint speaking [`wire`], with
 //!   optional connect/read/write deadlines;
-//! * [`bench`] — closed-loop *and* open-loop (target-QPS) load generators
-//!   reporting wall-clock, modelled multi-core throughput, and
-//!   interpolated tail latency (p50/p99/p999).
+//! * [`bench`] — one scheduled-arrival load driver: a KEM or session
+//!   script dealt over connection lanes, closed-loop or paced at a target
+//!   rate, reporting wall-clock and modelled multi-core throughput,
+//!   interpolated tail latency (p50/p99/p999) and an arrival-independent
+//!   reply digest.
 //!
 //! # Determinism
 //!

@@ -25,21 +25,11 @@ STATUS=0
 # Flatten machine-generated JSON to "key value" lines, one per numeric
 # field, in document order. Booleans and strings are skipped (they are
 # compared implicitly: a changed key sequence is a structure mismatch).
-# Every field whose key starts with "iss_" is volatile host-side metadata
-# (wall-clock throughput, engine tags, trace-cache and JIT counters), not
-# modelled cycles, so the whole prefix is stripped from BOTH the baseline
-# and the current run before the key sequence is built, and gated
-# separately against baselines/iss.json. Adding a new iss_*-prefixed
-# field therefore never forces a baseline refresh — no per-field list to
-# maintain here. The sharded front-end's I/O counters (writev_calls,
-# frames_flushed, frames_per_flush, frames_per_busy_sec, shard_*) are
-# wall-clock/scheduler-dependent in exactly the same way and get the
-# same treatment; the reactor-scaling floor for them lives in verify.sh.
+# The table binaries emit modelled cycles only, so every numeric field is
+# compared; host wall-clock throughput is gated separately below, against
+# baselines/iss.json.
 flatten() {
     tr ',{}[]' '\n' <"$1" \
-        | sed '/^[[:space:]]*"iss_/d' \
-        | sed '/^[[:space:]]*"shard_/d' \
-        | sed '/^[[:space:]]*"\(writev_calls\|frames_flushed\|frames_per_flush\|frames_per_busy_sec\)"/d' \
         | sed -n 's/^[[:space:]]*"\([a-z_0-9]*\)": \(-\{0,1\}[0-9][0-9.]*\)$/\1 \2/p'
 }
 

@@ -54,13 +54,13 @@ if [ "$QUICK" = 1 ]; then
     echo "  table2 OK"
     echo
     echo "== smoke: jit digest parity (quick mode) =="
-    # One tiny program through the full four-way engine compare: exits
-    # non-zero (and digests_match goes false) if the JIT — or its
-    # superblock fallback on unsupported hosts — diverges from the
-    # classic oracle. No speedup floor here; that gate lives in full mode.
+    # One tiny program through the full engine compare: exits non-zero
+    # (and digests_match goes false) if the JIT — or its superblock
+    # fallback on unsupported hosts — diverges from the classic oracle.
+    # No speedup floor here; that gate lives in full mode.
     cargo run -q --release --offline -p lac-bench --bin iss_bench -- \
         --json --iters 8 | grep -q '"digests_match": true'
-    echo "  jit digest parity OK (four-way compare)"
+    echo "  jit digest parity OK (engine compare)"
     echo
     echo "== smoke: self-modifying unlink digest parity (quick mode) =="
     # A hot loop patches an already-chained block mid-run: iss_bench exits
@@ -134,14 +134,11 @@ done
 
 echo
 echo "== smoke: sharded table sweeps are thread-count invariant =="
-# The modelled-cycle output must be byte-identical for any worker count;
-# only the volatile iss_* wall-clock/counter fields may differ between
-# runs. The multi-threaded run also enables the warm-start layer
-# (--iss-warm), so one diff checks thread-count invariance AND
-# warm-vs-cold architectural invariance at once.
+# The modelled-cycle output must be byte-identical for any worker count.
+# (Warm-vs-cold ISS invariance is iss_bench --sweep's gate, below.)
 for bin in table1 table2; do
-    ONE=$(./target/release/"$bin" --json --threads 1 | grep -v '"iss_')
-    MANY=$(./target/release/"$bin" --json --threads 4 --iss-warm | grep -v '"iss_')
+    ONE=$(./target/release/"$bin" --json --threads 1)
+    MANY=$(./target/release/"$bin" --json --threads 4)
     if [ "$ONE" != "$MANY" ]; then
         echo "sharding smoke: $bin --json differs between --threads 1 and 4" >&2
         exit 1
@@ -179,7 +176,7 @@ iss_gate || { echo "  (wall-clock noise suspected; retrying once)"; iss_gate; }
 
 echo
 echo "== acceptance: JIT engine digest parity, superblock and chaining speedups =="
-# The four-way iss_bench compare (which includes a chaining-disabled JIT
+# The iss_bench engine compare (which includes a chaining-disabled JIT
 # run) already exits non-zero on any digest divergence; on hosts with a
 # JIT backend the chained code must also beat the superblock interpreter
 # by >= 3x wall-clock AND beat its own unchained self by >= 1.3x — the
@@ -213,22 +210,6 @@ jit_gate() {
     '
 }
 jit_gate || { echo "  (wall-clock noise suspected; retrying once)"; jit_gate; }
-
-echo
-echo "== smoke: table1 ISS probe digest parity (jit vs classic) =="
-# The table binaries' --iss-engine flag reruns only the trailing ISS
-# probe; its iss_digest must be engine-independent (identical on the JIT
-# and the decode-every-step oracle), on every host — where the JIT is
-# unsupported, Engine::Jit silently runs the superblock interpreter.
-JIT_DIG=$(./target/release/table1 --json --iss-engine jit \
-    | sed -n 's/.*"iss_digest": "\([0-9a-f]*\)".*/\1/p')
-CLASSIC_DIG=$(./target/release/table1 --json --iss-engine classic \
-    | sed -n 's/.*"iss_digest": "\([0-9a-f]*\)".*/\1/p')
-if [ -z "$JIT_DIG" ] || [ "$JIT_DIG" != "$CLASSIC_DIG" ]; then
-    echo "table1 iss probe: jit digest '$JIT_DIG' != classic '$CLASSIC_DIG'" >&2
-    exit 1
-fi
-echo "  table1 ISS digest identical: jit == classic"
 
 echo
 echo "== acceptance: ISS warm-start sweep (shared cache + snapshot/restore) =="
@@ -283,10 +264,10 @@ if [ -z "$ADDR" ]; then
     exit 1
 fi
 ./target/release/lac-suite serve-ctl ping --addr "$ADDR" > /dev/null
-CLASSIC=$(./target/release/lac-suite bench-serve --addr "$ADDR" --clients 2 --requests 8 \
+CLASSIC=$(./target/release/lac-suite bench-serve --addr "$ADDR" --conns 2 --requests 8 \
     --op encaps --seed 1 --json)
 # The same load over BATCH frames must produce the same response digest.
-BATCHED=$(./target/release/lac-suite bench-serve --addr "$ADDR" --clients 2 --requests 8 \
+BATCHED=$(./target/release/lac-suite bench-serve --addr "$ADDR" --conns 2 --requests 8 \
     --op encaps --seed 1 --batch 4 --json)
 CLASSIC_DIGEST=$(printf '%s' "$CLASSIC" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
 BATCHED_DIGEST=$(printf '%s' "$BATCHED" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
@@ -313,7 +294,7 @@ echo "  serve smoke OK ($ADDR)"
 
 echo
 echo "== acceptance: worker scaling and determinism (bench-serve --sweep) =="
-SWEEP=$(./target/release/lac-suite bench-serve --sweep 1,4 --clients 2 --requests 16 \
+SWEEP=$(./target/release/lac-suite bench-serve --sweep 1,4 --conns 2 --requests 16 \
     --op encaps --params lac128 --backend hw --seed 1 --json)
 echo "$SWEEP" | grep -q '"deterministic": true' || {
     echo "serve acceptance: digests differ across worker counts" >&2
@@ -338,9 +319,13 @@ json_field() {
 
 echo
 echo "== smoke: open-loop tail-latency bench (bench-serve --target-qps) =="
-# Gentle fixed-rate run against an in-process server: the report must be
-# well-formed (interpolated p50/p99/p999) with no transport errors.
-OPEN=$(./target/release/lac-suite bench-serve --target-qps 300 --duration-ms 300 \
+# Gentle fixed-rate run against an in-process server (90 requests at
+# 300/s): the report must be well-formed (interpolated p50/p99/p999) with
+# no transport errors, and the arrival rule must not change the replies —
+# the paced digest equals the closed-loop digest of the same script.
+OPEN=$(./target/release/lac-suite bench-serve --target-qps 300 --requests 90 \
+    --conns 2 --workers 2 --op encaps --params lac128 --seed 1 --json)
+CLOSED=$(./target/release/lac-suite bench-serve --requests 90 \
     --conns 2 --workers 2 --op encaps --params lac128 --seed 1 --json)
 printf '%s' "$OPEN" | grep -q '"bench": "serve-open-loop"' || {
     echo "open-loop smoke: missing report header" >&2
@@ -359,7 +344,13 @@ if [ "${OPEN_COMP:-0}" -eq 0 ] || [ "${OPEN_ERRS:-1}" -ne 0 ]; then
     echo "$OPEN" >&2
     exit 1
 fi
-echo "  open-loop report OK ($OPEN_COMP completions, p50/p99/p999 present)"
+OPEN_DIGEST=$(printf '%s' "$OPEN" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
+CLOSED_DIGEST=$(printf '%s' "$CLOSED" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
+if [ -z "$OPEN_DIGEST" ] || [ "$OPEN_DIGEST" != "$CLOSED_DIGEST" ]; then
+    echo "open-loop smoke: paced digest '$OPEN_DIGEST' != closed '$CLOSED_DIGEST'" >&2
+    exit 1
+fi
+echo "  open-loop report OK ($OPEN_COMP completions, p50/p99/p999 present, digest == closed loop)"
 
 echo
 echo "== acceptance: overload shedding at ~2x saturation =="
@@ -368,8 +359,10 @@ echo "== acceptance: overload shedding at ~2x saturation =="
 # point), then driven open-loop at ~2x that rate: it must shed BUSY (not
 # stall, not error) while still completing work, and drain cleanly on
 # shutdown (run exits zero only after a graceful SHUTDOWN round-trip).
+# Each schedule is a fixed request count: 300 ms of 50,000/s, then 400 ms
+# of the 2x rate.
 overload_gate() {
-    CAL=$(./target/release/lac-suite bench-serve --target-qps 50000 --duration-ms 300 \
+    CAL=$(./target/release/lac-suite bench-serve --target-qps 50000 --requests 15000 \
         --conns 4 --workers 1 --queue 2 --op keygen --params lac128 --seed 1 --json)
     CAL_COMP=$(json_field "$CAL" completions)
     CAL_WALL=$(json_field "$CAL" wall_us)
@@ -379,7 +372,8 @@ overload_gate() {
         return 1
     fi
     RATE=$(awk "BEGIN { r = int(2 * $CAL_COMP * 1000000 / $CAL_WALL); if (r < 200) r = 200; print r }")
-    OVER=$(./target/release/lac-suite bench-serve --target-qps "$RATE" --duration-ms 400 \
+    OVER=$(./target/release/lac-suite bench-serve --target-qps "$RATE" \
+        --requests $(((RATE * 400 + 999) / 1000)) \
         --conns 4 --workers 1 --queue 2 --op keygen --params lac128 --seed 1 --json)
     OVER_COMP=$(json_field "$OVER" completions)
     OVER_BUSY=$(json_field "$OVER" busy)
@@ -518,9 +512,9 @@ reactor_gate || { echo "  (scheduler noise suspected; retrying once)"; reactor_g
 # Overload semantics must hold per shard: the tiny-queue server from the
 # overload gate, now sharded 4 ways, still sheds BUSY instead of
 # stalling and still drains cleanly on SHUTDOWN (the run exits zero only
-# after every shard empties).
+# after every shard empties). 400 ms of 50,000/s: 20,000 requests.
 shard_overload_gate() {
-    SOVER=$(./target/release/lac-suite bench-serve --target-qps 50000 --duration-ms 400 \
+    SOVER=$(./target/release/lac-suite bench-serve --target-qps 50000 --requests 20000 \
         --conns 8 --workers 1 --reactors 4 --queue 2 --op keygen --params lac128 \
         --seed 1 --json)
     SOVER_COMP=$(json_field "$SOVER" completions)

@@ -13,8 +13,8 @@
 //!
 //! ```text
 //! lac-suite serve       --addr 127.0.0.1:0 --workers 4 --seed 1
-//! lac-suite bench-serve --workers 4 --clients 4 --requests 64 [--json]
-//! lac-suite bench-serve --target-qps 500 --duration-ms 1000 --conns 4
+//! lac-suite bench-serve --workers 4 --conns 4 --requests 64 [--json]
+//! lac-suite bench-serve --target-qps 500 --requests 500 --conns 4
 //! lac-suite bench-serve --sessions 64 --session-chats 4 --session-rekey-every 3
 //! lac-suite serve-ctl   stats    --addr 127.0.0.1:PORT
 //! lac-suite serve-ctl   sessions --addr 127.0.0.1:PORT
@@ -36,7 +36,7 @@
 use lac::{Backend, Ciphertext, Kem, KemPublicKey, KemSecretKey, Params};
 use lac_meter::{report, CycleLedger, Meter, NullMeter};
 use lac_rand::{Rng, Sha256CtrRng, Shake128Rng};
-use lac_serve::bench::{self, BenchConfig};
+use lac_serve::bench::{self, json_u64, Script};
 use lac_serve::client::Client;
 use lac_serve::pool::ServeConfig;
 use lac_serve::server::Server;
@@ -78,8 +78,6 @@ impl Options {
                 cycles = true;
             } else if arg == "--json" {
                 json = true;
-            } else if arg == "--iss-warm" {
-                flags.insert("iss-warm".to_string(), "true".to_string());
             } else if arg == "--session-hold" {
                 flags.insert("session-hold".to_string(), "true".to_string());
             } else if arg == "--per-shard" {
@@ -121,16 +119,8 @@ fn write_file(path: &str, data: &[u8]) -> Result<(), String> {
     fs::write(path, data).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-/// Parse an optional numeric flag with a default.
-fn parse_usize(opts: &Options, name: &str, default: usize) -> Result<usize, String> {
-    match opts.flags.get(name) {
-        Some(value) => value.parse().map_err(|_| format!("bad --{name} '{value}'")),
-        None => Ok(default),
-    }
-}
-
-/// Parse an optional `u64` flag with a default.
-fn parse_u64(opts: &Options, name: &str, default: u64) -> Result<u64, String> {
+/// Parse an optional flag with a default.
+fn parse_or<T: std::str::FromStr>(opts: &Options, name: &str, default: T) -> Result<T, String> {
     match opts.flags.get(name) {
         Some(value) => value.parse().map_err(|_| format!("bad --{name} '{value}'")),
         None => Ok(default),
@@ -141,9 +131,9 @@ fn parse_u64(opts: &Options, name: &str, default: u64) -> Result<u64, String> {
 /// then block until a SHUTDOWN frame arrives.
 fn cmd_serve(opts: &Options) -> Result<String, String> {
     let addr = opts.get_or("addr", "127.0.0.1:0");
-    let workers = parse_usize(opts, "workers", 4)?;
-    let reactors = parse_usize(opts, "reactors", 1)?.max(1);
-    let queue_capacity = parse_usize(opts, "queue", 64)?;
+    let workers = parse_or(opts, "workers", 4)?;
+    let reactors = parse_or(opts, "reactors", 1)?.max(1);
+    let queue_capacity = parse_or(opts, "queue", 64)?;
     let seed = match opts.flags.get("seed") {
         Some(value) => {
             let value: u64 = value.parse().map_err(|_| format!("bad --seed '{value}'"))?;
@@ -164,15 +154,15 @@ fn cmd_serve(opts: &Options) -> Result<String, String> {
             queue_capacity,
             seed,
             warm_iss: true,
-            max_conns: parse_usize(opts, "max-conns", defaults.max_conns)?,
-            accept_rps: parse_u64(opts, "accept-rps", defaults.accept_rps)?,
-            idle_timeout_ms: parse_u64(opts, "idle-timeout-ms", defaults.idle_timeout_ms)?,
-            read_timeout_ms: parse_u64(opts, "read-timeout-ms", defaults.read_timeout_ms)?,
-            write_timeout_ms: parse_u64(opts, "write-timeout-ms", defaults.write_timeout_ms)?,
-            max_write_buffer: parse_usize(opts, "max-write-buffer", defaults.max_write_buffer)?,
-            drain_ms: parse_u64(opts, "drain-ms", defaults.drain_ms)?,
-            session_capacity: parse_usize(opts, "session-capacity", defaults.session_capacity)?,
-            session_rekey_after: parse_u64(
+            max_conns: parse_or(opts, "max-conns", defaults.max_conns)?,
+            accept_rps: parse_or(opts, "accept-rps", defaults.accept_rps)?,
+            idle_timeout_ms: parse_or(opts, "idle-timeout-ms", defaults.idle_timeout_ms)?,
+            read_timeout_ms: parse_or(opts, "read-timeout-ms", defaults.read_timeout_ms)?,
+            write_timeout_ms: parse_or(opts, "write-timeout-ms", defaults.write_timeout_ms)?,
+            max_write_buffer: parse_or(opts, "max-write-buffer", defaults.max_write_buffer)?,
+            drain_ms: parse_or(opts, "drain-ms", defaults.drain_ms)?,
+            session_capacity: parse_or(opts, "session-capacity", defaults.session_capacity)?,
+            session_rekey_after: parse_or(
                 opts,
                 "session-rekey-after",
                 defaults.session_rekey_after,
@@ -199,134 +189,110 @@ fn cmd_serve(opts: &Options) -> Result<String, String> {
     Ok(format!("server shut down\n{}", snapshot.to_text()))
 }
 
-/// `lac-suite bench-serve`: load generator against an in-process or
-/// external server. With `--target-qps` it runs an *open loop* (fixed
-/// arrival schedule, tail-latency report); otherwise closed loop,
-/// optionally a worker-count sweep.
-fn cmd_bench_serve(opts: &Options) -> Result<String, String> {
-    if opts.flags.contains_key("sessions") {
-        if opts.flags.contains_key("sweep") {
-            return Err("--sessions and --sweep are mutually exclusive".into());
+/// Why `bench-serve` would not read `--flag` in a run of this shape, if it
+/// would not: a flag the run ignores is a mistake, not a no-op.
+fn unread_flag(flag: &str, sessions: bool, paced: bool, external: bool) -> Option<String> {
+    const SERVER_SIDE: [&str; 6] = [
+        "workers",
+        "reactors",
+        "queue",
+        "session-capacity",
+        "session-rekey-after",
+        "sweep",
+    ];
+    match flag {
+        "params" | "backend" | "seed" | "conns" | "target-qps" | "addr" | "timeout-ms" => None,
+        _ if external && SERVER_SIDE.contains(&flag) => Some(format!(
+            "--{flag} shapes the in-process server; it cannot apply to --addr"
+        )),
+        "sweep" if sessions || paced => {
+            Some("--sweep is mutually exclusive with --sessions and --target-qps".into())
         }
-        let defaults = ServeConfig::default();
-        let cfg = lac_serve::bench::SessionLoadConfig {
-            workers: parse_usize(opts, "workers", 4)?,
-            reactors: parse_usize(opts, "reactors", 1)?,
-            conns: parse_usize(opts, "conns", 4)?,
-            sessions: parse_usize(opts, "sessions", 16)?,
-            chats_per_session: parse_usize(opts, "session-chats", 4)?,
-            rekey_every: parse_u64(opts, "session-rekey-every", 0)?,
-            hold: opts.flags.contains_key("session-hold"),
-            target_qps: match opts.flags.get("target-qps") {
-                Some(value) => value
-                    .parse()
-                    .map_err(|_| format!("bad --target-qps '{value}'"))?,
-                None => 0.0,
-            },
-            params: lac_serve::params_parse(&opts.get_or("params", "lac128"))?,
-            backend: lac_serve::BackendKind::parse(&opts.get_or("backend", "ct"))?,
-            seed: {
-                let value = opts.get_or("seed", "1");
-                value.parse().map_err(|_| format!("bad --seed '{value}'"))?
-            },
-            queue_capacity: parse_usize(opts, "queue", 64)?,
-            session_capacity: parse_usize(opts, "session-capacity", defaults.session_capacity)?,
-            session_rekey_after: parse_u64(
-                opts,
-                "session-rekey-after",
-                defaults.session_rekey_after,
-            )?,
-        };
-        let report = bench::run_sessions(&cfg)?;
-        return Ok(if opts.json {
-            format!("{}\n", report.to_json())
-        } else {
-            report.to_text()
-        });
-    }
-    if opts.flags.contains_key("target-qps") {
-        let value = opts.get("target-qps")?;
-        let target_qps: f64 = value
-            .parse()
-            .map_err(|_| format!("bad --target-qps '{value}'"))?;
-        if opts.flags.contains_key("sweep") {
-            return Err("--target-qps (open loop) and --sweep are mutually exclusive".into());
+        "op" | "requests" | "batch" if sessions => {
+            Some(format!("--{flag} drives KEM runs, not --sessions"))
         }
-        let cfg = lac_serve::bench::OpenLoopConfig {
-            workers: parse_usize(opts, "workers", 4)?,
-            reactors: parse_usize(opts, "reactors", 1)?,
-            conns: parse_usize(opts, "conns", 2)?,
-            target_qps,
-            duration_ms: parse_u64(opts, "duration-ms", 500)?,
-            op: lac_serve::Op::parse(&opts.get_or("op", "encaps"))?,
-            params: lac_serve::params_parse(&opts.get_or("params", "lac128"))?,
-            backend: lac_serve::BackendKind::parse(&opts.get_or("backend", "ct"))?,
-            seed: {
-                let value = opts.get_or("seed", "1");
-                value.parse().map_err(|_| format!("bad --seed '{value}'"))?
-            },
-            queue_capacity: parse_usize(opts, "queue", 64)?,
-            addr: opts.flags.get("addr").cloned(),
-            timeout_ms: parse_u64(opts, "timeout-ms", 10_000)?,
-        };
-        let report = bench::run_open_loop(&cfg)?;
-        return Ok(if opts.json {
-            format!("{}\n", report.to_json())
-        } else {
-            report.to_text()
-        });
-    }
-    let cfg = BenchConfig {
-        workers: parse_usize(opts, "workers", 4)?,
-        reactors: parse_usize(opts, "reactors", 1)?,
-        clients: parse_usize(opts, "clients", 4)?,
-        requests: parse_usize(opts, "requests", 32)?,
-        op: lac_serve::Op::parse(&opts.get_or("op", "encaps"))?,
-        params: lac_serve::params_parse(&opts.get_or("params", "lac128"))?,
-        backend: lac_serve::BackendKind::parse(&opts.get_or("backend", "ct"))?,
-        batch: parse_usize(opts, "batch", 1)?,
-        seed: {
-            let value = opts.get_or("seed", "1");
-            value.parse().map_err(|_| format!("bad --seed '{value}'"))?
-        },
-        queue_capacity: parse_usize(opts, "queue", 64)?,
-        addr: opts.flags.get("addr").cloned(),
-    };
-    if let Some(sweep) = opts.flags.get("sweep") {
-        let counts: Vec<usize> = sweep
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .map_err(|_| format!("bad --sweep entry '{s}'"))
-            })
-            .collect::<Result<_, _>>()?;
-        let report = bench::run_sweep(&cfg, &counts)?;
-        Ok(if opts.json {
-            format!("{}\n", report.to_json())
-        } else {
-            report.to_text()
-        })
-    } else {
-        let report = bench::run(&cfg)?;
-        Ok(if opts.json {
-            format!("{}\n", report.to_json())
-        } else {
-            report.to_text()
-        })
+        "batch" if paced => Some("--batch needs closed-loop lanes (no --target-qps)".into()),
+        "workers" | "reactors" | "queue" | "sweep" | "op" | "requests" | "batch" | "sessions" => {
+            None
+        }
+        _ if flag.starts_with("session-") && !sessions => {
+            Some(format!("--{flag} needs --sessions"))
+        }
+        "session-chats"
+        | "session-rekey-every"
+        | "session-hold"
+        | "session-capacity"
+        | "session-rekey-after" => None,
+        _ => Some(format!("unknown bench-serve flag --{flag}")),
     }
 }
 
-/// Scan a JSON object for `"key": <u64>` (the stats snapshot keeps its
-/// integer keys unique across nesting, so a flat scan is enough).
-fn json_u64(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let digits: String = json[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// `lac-suite bench-serve`: one load script — KEM requests or session
+/// lifecycles, closed-loop or paced at `--target-qps` — against an
+/// in-process or external server; `--sweep` repeats it per worker count.
+fn cmd_bench_serve(opts: &Options) -> Result<String, String> {
+    let sessions = opts.flags.contains_key("sessions");
+    let paced = opts.flags.contains_key("target-qps");
+    let external = opts.flags.contains_key("addr");
+    let mut flags: Vec<&String> = opts.flags.keys().collect();
+    flags.sort();
+    if let Some(err) = flags
+        .iter()
+        .find_map(|flag| unread_flag(flag, sessions, paced, external))
+    {
+        return Err(err);
+    }
+    if opts.cycles {
+        return Err("bench-serve does not read --cycles".into());
+    }
+    let defaults = bench::LoadConfig::default();
+    let cfg = bench::LoadConfig {
+        script: if sessions {
+            Script::Sessions {
+                sessions: parse_or(opts, "sessions", 16)?,
+                chats: parse_or(opts, "session-chats", 4)?,
+                rekey_every: parse_or(opts, "session-rekey-every", 0)?,
+                hold: opts.flags.contains_key("session-hold"),
+            }
+        } else {
+            Script::Kem {
+                op: lac_serve::Op::parse(&opts.get_or("op", "encaps"))?,
+                requests: parse_or(opts, "requests", 32)?,
+                batch: parse_or(opts, "batch", 1)?,
+            }
+        },
+        params: lac_serve::params_parse(&opts.get_or("params", "lac128"))?,
+        backend: lac_serve::BackendKind::parse(&opts.get_or("backend", "ct"))?,
+        conns: parse_or(opts, "conns", 4)?,
+        target_qps: parse_or(opts, "target-qps", 0.0)?,
+        seed: parse_or(opts, "seed", 1)?,
+        addr: opts.flags.get("addr").cloned(),
+        timeout_ms: parse_or(opts, "timeout-ms", 10_000)?,
+        workers: parse_or(opts, "workers", defaults.workers)?,
+        reactors: parse_or(opts, "reactors", defaults.reactors)?,
+        queue_capacity: parse_or(opts, "queue", defaults.queue_capacity)?,
+        session_capacity: parse_or(opts, "session-capacity", defaults.session_capacity)?,
+        session_rekey_after: parse_or(opts, "session-rekey-after", defaults.session_rekey_after)?,
+    };
+    let render = |json: String, text: String| if opts.json { json + "\n" } else { text };
+    match opts.flags.get("sweep") {
+        Some(sweep) => {
+            let counts: Vec<usize> = sweep
+                .split(',')
+                .map(|s| {
+                    s.trim()
+                        .parse()
+                        .map_err(|_| format!("bad --sweep entry '{s}'"))
+                })
+                .collect::<Result<_, _>>()?;
+            let report = bench::run_sweep(&cfg, &counts)?;
+            Ok(render(report.to_json(), report.to_text()))
+        }
+        None => {
+            let report = bench::run(&cfg)?;
+            Ok(render(report.to_json(), report.to_text()))
+        }
+    }
 }
 
 /// Split the `"shards": [...]` array of a stats snapshot into one JSON
@@ -353,7 +319,7 @@ fn cmd_serve_ctl(action: &str, opts: &Options) -> Result<String, String> {
         ));
     }
     let addr = opts.get("addr")?;
-    let timeout_ms = parse_u64(opts, "timeout-ms", 0)?;
+    let timeout_ms = parse_or(opts, "timeout-ms", 0)?;
     let mut client = Client::connect_with_timeout(addr, timeout_ms)
         .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let per_shard = opts.flags.contains_key("per-shard");
@@ -485,10 +451,9 @@ fn cmd_serve_ctl(action: &str, opts: &Options) -> Result<String, String> {
     }
 }
 
-/// `lac-suite table1|table2`: regenerate a paper table in-process. The
-/// harness prints directly (same code path as the `lac-bench` binaries);
-/// `--threads N` caps the shard worker count (default: all cores, or
-/// `LAC_BENCH_THREADS`).
+/// `lac-suite iss`: wall-clock throughput of one interpreter engine on
+/// the recover-loop workload (`--engine`, default superblock; `--iters`
+/// workload size).
 fn cmd_iss(opts: &Options) -> Result<String, String> {
     let iters = match opts.flags.get("iters") {
         Some(value) => value
@@ -498,7 +463,7 @@ fn cmd_iss(opts: &Options) -> Result<String, String> {
     };
     let engine = match opts.flags.get("engine") {
         Some(name) => lac_bench::iss::parse_engine(name)
-            .ok_or_else(|| format!("unknown engine '{name}' (classic|predecode|superblock|jit)"))?,
+            .ok_or_else(|| format!("unknown engine '{name}' (classic|superblock|jit)"))?,
         None => lac_rv32::Engine::Superblock,
     };
     let run = lac_bench::iss::measure(iters, engine);
@@ -516,6 +481,10 @@ fn cmd_iss(opts: &Options) -> Result<String, String> {
     }
 }
 
+/// `lac-suite table1|table2`: regenerate a paper table in-process. The
+/// harness prints directly (same code path as the `lac-bench` binaries);
+/// `--threads N` caps the shard worker count (default: all cores, or
+/// `LAC_BENCH_THREADS`).
 fn cmd_table(which: &str, opts: &Options) -> Result<String, String> {
     let threads = match opts.flags.get("threads") {
         Some(value) => Some(
@@ -525,16 +494,9 @@ fn cmd_table(which: &str, opts: &Options) -> Result<String, String> {
         ),
         None => None,
     };
-    let iss_warm = opts.flags.contains_key("iss-warm");
-    let iss_engine = match opts.flags.get("iss-engine") {
-        Some(name) => lac_bench::iss::parse_engine(name).ok_or_else(|| {
-            format!("unknown ISS engine '{name}' (classic|predecode|superblock|jit)")
-        })?,
-        None => lac_rv32::Engine::Superblock,
-    };
     match which {
-        "table1" => lac_bench::table1::run(opts.json, threads, iss_warm, iss_engine),
-        _ => lac_bench::table2::run(opts.json, threads, iss_warm, iss_engine),
+        "table1" => lac_bench::table1::run(opts.json, threads),
+        _ => lac_bench::table2::run(opts.json, threads),
     }
     Ok(String::new())
 }
@@ -624,7 +586,7 @@ fn run(command: &str, opts: &Options) -> Result<String, String> {
         other => {
             return Err(format!(
                 "unknown command '{other}' \
-                 (expected info|keygen|encaps|decaps|serve|bench-serve|serve-ctl|table1|table2)"
+                 (expected info|keygen|encaps|decaps|serve|bench-serve|serve-ctl|table1|table2|iss)"
             ));
         }
     }
@@ -671,21 +633,20 @@ const USAGE: &str = "usage: lac-suite <command> [flags]
       [--read-timeout-ms N] [--write-timeout-ms N]
       [--max-write-buffer BYTES] [--drain-ms N]
       [--session-capacity N] [--session-rekey-after N]
-  bench-serve                    load generator (closed loop by default)
-      [--workers N] [--reactors N] [--clients N] [--requests N]
-      [--op keygen|encaps|decaps] [--params P] [--backend B] [--seed N]
-      [--batch N] [--queue N] [--sweep N,N,...] [--addr HOST:PORT] [--json]
-      open loop: --target-qps QPS [--duration-ms N] [--conns N]
-      [--timeout-ms N] (reports interpolated p50/p99/p999)
-      sessions: --sessions N [--session-chats N] [--session-rekey-every N]
+  bench-serve                    load driver: one script over --conns lanes
+      [--params P] [--backend B] [--seed N] [--conns N] [--timeout-ms N]
+      [--target-qps QPS] (pace action k to k/QPS s; default closed loop)
+      [--addr HOST:PORT | --workers N --reactors N --queue N] [--json]
+      KEM script: [--op keygen|encaps|decaps] [--requests N]
+      closed loop only: [--batch N] [--sweep N,N,...]
+      session script: --sessions N [--session-chats N] [--session-rekey-every N]
       [--session-hold] [--session-capacity N] [--session-rekey-after N]
-      [--conns N] [--target-qps QPS] (handshake vs message latency)
   serve-ctl <stats|ping|sessions|shutdown> --addr HOST:PORT [--timeout-ms N]
       [--json] [--per-shard] (stats/sessions: aggregated view by default)
   table1|table2                  regenerate a paper table (sharded sweep)
       [--threads N] [--json]
   iss                            interpreter wall-clock throughput probe
-      [--engine classic|predecode|superblock] [--iters N] [--json]";
+      [--engine classic|superblock|jit] [--iters N] [--json]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -856,7 +817,7 @@ mod tests {
         let mut options = opts(
             &[
                 ("workers", "2"),
-                ("clients", "2"),
+                ("conns", "2"),
                 ("requests", "4"),
                 ("op", "decaps"),
                 ("backend", "hw"),
@@ -880,7 +841,7 @@ mod tests {
                     ("workers", "2"),
                     ("conns", "2"),
                     ("target-qps", "300"),
-                    ("duration-ms", "120"),
+                    ("requests", "36"),
                     ("seed", "5"),
                 ],
                 false,
@@ -904,7 +865,7 @@ mod tests {
             "bench-serve",
             &opts(
                 &[
-                    ("clients", "2"),
+                    ("conns", "2"),
                     ("requests", "4"),
                     ("seed", "5"),
                     ("sweep", "1,2"),
@@ -947,6 +908,54 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
+    }
+
+    fn bench_serve_err(pairs: &[(&str, &str)]) -> String {
+        run("bench-serve", &opts(pairs, false)).unwrap_err()
+    }
+
+    #[test]
+    fn bench_serve_rejects_unknown_flags() {
+        let err = bench_serve_err(&[("reactor", "4")]);
+        assert!(err.contains("unknown bench-serve flag --reactor"), "{err}");
+        // The retired length and client-count flags are unknown too.
+        let err = bench_serve_err(&[("duration-ms", "300"), ("target-qps", "300")]);
+        assert!(err.contains("--duration-ms"), "{err}");
+        let err = bench_serve_err(&[("clients", "2")]);
+        assert!(err.contains("--clients"), "{err}");
+    }
+
+    #[test]
+    fn bench_serve_rejects_batch_outside_closed_kem_runs() {
+        let err = bench_serve_err(&[("batch", "8"), ("target-qps", "200")]);
+        assert!(err.contains("--batch"), "{err}");
+        let err = bench_serve_err(&[("batch", "8"), ("sessions", "2")]);
+        assert!(err.contains("--batch"), "{err}");
+    }
+
+    #[test]
+    fn bench_serve_rejects_session_flags_without_sessions() {
+        for flag in ["session-chats", "session-hold", "session-capacity"] {
+            let err = bench_serve_err(&[(flag, "1")]);
+            assert!(err.contains(&format!("--{flag} needs --sessions")), "{err}");
+        }
+    }
+
+    #[test]
+    fn bench_serve_rejects_server_flags_with_addr() {
+        for flag in ["workers", "reactors", "queue", "sweep"] {
+            let err = bench_serve_err(&[(flag, "2"), ("addr", "127.0.0.1:1")]);
+            assert!(err.contains(&format!("--{flag}")), "{err}");
+            assert!(err.contains("--addr"), "{err}");
+        }
+        // Every script honours --addr: nothing listens on port 1, so a
+        // session run fails to connect instead of binding its own server.
+        let err = bench_serve_err(&[
+            ("sessions", "1"),
+            ("session-chats", "1"),
+            ("addr", "127.0.0.1:1"),
+        ]);
+        assert!(err.contains("connect"), "{err}");
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Differential tests for the fast interpreter engines: the
-//! decode-every-step classic engine is the oracle, and every observable —
-//! the full `ExitState` (register file, PC, modelled cycles, retired
-//! instructions), the trap value, and data memory — must be bit-identical
-//! across all three engines (classic, predecode, superblock) on
-//! randomized programs.
+//! Differential tests for the superblock interpreter over the predecode
+//! cache: the decode-every-step classic engine is the oracle, and every
+//! observable — the full `ExitState` (register file, PC, modelled cycles,
+//! retired instructions), the trap value, and data memory — must be
+//! bit-identical between the two engines on randomized programs.
 //!
 //! Program families, per the engines' risk profiles: straight-line ALU
 //! blocks (dispatch correctness and macro-op fusion), branchy control
@@ -18,10 +17,10 @@ use lac_rand::Rng;
 use lac_rv32::{Cpu, Engine, Machine, Trap};
 
 /// The fast engines, each checked against the classic oracle.
-const FAST_ENGINES: [Engine; 2] = [Engine::Predecode, Engine::Superblock];
+const FAST_ENGINES: [Engine; 1] = [Engine::Superblock];
 
-/// Run the same program on all three engines and demand identical
-/// outcomes.
+/// Run the same program on the oracle and every fast engine and demand
+/// identical outcomes.
 ///
 /// `build` must produce a fresh, deterministic machine each call (the
 /// runs may not share mutable state). Returns the oracle's outcome for
@@ -491,7 +490,7 @@ fn fuel_exhaustion_accounting_is_identical() {
             ecall
     "#;
     for fuel in [0u64, 1, 2, 3, 5, 17, 18, 19, 20, 21, 37, 100, 1001] {
-        let mut machines: Vec<Machine> = [Engine::Classic, Engine::Predecode, Engine::Superblock]
+        let mut machines: Vec<Machine> = [Engine::Classic, Engine::Superblock]
             .into_iter()
             .map(|engine| {
                 let mut machine = Machine::assemble(src).expect("assembles");
@@ -507,7 +506,7 @@ fn fuel_exhaustion_accounting_is_identical() {
                 "fuel {fuel} ({engine:?})"
             );
         }
-        let (oracle, fast) = machines.split_first_mut().expect("three machines");
+        let (oracle, fast) = machines.split_first_mut().expect("two machines");
         assert_eq!(oracle.cpu().instructions(), fuel, "fuel == retired");
         for machine in fast.iter_mut() {
             let engine = machine.cpu().engine();
@@ -547,7 +546,7 @@ fn zeroed_ram_and_out_of_range_fetch_trap_identically() {
     // All engines must produce the same trap with the same accounting.
     for start_pc in [0u32, 4094, 4096, 8192] {
         let mut outcomes = Vec::new();
-        for engine in [Engine::Classic, Engine::Predecode, Engine::Superblock] {
+        for engine in [Engine::Classic, Engine::Superblock] {
             let mut cpu = Cpu::new(4096);
             cpu.set_engine(engine);
             cpu.set_pc(start_pc);
@@ -556,7 +555,6 @@ fn zeroed_ram_and_out_of_range_fetch_trap_identically() {
             outcomes.push((outcome, cpu.cycles(), cpu.instructions(), cpu.pc()));
         }
         assert_eq!(outcomes[0], outcomes[1], "divergence from pc {start_pc}");
-        assert_eq!(outcomes[0], outcomes[2], "divergence from pc {start_pc}");
     }
 }
 
@@ -564,7 +562,7 @@ fn zeroed_ram_and_out_of_range_fetch_trap_identically() {
 fn raw_cpu_odd_pc_entry_delegates_identically() {
     // An odd entry PC is the one case the fast loops delegate wholesale
     // to the oracle; every engine must still agree (here: on the trap).
-    for engine in [Engine::Classic, Engine::Predecode, Engine::Superblock] {
+    for engine in [Engine::Classic, Engine::Superblock] {
         let mut cpu = Cpu::new(4096);
         cpu.set_engine(engine);
         cpu.set_pc(1);

@@ -6,7 +6,7 @@
 
 use lac::Kem;
 use lac_rand::Sha256CtrRng;
-use lac_serve::bench::{self, BenchConfig, SessionLoadConfig};
+use lac_serve::bench::{self, Action, LoadConfig, Script};
 use lac_serve::client::Client;
 use lac_serve::pool::ServeConfig;
 use lac_serve::server::Server;
@@ -21,62 +21,127 @@ fn spawn(cfg: ServeConfig) -> (String, JoinHandle<lac_serve::metrics::MetricsSna
     (addr, std::thread::spawn(move || server.run()))
 }
 
-/// The closed-loop bench digest hashes every reply payload under a fixed
-/// request→lane assignment, so it must not move when the server's
-/// reactor count (or worker count) changes — for per-request framing
-/// *and* for `BATCH` framing, which shares the digest by construction.
+/// The KEM bench digest hashes every reply payload under a fixed
+/// request→lane assignment, so it must not move when the server's reactor
+/// count (or worker count) changes — for per-request framing, for `BATCH`
+/// framing, and for paced arrivals, which share the digest by
+/// construction.
 #[test]
 fn classic_and_batch_digests_are_reactor_count_independent() {
-    let run = |reactors: usize, workers: usize, batch: usize| {
-        let report = bench::run(&BenchConfig {
+    let run = |reactors: usize, workers: usize, batch: usize, target_qps: f64| {
+        let report = bench::run(&LoadConfig {
+            script: Script::Kem {
+                op: lac_serve::Op::Encaps,
+                requests: 8,
+                batch,
+            },
+            conns: 2,
+            target_qps,
+            seed: 11,
             workers,
             reactors,
-            clients: 2,
-            requests: 8,
-            batch,
-            seed: 11,
             queue_capacity: 8,
-            ..BenchConfig::default()
+            ..LoadConfig::default()
         })
         .expect("bench run");
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.reactors, reactors);
+        assert_eq!((report.busy, report.errors), (0, 0));
+        assert_eq!(report.stat("reactors"), reactors as u64);
         report.digest
     };
-    let baseline = run(1, 1, 1);
-    assert_eq!(run(4, 1, 1), baseline, "reactors must not change replies");
-    assert_eq!(run(4, 4, 1), baseline, "nor reactors × workers");
-    assert_eq!(run(1, 2, 4), baseline, "BATCH framing shares the digest");
-    assert_eq!(run(4, 2, 4), baseline, "sharded BATCH too");
+    let baseline = run(1, 1, 1, 0.0);
+    assert_eq!(
+        run(4, 1, 1, 0.0),
+        baseline,
+        "reactors must not change replies"
+    );
+    assert_eq!(run(4, 4, 1, 0.0), baseline, "nor reactors × workers");
+    assert_eq!(
+        run(1, 2, 4, 0.0),
+        baseline,
+        "BATCH framing shares the digest"
+    );
+    assert_eq!(run(4, 2, 4, 0.0), baseline, "sharded BATCH too");
+    assert_eq!(run(1, 2, 1, 300.0), baseline, "paced arrivals share it");
+    assert_eq!(run(4, 2, 1, 300.0), baseline, "sharded paced arrivals too");
+}
+
+fn session_script(reactors: usize, workers: usize, target_qps: f64) -> LoadConfig {
+    LoadConfig {
+        script: Script::Sessions {
+            sessions: 8,
+            chats: 2,
+            rekey_every: 0,
+            hold: false,
+        },
+        conns: 4,
+        target_qps,
+        seed: 11,
+        workers,
+        reactors,
+        queue_capacity: 8,
+        ..LoadConfig::default()
+    }
 }
 
 /// The session workload hashes epoch secrets and echoed plaintexts
 /// (session *ids* are excluded: they are shard-striped). The transcript
-/// digest must be identical across reactor and worker counts, with zero
-/// sheds and zero errors.
+/// digest must be identical across reactor and worker counts and across
+/// arrival rules, with zero sheds and zero errors.
 #[test]
 fn session_digests_are_reactor_and_worker_count_independent() {
-    let run = |reactors: usize, workers: usize| {
-        let report = bench::run_sessions(&SessionLoadConfig {
-            workers,
-            reactors,
-            conns: 4,
-            sessions: 8,
-            chats_per_session: 2,
-            seed: 11,
-            queue_capacity: 8,
-            ..SessionLoadConfig::default()
-        })
-        .expect("session run");
-        assert_eq!(report.errors, 0, "r{reactors} w{workers}");
-        assert_eq!(report.busy, 0, "r{reactors} w{workers}");
-        assert_eq!(report.opened, 8);
+    let run = |reactors: usize, workers: usize, target_qps: f64| {
+        let report = bench::run(&session_script(reactors, workers, target_qps)).expect("run");
+        let tag = format!("r{reactors} w{workers} qps{target_qps}");
+        assert_eq!(report.errors, 0, "{tag}");
+        assert_eq!(report.busy, 0, "{tag}");
+        assert_eq!(report.ok[Action::Open as usize], 8, "{tag}");
         report.digest
     };
-    let baseline = run(1, 1);
-    assert_eq!(run(1, 4), baseline, "worker count must not change crypto");
-    assert_eq!(run(4, 1), baseline, "reactor count must not change crypto");
-    assert_eq!(run(4, 4), baseline, "nor both");
+    let baseline = run(1, 1, 0.0);
+    assert_eq!(
+        run(1, 4, 0.0),
+        baseline,
+        "worker count must not change crypto"
+    );
+    assert_eq!(
+        run(4, 1, 0.0),
+        baseline,
+        "reactor count must not change crypto"
+    );
+    assert_eq!(run(4, 4, 0.0), baseline, "nor both");
+    assert_eq!(
+        run(1, 2, 2000.0),
+        baseline,
+        "paced arrivals must not either"
+    );
+    assert_eq!(run(4, 2, 2000.0), baseline, "nor sharded paced arrivals");
+}
+
+/// A session script pointed at an external server seeded with
+/// `pool_seed(seed)` reproduces the in-process digest: `--addr` is
+/// honoured by session runs, not replaced by a private server.
+#[test]
+fn session_digest_over_addr_matches_the_in_process_digest() {
+    let in_process = bench::run(&session_script(2, 2, 0.0)).expect("in-process run");
+    let (addr, handle) = spawn(ServeConfig {
+        workers: 2,
+        reactors: 2,
+        seed: bench::pool_seed(11),
+        ..ServeConfig::default()
+    });
+    let external = bench::run(&LoadConfig {
+        addr: Some(addr.clone()),
+        ..session_script(2, 2, 0.0)
+    })
+    .expect("external run");
+    Client::connect(&addr)
+        .expect("control")
+        .shutdown()
+        .expect("shutdown");
+    let snapshot = handle.join().expect("server thread");
+    assert_eq!(external.errors, 0);
+    assert_eq!(external.digest, in_process.digest);
+    assert_eq!(snapshot.sessions.opened, 8, "the external server served it");
 }
 
 /// Two connections pinned to different shards (round-robin accept makes
