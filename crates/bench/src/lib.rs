@@ -27,8 +27,6 @@ pub mod iss;
 pub mod shard;
 pub mod table1;
 pub mod table2;
-#[cfg(feature = "wallclock")]
-pub mod wallclock;
 
 /// Minimal hand-rolled JSON emission for the table binaries' `--json` mode
 /// (the workspace has no serde; the values are flat numbers and ASCII

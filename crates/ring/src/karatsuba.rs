@@ -11,7 +11,7 @@
 //! a recursive Karatsuba over Z₂₅₁ with a metered cost model, so the
 //! trade-off the paper gestures at (3 multiplications instead of 4, at the
 //! price of general-coefficient arithmetic) can actually be measured —
-//! see `cargo bench -p lac-bench --bench mul` and the unit tests below.
+//! see the unit tests below.
 
 use crate::{reduce_i32, Convolution, Poly, Q};
 use lac_meter::{Meter, NullMeter, Op, Phase};

@@ -27,7 +27,7 @@
 //! run digest hashes the lane digests in lane order under a domain tag.
 //! KEM request `r` always rides lane `r % conns` with DRBG lane `r + 1`, so
 //! with a fixed `--seed` the digest is independent of worker count, reactor
-//! count, `BATCH` framing and the arrival rule.
+//! count and the arrival rule.
 //!
 //! Server-side figures — worker and reactor counts, the modelled makespan,
 //! write coalescing, busiest-shard CPU time, the session table — come from
@@ -56,10 +56,6 @@ pub enum Script {
         op: Op,
         /// Total requests across all lanes.
         requests: usize,
-        /// Requests per wire frame on closed lanes: 1 sends classic
-        /// frames, N > 1 packs each lane's requests into `BATCH` frames of
-        /// up to N items (same work, same digest, fewer round trips).
-        batch: usize,
     },
     /// `sessions` session lifecycles: open, `chats` sealed messages with a
     /// rekey whenever `rekey_every` were sent in the epoch, then close.
@@ -117,7 +113,6 @@ impl Default for LoadConfig {
             script: Script::Kem {
                 op: Op::Encaps,
                 requests: 64,
-                batch: 1,
             },
             params: Params::lac128(),
             backend: BackendKind::Ct,
@@ -328,7 +323,7 @@ impl Lane<'_> {
         &mut self,
         mut client: Client,
         cfg: &LoadConfig,
-        (op, requests, batch): (Op, usize, usize),
+        (op, requests): (Op, usize),
         payload: &[u8],
     ) -> Result<(), String> {
         let opcode = match op {
@@ -383,16 +378,10 @@ impl Lane<'_> {
                 received.and(sent)
             });
         }
-        for (j, chunk) in frames.chunks(batch.max(1)).enumerate() {
+        for (j, frame) in frames.iter().enumerate() {
             let due = self.schedule.due(j);
-            if batch > 1 {
-                // Same request→lane deal and DRBG lanes as classic frames,
-                // so the digest does not depend on the framing.
-                client.batch_streamed(chunk, |_, response| self.record_reply(due, &response))?;
-            } else {
-                let response = client.request(&chunk[0])?;
-                self.record_reply(due, &response);
-            }
+            let response = client.request(frame)?;
+            self.record_reply(due, &response);
         }
         Ok(())
     }
@@ -468,17 +457,13 @@ impl Lane<'_> {
 /// # Errors
 ///
 /// Bind/connect failures, a KEM-lane transport failure, a lane-thread
-/// panic, an invalid `target_qps`, a paced `BATCH` script or an empty
-/// session script. `BUSY` sheds and per-action protocol errors are
-/// *counted*, not fatal.
+/// panic, an invalid `target_qps` or an empty session script. `BUSY`
+/// sheds and per-action protocol errors are *counted*, not fatal.
 pub fn run(cfg: &LoadConfig) -> Result<LoadReport, String> {
     if !cfg.target_qps.is_finite() || cfg.target_qps < 0.0 {
         return Err(format!("bad target rate {} req/s", cfg.target_qps));
     }
     let (lanes, payload) = match cfg.script {
-        Script::Kem { batch, .. } if batch > 1 && cfg.target_qps > 0.0 => {
-            return Err("BATCH framing needs closed lanes (no --target-qps)".into())
-        }
         Script::Kem { op, .. } => (cfg.conns.max(1), kem_payload(op, cfg)),
         Script::Sessions { sessions: 0, .. } => {
             return Err("--sessions needs at least one session".into())
@@ -536,11 +521,9 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadReport, String> {
                         errors: 0,
                     };
                     match cfg.script {
-                        Script::Kem {
-                            op,
-                            requests,
-                            batch,
-                        } => state.kem(client, cfg, (op, requests, batch), payload)?,
+                        Script::Kem { op, requests } => {
+                            state.kem(client, cfg, (op, requests), payload)?
+                        }
                         Script::Sessions {
                             sessions,
                             chats,
@@ -664,20 +647,13 @@ impl LoadReport {
     pub fn to_json(&self) -> String {
         let [_, opened, rekeys, chats_ok, closes] = self.ok;
         let (bench, script) = match self.cfg.script {
-            Script::Kem {
-                op,
-                requests,
-                batch,
-            } => (
+            Script::Kem { op, requests } => (
                 if self.cfg.target_qps > 0.0 {
                     "serve-open-loop"
                 } else {
                     "serve-closed-loop"
                 },
-                format!(
-                    "\"op\": \"{}\", \"requests\": {requests}, \"batch\": {batch}",
-                    op.label()
-                ),
+                format!("\"op\": \"{}\", \"requests\": {requests}", op.label()),
             ),
             Script::Sessions {
                 sessions,
@@ -735,19 +711,7 @@ impl LoadReport {
     /// Human-readable summary.
     pub fn to_text(&self) -> String {
         let script = match self.cfg.script {
-            Script::Kem {
-                op,
-                requests,
-                batch,
-            } => format!(
-                "{requests} × {}{}",
-                op.label(),
-                if batch > 1 {
-                    format!(" (batch {batch})")
-                } else {
-                    String::new()
-                }
-            ),
+            Script::Kem { op, requests } => format!("{requests} × {}", op.label()),
             Script::Sessions {
                 sessions,
                 chats,
@@ -907,12 +871,11 @@ impl SweepReport {
 mod tests {
     use super::*;
 
-    fn tiny_kem(requests: usize, batch: usize) -> LoadConfig {
+    fn tiny_kem(requests: usize) -> LoadConfig {
         LoadConfig {
             script: Script::Kem {
                 op: Op::Encaps,
                 requests,
-                batch,
             },
             backend: BackendKind::Hw,
             conns: 2,
@@ -942,7 +905,7 @@ mod tests {
 
     #[test]
     fn bench_runs_and_reports() {
-        let report = run(&tiny_kem(6, 1)).expect("bench runs");
+        let report = run(&tiny_kem(6)).expect("bench runs");
         assert_eq!(report.completions(), 6);
         assert_eq!((report.busy, report.errors), (0, 0));
         assert_eq!(report.latency[0].count, 6);
@@ -964,47 +927,35 @@ mod tests {
     fn digest_is_worker_count_independent_and_seed_sensitive() {
         let one = run(&LoadConfig {
             workers: 1,
-            ..tiny_kem(6, 1)
+            ..tiny_kem(6)
         })
         .expect("1 worker");
         let three = run(&LoadConfig {
             workers: 3,
-            ..tiny_kem(6, 1)
+            ..tiny_kem(6)
         })
         .expect("3 workers");
         assert_eq!(one.digest, three.digest);
         let other_seed = run(&LoadConfig {
             seed: 43,
-            ..tiny_kem(6, 1)
+            ..tiny_kem(6)
         })
         .expect("other seed");
         assert_ne!(one.digest, other_seed.digest);
     }
 
     #[test]
-    fn digest_is_batch_size_independent() {
-        let classic = run(&tiny_kem(6, 1)).expect("per-request framing");
-        let batched = run(&tiny_kem(6, 3)).expect("batched framing");
-        assert_eq!(classic.digest, batched.digest);
-        assert_eq!(batched.errors, 0);
-        // One latency sample per request, timed to its streamed reply.
-        assert_eq!(batched.latency[0].count, 6);
-        assert!(batched.to_json().contains("\"batch\": 3"));
-        assert!(batched.to_text().contains("batch 3"));
-    }
-
-    #[test]
     fn sweep_reports_scaling_and_determinism() {
-        let sweep = run_sweep(&tiny_kem(6, 1), &[1, 2]).expect("sweep");
+        let sweep = run_sweep(&tiny_kem(6), &[1, 2]).expect("sweep");
         assert_eq!(sweep.runs.len(), 2);
         assert!(sweep.deterministic);
         assert!(sweep.scaling > 1.0, "scaling {}", sweep.scaling);
         assert!(sweep.to_json().contains("\"deterministic\": true"));
         assert!(sweep.to_text().contains("modelled scaling"));
-        assert!(run_sweep(&tiny_kem(6, 1), &[]).is_err());
+        assert!(run_sweep(&tiny_kem(6), &[]).is_err());
         let external = LoadConfig {
             addr: Some("127.0.0.1:1".into()),
-            ..tiny_kem(6, 1)
+            ..tiny_kem(6)
         };
         assert!(run_sweep(&external, &[1]).is_err());
     }
@@ -1014,12 +965,12 @@ mod tests {
         // 8 requests never outnumber the 8-slot queue, so none is shed.
         let paced = run(&LoadConfig {
             target_qps: 400.0,
-            ..tiny_kem(8, 1)
+            ..tiny_kem(8)
         })
         .expect("paced run");
         assert_eq!((paced.completions(), paced.busy, paced.errors), (8, 0, 0));
         assert_eq!(paced.latency[0].count, 8);
-        assert_eq!(paced.digest, run(&tiny_kem(8, 1)).expect("closed").digest);
+        assert_eq!(paced.digest, run(&tiny_kem(8)).expect("closed").digest);
         let json = paced.to_json();
         assert!(json.contains("\"bench\": \"serve-open-loop\""), "{json}");
         assert!(json.contains("\"p999_us\""), "{json}");
@@ -1027,15 +978,10 @@ mod tests {
         for bad in [-1.0, f64::NAN] {
             let cfg = LoadConfig {
                 target_qps: bad,
-                ..tiny_kem(4, 1)
+                ..tiny_kem(4)
             };
             assert!(run(&cfg).is_err());
         }
-        let paced_batch = LoadConfig {
-            target_qps: 100.0,
-            ..tiny_kem(4, 2)
-        };
-        assert!(run(&paced_batch).is_err());
     }
 
     #[test]

@@ -217,63 +217,6 @@ impl Client {
         Ok(shared)
     }
 
-    /// Execute a batch of KEM request frames in one round trip; returns
-    /// one response per item, **in item order**. Per-item failures come
-    /// back as `Error`-status entries, not an `Err`.
-    ///
-    /// The server streams the reply — a header frame carrying the item
-    /// count, then one frame per item as each job completes — and this
-    /// helper collects the stream; use [`Client::batch_streamed`] to
-    /// consume items as they arrive.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, a server-side envelope error, or a response
-    /// whose item count does not match the request.
-    pub fn batch(&mut self, items: &[RequestFrame]) -> Result<Vec<ResponseFrame>, String> {
-        let mut responses = Vec::with_capacity(items.len());
-        self.batch_streamed(items, |_, response| responses.push(response))?;
-        Ok(responses)
-    }
-
-    /// Execute a batch, invoking `on_item(index, response)` for each item
-    /// frame **as it arrives** — early results are delivered while later
-    /// items are still executing on the server.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, a server-side envelope error, or a header
-    /// whose item count does not match the request. On `Err` the callback
-    /// may already have seen a prefix of the items.
-    pub fn batch_streamed(
-        &mut self,
-        items: &[RequestFrame],
-        mut on_item: impl FnMut(usize, ResponseFrame),
-    ) -> Result<(), String> {
-        let request = RequestFrame {
-            opcode: Opcode::Batch,
-            params_code: 0,
-            backend_code: 0,
-            seq: 0,
-            payload: wire::encode_batch(items),
-        };
-        wire::write_request(&mut self.writer, &request).map_err(|e| format!("send: {e}"))?;
-        let header = wire::read_response(&mut self.reader).map_err(|e| format!("recv: {e}"))?;
-        let count = wire::parse_batch_header(&header)?;
-        if count != items.len() {
-            return Err(format!(
-                "batch response streams {count} items for a {}-item request",
-                items.len()
-            ));
-        }
-        for index in 0..count {
-            let response =
-                wire::read_response(&mut self.reader).map_err(|e| format!("recv item: {e}"))?;
-            on_item(index, response);
-        }
-        Ok(())
-    }
-
     /// Fetch the server's metrics snapshot as JSON text.
     ///
     /// # Errors

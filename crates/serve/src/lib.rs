@@ -1,4 +1,4 @@
-//! `lac-serve` — a batched, multi-worker serving layer over the LAC KEM.
+//! `lac-serve` — a multi-worker serving layer over the LAC KEM.
 //!
 //! The paper accelerates single KEM operations; this crate turns the
 //! reproduction into a *system* that serves KEM traffic: a worker pool
@@ -19,7 +19,8 @@
 //!   backends and per-parameter-set [`lac::Kem`] instances, with per-job
 //!   DRBG lanes forked from a root seed ([`lac_rand::Sha256CtrRng::fork`])
 //!   so results are byte-identical regardless of worker count;
-//! * [`wire`] — the framed request/response protocol, with an incremental
+//! * [`wire`] — the framed request/response protocol (one reply frame per
+//!   request, pipelined requests answered in order), with an incremental
 //!   [`wire::FrameDecoder`] for nonblocking reads;
 //! * [`reactor`] — a std-only readiness layer (a per-shard edge-triggered
 //!   `epoll` poller with an `eventfd` waker on Linux, a timed-park

@@ -565,24 +565,15 @@ impl ServePool {
         })
     }
 
-    /// Enqueue a whole batch and return one [`Ticket`] per job, in
-    /// submission order. Tickets buffer replies in their channels, so
-    /// pushing everything before waiting is safe (workers never block
-    /// sending a reply) and keeps all workers fed — callers can then
-    /// redeem tickets in order and stream results as they resolve.
-    /// Backpressure applies: once the queue is full, submission proceeds
-    /// at the pool's drain rate.
-    pub fn submit_batch_tickets(&self, jobs: Vec<Job>) -> Vec<Ticket> {
-        jobs.into_iter().map(|job| self.submit(job)).collect()
-    }
-
     /// Dispatch a whole batch across the workers and return the replies
-    /// **in submission order**.
+    /// **in submission order**. Every job is enqueued before the first
+    /// wait: tickets buffer replies in their channels, so workers never
+    /// block sending one and all of them stay fed. Backpressure applies:
+    /// once the queue is full, submission proceeds at the pool's drain
+    /// rate.
     pub fn submit_batch(&self, jobs: Vec<Job>) -> Vec<Reply> {
-        self.submit_batch_tickets(jobs)
-            .into_iter()
-            .map(Ticket::wait)
-            .collect()
+        let tickets: Vec<Ticket> = jobs.into_iter().map(|job| self.submit(job)).collect();
+        tickets.into_iter().map(Ticket::wait).collect()
     }
 
     /// The live metrics handle.

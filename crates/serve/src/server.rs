@@ -891,18 +891,6 @@ impl EventLoop {
                 self.control.request_drain();
                 self.local_drain();
             }
-            // BATCH: an Ok header frame with the item count, then one
-            // frame per item in item order. Malformed items get per-item
-            // error frames; a full queue sheds per item with BUSY.
-            Opcode::Batch => match wire::decode_batch(&frame.payload) {
-                Err(message) => conn.push_ready(&ResponseFrame::error(message)),
-                Ok(items) => {
-                    conn.push_ready(&wire::batch_header(items.len()));
-                    for item in &items {
-                        self.submit_frame(id, conn, item);
-                    }
-                }
-            },
             Opcode::Keygen | Opcode::Encaps | Opcode::Decaps => {
                 self.submit_frame(id, conn, &frame);
             }
@@ -1351,149 +1339,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_frames_run_across_the_pool_in_item_order() {
-        let (addr, handle) = spawn_server(2);
-        let mut client = Client::connect(&addr.to_string()).expect("connect");
-        let params = Params::lac128();
-
-        // Keygen via batch, then encaps+decaps+garbage in a second batch.
-        let keygen = client
-            .batch(&[RequestFrame {
-                opcode: Opcode::Keygen,
-                params_code: params_code(&params),
-                backend_code: BackendKind::Ct.code(),
-                seq: 1,
-                payload: Vec::new(),
-            }])
-            .expect("keygen batch");
-        assert_eq!(keygen.len(), 1);
-        let keys = &keygen[0].payload;
-        let pk = keys[..params.public_key_bytes()].to_vec();
-        let sk = keys[params.public_key_bytes()..].to_vec();
-
-        // Encapsulate twice with distinct lanes; decapsulation of either
-        // must come back in the matching slot.
-        let make_encaps = |seq| RequestFrame {
-            opcode: Opcode::Encaps,
-            params_code: params_code(&params),
-            backend_code: BackendKind::Ct.code(),
-            seq,
-            payload: pk.clone(),
-        };
-        let bad = RequestFrame {
-            opcode: Opcode::Encaps,
-            params_code: 99,
-            backend_code: BackendKind::Ct.code(),
-            seq: 4,
-            payload: pk.clone(),
-        };
-        let batch = client
-            .batch(&[make_encaps(2), bad, make_encaps(3)])
-            .expect("mixed batch");
-        assert_eq!(batch.len(), 3);
-        assert!(batch[1]
-            .error_message()
-            .expect("bad params code fails")
-            .contains("parameter-set"));
-        let ct_len = params.ciphertext_bytes();
-        for (index, seq) in [(0usize, 2u64), (2, 3)] {
-            assert!(batch[index].error_message().is_none());
-            let (ct, shared) = batch[index].payload.split_at(ct_len);
-            let shared2 = client
-                .decaps(&params, BackendKind::Ct, seq + 100, &sk, ct)
-                .expect("decaps");
-            assert_eq!(shared, shared2);
-        }
-        // Distinct lanes produce distinct ciphertexts.
-        assert_ne!(batch[0].payload, batch[2].payload);
-
-        // An unparseable envelope is an outer error, connection survives.
-        let garbage = RequestFrame {
-            opcode: Opcode::Batch,
-            params_code: 0,
-            backend_code: 0,
-            seq: 0,
-            payload: vec![1, 2],
-        };
-        let resp = client.request(&garbage).expect("transport ok");
-        assert!(resp
-            .error_message()
-            .expect("envelope error")
-            .contains("count"));
-        assert!(client.ping().is_ok());
-
-        client.shutdown().expect("shutdown");
-        let snap = handle.join().expect("server");
-        // 1 keygen + 2 encaps jobs reached the pool; the bad item did not.
-        assert_eq!(snap.requests[0], 1);
-        assert_eq!(snap.requests[1], 2);
-    }
-
-    #[test]
-    fn batch_replies_stream_one_frame_per_item() {
-        let (addr, handle) = spawn_server(2);
-        let params = Params::lac128();
-        let make_keygen = |seq| RequestFrame {
-            opcode: Opcode::Keygen,
-            params_code: params_code(&params),
-            backend_code: BackendKind::Ct.code(),
-            seq,
-            payload: Vec::new(),
-        };
-        let bad = RequestFrame {
-            opcode: Opcode::Keygen,
-            params_code: 99,
-            backend_code: BackendKind::Ct.code(),
-            seq: 2,
-            payload: Vec::new(),
-        };
-        let items = [make_keygen(1), bad, make_keygen(3)];
-
-        // Raw wire-level check of the version-2 streamed reply shape: one
-        // `Ok` header frame carrying the item count, then one standard
-        // response frame per item, in item order — not a single packed
-        // frame as in protocol version 1.
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        wire::write_request(
-            &mut stream,
-            &RequestFrame {
-                opcode: Opcode::Batch,
-                params_code: 0,
-                backend_code: 0,
-                seq: 0,
-                payload: wire::encode_batch(&items),
-            },
-        )
-        .expect("send batch");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let header = wire::read_response(&mut reader).expect("header frame");
-        assert_eq!(wire::parse_batch_header(&header).expect("count"), 3);
-        for (index, item_ok) in [true, false, true].into_iter().enumerate() {
-            let frame = wire::read_response(&mut reader).expect("item frame");
-            assert_eq!(frame.error_message().is_none(), item_ok, "item {index}");
-        }
-        drop(reader);
-        drop(stream);
-
-        // The client-side streaming helper delivers the same items, in
-        // order, through the callback, with per-item error isolation.
-        let mut client = Client::connect(&addr.to_string()).expect("connect");
-        let mut seen = Vec::new();
-        client
-            .batch_streamed(&items, |index, response| {
-                seen.push((index, response.error_message().is_none()));
-            })
-            .expect("streamed batch");
-        assert_eq!(seen, vec![(0, true), (1, false), (2, true)]);
-
-        client.shutdown().expect("shutdown");
-        let snap = handle.join().expect("server");
-        // 2 good keygens per batch reached the pool; the bad items never
-        // consumed a pool slot.
-        assert_eq!(snap.requests[0], 4);
-    }
-
-    #[test]
     fn concurrent_connections_are_served() {
         let (addr, handle) = spawn_server(2);
         let clients: Vec<_> = (0..3u64)
@@ -1525,29 +1370,38 @@ mod tests {
     fn pipelined_requests_reply_in_request_order() {
         let (addr, handle) = spawn_server(4);
         let params = Params::lac128();
-        // Fire 6 keygen frames without reading a single response: the
-        // reply slots must serialize them back in request order even
-        // though 4 workers race on the jobs.
+        let keygen = |params_code, seq| RequestFrame {
+            opcode: Opcode::Keygen,
+            params_code,
+            backend_code: BackendKind::Ct.code(),
+            seq,
+            payload: Vec::new(),
+        };
+        // Fire 6 keygen frames, with a bad-params keygen in the middle,
+        // without reading a single response: the reply slots must
+        // serialize them back in request order even though 4 workers race
+        // on the jobs, and the bad frame's error must fill its own slot.
+        let mut frames: Vec<_> = (1..=6u64)
+            .map(|seq| keygen(params_code(&params), seq))
+            .collect();
+        frames.insert(3, keygen(99, 7));
         let mut stream = TcpStream::connect(addr).expect("connect");
-        for seq in 1..=6u64 {
-            wire::write_request(
-                &mut stream,
-                &RequestFrame {
-                    opcode: Opcode::Keygen,
-                    params_code: params_code(&params),
-                    backend_code: BackendKind::Ct.code(),
-                    seq,
-                    payload: Vec::new(),
-                },
-            )
-            .expect("send");
+        for frame in &frames {
+            wire::write_request(&mut stream, frame).expect("send");
         }
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut keys = Vec::new();
-        for _ in 0..6 {
+        for index in 0..frames.len() {
             let frame = wire::read_response(&mut reader).expect("reply");
-            assert!(frame.error_message().is_none());
-            keys.push(frame.payload);
+            if index == 3 {
+                assert!(frame
+                    .error_message()
+                    .expect("bad params code fails")
+                    .contains("parameter-set"));
+            } else {
+                assert!(frame.error_message().is_none(), "slot {index}");
+                keys.push(frame.payload);
+            }
         }
         // Same lanes through a fresh connection → identical bytes in the
         // same order (per-connection reply order is request order).
@@ -1562,7 +1416,10 @@ mod tests {
             assert_eq!(joined, keys[i], "slot {i} out of order");
         }
         client.shutdown().expect("shutdown");
-        handle.join().expect("server");
+        let snap = handle.join().expect("server");
+        // 6 pipelined + 6 replayed keygens reached the pool; the bad
+        // frame never consumed a pool slot.
+        assert_eq!(snap.requests[0], 12);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   0..2   magic "LS"
 //!   2      protocol version (2)
 //!   3      opcode   (1 keygen, 2 encaps, 3 decaps, 4 stats, 5 shutdown,
-//!                    6 ping, 7 batch, 8 session-open, 9 session-msg,
-//!                    10 session-close)
+//!                    6 ping, 8 session-open, 9 session-msg,
+//!                    10 session-close; 7 is unassigned)
 //!   4      params   (1 lac128, 2 lac192, 3 lac256; 0 for stats/shutdown/ping)
 //!   5      backend  (1 ref, 2 ct, 3 hw, 4 hw-keccak; 0 likewise)
 //!   6..14  seq (u64) — the job's DRBG lane (see lac_rand::Sha256CtrRng::fork)
@@ -45,35 +45,13 @@
 //! like a KEM job) and is answered with `id ‖ epoch ‖ ct`;
 //! `SESSION_MSG`/`SESSION_CLOSE` carry a sealed
 //! [`crate::session::SessionFrame`] and are answered with the echoed
-//! plaintext sealed server→client (resp. an empty OK). Session opcodes
-//! are not [`batchable`].
+//! plaintext sealed server→client (resp. an empty OK).
 //!
-//! **Batch framing.** A `BATCH` request amortizes round trips: its outer
-//! header carries zeros for params/backend/seq, and its payload packs the
-//! constituent KEM requests (only keygen/encaps/decaps may nest):
-//!
-//! ```text
-//! batch request payload:
-//!   0..4   item count (u32)
-//!   then per item:
-//!     0      opcode
-//!     1      params code
-//!     2      backend code
-//!     3..11  seq (u64)
-//!     11..15 payload length (u32)
-//!     15..   payload
-//! ```
-//!
-//! A `BATCH` reply is **streamed** (protocol version 2): the server first
-//! writes an `Ok` *header frame* whose 4-byte payload is the item count,
-//! then one standard response frame per item, **in item order**, each
-//! flushed as soon as that item's job completes — a client can consume
-//! early results while later items are still executing. Items execute
-//! across the whole worker pool (see `ServePool::submit_batch_tickets`);
-//! a malformed item yields an `Error`-status item frame without failing
-//! its siblings. An `Error`-status header frame (in place of the count)
-//! means the batch envelope itself could not be parsed, and no item
-//! frames follow.
+//! **Pipelining.** A client may write several request frames before
+//! reading any reply. The server answers them in request order, one
+//! response frame each, whatever order the workers finish in; a
+//! malformed or shed request gets its own `Error`/`BUSY` frame without
+//! failing its neighbours.
 
 use crate::pool::{Job, JobKind};
 use crate::{params_from_code, BackendKind};
@@ -83,8 +61,7 @@ use std::io::{self, Read, Write};
 pub const REQUEST_MAGIC: [u8; 2] = *b"LS";
 /// Response-frame magic.
 pub const RESPONSE_MAGIC: [u8; 2] = *b"ls";
-/// Protocol version this build speaks. Version 2 streams `BATCH` replies
-/// as one frame per item (version 1 packed them into a single frame).
+/// Protocol version this build speaks.
 pub const VERSION: u8 = 2;
 /// Upper bound on payload size (both directions). Generously above the
 /// largest legitimate payload (a LAC-256 decaps request is ~3.5 KiB).
@@ -105,8 +82,6 @@ pub enum Opcode {
     Shutdown,
     /// Liveness check.
     Ping,
-    /// Execute a packed batch of KEM requests across the worker pool.
-    Batch,
     /// Open (or rekey) an authenticated session: the payload carries the
     /// client's KEM public key, the server answers with a fresh
     /// encapsulation (see `crate::session` for the payload codecs).
@@ -128,7 +103,6 @@ impl Opcode {
             Opcode::Stats => 4,
             Opcode::Shutdown => 5,
             Opcode::Ping => 6,
-            Opcode::Batch => 7,
             Opcode::SessionOpen => 8,
             Opcode::SessionMsg => 9,
             Opcode::SessionClose => 10,
@@ -144,22 +118,11 @@ impl Opcode {
             4 => Some(Opcode::Stats),
             5 => Some(Opcode::Shutdown),
             6 => Some(Opcode::Ping),
-            7 => Some(Opcode::Batch),
             8 => Some(Opcode::SessionOpen),
             9 => Some(Opcode::SessionMsg),
             10 => Some(Opcode::SessionClose),
             _ => None,
         }
-    }
-
-    /// Alias for [`Opcode::code`]: the opcode's byte on the wire.
-    pub fn to_u8(self) -> u8 {
-        self.code()
-    }
-
-    /// Alias for [`Opcode::from_code`]: decode an opcode byte.
-    pub fn from_u8(code: u8) -> Option<Self> {
-        Self::from_code(code)
     }
 }
 
@@ -255,15 +218,6 @@ fn bad_data(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
-fn check_payload_len(len: u32) -> io::Result<usize> {
-    if len > MAX_PAYLOAD {
-        return Err(bad_data(format!(
-            "payload length {len} exceeds the {MAX_PAYLOAD}-byte limit"
-        )));
-    }
-    Ok(len as usize)
-}
-
 /// Serialize a request frame.
 ///
 /// # Errors
@@ -281,47 +235,6 @@ pub fn write_request<W: Write>(w: &mut W, frame: &RequestFrame) -> io::Result<()
     w.write_all(&header)?;
     w.write_all(&frame.payload)?;
     w.flush()
-}
-
-/// Read one request frame. Returns `Ok(None)` on clean EOF (the peer
-/// closed the connection between frames).
-///
-/// # Errors
-///
-/// I/O errors, bad magic/version/opcode, or an oversized payload.
-pub fn read_request<R: Read>(r: &mut R) -> io::Result<Option<RequestFrame>> {
-    let mut header = [0u8; 18];
-    match r.read_exact(&mut header[..1]) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    r.read_exact(&mut header[1..])?;
-    if header[0..2] != REQUEST_MAGIC {
-        return Err(bad_data(format!(
-            "bad request magic {:02x}{:02x}",
-            header[0], header[1]
-        )));
-    }
-    if header[2] != VERSION {
-        return Err(bad_data(format!(
-            "unsupported protocol version {} (this build speaks {VERSION})",
-            header[2]
-        )));
-    }
-    let opcode = Opcode::from_code(header[3])
-        .ok_or_else(|| bad_data(format!("unknown opcode {}", header[3])))?;
-    let seq = u64::from_le_bytes(header[6..14].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(header[14..18].try_into().expect("4 bytes"));
-    let mut payload = vec![0u8; check_payload_len(len)?];
-    r.read_exact(&mut payload)?;
-    Ok(Some(RequestFrame {
-        opcode,
-        params_code: header[4],
-        backend_code: header[5],
-        seq,
-        payload,
-    }))
 }
 
 /// Request-frame header size on the wire.
@@ -486,123 +399,14 @@ pub fn read_response<R: Read>(r: &mut R) -> io::Result<ResponseFrame> {
         other => return Err(bad_data(format!("unknown status byte {other}"))),
     };
     let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    let mut payload = vec![0u8; check_payload_len(len)?];
+    if len > MAX_PAYLOAD {
+        return Err(bad_data(format!(
+            "payload length {len} exceeds the {MAX_PAYLOAD}-byte limit"
+        )));
+    }
+    let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     Ok(ResponseFrame { status, payload })
-}
-
-/// Per-item header size inside a batch request payload.
-const BATCH_ITEM_HEADER: usize = 15;
-
-/// Whether an opcode may appear inside a batch (only KEM work nests;
-/// control frames would make item ordering ambiguous).
-pub fn batchable(opcode: Opcode) -> bool {
-    matches!(opcode, Opcode::Keygen | Opcode::Encaps | Opcode::Decaps)
-}
-
-/// Pack KEM request frames into a `BATCH` payload (see the module docs
-/// for the layout).
-///
-/// # Panics
-///
-/// Panics if an item is not [`batchable`] — the caller builds these
-/// frames, so a control opcode here is a programming error, not input.
-pub fn encode_batch(items: &[RequestFrame]) -> Vec<u8> {
-    let body: usize = items
-        .iter()
-        .map(|i| BATCH_ITEM_HEADER + i.payload.len())
-        .sum();
-    let mut out = Vec::with_capacity(4 + body);
-    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-    for item in items {
-        assert!(batchable(item.opcode), "only KEM opcodes nest in a batch");
-        out.push(item.opcode.code());
-        out.push(item.params_code);
-        out.push(item.backend_code);
-        out.extend_from_slice(&item.seq.to_le_bytes());
-        out.extend_from_slice(&(item.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&item.payload);
-    }
-    out
-}
-
-/// Unpack a `BATCH` request payload into its item frames.
-///
-/// # Errors
-///
-/// A truncated envelope, an item count inconsistent with the payload
-/// size, a non-KEM item opcode, or an oversized item payload.
-pub fn decode_batch(payload: &[u8]) -> Result<Vec<RequestFrame>, String> {
-    let count_bytes: [u8; 4] = payload
-        .get(..4)
-        .and_then(|b| b.try_into().ok())
-        .ok_or("batch payload shorter than its count field")?;
-    let count = u32::from_le_bytes(count_bytes) as usize;
-    // Each item needs at least its header, so an absurd count is caught
-    // before any allocation.
-    if count.saturating_mul(BATCH_ITEM_HEADER) > payload.len() {
-        return Err(format!(
-            "batch count {count} impossible for a {}-byte payload",
-            payload.len()
-        ));
-    }
-    let mut items = Vec::with_capacity(count);
-    let mut at = 4usize;
-    for index in 0..count {
-        let header = payload
-            .get(at..at + BATCH_ITEM_HEADER)
-            .ok_or_else(|| format!("batch item {index} header truncated"))?;
-        let opcode = Opcode::from_code(header[0])
-            .filter(|&op| batchable(op))
-            .ok_or_else(|| format!("batch item {index} has non-KEM opcode {}", header[0]))?;
-        let seq = u64::from_le_bytes(header[3..11].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(header[11..15].try_into().expect("4 bytes"));
-        let len = check_payload_len(len).map_err(|e| format!("batch item {index}: {e}"))?;
-        at += BATCH_ITEM_HEADER;
-        let body = payload
-            .get(at..at + len)
-            .ok_or_else(|| format!("batch item {index} payload truncated"))?;
-        at += len;
-        items.push(RequestFrame {
-            opcode,
-            params_code: header[1],
-            backend_code: header[2],
-            seq,
-            payload: body.to_vec(),
-        });
-    }
-    if at != payload.len() {
-        return Err(format!(
-            "batch payload has {} trailing bytes after {count} items",
-            payload.len() - at
-        ));
-    }
-    Ok(items)
-}
-
-/// The header frame opening a streamed `BATCH` reply: an `Ok` frame whose
-/// payload is the little-endian item count. One response frame per item
-/// follows, in item order.
-pub fn batch_header(count: usize) -> ResponseFrame {
-    ResponseFrame::ok((count as u32).to_le_bytes().to_vec())
-}
-
-/// Parse a streamed-batch header frame into its item count.
-///
-/// # Errors
-///
-/// An `Error`-status frame (the server's envelope error, passed through)
-/// or a malformed count payload.
-pub fn parse_batch_header(frame: &ResponseFrame) -> Result<usize, String> {
-    if let Some(message) = frame.error_message() {
-        return Err(message);
-    }
-    let count: [u8; 4] = frame
-        .payload
-        .as_slice()
-        .try_into()
-        .map_err(|_| format!("batch header payload is {} B, want 4", frame.payload.len()))?;
-    Ok(u32::from_le_bytes(count) as usize)
 }
 
 /// Turn an operation request frame into a pool [`Job`].
@@ -655,7 +459,11 @@ mod tests {
     fn roundtrip_request(frame: &RequestFrame) -> RequestFrame {
         let mut buf = Vec::new();
         write_request(&mut buf, frame).unwrap();
-        read_request(&mut Cursor::new(buf)).unwrap().unwrap()
+        let mut dec = FrameDecoder::new();
+        dec.feed(&buf);
+        let back = dec.next_frame().unwrap().unwrap();
+        assert_eq!(dec.buffered(), 0);
+        back
     }
 
     #[test]
@@ -751,8 +559,13 @@ mod tests {
         dec.feed(&buf);
         assert!(dec.next_frame().unwrap_err().contains("exceeds"));
 
-        // Bad magic / version / opcode.
-        for (at, val, what) in [(0, b'X', "magic"), (2, 9, "version"), (3, 200, "opcode")] {
+        // Bad magic / version / opcode (7 is unassigned).
+        for (at, val, what) in [
+            (0, b'X', "magic"),
+            (2, 9, "version"),
+            (3, 7, "opcode"),
+            (3, 200, "opcode"),
+        ] {
             let mut good = Vec::new();
             write_request(&mut good, &RequestFrame::control(Opcode::Ping)).unwrap();
             good[at] = val;
@@ -763,143 +576,12 @@ mod tests {
     }
 
     #[test]
-    fn clean_eof_between_frames_is_none() {
-        assert!(read_request(&mut Cursor::new(Vec::<u8>::new()))
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn truncated_frame_is_an_error() {
-        let mut buf = Vec::new();
-        write_request(
-            &mut buf,
-            &RequestFrame {
-                opcode: Opcode::Encaps,
-                params_code: 1,
-                backend_code: 2,
-                seq: 1,
-                payload: vec![0u8; 100],
-            },
-        )
-        .unwrap();
-        buf.truncate(buf.len() - 10);
-        assert!(read_request(&mut Cursor::new(buf)).is_err());
-    }
-
-    #[test]
-    fn bad_magic_version_opcode_status_rejected() {
-        let mut good = Vec::new();
-        write_request(&mut good, &RequestFrame::control(Opcode::Ping)).unwrap();
-
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        assert!(read_request(&mut Cursor::new(bad)).is_err());
-
-        let mut bad = good.clone();
-        bad[2] = 9;
-        let err = read_request(&mut Cursor::new(bad)).unwrap_err();
-        assert!(err.to_string().contains("version"));
-
-        let mut bad = good.clone();
-        bad[3] = 200;
-        assert!(read_request(&mut Cursor::new(bad)).is_err());
-
+    fn bad_response_status_rejected() {
         let mut resp = Vec::new();
         write_response(&mut resp, &ResponseFrame::ok(vec![])).unwrap();
-        let mut bad = resp.clone();
-        bad[3] = 7;
-        assert!(read_response(&mut Cursor::new(bad)).is_err());
-    }
-
-    #[test]
-    fn oversized_payload_length_rejected_without_allocation() {
-        // Hand-craft a header claiming a 100 MiB payload.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&REQUEST_MAGIC);
-        buf.push(VERSION);
-        buf.push(Opcode::Keygen.code());
-        buf.push(1);
-        buf.push(2);
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&(100u32 << 20).to_le_bytes());
-        let err = read_request(&mut Cursor::new(buf)).unwrap_err();
-        assert!(err.to_string().contains("exceeds"));
-    }
-
-    #[test]
-    fn batch_payloads_roundtrip() {
-        let params = Params::lac128();
-        let items = vec![
-            RequestFrame {
-                opcode: Opcode::Keygen,
-                params_code: params_code(&params),
-                backend_code: BackendKind::Ct.code(),
-                seq: 10,
-                payload: Vec::new(),
-            },
-            RequestFrame {
-                opcode: Opcode::Encaps,
-                params_code: params_code(&Params::lac256()),
-                backend_code: BackendKind::Hw.code(),
-                seq: 11,
-                payload: vec![9u8; 1056],
-            },
-        ];
-        let back = decode_batch(&encode_batch(&items)).unwrap();
-        assert_eq!(back, items);
-        assert_eq!(decode_batch(&encode_batch(&[])).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn batch_header_frames_roundtrip_and_pass_errors_through() {
-        assert_eq!(parse_batch_header(&batch_header(0)).unwrap(), 0);
-        assert_eq!(parse_batch_header(&batch_header(7)).unwrap(), 7);
-        assert!(parse_batch_header(&ResponseFrame::error("bad count"))
-            .unwrap_err()
-            .contains("bad count"));
-        assert!(parse_batch_header(&ResponseFrame::ok(vec![1, 2]))
-            .unwrap_err()
-            .contains("want 4"));
-    }
-
-    #[test]
-    fn malformed_batch_payloads_rejected() {
-        // Truncated count field.
-        assert!(decode_batch(&[1, 0]).is_err());
-
-        // Count impossible for the payload size (no allocation attempted).
-        let mut huge = (u32::MAX).to_le_bytes().to_vec();
-        huge.extend_from_slice(&[0u8; 16]);
-        assert!(decode_batch(&huge).unwrap_err().contains("impossible"));
-
-        // Control opcodes may not nest.
-        let mut bad = 1u32.to_le_bytes().to_vec();
-        bad.push(Opcode::Shutdown.code());
-        bad.extend_from_slice(&[0u8; BATCH_ITEM_HEADER - 1]);
-        assert!(decode_batch(&bad).unwrap_err().contains("non-KEM"));
-
-        // Trailing garbage after the declared items.
-        let mut trailing = encode_batch(&[RequestFrame {
-            opcode: Opcode::Keygen,
-            params_code: 1,
-            backend_code: 2,
-            seq: 0,
-            payload: Vec::new(),
-        }]);
-        trailing.push(0xFF);
-        assert!(decode_batch(&trailing).unwrap_err().contains("trailing"));
-
-        // Truncated item payload.
-        let mut short = encode_batch(&[RequestFrame {
-            opcode: Opcode::Encaps,
-            params_code: 1,
-            backend_code: 2,
-            seq: 0,
-            payload: vec![7u8; 20],
-        }]);
-        short.truncate(short.len() - 5);
-        assert!(decode_batch(&short).unwrap_err().contains("truncated"));
+        resp[3] = 7;
+        let err = read_response(&mut Cursor::new(resp)).unwrap_err();
+        assert!(err.to_string().contains("status"));
     }
 
     #[test]

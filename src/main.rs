@@ -21,12 +21,8 @@
 //! lac-suite serve-ctl   shutdown --addr 127.0.0.1:PORT
 //! ```
 //!
-//! Paper-table regeneration (sharded across cores; see `crates/bench`):
-//!
-//! ```text
-//! lac-suite table1 [--threads N] [--json]
-//! lac-suite table2 [--threads N] [--json]
-//! ```
+//! The paper tables and the ISS throughput probe have their own binaries
+//! in `crates/bench` (`table1`, `table2`, `table3`, `iss_bench`).
 //!
 //! `--backend` selects `ref` (software, submission BCH), `ct` (software,
 //! constant-time BCH — default), `hw` (the PQ-ALU models) or `hw-keccak`
@@ -208,13 +204,8 @@ fn unread_flag(flag: &str, sessions: bool, paced: bool, external: bool) -> Optio
         "sweep" if sessions || paced => {
             Some("--sweep is mutually exclusive with --sessions and --target-qps".into())
         }
-        "op" | "requests" | "batch" if sessions => {
-            Some(format!("--{flag} drives KEM runs, not --sessions"))
-        }
-        "batch" if paced => Some("--batch needs closed-loop lanes (no --target-qps)".into()),
-        "workers" | "reactors" | "queue" | "sweep" | "op" | "requests" | "batch" | "sessions" => {
-            None
-        }
+        "op" | "requests" if sessions => Some(format!("--{flag} drives KEM runs, not --sessions")),
+        "workers" | "reactors" | "queue" | "sweep" | "op" | "requests" | "sessions" => None,
         _ if flag.starts_with("session-") && !sessions => {
             Some(format!("--{flag} needs --sessions"))
         }
@@ -258,7 +249,6 @@ fn cmd_bench_serve(opts: &Options) -> Result<String, String> {
             Script::Kem {
                 op: lac_serve::Op::parse(&opts.get_or("op", "encaps"))?,
                 requests: parse_or(opts, "requests", 32)?,
-                batch: parse_or(opts, "batch", 1)?,
             }
         },
         params: lac_serve::params_parse(&opts.get_or("params", "lac128"))?,
@@ -451,64 +441,12 @@ fn cmd_serve_ctl(action: &str, opts: &Options) -> Result<String, String> {
     }
 }
 
-/// `lac-suite iss`: wall-clock throughput of one interpreter engine on
-/// the recover-loop workload (`--engine`, default superblock; `--iters`
-/// workload size).
-fn cmd_iss(opts: &Options) -> Result<String, String> {
-    let iters = match opts.flags.get("iters") {
-        Some(value) => value
-            .parse()
-            .map_err(|_| format!("bad --iters '{value}'"))?,
-        None => 500,
-    };
-    let engine = match opts.flags.get("engine") {
-        Some(name) => lac_bench::iss::parse_engine(name)
-            .ok_or_else(|| format!("unknown engine '{name}' (classic|superblock|jit)"))?,
-        None => lac_rv32::Engine::Superblock,
-    };
-    let run = lac_bench::iss::measure(iters, engine);
-    let name = lac_bench::iss::engine_name(engine);
-    if opts.json {
-        Ok(format!(
-            "{{\"bench\": \"iss\", \"engine\": \"{name}\", \"iters\": {iters}, \"instructions\": {}, \"cycles\": {}, \"wall_us\": {}, \"mips\": {:.2}, \"digest\": \"{}\"}}\n",
-            run.instructions, run.cycles, run.wall_micros, run.mips, run.digest
-        ))
-    } else {
-        Ok(format!(
-            "ISS throughput ({name} engine): {:.2} MIPS ({} instructions in {} us)\n",
-            run.mips, run.instructions, run.wall_micros
-        ))
-    }
-}
-
-/// `lac-suite table1|table2`: regenerate a paper table in-process. The
-/// harness prints directly (same code path as the `lac-bench` binaries);
-/// `--threads N` caps the shard worker count (default: all cores, or
-/// `LAC_BENCH_THREADS`).
-fn cmd_table(which: &str, opts: &Options) -> Result<String, String> {
-    let threads = match opts.flags.get("threads") {
-        Some(value) => Some(
-            value
-                .parse()
-                .map_err(|_| format!("bad --threads '{value}'"))?,
-        ),
-        None => None,
-    };
-    match which {
-        "table1" => lac_bench::table1::run(opts.json, threads),
-        _ => lac_bench::table2::run(opts.json, threads),
-    }
-    Ok(String::new())
-}
-
 /// Run one CLI invocation; returns the text to print.
 fn run(command: &str, opts: &Options) -> Result<String, String> {
     // Serving commands manage their own backends/params per request.
     match command {
         "serve" => return cmd_serve(opts),
         "bench-serve" => return cmd_bench_serve(opts),
-        "table1" | "table2" => return cmd_table(command, opts),
-        "iss" => return cmd_iss(opts),
         _ => {
             if let Some(action) = command.strip_prefix("serve-ctl") {
                 return cmd_serve_ctl(action.trim_start(), opts);
@@ -586,7 +524,7 @@ fn run(command: &str, opts: &Options) -> Result<String, String> {
         other => {
             return Err(format!(
                 "unknown command '{other}' \
-                 (expected info|keygen|encaps|decaps|serve|bench-serve|serve-ctl|table1|table2|iss)"
+                 (expected info|keygen|encaps|decaps|serve|bench-serve|serve-ctl)"
             ));
         }
     }
@@ -638,15 +576,11 @@ const USAGE: &str = "usage: lac-suite <command> [flags]
       [--target-qps QPS] (pace action k to k/QPS s; default closed loop)
       [--addr HOST:PORT | --workers N --reactors N --queue N] [--json]
       KEM script: [--op keygen|encaps|decaps] [--requests N]
-      closed loop only: [--batch N] [--sweep N,N,...]
+      closed loop only: [--sweep N,N,...]
       session script: --sessions N [--session-chats N] [--session-rekey-every N]
       [--session-hold] [--session-capacity N] [--session-rekey-after N]
   serve-ctl <stats|ping|sessions|shutdown> --addr HOST:PORT [--timeout-ms N]
-      [--json] [--per-shard] (stats/sessions: aggregated view by default)
-  table1|table2                  regenerate a paper table (sharded sweep)
-      [--threads N] [--json]
-  iss                            interpreter wall-clock throughput probe
-      [--engine classic|superblock|jit] [--iters N] [--json]";
+      [--json] [--per-shard] (stats/sessions: aggregated view by default)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -763,6 +697,11 @@ mod tests {
     fn errors_are_reported_not_panicked() {
         assert!(run("info", &opts(&[("params", "lac999")], false)).is_err());
         assert!(run("frobnicate", &opts(&[], false)).is_err());
+        // The paper tables and the ISS probe live in `lac-bench` binaries.
+        for retired in ["iss", "table1", "table2"] {
+            let err = run(retired, &opts(&[], false)).unwrap_err();
+            assert!(err.contains("unknown command"), "{err}");
+        }
         assert!(run("keygen", &opts(&[("pk", "/nonexistent/x")], false)).is_err());
         assert!(run(
             "decaps",
@@ -918,19 +857,13 @@ mod tests {
     fn bench_serve_rejects_unknown_flags() {
         let err = bench_serve_err(&[("reactor", "4")]);
         assert!(err.contains("unknown bench-serve flag --reactor"), "{err}");
-        // The retired length and client-count flags are unknown too.
+        // The retired length, client-count and framing flags are unknown too.
         let err = bench_serve_err(&[("duration-ms", "300"), ("target-qps", "300")]);
         assert!(err.contains("--duration-ms"), "{err}");
         let err = bench_serve_err(&[("clients", "2")]);
         assert!(err.contains("--clients"), "{err}");
-    }
-
-    #[test]
-    fn bench_serve_rejects_batch_outside_closed_kem_runs() {
-        let err = bench_serve_err(&[("batch", "8"), ("target-qps", "200")]);
-        assert!(err.contains("--batch"), "{err}");
-        let err = bench_serve_err(&[("batch", "8"), ("sessions", "2")]);
-        assert!(err.contains("--batch"), "{err}");
+        let err = bench_serve_err(&[("batch", "4")]);
+        assert!(err.contains("unknown bench-serve flag --batch"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Directed end-to-end tests for the sharded multi-reactor front-end:
 //! reply digests must be byte-identical across reactor counts (for
-//! classic, BATCH, and session workloads), and session state must be
-//! invisible across shard boundaries — a session id minted by one shard
-//! is simply "unknown" on a connection owned by another.
+//! closed and paced KEM runs, and for session workloads), and session
+//! state must be invisible across shard boundaries — a session id minted
+//! by one shard is simply "unknown" on a connection owned by another.
 
 use lac::Kem;
 use lac_rand::Sha256CtrRng;
@@ -23,17 +23,15 @@ fn spawn(cfg: ServeConfig) -> (String, JoinHandle<lac_serve::metrics::MetricsSna
 
 /// The KEM bench digest hashes every reply payload under a fixed
 /// request→lane assignment, so it must not move when the server's reactor
-/// count (or worker count) changes — for per-request framing, for `BATCH`
-/// framing, and for paced arrivals, which share the digest by
-/// construction.
+/// count (or worker count) changes — for closed lanes and for paced
+/// (pipelined) arrivals, which share the digest by construction.
 #[test]
-fn classic_and_batch_digests_are_reactor_count_independent() {
-    let run = |reactors: usize, workers: usize, batch: usize, target_qps: f64| {
+fn closed_and_paced_digests_are_reactor_count_independent() {
+    let run = |reactors: usize, workers: usize, target_qps: f64| {
         let report = bench::run(&LoadConfig {
             script: Script::Kem {
                 op: lac_serve::Op::Encaps,
                 requests: 8,
-                batch,
             },
             conns: 2,
             target_qps,
@@ -48,21 +46,11 @@ fn classic_and_batch_digests_are_reactor_count_independent() {
         assert_eq!(report.stat("reactors"), reactors as u64);
         report.digest
     };
-    let baseline = run(1, 1, 1, 0.0);
-    assert_eq!(
-        run(4, 1, 1, 0.0),
-        baseline,
-        "reactors must not change replies"
-    );
-    assert_eq!(run(4, 4, 1, 0.0), baseline, "nor reactors × workers");
-    assert_eq!(
-        run(1, 2, 4, 0.0),
-        baseline,
-        "BATCH framing shares the digest"
-    );
-    assert_eq!(run(4, 2, 4, 0.0), baseline, "sharded BATCH too");
-    assert_eq!(run(1, 2, 1, 300.0), baseline, "paced arrivals share it");
-    assert_eq!(run(4, 2, 1, 300.0), baseline, "sharded paced arrivals too");
+    let baseline = run(1, 1, 0.0);
+    assert_eq!(run(4, 1, 0.0), baseline, "reactors must not change replies");
+    assert_eq!(run(4, 4, 0.0), baseline, "nor reactors × workers");
+    assert_eq!(run(1, 2, 300.0), baseline, "paced arrivals share it");
+    assert_eq!(run(4, 2, 300.0), baseline, "sharded paced arrivals too");
 }
 
 fn session_script(reactors: usize, workers: usize, target_qps: f64) -> LoadConfig {

@@ -1,10 +1,9 @@
 //! Wire-protocol robustness: seeded property fuzzing of the incremental
 //! frame decoder (arbitrary splits, truncation, oversize claims, header
-//! corruption — for both plain KEM frames and v2 streamed-`BATCH`
-//! envelopes), an exhaustive opcode-byte round trip, seeded fuzz of the
+//! corruption), an exhaustive opcode-byte round trip, seeded fuzz of the
 //! authenticated session-frame codec, plus a live overload test: a server
-//! with a tiny queue must shed batch items with `BUSY` while `PING` still
-//! answers and new connections are still accepted.
+//! with a tiny queue must shed a pipelined burst with `BUSY` while `PING`
+//! still answers and new connections are still accepted.
 //!
 //! Replay a failing prop case with `LAC_PROP_SEED=<index>` (or the
 //! printed `hex:` tape) as documented in `lac_rand::prop`.
@@ -17,13 +16,11 @@ use lac_serve::pool::ServeConfig;
 use lac_serve::server::Server;
 use lac_serve::wire::{self, FrameDecoder, Opcode, RequestFrame, MAX_PAYLOAD, REQUEST_HEADER};
 use lac_serve::{params_code, BackendKind};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 
 /// Draw one random-but-valid request frame. KEM opcodes get arbitrary
-/// payload bytes (content is validated by workers, not the decoder);
-/// `Batch` gets a properly encoded envelope of random inner KEM frames,
-/// covering the v2 streamed-batch shape.
+/// payload bytes (content is validated by workers, not the decoder).
 fn arbitrary_frame(rng: &mut impl Rng) -> RequestFrame {
     let opcode = [
         Opcode::Keygen,
@@ -32,29 +29,7 @@ fn arbitrary_frame(rng: &mut impl Rng) -> RequestFrame {
         Opcode::Stats,
         Opcode::Shutdown,
         Opcode::Ping,
-        Opcode::Batch,
-    ][rng.gen_below_usize(7)];
-    if opcode == Opcode::Batch {
-        let items: Vec<RequestFrame> = (0..rng.gen_range_usize(0..4))
-            .map(|_| RequestFrame {
-                opcode: [Opcode::Keygen, Opcode::Encaps, Opcode::Decaps][rng.gen_below_usize(3)],
-                params_code: rng.next_u32() as u8,
-                backend_code: rng.next_u32() as u8,
-                seq: rng.next_u64(),
-                payload: {
-                    let len = rng.gen_below_usize(64);
-                    prop::bytes(rng, len)
-                },
-            })
-            .collect();
-        return RequestFrame {
-            opcode,
-            params_code: 0,
-            backend_code: 0,
-            seq: 0,
-            payload: wire::encode_batch(&items),
-        };
-    }
+    ][rng.gen_below_usize(6)];
     RequestFrame {
         opcode,
         params_code: rng.next_u32() as u8,
@@ -151,8 +126,8 @@ fn decoder_rejects_corrupt_headers_and_oversize_claims() {
             1 => bytes[rng.gen_below_usize(2)] ^= 0xff,
             // Wrong version.
             2 => bytes[2] = bytes[2].wrapping_add(1 + (rng.next_u32() % 254) as u8),
-            // Unknown opcode.
-            _ => bytes[3] = 11 + (rng.next_u32() % 245) as u8,
+            // Unknown opcode: the unassigned 7, or past the last code.
+            _ => bytes[3] = [7, 11 + (rng.next_u32() % 245) as u8][rng.gen_below_usize(2)],
         }
 
         let mut decoder = FrameDecoder::new();
@@ -171,19 +146,20 @@ fn opcode_byte_round_trips_exhaustively() {
     // without wiring both directions (or reusing a code) fails here.
     let mut valid = 0;
     for byte in 0..=255u8 {
-        match Opcode::from_u8(byte) {
+        match Opcode::from_code(byte) {
             Some(op) => {
-                assert_eq!(op.to_u8(), byte, "{op:?} must encode back to {byte}");
+                assert_eq!(op.code(), byte, "{op:?} must encode back to {byte}");
                 valid += 1;
             }
             None => assert!(
-                !(1..=10).contains(&byte),
+                byte == 7 || !(1..=10).contains(&byte),
                 "byte {byte} is in the assigned range but does not decode"
             ),
         }
     }
-    // 7 KEM/control opcodes + Batch + SessionOpen/SessionMsg/SessionClose.
-    assert_eq!(valid, 10, "exactly the assigned opcodes decode");
+    assert_eq!(Opcode::from_code(7), None, "code 7 is unassigned");
+    // 6 KEM/control opcodes + SessionOpen/SessionMsg/SessionClose.
+    assert_eq!(valid, 9, "exactly the assigned opcodes decode");
 }
 
 #[test]
@@ -272,8 +248,8 @@ fn session_frame_codec_survives_chunking_truncation_and_corruption() {
 
 #[test]
 fn overloaded_server_sheds_busy_but_stays_responsive() {
-    // One slow worker behind a 2-deep queue: a 32-item batch submitted in
-    // one read pass must overflow the queue, so the server sheds items
+    // One slow worker behind a 2-deep queue: 32 keygen frames written in
+    // one burst must overflow the queue, so the server sheds requests
     // with BUSY instead of stalling the reactor.
     let server = Server::bind(
         "127.0.0.1:0",
@@ -290,32 +266,22 @@ fn overloaded_server_sheds_busy_but_stays_responsive() {
     let handle = std::thread::spawn(move || server.run());
 
     let params = Params::lac128();
-    let items: Vec<RequestFrame> = (0..32)
-        .map(|i| RequestFrame {
-            opcode: Opcode::Keygen,
-            params_code: params_code(&params),
-            backend_code: BackendKind::Ct.code(),
-            seq: i + 1,
-            payload: Vec::new(),
-        })
-        .collect();
+    let burst = serialize(
+        &(0..32)
+            .map(|i| RequestFrame {
+                opcode: Opcode::Keygen,
+                params_code: params_code(&params),
+                backend_code: BackendKind::Ct.code(),
+                seq: i + 1,
+                payload: Vec::new(),
+            })
+            .collect::<Vec<_>>(),
+    );
 
     let mut stream = TcpStream::connect(addr).expect("connect");
-    wire::write_request(
-        &mut stream,
-        &RequestFrame {
-            opcode: Opcode::Batch,
-            params_code: 0,
-            backend_code: 0,
-            seq: 0,
-            payload: wire::encode_batch(&items),
-        },
-    )
-    .expect("send batch");
+    stream.write_all(&burst).expect("send burst");
 
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let header = wire::read_response(&mut reader).expect("batch header");
-    assert_eq!(wire::parse_batch_header(&header).expect("count"), 32);
     let (mut ok, mut busy) = (0u32, 0u32);
     for _ in 0..32 {
         let item = wire::read_response(&mut reader).expect("item");
