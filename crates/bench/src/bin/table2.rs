@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release -p lac-bench --bin table2`
 //! (`--json` emits the same data as machine-readable JSON; `--threads N`
-//! caps the shard worker count, default all cores / `LAC_BENCH_THREADS`)
+//! caps the shard worker count, default all cores)
 
 use lac_bench::{json, table2, threads_arg};
 

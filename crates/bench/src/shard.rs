@@ -8,24 +8,15 @@
 //! order; `scripts/verify.sh` asserts exactly that by diffing sharded
 //! `--json` output against a `--threads 1` run.
 //!
-//! Thread-count resolution, most specific wins:
-//!
-//! 1. an explicit `--threads N` flag,
-//! 2. the `LAC_BENCH_THREADS` environment variable,
-//! 3. [`std::thread::available_parallelism`] (all cores).
+//! The thread count is an explicit `--threads N` flag, else
+//! [`std::thread::available_parallelism`] (all cores).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Resolve the worker count (see module docs for precedence).
+/// Resolve the worker count: `explicit`, else all cores (at least one).
 pub fn thread_count(explicit: Option<usize>) -> usize {
-    let from_env = || {
-        std::env::var("LAC_BENCH_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-    };
     explicit
-        .or_else(from_env)
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)

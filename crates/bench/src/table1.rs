@@ -100,8 +100,8 @@ fn emit_json(cells: &[Measured]) {
 
 /// Render Table I to stdout.
 ///
-/// `threads = None` resolves via [`shard::thread_count`] (flag, env,
-/// available parallelism). Measurement values are independent of the
+/// `threads = None` resolves via [`shard::thread_count`] (available
+/// parallelism). Measurement values are independent of the
 /// thread count.
 pub fn run(emit_json_output: bool, threads: Option<usize>) {
     let cells = measure_cells(shard::thread_count(threads));

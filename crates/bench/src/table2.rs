@@ -112,8 +112,8 @@ fn emit_json(rows: &[KemRow]) {
 
 /// Render Table II to stdout.
 ///
-/// `threads = None` resolves via [`shard::thread_count`] (flag, env,
-/// available parallelism). Measurement values are independent of the
+/// `threads = None` resolves via [`shard::thread_count`] (available
+/// parallelism). Measurement values are independent of the
 /// thread count.
 pub fn run(emit_json_output: bool, threads: Option<usize>) {
     let rows = measure_rows(shard::thread_count(threads));

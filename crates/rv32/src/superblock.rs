@@ -66,25 +66,8 @@ pub const HOT_THRESHOLD: u32 = 4;
 /// on the interpreted stretch between head probes.
 pub const MAX_OPS: usize = 64;
 
-/// Default trace-cache slot count (direct-mapped, power of two); override
-/// with the `LAC_SB_SLOTS` environment variable (see [`resolve_slots`]).
+/// Default trace-cache slot count (direct-mapped, power of two).
 pub const DEFAULT_SLOTS: usize = 4096;
-
-/// Resolve a `LAC_SB_SLOTS`-style capacity override. Parsed values are
-/// clamped to `[16, 1 << 20]` and rounded up to a power of two (the
-/// direct-mapped index is a mask); anything absent or unparsable falls
-/// back to [`DEFAULT_SLOTS`]. Capacity only moves the hot/conflict
-/// trade-off — it is never architecturally visible.
-pub fn resolve_slots(value: Option<&str>) -> usize {
-    match value.and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(n) => n.clamp(16, 1 << 20).next_power_of_two(),
-        None => DEFAULT_SLOTS,
-    }
-}
-
-fn slots_from_env() -> usize {
-    resolve_slots(std::env::var("LAC_SB_SLOTS").ok().as_deref())
-}
 
 /// Distinct predecode lines a maximal block can start instructions in:
 /// `MAX_OPS` 4-byte instructions from an arbitrary even offset span at
@@ -456,14 +439,15 @@ pub struct SuperblockCache {
 }
 
 impl SuperblockCache {
-    /// An empty trace cache sized by `LAC_SB_SLOTS` (default
-    /// [`DEFAULT_SLOTS`]).
+    /// An empty trace cache with [`DEFAULT_SLOTS`] slots.
     pub fn new() -> Self {
-        Self::with_slots(slots_from_env())
+        Self::with_slots(DEFAULT_SLOTS)
     }
 
-    /// An empty trace cache with an explicit capacity (clamped and rounded
-    /// as by [`resolve_slots`]).
+    /// An empty trace cache with an explicit capacity, clamped to
+    /// `[16, 1 << 20]` and rounded up to a power of two (the direct-mapped
+    /// index is a mask). Capacity only moves the hot/conflict trade-off —
+    /// it is never architecturally visible.
     pub fn with_slots(slots: usize) -> Self {
         let count = slots.clamp(16, 1 << 20).next_power_of_two();
         let mut slots = Vec::with_capacity(count);
@@ -1202,21 +1186,6 @@ ecall",
         ram[8..12].copy_from_slice(&0xffff_ffffu32.to_le_bytes());
         let block = compile(&mut cache, &ram, 0).unwrap().block;
         assert_eq!(block.end_pc, block.term_pc);
-    }
-
-    #[test]
-    fn resolve_slots_clamps_and_rounds() {
-        assert_eq!(resolve_slots(None), DEFAULT_SLOTS);
-        assert_eq!(resolve_slots(Some("not-a-number")), DEFAULT_SLOTS);
-        assert_eq!(resolve_slots(Some("")), DEFAULT_SLOTS);
-        assert_eq!(resolve_slots(Some("1024")), 1024);
-        assert_eq!(
-            resolve_slots(Some(" 300 ")),
-            512,
-            "rounds up to a power of two"
-        );
-        assert_eq!(resolve_slots(Some("1")), 16, "floor");
-        assert_eq!(resolve_slots(Some("99999999")), 1 << 20, "ceiling");
     }
 
     #[test]

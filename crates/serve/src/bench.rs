@@ -1028,24 +1028,35 @@ mod tests {
 
     #[test]
     fn session_hold_mode_fills_the_table_and_evicts_beyond_capacity() {
-        let report = run(&LoadConfig {
-            script: Script::Sessions {
-                sessions: 6,
-                chats: 0,
-                rekey_every: 0,
-                hold: true,
-            },
-            session_capacity: 4,
-            ..tiny_sessions()
-        })
-        .expect("hold run");
-        assert_eq!(report.ok[Action::Open as usize], 6);
-        assert_eq!(report.ok[Action::Close as usize], 0);
-        assert_eq!(report.errors, 0);
-        // Table bounded at 4: the 2 oldest sessions were LRU-evicted and
-        // the rest were still open when the stats poll ran.
-        assert_eq!(report.stat("open"), 4);
-        assert_eq!(report.stat("evicted"), 2);
+        // (reactors, capacity, sessions) -> (open, evicted). The two lanes
+        // land one per shard, and the shards' tables split the capacity
+        // exactly (5 over 2 shards: 3 + 2), so the table sits at capacity
+        // and only sessions beyond it are LRU-evicted.
+        for ((reactors, capacity, sessions), want) in [
+            ((1, 4, 6), (4, 2)),
+            ((2, 8, 8), (8, 0)),
+            ((2, 5, 8), (5, 3)),
+        ] {
+            let report = run(&LoadConfig {
+                script: Script::Sessions {
+                    sessions,
+                    chats: 0,
+                    rekey_every: 0,
+                    hold: true,
+                },
+                reactors,
+                session_capacity: capacity,
+                ..tiny_sessions()
+            })
+            .expect("hold run");
+            let case = (reactors, capacity, sessions);
+            let ok = |action: Action| report.ok[action as usize];
+            assert_eq!((ok(Action::Open), ok(Action::Close)), (sessions as u64, 0));
+            assert_eq!(report.errors, 0, "{case:?}");
+            // The stats poll ran with every surviving session still open.
+            let got = (report.stat("open"), report.stat("evicted"));
+            assert_eq!(got, want, "{case:?}");
+        }
         let empty = LoadConfig {
             script: Script::Sessions {
                 sessions: 0,

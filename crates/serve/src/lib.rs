@@ -35,9 +35,9 @@
 //!   graceful drain;
 //! * [`session`] — authenticated long-lived channels over the KEM
 //!   (`lac-session`): KEM-negotiated directional keys, AEAD-style frame
-//!   sealing, epoch-tagged rekeying, and a bounded sharded LRU session
-//!   table — the reactor binds it to opcodes `SessionOpen`/`SessionMsg`/
-//!   `SessionClose`;
+//!   sealing, epoch-tagged rekeying, and a bounded exact-LRU session
+//!   table (one per reactor shard) — the reactor binds it to opcodes
+//!   `SessionOpen`/`SessionMsg`/`SessionClose`;
 //! * [`client`] — blocking `std::net` endpoint speaking [`wire`], with
 //!   optional connect/read/write deadlines;
 //! * [`bench`] — one scheduled-arrival load driver: a KEM or session

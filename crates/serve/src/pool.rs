@@ -181,8 +181,10 @@ pub struct ServeConfig {
     /// Graceful-drain deadline after `SHUTDOWN`, in milliseconds: in-flight
     /// jobs get this long to complete and flush before the server exits.
     pub drain_ms: u64,
-    /// Bound on the session table (see `crate::session::SessionTable`):
-    /// opening a session beyond it evicts the least-recently-used one.
+    /// Bound on open sessions, split as evenly as possible over the
+    /// reactor shards' tables (see `crate::session::SessionTable`):
+    /// opening a session on a full shard evicts that shard's
+    /// least-recently-used one.
     pub session_capacity: usize,
     /// Force a session rekey after this many accepted messages in an
     /// epoch (the server rejects further traffic until the client
@@ -602,6 +604,7 @@ impl ServePool {
     /// Point-in-time snapshot of counters, histogram, queue state and
     /// per-worker cycle totals.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let shards = self.metrics.shard_snapshots();
         MetricsSnapshot {
             workers: self.config.workers,
             reactors: self.config.reactors.max(1),
@@ -615,9 +618,9 @@ impl ServePool {
             errors: self.metrics.errors(),
             latency: self.metrics.latency_snapshot(),
             worker_cycles: self.worker_cycle_totals(),
-            frontend: self.metrics.frontend().snapshot(),
-            sessions: self.metrics.sessions().snapshot(),
-            shards: self.metrics.shard_snapshots(),
+            frontend: self.metrics.frontend().snapshot(&shards),
+            sessions: self.metrics.sessions().snapshot(&shards),
+            shards,
         }
     }
 

@@ -32,16 +32,19 @@
 //! encoded frame `Vec` moves, no copy) into a per-connection frame queue,
 //! and the queue's ready prefix drains through a single
 //! [`reactor::try_write_vectored`] call — one syscall retiring many
-//! pipelined replies. `writev_calls` / `frames_flushed` counters (global
-//! and per shard) make the coalescing ratio observable.
+//! pipelined replies. Per-shard `writev_calls` / `frames_flushed`
+//! counters (summed in the `STATS` totals) make the coalescing ratio
+//! observable.
 //!
 //! **Session sharding.** Sessions live on the shard that owns the
-//! connection that opened them, in a per-shard [`SessionTable`] slice of
-//! `session_capacity / reactors` entries. Assigned ids stride by the
-//! shard count (`shard + 1`, `shard + 1 + N`, …) so id spaces are
-//! disjoint and a session id presented on another shard's connection is
-//! simply "unknown" — session state never migrates and never needs a
-//! cross-shard lookup.
+//! connection that opened them, in that shard's own exact-LRU
+//! [`SessionTable`]. `session_capacity` is split over the shards (shard
+//! `i` of `N` holds `session_capacity / N` entries, plus one when
+//! `i < session_capacity % N`), so the tables sum to the configured bound.
+//! Assigned ids stride by the shard count (`shard + 1`, `shard + 1 + N`,
+//! …) so id spaces are disjoint and a session id presented on another
+//! shard's connection is simply "unknown" — session state never migrates
+//! and never needs a cross-shard lookup.
 //!
 //! **Overload shedding.** A shard never blocks on the pool: when the job
 //! queue is full, the request is answered immediately with a `BUSY`
@@ -62,7 +65,7 @@
 //! `drain_ms` expires). Only after every shard has exited is the pool
 //! shut down and the final snapshot taken.
 
-use crate::metrics::{FrontendStats, MetricsSnapshot, ShardStats};
+use crate::metrics::{MetricsSnapshot, ShardStats};
 use crate::pool::{
     Completion, Job, JobKind, Reply, ReplySink, ServeConfig, ServePool, SubmitError, WarmReport,
 };
@@ -388,9 +391,9 @@ struct EventLoop {
     tx: mpsc::Sender<Completion>,
     rx: mpsc::Receiver<Completion>,
     poller: Poller,
-    /// This shard's slice of the session table, bounded with LRU
-    /// eviction. Shard-owned: session crypto is symmetric-only and runs
-    /// inline; only handshake encaps goes to the pool.
+    /// This shard's session table, bounded with exact LRU eviction.
+    /// Shard-owned: session crypto is symmetric-only and runs inline;
+    /// only handshake encaps goes to the pool.
     sessions: SessionTable,
     /// Handshake jobs in flight, keyed by `(conn id, reply slot)`; the
     /// completion installs (or rekeys) the session before replying.
@@ -448,12 +451,11 @@ impl EventLoop {
             tx,
             rx,
             poller,
-            // Each shard holds its share of the global bound. Few
-            // internal sub-shards so tiny capacities still evict in
-            // near-global LRU order within the slice.
+            // Each shard holds its exact share of the global bound.
             sessions: SessionTable::new(
-                cfg.session_capacity.max(1).div_ceil(reactors),
-                cfg.session_capacity.max(1).div_ceil(reactors).clamp(1, 16),
+                (cfg.session_capacity / reactors
+                    + usize::from(shard < cfg.session_capacity % reactors))
+                .max(1),
             ),
             pending_opens: HashMap::new(),
             next_session_id: shard as u64 + 1,
@@ -466,11 +468,6 @@ impl EventLoop {
             max_write_buffer: cfg.max_write_buffer.max(1),
             drain_ms: cfg.drain_ms,
         }
-    }
-
-    /// The aggregate front-end counters (shared across shards).
-    fn frontend(&self) -> &FrontendStats {
-        self.pool.metrics().frontend()
     }
 
     /// This shard's own counter row.
@@ -516,13 +513,11 @@ impl EventLoop {
         // Account for connections still open at the deadline, plus any
         // that were routed here but never installed.
         while let Ok(_stream) = self.reg_rx.try_recv() {
-            self.frontend().conn_closed();
             self.shard_stats().conn_closed();
         }
         let leftover = self.conns.len();
         self.conns.clear();
         for _ in 0..leftover {
-            self.frontend().conn_closed();
             self.shard_stats().conn_closed();
         }
         self.shard_stats().set_busy_ns(self.busy_ns);
@@ -560,23 +555,21 @@ impl EventLoop {
         }
     }
 
-    /// Drop a connection's poller registration and balance the gauges
+    /// Drop a connection's poller registration and balance the gauge
     /// (the caller has removed it from `conns`, closing the socket).
     fn closed(&mut self, id: u64) {
         self.poller.deregister(id);
-        self.frontend().conn_closed();
         self.shard_stats().conn_closed();
     }
 
     /// Install connections the accepting shard routed here. During a
     /// drain late registrations are dropped (the peer sees a close, the
-    /// gauges stay balanced).
+    /// gauge stays balanced).
     fn register_pass(&mut self) -> bool {
         let mut any = false;
         while let Ok(stream) = self.reg_rx.try_recv() {
             any = true;
             if self.draining {
-                self.frontend().conn_closed();
                 self.shard_stats().conn_closed();
                 continue;
             }
@@ -738,13 +731,13 @@ impl EventLoop {
     /// options, pick the owning shard round-robin and hand it over (or
     /// install locally when this shard is the target).
     fn admit(&mut self, stream: TcpStream) {
-        // The gauge is global (shards close their own connections), so
-        // the cap reads it rather than this shard's map.
-        if self.frontend().open_now() >= self.max_conns {
+        // The cap is global (shards close their own connections), so it
+        // reads every shard's gauge rather than this shard's map.
+        if self.pool.metrics().conns_open() >= self.max_conns {
             // Accept-then-close keeps the backlog moving and makes the
             // rejection observable (and countable) instead of leaving the
             // peer queued behind a full cap.
-            self.frontend().conn_rejected();
+            self.pool.metrics().frontend().conn_rejected();
             return;
         }
         if stream.set_nonblocking(true).is_err() {
@@ -755,7 +748,6 @@ impl EventLoop {
         stream.set_nodelay(true).ok();
         let target = self.next_rr % self.reactors;
         self.next_rr += 1;
-        self.frontend().conn_opened();
         self.pool.metrics().shard(target).conn_opened();
         if target == self.shard {
             self.install(stream);
@@ -764,8 +756,7 @@ impl EventLoop {
                 Ok(()) => self.control.wake(target),
                 Err(_) => {
                     // The shard exited (drain lost the race); balance the
-                    // gauges and drop the socket.
-                    self.frontend().conn_closed();
+                    // gauge and drop the socket.
                     self.pool.metrics().shard(target).conn_closed();
                 }
             }
@@ -786,12 +777,7 @@ impl EventLoop {
             };
             conn.queued = false;
             progress |= self.read_conn(id, &mut conn);
-            progress |= flush_conn(
-                &mut conn,
-                self.max_write_buffer,
-                self.pool.metrics().frontend(),
-                self.pool.metrics().shard(self.shard),
-            );
+            progress |= flush_conn(&mut conn, self.max_write_buffer, self.shard_stats());
             if conn.dead {
                 self.closed(id);
                 continue;
@@ -1164,12 +1150,7 @@ impl EventLoop {
 /// request order) and drain the queue's ready prefix through vectored
 /// writes — one syscall for up to [`MAX_WRITE_IOV`] frames; manage
 /// backpressure and close-after-flush.
-fn flush_conn(
-    conn: &mut Conn,
-    max_write_buffer: usize,
-    frontend: &FrontendStats,
-    shard: &ShardStats,
-) -> bool {
+fn flush_conn(conn: &mut Conn, max_write_buffer: usize, shard: &ShardStats) -> bool {
     if conn.dead {
         return false;
     }
@@ -1204,7 +1185,6 @@ fn flush_conn(
                         n = 0;
                     }
                 }
-                frontend.writev(retired);
                 shard.writev(retired);
                 conn.write_stalled_since = None;
                 conn.last_activity = Instant::now();
@@ -1627,24 +1607,38 @@ mod tests {
 
     #[test]
     fn max_conns_cap_rejects_excess_connections() {
-        let (addr, handle) = spawn_with(ServeConfig {
-            workers: 1,
-            queue_capacity: 8,
-            seed: [3u8; 32],
-            warm_iss: false,
-            max_conns: 1,
-            ..ServeConfig::default()
-        });
-        let mut first = Client::connect(&addr.to_string()).expect("connect");
-        assert!(first.ping().is_ok());
-        // Over the cap: accepted then immediately closed — the ping round
-        // trip fails instead of hanging.
-        let mut second = Client::connect(&addr.to_string()).expect("tcp connect");
-        assert!(second.ping().is_err(), "cap must reject the second conn");
-        first.shutdown().expect("shutdown");
-        let snap = handle.join().expect("server");
-        assert!(snap.frontend.conns_rejected >= 1, "{:?}", snap.frontend);
-        assert_eq!(snap.frontend.conns_open, 0);
+        // With two reactors the cap counts connections on both shards:
+        // the first two land one per shard, and the third is rejected.
+        for (reactors, max_conns) in [(1, 1), (2, 2)] {
+            let (addr, handle) = spawn_with(ServeConfig {
+                workers: 1,
+                reactors,
+                queue_capacity: 8,
+                seed: [3u8; 32],
+                warm_iss: false,
+                max_conns,
+                ..ServeConfig::default()
+            });
+            let mut admitted: Vec<Client> = (0..max_conns)
+                .map(|_| {
+                    let mut c = Client::connect(&addr.to_string()).expect("connect");
+                    assert!(c.ping().is_ok());
+                    c
+                })
+                .collect();
+            // Over the cap: accepted then immediately closed — the ping
+            // round trip fails instead of hanging.
+            let mut excess = Client::connect(&addr.to_string()).expect("tcp connect");
+            assert!(
+                excess.ping().is_err(),
+                "cap {max_conns} must reject the next conn ({reactors} reactors)"
+            );
+            admitted[0].shutdown().expect("shutdown");
+            let snap = handle.join().expect("server");
+            assert!(snap.frontend.conns_rejected >= 1, "{:?}", snap.frontend);
+            assert_eq!(snap.frontend.conns_accepted, max_conns as u64);
+            assert_eq!(snap.frontend.conns_open, 0);
+        }
     }
 
     #[test]

@@ -529,9 +529,14 @@ struct Node {
     next: u32,
 }
 
-/// One LRU shard: a hash map into an intrusive doubly-linked list of
-/// nodes ordered most- to least-recently used.
-struct Shard {
+/// Bounded session table with exact LRU eviction: a hash map into an
+/// intrusive doubly-linked list of slab nodes ordered most- to
+/// least-recently used, so touch, insert and evict are all O(1).
+///
+/// The server holds one table per reactor shard (see `crate::server`);
+/// the shard is the only sharding axis, so eviction order is exact
+/// within the shard that owns the session.
+pub struct SessionTable {
     map: HashMap<u64, usize>,
     nodes: Vec<Node>,
     free: Vec<u32>,
@@ -540,8 +545,23 @@ struct Shard {
     capacity: usize,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Self {
+impl std::fmt::Debug for SessionTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SessionTable")
+            .field("capacity", &self.capacity)
+            .field("len", &self.len())
+            .finish()
+    }
+}
+
+impl SessionTable {
+    /// Create a table bounded to `capacity` sessions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "session table capacity must be non-zero");
         Self {
             map: HashMap::new(),
             nodes: Vec::new(),
@@ -593,9 +613,9 @@ impl Shard {
         self.push_front(at);
     }
 
-    /// Insert, evicting the least-recently-used entry if at capacity.
-    /// Returns the evicted session id, if any.
-    fn insert(&mut self, id: u64, state: SessionState) -> Option<u64> {
+    /// Insert a session, evicting the least-recently-used one at
+    /// capacity. Returns the evicted session id, if any.
+    pub fn insert(&mut self, id: u64, state: SessionState) -> Option<u64> {
         let mut evicted = None;
         if !self.map.contains_key(&id) && self.map.len() >= self.capacity {
             let victim = self.tail;
@@ -634,13 +654,15 @@ impl Shard {
         evicted
     }
 
-    fn get_mut(&mut self, id: u64) -> Option<&mut SessionState> {
+    /// Look up a session, marking it most-recently used.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut SessionState> {
         let at = *self.map.get(&id)?;
         self.touch(at as u32);
         Some(&mut self.nodes[at].state)
     }
 
-    fn remove(&mut self, id: u64) -> Option<SessionState> {
+    /// Remove a session, returning its state if present.
+    pub fn remove(&mut self, id: u64) -> Option<SessionState> {
         let at = self.map.remove(&id)?;
         self.unlink(at as u32);
         self.free.push(at as u32);
@@ -656,93 +678,15 @@ impl Shard {
         );
         Some(node.state)
     }
-}
-
-/// Bounded, sharded session table with per-shard LRU eviction.
-///
-/// Shard selection is `id & (shards - 1)`; the server assigns ids
-/// sequentially, so inserts round-robin across shards and table-wide
-/// occupancy tracks `capacity` closely even though eviction is local to
-/// a shard.
-pub struct SessionTable {
-    shards: Vec<Shard>,
-    mask: u64,
-    capacity: usize,
-    len: usize,
-}
-
-impl std::fmt::Debug for SessionTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionTable")
-            .field("shards", &self.shards.len())
-            .field("capacity", &self.capacity)
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
-impl SessionTable {
-    /// Create a table bounded to `capacity` sessions spread over
-    /// `shards` (rounded up to a power of two) LRU shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `shards` is zero.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        assert!(capacity > 0, "session table capacity must be non-zero");
-        assert!(shards > 0, "session table must have at least one shard");
-        let shards = shards.next_power_of_two();
-        let per_shard = capacity.div_ceil(shards).max(1);
-        Self {
-            shards: (0..shards).map(|_| Shard::new(per_shard)).collect(),
-            mask: (shards - 1) as u64,
-            capacity,
-            len: 0,
-        }
-    }
-
-    fn shard_mut(&mut self, id: u64) -> &mut Shard {
-        let at = (id & self.mask) as usize;
-        &mut self.shards[at]
-    }
-
-    /// Insert a session, evicting its shard's LRU entry at capacity.
-    /// Returns the evicted session id, if any.
-    pub fn insert(&mut self, id: u64, state: SessionState) -> Option<u64> {
-        let before = self.shard_mut(id).map.len();
-        let evicted = self.shard_mut(id).insert(id, state);
-        let after = self.shard_mut(id).map.len();
-        self.len = self.len + after - before;
-        evicted
-    }
-
-    /// Look up a session, marking it most-recently used.
-    pub fn get_mut(&mut self, id: u64) -> Option<&mut SessionState> {
-        self.shard_mut(id).get_mut(id)
-    }
-
-    /// Remove a session, returning its state if present.
-    pub fn remove(&mut self, id: u64) -> Option<SessionState> {
-        let removed = self.shard_mut(id).remove(id);
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
-    }
 
     /// Number of open sessions.
     pub fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Configured table-wide capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        self.map.is_empty()
     }
 }
 
@@ -931,8 +875,8 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_lru_evicts_in_exact_order() {
-        let mut table = SessionTable::new(4, 1);
+    fn lru_evicts_in_exact_order() {
+        let mut table = SessionTable::new(4);
         for id in 1..=4 {
             assert_eq!(table.insert(id, state(id as u8)), None);
         }
@@ -948,7 +892,7 @@ mod tests {
 
     #[test]
     fn remove_frees_capacity() {
-        let mut table = SessionTable::new(2, 1);
+        let mut table = SessionTable::new(2);
         table.insert(1, state(1));
         table.insert(2, state(2));
         assert!(table.remove(1).is_some());
@@ -959,21 +903,8 @@ mod tests {
     }
 
     #[test]
-    fn sequential_ids_round_robin_across_shards() {
-        let mut table = SessionTable::new(16, 4);
-        for id in 1..=16 {
-            assert_eq!(table.insert(id, state(1)), None);
-        }
-        assert_eq!(table.len(), 16);
-        // 17 maps to the shard of 1 (17 & 3 == 1): evicts that shard's LRU.
-        assert_eq!(table.insert(17, state(1)), Some(1));
-        assert_eq!(table.len(), 16);
-        assert_eq!(table.capacity(), 16);
-    }
-
-    #[test]
     fn reinserting_same_id_replaces_without_eviction() {
-        let mut table = SessionTable::new(2, 1);
+        let mut table = SessionTable::new(2);
         table.insert(1, state(1));
         table.insert(2, state(2));
         let mut replacement = state(9);

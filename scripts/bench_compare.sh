@@ -3,12 +3,11 @@
 # numeric field against the checked-in baselines/ JSON.
 #
 #   scripts/bench_compare.sh            # 2% tolerance on cycle tables
-#   LAC_BENCH_TOLERANCE=5 scripts/...   # loosen for noisy environments
 #
 # The cycle model is deterministic, so drift only appears when code
 # changes the model; the tolerance exists so that small intentional
 # recalibrations do not force a baseline refresh, while real regressions
-# (>N%) fail loudly. Table III is synthesis constants and must match
+# (>2%) fail loudly. Table III is synthesis constants and must match
 # exactly. Refresh baselines on purposeful changes with:
 #
 #   for t in table1 table2 table3; do \
@@ -19,7 +18,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-TOL="${LAC_BENCH_TOLERANCE:-2}"
+TOL=2
 STATUS=0
 
 # Flatten machine-generated JSON to "key value" lines, one per numeric

@@ -2,128 +2,41 @@
 //! classic engine is the oracle, and every observable — the full
 //! `ExitState` (register file, PC, modelled cycles, retired
 //! instructions), the trap value, and data memory — must be bit-identical
-//! across classic, superblock and JIT on randomized programs.
+//! to it on randomized programs.
 //!
-//! Program families target the JIT's risk profile: straight-line ALU
-//! soup (per-op lowering, fused macro-ops), branchy control flow
-//! (terminator lowering, taken-branch cycles), compressed mixes (odd
-//! halfword boundaries), self-modifying code (the post-store generation
-//! check emitted after every store, including stores into the *running*
-//! block), fuel exhaustion mid-block (dispatch requires whole-block
-//! fuel), and traps raised by the last instruction of a fused pair
-//! (prefix-sum accounting on the `EXIT_TRAP_MEM` path). On hosts without
-//! an emitter every `Engine::Jit` run silently degrades to the
-//! superblock interpreter, so the suite still passes — the
-//! JIT-actually-ran guards are gated on `jit::host_supported()`.
+//! The cases shared with `riscv_predecode.rs` (straight-line, branchy,
+//! compressed and hot self-modifying programs, the in-block store bail,
+//! the fused-pair trap and fuel exhaustion; see `engine_cases`) run here
+//! on `Engine::Jit`. The rest check the superblock engine and the JIT
+//! alike: hot loops that must really JIT, self-modifying `sw`/`sb` (the
+//! store-driven invalidation and its 3-byte back-window), fetches from
+//! zeroed RAM, past the end of RAM and at an odd PC, CSR terminators,
+//! forced fallback, warm fleets sharing emitted code, and block chaining
+//! (self-links, stores into chained successors, fuel on chain edges,
+//! eviction-severed links). On hosts without an emitter every
+//! `Engine::Jit` run silently degrades to the superblock interpreter, so
+//! the suite still passes — the JIT-actually-ran guards are gated on
+//! `jit::host_supported()`.
 
+mod common;
+mod engine_cases;
+
+use common::{
+    encode_add, encode_addi, encode_bne, encode_li, encode_mul, encode_sltiu, encode_sw,
+    machine_from_words, ECALL,
+};
+use engine_cases::{body_line, differential, encode_jal_x0, seed_regs};
 use lac_rand::prop::{self, ensure, ensure_eq};
 use lac_rand::Rng;
 use lac_rv32::{jit, Cpu, Engine, Machine, SharedTraceCache, Trap};
 use std::sync::Arc;
 
-/// The engines checked against the classic oracle.
+/// The engines the JIT-file-only cases check against the classic oracle.
 const FAST_ENGINES: [Engine; 2] = [Engine::Superblock, Engine::Jit];
-
-/// Run the same program on all three engines and demand identical
-/// outcomes (see `tests/riscv_predecode.rs` for the scheme).
-fn differential(
-    build: &dyn Fn() -> Machine,
-    fuel: u64,
-    data_window: Option<(u32, usize)>,
-) -> Result<Result<lac_rv32::ExitState, Trap>, String> {
-    let mut oracle = build();
-    oracle.cpu_mut().set_engine(Engine::Classic);
-    let oracle_outcome = oracle.cpu_mut().run(fuel);
-
-    for engine in FAST_ENGINES {
-        let tag = |e: String| format!("[{engine:?}] {e}");
-        let mut fast = build();
-        fast.cpu_mut().set_engine(engine);
-        let fast_outcome = fast.cpu_mut().run(fuel);
-        ensure_eq(oracle_outcome.clone(), fast_outcome).map_err(tag)?;
-        ensure_eq(oracle.cpu().pc(), fast.cpu().pc()).map_err(tag)?;
-        ensure_eq(oracle.cpu().cycles(), fast.cpu().cycles()).map_err(tag)?;
-        ensure_eq(oracle.cpu().instructions(), fast.cpu().instructions()).map_err(tag)?;
-        for i in 0..32 {
-            ensure_eq(oracle.cpu().reg(i), fast.cpu().reg(i)).map_err(tag)?;
-        }
-        if let Some((addr, len)) = data_window {
-            ensure(
-                oracle.cpu().read_bytes(addr, len) == fast.cpu().read_bytes(addr, len),
-                format!("[{engine:?}] data memory diverged in [{addr:#x}; {len})"),
-            )?;
-        }
-    }
-    Ok(oracle_outcome)
-}
-
-/// A random register in x5..x15.
-fn reg(rng: &mut impl Rng) -> u32 {
-    5 + rng.gen_below_u32(11)
-}
-
-/// One random instruction as assembly text — wider than the predecode
-/// suite's: every ALU family the emitter lowers (including div/rem and
-/// the mulh variants), plus loads, stores and PQ ops so fused LoadUse /
-/// Store / Pq lowering is exercised under entropy. Memory traffic stays
-/// inside [0x8000, 0x8800) via x31, seeded once and never clobbered.
-fn body_line(rng: &mut impl Rng) -> String {
-    let rd = reg(rng);
-    let rs1 = reg(rng);
-    let rs2 = reg(rng);
-    let imm = rng.gen_range_i64(-2048, 2048);
-    let shamt = rng.gen_below_u32(32);
-    let moff = 4 * rng.gen_below_u32(256); // word-aligned, in-window
-    match rng.gen_below_u32(24) {
-        0 => format!("add x{rd}, x{rs1}, x{rs2}"),
-        1 => format!("sub x{rd}, x{rs1}, x{rs2}"),
-        2 => format!("xor x{rd}, x{rs1}, x{rs2}"),
-        3 => format!("or x{rd}, x{rs1}, x{rs2}"),
-        4 => format!("and x{rd}, x{rs1}, x{rs2}"),
-        5 => format!("sll x{rd}, x{rs1}, x{rs2}"),
-        6 => format!("srl x{rd}, x{rs1}, x{rs2}"),
-        7 => format!("sra x{rd}, x{rs1}, x{rs2}"),
-        8 => format!("slt x{rd}, x{rs1}, x{rs2}"),
-        9 => format!("sltu x{rd}, x{rs1}, x{rs2}"),
-        10 => format!("mul x{rd}, x{rs1}, x{rs2}"),
-        11 => format!("mulh x{rd}, x{rs1}, x{rs2}"),
-        12 => format!("mulhu x{rd}, x{rs1}, x{rs2}"),
-        13 => format!("mulhsu x{rd}, x{rs1}, x{rs2}"),
-        14 => format!("div x{rd}, x{rs1}, x{rs2}"),
-        15 => format!("rem x{rd}, x{rs1}, x{rs2}"),
-        16 => format!("addi x{rd}, x{rs1}, {imm}"),
-        17 => format!("xori x{rd}, x{rs1}, {imm}"),
-        18 => format!("slli x{rd}, x{rs1}, {shamt}"),
-        19 => format!("srai x{rd}, x{rs1}, {shamt}"),
-        20 => format!("sw x{rs2}, {moff}(x31)"),
-        21 => format!("lw x{rd}, {moff}(x31)"),
-        22 => format!("lbu x{rd}, {moff}(x31)\naddi x{rd}, x{rd}, {imm}"), // load-use
-        _ => format!("pq.modq x{rd}, x{rs1}, x{rs2}"),
-    }
-}
-
-/// Seed x5..x15 with random values and x31 with the data window base.
-fn seed_regs(rng: &mut impl Rng) -> String {
-    let mut src: String = (5..16)
-        .map(|r| format!("li x{r}, {}\n", rng.next_u32() as i32))
-        .collect();
-    src.push_str("li x31, 0x8000\n");
-    src
-}
 
 #[test]
 fn straight_line_programs_agree() {
-    prop::check("jit_straight_line", 40, |rng| {
-        let mut src = seed_regs(rng);
-        for _ in 0..rng.gen_range_usize(20..200) {
-            src.push_str(&body_line(rng));
-            src.push('\n');
-        }
-        src.push_str("ecall\n");
-        let build = move || Machine::assemble(&src).expect("random program assembles");
-        let outcome = differential(&build, 10_000, Some((0x8000, 0x800)))?;
-        ensure(outcome.is_ok(), "straight-line program must reach ecall")
-    });
+    engine_cases::straight_line_programs_agree(Engine::Jit);
 }
 
 #[test]
@@ -144,7 +57,7 @@ fn hot_loops_agree_and_actually_jit() {
         src.push_str("bnez x28, loop_head\n");
         src.push_str("ecall\n");
         let build = move || Machine::assemble(&src).expect("random loop assembles");
-        let outcome = differential(&build, 100_000, Some((0x8000, 0x800)))?;
+        let outcome = differential(&FAST_ENGINES, &build, 100_000, Some((0x8000, 0x800)))?;
         ensure(outcome.is_ok(), "hot loop must reach ecall")?;
 
         if jit::host_supported() {
@@ -168,327 +81,128 @@ fn hot_loops_agree_and_actually_jit() {
 
 #[test]
 fn branchy_programs_agree() {
-    prop::check("jit_branchy", 40, |rng| {
-        let blocks = rng.gen_range_usize(3..10);
-        let mut src = seed_regs(rng);
-        src.push_str(&format!("li x28, {}\n", rng.gen_range_usize(1..12)));
-        src.push_str("loop_head:\n");
-        for b in 0..blocks {
-            src.push_str(&format!("block{b}:\n"));
-            for _ in 0..rng.gen_range_usize(1..6) {
-                src.push_str(&body_line(rng));
-                src.push('\n');
-            }
-            let target = b + 1 + rng.gen_below_usize(blocks - b);
-            let rs1 = reg(rng);
-            let rs2 = reg(rng);
-            let cond = match rng.gen_below_u32(4) {
-                0 => format!("beq x{rs1}, x{rs2}"),
-                1 => format!("bne x{rs1}, x{rs2}"),
-                2 => format!("bltu x{rs1}, x{rs2}"),
-                _ => format!("bge x{rs1}, x{rs2}"),
-            };
-            if target < blocks {
-                src.push_str(&format!("{cond}, block{target}\n"));
-            } else {
-                src.push_str(&format!("{cond}, loop_tail\n"));
-            }
+    engine_cases::branchy_programs_agree(Engine::Jit);
+}
+
+/// `SB rs2, imm(rs1)` encoder.
+fn encode_sb(rs1: u32, rs2: u32, imm: i32) -> u32 {
+    let imm = imm as u32 & 0xFFF;
+    ((imm >> 5) << 25) | (rs2 << 20) | (rs1 << 15) | ((imm & 0x1F) << 7) | 0x23
+}
+
+#[test]
+fn self_modifying_store_word_takes_effect_on_all_engines() {
+    prop::check("self_modifying_sw", 40, |rng| {
+        // The program patches the instruction at `patch` — initially
+        // `addi x8, x8, 1` — with a random fresh ADDI, *after* the whole
+        // line has been predecoded (everything lives in the first
+        // 256-byte line, so fetching instruction 0 predecodes the stale
+        // word at `patch`).
+        let imm = rng.gen_range_i64(-2048, 2048) as i32;
+        let rd = 10 + rng.gen_below_u32(4);
+        let patched = encode_addi(rd, rd, imm);
+        let mut words = Vec::new();
+        words.extend(encode_li(5, patched)); // x5 = new instruction word
+        let patch_index = words.len() + 1 + 1 + rng.gen_below_usize(4);
+        words.push(encode_sw(0, 5, (patch_index * 4) as i32));
+        while words.len() < patch_index {
+            words.push(encode_addi(9, 9, 1)); // filler (x9 never collides with rd)
         }
-        src.push_str("loop_tail:\n");
-        src.push_str("addi x28, x28, -1\n");
-        src.push_str("bnez x28, loop_head\n");
-        src.push_str("ecall\n");
-        let build = move || Machine::assemble(&src).expect("random branchy program assembles");
-        let outcome = differential(&build, 100_000, Some((0x8000, 0x800)))?;
-        ensure(outcome.is_ok(), "branchy program must reach ecall")
+        words.push(encode_addi(8, 8, 1)); // the stale instruction (bumps x8)
+        words.push(ECALL);
+        let build = move || machine_from_words(&words);
+        let outcome = differential(&FAST_ENGINES, &build, 1_000, Some((0x100, 64)))?;
+        let exit = outcome.map_err(|t| format!("trapped: {t}"))?;
+        // The patch must actually have executed: rd carries the new
+        // immediate and the stale instruction's x8 bump never happened.
+        ensure_eq(exit.reg(rd as usize), imm as u32)?;
+        ensure_eq(exit.reg(8), 0)
     });
 }
 
-/// `ADDI rd, rs1, imm` encoder (raw words, exact addresses).
-fn encode_addi(rd: u32, rs1: u32, imm: i32) -> u32 {
-    ((imm as u32 & 0xFFF) << 20) | (rs1 << 15) | (rd << 7) | 0x13
-}
-
-/// `SLTIU rd, rs1, imm` encoder.
-fn encode_sltiu(rd: u32, rs1: u32, imm: i32) -> u32 {
-    ((imm as u32 & 0xFFF) << 20) | (rs1 << 15) | (0b011 << 12) | (rd << 7) | 0x13
-}
-
-/// `ADD rd, rs1, rs2` encoder.
-fn encode_add(rd: u32, rs1: u32, rs2: u32) -> u32 {
-    (rs2 << 20) | (rs1 << 15) | (rd << 7) | 0x33
-}
-
-/// `MUL rd, rs1, rs2` encoder.
-fn encode_mul(rd: u32, rs1: u32, rs2: u32) -> u32 {
-    (1 << 25) | (rs2 << 20) | (rs1 << 15) | (rd << 7) | 0x33
-}
-
-/// `SW rs2, imm(rs1)` encoder.
-fn encode_sw(rs1: u32, rs2: u32, imm: i32) -> u32 {
-    let imm = imm as u32 & 0xFFF;
-    ((imm >> 5) << 25) | (rs2 << 20) | (rs1 << 15) | (0b010 << 12) | ((imm & 0x1F) << 7) | 0x23
-}
-
-/// `LUI rd, imm20` encoder.
-fn encode_lui(rd: u32, imm20: u32) -> u32 {
-    (imm20 << 12) | (rd << 7) | 0x37
-}
-
-/// `BNE rs1, rs2, offset` encoder (offset relative to this instruction).
-fn encode_bne(rs1: u32, rs2: u32, offset: i32) -> u32 {
-    let o = offset as u32;
-    ((o >> 12 & 1) << 31)
-        | ((o >> 5 & 0x3F) << 25)
-        | (rs2 << 20)
-        | (rs1 << 15)
-        | (0b001 << 12)
-        | ((o >> 1 & 0xF) << 8)
-        | ((o >> 11 & 1) << 7)
-        | 0x63
-}
-
-const ECALL: u32 = 0x0000_0073;
-
-/// Build `li rd, value` as (lui, addi) with RISC-V's sign-carry split.
-fn encode_li(rd: u32, value: u32) -> [u32; 2] {
-    let lo = (value << 20) as i32 >> 20;
-    let hi = value.wrapping_sub(lo as u32) >> 12;
-    [encode_lui(rd, hi), encode_addi(rd, rd, lo)]
-}
-
-/// Wrap raw words in a fresh machine starting at PC 0.
-fn machine_from_words(words: &[u32]) -> Machine {
-    let mut machine = Machine::assemble("ecall").expect("stub");
-    machine.cpu_mut().load_words(0, words);
-    machine.cpu_mut().set_pc(0);
-    machine
-}
-
-/// The hot self-modifying loop from the predecode suite: a single-line
-/// loop whose store patches its own victim instruction on iteration
-/// `patch_at`. Under the JIT the store executes in emitted code, so the
-/// post-store generation helper must bail the running block exactly.
-fn hot_self_modifying_words(patch_at: u32, iterations: u32, old: u32, new: u32) -> Vec<u32> {
-    let delta = new.wrapping_sub(old);
-    let mut words = Vec::new();
-    words.extend(encode_li(20, 0));
-    words.extend(encode_li(23, old));
-    words.extend(encode_li(22, delta));
-    words.extend(encode_li(28, iterations));
-    let loop_index = words.len();
-    words.push(encode_addi(20, 20, 1));
-    words.push(encode_addi(21, 20, -(patch_at as i32)));
-    words.push(encode_sltiu(21, 21, 1));
-    words.push(encode_mul(25, 21, 22));
-    words.push(encode_add(23, 23, 25));
-    let victim_index = words.len() + 1;
-    words.push(encode_sw(0, 23, (victim_index * 4) as i32));
-    words.push(old);
-    let bne_index = words.len();
-    words.push(encode_bne(
-        20,
-        28,
-        (loop_index as i32 - bne_index as i32) * 4,
-    ));
-    words.push(ECALL);
-    words
-}
-
 #[test]
-fn store_into_running_jit_block_bails_exactly() {
-    let old = encode_addi(26, 26, 1);
-    let new = encode_addi(26, 26, 7);
-    let words = hot_self_modifying_words(8, 12, old, new);
-    let build = move || machine_from_words(&words);
-    let outcome = differential(&build, 10_000, None).expect("engines agree");
-    let exit = outcome.expect("loop reaches ecall");
-    assert_eq!(exit.reg(26), 7 + 5 * 7);
-
-    if jit::host_supported() {
-        // The JIT must really have dispatched emitted code and bailed on
-        // the in-block store, not quietly interpreted everything.
-        let mut machine = build();
-        machine.cpu_mut().set_engine(Engine::Jit);
-        machine.cpu_mut().run(10_000).expect("runs to ecall");
-        let jit_stats = machine.cpu().jit_stats();
-        let sb_stats = machine.cpu().superblock_stats();
-        assert!(jit_stats.dispatches > 0, "{jit_stats:?}");
-        assert!(sb_stats.store_bails > 0, "{sb_stats:?}");
-        assert!(sb_stats.stale_drops > 0, "{sb_stats:?}");
-    }
-}
-
-#[test]
-fn hot_self_modifying_loops_agree() {
-    prop::check("jit_hot_self_modifying", 40, |rng| {
-        let iterations = 5 + rng.gen_below_u32(12);
-        let patch_at = 1 + rng.gen_below_u32(iterations);
-        let old = encode_addi(26, 26, 1);
-        let new = match rng.gen_below_u32(3) {
-            0 => encode_addi(26, 26, rng.gen_range_i64(-2048, 2048) as i32),
-            1 => encode_mul(26, 26, 26),
-            _ => rng.next_u32(), // possibly an illegal instruction
-        };
-        let words = hot_self_modifying_words(patch_at, iterations, old, new);
+fn self_modifying_byte_store_into_instruction_middle_agrees() {
+    prop::check("self_modifying_sb", 40, |rng| {
+        // Patch a single random byte *inside* an upcoming 32-bit ADDI —
+        // the store address is up to 3 bytes past the instruction start,
+        // exercising the invalidation back-window.
+        let byte = rng.next_byte();
+        let offset = rng.gen_below_u32(4); // which byte of the instruction
+        let mut words = Vec::new();
+        words.extend(encode_li(5, u32::from(byte)));
+        let patch_index = words.len() + 1;
+        words.push(encode_sb(0, 5, (patch_index * 4 + offset as usize) as i32));
+        words.push(encode_addi(10, 10, 0x7F)); // the victim instruction
+        words.push(ECALL);
         let build = move || machine_from_words(&words);
-        let _ = differential(&build, 10_000, None)?;
+        // The mutated word may no longer decode (or may now trap); all
+        // outcomes are acceptable as long as all engines agree bit-for-bit.
+        let _ = differential(&FAST_ENGINES, &build, 1_000, None)?;
         Ok(())
     });
 }
 
 #[test]
+fn store_into_running_jit_block_bails_exactly() {
+    engine_cases::store_into_hot_block_bails_exactly(Engine::Jit);
+}
+
+#[test]
+fn hot_self_modifying_loops_agree() {
+    engine_cases::hot_self_modifying_loops_agree(Engine::Jit);
+}
+
+#[test]
 fn trap_on_last_instruction_of_fused_pair() {
-    // Block A patches block B's hot fused `auipc`+`lw` pair so the load —
-    // the *second* instruction of one JIT-lowered op — faults at a
-    // precomputed out-of-range address. The JIT's EXIT_TRAP_MEM path must
-    // rebuild the oracle's counters (auipc half retired: +2/+2) and PC.
-    let old_auipc = encode_lui(6, 0) & !0x7F | 0x17; // auipc x6, 0
-    let new_auipc: u32 = (0xFFFFF << 12) | (6 << 7) | 0x17; // auipc x6, 0xFFFFF
-    let patch_at = 8;
-    let b_base = 256u32;
-
-    let mut words = Vec::new();
-    words.extend(encode_li(20, 0));
-    words.extend(encode_li(23, old_auipc));
-    words.extend(encode_li(22, new_auipc.wrapping_sub(old_auipc)));
-    words.extend(encode_li(24, b_base));
-    let a_loop = words.len();
-    words.push(encode_addi(20, 20, 1));
-    words.push(encode_addi(21, 20, -patch_at));
-    words.push(encode_sltiu(21, 21, 1));
-    words.push(encode_mul(25, 21, 22));
-    words.push(encode_add(23, 23, 25));
-    words.push(encode_sw(24, 23, 0));
-    let jal_index = words.len();
-    let jal_offset = (b_base as i32) - (jal_index as i32) * 4;
-    let o = jal_offset as u32;
-    words.push(
-        ((o >> 20 & 1) << 31)
-            | ((o >> 1 & 0x3FF) << 21)
-            | ((o >> 11 & 1) << 20)
-            | ((o >> 12 & 0xFF) << 12)
-            | 0x6F,
-    );
-    while words.len() < (b_base / 4) as usize {
-        words.push(0);
-    }
-    words.push(old_auipc);
-    words.push((4 << 20) | (6 << 15) | (0b010 << 12) | (7 << 7) | 0x03); // lw x7, 4(x6)
-    let bne_index = words.len();
-    words.push(encode_bne(0, 20, (a_loop as i32 - bne_index as i32) * 4));
-    words.push(ECALL);
-
-    let build = move || machine_from_words(&words);
-    let outcome = differential(&build, 100_000, None).expect("engines agree");
-    match outcome {
-        Err(Trap::MemoryFault { pc, addr }) => {
-            assert_eq!(pc, b_base + 4, "the lw (second of the pair) faults");
-            assert_eq!(addr, b_base.wrapping_add(0xFFFF_F000).wrapping_add(4));
-        }
-        other => panic!("expected the patched pair to fault, got {other:?}"),
-    }
+    engine_cases::trap_on_last_instruction_of_fused_pair(Engine::Jit);
 }
 
 #[test]
 fn compressed_and_misaligned_word_instructions_agree() {
-    prop::check("jit_compressed_mix", 40, |rng| {
-        // Compressed halves force 32-bit instructions onto pc % 4 == 2
-        // boundaries; repeated as a hot loop so fused blocks with 2-byte
-        // encodings go through the JIT (terminator lengths matter for the
-        // fall-through PC).
-        let mut halves: Vec<u16> = Vec::new();
-        for _ in 0..rng.gen_range_usize(4..40) {
-            if rng.gen_below_u32(2) == 0 {
-                let imm = (rng.gen_range_i64(-32, 32) | 1) as i32;
-                let imm = imm as u32;
-                let half = 0x0001u16
-                    | (((imm >> 5) & 1) as u16) << 12
-                    | (10u16 << 7)
-                    | ((imm & 0x1F) as u16) << 2;
-                halves.push(half);
-            } else {
-                let word = encode_addi(11, 11, rng.gen_range_i64(-2048, 2048) as i32);
-                halves.push(word as u16);
-                halves.push((word >> 16) as u16);
-            }
-        }
-        halves.push(ECALL as u16);
-        halves.push((ECALL >> 16) as u16);
-        let bytes: Vec<u8> = halves.iter().flat_map(|h| h.to_le_bytes()).collect();
-        let build = move || {
-            let mut machine = Machine::assemble("ecall").expect("stub");
-            machine.cpu_mut().write_bytes(0, &bytes);
-            machine.cpu_mut().set_pc(0);
-            machine
-        };
-        let outcome = differential(&build, 10_000, None)?;
-        ensure(outcome.is_ok(), "compressed mix must reach ecall")
-    });
+    engine_cases::compressed_and_misaligned_word_instructions_agree(Engine::Jit);
 }
 
 #[test]
 fn fuel_exhaustion_accounting_is_identical() {
-    // Fuels chosen so the budget runs out mid-block after the loop went
-    // hot: the JIT (like the superblock engine) must then retire
-    // instruction-by-instruction to the exact budget, and resuming after
-    // a refuel must still agree.
-    let src = r#"
-            li   t0, 0
-            li   t1, 1000000
-        loop:
-            addi t0, t0, 1
-            lw   t2, 0(zero)
-            add  t3, t2, t0
-            bne  t0, t1, loop
-            ecall
-    "#;
-    for fuel in [0u64, 1, 2, 3, 5, 17, 18, 19, 20, 21, 37, 100, 1001] {
-        let mut machines: Vec<Machine> = [Engine::Classic, Engine::Superblock, Engine::Jit]
-            .into_iter()
-            .map(|engine| {
-                let mut machine = Machine::assemble(src).expect("assembles");
-                machine.cpu_mut().set_engine(engine);
-                machine
-            })
-            .collect();
-        for machine in &mut machines {
-            let engine = machine.cpu().engine();
-            assert_eq!(
-                machine.cpu_mut().run(fuel),
-                Err(Trap::OutOfFuel),
-                "fuel {fuel} ({engine:?})"
-            );
+    engine_cases::fuel_exhaustion_accounting_is_identical(Engine::Jit);
+}
+
+#[test]
+fn zeroed_ram_and_out_of_range_fetch_trap_identically() {
+    // Walking zeroed RAM hits an illegal compressed instruction (0x0000);
+    // a PC at/after the end of RAM hits the cache's out-of-range fill.
+    // All engines must produce the same trap with the same accounting.
+    for start_pc in [0u32, 4094, 4096, 8192] {
+        let run = |engine: Engine| {
+            let mut cpu = Cpu::new(4096);
+            cpu.set_engine(engine);
+            cpu.set_pc(start_pc);
+            let outcome = cpu.run(1_000_000);
+            assert!(outcome.is_err(), "pc {start_pc} must trap ({engine:?})");
+            (outcome, cpu.cycles(), cpu.instructions(), cpu.pc())
+        };
+        let oracle = run(Engine::Classic);
+        for engine in FAST_ENGINES {
+            assert_eq!(oracle, run(engine), "pc {start_pc} ({engine:?})");
         }
-        let (oracle, fast) = machines.split_first_mut().expect("three machines");
-        assert_eq!(oracle.cpu().instructions(), fuel, "fuel == retired");
-        for machine in fast.iter_mut() {
-            let engine = machine.cpu().engine();
-            assert_eq!(
-                oracle.cpu().instructions(),
-                machine.cpu().instructions(),
-                "retired instructions diverged at fuel {fuel} ({engine:?})"
-            );
-            assert_eq!(
-                oracle.cpu().cycles(),
-                machine.cpu().cycles(),
-                "modelled cycles diverged at fuel {fuel} ({engine:?})"
-            );
-            assert_eq!(
-                oracle.cpu().pc(),
-                machine.cpu().pc(),
-                "pc diverged at fuel {fuel} ({engine:?})"
-            );
-        }
-        let oracle_exit = oracle.cpu_mut().run(10_000_000);
-        for machine in fast.iter_mut() {
-            let engine = machine.cpu().engine();
-            let exit = machine.cpu_mut().run(10_000_000);
-            assert_eq!(
-                oracle_exit, exit,
-                "post-refuel outcome at fuel {fuel} ({engine:?})"
-            );
-        }
+    }
+}
+
+#[test]
+fn raw_cpu_odd_pc_entry_delegates_identically() {
+    // An odd entry PC is the one case the fast loops delegate wholesale
+    // to the oracle; every engine must still agree (here: on the trap).
+    let run = |engine: Engine| {
+        let mut cpu = Cpu::new(4096);
+        cpu.set_engine(engine);
+        cpu.set_pc(1);
+        let outcome = cpu.run(10);
+        assert!(outcome.is_err(), "odd pc must trap ({engine:?})");
+        (outcome, cpu.cycles(), cpu.instructions(), cpu.pc())
+    };
+    let oracle = run(Engine::Classic);
+    for engine in FAST_ENGINES {
+        assert_eq!(oracle, run(engine), "{engine:?}");
     }
 }
 
@@ -612,7 +326,7 @@ fn jit_engine_handles_csr_terminators_and_traps() {
             ecall
     "#;
     let build = move || Machine::assemble(src).expect("assembles");
-    let outcome = differential(&build, 100_000, None).expect("engines agree");
+    let outcome = differential(&FAST_ENGINES, &build, 100_000, None).expect("engines agree");
     assert!(outcome.is_ok());
 
     // ebreak as a hot-block terminator traps identically.
@@ -623,18 +337,8 @@ fn jit_engine_handles_csr_terminators_and_traps() {
             ebreak
     "#;
     let build2 = move || Machine::assemble(src2).expect("assembles");
-    let outcome2 = differential(&build2, 100_000, None).expect("engines agree");
+    let outcome2 = differential(&FAST_ENGINES, &build2, 100_000, None).expect("engines agree");
     assert!(matches!(outcome2, Err(Trap::Breakpoint { .. })));
-}
-
-/// `JAL x0, offset` encoder (offset relative to this instruction).
-fn encode_jal_x0(offset: i32) -> u32 {
-    let o = offset as u32;
-    ((o >> 20 & 1) << 31)
-        | ((o >> 1 & 0x3FF) << 21)
-        | ((o >> 11 & 1) << 20)
-        | ((o >> 12 & 0xFF) << 12)
-        | 0x6F
 }
 
 #[test]
@@ -652,7 +356,7 @@ fn hot_loop_links_once_and_stays_linked() {
             ecall
     "#;
     let build = move || Machine::assemble(src).expect("assembles");
-    let outcome = differential(&build, 100_000, None).expect("engines agree");
+    let outcome = differential(&FAST_ENGINES, &build, 100_000, None).expect("engines agree");
     assert!(outcome.is_ok());
 
     if jit::host_supported() {
@@ -722,7 +426,7 @@ fn store_into_chained_successor_unlinks_and_bails_exactly() {
     let (patch_at, iterations) = (8u32, 14u32);
     let words = chained_successor_patch_words(patch_at, iterations, old, new);
     let build = move || machine_from_words(&words);
-    let outcome = differential(&build, 100_000, None).expect("engines agree");
+    let outcome = differential(&FAST_ENGINES, &build, 100_000, None).expect("engines agree");
     let exit = outcome.expect("loop reaches ecall");
     // The patch lands mid-iteration `patch_at`: B is re-fetched after the
     // store, so the new instruction takes effect that same trip.
@@ -831,7 +535,7 @@ fn direct_mapped_eviction_severs_links() {
     words.push(encode_jal_x0((outer_head as i32 - tramp as i32) * 4));
 
     let build = move || machine_from_words(&words);
-    let outcome = differential(&build, 100_000, None).expect("engines agree");
+    let outcome = differential(&FAST_ENGINES, &build, 100_000, None).expect("engines agree");
     let exit = outcome.expect("reaches ecall");
     assert_eq!(exit.reg(20), outer);
     assert_eq!(exit.reg(21), inner);

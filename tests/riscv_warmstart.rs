@@ -18,9 +18,15 @@
 //!   publish/install on one `SharedTraceCache` produce the same digests
 //!   as private-cache and classic-oracle runs of the same workload.
 
+mod common;
+
+use common::{
+    encode_addi, encode_bne, encode_li, encode_mul, hot_self_modifying_words, machine_from_words,
+    reg, ECALL,
+};
 use lac_rand::prop::{self, ensure, ensure_eq};
 use lac_rand::Rng;
-use lac_rv32::superblock::{resolve_slots, SuperblockCache, DEFAULT_SLOTS};
+use lac_rv32::superblock::{SuperblockCache, DEFAULT_SLOTS};
 use lac_rv32::{Cpu, Engine, Machine, SharedTraceCache, Trap};
 use std::sync::Arc;
 
@@ -46,11 +52,6 @@ fn ensure_same_state(
         )?;
     }
     Ok(())
-}
-
-/// A random register in x5..x15 (see `riscv_predecode.rs`).
-fn reg(rng: &mut impl Rng) -> u32 {
-    5 + rng.gen_below_u32(11)
 }
 
 /// One random ALU instruction as assembly text.
@@ -136,91 +137,6 @@ fn snapshot_restore_resumes_bit_identically_to_a_cold_run() {
         ensure_eq(cold_exit, rewound_exit)?;
         ensure_same_state("restore", oracle.cpu(), warm.cpu(), Some((0x4000, 32)))
     });
-}
-
-// --- raw encoders for exact-address self-modifying programs -------------
-// (shared idiom with `riscv_predecode.rs`; the patch bytes bypass the
-// assembler so the store target is a known constant)
-
-fn encode_addi(rd: u32, rs1: u32, imm: i32) -> u32 {
-    ((imm as u32 & 0xFFF) << 20) | (rs1 << 15) | (rd << 7) | 0x13
-}
-
-fn encode_sltiu(rd: u32, rs1: u32, imm: i32) -> u32 {
-    ((imm as u32 & 0xFFF) << 20) | (rs1 << 15) | (0b011 << 12) | (rd << 7) | 0x13
-}
-
-fn encode_add(rd: u32, rs1: u32, rs2: u32) -> u32 {
-    (rs2 << 20) | (rs1 << 15) | (rd << 7) | 0x33
-}
-
-fn encode_mul(rd: u32, rs1: u32, rs2: u32) -> u32 {
-    (1 << 25) | (rs2 << 20) | (rs1 << 15) | (rd << 7) | 0x33
-}
-
-fn encode_sw(rs1: u32, rs2: u32, imm: i32) -> u32 {
-    let imm = imm as u32 & 0xFFF;
-    ((imm >> 5) << 25) | (rs2 << 20) | (rs1 << 15) | (0b010 << 12) | ((imm & 0x1F) << 7) | 0x23
-}
-
-fn encode_lui(rd: u32, imm20: u32) -> u32 {
-    (imm20 << 12) | (rd << 7) | 0x37
-}
-
-fn encode_bne(rs1: u32, rs2: u32, offset: i32) -> u32 {
-    let o = offset as u32;
-    ((o >> 12 & 1) << 31)
-        | ((o >> 5 & 0x3F) << 25)
-        | (rs2 << 20)
-        | (rs1 << 15)
-        | (0b001 << 12)
-        | ((o >> 1 & 0xF) << 8)
-        | ((o >> 11 & 1) << 7)
-        | 0x63
-}
-
-const ECALL: u32 = 0x0000_0073;
-
-fn encode_li(rd: u32, value: u32) -> [u32; 2] {
-    let lo = (value << 20) as i32 >> 20;
-    let hi = value.wrapping_sub(lo as u32) >> 12;
-    [encode_lui(rd, hi), encode_addi(rd, rd, lo)]
-}
-
-fn machine_from_words(words: &[u32]) -> Machine {
-    let mut machine = Machine::assemble("ecall").expect("stub");
-    machine.cpu_mut().load_words(0, words);
-    machine.cpu_mut().set_pc(0);
-    machine
-}
-
-/// The hot self-modifying loop from `riscv_predecode.rs`: iteration
-/// `patch_at` rewrites the victim instruction (initially `old`) to `new`
-/// in place, from inside the already-fused loop body.
-fn hot_self_modifying_words(patch_at: u32, iterations: u32, old: u32, new: u32) -> Vec<u32> {
-    let delta = new.wrapping_sub(old);
-    let mut words = Vec::new();
-    words.extend(encode_li(20, 0));
-    words.extend(encode_li(23, old));
-    words.extend(encode_li(22, delta));
-    words.extend(encode_li(28, iterations));
-    let loop_index = words.len();
-    words.push(encode_addi(20, 20, 1));
-    words.push(encode_addi(21, 20, -(patch_at as i32)));
-    words.push(encode_sltiu(21, 21, 1));
-    words.push(encode_mul(25, 21, 22));
-    words.push(encode_add(23, 23, 25));
-    let victim_index = words.len() + 1;
-    words.push(encode_sw(0, 23, (victim_index * 4) as i32));
-    words.push(old);
-    let bne_index = words.len();
-    words.push(encode_bne(
-        20,
-        28,
-        (loop_index as i32 - bne_index as i32) * 4,
-    ));
-    words.push(ECALL);
-    words
 }
 
 #[test]
@@ -412,22 +328,11 @@ fn shared_and_private_caches_digest_identically_under_concurrency() {
 
 #[test]
 fn sb_capacity_is_configurable_and_clamped() {
-    // `LAC_SB_SLOTS` feeds `resolve_slots`; the parse/clamp/round logic
-    // is pure and testable without touching the process environment.
-    assert_eq!(resolve_slots(None), DEFAULT_SLOTS);
-    assert_eq!(resolve_slots(Some("not-a-number")), DEFAULT_SLOTS);
-    assert_eq!(resolve_slots(Some("100")), 128, "rounds up to a power of 2");
-    assert_eq!(resolve_slots(Some("1")), 16, "clamps tiny requests");
-    assert_eq!(resolve_slots(Some(" 512 ")), 512, "trims whitespace");
+    // `new` takes the default capacity; `with_slots` clamps to at least
+    // 16 slots and rounds up to a power of two (the direct-mapped index is
+    // a mask). Capacity only moves the hot/conflict trade-off.
+    assert_eq!(SuperblockCache::new().slot_count(), DEFAULT_SLOTS);
     assert_eq!(SuperblockCache::with_slots(64).slot_count(), 64);
+    assert_eq!(SuperblockCache::with_slots(100).slot_count(), 128);
     assert_eq!(SuperblockCache::with_slots(0).slot_count(), 16);
-
-    // End-to-end: a CPU built under a tiny capacity still runs the hot
-    // workload bit-identically (capacity only changes eviction pressure).
-    std::env::set_var("LAC_SB_SLOTS", "16");
-    let mut small =
-        Machine::assemble("li a0, 1000\nli a1, 0\npq.modq a0, a0, a1\necall").expect("assembles");
-    std::env::remove_var("LAC_SB_SLOTS");
-    let exit = small.run(10_000).expect("runs");
-    assert_eq!(exit.reg(10), 1000 % 251);
 }

@@ -87,11 +87,11 @@ fn session_lifecycle_is_worker_count_independent() {
     );
 }
 
-/// A table bounded at 4 holds the 4 most recently used sessions: opening
-/// a fifth evicts the least recently used one, whose id then answers
-/// "unknown session" while the survivors keep chatting.
-#[test]
-fn lru_eviction_drops_the_least_recently_used_session() {
+/// A table bounded at 4 holds the 4 most recently used sessions: with
+/// every session but `victim` touched, opening a fifth evicts exactly
+/// `victim`, whose id then answers "unknown session" while the survivors
+/// and the newcomer keep chatting.
+fn lru_eviction_drops(victim: usize) {
     let (addr, handle) = spawn(ServeConfig {
         session_capacity: 4,
         ..config(2)
@@ -108,23 +108,27 @@ fn lru_eviction_drops_the_least_recently_used_session() {
                 .expect("open")
         })
         .collect();
-    // Touch sessions 1..4 so session 0 is the least recently used.
-    for s in sessions.iter_mut().skip(1) {
-        client.session_send(s, b"touch").expect("touch");
+    for (i, s) in sessions.iter_mut().enumerate() {
+        if i != victim {
+            client.session_send(s, b"touch").expect("touch");
+        }
     }
-    let fifth = client
+    let mut fifth = client
         .session_open(&kem, backend.as_mut(), BackendKind::Ct, 2004, &mut rng)
         .expect("fifth open");
 
     let evicted = client
-        .session_send(&mut sessions[0], b"hello?")
-        .expect_err("evicted session must be gone");
+        .session_send(&mut sessions[victim], b"hello?")
+        .err()
+        .unwrap_or_else(|| panic!("victim {victim} must have been evicted"));
     assert!(evicted.contains("unknown session"), "{evicted}");
-    // The survivors (and the newcomer) still work.
-    client
-        .session_send(&mut sessions[1], b"still here")
-        .expect("survivor");
-    let mut fifth = fifth;
+    for (i, s) in sessions.iter_mut().enumerate() {
+        if i != victim {
+            client
+                .session_send(s, b"still here")
+                .unwrap_or_else(|e| panic!("victim {victim}: survivor {i}: {e}"));
+        }
+    }
     client
         .session_send(&mut fifth, b"newcomer")
         .expect("newcomer");
@@ -135,6 +139,13 @@ fn lru_eviction_drops_the_least_recently_used_session() {
     assert_eq!(snapshot.sessions.opened, 5);
     assert_eq!(snapshot.sessions.evicted, 1);
     assert_eq!(snapshot.sessions.open, 4);
+}
+
+#[test]
+fn lru_eviction_drops_the_least_recently_used_session() {
+    for victim in [0, 2] {
+        lru_eviction_drops(victim);
+    }
 }
 
 /// Replaying a previously accepted frame (or skipping ahead) is dropped
