@@ -16,26 +16,8 @@
 //! The decoded result equals the variable-time decoder's for any pattern of
 //! up to t errors; only the cost model (and the real-world leakage) differs.
 
-use crate::{BchCode, MESSAGE_BYTES};
+use crate::{BchCode, Decoded};
 use lac_meter::{Meter, Op, Phase};
-
-/// Result of a constant-time decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CtDecoded {
-    /// The corrected 256-bit message.
-    pub message: [u8; MESSAGE_BYTES],
-    /// Degree of the error-locator polynomial (estimated error count).
-    pub locator_degree: usize,
-    /// Number of locator roots found inside the scanned range.
-    pub errors_located: usize,
-}
-
-impl CtDecoded {
-    /// `true` when every error announced by the locator was located.
-    pub fn likely_ok(&self) -> bool {
-        self.errors_located == self.locator_degree
-    }
-}
 
 /// Branch-free syndrome computation over the shortened codeword.
 ///
@@ -197,7 +179,7 @@ fn chien<M: Meter>(code: &BchCode, lambda: &[u16], meter: &mut M) -> (Vec<u8>, u
     (error_mask, roots)
 }
 
-pub(crate) fn decode<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -> CtDecoded {
+pub(crate) fn decode<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -> Decoded {
     assert_eq!(
         received.len(),
         code.codeword_len(),
@@ -232,7 +214,7 @@ pub(crate) fn decode<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -
     meter.charge(Op::Alu, crate::MESSAGE_BITS as u64);
     meter.leave();
 
-    CtDecoded {
+    Decoded {
         message,
         locator_degree,
         errors_located,

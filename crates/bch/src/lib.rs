@@ -23,7 +23,9 @@
 //!   inversion-free Berlekamp–Massey, and a full-range Chien search. Its
 //!   modelled cycle count is **independent of the error pattern**.
 //!
-//! Both decoders share the same algebra and correct up to `t` errors.
+//! Both decoders share the same algebra, correct up to `t` errors and
+//! return the same [`Decoded`] — as does the accelerated pipeline in
+//! `lac-hw`, so the decoder is a cost-model choice, not a type.
 //!
 //! # Example
 //!
@@ -45,9 +47,6 @@
 mod constant_time;
 mod variable_time;
 
-pub use constant_time::CtDecoded;
-pub use variable_time::VtDecoded;
-
 /// Constant-time decoder building blocks, re-exported for the
 /// hardware-accelerated decode pipeline (software syndromes and
 /// Berlekamp–Massey feeding the *MUL CHIEN* unit).
@@ -64,6 +63,25 @@ pub const MESSAGE_BYTES: usize = 32;
 
 /// Number of message bits carried by the shortened code.
 pub const MESSAGE_BITS: usize = 8 * MESSAGE_BYTES;
+
+/// Outcome of a BCH decode, whichever decoder produced it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Decoded {
+    /// The corrected 256-bit message.
+    pub message: [u8; MESSAGE_BYTES],
+    /// Degree of the error-locator polynomial (estimated error count).
+    pub locator_degree: usize,
+    /// Roots of the locator the Chien search found.
+    pub errors_located: usize,
+}
+
+impl Decoded {
+    /// `true` when the decode is internally consistent: every error the
+    /// locator polynomial announces was located (and corrected).
+    pub fn likely_ok(&self) -> bool {
+        self.errors_located == self.locator_degree
+    }
+}
 
 /// A binary BCH code over GF(2⁹), shortened to a 256-bit message.
 ///
@@ -258,26 +276,25 @@ impl BchCode {
 
     /// Decode with the variable-time (submission-style) decoder.
     ///
-    /// See [`variable_time`](VtDecoded) for the result fields. Cycle costs
-    /// are charged to `meter` under the `BchSyndrome` / `BchErrorLocator` /
-    /// `BchChien` / `BchGlue` phases.
+    /// Cycle costs are charged to `meter` under the `BchSyndrome` /
+    /// `BchErrorLocator` / `BchChien` / `BchGlue` phases.
     ///
     /// # Panics
     ///
     /// Panics if `received.len() != codeword_len()`.
-    pub fn decode_variable_time<M: Meter>(&self, received: &[u8], meter: &mut M) -> VtDecoded {
+    pub fn decode_variable_time<M: Meter>(&self, received: &[u8], meter: &mut M) -> Decoded {
         variable_time::decode(self, received, meter)
     }
 
     /// Decode with the constant-time (Walters–Roy style) decoder.
     ///
     /// The sequence of modelled operations is independent of the error
-    /// pattern. See [`constant_time`](CtDecoded) for the result fields.
+    /// pattern.
     ///
     /// # Panics
     ///
     /// Panics if `received.len() != codeword_len()`.
-    pub fn decode_constant_time<M: Meter>(&self, received: &[u8], meter: &mut M) -> CtDecoded {
+    pub fn decode_constant_time<M: Meter>(&self, received: &[u8], meter: &mut M) -> Decoded {
         constant_time::decode(self, received, meter)
     }
 }

@@ -17,27 +17,8 @@
 //! exactly the D'Anvers-et-al. side channel the constant-time decoder
 //! removes.
 
-use crate::{BchCode, MESSAGE_BYTES};
+use crate::{BchCode, Decoded};
 use lac_meter::{Meter, Op, Phase};
-
-/// Result of a variable-time decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VtDecoded {
-    /// The corrected 256-bit message.
-    pub message: [u8; MESSAGE_BYTES],
-    /// Degree of the error-locator polynomial (estimated error count).
-    pub locator_degree: usize,
-    /// Roots of the locator actually found by the Chien search.
-    pub errors_located: usize,
-}
-
-impl VtDecoded {
-    /// `true` when the decode is internally consistent: every error the
-    /// locator polynomial announces was located (and corrected).
-    pub fn likely_ok(&self) -> bool {
-        self.errors_located == self.locator_degree
-    }
-}
 
 /// Compute the 2t syndromes S_i = r(α^i), i = 1..=2t, the submission way:
 /// iterate over codeword positions and accumulate `α^(i·p)` for set bits
@@ -192,7 +173,7 @@ fn chien<M: Meter>(code: &BchCode, lambda: &[u16], meter: &mut M) -> Vec<usize> 
     positions
 }
 
-pub(crate) fn decode<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -> VtDecoded {
+pub(crate) fn decode<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -> Decoded {
     assert_eq!(
         received.len(),
         code.codeword_len(),
@@ -227,7 +208,7 @@ pub(crate) fn decode<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -
     meter.charge(Op::Alu, crate::MESSAGE_BITS as u64);
     meter.leave();
 
-    VtDecoded {
+    Decoded {
         message,
         locator_degree,
         errors_located: positions.len(),

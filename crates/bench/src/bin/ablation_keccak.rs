@@ -4,12 +4,14 @@
 //! SHA256 unit's 1,031).
 //!
 //! Prints, for every parameter set: KEM cycle counts under the SHA-256
-//! PQ-ALU vs the Keccak PQ-ALU, the hash-bound columns (`GenA`,
-//! `Sample poly`), and the area price of the swap.
+//! PQ-ALU (`BackendKind::Hw`) vs the Keccak PQ-ALU
+//! (`BackendKind::HwKeccak`, i.e. `AcceleratedBackend::keccak`), the
+//! hash-bound columns (`GenA`, `Sample poly`), and the area price of the
+//! swap.
 //!
 //! Run: `cargo run --release -p lac-bench --bin ablation_keccak`
 
-use lac::{AcceleratedBackend, Backend, KeccakAcceleratedBackend, Params};
+use lac::{BackendKind, Params};
 use lac_bench::{measure_kem, thousands};
 use lac_hw::{KeccakUnit, Sha256Unit};
 
@@ -21,33 +23,24 @@ fn main() {
     );
 
     for params in Params::ALL {
-        let mut sha: Box<dyn Backend> = Box::new(AcceleratedBackend::new());
-        let row = measure_kem(params, sha.as_mut(), &format!("{} + SHA256", params.name()));
-        println!(
-            "{:<26} {:>12} {:>12} {:>12} {:>10} {:>10}",
-            row.label,
-            thousands(row.keygen),
-            thousands(row.encaps),
-            thousands(row.decaps),
-            thousands(row.gen_a),
-            thousands(row.sample),
-        );
-
-        let mut keccak: Box<dyn Backend> = Box::new(KeccakAcceleratedBackend::new());
-        let krow = measure_kem(
-            params,
-            keccak.as_mut(),
-            &format!("{} + Keccak", params.name()),
-        );
-        println!(
-            "{:<26} {:>12} {:>12} {:>12} {:>10} {:>10}",
-            krow.label,
-            thousands(krow.keygen),
-            thousands(krow.encaps),
-            thousands(krow.decaps),
-            thousands(krow.gen_a),
-            thousands(krow.sample),
-        );
+        let hash_units = [
+            (BackendKind::Hw, "SHA256"),
+            (BackendKind::HwKeccak, "Keccak"),
+        ];
+        let [row, krow] = hash_units.map(|(kind, unit)| {
+            let label = format!("{} + {unit}", params.name());
+            let row = measure_kem(params, kind.build().as_mut(), &label);
+            println!(
+                "{:<26} {:>12} {:>12} {:>12} {:>10} {:>10}",
+                row.label,
+                thousands(row.keygen),
+                thousands(row.encaps),
+                thousands(row.decaps),
+                thousands(row.gen_a),
+                thousands(row.sample),
+            );
+            row
+        });
         println!(
             "{:<26} {:>12.2} {:>12.2} {:>12.2} {:>10.2} {:>10.2}",
             "  speedup",
@@ -72,5 +65,5 @@ fn main() {
     );
     println!("\n(The Keccak variant changes the hash function, so it is a design-space");
     println!("exploration, not a drop-in interoperable implementation — see the");
-    println!("KeccakAcceleratedBackend docs.)");
+    println!("AcceleratedBackend::keccak docs.)");
 }

@@ -7,28 +7,35 @@
 //! output is byte-identical for any thread count.
 
 use crate::{json, measure_kem, ratio, shard, thousands, KemRow, PAPER_TABLE2};
-use lac::{AcceleratedBackend, Backend, Params, SoftwareBackend};
+use lac::{BackendKind, Params};
 
-/// Constructor for one backend configuration column.
-type BackendCtor = fn() -> Box<dyn Backend>;
+/// The paper's backend configurations, in table order.
+const CONFIGS: [BackendKind; 3] = [BackendKind::Ref, BackendKind::Ct, BackendKind::Hw];
 
-/// Backend configurations in table order (suffix, constructor).
-const CONFIGS: [(&str, BackendCtor); 3] = [
-    ("ref.", || Box::new(SoftwareBackend::reference())),
-    ("const. BCH", || Box::new(SoftwareBackend::constant_time())),
-    ("opt.", || Box::new(AcceleratedBackend::new())),
-];
+/// The table label of one cell, e.g. "LAC-128 const. BCH".
+fn row_label(kind: BackendKind, params: Params) -> String {
+    format!("{} {}", params.name(), kind.label())
+}
+
+/// The headline decapsulation speed-up of `params`: const. BCH over opt.
+fn decaps_speedup(rows: &[KemRow], params: Params) -> f64 {
+    let decaps = |kind| {
+        rows.iter()
+            .find(|r| r.label == row_label(kind, params))
+            .expect("measured row")
+            .decaps
+    };
+    decaps(BackendKind::Ct) as f64 / decaps(BackendKind::Hw) as f64
+}
 
 /// Measure the nine table rows, one shard job per cell, in table order
 /// (ref. 128/192/256, const. BCH 128/192/256, opt. 128/192/256).
 pub fn measure_rows(threads: usize) -> Vec<KemRow> {
     let jobs = CONFIGS.len() * Params::ALL.len();
     shard::run_indexed(jobs, threads, |i| {
-        let (suffix, make) = CONFIGS[i / Params::ALL.len()];
+        let kind = CONFIGS[i / Params::ALL.len()];
         let params = Params::ALL[i % Params::ALL.len()];
-        let mut backend = make();
-        let label = format!("{} {}", params.name(), suffix);
-        measure_kem(params, backend.as_mut(), &label)
+        measure_kem(params, kind.build().as_mut(), &row_label(kind, params))
     })
 }
 
@@ -89,18 +96,10 @@ fn emit_json(rows: &[KemRow]) {
     }
     let mut speedups = Vec::new();
     for params in Params::ALL {
-        let base = rows
-            .iter()
-            .find(|r| r.label == format!("{} const. BCH", params.name()))
-            .expect("baseline row");
-        let opt = rows
-            .iter()
-            .find(|r| r.label == format!("{} opt.", params.name()))
-            .expect("optimized row");
         speedups.push(format!(
             "    {{{}, \"decaps_speedup\": {:.4}}}",
             json::str_field("scheme", params.name()),
-            base.decaps as f64 / opt.decaps as f64
+            decaps_speedup(rows, params)
         ));
     }
     println!("{{");
@@ -155,7 +154,7 @@ pub fn run(emit_json_output: bool, threads: Option<usize>) {
     }
     println!("  (rows above quoted from pqm4 — ARM Cortex-M4, not modelled)\n");
 
-    for (chunk, _) in rows.chunks(Params::ALL.len()).zip(CONFIGS) {
+    for chunk in rows.chunks(Params::ALL.len()) {
         for row in chunk {
             let paper = PAPER_TABLE2
                 .iter()
@@ -207,14 +206,6 @@ pub fn run(emit_json_output: bool, threads: Option<usize>) {
     // Headline speedups: decapsulation, constant-time baseline vs optimized.
     println!("\nHeadline decapsulation speedups (const. BCH -> opt.):");
     for params in Params::ALL {
-        let base = rows
-            .iter()
-            .find(|r| r.label == format!("{} const. BCH", params.name()))
-            .expect("baseline row");
-        let opt = rows
-            .iter()
-            .find(|r| r.label == format!("{} opt.", params.name()))
-            .expect("optimized row");
         let paper_factor = match params.name() {
             "LAC-128" => 7.66,
             "LAC-192" => 14.42,
@@ -223,7 +214,7 @@ pub fn run(emit_json_output: bool, threads: Option<usize>) {
         println!(
             "  {:>8}: {:.2}x   [paper: {:.2}x]",
             params.name(),
-            base.decaps as f64 / opt.decaps as f64,
+            decaps_speedup(&rows, params),
             paper_factor
         );
     }
@@ -240,9 +231,10 @@ mod tests {
         // stand-in check on labels from a single-threaded run.
         let labels: Vec<String> = (0..9)
             .map(|i| {
-                let (suffix, _) = CONFIGS[i / Params::ALL.len()];
-                let params = Params::ALL[i % Params::ALL.len()];
-                format!("{} {}", params.name(), suffix)
+                row_label(
+                    CONFIGS[i / Params::ALL.len()],
+                    Params::ALL[i % Params::ALL.len()],
+                )
             })
             .collect();
         assert_eq!(labels[0], "LAC-128 ref.");

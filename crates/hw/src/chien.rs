@@ -13,7 +13,7 @@
 
 use crate::area::{ResourceEstimate, CHIEN_GLUE_LUTS, CHIEN_GLUE_REGS};
 use crate::mul_gf::MulGf;
-use lac_bch::{BchCode, CtDecoded};
+use lac_bch::{BchCode, Decoded};
 use lac_meter::{Meter, NullMeter, Op, Phase};
 
 /// Number of parallel GF multipliers in the paper's unit.
@@ -202,12 +202,7 @@ impl ChienUnit {
     /// # Panics
     ///
     /// Panics if `received.len() != code.codeword_len()`.
-    pub fn decode<M: Meter>(
-        &mut self,
-        code: &BchCode,
-        received: &[u8],
-        meter: &mut M,
-    ) -> CtDecoded {
+    pub fn decode<M: Meter>(&mut self, code: &BchCode, received: &[u8], meter: &mut M) -> Decoded {
         assert_eq!(
             received.len(),
             code.codeword_len(),
@@ -238,7 +233,7 @@ impl ChienUnit {
         meter.charge(Op::Alu, 256);
         meter.leave();
 
-        CtDecoded {
+        Decoded {
             message,
             locator_degree,
             errors_located,

@@ -10,6 +10,10 @@ use crate::UnitStats;
 use lac_meter::{Meter, Op};
 use lac_ring::barrett_reduce;
 
+/// Datapath cycles per reduction: the combinational result is ready one
+/// EX-stage cycle after issue.
+pub const CYCLES_PER_REDUCTION: u64 = 1;
+
 /// Cycle-accurate model of the MOD q unit.
 ///
 /// # Example
@@ -51,8 +55,8 @@ impl ModQ {
     /// combinational result).
     pub fn reduce<M: Meter>(&mut self, x: u32, meter: &mut M) -> u8 {
         meter.charge(Op::Alu, 1); // pq.modq issue
-        meter.charge_cycles(1); // combinational result, one EX-stage cycle
-        self.stats.record(1);
+        meter.charge_cycles(CYCLES_PER_REDUCTION);
+        self.stats.record(CYCLES_PER_REDUCTION);
         barrett_reduce(x)
     }
 }

@@ -29,6 +29,13 @@ pub const COEFFS_PER_WRITE: usize = 5;
 /// Result coefficients returned per `pq.mul_ter` output instruction.
 pub const COEFFS_PER_READ: usize = 4;
 
+/// Datapath cycles of one length-`n` product: one architectural cycle per
+/// serialized coefficient, plus the start/drain overhead of the control
+/// FSM.
+pub fn compute_cycles(n: usize) -> u64 {
+    n as u64 + 2
+}
+
 /// Cycle-accurate model of the MUL TER unit.
 ///
 /// # Example
@@ -166,11 +173,8 @@ impl MulTer {
                 }
             }
         }
-        // One architectural cycle per serialized coefficient, plus the
-        // start/drain overhead of the control FSM.
-        let compute_cycles = n as u64 + 2;
-        meter.charge_cycles(compute_cycles);
-        self.stats.record(compute_cycles);
+        meter.charge_cycles(compute_cycles(n));
+        self.stats.record(compute_cycles(n));
 
         // ---- Output phase: ceil(n/4) pq.mul_ter reads; per read the driver
         // issues the instruction, splits rd into four bytes and stores them.

@@ -16,6 +16,12 @@ use lac_sha256::Sha256;
 /// Datapath cycles per compressed block (64 rounds + schedule overlap).
 pub const CYCLES_PER_BLOCK: u64 = 66;
 
+/// Blocks the round engine compresses for a `len`-byte message. FIPS
+/// padding: message + 0x80 + zeros + 8-byte length.
+pub fn padded_blocks(len: usize) -> u64 {
+    (len as u64 + 9).div_ceil(64)
+}
+
 /// Cycle-accurate model of the SHA256 unit.
 ///
 /// # Example
@@ -70,8 +76,7 @@ impl Sha256Unit {
     /// yields far less than the datapath's raw speed (Section VI discusses
     /// the SHA256 unit's low performance next to \[8\]'s Keccak).
     pub fn digest<M: Meter>(&mut self, data: &[u8], meter: &mut M) -> [u8; 32] {
-        // FIPS padding: message + 0x80 + zeros + 8-byte length.
-        let blocks = (data.len() as u64 + 9).div_ceil(64);
+        let blocks = padded_blocks(data.len());
         let bytes = blocks * 64;
         meter.charge(Op::Load, bytes); // byte load
         meter.charge(Op::Alu, 2 * bytes); // rs2 control pack + issue

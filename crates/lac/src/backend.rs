@@ -8,25 +8,18 @@
 //! operations whose substrate differs: ring multiplication, hashing, and
 //! BCH decoding. Everything else (sampling glue, packing, comparisons) is
 //! identical software and is metered directly by the scheme code.
+//!
+//! [`BackendKind`] lists the configurations every front end offers. The
+//! §VI Keccak variant is [`AcceleratedBackend::keccak`]: the same PQ-ALU
+//! with a different hash unit.
 
-use lac_bch::BchCode;
+use lac_bch::{BchCode, Decoded};
 use lac_hw::{ChienUnit, KeccakUnit, MulTer, Sha256Unit};
 use lac_meter::Meter;
 use lac_ring::mul::mul_ternary;
 use lac_ring::split::split_mul_high;
 use lac_ring::trunc::mul_ternary_truncated;
 use lac_ring::{Convolution, Poly, TernaryPoly};
-
-/// Outcome of a BCH decode, independent of the decoder used.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeInfo {
-    /// The corrected 256-bit message.
-    pub message: [u8; crate::MESSAGE_BYTES],
-    /// Degree of the error-locator polynomial (estimated error count).
-    pub locator_degree: usize,
-    /// Number of locator roots found by the search.
-    pub errors_located: usize,
-}
 
 /// Which BCH decoder a software backend uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,10 +61,7 @@ pub trait Backend: Send {
     fn hash(&mut self, data: &[u8], meter: &mut dyn Meter) -> [u8; 32];
 
     /// Decode a received BCH codeword.
-    fn bch_decode(&mut self, code: &BchCode, received: &[u8], meter: &mut dyn Meter) -> DecodeInfo;
-
-    /// Short label for reports ("ref.", "const. BCH", "opt.").
-    fn label(&self) -> &'static str;
+    fn bch_decode(&mut self, code: &BchCode, received: &[u8], meter: &mut dyn Meter) -> Decoded;
 }
 
 /// Pure-software backend with the RISCY cost model.
@@ -136,38 +126,26 @@ impl Backend for SoftwareBackend {
         code: &BchCode,
         received: &[u8],
         mut meter: &mut dyn Meter,
-    ) -> DecodeInfo {
+    ) -> Decoded {
         match self.bch {
-            BchDecoderKind::VariableTime => {
-                let out = code.decode_variable_time(received, &mut meter);
-                DecodeInfo {
-                    message: out.message,
-                    locator_degree: out.locator_degree,
-                    errors_located: out.errors_located,
-                }
-            }
-            BchDecoderKind::ConstantTime => {
-                let out = code.decode_constant_time(received, &mut meter);
-                DecodeInfo {
-                    message: out.message,
-                    locator_degree: out.locator_degree,
-                    errors_located: out.errors_located,
-                }
-            }
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        match self.bch {
-            BchDecoderKind::VariableTime => "ref.",
-            BchDecoderKind::ConstantTime => "const. BCH",
+            BchDecoderKind::VariableTime => code.decode_variable_time(received, &mut meter),
+            BchDecoderKind::ConstantTime => code.decode_constant_time(received, &mut meter),
         }
     }
 }
 
 /// The PQ-ALU backend: MUL TER (with software splitting for n = 1024),
-/// the SHA256 unit, and the constant-time decode pipeline ending in
-/// MUL CHIEN.
+/// a hash unit, and the constant-time decode pipeline ending in MUL
+/// CHIEN.
+///
+/// [`new`](Self::new) is the paper's configuration with the SHA256 unit;
+/// [`keccak`](Self::keccak) is the §VI future-work variant with a Keccak
+/// unit (SHA3-256 as the hash) — roughly 10x the hash-unit area for a
+/// large `GenA`/`Sample poly` speedup. The hash function is part of the
+/// scheme, so the Keccak variant is **not interoperable** with the
+/// SHA-256 backends: keys and ciphertexts derive differently. Use it for
+/// the ablation study (`cargo run -p lac-bench --bin ablation_keccak`),
+/// not to talk to a standard LAC peer.
 ///
 /// # Example
 ///
@@ -185,8 +163,15 @@ impl Backend for SoftwareBackend {
 #[derive(Debug, Clone)]
 pub struct AcceleratedBackend {
     mul_ter: MulTer,
-    sha: Sha256Unit,
+    hash: HashUnit,
     chien: ChienUnit,
+}
+
+/// The PQ-ALU's hash accelerator.
+#[derive(Debug, Clone)]
+enum HashUnit {
+    Sha256(Sha256Unit),
+    Keccak(KeccakUnit),
 }
 
 impl Default for AcceleratedBackend {
@@ -210,19 +195,23 @@ impl AcceleratedBackend {
     pub fn with_unit_len(unit_len: usize) -> Self {
         Self {
             mul_ter: MulTer::new(unit_len),
-            sha: Sha256Unit::new(),
+            hash: HashUnit::Sha256(Sha256Unit::new()),
             chien: ChienUnit::new(),
+        }
+    }
+
+    /// The §VI variant: the paper's length-512 MUL TER unit and MUL
+    /// CHIEN with a Keccak hash unit in place of the SHA256 unit.
+    pub fn keccak() -> Self {
+        Self {
+            hash: HashUnit::Keccak(KeccakUnit::new()),
+            ..Self::new()
         }
     }
 
     /// The ternary-multiplier model (for stats/resources).
     pub fn mul_ter(&self) -> &MulTer {
         &self.mul_ter
-    }
-
-    /// The SHA256 unit model.
-    pub fn sha_unit(&self) -> &Sha256Unit {
-        &self.sha
     }
 
     /// The Chien-search unit model.
@@ -248,7 +237,10 @@ impl Backend for AcceleratedBackend {
     }
 
     fn hash(&mut self, data: &[u8], mut meter: &mut dyn Meter) -> [u8; 32] {
-        self.sha.digest(data, &mut meter)
+        match &mut self.hash {
+            HashUnit::Sha256(unit) => unit.digest(data, &mut meter),
+            HashUnit::Keccak(unit) => unit.digest(data, &mut meter),
+        }
     }
 
     fn bch_decode(
@@ -256,24 +248,97 @@ impl Backend for AcceleratedBackend {
         code: &BchCode,
         received: &[u8],
         mut meter: &mut dyn Meter,
-    ) -> DecodeInfo {
-        let out = self.chien.decode(code, received, &mut meter);
-        DecodeInfo {
-            message: out.message,
-            locator_degree: out.locator_degree,
-            errors_located: out.errors_located,
+    ) -> Decoded {
+        self.chien.decode(code, received, &mut meter)
+    }
+}
+
+/// One backend configuration of the paper's evaluation grid.
+///
+/// The one list every front end shares: [`name`](Self::name) is the CLI
+/// and report spelling, [`code`](Self::code) the wire code and
+/// [`label`](Self::label) the Table II row suffix. Callers
+/// [`build`](Self::build) their own instance of each kind (backends are
+/// cheap owned state and `Backend: Send`), so a serving worker never
+/// shares one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum BackendKind {
+    /// [`SoftwareBackend::reference`] — submission-style variable-time BCH.
+    Ref = 1,
+    /// [`SoftwareBackend::constant_time`] — Walters-style constant-time BCH.
+    Ct = 2,
+    /// [`AcceleratedBackend::new`] — MUL TER + SHA256 unit + MUL CHIEN.
+    Hw = 3,
+    /// [`AcceleratedBackend::keccak`] — the §VI Keccak-hash variant (not
+    /// interoperable with the SHA-256 backends).
+    HwKeccak = 4,
+}
+
+impl BackendKind {
+    /// All backends, in wire-code order.
+    pub const ALL: [BackendKind; 4] = [
+        BackendKind::Ref,
+        BackendKind::Ct,
+        BackendKind::Hw,
+        BackendKind::HwKeccak,
+    ];
+
+    /// CLI/wire label.
+    pub fn name(self) -> &'static str {
+        match self {
+            BackendKind::Ref => "ref",
+            BackendKind::Ct => "ct",
+            BackendKind::Hw => "hw",
+            BackendKind::HwKeccak => "hw-keccak",
         }
     }
 
-    fn label(&self) -> &'static str {
-        "opt."
+    /// Table II row suffix ("LAC-128 ref.", "LAC-128 opt.", ...).
+    pub fn label(self) -> &'static str {
+        match self {
+            BackendKind::Ref => "ref.",
+            BackendKind::Ct => "const. BCH",
+            BackendKind::Hw => "opt.",
+            BackendKind::HwKeccak => "opt. + Keccak",
+        }
+    }
+
+    /// Parse a CLI label as printed by [`name`](Self::name).
+    pub fn parse(name: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|kind| kind.name() == name)
+            .ok_or_else(|| format!("unknown backend '{name}' (expected ref|ct|hw|hw-keccak)"))
+    }
+
+    /// One-byte wire code (1-based; 0 is reserved/invalid).
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// Decode a wire code.
+    pub fn from_code(code: u8) -> Option<Self> {
+        Self::ALL.into_iter().find(|kind| kind.code() == code)
+    }
+
+    /// Build a fresh backend instance of this kind.
+    pub fn build(self) -> Box<dyn Backend> {
+        match self {
+            BackendKind::Ref => Box::new(SoftwareBackend::reference()),
+            BackendKind::Ct => Box::new(SoftwareBackend::constant_time()),
+            BackendKind::Hw => Box::new(AcceleratedBackend::new()),
+            BackendKind::HwKeccak => Box::new(AcceleratedBackend::keccak()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Kem, Params};
     use lac_meter::{CycleLedger, NullMeter};
+    use lac_rand::Sha256CtrRng;
 
     fn sample_operands(n: usize) -> (TernaryPoly, Poly) {
         let t = TernaryPoly::from_coeffs((0..n).map(|i| [1i8, 0, -1, 0][i % 4]).collect());
@@ -282,52 +347,48 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_ring_mul_512() {
-        let (t, g) = sample_operands(512);
-        let mut sw = SoftwareBackend::reference();
-        let mut hw = AcceleratedBackend::new();
-        assert_eq!(
-            sw.ring_mul(&t, &g, &mut NullMeter),
-            hw.ring_mul(&t, &g, &mut NullMeter)
-        );
-    }
-
-    #[test]
-    fn backends_agree_on_ring_mul_1024() {
-        let (t, g) = sample_operands(1024);
-        let mut sw = SoftwareBackend::reference();
-        let mut hw = AcceleratedBackend::new();
-        assert_eq!(
-            sw.ring_mul(&t, &g, &mut NullMeter),
-            hw.ring_mul(&t, &g, &mut NullMeter)
-        );
-    }
-
-    #[test]
-    fn backends_agree_on_hash() {
-        let mut sw = SoftwareBackend::constant_time();
-        let mut hw = AcceleratedBackend::new();
-        let data = [9u8; 100];
-        assert_eq!(
-            sw.hash(&data, &mut NullMeter),
-            hw.hash(&data, &mut NullMeter)
-        );
-        assert_eq!(sw.hash(&data, &mut NullMeter), lac_sha256::sha256(&data));
-    }
-
-    #[test]
-    fn backends_agree_on_bch_decode() {
+    fn prop_backends_agree_except_the_keccak_hash() {
+        use lac_rand::{prop, Rng};
         let code = BchCode::lac_t16();
-        let msg = [0x7eu8; 32];
-        let mut cw = code.encode(&msg, &mut NullMeter);
-        cw[code.parity_len() + 40] ^= 1;
-        cw[code.parity_len() + 90] ^= 1;
-        let mut sw = SoftwareBackend::constant_time();
-        let mut hw = AcceleratedBackend::new();
-        let a = sw.bch_decode(&code, &cw, &mut NullMeter);
-        let b = hw.bch_decode(&code, &cw, &mut NullMeter);
-        assert_eq!(a.message, b.message);
-        assert_eq!(a.message, msg);
+        prop::check("backends_agree_except_the_keccak_hash", 4, |rng| {
+            let operands: Vec<(TernaryPoly, Poly)> = [512, 1024]
+                .into_iter()
+                .map(|n| {
+                    let t = TernaryPoly::from_coeffs(prop::vec_i8(rng, n, -1, 1));
+                    (t, Poly::from_coeffs(prop::vec_u8(rng, n, 251)))
+                })
+                .collect();
+            let mut msg = [0u8; 32];
+            rng.fill_bytes(&mut msg);
+            let mut cw = code.encode(&msg, &mut NullMeter);
+            for p in prop::distinct_positions(rng, code.codeword_len(), code.t()) {
+                cw[p] ^= 1;
+            }
+            let len = rng.gen_below_usize(200);
+            let data = prop::bytes(rng, len);
+            // Per backend: both products and the decode, their modelled
+            // cost, and the digest.
+            let runs = BackendKind::ALL.map(|kind| {
+                let (mut backend, mut cost) = (kind.build(), CycleLedger::new());
+                let products: Vec<Poly> = operands
+                    .iter()
+                    .map(|(t, g)| backend.ring_mul(t, g, &mut cost))
+                    .collect();
+                let decoded = backend.bch_decode(&code, &cw, &mut cost);
+                let digest = backend.hash(&data, &mut NullMeter);
+                (products, decoded, cost.total(), digest)
+            });
+            let [reference, ct, hw, keccak] = &runs;
+            for run in &runs {
+                prop::ensure_eq(&run.0, &reference.0)?;
+                prop::ensure_eq(run.1.message, msg)?;
+            }
+            // The Keccak variant is the PQ-ALU with another hash unit: the
+            // same MUL TER and Chien work at the same cost, another digest.
+            prop::ensure_eq((&keccak.0, &keccak.1, keccak.2), (&hw.0, &hw.1, hw.2))?;
+            prop::ensure_eq([reference.3, ct.3, hw.3], [lac_sha256::sha256(&data); 3])?;
+            prop::ensure(keccak.3 != hw.3, "SHA-256 and SHA3-256 digests agree")
+        });
     }
 
     #[test]
@@ -341,12 +402,17 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_distinct() {
-        assert_ne!(
-            SoftwareBackend::reference().label(),
-            SoftwareBackend::constant_time().label()
-        );
-        assert_eq!(AcceleratedBackend::new().label(), "opt.");
+    fn backend_kinds_round_trip_and_pin_their_labels() {
+        for kind in BackendKind::ALL {
+            assert_eq!(BackendKind::from_code(kind.code()), Some(kind));
+            assert_eq!(BackendKind::parse(kind.name()), Ok(kind));
+        }
+        assert!(BackendKind::from_code(0).is_none());
+        assert!(BackendKind::from_code(5).is_none());
+        let err = BackendKind::parse("fpga").unwrap_err();
+        assert!(err.contains("fpga") && err.contains("hw-keccak"), "{err}");
+        let labels: Vec<&str> = BackendKind::ALL.iter().map(|k| k.label()).collect();
+        assert_eq!(labels, ["ref.", "const. BCH", "opt.", "opt. + Keccak"]);
     }
 
     #[test]
@@ -354,6 +420,40 @@ mod tests {
     fn unsupported_dimension_panics() {
         let (t, g) = sample_operands(256);
         AcceleratedBackend::new().ring_mul(&t, &g, &mut NullMeter);
+    }
+
+    #[test]
+    fn keccak_backend_speeds_up_gen_a() {
+        use lac_meter::Phase;
+        let kem = Kem::new(Params::lac128());
+        let mut rng = Sha256CtrRng::seed_from_u64(45);
+
+        let mut sha = AcceleratedBackend::new();
+        let mut l_sha = CycleLedger::new();
+        kem.keygen(&mut rng, &mut sha, &mut l_sha);
+
+        let mut keccak = AcceleratedBackend::keccak();
+        let mut l_keccak = CycleLedger::new();
+        kem.keygen(&mut rng, &mut keccak, &mut l_keccak);
+
+        assert!(
+            l_keccak.phase_total(Phase::GenA) * 2 < l_sha.phase_total(Phase::GenA),
+            "keccak GenA {} vs sha GenA {}",
+            l_keccak.phase_total(Phase::GenA),
+            l_sha.phase_total(Phase::GenA)
+        );
+    }
+
+    #[test]
+    fn not_interoperable_with_sha_backend() {
+        // Deterministic keygen from the same seeds yields different keys:
+        // the hash function is part of the scheme.
+        let lac = crate::Lac::new(Params::lac128());
+        let mut a = AcceleratedBackend::new();
+        let mut b = AcceleratedBackend::keccak();
+        let (pk_a, _) = lac.keygen_deterministic(&[1u8; 32], &[2u8; 32], &mut a, &mut NullMeter);
+        let (pk_b, _) = lac.keygen_deterministic(&[1u8; 32], &[2u8; 32], &mut b, &mut NullMeter);
+        assert_ne!(pk_a, pk_b);
     }
 }
 
@@ -375,8 +475,6 @@ mod thread_safety {
         assert_sync::<SoftwareBackend>();
         assert_send::<AcceleratedBackend>();
         assert_sync::<AcceleratedBackend>();
-        assert_send::<KeccakAcceleratedBackend>();
-        assert_sync::<KeccakAcceleratedBackend>();
         // Trait objects inherit Send from the supertrait bound.
         assert_send::<Box<dyn Backend>>();
         assert_send::<KemPublicKey>();
@@ -390,138 +488,5 @@ mod thread_safety {
         assert_sync::<Kem>();
         assert_send::<Params>();
         assert_sync::<Params>();
-    }
-}
-
-/// The future-work variant the paper's Section VI sketches: same MUL TER
-/// and MUL CHIEN, but the SHA256 unit replaced by a Keccak accelerator
-/// (SHA3-256 as the hash). Roughly 10x the hash-unit area for a large
-/// `GenA`/`Sample poly` speedup.
-///
-/// **Not interoperable** with the SHA-256 backends: the hash function
-/// itself changes, so keys and ciphertexts derive differently. Use it for
-/// the ablation study (`cargo run -p lac-bench --bin ablation_keccak`),
-/// not to talk to a standard LAC peer.
-#[derive(Debug, Clone)]
-pub struct KeccakAcceleratedBackend {
-    mul_ter: MulTer,
-    keccak: KeccakUnit,
-    chien: ChienUnit,
-}
-
-impl Default for KeccakAcceleratedBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl KeccakAcceleratedBackend {
-    /// A backend with the paper's length-512 MUL TER unit and a Keccak
-    /// hash unit.
-    pub fn new() -> Self {
-        Self {
-            mul_ter: MulTer::new(512),
-            keccak: KeccakUnit::new(),
-            chien: ChienUnit::new(),
-        }
-    }
-
-    /// The Keccak unit model (stats/resources).
-    pub fn keccak_unit(&self) -> &KeccakUnit {
-        &self.keccak
-    }
-}
-
-impl Backend for KeccakAcceleratedBackend {
-    fn ring_mul(&mut self, t: &TernaryPoly, g: &Poly, mut meter: &mut dyn Meter) -> Poly {
-        let unit = self.mul_ter.len();
-        if t.len() == unit {
-            self.mul_ter
-                .multiply(t, g, Convolution::Negacyclic, &mut meter)
-        } else if t.len() == 2 * unit {
-            split_mul_high(&mut self.mul_ter, t, g, Convolution::Negacyclic, meter)
-        } else {
-            panic!(
-                "ring dimension {} is not supported by a length-{unit} MUL TER unit",
-                t.len()
-            );
-        }
-    }
-
-    fn hash(&mut self, data: &[u8], mut meter: &mut dyn Meter) -> [u8; 32] {
-        self.keccak.digest(data, &mut meter)
-    }
-
-    fn bch_decode(
-        &mut self,
-        code: &BchCode,
-        received: &[u8],
-        mut meter: &mut dyn Meter,
-    ) -> DecodeInfo {
-        let out = self.chien.decode(code, received, &mut meter);
-        DecodeInfo {
-            message: out.message,
-            locator_degree: out.locator_degree,
-            errors_located: out.errors_located,
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "opt. + Keccak"
-    }
-}
-
-#[cfg(test)]
-mod keccak_backend_tests {
-    use super::*;
-    use crate::{Kem, Params};
-    use lac_meter::{CycleLedger, NullMeter};
-    use lac_rand::Sha256CtrRng;
-
-    #[test]
-    fn kem_roundtrip_on_keccak_backend() {
-        for params in Params::ALL {
-            let kem = Kem::new(params);
-            let mut backend = KeccakAcceleratedBackend::new();
-            let mut rng = Sha256CtrRng::seed_from_u64(44);
-            let (pk, sk) = kem.keygen(&mut rng, &mut backend, &mut NullMeter);
-            let (ct, k1) = kem.encapsulate(&mut rng, &pk, &mut backend, &mut NullMeter);
-            let k2 = kem.decapsulate(&sk, &ct, &mut backend, &mut NullMeter);
-            assert_eq!(k1, k2, "{}", params.name());
-        }
-    }
-
-    #[test]
-    fn keccak_backend_speeds_up_gen_a() {
-        use lac_meter::Phase;
-        let kem = Kem::new(Params::lac128());
-        let mut rng = Sha256CtrRng::seed_from_u64(45);
-
-        let mut sha = AcceleratedBackend::new();
-        let mut l_sha = CycleLedger::new();
-        kem.keygen(&mut rng, &mut sha, &mut l_sha);
-
-        let mut keccak = KeccakAcceleratedBackend::new();
-        let mut l_keccak = CycleLedger::new();
-        kem.keygen(&mut rng, &mut keccak, &mut l_keccak);
-
-        assert!(
-            l_keccak.phase_total(Phase::GenA) * 2 < l_sha.phase_total(Phase::GenA),
-            "keccak GenA {} vs sha GenA {}",
-            l_keccak.phase_total(Phase::GenA),
-            l_sha.phase_total(Phase::GenA)
-        );
-    }
-
-    #[test]
-    fn not_interoperable_with_sha_backend() {
-        // Deterministic keygen from the same seeds yields different keys:
-        // the hash function is part of the scheme.
-        let lac = crate::Lac::new(Params::lac128());
-        let mut a = AcceleratedBackend::new();
-        let mut b = KeccakAcceleratedBackend::new();
-        let (pk_a, _) = lac.keygen_deterministic(&[1u8; 32], &[2u8; 32], &mut a, &mut NullMeter);
-        let (pk_b, _) = lac.keygen_deterministic(&[1u8; 32], &[2u8; 32], &mut b, &mut NullMeter);
-        assert_ne!(pk_a, pk_b);
     }
 }

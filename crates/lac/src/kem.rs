@@ -275,7 +275,7 @@ impl Kem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{AcceleratedBackend, SoftwareBackend};
+    use crate::backend::{AcceleratedBackend, BackendKind, SoftwareBackend};
     use lac_meter::{CycleLedger, NullMeter};
     use lac_rand::Sha256CtrRng;
 
@@ -289,26 +289,12 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_all_params_software() {
-        for params in Params::ALL {
-            for seed in 0..4 {
-                kem_roundtrip(params, &mut SoftwareBackend::constant_time(), seed);
-            }
-        }
-    }
-
-    #[test]
-    fn roundtrip_all_params_reference_decoder() {
-        for params in Params::ALL {
-            kem_roundtrip(params, &mut SoftwareBackend::reference(), 77);
-        }
-    }
-
-    #[test]
-    fn roundtrip_all_params_accelerated() {
-        for params in Params::ALL {
-            for seed in 40..42 {
-                kem_roundtrip(params, &mut AcceleratedBackend::new(), seed);
+    fn roundtrip_all_params_and_backends() {
+        for kind in BackendKind::ALL {
+            for params in Params::ALL {
+                for seed in (0..4).chain(40..42).chain([44, 77]) {
+                    kem_roundtrip(params, kind.build().as_mut(), seed);
+                }
             }
         }
     }

@@ -52,13 +52,11 @@ mod params;
 mod pke;
 mod sample;
 
-pub use backend::{
-    AcceleratedBackend, Backend, BchDecoderKind, DecodeInfo, KeccakAcceleratedBackend,
-    SoftwareBackend,
-};
+pub use backend::{AcceleratedBackend, Backend, BackendKind, BchDecoderKind, SoftwareBackend};
 pub use cpa::{CpaKem, CpaSharedSecret};
 pub use kem::{Kem, KemKeyPair, KemPublicKey, KemSecretKey, SharedSecret};
 pub use keys::{Ciphertext, PublicKey, SecretKey};
+pub use lac_bch::Decoded;
 pub use params::{Params, SecurityCategory};
 pub use pke::Lac;
 pub use sample::SamplerKind;

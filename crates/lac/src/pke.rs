@@ -1,10 +1,10 @@
 //! The CPA public-key encryption core (Fig. 1 of the paper).
 
-use crate::backend::{Backend, DecodeInfo};
+use crate::backend::Backend;
 use crate::keys::{Ciphertext, PublicKey, SecretKey};
 use crate::sample::{gen_a, sample_ternary_with, SamplerKind};
 use crate::{Params, MESSAGE_BYTES, SEED_BYTES};
-use lac_bch::BchCode;
+use lac_bch::{BchCode, Decoded};
 use lac_meter::{Meter, Op, Phase};
 use lac_rand::Rng;
 use lac_ring::Q;
@@ -162,7 +162,7 @@ impl Lac {
     /// decoding (combining coefficient pairs under D2), then BCH decoding
     /// through the backend.
     ///
-    /// Returns the message together with the decoder's [`DecodeInfo`]; the
+    /// Returns the message together with the decoder's [`Decoded`]; the
     /// KEM's re-encryption check is what authenticates the result.
     pub fn decrypt<B: Backend + ?Sized>(
         &self,
@@ -170,7 +170,7 @@ impl Lac {
         ct: &Ciphertext,
         backend: &mut B,
         meter: &mut dyn Meter,
-    ) -> ([u8; MESSAGE_BYTES], DecodeInfo) {
+    ) -> ([u8; MESSAGE_BYTES], Decoded) {
         let lv = self.params.lv();
         let cw_len = self.code.codeword_len();
         let us = backend.ring_mul(&sk.s, &ct.u, meter);
@@ -225,7 +225,7 @@ impl Lac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{AcceleratedBackend, SoftwareBackend};
+    use crate::backend::{AcceleratedBackend, BackendKind, SoftwareBackend};
     use lac_meter::{CycleLedger, NullMeter};
     use lac_rand::Sha256CtrRng;
 
@@ -247,39 +247,12 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_lac128_software() {
-        for seed in 0..8 {
-            roundtrip(Params::lac128(), &mut SoftwareBackend::reference(), seed);
-        }
-    }
-
-    #[test]
-    fn roundtrip_lac192_software() {
-        for seed in 0..8 {
-            roundtrip(
-                Params::lac192(),
-                &mut SoftwareBackend::constant_time(),
-                seed,
-            );
-        }
-    }
-
-    #[test]
-    fn roundtrip_lac256_software() {
-        for seed in 0..8 {
-            roundtrip(
-                Params::lac256(),
-                &mut SoftwareBackend::constant_time(),
-                seed,
-            );
-        }
-    }
-
-    #[test]
-    fn roundtrip_all_params_accelerated() {
-        for params in Params::ALL {
-            for seed in 100..104 {
-                roundtrip(params, &mut AcceleratedBackend::new(), seed);
+    fn roundtrip_all_params_and_backends() {
+        for kind in BackendKind::ALL {
+            for params in Params::ALL {
+                for seed in (0..8).chain(100..104) {
+                    roundtrip(params, kind.build().as_mut(), seed);
+                }
             }
         }
     }

@@ -14,7 +14,7 @@
 //!   rs2\[7:0\] = fifth general coefficient, rs2\[17:8\] = five 2-bit ternary
 //!   coefficients (`00`=0, `01`=+1, `10`=−1); five pairs per instruction;
 //! * `3` START — rs2\[0\] = `conv_n` (1 = negative wrapped convolution);
-//!   stalls for the unit's n + 2 compute cycles;
+//!   stalls for the unit's [`mul_ter::compute_cycles`];
 //! * `4` READ — rd = next four result coefficients, pointer auto-advances.
 //!
 //! **pq.mul_chien** — control in rs2\[31:28\]:
@@ -24,15 +24,23 @@
 //!   registers;
 //! * `3` COMPUTE — every multiplier multiplies its constant into its
 //!   feedback register (the Fig. 4 loop); rd = XOR of the four products;
-//!   stalls 9 cycles.
+//!   stalls for one [`mul_gf::M`]-cycle multiplication (the four run in
+//!   parallel).
 //!
 //! **pq.sha256** — control in rs2\[31:28\]:
-//! * `1` RESET; `2` WRITE (rs1\[7:0\] appended); `3` FINALIZE (stalls 66
-//!   cycles per padded block); `4` READ (rd = digest byte rs2\[5:0\]).
+//! * `1` RESET; `2` WRITE (rs1\[7:0\] appended); `3` FINALIZE (stalls
+//!   [`CYCLES_PER_BLOCK`] per [padded block](sha256_unit::padded_blocks));
+//!   `4` READ (rd = digest byte rs2\[5:0\]).
 //!
 //! **pq.modq** — rd = rs1 mod 251, single-cycle Barrett datapath.
+//!
+//! Every stall is the matching `lac-hw` model's datapath time, so the ISS
+//! and the cost model cannot drift apart.
 
-use lac_hw::MulGf;
+use lac_hw::chien::PARALLEL_MULS;
+use lac_hw::mul_ter::{self, COEFFS_PER_READ, COEFFS_PER_WRITE};
+use lac_hw::sha256_unit::{self, CYCLES_PER_BLOCK};
+use lac_hw::{mod_q, mul_gf, MulGf};
 use lac_meter::NullMeter;
 use lac_ring::mul::mul_ternary;
 use lac_ring::{barrett_reduce, Convolution, Poly, TernaryPoly};
@@ -73,9 +81,9 @@ pub struct PqAlu {
     ter_out: Vec<u8>,
     ter_read_ptr: usize,
     // MUL CHIEN
-    chien_consts: [u16; 4],
-    chien_vals: [u16; 4],
-    chien_muls: [MulGf; 4],
+    chien_consts: [u16; PARALLEL_MULS],
+    chien_vals: [u16; PARALLEL_MULS],
+    chien_muls: [MulGf; PARALLEL_MULS],
     // SHA256
     sha_buf: Vec<u8>,
     sha_digest: [u8; 32],
@@ -97,8 +105,8 @@ impl PqAlu {
             ter_b: Vec::new(),
             ter_out: vec![0u8; MUL_TER_LEN],
             ter_read_ptr: 0,
-            chien_consts: [0; 4],
-            chien_vals: [0; 4],
+            chien_consts: [0; PARALLEL_MULS],
+            chien_vals: [0; PARALLEL_MULS],
             chien_muls: Default::default(),
             sha_buf: Vec::new(),
             sha_digest: [0u8; 32],
@@ -118,7 +126,7 @@ impl PqAlu {
             }
             ctrl::LOAD => {
                 // Five general coefficients: four from rs1, one from rs2[7:0].
-                let mut generals = [0u8; 5];
+                let mut generals = [0u8; COEFFS_PER_WRITE];
                 generals[..4].copy_from_slice(&rs1.to_le_bytes());
                 generals[4] = (rs2 & 0xff) as u8;
                 for (i, &g) in generals.iter().enumerate() {
@@ -147,10 +155,10 @@ impl PqAlu {
                 );
                 self.ter_out.copy_from_slice(product.coeffs());
                 self.ter_read_ptr = 0;
-                (0, MUL_TER_LEN as u64 + 2)
+                (0, mul_ter::compute_cycles(MUL_TER_LEN))
             }
             ctrl::READ => {
-                let mut out = [0u8; 4];
+                let mut out = [0u8; COEFFS_PER_READ];
                 for slot in out.iter_mut() {
                     *slot = self.ter_out.get(self.ter_read_ptr).copied().unwrap_or(0);
                     self.ter_read_ptr += 1;
@@ -169,8 +177,8 @@ impl PqAlu {
         let hi = ((rs1 >> 16) & 0x1ff) as u16;
         match rs2 >> 28 {
             ctrl::RESET => {
-                self.chien_consts = [0; 4];
-                self.chien_vals = [0; 4];
+                self.chien_consts = [0; PARALLEL_MULS];
+                self.chien_vals = [0; PARALLEL_MULS];
                 (0, 0)
             }
             ctrl::LOAD => {
@@ -186,7 +194,7 @@ impl PqAlu {
             }
             ctrl::START => {
                 let mut acc = 0u16;
-                for i in 0..4 {
+                for i in 0..PARALLEL_MULS {
                     let stepped = self.chien_muls[i].multiply(
                         self.chien_vals[i],
                         self.chien_consts[i],
@@ -195,7 +203,7 @@ impl PqAlu {
                     self.chien_vals[i] = stepped;
                     acc ^= stepped;
                 }
-                (u32::from(acc), 9)
+                (u32::from(acc), u64::from(mul_gf::M))
             }
             _ => (0, 0),
         }
@@ -216,8 +224,8 @@ impl PqAlu {
             }
             ctrl::START => {
                 self.sha_digest = sha256(&self.sha_buf);
-                let blocks = (self.sha_buf.len() as u64 + 9).div_ceil(64);
-                (0, blocks * 66)
+                let blocks = sha256_unit::padded_blocks(self.sha_buf.len());
+                (0, blocks * CYCLES_PER_BLOCK)
             }
             ctrl::READ => {
                 let idx = (rs2 & 0x3f) as usize % 32;
@@ -230,7 +238,7 @@ impl PqAlu {
     /// Execute one `pq.modq`. Returns `(rd value, stall cycles)`.
     pub fn modq(&mut self, rs1: u32, _rs2: u32) -> (u32, u64) {
         self.issue_counts[3] += 1;
-        (u32::from(barrett_reduce(rs1)), 1)
+        (u32::from(barrett_reduce(rs1)), mod_q::CYCLES_PER_REDUCTION)
     }
 }
 
@@ -238,13 +246,18 @@ impl PqAlu {
 mod tests {
     use super::*;
     use lac_gf::Field;
+    use lac_hw::{ModQ, MulTer, Sha256Unit};
 
     #[test]
     fn modq_reduces() {
         let mut pq = PqAlu::new();
-        assert_eq!(pq.modq(1000, 0).0, 1000 % 251);
+        let (rd, stall) = pq.modq(1000, 0);
+        assert_eq!(rd, 1000 % 251);
         assert_eq!(pq.modq(u32::MAX, 0).0, u32::MAX % 251);
         assert_eq!(pq.issue_counts[3], 2);
+        let mut unit = ModQ::new();
+        unit.reduce(1000, &mut NullMeter);
+        assert_eq!(stall, unit.stats().busy_cycles);
     }
 
     #[test]
@@ -255,7 +268,9 @@ mod tests {
             pq.sha256(u32::from(b), ctrl::LOAD << 28);
         }
         let (_, stall) = pq.sha256(0, ctrl::START << 28);
-        assert_eq!(stall, 66); // one block
+        let mut unit = Sha256Unit::new();
+        unit.digest(b"abc", &mut NullMeter);
+        assert_eq!(stall, unit.stats().busy_cycles); // one block
         let expect = sha256(b"abc");
         for i in 0..32u32 {
             let (byte, _) = pq.sha256(0, (ctrl::READ << 28) | i);
@@ -275,7 +290,13 @@ mod tests {
         let rs2 = (ctrl::LOAD << 28) | (ternary << 8);
         pq.mul_ter(rs1, rs2);
         let (_, stall) = pq.mul_ter(0, ctrl::START << 28); // cyclic
-        assert_eq!(stall, 514);
+        let mut unit = MulTer::new(MUL_TER_LEN);
+        let (a, b) = (
+            TernaryPoly::from_coeffs(vec![0; MUL_TER_LEN]),
+            Poly::zero(MUL_TER_LEN),
+        );
+        unit.multiply(&a, &b, Convolution::Cyclic, &mut NullMeter);
+        assert_eq!(stall, unit.stats().busy_cycles);
         let (packed, _) = pq.mul_ter(0, ctrl::READ << 28);
         let bytes = packed.to_le_bytes();
         assert_eq!(bytes, [3, 8, 5, 0]);
@@ -320,7 +341,9 @@ mod tests {
         pq.mul_chien(pack(lambda[2], lambda[3]), (5 << 28) | 1);
 
         let (out1, stall) = pq.mul_chien(0, ctrl::START << 28);
-        assert_eq!(stall, 9);
+        let mut unit = MulGf::new();
+        unit.multiply(lambda[0], gf.exp(1), &mut NullMeter);
+        assert_eq!(stall, unit.stats().busy_cycles);
         let expect1 = (0..4).fold(0u16, |acc, k| acc ^ gf.mul(lambda[k], gf.exp(k as u32 + 1)));
         assert_eq!(out1 as u16, expect1);
 

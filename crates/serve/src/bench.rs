@@ -456,20 +456,24 @@ impl Lane<'_> {
 ///
 /// # Errors
 ///
-/// Bind/connect failures, a KEM-lane transport failure, a lane-thread
-/// panic, an invalid `target_qps` or an empty session script. `BUSY`
-/// sheds and per-action protocol errors are *counted*, not fatal.
+/// Bind/connect failures (an in-process server's sizes included, see
+/// [`Server::bind`]), a KEM-lane transport failure, a lane-thread panic,
+/// an invalid `target_qps`, zero `conns` or an empty session script.
+/// `BUSY` sheds and per-action protocol errors are *counted*, not fatal.
 pub fn run(cfg: &LoadConfig) -> Result<LoadReport, String> {
     if !cfg.target_qps.is_finite() || cfg.target_qps < 0.0 {
         return Err(format!("bad target rate {} req/s", cfg.target_qps));
     }
+    if cfg.conns == 0 {
+        return Err("--conns is 0; it must be at least 1".into());
+    }
     let (lanes, payload) = match cfg.script {
-        Script::Kem { op, .. } => (cfg.conns.max(1), kem_payload(op, cfg)),
+        Script::Kem { op, .. } => (cfg.conns, kem_payload(op, cfg)),
         Script::Sessions { sessions: 0, .. } => {
             return Err("--sessions needs at least one session".into())
         }
         Script::Sessions { sessions, .. } => {
-            let lanes = cfg.conns.max(1).min(sessions);
+            let lanes = cfg.conns.min(sessions);
             (lanes.min(cfg.queue_capacity), Vec::new())
         }
     };
@@ -481,7 +485,7 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadReport, String> {
                 "127.0.0.1:0",
                 ServeConfig {
                     workers: cfg.workers,
-                    reactors: cfg.reactors.max(1),
+                    reactors: cfg.reactors,
                     queue_capacity: cfg.queue_capacity,
                     seed: pool_seed(cfg.seed),
                     session_capacity: cfg.session_capacity,

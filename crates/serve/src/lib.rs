@@ -6,7 +6,9 @@
 //! backends, a length-prefixed binary protocol exposes the pool over TCP,
 //! and live metrics (request counters, queue high-water mark, latency
 //! histograms, per-worker modelled cycle totals) are available both in
-//! process and via a `STATS` protocol request. Everything is built on
+//! process and via a `STATS` protocol request. The backend axis is
+//! `lac`'s [`BackendKind`], re-exported here because its wire code
+//! travels in every KEM frame. Everything is built on
 //! `std` only — `std::thread`, `Mutex`/`Condvar`, `TcpListener` — keeping
 //! the workspace hermetic.
 //!
@@ -89,7 +91,8 @@ pub mod server;
 pub mod session;
 pub mod wire;
 
-use lac::{AcceleratedBackend, Backend, KeccakAcceleratedBackend, Params, SoftwareBackend};
+pub use lac::BackendKind;
+use lac::Params;
 
 /// The KEM operations the pool serves (also the metrics axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,89 +136,6 @@ impl Op {
             other => Err(format!(
                 "unknown op '{other}' (expected keygen|encaps|decaps)"
             )),
-        }
-    }
-}
-
-/// Which execution backend a job runs on.
-///
-/// This mirrors the CLI's `--backend` axis: the two software profiles, the
-/// paper's PQ-ALU accelerator model, and the future-work Keccak variant.
-/// Workers build their *own* instance of each (backends are cheap owned
-/// state and `Backend: Send`), so no locking happens on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// `SoftwareBackend::reference()` — submission-style variable-time BCH.
-    Ref,
-    /// `SoftwareBackend::constant_time()` — Walters-style constant-time BCH.
-    Ct,
-    /// `AcceleratedBackend` — MUL TER + SHA256 unit + MUL CHIEN.
-    Hw,
-    /// `KeccakAcceleratedBackend` — the §VI future-work Keccak-hash variant
-    /// (not interoperable with the SHA-256 backends).
-    HwKeccak,
-}
-
-impl BackendKind {
-    /// All backends, in wire-code order.
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Ref,
-        BackendKind::Ct,
-        BackendKind::Hw,
-        BackendKind::HwKeccak,
-    ];
-
-    /// CLI/wire label.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Ref => "ref",
-            BackendKind::Ct => "ct",
-            BackendKind::Hw => "hw",
-            BackendKind::HwKeccak => "hw-keccak",
-        }
-    }
-
-    /// Parse a CLI label.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "ref" => Ok(BackendKind::Ref),
-            "ct" => Ok(BackendKind::Ct),
-            "hw" => Ok(BackendKind::Hw),
-            "hw-keccak" => Ok(BackendKind::HwKeccak),
-            other => Err(format!(
-                "unknown backend '{other}' (expected ref|ct|hw|hw-keccak)"
-            )),
-        }
-    }
-
-    /// One-byte wire code (1-based; 0 is reserved/invalid).
-    pub fn code(self) -> u8 {
-        match self {
-            BackendKind::Ref => 1,
-            BackendKind::Ct => 2,
-            BackendKind::Hw => 3,
-            BackendKind::HwKeccak => 4,
-        }
-    }
-
-    /// Decode a wire code.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            1 => Some(BackendKind::Ref),
-            2 => Some(BackendKind::Ct),
-            3 => Some(BackendKind::Hw),
-            4 => Some(BackendKind::HwKeccak),
-            _ => None,
-        }
-    }
-
-    /// Build a fresh backend instance of this kind.
-    pub fn build(self) -> Box<dyn Backend> {
-        match self {
-            BackendKind::Ref => Box::new(SoftwareBackend::reference()),
-            BackendKind::Ct => Box::new(SoftwareBackend::constant_time()),
-            BackendKind::Hw => Box::new(AcceleratedBackend::new()),
-            BackendKind::HwKeccak => Box::new(KeccakAcceleratedBackend::new()),
         }
     }
 }
@@ -271,27 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn backend_codes_and_labels_roundtrip() {
-        for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::from_code(kind.code()), Some(kind));
-            assert_eq!(BackendKind::parse(kind.name()), Ok(kind));
-        }
-        assert!(BackendKind::from_code(0).is_none());
-        assert!(BackendKind::parse("fpga").is_err());
-    }
-
-    #[test]
     fn ops_index_and_parse() {
         for (i, op) in Op::ALL.iter().enumerate() {
             assert_eq!(op.index(), i);
             assert_eq!(Op::parse(op.label()), Ok(*op));
         }
         assert!(Op::parse("encrypt").is_err());
-    }
-
-    #[test]
-    fn backend_build_produces_distinct_labels() {
-        let labels: Vec<&str> = BackendKind::ALL.iter().map(|k| k.build().label()).collect();
-        assert_eq!(labels, vec!["ref.", "const. BCH", "opt.", "opt. + Keccak"]);
     }
 }

@@ -140,7 +140,7 @@ impl Reply {
 /// Pool sizing and seeding, plus the event-driven front-end's operational
 /// envelope (connection caps, timeouts, backpressure bounds). Every limit
 /// here is also a CLI flag on `lac-suite serve` and a counter/gauge in the
-/// `STATS` reply.
+/// `STATS` reply. `Server::bind` rejects a size below its marked minimum.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker-thread count (≥ 1).
@@ -151,8 +151,9 @@ pub struct ServeConfig {
     /// session table. Connections are dealt round-robin at accept time
     /// and never migrate.
     pub reactors: usize,
-    /// Bounded-queue capacity: producers block once this many jobs wait.
-    /// The event-driven server never blocks — it sheds with `BUSY` instead.
+    /// Bounded-queue capacity (≥ 1): producers block once this many jobs
+    /// wait. The event-driven server never blocks — it sheds with `BUSY`
+    /// instead.
     pub queue_capacity: usize,
     /// Root seed all per-job DRBG lanes fork from.
     pub seed: [u8; 32],
@@ -161,8 +162,8 @@ pub struct ServeConfig {
     /// (see the module docs). Purely a startup optimisation — job results
     /// are identical either way.
     pub warm_iss: bool,
-    /// Maximum simultaneously open connections; excess accepts are closed
-    /// immediately and counted (`conns_rejected`).
+    /// Maximum simultaneously open connections (≥ 1); excess accepts are
+    /// closed immediately and counted (`conns_rejected`).
     pub max_conns: usize,
     /// Accept-rate limit in connections/second (token bucket); 0 disables.
     pub accept_rps: u64,
@@ -175,14 +176,15 @@ pub struct ServeConfig {
     /// Close a connection whose write buffer makes no progress for this
     /// many milliseconds (dead-peer guard); 0 disables.
     pub write_timeout_ms: u64,
-    /// Per-connection write-buffer bound in bytes: above it the server
-    /// stops reading that connection until the peer drains (backpressure).
+    /// Per-connection write-buffer bound in bytes (≥ 1): above it the
+    /// server stops reading that connection until the peer drains
+    /// (backpressure).
     pub max_write_buffer: usize,
     /// Graceful-drain deadline after `SHUTDOWN`, in milliseconds: in-flight
     /// jobs get this long to complete and flush before the server exits.
     pub drain_ms: u64,
-    /// Bound on open sessions, split as evenly as possible over the
-    /// reactor shards' tables (see `crate::session::SessionTable`):
+    /// Bound on open sessions (≥ `reactors`), split as evenly as possible
+    /// over the reactor shards' tables (see `crate::session::SessionTable`):
     /// opening a session on a full shard evicts that shard's
     /// least-recently-used one.
     pub session_capacity: usize,

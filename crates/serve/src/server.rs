@@ -114,12 +114,30 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from the bind and poller set-up errors
-    /// (descriptor exhaustion).
+    /// `InvalidInput`, naming the field, for a size the server cannot run
+    /// as given: zero `workers`, `reactors`, `queue_capacity`, `max_conns`
+    /// or `max_write_buffer`, or a `session_capacity` below one slot per
+    /// reactor shard. Otherwise propagates socket errors from the bind and
+    /// poller set-up errors (descriptor exhaustion).
     pub fn bind(addr: &str, config: ServeConfig) -> std::io::Result<Self> {
+        for (field, value, least) in [
+            ("workers", config.workers, 1),
+            ("reactors", config.reactors, 1),
+            ("queue_capacity", config.queue_capacity, 1),
+            ("max_conns", config.max_conns, 1),
+            ("max_write_buffer", config.max_write_buffer, 1),
+            ("session_capacity", config.session_capacity, config.reactors),
+        ] {
+            if value < least {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("{field} is {value}; it must be at least {least}"),
+                ));
+            }
+        }
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let mut pollers = (0..config.reactors.max(1))
+        let mut pollers = (0..config.reactors)
             .map(|_| Poller::new())
             .collect::<std::io::Result<Vec<_>>>()?;
         pollers[0].register(&listener, LISTENER)?;
@@ -425,7 +443,7 @@ impl EventLoop {
         control: Arc<ShardControl>,
     ) -> Self {
         let cfg = pool.config().clone();
-        let reactors = cfg.reactors.max(1);
+        let reactors = cfg.reactors;
         let (tx, rx) = mpsc::channel();
         Self {
             shard,
@@ -453,19 +471,18 @@ impl EventLoop {
             poller,
             // Each shard holds its exact share of the global bound.
             sessions: SessionTable::new(
-                (cfg.session_capacity / reactors
-                    + usize::from(shard < cfg.session_capacity % reactors))
-                .max(1),
+                cfg.session_capacity / reactors
+                    + usize::from(shard < cfg.session_capacity % reactors),
             ),
             pending_opens: HashMap::new(),
             next_session_id: shard as u64 + 1,
             busy_ns: 0,
             session_rekey_after: cfg.session_rekey_after,
-            max_conns: cfg.max_conns.max(1) as u64,
+            max_conns: cfg.max_conns as u64,
             idle_timeout: timeout(cfg.idle_timeout_ms),
             read_timeout: timeout(cfg.read_timeout_ms),
             write_timeout: timeout(cfg.write_timeout_ms),
-            max_write_buffer: cfg.max_write_buffer.max(1),
+            max_write_buffer: cfg.max_write_buffer,
             drain_ms: cfg.drain_ms,
         }
     }
@@ -1603,6 +1620,44 @@ mod tests {
         );
         client.shutdown().expect("shutdown");
         handle.join().expect("server");
+    }
+
+    #[test]
+    fn bind_refuses_sizes_it_cannot_run() {
+        // Checked on `bind` itself: a lost check returns a server here, so
+        // the test fails instead of waiting on one that runs.
+        let ok = ServeConfig {
+            workers: 1,
+            warm_iss: false,
+            ..ServeConfig::default()
+        };
+        type Shrink = fn(&mut ServeConfig);
+        let cases: [(&str, Shrink); 7] = [
+            ("workers", |c| c.workers = 0),
+            ("reactors", |c| c.reactors = 0),
+            ("queue_capacity", |c| c.queue_capacity = 0),
+            ("max_conns", |c| c.max_conns = 0),
+            ("max_write_buffer", |c| c.max_write_buffer = 0),
+            ("session_capacity", |c| c.session_capacity = 0),
+            ("session_capacity", |c| {
+                (c.session_capacity, c.reactors) = (1, 2)
+            }),
+        ];
+        for (field, shrink) in cases {
+            let mut config = ok.clone();
+            shrink(&mut config);
+            match Server::bind("127.0.0.1:0", config) {
+                Ok(_) => panic!("{field}: bound a server it cannot run"),
+                Err(err) => {
+                    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{field}");
+                    assert!(
+                        err.to_string().starts_with(&format!("{field} is ")),
+                        "{err}"
+                    );
+                }
+            }
+        }
+        assert!(Server::bind("127.0.0.1:0", ok).is_ok());
     }
 
     #[test]

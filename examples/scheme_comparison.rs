@@ -90,7 +90,7 @@ fn main() {
     // Accelerator area.
     let lac_area = lac_backend.mul_ter().resources()
         + lac_backend.chien_unit().resources()
-        + lac_backend.sha_unit().resources()
+        + lac_hw::Sha256Unit::new().resources()
         + lac_hw::ModQ::new().resources();
     let nh_area = nh_backend.ntt_unit().resources() + nh_backend.keccak_unit().resources();
     println!(

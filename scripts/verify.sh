@@ -47,6 +47,21 @@ echo "== cargo test --release --offline (perfbench) =="
 # breaks the benchmark fail tier-1, in both modes.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
+echo
+echo "== smoke: self-modifying unlink digest parity =="
+# A hot loop patches an already-chained block mid-run: iss_bench exits
+# non-zero if any engine's digest diverges, or if a JIT-capable host
+# never severed a chain link (the unlink path went untested). Captured
+# (not piped to grep -q) so iss_bench's exit code is honoured. Both modes
+# run it: full mode's ISS gates never pass --smc.
+SMC=$(cargo run -q --release --offline -p lac-bench --bin iss_bench -- --smc --json)
+printf '%s' "$SMC" | grep -q '"digests_match": true' || {
+    echo "smc smoke: digests_match missing or false" >&2
+    echo "$SMC" >&2
+    exit 1
+}
+echo "  self-modifying unlink parity OK"
+
 if [ "$QUICK" = 1 ]; then
     echo
     echo "== smoke: table2 (--json, quick mode) =="
@@ -61,19 +76,6 @@ if [ "$QUICK" = 1 ]; then
     cargo run -q --release --offline -p lac-bench --bin iss_bench -- \
         --json --iters 8 | grep -q '"digests_match": true'
     echo "  jit digest parity OK (engine compare)"
-    echo
-    echo "== smoke: self-modifying unlink digest parity (quick mode) =="
-    # A hot loop patches an already-chained block mid-run: iss_bench exits
-    # non-zero if any engine's digest diverges, or if a JIT-capable host
-    # never severed a chain link (the unlink path went untested). Captured
-    # (not piped to grep -q) so iss_bench's exit code is honoured.
-    SMC=$(cargo run -q --release --offline -p lac-bench --bin iss_bench -- --smc --json)
-    printf '%s' "$SMC" | grep -q '"digests_match": true' || {
-        echo "smc smoke: digests_match missing or false" >&2
-        echo "$SMC" >&2
-        exit 1
-    }
-    echo "  self-modifying unlink parity OK"
     echo
     echo "== smoke: warm-start sweep digest parity (quick mode) =="
     # Small cold-vs-warm fleet; iss_bench exits non-zero on digest skew.

@@ -29,32 +29,29 @@
 //! (the §VI Keccak-hash variant); `--cycles` prints the modelled RISCY
 //! cycle ledger of the operation.
 
-use lac::{Backend, Ciphertext, Kem, KemPublicKey, KemSecretKey, Params};
+use lac::{BackendKind, Ciphertext, Kem, KemPublicKey, KemSecretKey};
 use lac_meter::{report, CycleLedger, Meter, NullMeter};
 use lac_rand::{Rng, Sha256CtrRng, Shake128Rng};
 use lac_serve::bench::{self, json_u64, Script};
 use lac_serve::client::Client;
+use lac_serve::params_parse;
 use lac_serve::pool::ServeConfig;
 use lac_serve::server::Server;
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 
-fn parse_params(name: &str) -> Result<Params, String> {
-    match name {
-        "lac128" => Ok(Params::lac128()),
-        "lac192" => Ok(Params::lac192()),
-        "lac256" => Ok(Params::lac256()),
-        other => Err(format!(
-            "unknown parameter set '{other}' (expected lac128|lac192|lac256)"
-        )),
+/// Reword a `Server::bind` sizing error (`queue_capacity is 0; …`) by the
+/// flag that sets the field: `--` and the field with `-` for `_`, except
+/// `--queue` for `queue_capacity`. Any other error passes through as is.
+fn name_flag(bind_err: &str) -> String {
+    match bind_err.split_once(" is ") {
+        Some(("queue_capacity", rest)) => format!("--queue is {rest}"),
+        Some((field, rest)) if field.bytes().all(|b| b.is_ascii_lowercase() || b == b'_') => {
+            format!("--{} is {rest}", field.replace('_', "-"))
+        }
+        _ => bind_err.to_string(),
     }
-}
-
-fn make_backend(name: &str) -> Result<Box<dyn Backend>, String> {
-    // The serving layer owns the backend axis; the one-shot commands
-    // share it so `hw-keccak` works everywhere.
-    Ok(lac_serve::BackendKind::parse(name)?.build())
 }
 
 struct Options {
@@ -128,7 +125,7 @@ fn parse_or<T: std::str::FromStr>(opts: &Options, name: &str, default: T) -> Res
 fn cmd_serve(opts: &Options) -> Result<String, String> {
     let addr = opts.get_or("addr", "127.0.0.1:0");
     let workers = parse_or(opts, "workers", 4)?;
-    let reactors = parse_or(opts, "reactors", 1)?.max(1);
+    let reactors = parse_or(opts, "reactors", 1)?;
     let queue_capacity = parse_or(opts, "queue", 64)?;
     let seed = match opts.flags.get("seed") {
         Some(value) => {
@@ -165,7 +162,7 @@ fn cmd_serve(opts: &Options) -> Result<String, String> {
             )?,
         },
     )
-    .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    .map_err(|e| format!("cannot bind {addr}: {}", name_flag(&e.to_string())))?;
     let local = server
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
@@ -251,8 +248,8 @@ fn cmd_bench_serve(opts: &Options) -> Result<String, String> {
                 requests: parse_or(opts, "requests", 32)?,
             }
         },
-        params: lac_serve::params_parse(&opts.get_or("params", "lac128"))?,
-        backend: lac_serve::BackendKind::parse(&opts.get_or("backend", "ct"))?,
+        params: params_parse(&opts.get_or("params", "lac128"))?,
+        backend: BackendKind::parse(&opts.get_or("backend", "ct"))?,
         conns: parse_or(opts, "conns", 4)?,
         target_qps: parse_or(opts, "target-qps", 0.0)?,
         seed: parse_or(opts, "seed", 1)?,
@@ -265,6 +262,11 @@ fn cmd_bench_serve(opts: &Options) -> Result<String, String> {
         session_rekey_after: parse_or(opts, "session-rekey-after", defaults.session_rekey_after)?,
     };
     let render = |json: String, text: String| if opts.json { json + "\n" } else { text };
+    // `bench::run` reports its in-process server's bind error as `bind: …`.
+    let flagged = |err: String| match err.strip_prefix("bind: ") {
+        Some(bind_err) => format!("bind: {}", name_flag(bind_err)),
+        None => err,
+    };
     match opts.flags.get("sweep") {
         Some(sweep) => {
             let counts: Vec<usize> = sweep
@@ -275,11 +277,11 @@ fn cmd_bench_serve(opts: &Options) -> Result<String, String> {
                         .map_err(|_| format!("bad --sweep entry '{s}'"))
                 })
                 .collect::<Result<_, _>>()?;
-            let report = bench::run_sweep(&cfg, &counts)?;
+            let report = bench::run_sweep(&cfg, &counts).map_err(flagged)?;
             Ok(render(report.to_json(), report.to_text()))
         }
         None => {
-            let report = bench::run(&cfg)?;
+            let report = bench::run(&cfg).map_err(flagged)?;
             Ok(render(report.to_json(), report.to_text()))
         }
     }
@@ -454,9 +456,9 @@ fn run(command: &str, opts: &Options) -> Result<String, String> {
         }
     }
 
-    let params = parse_params(&opts.get_or("params", "lac128"))?;
+    let params = params_parse(&opts.get_or("params", "lac128"))?;
     let kem = Kem::new(params);
-    let mut backend = make_backend(&opts.get_or("backend", "ct"))?;
+    let mut backend = BackendKind::parse(&opts.get_or("backend", "ct"))?.build();
     let mut ledger = CycleLedger::new();
     let meter: &mut dyn Meter = if opts.cycles {
         &mut ledger
@@ -711,6 +713,13 @@ mod tests {
             )
         )
         .is_err());
+        // A size the server cannot run is refused by flag name before any
+        // socket is bound; `server::tests::bind_refuses_sizes_it_cannot_run`
+        // covers every field.
+        let err = run("serve", &opts(&[("queue", "0")], false)).unwrap_err();
+        assert!(err.contains("--queue is 0; it must be at least 1"), "{err}");
+        assert_eq!(name_flag("max_conns is 0; it"), "--max-conns is 0; it");
+        assert_eq!(name_flag("Address in use"), "Address in use");
     }
 
     #[test]
@@ -864,6 +873,18 @@ mod tests {
         assert!(err.contains("--clients"), "{err}");
         let err = bench_serve_err(&[("batch", "4")]);
         assert!(err.contains("unknown bench-serve flag --batch"), "{err}");
+    }
+
+    #[test]
+    fn bench_serve_rejects_degenerate_sizes() {
+        for flag in ["workers", "reactors", "queue", "conns"] {
+            let err = bench_serve_err(&[(flag, "0")]);
+            assert!(err.contains(&format!("--{flag} is 0")), "{err}");
+        }
+        // Fewer session slots than reactor shards would evict a session the
+        // run never asked to lose.
+        let err = bench_serve_err(&[("sessions", "2"), ("session-capacity", "0")]);
+        assert!(err.contains("--session-capacity is 0"), "{err}");
     }
 
     #[test]

@@ -2,31 +2,24 @@
 //! and serialization boundaries.
 
 use lac::{
-    AcceleratedBackend, Backend, Ciphertext, Kem, KemPublicKey, KemSecretKey, Params,
+    AcceleratedBackend, BackendKind, Ciphertext, Kem, KemPublicKey, KemSecretKey, Params,
     SoftwareBackend,
 };
 use lac_meter::NullMeter;
 use lac_rand::Rng;
 use lac_rand::Sha256CtrRng;
 
-fn backends() -> Vec<Box<dyn Backend>> {
-    vec![
-        Box::new(SoftwareBackend::reference()),
-        Box::new(SoftwareBackend::constant_time()),
-        Box::new(AcceleratedBackend::new()),
-    ]
-}
-
 #[test]
 fn roundtrip_matrix_params_x_backends() {
     for params in Params::ALL {
         let kem = Kem::new(params);
-        for mut backend in backends() {
+        for kind in BackendKind::ALL {
+            let mut backend = kind.build();
             let mut rng = Sha256CtrRng::seed_from_u64(11);
             let (pk, sk) = kem.keygen(&mut rng, backend.as_mut(), &mut NullMeter);
             let (ct, k1) = kem.encapsulate(&mut rng, &pk, backend.as_mut(), &mut NullMeter);
             let k2 = kem.decapsulate(&sk, &ct, backend.as_mut(), &mut NullMeter);
-            assert_eq!(k1, k2, "{} on {}", params.name(), backend.label());
+            assert_eq!(k1, k2, "{} on {}", params.name(), kind.name());
         }
     }
 }
