@@ -12,10 +12,11 @@
 //! Run: `cargo run --release -p lac-bench --bin ablation_keccak`
 
 use lac::{BackendKind, Params};
-use lac_bench::{measure_kem, thousands};
+use lac_bench::{measure_kem, thousands, Flags};
 use lac_hw::{KeccakUnit, Sha256Unit};
 
 fn main() {
+    Flags::parse(&[], &[]);
     println!("Ablation: SHA256 unit vs Keccak unit in the PQ-ALU (the paper's future work)\n");
     println!(
         "{:<26} {:>12} {:>12} {:>12} {:>10} {:>10}",

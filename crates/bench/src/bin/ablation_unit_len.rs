@@ -11,7 +11,7 @@
 //! Run: `cargo run --release -p lac-bench --bin ablation_unit_len`
 
 use lac::{AcceleratedBackend, Kem, Params};
-use lac_bench::thousands;
+use lac_bench::{thousands, Flags};
 use lac_hw::MulTer;
 use lac_meter::{CycleLedger, NullMeter};
 use lac_rand::Sha256CtrRng;
@@ -35,6 +35,7 @@ fn mul_cycles(unit: usize, n: usize) -> Option<u64> {
 }
 
 fn main() {
+    Flags::parse(&[], &[]);
     println!("Ablation: MUL TER unit length vs performance and area (Section IV-A trade-off)\n");
     println!(
         "{:>9} {:>14} {:>15} {:>10} {:>12}",

@@ -12,6 +12,7 @@
 //! Run: `cargo run --release -p lac-bench --bin failure_rate`
 
 use lac::{Lac, Params, SoftwareBackend};
+use lac_bench::Flags;
 use lac_meter::NullMeter;
 use lac_rand::Rng;
 use lac_rand::Sha256CtrRng;
@@ -41,6 +42,7 @@ fn binomial_tail(n: u64, p: f64, t: u64) -> f64 {
 }
 
 fn main() {
+    Flags::parse(&[], &[]);
     println!("Pre-BCH error statistics and projected decryption-failure rates\n");
     println!(
         "{:<9} {:>7} {:>11} {:>12} {:>9} {:>13} {:>22}",

@@ -29,46 +29,9 @@
 //! `"digests_match"` bit-identity check; this is the binary behind
 //! `scripts/verify.sh`'s warm-start gate (warm ≥ 1.5× cold).
 
-use lac_bench::{iss, json, shard, thousands, threads_arg};
+use lac_bench::{iss, shard, thousands, Flags};
 use lac_rv32::Engine;
 use std::process::ExitCode;
-
-fn u32_flag(name: &str, default: u32) -> u32 {
-    let eq = format!("--{name}=");
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == format!("--{name}") {
-            if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        }
-        if let Some(v) = arg.strip_prefix(&eq).and_then(|v| v.parse().ok()) {
-            return v;
-        }
-    }
-    default
-}
-
-fn iters_arg() -> u32 {
-    u32_flag("iters", 2_000)
-}
-
-fn engine_arg() -> Result<Option<Engine>, String> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        let name = if arg == "--engine" {
-            args.next()
-        } else {
-            arg.strip_prefix("--engine=").map(str::to_owned)
-        };
-        if let Some(name) = name {
-            return iss::parse_engine(&name)
-                .map(Some)
-                .ok_or(format!("unknown engine {name:?} (classic|superblock|jit)"));
-        }
-    }
-    Ok(None)
-}
 
 fn json_run(r: &iss::IssRun) -> String {
     format!(
@@ -109,15 +72,16 @@ fn print_run(label: &str, r: &iss::IssRun) {
     );
 }
 
-fn run_sweep() -> ExitCode {
+fn run_sweep(flags: &Flags) -> ExitCode {
+    flags.only(&["sweep", "json", "cells", "iters", "threads"]);
     // Sweep cells are small by default: the point is fleet setup cost,
     // not per-cell run length.
-    let cells = u32_flag("cells", 48) as usize;
-    let iters = u32_flag("iters", 40);
-    let threads = shard::thread_count(threads_arg());
+    let cells = flags.value("cells").unwrap_or(48);
+    let iters = flags.value("iters").unwrap_or(40);
+    let threads = shard::thread_count(flags.value("threads"));
     let report = iss::sweep(cells, iters, threads);
 
-    if json::requested() {
+    if flags.has("json") {
         println!("{{");
         println!("  \"bench\": \"iss_sweep\",");
         println!("  \"cells\": {},", report.cells);
@@ -164,10 +128,11 @@ fn run_sweep() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_smc() -> ExitCode {
+fn run_smc(flags: &Flags) -> ExitCode {
+    flags.only(&["smc", "json"]);
     let supported = lac_rv32::jit::host_supported();
     let report = iss::smc_check();
-    if json::requested() {
+    if flags.has("json") {
         println!("{{");
         println!("  \"bench\": \"iss_smc\",");
         println!("  \"jit_supported\": {supported},");
@@ -208,25 +173,34 @@ fn run_smc() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--smc") {
-        return run_smc();
+    let flags = Flags::parse(
+        &["json", "smc", "sweep"],
+        &["iters", "engine", "cells", "threads"],
+    );
+    if flags.has("smc") {
+        return run_smc(&flags);
     }
-    if std::env::args().any(|a| a == "--sweep") {
-        return run_sweep();
+    if flags.has("sweep") {
+        return run_sweep(&flags);
     }
-    let iters = iters_arg();
-    let only = match engine_arg() {
-        Ok(only) => only,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
+    flags.only(&["json", "iters", "engine"]);
+    let json = flags.has("json");
+    let iters = flags.value("iters").unwrap_or(2_000);
+    let only = match flags.value::<String>("engine") {
+        None => None,
+        Some(name) => match iss::parse_engine(&name) {
+            Some(engine) => Some(engine),
+            None => {
+                eprintln!("error: unknown engine {name:?} (classic|superblock|jit)");
+                return ExitCode::FAILURE;
+            }
+        },
     };
 
     if let Some(engine) = only {
         let run = iss::measure(iters, engine);
         let name = iss::engine_name(engine);
-        if json::requested() {
+        if json {
             println!("{{");
             println!("  \"bench\": \"iss\",");
             println!("  \"iters\": {iters},");
@@ -246,7 +220,7 @@ fn main() -> ExitCode {
 
     let report = iss::compare(iters);
 
-    if json::requested() {
+    if json {
         println!("{{");
         println!("  \"bench\": \"iss\",");
         println!("  \"iters\": {iters},");

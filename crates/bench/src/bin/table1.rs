@@ -7,8 +7,9 @@
 //! (`--json` emits the same data as machine-readable JSON; `--threads N`
 //! caps the shard worker count, default all cores)
 
-use lac_bench::{json, table1, threads_arg};
+use lac_bench::{table1, Flags};
 
 fn main() {
-    table1::run(json::requested(), threads_arg());
+    let flags = Flags::parse(&["json"], &["threads"]);
+    table1::run(flags.has("json"), flags.value("threads"));
 }

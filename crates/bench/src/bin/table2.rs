@@ -12,8 +12,9 @@
 //! (`--json` emits the same data as machine-readable JSON; `--threads N`
 //! caps the shard worker count, default all cores)
 
-use lac_bench::{json, table2, threads_arg};
+use lac_bench::{table2, Flags};
 
 fn main() {
-    table2::run(json::requested(), threads_arg());
+    let flags = Flags::parse(&["json"], &["threads"]);
+    table2::run(flags.has("json"), flags.value("threads"));
 }

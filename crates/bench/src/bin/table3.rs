@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p lac-bench --bin table3`
 //! (`--json` emits the same data as machine-readable JSON)
 
-use lac_bench::json;
+use lac_bench::{json, Flags};
 use lac_hw::area::{
     ResourceEstimate, KECCAK_ACCELERATOR_REF8, NTT_ACCELERATOR_REF8, PERIPHERALS, RISCY_BASE,
 };
@@ -81,7 +81,7 @@ fn emit_json() {
 }
 
 fn main() {
-    if json::requested() {
+    if Flags::parse(&["json"], &[]).has("json") {
         emit_json();
         return;
     }

@@ -239,7 +239,7 @@ pub fn run_path_nochain(iters: u32, engine: Engine) -> IssRun {
 /// a deterministic kernel on a noisy shared host.
 const COMPARE_REPS: u32 = 5;
 
-/// Measure one engine, best of [`COMPARE_REPS`] runs.
+/// Measure one engine, best of `COMPARE_REPS` runs.
 pub fn measure(iters: u32, engine: Engine) -> IssRun {
     (0..COMPARE_REPS)
         .map(|_| run_path(iters, engine))
@@ -248,7 +248,7 @@ pub fn measure(iters: u32, engine: Engine) -> IssRun {
 }
 
 /// Measure every engine, plus the JIT with chaining off, on the same
-/// `iters`-sized workload, best of [`COMPARE_REPS`] runs each.
+/// `iters`-sized workload, best of `COMPARE_REPS` runs each.
 pub fn compare(iters: u32) -> IssReport {
     let classic = measure(iters, Engine::Classic);
     let superblock = measure(iters, Engine::Superblock);

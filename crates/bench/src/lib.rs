@@ -52,26 +52,85 @@ pub mod json {
     pub fn str_field(key: &str, value: &str) -> String {
         format!("\"{}\": \"{}\"", escape(key), escape(value))
     }
+}
 
-    /// Whether `--json` was passed on the command line.
-    pub fn requested() -> bool {
-        std::env::args().any(|a| a == "--json")
+/// A `lac-bench` binary's command line, checked against the flags the
+/// binary reads. A flag the run would ignore is a mistake, not a no-op:
+/// an unknown flag, a missing value or an unparsable value exits with
+/// status 2 and an error naming the flag.
+#[derive(Debug)]
+pub struct Flags {
+    given: Vec<(String, Option<String>)>,
+}
+
+impl Flags {
+    /// Parse the process arguments. `switches` take no value (`--json`);
+    /// `valued` flags take one (`--threads N` or `--threads=N`).
+    pub fn parse(switches: &[&str], valued: &[&str]) -> Self {
+        Self::from_args(std::env::args().skip(1), switches, valued)
+            .unwrap_or_else(|message| usage_error(&message))
+    }
+
+    fn from_args(
+        mut args: impl Iterator<Item = String>,
+        switches: &[&str],
+        valued: &[&str],
+    ) -> Result<Self, String> {
+        let mut given = Vec::new();
+        while let Some(arg) = args.next() {
+            let Some(flag) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument '{arg}'"));
+            };
+            let (name, inline) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (flag, None),
+            };
+            let value = if valued.contains(&name) {
+                Some(
+                    inline
+                        .or_else(|| args.next())
+                        .ok_or_else(|| format!("--{name} needs a value"))?,
+                )
+            } else if switches.contains(&name) && inline.is_none() {
+                None
+            } else if switches.contains(&name) {
+                return Err(format!("--{name} takes no value"));
+            } else {
+                return Err(format!("unknown flag --{name}"));
+            };
+            given.push((name.to_string(), value));
+        }
+        Ok(Self { given })
+    }
+
+    /// Whether the switch `--name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(flag, _)| flag == name)
+    }
+
+    /// The value of `--name` (the last one given), parsed.
+    pub fn value<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let (_, value) = self.given.iter().rev().find(|(flag, _)| flag == name)?;
+        let value = value.as_deref().unwrap_or_default();
+        Some(
+            value
+                .parse()
+                .unwrap_or_else(|_| usage_error(&format!("bad --{name} '{value}'"))),
+        )
+    }
+
+    /// Refuse every given flag outside `read`, the flags this run mode
+    /// reads.
+    pub fn only(&self, read: &[&str]) {
+        if let Some((flag, _)) = self.given.iter().find(|(flag, _)| !read.contains(&&**flag)) {
+            usage_error(&format!("--{flag} does not apply to this run"));
+        }
     }
 }
 
-/// Parse `--threads N` / `--threads=N` from the command line (the table
-/// binaries' worker-count override; see [`shard::thread_count`]).
-pub fn threads_arg() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = arg.strip_prefix("--threads=") {
-            return v.parse().ok();
-        }
-    }
-    None
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// Sum of the BCH decode sub-phases (the paper's "BCH Dec." column).
@@ -241,6 +300,31 @@ mod tests {
         // The bottleneck columns are strictly inside the decapsulation total.
         assert!(row.gen_a + row.sample + row.bch_dec < row.decaps);
         assert_eq!(row.category, "I");
+    }
+
+    #[test]
+    fn flags_refuse_what_the_binary_does_not_read() {
+        let parse = |args: &[&str]| {
+            let args = args.iter().map(|a| a.to_string());
+            Flags::from_args(args, &["json"], &["threads"])
+        };
+        let flags = parse(&["--json", "--threads", "3"]).expect("known flags");
+        assert!(flags.has("json"));
+        assert_eq!(flags.value::<usize>("threads"), Some(3));
+        assert_eq!(
+            parse(&["--threads=2"]).unwrap().value::<usize>("threads"),
+            Some(2)
+        );
+        for (args, needle) in [
+            (&["--jsn"][..], "--jsn"),
+            (&["--thread", "1"][..], "--thread"),
+            (&["--threads"][..], "--threads needs a value"),
+            (&["--json=1"][..], "--json takes no value"),
+            (&["extra"][..], "'extra'"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! mnemonics. Enough to write the programs the examples and tests run on
 //! the simulator; not a full GNU-as replacement.
 //!
+//! The assembler only parses syntax: each line becomes one or more
+//! [`Inst`] values (a real mnemonic names one of [`Inst::templates`], a
+//! pseudo-instruction expands to the `Inst`s it stands for),
+//! and [`encode`] packs them. Mnemonics, funct codes, CSR numbers and field
+//! ranges therefore all come from the instruction table in
+//! [`crate::inst`], and an operand its field cannot hold is an
+//! [`AsmError`] naming the line, never a truncated encoding.
+//!
 //! # Example
 //!
 //! ```
@@ -13,7 +21,8 @@
 //! assert_eq!(words.len(), 2);
 //! ```
 
-use crate::inst::PQ_OPCODE;
+use crate::disasm::ABI_NAMES;
+use crate::inst::{encode, upper_imm, AluOp, Csr, CsrOp, Inst};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -34,53 +43,15 @@ impl fmt::Display for AsmError {
 
 impl std::error::Error for AsmError {}
 
-fn reg(name: &str, line: usize) -> Result<u32, AsmError> {
+fn reg(name: &str, line: usize) -> Result<u8, AsmError> {
     let name = name.trim();
-    let idx = match name {
-        "zero" => 0,
-        "ra" => 1,
-        "sp" => 2,
-        "gp" => 3,
-        "tp" => 4,
-        "t0" => 5,
-        "t1" => 6,
-        "t2" => 7,
-        "s0" | "fp" => 8,
-        "s1" => 9,
-        "a0" => 10,
-        "a1" => 11,
-        "a2" => 12,
-        "a3" => 13,
-        "a4" => 14,
-        "a5" => 15,
-        "a6" => 16,
-        "a7" => 17,
-        "t3" => 28,
-        "t4" => 29,
-        "t5" => 30,
-        "t6" => 31,
-        _ => {
-            if let Some(rest) = name.strip_prefix('s') {
-                if let Ok(i) = rest.parse::<u32>() {
-                    if (2..=11).contains(&i) {
-                        return Ok(i + 16);
-                    }
-                }
-            }
-            if let Some(rest) = name.strip_prefix('x') {
-                if let Ok(i) = rest.parse::<u32>() {
-                    if i < 32 {
-                        return Ok(i);
-                    }
-                }
-            }
-            return Err(AsmError {
-                line,
-                message: format!("unknown register '{name}'"),
-            });
-        }
-    };
-    Ok(idx)
+    let abi = || ABI_NAMES.iter().position(|&n| n == name).map(|i| i as u8);
+    let numbered = || name.strip_prefix('x')?.parse().ok().filter(|&i| i < 32);
+    let index = if name == "fp" { Some(8) } else { abi() };
+    index.or_else(numbered).ok_or_else(|| AsmError {
+        line,
+        message: format!("unknown register '{name}'"),
+    })
 }
 
 fn parse_int(text: &str, line: usize) -> Result<i64, AsmError> {
@@ -102,67 +73,33 @@ fn parse_int(text: &str, line: usize) -> Result<i64, AsmError> {
     Ok(if neg { -value } else { value })
 }
 
-#[derive(Debug, Clone)]
-enum Operand {
-    /// A numeric immediate (value parsed later, with line context).
-    Imm,
-    Label(String),
+/// Narrow a parsed operand to its [`Inst`] field type. A value the type
+/// cannot hold fits no format; the field's exact range is [`encode`]'s to
+/// check.
+fn narrow<T: TryFrom<i64>>(value: i64, line: usize) -> Result<T, AsmError> {
+    T::try_from(value).map_err(|_| AsmError {
+        line,
+        message: format!("operand {value} out of range"),
+    })
 }
 
-fn parse_imm_or_label(text: &str) -> Operand {
-    let t = text.trim();
-    let first = t.chars().next().unwrap_or(' ');
-    if first.is_ascii_digit() || first == '-' {
-        Operand::Imm
+/// A 32-bit data value (`.word`, `li`), written signed or unsigned.
+fn word(value: i64, line: usize) -> Result<u32, AsmError> {
+    if (i64::from(i32::MIN)..=i64::from(u32::MAX)).contains(&value) {
+        Ok(value as u32)
     } else {
-        Operand::Label(t.to_string())
+        Err(AsmError {
+            line,
+            message: format!("value {value} does not fit 32 bits"),
+        })
     }
 }
 
-// Encoders -------------------------------------------------------------
-
-fn enc_r(f7: u32, rs2: u32, rs1: u32, f3: u32, rd: u32, opcode: u32) -> u32 {
-    (f7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | opcode
-}
-
-fn enc_i(imm: i32, rs1: u32, f3: u32, rd: u32, opcode: u32) -> u32 {
-    (((imm as u32) & 0xfff) << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | opcode
-}
-
-fn enc_s(imm: i32, rs2: u32, rs1: u32, f3: u32, opcode: u32) -> u32 {
-    let imm = imm as u32;
-    (((imm >> 5) & 0x7f) << 25)
-        | (rs2 << 20)
-        | (rs1 << 15)
-        | (f3 << 12)
-        | ((imm & 0x1f) << 7)
-        | opcode
-}
-
-fn enc_b(imm: i32, rs2: u32, rs1: u32, f3: u32) -> u32 {
-    let imm = imm as u32;
-    (((imm >> 12) & 1) << 31)
-        | (((imm >> 5) & 0x3f) << 25)
-        | (rs2 << 20)
-        | (rs1 << 15)
-        | (f3 << 12)
-        | (((imm >> 1) & 0xf) << 8)
-        | (((imm >> 11) & 1) << 7)
-        | 0x63
-}
-
-fn enc_u(imm: i32, rd: u32, opcode: u32) -> u32 {
-    ((imm as u32) & 0xffff_f000) | (rd << 7) | opcode
-}
-
-fn enc_j(imm: i32, rd: u32) -> u32 {
-    let imm = imm as u32;
-    (((imm >> 20) & 1) << 31)
-        | (((imm >> 1) & 0x3ff) << 21)
-        | (((imm >> 11) & 1) << 20)
-        | (((imm >> 12) & 0xff) << 12)
-        | (rd << 7)
-        | 0x6f
+/// A `lui`/`addi` (or `auipc`/`jalr`) split of `value`: the upper part,
+/// rounded so the sign-extended 12-bit lower part makes up the rest.
+fn split_hi_lo(value: i32) -> (i32, i32) {
+    let upper = value.wrapping_add(0x800) & !0xfff;
+    (upper, value.wrapping_sub(upper))
 }
 
 // Line model ------------------------------------------------------------
@@ -183,22 +120,11 @@ fn split_args(rest: &str) -> Vec<String> {
     rest.split(',').map(|a| a.trim().to_string()).collect()
 }
 
-fn csr_number(name: &str, line: usize) -> Result<u32, AsmError> {
-    match name.trim() {
-        "cycle" => Ok(0xc00),
-        "cycleh" => Ok(0xc80),
-        "instret" => Ok(0xc02),
-        "instreth" => Ok(0xc82),
-        "mscratch" => Ok(0x340),
-        other => parse_int(other, line).map(|v| v as u32 & 0xfff),
-    }
-}
-
-fn li_size(imm: i64) -> u32 {
-    if (-2048..=2047).contains(&imm) {
-        4
-    } else {
-        8
+/// A CSR operand: a name from the [`Csr`] table or a number.
+fn csr_number(name: &str, line: usize) -> Result<u16, AsmError> {
+    match Csr::from_name(name.trim()) {
+        Some(csr) => Ok(csr.number()),
+        None => narrow(parse_int(name, line)?, line),
     }
 }
 
@@ -268,7 +194,13 @@ pub fn assemble(source: &str) -> Result<Vec<u32>, AsmError> {
                         message: "li needs rd, imm".into(),
                     });
                 }
-                li_size(parse_int(&args[1], line)?)
+                let value = parse_int(&args[1], line)?;
+                word(value, line)?;
+                if (-2048..=2047).contains(&value) {
+                    4
+                } else {
+                    8
+                }
             }
             "la" | "call" => 8,
             _ => 4,
@@ -283,7 +215,7 @@ pub fn assemble(source: &str) -> Result<Vec<u32>, AsmError> {
         addr += size;
     }
 
-    // Pass 2: encode.
+    // Pass 2: parse operands into instructions and encode them.
     let mut words: Vec<u32> = Vec::new();
     for item in &items {
         let line = item.line;
@@ -294,11 +226,13 @@ pub fn assemble(source: &str) -> Result<Vec<u32>, AsmError> {
                 .copied()
                 .ok_or_else(|| err(format!("unknown label '{name}'")))
         };
-        // Branch/jump target: label or numeric absolute offset.
-        let target = |arg: &str| -> Result<i32, AsmError> {
-            match parse_imm_or_label(arg) {
-                Operand::Imm => Ok(parse_int(arg, line)? as i32),
-                Operand::Label(name) => Ok(label_addr(&name)? as i32 - item.addr as i32),
+        // Branch/jump target: label or numeric offset from this item.
+        let target = |i: usize| -> Result<i32, AsmError> {
+            let arg = item.args[i].trim();
+            if arg.starts_with(|c: char| c.is_ascii_digit() || c == '-') {
+                narrow(parse_int(arg, line)?, line)
+            } else {
+                Ok(label_addr(arg)? as i32 - item.addr as i32)
             }
         };
         let need = |n: usize| -> Result<(), AsmError> {
@@ -314,268 +248,240 @@ pub fn assemble(source: &str) -> Result<Vec<u32>, AsmError> {
         };
         let r = |i: usize| reg(&item.args[i], line);
         let imm = |i: usize| parse_int(&item.args[i], line);
+        let csr = |i: usize| csr_number(&item.args[i], line);
         // "off(rs)" operand.
-        let mem = |i: usize| -> Result<(i32, u32), AsmError> {
+        let mem = |i: usize| -> Result<(i32, u8), AsmError> {
             let a = &item.args[i];
-            let open = a
-                .find('(')
-                .ok_or_else(|| err(format!("expected offset(reg), got '{a}'")))?;
-            let close = a
-                .rfind(')')
-                .ok_or_else(|| err(format!("expected offset(reg), got '{a}'")))?;
-            let off = if a[..open].trim().is_empty() {
-                0
-            } else {
-                parse_int(&a[..open], line)? as i32
+            let bad = || err(format!("expected offset(reg), got '{a}'"));
+            let (open, close) = (a.find('(').ok_or_else(bad)?, a.rfind(')').ok_or_else(bad)?);
+            let off = match a[..open].trim() {
+                "" => 0,
+                off => narrow(parse_int(off, line)?, line)?,
             };
             Ok((off, reg(&a[open + 1..close], line)?))
         };
+        let addi = |rd: u8, rs1: u8, imm: i32| Inst::OpImm {
+            op: AluOp::Add,
+            rd,
+            rs1,
+            imm,
+        };
 
         let m = item.mnemonic.as_str();
-        match m {
-            ".word" => {
+        // Branch pseudos: `beqz rs, t` is `beq rs, zero, t` (bnez, bltz and
+        // bgez alike) and `bgt a, b, t` is `blt b, a, t` (ble, bgtu and
+        // bleu alike).
+        let branch_op = |name: &str| match Inst::from_mnemonic(name) {
+            Some(Inst::Branch { op, .. }) => Some(op),
+            _ => None,
+        };
+        let zero_form = m.strip_suffix('z').and_then(branch_op);
+        let swapped = branch_op(&m.replacen("gt", "lt", 1).replacen("le", "ge", 1));
+        let insts: Vec<Inst> = match (m, Inst::from_mnemonic(m), zero_form, swapped) {
+            (".word", ..) => {
                 need(1)?;
-                words.push(imm(0)? as u32);
+                words.push(word(imm(0)?, line)?);
                 continue;
             }
-            ".space" => {
+            (".space", ..) => {
                 words.resize(words.len() + (item.size / 4) as usize, 0);
                 continue;
             }
-            _ => {}
-        }
-
-        let encoded: Vec<u32> = match m {
-            // U-type
-            "lui" => {
+            (_, Some(template), ..) => vec![match template {
+                Inst::Lui { .. } | Inst::Auipc { .. } => {
+                    need(2)?;
+                    let rd = r(0)?;
+                    let imm = upper_imm(imm(1)?).map_err(|e| err(e.to_string()))?;
+                    match template {
+                        Inst::Lui { .. } => Inst::Lui { rd, imm },
+                        _ => Inst::Auipc { rd, imm },
+                    }
+                }
+                Inst::Jal { .. } => {
+                    let (rd, offset) = match item.args.len() {
+                        1 => (1, target(0)?),
+                        2 => (r(0)?, target(1)?),
+                        _ => return Err(err("jal expects [rd,] label".into())),
+                    };
+                    Inst::Jal { rd, offset }
+                }
+                Inst::Jalr { .. } => {
+                    let (rd, rs1, offset) = match item.args.len() {
+                        1 => (1, r(0)?, 0),
+                        3 => (r(0)?, r(1)?, narrow(imm(2)?, line)?),
+                        _ => return Err(err("jalr expects rd, rs1, imm".into())),
+                    };
+                    Inst::Jalr { rd, rs1, offset }
+                }
+                Inst::Branch { op, .. } => {
+                    need(3)?;
+                    let (rs1, rs2, offset) = (r(0)?, r(1)?, target(2)?);
+                    Inst::Branch {
+                        op,
+                        rs1,
+                        rs2,
+                        offset,
+                    }
+                }
+                Inst::Load { op, .. } => {
+                    need(2)?;
+                    let (rd, (offset, rs1)) = (r(0)?, mem(1)?);
+                    Inst::Load {
+                        op,
+                        rd,
+                        rs1,
+                        offset,
+                    }
+                }
+                Inst::Store { op, .. } => {
+                    need(2)?;
+                    let (rs2, (offset, rs1)) = (r(0)?, mem(1)?);
+                    Inst::Store {
+                        op,
+                        rs1,
+                        rs2,
+                        offset,
+                    }
+                }
+                Inst::OpImm { op, .. } => {
+                    need(3)?;
+                    let (rd, rs1, imm) = (r(0)?, r(1)?, narrow(imm(2)?, line)?);
+                    Inst::OpImm { op, rd, rs1, imm }
+                }
+                Inst::Op { op, .. } => {
+                    need(3)?;
+                    let (rd, rs1, rs2) = (r(0)?, r(1)?, r(2)?);
+                    Inst::Op { op, rd, rs1, rs2 }
+                }
+                Inst::Pq { unit, .. } => {
+                    need(3)?;
+                    let (rd, rs1, rs2) = (r(0)?, r(1)?, r(2)?);
+                    Inst::Pq { unit, rd, rs1, rs2 }
+                }
+                Inst::Csr { op, .. } => {
+                    need(3)?;
+                    let (rd, csr, rs1) = (r(0)?, csr(1)?, r(2)?);
+                    Inst::Csr { op, rd, rs1, csr }
+                }
+                Inst::Fence | Inst::Ecall | Inst::Ebreak => template,
+            }],
+            (_, None, Some(op), _) => {
                 need(2)?;
-                vec![enc_u((imm(1)? as i32) << 12, r(0)?, 0x37)]
+                let (rs1, offset) = (r(0)?, target(1)?);
+                vec![Inst::Branch {
+                    op,
+                    rs1,
+                    rs2: 0,
+                    offset,
+                }]
             }
-            "auipc" => {
-                need(2)?;
-                vec![enc_u((imm(1)? as i32) << 12, r(0)?, 0x17)]
+            (_, None, None, Some(op)) => {
+                need(3)?;
+                let (rs2, rs1, offset) = (r(0)?, r(1)?, target(2)?);
+                vec![Inst::Branch {
+                    op,
+                    rs1,
+                    rs2,
+                    offset,
+                }]
             }
-            // Jumps
-            "jal" => match item.args.len() {
-                1 => vec![enc_j(target(&item.args[0])?, 1)],
-                2 => vec![enc_j(target(&item.args[1])?, r(0)?)],
-                _ => return Err(err("jal expects [rd,] label".into())),
-            },
-            "jalr" => match item.args.len() {
-                1 => vec![enc_i(0, r(0)?, 0, 1, 0x67)],
-                3 => vec![enc_i(imm(2)? as i32, r(1)?, 0, r(0)?, 0x67)],
-                _ => return Err(err("jalr expects rd, rs1, imm".into())),
-            },
-            "j" => {
+            // Other pseudo-instructions.
+            ("j" | "jr" | "ret", ..) => {
+                if m != "ret" {
+                    need(1)?;
+                }
+                vec![match m {
+                    "j" => Inst::Jal {
+                        rd: 0,
+                        offset: target(0)?,
+                    },
+                    "jr" => Inst::Jalr {
+                        rd: 0,
+                        rs1: r(0)?,
+                        offset: 0,
+                    },
+                    _ => Inst::Jalr {
+                        rd: 0,
+                        rs1: 1,
+                        offset: 0,
+                    },
+                }]
+            }
+            ("call", ..) => {
                 need(1)?;
-                vec![enc_j(target(&item.args[0])?, 0)]
+                let rel = label_addr(&item.args[0])? as i32 - item.addr as i32;
+                let (upper, lower) = split_hi_lo(rel);
+                vec![
+                    Inst::Auipc { rd: 1, imm: upper },
+                    Inst::Jalr {
+                        rd: 1,
+                        rs1: 1,
+                        offset: lower,
+                    },
+                ]
             }
-            "jr" => {
-                need(1)?;
-                vec![enc_i(0, r(0)?, 0, 0, 0x67)]
-            }
-            "call" => {
-                need(1)?;
-                let dest = label_addr(&item.args[0])?;
-                let rel = dest as i32 - item.addr as i32;
-                let upper = (rel + 0x800) >> 12;
-                let lower = rel - (upper << 12);
-                vec![enc_u(upper << 12, 1, 0x17), enc_i(lower, 1, 0, 1, 0x67)]
-            }
-            "ret" => vec![enc_i(0, 1, 0, 0, 0x67)],
-            // Branches
-            "beq" | "bne" | "blt" | "bge" | "bltu" | "bgeu" => {
-                need(3)?;
-                let f3 = match m {
-                    "beq" => 0,
-                    "bne" => 1,
-                    "blt" => 4,
-                    "bge" => 5,
-                    "bltu" => 6,
-                    _ => 7,
+            // `csrr rd, csr` is `csrrs rd, csr, zero`; `rdcycle rd` and
+            // `rdinstret rd` name the CSR in the mnemonic.
+            ("csrr" | "rdcycle" | "rdinstret", ..) => {
+                let csr = if m == "csrr" {
+                    need(2)?;
+                    csr(1)?
+                } else {
+                    need(1)?;
+                    csr_number(&m[2..], line)?
                 };
-                vec![enc_b(target(&item.args[2])?, r(1)?, r(0)?, f3)]
+                let rd = r(0)?;
+                vec![Inst::Csr {
+                    op: CsrOp::Rs,
+                    rd,
+                    rs1: 0,
+                    csr,
+                }]
             }
-            "bgt" | "ble" | "bgtu" | "bleu" => {
-                need(3)?;
-                let f3 = match m {
-                    "bgt" => 4,
-                    "ble" => 5,
-                    "bgtu" => 6,
-                    _ => 7,
-                };
-                // Swap operands: bgt a,b = blt b,a
-                vec![enc_b(target(&item.args[2])?, r(0)?, r(1)?, f3)]
-            }
-            "beqz" | "bnez" | "bltz" | "bgez" => {
+            ("nop", ..) => vec![addi(0, 0, 0)],
+            ("mv" | "not" | "seqz", ..) => {
                 need(2)?;
-                let f3 = match m {
-                    "beqz" => 0,
-                    "bnez" => 1,
-                    "bltz" => 4,
-                    _ => 5,
+                let (rd, rs1) = (r(0)?, r(1)?);
+                let (op, imm) = match m {
+                    "mv" => (AluOp::Add, 0),
+                    "not" => (AluOp::Xor, -1),
+                    _ => (AluOp::Sltu, 1),
                 };
-                vec![enc_b(target(&item.args[1])?, 0, r(0)?, f3)]
+                vec![Inst::OpImm { op, rd, rs1, imm }]
             }
-            // Loads / stores
-            "lb" | "lh" | "lw" | "lbu" | "lhu" => {
+            ("neg" | "snez", ..) => {
                 need(2)?;
-                let f3 = match m {
-                    "lb" => 0,
-                    "lh" => 1,
-                    "lw" => 2,
-                    "lbu" => 4,
-                    _ => 5,
-                };
-                let (off, base) = mem(1)?;
-                vec![enc_i(off, base, f3, r(0)?, 0x03)]
+                let (rd, rs2) = (r(0)?, r(1)?);
+                let op = if m == "neg" { AluOp::Sub } else { AluOp::Sltu };
+                vec![Inst::Op {
+                    op,
+                    rd,
+                    rs1: 0,
+                    rs2,
+                }]
             }
-            "sb" | "sh" | "sw" => {
-                need(2)?;
-                let f3 = match m {
-                    "sb" => 0,
-                    "sh" => 1,
-                    _ => 2,
-                };
-                let (off, base) = mem(1)?;
-                vec![enc_s(off, r(0)?, base, f3, 0x23)]
-            }
-            // OP-IMM
-            "addi" | "slti" | "sltiu" | "xori" | "ori" | "andi" => {
-                need(3)?;
-                let f3 = match m {
-                    "addi" => 0,
-                    "slti" => 2,
-                    "sltiu" => 3,
-                    "xori" => 4,
-                    "ori" => 6,
-                    _ => 7,
-                };
-                vec![enc_i(imm(2)? as i32, r(1)?, f3, r(0)?, 0x13)]
-            }
-            "slli" | "srli" | "srai" => {
-                need(3)?;
-                let sh = imm(2)? as u32 & 0x1f;
-                let (f7, f3) = match m {
-                    "slli" => (0u32, 1u32),
-                    "srli" => (0, 5),
-                    _ => (0x20, 5),
-                };
-                vec![enc_r(f7, sh, r(1)?, f3, r(0)?, 0x13)]
-            }
-            // OP
-            "add" | "sub" | "sll" | "slt" | "sltu" | "xor" | "srl" | "sra" | "or" | "and"
-            | "mul" | "mulh" | "mulhsu" | "mulhu" | "div" | "divu" | "rem" | "remu" => {
-                need(3)?;
-                let (f7, f3) = match m {
-                    "add" => (0x00u32, 0u32),
-                    "sub" => (0x20, 0),
-                    "sll" => (0x00, 1),
-                    "slt" => (0x00, 2),
-                    "sltu" => (0x00, 3),
-                    "xor" => (0x00, 4),
-                    "srl" => (0x00, 5),
-                    "sra" => (0x20, 5),
-                    "or" => (0x00, 6),
-                    "and" => (0x00, 7),
-                    "mul" => (0x01, 0),
-                    "mulh" => (0x01, 1),
-                    "mulhsu" => (0x01, 2),
-                    "mulhu" => (0x01, 3),
-                    "div" => (0x01, 4),
-                    "divu" => (0x01, 5),
-                    "rem" => (0x01, 6),
-                    _ => (0x01, 7),
-                };
-                vec![enc_r(f7, r(2)?, r(1)?, f3, r(0)?, 0x33)]
-            }
-            // PQ custom instructions
-            "pq.mul_ter" | "pq.mul_chien" | "pq.sha256" | "pq.modq" => {
-                need(3)?;
-                let f3 = match m {
-                    "pq.mul_ter" => 0,
-                    "pq.mul_chien" => 1,
-                    "pq.sha256" => 2,
-                    _ => 3,
-                };
-                vec![enc_r(0, r(2)?, r(1)?, f3, r(0)?, PQ_OPCODE)]
-            }
-            // Zicsr
-            "csrrw" | "csrrs" | "csrrc" => {
-                need(3)?;
-                let f3 = match m {
-                    "csrrw" => 1,
-                    "csrrs" => 2,
-                    _ => 3,
-                };
-                let csr = csr_number(&item.args[1], line)?;
-                vec![(csr << 20) | (r(2)? << 15) | (f3 << 12) | (r(0)? << 7) | 0x73]
-            }
-            "csrr" => {
-                need(2)?;
-                let csr = csr_number(&item.args[1], line)?;
-                vec![(csr << 20) | (2 << 12) | (r(0)? << 7) | 0x73]
-            }
-            "rdcycle" => {
-                need(1)?;
-                vec![(0xc00 << 20) | (2 << 12) | (r(0)? << 7) | 0x73]
-            }
-            "rdinstret" => {
-                need(1)?;
-                vec![(0xc02 << 20) | (2 << 12) | (r(0)? << 7) | 0x73]
-            }
-            // Pseudo
-            "nop" => vec![enc_i(0, 0, 0, 0, 0x13)],
-            "mv" => {
-                need(2)?;
-                vec![enc_i(0, r(1)?, 0, r(0)?, 0x13)]
-            }
-            "not" => {
-                need(2)?;
-                vec![enc_i(-1, r(1)?, 4, r(0)?, 0x13)]
-            }
-            "neg" => {
-                need(2)?;
-                vec![enc_r(0x20, r(1)?, 0, 0, r(0)?, 0x33)]
-            }
-            "seqz" => {
-                need(2)?;
-                vec![enc_i(1, r(1)?, 3, r(0)?, 0x13)]
-            }
-            "snez" => {
-                need(2)?;
-                vec![enc_r(0, r(1)?, 0, 3, r(0)?, 0x33)]
-            }
-            "li" => {
+            ("li" | "la", ..) => {
                 need(2)?;
                 let rd = r(0)?;
-                let value = imm(1)?;
+                let value = match m {
+                    "li" => word(imm(1)?, line)? as i32,
+                    _ => label_addr(&item.args[1])? as i32,
+                };
                 if item.size == 4 {
-                    vec![enc_i(value as i32, 0, 0, rd, 0x13)]
+                    vec![addi(rd, 0, value)]
                 } else {
-                    let value = value as i32;
-                    let upper = value.wrapping_add(0x800) >> 12;
-                    let lower = value.wrapping_sub(upper << 12);
-                    vec![enc_u(upper << 12, rd, 0x37), enc_i(lower, rd, 0, rd, 0x13)]
+                    let (upper, lower) = split_hi_lo(value);
+                    vec![Inst::Lui { rd, imm: upper }, addi(rd, rd, lower)]
                 }
             }
-            "la" => {
-                need(2)?;
-                let rd = r(0)?;
-                let dest = label_addr(&item.args[1])? as i32;
-                let upper = dest.wrapping_add(0x800) >> 12;
-                let lower = dest.wrapping_sub(upper << 12);
-                vec![enc_u(upper << 12, rd, 0x37), enc_i(lower, rd, 0, rd, 0x13)]
-            }
-            "ecall" => vec![0x0000_0073],
-            "ebreak" => vec![0x0010_0073],
-            "fence" => vec![0x0000_000f],
             _ => {
                 return Err(err(format!("unknown mnemonic '{m}'")));
             }
         };
-        debug_assert_eq!(encoded.len() as u32 * 4, item.size, "size mismatch: {m}");
-        words.extend(encoded);
+        debug_assert_eq!(insts.len() as u32 * 4, item.size, "size mismatch: {m}");
+        for inst in insts {
+            words.push(encode(inst).map_err(|e| err(e.to_string()))?);
+        }
     }
     Ok(words)
 }
@@ -583,7 +489,7 @@ pub fn assemble(source: &str) -> Result<Vec<u32>, AsmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{decode, Inst};
+    use crate::inst::{decode, Inst, PQ_OPCODE};
 
     #[test]
     fn encodes_known_words() {
@@ -694,6 +600,65 @@ mod tests {
     fn duplicate_label_rejected() {
         let e = assemble("x:\nnop\nx:\nnop").unwrap_err();
         assert!(e.message.contains("duplicate"));
+    }
+
+    #[test]
+    fn out_of_range_operands_are_errors_naming_the_line() {
+        // Out-of-range operands are errors, never truncated encodings.
+        for src in [
+            "addi a0, a0, 4096",
+            "lw a0, 5000(sp)",
+            "sw a0, -3000(sp)",
+            "slli a0, a1, 33",
+            "li a0, 0x100000000",
+            "lui a0, 0x100000",
+            "jalr ra, t0, 4096",
+            "beq a0, a1, 3",
+            ".word 4294967296",
+            "csrrs a0, 0x1000, zero",
+        ] {
+            let err = assemble(&format!("nop\n{src}")).expect_err(src);
+            assert_eq!(err.line, 2, "{src}: {err}");
+        }
+        // A branch to a label 4,400 bytes back is out of reach.
+        let far = format!("top:\n{}beq a0, a1, top", "nop\n".repeat(1100));
+        assert_eq!(assemble(&far).unwrap_err().line, 1102);
+        // The range edges still assemble.
+        for src in [
+            "addi a0, a0, -2048",
+            "addi a0, a0, 2047",
+            "lw a0, -2048(sp)",
+            "sw a0, 2047(sp)",
+            "slli a0, a1, 31",
+            "li a0, -2147483648",
+            "li a0, 0xffffffff",
+            "lui a0, 0xfffff",
+            "auipc a0, -524288",
+            "beq a0, a1, -4096",
+            "beq a0, a1, 4094",
+            "jal zero, 1048574",
+            "jal zero, -1048576",
+            ".word -1",
+            "csrrs a0, 0xfff, zero",
+        ] {
+            assemble(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        }
+    }
+
+    #[test]
+    fn missing_operands_are_errors() {
+        for src in [
+            "j",
+            "jr",
+            "csrr a0",
+            "rdcycle",
+            "beqz a0",
+            "bgt a0, a1",
+            "lw a0",
+            "lui a0",
+        ] {
+            assert!(assemble(src).is_err(), "{src}");
+        }
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! The RISCY-like CPU interpreter.
 //!
-//! A functional interpreter with a documented cycle model approximating the
-//! 4-stage RISCY pipeline:
-//!
-//! * 1 cycle per instruction,
-//! * +1 cycle load-use penalty on loads,
-//! * +2 cycles for taken branches and jumps (fetch flush),
-//! * +34 cycles for divisions (iterative divider),
-//! * PQ instructions stall for however long the PQ-ALU device reports.
+//! A functional interpreter that charges modelled cycles from the RISCY
+//! timing table in [`crate::timing`] (base cycle, load-use stall, jump
+//! and taken-branch flushes, the iterative divider) plus the stalls the
+//! PQ-ALU device reports. CSR numbers and names come from
+//! [`crate::inst::Csr`].
 //!
 //! Three execution engines share one `execute` core, so they are
 //! architecturally indistinguishable (same registers, memory, traps,
@@ -27,7 +24,7 @@
 //!   [`Engine::Classic`]) re-decodes on every instruction and serves as
 //!   the differential oracle for the fast engines.
 
-use crate::inst::{decode, decompress, AluOp, BranchOp, CsrOp, Inst, LoadOp, PqUnit, StoreOp};
+use crate::inst::{decode, decompress, AluOp, BranchOp, Csr, CsrOp, Inst, LoadOp, StoreOp};
 use crate::jit::{self, JitCtx, JitState, JitStats};
 use crate::pq::PqAlu;
 use crate::predecode::{PredecodeCache, Slot};
@@ -35,6 +32,7 @@ use crate::superblock::{
     self, BlockSlot, CachedBlock, OpKind, SharedTraceCache, Src2, SuperblockCache, SuperblockStats,
     Terminator, HOT_THRESHOLD, LINE_SHIFT, MAX_LINES, MAX_OPS,
 };
+use crate::timing;
 use crate::warm::{WarmImage, WarmState};
 use std::fmt;
 use std::sync::Arc;
@@ -134,6 +132,14 @@ impl ExitState {
 struct Flight {
     cycles: u64,
     instructions: u64,
+}
+
+impl Flight {
+    /// Charge `cycles` modelled cycles (from [`crate::timing`]).
+    #[inline(always)]
+    fn charge(&mut self, cycles: u32) {
+        self.cycles += u64::from(cycles);
+    }
 }
 
 /// The simulated CPU: register file, PC, RAM and the PQ-ALU device.
@@ -469,7 +475,7 @@ impl Cpu {
         };
         let inst = decode(word).map_err(|e| Trap::IllegalInstruction { pc, word: e.word })?;
         let mut flight = Flight {
-            cycles: self.cycles + 1,
+            cycles: self.cycles + u64::from(timing::BASE),
             instructions: self.instructions + 1,
         };
         let outcome = self.execute(pc, word, inst, len, &mut flight);
@@ -511,13 +517,13 @@ impl Cpu {
             Inst::Jal { rd, offset } => {
                 self.wreg(rd, next_pc);
                 next_pc = pc.wrapping_add(offset as u32);
-                flight.cycles += 2;
+                flight.charge(timing::JUMP);
             }
             Inst::Jalr { rd, rs1, offset } => {
                 let target = self.rreg(rs1).wrapping_add(offset as u32) & !1;
                 self.wreg(rd, next_pc);
                 next_pc = target;
-                flight.cycles += 2;
+                flight.charge(timing::JUMP);
             }
             Inst::Branch {
                 op,
@@ -529,7 +535,7 @@ impl Cpu {
                 let b = self.rreg(rs2);
                 if branch_taken(op, a, b) {
                     next_pc = pc.wrapping_add(offset as u32);
-                    flight.cycles += 2;
+                    flight.charge(timing::TAKEN_BRANCH);
                 }
             }
             Inst::Load {
@@ -541,7 +547,7 @@ impl Cpu {
                 let addr = self.rreg(rs1).wrapping_add(offset as u32);
                 let value = self.load_value(pc, op, addr)?;
                 self.wreg(rd, value);
-                flight.cycles += 1; // load-use stall
+                flight.charge(timing::LOAD_USE);
             }
             Inst::Store {
                 op,
@@ -554,15 +560,19 @@ impl Cpu {
                 self.store_value(pc, op, addr, value)?;
             }
             Inst::OpImm { op, rd, rs1, imm } => {
+                // No immediate form divides, so no extra charge.
                 let a = self.rreg(rs1);
-                let v = alu(op, a, imm as u32, &mut flight.cycles);
-                self.wreg(rd, v);
+                self.wreg(rd, alu(op, a, imm as u32));
             }
             Inst::Op { op, rd, rs1, rs2 } => {
                 let a = self.rreg(rs1);
                 let b = self.rreg(rs2);
-                let v = alu(op, a, b, &mut flight.cycles);
-                self.wreg(rd, v);
+                self.wreg(rd, alu(op, a, b));
+                // A branch, not an add of zero: keeps the classic loop fast.
+                let extra = timing::alu_extra(op);
+                if extra != 0 {
+                    flight.charge(extra);
+                }
             }
             Inst::Fence => {}
             Inst::Ecall => {
@@ -573,15 +583,15 @@ impl Cpu {
                 // Read the old value (cycle/instret expose the core's own
                 // performance counters, as used by the paper's on-core
                 // measurements; mscratch is a scratch register).
+                let Some(csr) = Csr::from_number(csr) else {
+                    return Err(Trap::IllegalInstruction { pc, word });
+                };
                 let old = match csr {
-                    0xc00 => flight.cycles as u32,         // cycle
-                    0xc80 => (flight.cycles >> 32) as u32, // cycleh
-                    0xc02 => flight.instructions as u32,   // instret
-                    0xc82 => (flight.instructions >> 32) as u32,
-                    0x340 => self.mscratch,
-                    _ => {
-                        return Err(Trap::IllegalInstruction { pc, word });
-                    }
+                    Csr::Cycle => flight.cycles as u32,
+                    Csr::CycleH => (flight.cycles >> 32) as u32,
+                    Csr::Instret => flight.instructions as u32,
+                    Csr::InstretH => (flight.instructions >> 32) as u32,
+                    Csr::Mscratch => self.mscratch,
                 };
                 let operand = self.rreg(rs1);
                 let new = match op {
@@ -592,7 +602,7 @@ impl Cpu {
                 };
                 if let Some(value) = new {
                     match csr {
-                        0x340 => self.mscratch = value,
+                        Csr::Mscratch => self.mscratch = value,
                         // Performance counters are read-only.
                         _ => return Err(Trap::IllegalInstruction { pc, word }),
                     }
@@ -600,14 +610,7 @@ impl Cpu {
                 self.wreg(rd, old);
             }
             Inst::Pq { unit, rd, rs1, rs2 } => {
-                let a = self.rreg(rs1);
-                let b = self.rreg(rs2);
-                let (value, stall) = match unit {
-                    PqUnit::MulTer => self.pq.mul_ter(a, b),
-                    PqUnit::MulChien => self.pq.mul_chien(a, b),
-                    PqUnit::Sha256 => self.pq.sha256(a, b),
-                    PqUnit::ModQ => self.pq.modq(a, b),
-                };
+                let (value, stall) = self.pq.issue(unit, self.rreg(rs1), self.rreg(rs2));
                 self.wreg(rd, value);
                 flight.cycles += stall;
             }
@@ -871,7 +874,7 @@ impl Cpu {
                 match slot {
                     Slot::Inst { inst, word, len } => {
                         let boundary = superblock::ends_block(&inst);
-                        flight.cycles += 1;
+                        flight.charge(timing::BASE);
                         flight.instructions += 1;
                         match self.execute(pc, word, inst, u32::from(len), &mut flight) {
                             Ok(Some(next_pc)) => {
@@ -1066,7 +1069,7 @@ impl Cpu {
                 let Terminator::Plain { inst, word, len } = block.term else {
                     unreachable!("EXIT_TERM only emitted for plain terminators");
                 };
-                flight.cycles += 1;
+                flight.charge(timing::BASE);
                 flight.instructions += 1;
                 match self.execute(block.term_pc, word, inst, u32::from(len), flight) {
                     Ok(Some(next_pc)) => {
@@ -1087,15 +1090,10 @@ impl Cpu {
                 // Rebuild the oracle's counters from the faulting op's
                 // prefix sums, mirroring `exec_block`'s `partial!` paths.
                 let op = &block.ops[ctx.exit_op as usize];
-                let (extra_cycles, extra_instrs, at) = match op.kind {
-                    // The auipc half retired; the load (second of the
-                    // pair) faulted at its own PC.
-                    OpKind::AuipcLoad { pc2, .. } => (2, 2, pc2),
-                    _ => (1, 1, op.pc),
-                };
+                let (extra_cycles, extra_instrs, at) = op.fault_point();
                 flight.cycles =
-                    ctx.cycles + u64::from(op.cycles_before) + ctx.dyn_cycles + extra_cycles;
-                flight.instructions = ctx.instructions + u64::from(op.instrs_before) + extra_instrs;
+                    ctx.cycles + u64::from(op.cycles_before + extra_cycles) + ctx.dyn_cycles;
+                flight.instructions = ctx.instructions + u64::from(op.instrs_before + extra_instrs);
                 *pc_io = at;
                 Err(Trap::MemoryFault {
                     pc: at,
@@ -1109,7 +1107,8 @@ impl Cpu {
                 let k = ctx.exit_op as usize;
                 let op = &block.ops[k];
                 let resume = block.ops.get(k + 1).map_or(block.term_pc, |next| next.pc);
-                flight.cycles = ctx.cycles + u64::from(op.cycles_before) + ctx.dyn_cycles + 1;
+                flight.cycles =
+                    ctx.cycles + u64::from(op.cycles_before + timing::BASE) + ctx.dyn_cycles;
                 flight.instructions = ctx.instructions + u64::from(op.instrs_before) + 1;
                 *pc_io = resume;
                 Ok(BlockExit::Continue)
@@ -1125,8 +1124,9 @@ impl Cpu {
     /// * happy path — the block's static totals (plus dynamic PQ stalls)
     ///   are charged once, the terminator executes on the shared core;
     /// * trap at op `k` — counters rebuilt from the op's prefix sums plus
-    ///   the faulting instruction's base cost, PC at the faulting
-    ///   instruction (fused pairs charge their completed first half);
+    ///   [`crate::superblock::BlockOp::fault_point`] (the faulting
+    ///   instruction's base cycle; fused pairs also charge their completed
+    ///   first half), PC at the faulting instruction;
     /// * store-invalidation bail — the store retires normally, then the
     ///   block stops *before* the next op and dispatch resumes there, so
     ///   a store into the running block is architecturally invisible.
@@ -1145,25 +1145,28 @@ impl Cpu {
         macro_rules! partial {
             ($op:expr, $extra_cycles:expr, $extra_instrs:expr, $at:expr) => {
                 flight.cycles =
-                    entry_cycles + u64::from($op.cycles_before) + dyn_cycles + $extra_cycles;
-                flight.instructions = entry_instrs + u64::from($op.instrs_before) + $extra_instrs;
+                    entry_cycles + u64::from($op.cycles_before + $extra_cycles) + dyn_cycles;
+                flight.instructions = entry_instrs + u64::from($op.instrs_before + $extra_instrs);
                 *pc_io = $at;
             };
+        }
+        macro_rules! fault {
+            ($op:expr, $trap:expr) => {{
+                let (extra_cycles, extra_instrs, at) = $op.fault_point();
+                partial!($op, extra_cycles, extra_instrs, at);
+                return Err($trap);
+            }};
         }
         for (k, op) in block.ops.iter().enumerate() {
             match op.kind {
                 OpKind::LoadImm { rd, value } => self.wreg(rd, value),
                 OpKind::Auipc { rd, value } => self.wreg(rd, value),
                 OpKind::OpImm { op, rd, rs1, imm } => {
-                    // Divider cycles are already in the static prefix
-                    // sums; the ALU's dynamic charge goes to a scratch.
-                    let mut scratch = 0u64;
-                    let v = alu(op, self.rreg(rs1), imm, &mut scratch);
+                    let v = alu(op, self.rreg(rs1), imm);
                     self.wreg(rd, v);
                 }
                 OpKind::Op { op, rd, rs1, rs2 } => {
-                    let mut scratch = 0u64;
-                    let v = alu(op, self.rreg(rs1), self.rreg(rs2), &mut scratch);
+                    let v = alu(op, self.rreg(rs1), self.rreg(rs2));
                     self.wreg(rd, v);
                 }
                 OpKind::Load {
@@ -1175,12 +1178,7 @@ impl Cpu {
                     let addr = self.rreg(rs1).wrapping_add(offset);
                     match self.load_value(op.pc, lop, addr) {
                         Ok(v) => self.wreg(rd, v),
-                        Err(trap) => {
-                            // The oracle charges the faulting load its
-                            // base cycle but no load-use stall.
-                            partial!(op, 1, 1, op.pc);
-                            return Err(trap);
-                        }
+                        Err(trap) => fault!(op, trap),
                     }
                 }
                 OpKind::AuipcLoad {
@@ -1196,10 +1194,7 @@ impl Cpu {
                     self.wreg(rd, value);
                     match self.load_value(pc2, lop, addr) {
                         Ok(v) => self.wreg(lrd, v),
-                        Err(trap) => {
-                            partial!(op, 2, 2, pc2);
-                            return Err(trap);
-                        }
+                        Err(trap) => fault!(op, trap),
                     }
                 }
                 OpKind::LoadUse {
@@ -1221,13 +1216,9 @@ impl Cpu {
                                 Src2::Imm(imm) => imm,
                                 Src2::Reg(r) => self.rreg(r),
                             };
-                            let mut scratch = 0u64;
-                            self.wreg(ard, alu(aop, a, b, &mut scratch));
+                            self.wreg(ard, alu(aop, a, b));
                         }
-                        Err(trap) => {
-                            partial!(op, 1, 1, op.pc);
-                            return Err(trap);
-                        }
+                        Err(trap) => fault!(op, trap),
                     }
                 }
                 OpKind::Store {
@@ -1247,26 +1238,16 @@ impl Cpu {
                                 self.sb.stats.store_bails += 1;
                                 let resume =
                                     block.ops.get(k + 1).map_or(block.term_pc, |next| next.pc);
-                                partial!(op, 1, 1, resume);
+                                partial!(op, timing::BASE, 1, resume);
                                 return Ok(BlockExit::Continue);
                             }
                         }
-                        Err(trap) => {
-                            partial!(op, 1, 1, op.pc);
-                            return Err(trap);
-                        }
+                        Err(trap) => fault!(op, trap),
                     }
                 }
                 OpKind::Fence => {}
                 OpKind::Pq { unit, rd, rs1, rs2 } => {
-                    let a = self.rreg(rs1);
-                    let b = self.rreg(rs2);
-                    let (value, stall) = match unit {
-                        PqUnit::MulTer => self.pq.mul_ter(a, b),
-                        PqUnit::MulChien => self.pq.mul_chien(a, b),
-                        PqUnit::Sha256 => self.pq.sha256(a, b),
-                        PqUnit::ModQ => self.pq.modq(a, b),
-                    };
+                    let (value, stall) = self.pq.issue(unit, self.rreg(rs1), self.rreg(rs2));
                     self.wreg(rd, value);
                     dyn_cycles += stall;
                 }
@@ -1281,7 +1262,7 @@ impl Cpu {
                 Ok(BlockExit::Continue)
             }
             Terminator::Plain { inst, word, len } => {
-                flight.cycles += 1;
+                flight.charge(timing::BASE);
                 flight.instructions += 1;
                 match self.execute(block.term_pc, word, inst, u32::from(len), flight) {
                     Ok(Some(next_pc)) => {
@@ -1308,23 +1289,21 @@ impl Cpu {
                 brs2,
                 taken_pc,
                 fall_pc,
+                cycles,
             } => {
-                flight.cycles += 2;
+                flight.charge(cycles);
                 flight.instructions += 2;
                 let a = self.rreg(ars1);
                 let b = match asrc {
                     Src2::Imm(imm) => imm,
                     Src2::Reg(r) => self.rreg(r),
                 };
-                // A fused divider still charges its 34 cycles here (the
-                // terminator has no static prefix), so pass the live
-                // counter.
-                let v = alu(aop, a, b, &mut flight.cycles);
+                let v = alu(aop, a, b);
                 self.wreg(ard, v);
                 let x = self.rreg(brs1);
                 let y = self.rreg(brs2);
                 *pc_io = if branch_taken(bop, x, y) {
-                    flight.cycles += 2;
+                    flight.charge(timing::TAKEN_BRANCH);
                     taken_pc
                 } else {
                     fall_pc
@@ -1359,7 +1338,7 @@ fn branch_taken(op: BranchOp, a: u32, b: u32) -> bool {
 }
 
 #[inline(always)]
-fn alu(op: AluOp, a: u32, b: u32, cycles: &mut u64) -> u32 {
+pub(crate) fn alu(op: AluOp, a: u32, b: u32) -> u32 {
     match op {
         AluOp::Add => a.wrapping_add(b),
         AluOp::Sub => a.wrapping_sub(b),
@@ -1376,7 +1355,6 @@ fn alu(op: AluOp, a: u32, b: u32, cycles: &mut u64) -> u32 {
         AluOp::Mulhsu => (((a as i32 as i64) * (b as u64 as i64)) >> 32) as u32,
         AluOp::Mulhu => ((u64::from(a) * u64::from(b)) >> 32) as u32,
         AluOp::Div => {
-            *cycles += 34;
             if b == 0 {
                 u32::MAX
             } else if a == 0x8000_0000 && b == u32::MAX {
@@ -1385,12 +1363,8 @@ fn alu(op: AluOp, a: u32, b: u32, cycles: &mut u64) -> u32 {
                 ((a as i32) / (b as i32)) as u32
             }
         }
-        AluOp::Divu => {
-            *cycles += 34;
-            a.checked_div(b).unwrap_or(u32::MAX)
-        }
+        AluOp::Divu => a.checked_div(b).unwrap_or(u32::MAX),
         AluOp::Rem => {
-            *cycles += 34;
             if b == 0 {
                 a
             } else if a == 0x8000_0000 && b == u32::MAX {
@@ -1400,7 +1374,6 @@ fn alu(op: AluOp, a: u32, b: u32, cycles: &mut u64) -> u32 {
             }
         }
         AluOp::Remu => {
-            *cycles += 34;
             if b == 0 {
                 a
             } else {

@@ -1,143 +1,55 @@
 //! A disassembler matching the assembler's syntax.
 //!
 //! [`disassemble`] renders a decoded [`Inst`] in the same syntax
-//! [`crate::asm::assemble`] accepts, so `assemble ∘ disassemble ∘ decode`
-//! is the identity on encodable instructions — handy for debugging
-//! simulator traces and asserted by round-trip tests.
+//! [`crate::asm::assemble`] accepts, from the same tables the assembler
+//! parses with: mnemonics from [`Inst::mnemonic`], register names from
+//! [`reg_name`] and CSR names from [`Csr`]. So `assemble ∘ disassemble` is
+//! [`crate::inst::encode`] on every encodable instruction — handy for
+//! debugging simulator traces and asserted by round-trip tests.
 
-use crate::inst::{AluOp, BranchOp, CsrOp, Inst, LoadOp, PqUnit, StoreOp};
+use crate::inst::{Csr, Inst};
+
+/// The ABI register names, `x0` to `x31`; the assembler parses the same
+/// table (plus `fp` for `s0`).
+pub(crate) const ABI_NAMES: [&str; 32] = [
+    "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
+    "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",
+    "t5", "t6",
+];
 
 /// ABI name of register `x<i>`.
 pub fn reg_name(i: u8) -> &'static str {
-    const NAMES: [&str; 32] = [
-        "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
-        "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",
-        "t5", "t6",
-    ];
-    NAMES[i as usize]
-}
-
-fn alu_name(op: AluOp, imm: bool) -> &'static str {
-    match (op, imm) {
-        (AluOp::Add, false) => "add",
-        (AluOp::Add, true) => "addi",
-        (AluOp::Sub, _) => "sub",
-        (AluOp::Sll, false) => "sll",
-        (AluOp::Sll, true) => "slli",
-        (AluOp::Slt, false) => "slt",
-        (AluOp::Slt, true) => "slti",
-        (AluOp::Sltu, false) => "sltu",
-        (AluOp::Sltu, true) => "sltiu",
-        (AluOp::Xor, false) => "xor",
-        (AluOp::Xor, true) => "xori",
-        (AluOp::Srl, false) => "srl",
-        (AluOp::Srl, true) => "srli",
-        (AluOp::Sra, false) => "sra",
-        (AluOp::Sra, true) => "srai",
-        (AluOp::Or, false) => "or",
-        (AluOp::Or, true) => "ori",
-        (AluOp::And, false) => "and",
-        (AluOp::And, true) => "andi",
-        (AluOp::Mul, _) => "mul",
-        (AluOp::Mulh, _) => "mulh",
-        (AluOp::Mulhsu, _) => "mulhsu",
-        (AluOp::Mulhu, _) => "mulhu",
-        (AluOp::Div, _) => "div",
-        (AluOp::Divu, _) => "divu",
-        (AluOp::Rem, _) => "rem",
-        (AluOp::Remu, _) => "remu",
-    }
+    ABI_NAMES[i as usize]
 }
 
 /// Render one instruction in assembler syntax. Branch and jump targets are
 /// shown as numeric byte offsets relative to the instruction.
 pub fn disassemble(inst: Inst) -> String {
     let r = reg_name;
+    let m = inst.mnemonic();
     match inst {
-        Inst::Lui { rd, imm } => format!("lui {}, {}", r(rd), imm >> 12),
-        Inst::Auipc { rd, imm } => format!("auipc {}, {}", r(rd), imm >> 12),
-        Inst::Jal { rd, offset } => format!("jal {}, {}", r(rd), offset),
-        Inst::Jalr { rd, rs1, offset } => {
-            format!("jalr {}, {}, {}", r(rd), r(rs1), offset)
-        }
+        Inst::Lui { rd, imm } | Inst::Auipc { rd, imm } => format!("{m} {}, {}", r(rd), imm >> 12),
+        Inst::Jal { rd, offset } => format!("{m} {}, {offset}", r(rd)),
+        Inst::Jalr { rd, rs1, offset } => format!("{m} {}, {}, {offset}", r(rd), r(rs1)),
         Inst::Branch {
-            op,
-            rs1,
-            rs2,
-            offset,
-        } => {
-            let name = match op {
-                BranchOp::Eq => "beq",
-                BranchOp::Ne => "bne",
-                BranchOp::Lt => "blt",
-                BranchOp::Ge => "bge",
-                BranchOp::Ltu => "bltu",
-                BranchOp::Geu => "bgeu",
-            };
-            format!("{name} {}, {}, {}", r(rs1), r(rs2), offset)
-        }
+            rs1, rs2, offset, ..
+        } => format!("{m} {}, {}, {offset}", r(rs1), r(rs2)),
         Inst::Load {
-            op,
-            rd,
-            rs1,
-            offset,
-        } => {
-            let name = match op {
-                LoadOp::Byte => "lb",
-                LoadOp::Half => "lh",
-                LoadOp::Word => "lw",
-                LoadOp::ByteU => "lbu",
-                LoadOp::HalfU => "lhu",
-            };
-            format!("{name} {}, {}({})", r(rd), offset, r(rs1))
-        }
+            rd, rs1, offset, ..
+        } => format!("{m} {}, {offset}({})", r(rd), r(rs1)),
         Inst::Store {
-            op,
-            rs1,
-            rs2,
-            offset,
-        } => {
-            let name = match op {
-                StoreOp::Byte => "sb",
-                StoreOp::Half => "sh",
-                StoreOp::Word => "sw",
-            };
-            format!("{name} {}, {}({})", r(rs2), offset, r(rs1))
+            rs1, rs2, offset, ..
+        } => format!("{m} {}, {offset}({})", r(rs2), r(rs1)),
+        Inst::OpImm { rd, rs1, imm, .. } => format!("{m} {}, {}, {imm}", r(rd), r(rs1)),
+        Inst::Op { rd, rs1, rs2, .. } | Inst::Pq { rd, rs1, rs2, .. } => {
+            format!("{m} {}, {}, {}", r(rd), r(rs1), r(rs2))
         }
-        Inst::OpImm { op, rd, rs1, imm } => {
-            format!("{} {}, {}, {}", alu_name(op, true), r(rd), r(rs1), imm)
+        Inst::Csr { rd, rs1, csr, .. } => {
+            let csr =
+                Csr::from_number(csr).map_or_else(|| format!("{csr:#x}"), |c| c.name().into());
+            format!("{m} {}, {csr}, {}", r(rd), r(rs1))
         }
-        Inst::Op { op, rd, rs1, rs2 } => {
-            format!("{} {}, {}, {}", alu_name(op, false), r(rd), r(rs1), r(rs2))
-        }
-        Inst::Csr { op, rd, rs1, csr } => {
-            let name = match op {
-                CsrOp::Rw => "csrrw",
-                CsrOp::Rs => "csrrs",
-                CsrOp::Rc => "csrrc",
-            };
-            let csr_name = match csr {
-                0xc00 => "cycle".to_string(),
-                0xc80 => "cycleh".to_string(),
-                0xc02 => "instret".to_string(),
-                0xc82 => "instreth".to_string(),
-                0x340 => "mscratch".to_string(),
-                other => format!("{other:#x}"),
-            };
-            format!("{name} {}, {csr_name}, {}", r(rd), r(rs1))
-        }
-        Inst::Fence => "fence".into(),
-        Inst::Ecall => "ecall".into(),
-        Inst::Ebreak => "ebreak".into(),
-        Inst::Pq { unit, rd, rs1, rs2 } => {
-            let name = match unit {
-                PqUnit::MulTer => "pq.mul_ter",
-                PqUnit::MulChien => "pq.mul_chien",
-                PqUnit::Sha256 => "pq.sha256",
-                PqUnit::ModQ => "pq.modq",
-            };
-            format!("{name} {}, {}, {}", r(rd), r(rs1), r(rs2))
-        }
+        Inst::Fence | Inst::Ecall | Inst::Ebreak => m.into(),
     }
 }
 

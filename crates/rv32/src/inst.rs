@@ -1,114 +1,195 @@
-//! Instruction decoding: RV32I base, M extension, C extension (via
-//! decompression) and the PQ-ALU custom instructions (opcode `0x77`).
+//! The RV32 instruction table: RV32I base, M extension, C extension (via
+//! decompression), Zicsr and the PQ-ALU custom instructions (opcode
+//! `0x77`).
+//!
+//! This module is the only place that knows how an instruction is
+//! encoded. Each operation enum carries its funct code(s) and mnemonic in
+//! one table row (the `op_table!` macro), with the forward and inverse mappings
+//! generated side by side; [`decode`] reads the funct codes, [`encode`] is
+//! its exact inverse and the only place that packs fields and checks their
+//! ranges, and [`decompress`] builds the [`Inst`] a 16-bit encoding
+//! expands to and encodes that. The assembler ([`crate::asm`]) and the
+//! disassembler ([`crate::disasm`]) take mnemonics from
+//! [`Inst::mnemonic`], and CSR numbers and names come from [`Csr`].
 
 use std::fmt;
 
-/// Conditional branch comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchOp {
-    /// `beq`
-    Eq,
-    /// `bne`
-    Ne,
-    /// `blt` (signed)
-    Lt,
-    /// `bge` (signed)
-    Ge,
-    /// `bltu`
-    Ltu,
-    /// `bgeu`
-    Geu,
-}
-
-/// Memory load widths/extensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadOp {
-    /// `lb` (sign-extended byte)
-    Byte,
-    /// `lh` (sign-extended halfword)
-    Half,
-    /// `lw`
-    Word,
-    /// `lbu`
-    ByteU,
-    /// `lhu`
-    HalfU,
-}
-
-/// Memory store widths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreOp {
-    /// `sb`
-    Byte,
-    /// `sh`
-    Half,
-    /// `sw`
-    Word,
-}
-
-/// Register-register / register-immediate ALU operations (incl. the M
-/// extension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum AluOp {
-    Add,
-    Sub,
-    Sll,
-    Slt,
-    Sltu,
-    Xor,
-    Srl,
-    Sra,
-    Or,
-    And,
-    Mul,
-    Mulh,
-    Mulhsu,
-    Mulhu,
-    Div,
-    Divu,
-    Rem,
-    Remu,
-}
-
-/// CSR access operations (Zicsr subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CsrOp {
-    /// `csrrw` — atomic read/write.
-    Rw,
-    /// `csrrs` — atomic read and set bits.
-    Rs,
-    /// `csrrc` — atomic read and clear bits.
-    Rc,
-}
-
-/// The four PQ-ALU units selected by funct3 (Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PqUnit {
-    /// `pq.mul_ter` (funct3 = 0)
-    MulTer,
-    /// `pq.mul_chien` (funct3 = 1)
-    MulChien,
-    /// `pq.sha256` (funct3 = 2)
-    Sha256,
-    /// `pq.modq` (funct3 = 3)
-    ModQ,
-}
-
-impl PqUnit {
-    /// The funct3 encoding of this unit.
-    pub fn funct3(self) -> u32 {
-        match self {
-            PqUnit::MulTer => 0,
-            PqUnit::MulChien => 1,
-            PqUnit::Sha256 => 2,
-            PqUnit::ModQ => 3,
+/// Declares enums whose variants are rows of an encoding table: each row
+/// gives the variant, its code (a funct field, a `(funct7, funct3)` pair
+/// or a CSR number) and its assembler name. The code → variant match and
+/// the variant → code match are generated from the same row, so each code
+/// and name is written once.
+macro_rules! op_table {
+    ($(
+        $(#[$meta:meta])*
+        $name:ident: $code_fn:ident / $from_fn:ident -> $code_ty:ty, $text_fn:ident {
+            $($(#[$vmeta:meta])* $variant:ident = $code:tt, $text:literal;)+
         }
+    )+) => {$(
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $(#[doc = concat!("`", $text, "`")] $(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every row of the table, in table order.
+            pub const ALL: &'static [Self] = &[$(Self::$variant),+];
+
+            /// The code this row encodes as.
+            pub fn $code_fn(self) -> $code_ty {
+                match self {
+                    $(Self::$variant => $code,)+
+                }
+            }
+
+            /// The row a code selects, if any.
+            #[inline]
+            pub fn $from_fn(code: $code_ty) -> Option<Self> {
+                match code {
+                    $($code => Some(Self::$variant),)+
+                    _ => None,
+                }
+            }
+
+            /// The assembler name.
+            pub fn $text_fn(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $text,)+
+                }
+            }
+        }
+    )+};
+}
+
+op_table! {
+    /// Conditional branch comparisons.
+    BranchOp: funct3 / from_funct3 -> u32, mnemonic {
+        Eq = 0, "beq";
+        Ne = 1, "bne";
+        /// Signed.
+        Lt = 4, "blt";
+        /// Signed.
+        Ge = 5, "bge";
+        Ltu = 6, "bltu";
+        Geu = 7, "bgeu";
+    }
+
+    /// Memory load widths/extensions.
+    LoadOp: funct3 / from_funct3 -> u32, mnemonic {
+        /// Sign-extended byte.
+        Byte = 0, "lb";
+        /// Sign-extended halfword.
+        Half = 1, "lh";
+        Word = 2, "lw";
+        ByteU = 4, "lbu";
+        HalfU = 5, "lhu";
+    }
+
+    /// Memory store widths.
+    StoreOp: funct3 / from_funct3 -> u32, mnemonic {
+        Byte = 0, "sb";
+        Half = 1, "sh";
+        Word = 2, "sw";
+    }
+
+    /// Register-register / register-immediate ALU operations (incl. the M
+    /// extension), coded by the register form's `(funct7, funct3)`. The
+    /// immediate forms share funct3; the shifts carry funct7 in
+    /// `imm[11:5]` (see [`AluOp::imm_mnemonic`]).
+    AluOp: funct / from_funct -> (u32, u32), mnemonic {
+        Add = (0x00, 0), "add";
+        Sub = (0x20, 0), "sub";
+        Sll = (0x00, 1), "sll";
+        Slt = (0x00, 2), "slt";
+        Sltu = (0x00, 3), "sltu";
+        Xor = (0x00, 4), "xor";
+        Srl = (0x00, 5), "srl";
+        Sra = (0x20, 5), "sra";
+        Or = (0x00, 6), "or";
+        And = (0x00, 7), "and";
+        Mul = (0x01, 0), "mul";
+        Mulh = (0x01, 1), "mulh";
+        Mulhsu = (0x01, 2), "mulhsu";
+        Mulhu = (0x01, 3), "mulhu";
+        Div = (0x01, 4), "div";
+        Divu = (0x01, 5), "divu";
+        Rem = (0x01, 6), "rem";
+        Remu = (0x01, 7), "remu";
+    }
+
+    /// CSR access operations (Zicsr subset).
+    CsrOp: funct3 / from_funct3 -> u32, mnemonic {
+        /// Atomic read/write.
+        Rw = 1, "csrrw";
+        /// Atomic read and set bits.
+        Rs = 2, "csrrs";
+        /// Atomic read and clear bits.
+        Rc = 3, "csrrc";
+    }
+
+    /// The four PQ-ALU units selected by funct3 (Fig. 6).
+    PqUnit: funct3 / from_funct3 -> u32, mnemonic {
+        MulTer = 0, "pq.mul_ter";
+        MulChien = 1, "pq.mul_chien";
+        Sha256 = 2, "pq.sha256";
+        ModQ = 3, "pq.modq";
+    }
+
+    /// The CSRs the core implements: the performance counters the paper's
+    /// on-core measurements read (read-only) and a scratch register.
+    Csr: number / from_number -> u16, name {
+        Cycle = 0xc00, "cycle";
+        CycleH = 0xc80, "cycleh";
+        Instret = 0xc02, "instret";
+        InstretH = 0xc82, "instreth";
+        Mscratch = 0x340, "mscratch";
+    }
+}
+
+impl AluOp {
+    /// The immediate form's mnemonic, or `None` where the ISA has no
+    /// immediate form (`sub` and the M extension).
+    pub fn imm_mnemonic(self) -> Option<&'static str> {
+        Some(match self {
+            Self::Add => "addi",
+            Self::Sll => "slli",
+            Self::Slt => "slti",
+            Self::Sltu => "sltiu",
+            Self::Xor => "xori",
+            Self::Srl => "srli",
+            Self::Sra => "srai",
+            Self::Or => "ori",
+            Self::And => "andi",
+            _ => return None,
+        })
+    }
+}
+
+impl Csr {
+    /// The CSR an assembler name denotes, if any.
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.iter().copied().find(|csr| csr.name() == name)
     }
 }
 
 /// The major opcode shared by all PQ instructions (Section V).
 pub const PQ_OPCODE: u32 = 0x77;
+
+/// The base major opcodes (bits 6:0).
+mod opcode {
+    pub const LUI: u32 = 0x37;
+    pub const AUIPC: u32 = 0x17;
+    pub const JAL: u32 = 0x6f;
+    pub const JALR: u32 = 0x67;
+    pub const BRANCH: u32 = 0x63;
+    pub const LOAD: u32 = 0x03;
+    pub const STORE: u32 = 0x23;
+    pub const OP_IMM: u32 = 0x13;
+    pub const OP: u32 = 0x33;
+    pub const MISC_MEM: u32 = 0x0f;
+    pub const SYSTEM: u32 = 0x73;
+}
 
 /// A decoded instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,6 +257,54 @@ pub enum Inst {
         rs1: u8,
         rs2: u8,
     },
+}
+
+impl Inst {
+    /// The assembler mnemonic. An immediate form the ISA lacks (which
+    /// [`encode`] rejects) renders with its register-form mnemonic.
+    pub fn mnemonic(&self) -> &'static str {
+        match *self {
+            Inst::Lui { .. } => "lui",
+            Inst::Auipc { .. } => "auipc",
+            Inst::Jal { .. } => "jal",
+            Inst::Jalr { .. } => "jalr",
+            Inst::Branch { op, .. } => op.mnemonic(),
+            Inst::Load { op, .. } => op.mnemonic(),
+            Inst::Store { op, .. } => op.mnemonic(),
+            Inst::OpImm { op, .. } => op.imm_mnemonic().unwrap_or(op.mnemonic()),
+            Inst::Op { op, .. } => op.mnemonic(),
+            Inst::Fence => "fence",
+            Inst::Ecall => "ecall",
+            Inst::Ebreak => "ebreak",
+            Inst::Csr { op, .. } => op.mnemonic(),
+            Inst::Pq { unit, .. } => unit.mnemonic(),
+        }
+    }
+
+    /// One instruction of every encodable kind, operand fields zero: the
+    /// set of real (non-pseudo) mnemonics.
+    #[rustfmt::skip]
+    pub fn templates() -> impl Iterator<Item = Inst> {
+        use Inst::*;
+        let fixed = [
+            Lui { rd: 0, imm: 0 }, Auipc { rd: 0, imm: 0 }, Jal { rd: 0, offset: 0 },
+            Jalr { rd: 0, rs1: 0, offset: 0 }, Fence, Ecall, Ebreak,
+        ];
+        let imm_forms = AluOp::ALL.iter().filter(|op| op.imm_mnemonic().is_some());
+        fixed.into_iter()
+            .chain(BranchOp::ALL.iter().map(|&op| Branch { op, rs1: 0, rs2: 0, offset: 0 }))
+            .chain(LoadOp::ALL.iter().map(|&op| Load { op, rd: 0, rs1: 0, offset: 0 }))
+            .chain(StoreOp::ALL.iter().map(|&op| Store { op, rs1: 0, rs2: 0, offset: 0 }))
+            .chain(imm_forms.map(|&op| OpImm { op, rd: 0, rs1: 0, imm: 0 }))
+            .chain(AluOp::ALL.iter().map(|&op| Op { op, rd: 0, rs1: 0, rs2: 0 }))
+            .chain(CsrOp::ALL.iter().map(|&op| Csr { op, rd: 0, rs1: 0, csr: 0 }))
+            .chain(PqUnit::ALL.iter().map(|&unit| Pq { unit, rd: 0, rs1: 0, rs2: 0 }))
+    }
+
+    /// The template (see [`Inst::templates`]) a real mnemonic names.
+    pub(crate) fn from_mnemonic(mnemonic: &str) -> Option<Inst> {
+        Self::templates().find(|inst| inst.mnemonic() == mnemonic)
+    }
 }
 
 impl fmt::Display for Inst {
@@ -254,183 +383,230 @@ fn imm_j(w: u32) -> i32 {
 /// Returns [`DecodeInstError`] for unknown encodings.
 pub fn decode(w: u32) -> Result<Inst, DecodeInstError> {
     let err = || DecodeInstError { word: w };
+    let (rd, rs1, rs2, f3) = (rd(w), rs1(w), rs2(w), funct3(w));
     let inst = match w & 0x7f {
-        0x37 => Inst::Lui {
-            rd: rd(w),
-            imm: imm_u(w),
-        },
-        0x17 => Inst::Auipc {
-            rd: rd(w),
-            imm: imm_u(w),
-        },
-        0x6f => Inst::Jal {
-            rd: rd(w),
+        opcode::LUI => Inst::Lui { rd, imm: imm_u(w) },
+        opcode::AUIPC => Inst::Auipc { rd, imm: imm_u(w) },
+        opcode::JAL => Inst::Jal {
+            rd,
             offset: imm_j(w),
         },
-        0x67 => {
-            if funct3(w) != 0 {
-                return Err(err());
-            }
-            Inst::Jalr {
-                rd: rd(w),
-                rs1: rs1(w),
-                offset: imm_i(w),
-            }
-        }
-        0x63 => {
-            let op = match funct3(w) {
-                0 => BranchOp::Eq,
-                1 => BranchOp::Ne,
-                4 => BranchOp::Lt,
-                5 => BranchOp::Ge,
-                6 => BranchOp::Ltu,
-                7 => BranchOp::Geu,
-                _ => return Err(err()),
-            };
-            Inst::Branch {
-                op,
-                rs1: rs1(w),
-                rs2: rs2(w),
-                offset: imm_b(w),
-            }
-        }
-        0x03 => {
-            let op = match funct3(w) {
-                0 => LoadOp::Byte,
-                1 => LoadOp::Half,
-                2 => LoadOp::Word,
-                4 => LoadOp::ByteU,
-                5 => LoadOp::HalfU,
-                _ => return Err(err()),
-            };
-            Inst::Load {
-                op,
-                rd: rd(w),
-                rs1: rs1(w),
-                offset: imm_i(w),
-            }
-        }
-        0x23 => {
-            let op = match funct3(w) {
-                0 => StoreOp::Byte,
-                1 => StoreOp::Half,
-                2 => StoreOp::Word,
-                _ => return Err(err()),
-            };
-            Inst::Store {
-                op,
-                rs1: rs1(w),
-                rs2: rs2(w),
-                offset: imm_s(w),
-            }
-        }
-        0x13 => {
-            let f3 = funct3(w);
-            let op = match f3 {
-                0 => AluOp::Add,
-                1 => AluOp::Sll,
-                2 => AluOp::Slt,
-                3 => AluOp::Sltu,
-                4 => AluOp::Xor,
-                5 => {
-                    if funct7(w) == 0x20 {
-                        AluOp::Sra
-                    } else if funct7(w) == 0 {
-                        AluOp::Srl
-                    } else {
-                        return Err(err());
-                    }
-                }
-                6 => AluOp::Or,
-                7 => AluOp::And,
-                _ => return Err(err()),
-            };
+        opcode::JALR if f3 == 0 => Inst::Jalr {
+            rd,
+            rs1,
+            offset: imm_i(w),
+        },
+        opcode::BRANCH => Inst::Branch {
+            op: BranchOp::from_funct3(f3).ok_or_else(err)?,
+            rs1,
+            rs2,
+            offset: imm_b(w),
+        },
+        opcode::LOAD => Inst::Load {
+            op: LoadOp::from_funct3(f3).ok_or_else(err)?,
+            rd,
+            rs1,
+            offset: imm_i(w),
+        },
+        opcode::STORE => Inst::Store {
+            op: StoreOp::from_funct3(f3).ok_or_else(err)?,
+            rs1,
+            rs2,
+            offset: imm_s(w),
+        },
+        opcode::OP_IMM => {
+            // Only the right shifts are told apart by funct7 (imm[11:5]).
+            let f7 = if f3 == 5 { funct7(w) } else { 0 };
+            let op = AluOp::from_funct((f7, f3))
+                .filter(|op| op.imm_mnemonic().is_some())
+                .ok_or_else(err)?;
             let imm = if matches!(op, AluOp::Sll | AluOp::Srl | AluOp::Sra) {
-                ((w >> 20) & 0x1f) as i32
+                i32::from(rs2)
             } else {
                 imm_i(w)
             };
-            Inst::OpImm {
-                op,
-                rd: rd(w),
-                rs1: rs1(w),
-                imm,
-            }
+            Inst::OpImm { op, rd, rs1, imm }
         }
-        0x33 => {
-            let op = match (funct7(w), funct3(w)) {
-                (0x00, 0) => AluOp::Add,
-                (0x20, 0) => AluOp::Sub,
-                (0x00, 1) => AluOp::Sll,
-                (0x00, 2) => AluOp::Slt,
-                (0x00, 3) => AluOp::Sltu,
-                (0x00, 4) => AluOp::Xor,
-                (0x00, 5) => AluOp::Srl,
-                (0x20, 5) => AluOp::Sra,
-                (0x00, 6) => AluOp::Or,
-                (0x00, 7) => AluOp::And,
-                (0x01, 0) => AluOp::Mul,
-                (0x01, 1) => AluOp::Mulh,
-                (0x01, 2) => AluOp::Mulhsu,
-                (0x01, 3) => AluOp::Mulhu,
-                (0x01, 4) => AluOp::Div,
-                (0x01, 5) => AluOp::Divu,
-                (0x01, 6) => AluOp::Rem,
-                (0x01, 7) => AluOp::Remu,
-                _ => return Err(err()),
-            };
-            Inst::Op {
-                op,
-                rd: rd(w),
-                rs1: rs1(w),
-                rs2: rs2(w),
-            }
+        opcode::OP => {
+            let op = AluOp::from_funct((funct7(w), f3)).ok_or_else(err)?;
+            Inst::Op { op, rd, rs1, rs2 }
         }
-        0x0f => Inst::Fence,
-        0x73 => match funct3(w) {
+        opcode::MISC_MEM => Inst::Fence,
+        opcode::SYSTEM => match f3 {
             0 => match w >> 20 {
                 0 => Inst::Ecall,
                 1 => Inst::Ebreak,
                 _ => return Err(err()),
             },
-            1 => Inst::Csr {
-                op: CsrOp::Rw,
-                rd: rd(w),
-                rs1: rs1(w),
+            _ => Inst::Csr {
+                op: CsrOp::from_funct3(f3).ok_or_else(err)?,
+                rd,
+                rs1,
                 csr: (w >> 20) as u16,
             },
-            2 => Inst::Csr {
-                op: CsrOp::Rs,
-                rd: rd(w),
-                rs1: rs1(w),
-                csr: (w >> 20) as u16,
-            },
-            3 => Inst::Csr {
-                op: CsrOp::Rc,
-                rd: rd(w),
-                rs1: rs1(w),
-                csr: (w >> 20) as u16,
-            },
-            _ => return Err(err()),
         },
         PQ_OPCODE => {
-            let unit = match funct3(w) {
-                0 => PqUnit::MulTer,
-                1 => PqUnit::MulChien,
-                2 => PqUnit::Sha256,
-                3 => PqUnit::ModQ,
-                _ => return Err(err()),
-            };
-            Inst::Pq {
-                unit,
-                rd: rd(w),
-                rs1: rs1(w),
-                rs2: rs2(w),
-            }
+            let unit = PqUnit::from_funct3(f3).ok_or_else(err)?;
+            Inst::Pq { unit, rd, rs1, rs2 }
         }
         _ => return Err(err()),
     };
     Ok(inst)
+}
+
+/// Encoding failure: a field of an [`Inst`] its format cannot hold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodeError(String);
+
+impl fmt::Display for EncodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for EncodeError {}
+
+/// `value` as a field holding the multiples of `step` in `min..=max`.
+fn field(name: &str, value: i64, min: i64, max: i64, step: i64) -> Result<u32, EncodeError> {
+    if (min..=max).contains(&value) && value % step == 0 {
+        return Ok(value as u32);
+    }
+    let multiple = if step > 1 {
+        format!(" (multiples of {step})")
+    } else {
+        String::new()
+    };
+    Err(EncodeError(format!(
+        "{name} {value} out of range {min}..={max}{multiple}"
+    )))
+}
+
+/// `value` as a `bits`-wide two's-complement field of multiples of `step`.
+fn signed(name: &str, value: i32, bits: u32, step: i64) -> Result<u32, EncodeError> {
+    let half = 1i64 << (bits - 1);
+    field(name, value.into(), -half, half - step, step)
+}
+
+fn reg(r: u8) -> Result<u32, EncodeError> {
+    field("register", r.into(), 0, 31, 1)
+}
+
+fn r_type(opcode: u32, (f7, f3): (u32, u32), rd: u8, rs1: u8, rs2: u8) -> Result<u32, EncodeError> {
+    Ok(f7 << 25 | reg(rs2)? << 20 | reg(rs1)? << 15 | f3 << 12 | reg(rd)? << 7 | opcode)
+}
+
+fn i_type(opcode: u32, f3: u32, rd: u8, rs1: u8, imm: u32) -> Result<u32, EncodeError> {
+    Ok((imm & 0xfff) << 20 | reg(rs1)? << 15 | f3 << 12 | reg(rd)? << 7 | opcode)
+}
+
+fn s_type(opcode: u32, f3: u32, rs1: u8, rs2: u8, imm: u32) -> Result<u32, EncodeError> {
+    Ok((imm >> 5 & 0x7f) << 25
+        | reg(rs2)? << 20
+        | reg(rs1)? << 15
+        | f3 << 12
+        | (imm & 0x1f) << 7
+        | opcode)
+}
+
+fn u_type(opcode: u32, rd: u8, value: i32) -> Result<u32, EncodeError> {
+    Ok(signed("upper immediate value", value, 32, 0x1000)? | reg(rd)? << 7 | opcode)
+}
+
+/// The `lui`/`auipc` value a 20-bit upper-immediate operand denotes
+/// (`operand << 12`); the operand may be written signed or unsigned.
+///
+/// # Errors
+///
+/// Returns [`EncodeError`] outside `-0x80000..=0xfffff`.
+pub(crate) fn upper_imm(operand: i64) -> Result<i32, EncodeError> {
+    let bits = field("upper immediate", operand, -0x8_0000, 0xf_ffff, 1)?;
+    Ok((bits << 12) as i32)
+}
+
+/// Encode one instruction: the exact inverse of [`decode`]
+/// (`decode(encode(i)?) == Ok(i)`) and the only place that packs fields
+/// and checks their ranges.
+///
+/// # Errors
+///
+/// Returns [`EncodeError`] for a field its format cannot hold: registers
+/// past `x31`; I and S immediates outside 12-bit signed; branch offsets
+/// outside ±4 KiB or odd; jump offsets outside ±1 MiB or odd; `lui`/`auipc`
+/// values that are not multiples of 4096; shift amounts outside 0–31; CSR
+/// numbers past 12 bits; or an immediate form the ISA lacks.
+pub fn encode(inst: Inst) -> Result<u32, EncodeError> {
+    match inst {
+        Inst::Lui { rd, imm } => u_type(opcode::LUI, rd, imm),
+        Inst::Auipc { rd, imm } => u_type(opcode::AUIPC, rd, imm),
+        Inst::Jal { rd, offset } => {
+            let o = signed("offset", offset, 21, 2)?;
+            let imm =
+                (o >> 20 & 1) << 19 | (o >> 1 & 0x3ff) << 9 | (o >> 11 & 1) << 8 | (o >> 12 & 0xff);
+            Ok(imm << 12 | reg(rd)? << 7 | opcode::JAL)
+        }
+        Inst::Jalr { rd, rs1, offset } => {
+            i_type(opcode::JALR, 0, rd, rs1, signed("offset", offset, 12, 1)?)
+        }
+        Inst::Branch {
+            op,
+            rs1,
+            rs2,
+            offset,
+        } => {
+            // B is S with bits 12 and 11 of the offset moved into S's bit
+            // 11 and bit 0 (which B's even offsets never use).
+            let o = signed("offset", offset, 13, 2)?;
+            let imm = (o >> 12 & 1) << 11 | (o & 0x7e0) | (o & 0x1e) | (o >> 11 & 1);
+            s_type(opcode::BRANCH, op.funct3(), rs1, rs2, imm)
+        }
+        Inst::Load {
+            op,
+            rd,
+            rs1,
+            offset,
+        } => i_type(
+            opcode::LOAD,
+            op.funct3(),
+            rd,
+            rs1,
+            signed("offset", offset, 12, 1)?,
+        ),
+        Inst::Store {
+            op,
+            rs1,
+            rs2,
+            offset,
+        } => s_type(
+            opcode::STORE,
+            op.funct3(),
+            rs1,
+            rs2,
+            signed("offset", offset, 12, 1)?,
+        ),
+        Inst::OpImm { op, rd, rs1, imm } => {
+            let (f7, f3) = op.funct();
+            let imm = match op {
+                AluOp::Sll | AluOp::Srl | AluOp::Sra => {
+                    f7 << 5 | field("shift amount", imm.into(), 0, 31, 1)?
+                }
+                _ if op.imm_mnemonic().is_some() => signed("immediate", imm, 12, 1)?,
+                _ => {
+                    let name = op.mnemonic();
+                    return Err(EncodeError(format!("'{name}' has no immediate form")));
+                }
+            };
+            i_type(opcode::OP_IMM, f3, rd, rs1, imm)
+        }
+        Inst::Op { op, rd, rs1, rs2 } => r_type(opcode::OP, op.funct(), rd, rs1, rs2),
+        Inst::Fence => Ok(opcode::MISC_MEM),
+        Inst::Ecall => Ok(opcode::SYSTEM),
+        Inst::Ebreak => i_type(opcode::SYSTEM, 0, 0, 0, 1),
+        Inst::Csr { op, rd, rs1, csr } => {
+            let csr = field("CSR", csr.into(), 0, 0xfff, 1)?;
+            i_type(opcode::SYSTEM, op.funct3(), rd, rs1, csr)
+        }
+        Inst::Pq { unit, rd, rs1, rs2 } => r_type(PQ_OPCODE, (0, unit.funct3()), rd, rs1, rs2),
+    }
 }
 
 /// Expand a 16-bit compressed (C extension) instruction into its 32-bit
@@ -441,62 +617,71 @@ pub fn decode(w: u32) -> Result<Inst, DecodeInstError> {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeInstError`] for reserved or unsupported encodings.
+/// Returns [`DecodeInstError`] for reserved or unsupported encodings,
+/// including RV32C's reserved shift amounts (`shamt[5] = 1`).
 pub fn decompress(h: u16) -> Result<u32, DecodeInstError> {
     let err = || DecodeInstError { word: u32::from(h) };
     let h = u32::from(h);
-    let op = h & 0x3;
     let funct3 = (h >> 13) & 0x7;
-    // Compressed register (3-bit) to full register number.
-    let rc = |x: u32| (x & 0x7) + 8;
+    // A full 5-bit register field, and a compressed 3-bit one (x8..x15).
+    let full = |x: u32| (x & 0x1f) as u8;
+    let rc = |x: u32| (x & 0x7) as u8 + 8;
+    // The CI-format 6-bit immediate (c.addi, c.li, c.andi) and shift amount.
+    let ci = sign_extend((((h >> 12) & 1) << 5) | ((h >> 2) & 0x1f), 6);
+    let shamt = ((((h >> 12) & 1) << 5) | ((h >> 2) & 0x1f)) as i32;
+    // The CL/CS-format word offset (c.lw, c.sw).
+    let word_offset = ((h >> 7) & 0x38) | ((h << 1) & 0x40) | ((h >> 4) & 0x4);
+    let addi = |rd: u8, rs1: u8, imm: i32| Inst::OpImm {
+        op: AluOp::Add,
+        rd,
+        rs1,
+        imm,
+    };
+    let alu_imm = |op: AluOp, rd: u8, imm: i32| Inst::OpImm {
+        op,
+        rd,
+        rs1: rd,
+        imm,
+    };
+    let lw = |rd: u8, rs1: u8, offset: u32| Inst::Load {
+        op: LoadOp::Word,
+        rd,
+        rs1,
+        offset: offset as i32,
+    };
+    let sw = |rs1: u8, rs2: u8, offset: u32| Inst::Store {
+        op: StoreOp::Word,
+        rs1,
+        rs2,
+        offset: offset as i32,
+    };
+    let jal = |rd: u8| Inst::Jal {
+        rd,
+        offset: cj_offset(h),
+    };
 
-    let full = match (op, funct3) {
+    let inst = match (h & 0x3, funct3) {
         // c.addi4spn: addi rd', x2, nzuimm
         (0b00, 0b000) => {
             let imm = ((h >> 7) & 0x30) | ((h >> 1) & 0x3c0) | ((h >> 4) & 0x4) | ((h >> 2) & 0x8);
             if imm == 0 {
                 return Err(err());
             }
-            let rd = rc(h >> 2);
-            (imm << 20) | (2 << 15) | (rd << 7) | 0x13
+            addi(rc(h >> 2), 2, imm as i32)
         }
         // c.lw: lw rd', offset(rs1')
-        (0b00, 0b010) => {
-            let imm = ((h >> 7) & 0x38) | ((h << 1) & 0x40) | ((h >> 4) & 0x4);
-            let rs1 = rc(h >> 7);
-            let rd = rc(h >> 2);
-            (imm << 20) | (rs1 << 15) | (0b010 << 12) | (rd << 7) | 0x03
-        }
+        (0b00, 0b010) => lw(rc(h >> 2), rc(h >> 7), word_offset),
         // c.sw: sw rs2', offset(rs1')
-        (0b00, 0b110) => {
-            let imm = ((h >> 7) & 0x38) | ((h << 1) & 0x40) | ((h >> 4) & 0x4);
-            let rs1 = rc(h >> 7);
-            let rs2 = rc(h >> 2);
-            ((imm >> 5) << 25)
-                | (rs2 << 20)
-                | (rs1 << 15)
-                | (0b010 << 12)
-                | ((imm & 0x1f) << 7)
-                | 0x23
-        }
+        (0b00, 0b110) => sw(rc(h >> 7), rc(h >> 2), word_offset),
         // c.nop / c.addi
-        (0b01, 0b000) => {
-            let rd = (h >> 7) & 0x1f;
-            let imm = (((h >> 12) & 1) << 5) | ((h >> 2) & 0x1f);
-            let imm = sign_extend(imm, 6);
-            ((imm as u32 & 0xfff) << 20) | (rd << 15) | (rd << 7) | 0x13
-        }
+        (0b01, 0b000) => addi(full(h >> 7), full(h >> 7), ci),
         // c.jal (RV32): jal x1, offset
-        (0b01, 0b001) => cj_to_jal(h, 1),
+        (0b01, 0b001) => jal(1),
         // c.li: addi rd, x0, imm
-        (0b01, 0b010) => {
-            let rd = (h >> 7) & 0x1f;
-            let imm = sign_extend((((h >> 12) & 1) << 5) | ((h >> 2) & 0x1f), 6);
-            ((imm as u32 & 0xfff) << 20) | (rd << 7) | 0x13
-        }
+        (0b01, 0b010) => addi(full(h >> 7), 0, ci),
         // c.addi16sp / c.lui
         (0b01, 0b011) => {
-            let rd = (h >> 7) & 0x1f;
+            let rd = full(h >> 7);
             if rd == 2 {
                 let imm = (((h >> 12) & 1) << 9)
                     | (((h >> 3) & 0x3) << 7)
@@ -507,106 +692,88 @@ pub fn decompress(h: u16) -> Result<u32, DecodeInstError> {
                 if imm == 0 {
                     return Err(err());
                 }
-                ((imm as u32 & 0xfff) << 20) | (2 << 15) | (2 << 7) | 0x13
+                addi(2, 2, imm)
             } else {
                 let imm = sign_extend((((h >> 12) & 1) << 17) | (((h >> 2) & 0x1f) << 12), 18);
                 if imm == 0 {
                     return Err(err());
                 }
-                (imm as u32 & 0xffff_f000) | (rd << 7) | 0x37
+                Inst::Lui { rd, imm }
             }
         }
         // c.srli / c.srai / c.andi / c.sub / c.xor / c.or / c.and
         (0b01, 0b100) => {
             let rd = rc(h >> 7);
             match (h >> 10) & 0x3 {
-                0b00 => {
-                    let sh = ((h >> 2) & 0x1f) | (((h >> 12) & 1) << 5);
-                    (sh << 20) | (rd << 15) | (0b101 << 12) | (rd << 7) | 0x13
-                }
-                0b01 => {
-                    let sh = ((h >> 2) & 0x1f) | (((h >> 12) & 1) << 5);
-                    (0x20 << 25) | (sh << 20) | (rd << 15) | (0b101 << 12) | (rd << 7) | 0x13
-                }
-                0b10 => {
-                    let imm = sign_extend((((h >> 12) & 1) << 5) | ((h >> 2) & 0x1f), 6);
-                    ((imm as u32 & 0xfff) << 20) | (rd << 15) | (0b111 << 12) | (rd << 7) | 0x13
-                }
-                _ => {
-                    let rs2 = rc(h >> 2);
-                    let (f7, f3) = match (h >> 5) & 0x3 {
-                        0b00 => (0x20u32, 0b000u32), // c.sub
-                        0b01 => (0x00, 0b100),       // c.xor
-                        0b10 => (0x00, 0b110),       // c.or
-                        _ => (0x00, 0b111),          // c.and
-                    };
-                    (f7 << 25) | (rs2 << 20) | (rd << 15) | (f3 << 12) | (rd << 7) | 0x33
-                }
+                0b00 => alu_imm(AluOp::Srl, rd, shamt),
+                0b01 => alu_imm(AluOp::Sra, rd, shamt),
+                0b10 => alu_imm(AluOp::And, rd, ci),
+                _ => Inst::Op {
+                    op: [AluOp::Sub, AluOp::Xor, AluOp::Or, AluOp::And][((h >> 5) & 0x3) as usize],
+                    rd,
+                    rs1: rd,
+                    rs2: rc(h >> 2),
+                },
             }
         }
         // c.j: jal x0, offset
-        (0b01, 0b101) => cj_to_jal(h, 0),
+        (0b01, 0b101) => jal(0),
         // c.beqz / c.bnez
         (0b01, 0b110) | (0b01, 0b111) => {
-            let rs1 = rc(h >> 7);
             let imm = (((h >> 12) & 1) << 8)
                 | (((h >> 5) & 0x3) << 6)
                 | (((h >> 2) & 1) << 5)
                 | (((h >> 10) & 0x3) << 3)
                 | (((h >> 3) & 0x3) << 1);
-            let imm = sign_extend(imm, 9) as u32;
-            let f3 = if funct3 == 0b110 { 0b000 } else { 0b001 };
-            ((imm >> 12) & 1) << 31
-                | (((imm >> 5) & 0x3f) << 25)
-                | (rs1 << 15)
-                | (f3 << 12)
-                | (((imm >> 1) & 0xf) << 8)
-                | (((imm >> 11) & 1) << 7)
-                | 0x63
+            Inst::Branch {
+                op: [BranchOp::Eq, BranchOp::Ne][(funct3 & 1) as usize],
+                rs1: rc(h >> 7),
+                rs2: 0,
+                offset: sign_extend(imm, 9),
+            }
         }
         // c.slli
-        (0b10, 0b000) => {
-            let rd = (h >> 7) & 0x1f;
-            let sh = ((h >> 2) & 0x1f) | (((h >> 12) & 1) << 5);
-            (sh << 20) | (rd << 15) | (0b001 << 12) | (rd << 7) | 0x13
-        }
+        (0b10, 0b000) => alu_imm(AluOp::Sll, full(h >> 7), shamt),
         // c.lwsp: lw rd, offset(x2)
         (0b10, 0b010) => {
-            let rd = (h >> 7) & 0x1f;
+            let rd = full(h >> 7);
             if rd == 0 {
                 return Err(err());
             }
-            let imm = (((h >> 12) & 1) << 5) | (((h >> 4) & 0x7) << 2) | (((h >> 2) & 0x3) << 6);
-            (imm << 20) | (2 << 15) | (0b010 << 12) | (rd << 7) | 0x03
+            lw(
+                rd,
+                2,
+                (((h >> 12) & 1) << 5) | (((h >> 4) & 0x7) << 2) | (((h >> 2) & 0x3) << 6),
+            )
         }
         // c.jr / c.mv / c.ebreak / c.jalr / c.add
         (0b10, 0b100) => {
-            let rd = (h >> 7) & 0x1f;
-            let rs2 = (h >> 2) & 0x1f;
-            let bit12 = (h >> 12) & 1;
-            match (bit12, rd, rs2) {
-                (0, r, 0) if r != 0 => (r << 15) | 0x67, // c.jr: jalr x0, r, 0
-                (0, r, s) if r != 0 => (s << 20) | (r << 7) | 0x33, // c.mv: add r, x0, s
-                (1, 0, 0) => 0x0010_0073,                // c.ebreak
-                (1, r, 0) if r != 0 => (r << 15) | (1 << 7) | 0x67, // c.jalr
-                (1, r, s) if r != 0 => (s << 20) | (r << 15) | (r << 7) | 0x33, // c.add
+            let jalr = |rd: u8, rs1: u8| Inst::Jalr { rd, rs1, offset: 0 };
+            let add = |rd: u8, rs1: u8, rs2: u8| Inst::Op {
+                op: AluOp::Add,
+                rd,
+                rs1,
+                rs2,
+            };
+            match ((h >> 12) & 1, full(h >> 7), full(h >> 2)) {
+                (0, r, 0) if r != 0 => jalr(0, r),   // c.jr
+                (0, r, s) if r != 0 => add(r, 0, s), // c.mv
+                (1, 0, 0) => Inst::Ebreak,
+                (1, r, 0) if r != 0 => jalr(1, r),   // c.jalr
+                (1, r, s) if r != 0 => add(r, r, s), // c.add
                 _ => return Err(err()),
             }
         }
         // c.swsp: sw rs2, offset(x2)
-        (0b10, 0b110) => {
-            let rs2 = (h >> 2) & 0x1f;
-            let imm = (((h >> 9) & 0xf) << 2) | (((h >> 7) & 0x3) << 6);
-            ((imm >> 5) << 25)
-                | (rs2 << 20)
-                | (2 << 15)
-                | (0b010 << 12)
-                | ((imm & 0x1f) << 7)
-                | 0x23
-        }
+        (0b10, 0b110) => sw(
+            2,
+            full(h >> 2),
+            (((h >> 9) & 0xf) << 2) | (((h >> 7) & 0x3) << 6),
+        ),
         _ => return Err(err()),
     };
-    Ok(full)
+    // Every other expansion is in range by construction.
+    encode(inst).map_err(|_| err())
 }
 
 fn sign_extend(value: u32, bits: u32) -> i32 {
@@ -614,7 +781,8 @@ fn sign_extend(value: u32, bits: u32) -> i32 {
     ((value << shift) as i32) >> shift
 }
 
-fn cj_to_jal(h: u32, rd: u32) -> u32 {
+/// The CJ-format offset of `c.j` / `c.jal`.
+fn cj_offset(h: u32) -> i32 {
     let imm = (((h >> 12) & 1) << 11)
         | (((h >> 11) & 1) << 4)
         | (((h >> 9) & 0x3) << 8)
@@ -623,13 +791,7 @@ fn cj_to_jal(h: u32, rd: u32) -> u32 {
         | (((h >> 6) & 1) << 7)
         | (((h >> 3) & 0x7) << 1)
         | (((h >> 2) & 1) << 5);
-    let imm = sign_extend(imm, 12) as u32;
-    (((imm >> 20) & 1) << 31)
-        | (((imm >> 1) & 0x3ff) << 21)
-        | (((imm >> 11) & 1) << 20)
-        | (((imm >> 12) & 0xff) << 12)
-        | (rd << 7)
-        | 0x6f
+    sign_extend(imm, 12)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! [`crate::superblock::Block`]s — pre-resolved register indices, pre-folded
 //! immediates, pre-summed cycle/instruction prefixes — are lowered once to
 //! host x86-64 machine code in an mmap'd W^X exec buffer and entered through
-//! a compact [`JitCtx`] context struct. Everything architectural stays in
+//! a compact `JitCtx` context struct. Everything architectural stays in
 //! Rust: the dispatch loop (hotness, fuel, generation validation at block
 //! entry), trap reconstruction from the block's prefix sums, and the
 //! terminator fallback for CSR/`ecall`/`ebreak` all reuse the superblock
@@ -19,23 +19,23 @@
 //! cache) plus the dispatched block's `(line, generation)` validity pairs;
 //! guest registers are mutated in place, exactly as the interpreter would.
 //! Retired cycle/instruction totals are committed *in host code*: every
-//! fully-retired block adds its prefix-sum totals (plus the taken
-//! terminator's extra cycles and any dynamic PQ stalls) to `ctx.cycles` /
+//! fully-retired block adds its prefix-sum totals (plus the terminator's
+//! cycles from [`crate::timing`] and any dynamic PQ stalls) to `ctx.cycles` /
 //! `ctx.instructions` before leaving, so the counters are already exact
 //! when control returns to Rust. The return value selects how the Rust
 //! side settles the rest:
 //!
-//! * [`EXIT_NEXT`] — body and terminator fully retired and charged in
+//! * `EXIT_NEXT` — body and terminator fully retired and charged in
 //!   host code; `next_pc` is in the context. If the exit crossed a static
 //!   edge whose link slot was empty, `link_from`/`link_edge` name the
 //!   edge so the dispatch loop can install the chain link for next time.
-//! * [`EXIT_TERM`] — body retired but not yet charged; the terminator
+//! * `EXIT_TERM` — body retired but not yet charged; the terminator
 //!   (CSR reads observing live counters, `ecall`, `ebreak`) executes on
 //!   the shared interpreter core.
-//! * [`EXIT_TRAP_MEM`] — a load/store at op `exit_op` faulted at
+//! * `EXIT_TRAP_MEM` — a load/store at op `exit_op` faulted at
 //!   `fault_addr`; Rust rebuilds the oracle's counters from the op's
 //!   prefix sums and raises the exact trap.
-//! * [`EXIT_STORE_STALE`] — the store at op `exit_op` retired but
+//! * `EXIT_STORE_STALE` — the store at op `exit_op` retired but
 //!   invalidated one of the block's own predecode lines (self-modifying
 //!   code); the block stops before the next op, exactly like the
 //!   interpreter's store bail.
@@ -46,7 +46,7 @@
 //!
 //! # Block chaining
 //!
-//! Each JIT-dispatched block owns a heap-allocated [`ChainNode`] with two
+//! Each JIT-dispatched block owns a heap-allocated `ChainNode` with two
 //! function-pointer out-slots (edge 0 = fall-through/static next, edge 1 =
 //! taken branch target). A static terminator's epilogue commits the
 //! block's totals, then loads the edge's slot: if non-null it checks the
@@ -54,13 +54,13 @@
 //! charges it, swaps `ctx.node`/`ctx.lines` to the successor and jumps
 //! straight to its *chain entry* (past the prologue) — the hot loop never
 //! returns to Rust. A null slot (or a fuel shortfall) falls back to
-//! [`EXIT_NEXT`], and the dispatch loop installs the link on the way back
+//! `EXIT_NEXT`, and the dispatch loop installs the link on the way back
 //! in, so loops self-link after one trip. Link slots live in ordinary
 //! (data) heap memory read indirectly by emitted code — installing or
 //! clearing a link never touches an RX page, so the W^X story below is
 //! unchanged. Links are process-local (host addresses never leave the
 //! CPU that installed them); the shared pool still shares only the
-//! translations. The [`ChainRegistry`] keeps every node alive until a
+//! translations. The `ChainRegistry` keeps every node alive until a
 //! Rust-side safe point and severs every slot that could reach a block
 //! whose predecode generations moved — see the registry docs for the
 //! unlink protocol.
@@ -92,6 +92,8 @@
 //! engine and counts a fallback in [`JitStats`]. Tests can force the same
 //! path on supported hosts with [`crate::cpu::Cpu::force_jit_fallback`].
 
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+use crate::inst::{AluOp, PqUnit};
 use crate::pq::PqAlu;
 use crate::predecode::PredecodeCache;
 use crate::superblock::{Block, MAX_LINES};
@@ -502,40 +504,14 @@ pub(crate) mod ctx_off {
     pub(crate) const LINK_FROM: u8 = 0x68;
 }
 
-/// RISC-V division semantics for emitted code (edge cases — divide by
-/// zero, overflow — match [`crate::cpu`]'s ALU exactly). `sel` is
-/// 0=div, 1=divu, 2=rem, 3=remu; divider cycles are charged statically
-/// by the block's prefix sums, never here.
+/// RISC-V division for emitted code: the interpreter ALU's result, edge
+/// cases (divide by zero, overflow) included. `sel` is 0=div, 1=divu,
+/// 2=rem, 3=remu; divider cycles are charged statically by the block's
+/// prefix sums, never here.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 extern "C" fn jit_div(sel: u32, a: u32, b: u32) -> u32 {
-    match sel {
-        0 => {
-            if b == 0 {
-                u32::MAX
-            } else if a == 0x8000_0000 && b == u32::MAX {
-                a
-            } else {
-                ((a as i32) / (b as i32)) as u32
-            }
-        }
-        1 => a.checked_div(b).unwrap_or(u32::MAX),
-        2 => {
-            if b == 0 {
-                a
-            } else if a == 0x8000_0000 && b == u32::MAX {
-                0
-            } else {
-                ((a as i32) % (b as i32)) as u32
-            }
-        }
-        _ => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-    }
+    const OPS: [AluOp; 4] = [AluOp::Div, AluOp::Divu, AluOp::Rem, AluOp::Remu];
+    crate::cpu::alu(OPS[sel as usize & 3], a, b)
 }
 
 /// PQ-ALU dispatch for emitted code: runs the device (state machine and
@@ -544,13 +520,8 @@ extern "C" fn jit_div(sel: u32, a: u32, b: u32) -> u32 {
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 unsafe extern "C" fn jit_pq(ctx: *mut JitCtx, unit: u32, a: u32, b: u32) -> u32 {
     let ctx = &mut *ctx;
-    let pq = &mut *ctx.pq;
-    let (value, stall) = match unit {
-        0 => pq.mul_ter(a, b),
-        1 => pq.mul_chien(a, b),
-        2 => pq.sha256(a, b),
-        _ => pq.modq(a, b),
-    };
+    let unit = PqUnit::from_funct3(unit).expect("emitted code passes a PQ funct3");
+    let (value, stall) = (*ctx.pq).issue(unit, a, b);
     ctx.dyn_cycles += stall;
     value
 }

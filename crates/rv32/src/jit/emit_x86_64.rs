@@ -38,6 +38,7 @@
 use super::{ctx_off, node_off, EXIT_NEXT, EXIT_STORE_STALE, EXIT_TERM, EXIT_TRAP_MEM, LINK_NONE};
 use crate::inst::{AluOp, BranchOp, Inst, LoadOp, StoreOp};
 use crate::superblock::{Block, OpKind, Src2, Terminator};
+use crate::timing;
 
 /// Process-constant helper entry points baked into emitted code as
 /// absolute `imm64` call targets.
@@ -81,15 +82,6 @@ fn store_width(op: StoreOp) -> u8 {
         StoreOp::Byte => 1,
         StoreOp::Half => 2,
         StoreOp::Word => 4,
-    }
-}
-
-/// Static divider cycles of a fused compare-branch ALU op (mirrors the
-/// block compiler's costing; folded into the committed terminator extra).
-fn div_cycles(op: AluOp) -> u32 {
-    match op {
-        AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu => 34,
-        _ => 0,
     }
 }
 
@@ -764,7 +756,7 @@ fn emit_terminator(
                         a.store_guest_imm(rd, fall_pc);
                     }
                     let target = block.term_pc.wrapping_add(offset as u32);
-                    exit_static(a, env, target, 3, 0);
+                    exit_static(a, env, target, timing::static_cycles(&inst), 0);
                 }
                 Inst::Jalr { rd, rs1, offset } => {
                     // Target first: rs1 may alias rd.
@@ -778,7 +770,7 @@ fn emit_terminator(
                     a.ctx_store_eax(ctx_off::NEXT_PC);
                     // Dynamic target: never linkable (commit clobbers rax
                     // only after next_pc is stored).
-                    a.commit_accounting(block, 3, has_dyn);
+                    a.commit_accounting(block, timing::static_cycles(&inst), has_dyn);
                     a.ctx_store_imm(ctx_off::LINK_EDGE, LINK_NONE);
                     a.mov_imm(EAX, EXIT_NEXT);
                     a.jmp(epi);
@@ -794,10 +786,11 @@ fn emit_terminator(
                     a.bytes(&[0x39, 0xc8]); // cmp eax, ecx
                     let taken = a.label();
                     a.jcc(branch_cc(op), taken);
-                    exit_static(a, env, fall_pc, 1, 0);
+                    let cycles = timing::static_cycles(&inst);
+                    exit_static(a, env, fall_pc, cycles, 0);
                     a.bind(taken);
                     let target = block.term_pc.wrapping_add(offset as u32);
-                    exit_static(a, env, target, 3, 1);
+                    exit_static(a, env, target, cycles + timing::TAKEN_BRANCH, 1);
                 }
                 // CSR reads must observe live counters, ecall/ebreak need
                 // the interpreter's exit/trap plumbing: hand back to Rust
@@ -820,6 +813,7 @@ fn emit_terminator(
             brs2,
             taken_pc,
             fall_pc,
+            cycles,
         } => {
             if ard != 0 {
                 a.load_guest(EAX, ars1);
@@ -834,10 +828,9 @@ fn emit_terminator(
             a.bytes(&[0x39, 0xc8]); // cmp eax, ecx
             let taken = a.label();
             a.jcc(branch_cc(bop), taken);
-            let extra = 2 + div_cycles(aop);
-            exit_static(a, env, fall_pc, extra, 0);
+            exit_static(a, env, fall_pc, cycles, 0);
             a.bind(taken);
-            exit_static(a, env, taken_pc, extra + 2, 1);
+            exit_static(a, env, taken_pc, cycles + timing::TAKEN_BRANCH, 1);
         }
     }
 }

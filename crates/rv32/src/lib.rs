@@ -13,9 +13,13 @@
 //!
 //! This crate provides the simulator substrate needed to *run* such code:
 //!
-//! * [`inst`] — instruction decoding for RV32I, the M extension, the C
-//!   (compressed) extension via decompression, and the PQ instructions;
-//! * [`cpu`] — a RISCY-like interpreter with a documented cycle model and
+//! * [`inst`] — the one instruction table: decoding and encoding for
+//!   RV32I, the M extension, Zicsr, the C (compressed) extension via
+//!   decompression, and the PQ instructions; the assembler, the
+//!   disassembler and the decoder all read it;
+//! * [`timing`] — the one RISCY timing table every engine and the JIT
+//!   charge modelled cycles from;
+//! * [`cpu`] — the RISCY-like interpreter with
 //!   three engines: a JIT tier lowering superblocks to host machine code,
 //!   a trace-cached superblock engine with macro-op fusion (default), and
 //!   the decode-every-step oracle the faster tiers are differentially
@@ -33,7 +37,8 @@
 //!   `lac-hw` models;
 //! * [`asm`] — a small two-pass assembler (labels, ABI register names,
 //!   common pseudo-instructions, and the `pq.*` mnemonics) so tests and
-//!   examples can write RISC-V programs directly.
+//!   examples can write RISC-V programs directly; it rejects operands
+//!   their field cannot hold, and [`disasm`] prints its syntax back.
 //!
 //! # Example
 //!
@@ -62,12 +67,13 @@ pub mod jit;
 pub mod pq;
 pub mod predecode;
 pub mod superblock;
+pub mod timing;
 pub mod warm;
 
 pub use asm::{assemble, AsmError};
 pub use cpu::{Cpu, Engine, ExitState, Trap};
 pub use disasm::disassemble;
-pub use inst::{decode, decompress, Inst};
+pub use inst::{decode, decompress, encode, EncodeError, Inst};
 pub use jit::{JitStats, SharedJitStats};
 pub use superblock::{SharedTraceCache, SharedTraceStats};
 pub use warm::WarmImage;

@@ -37,6 +37,7 @@
 //! Every stall is the matching `lac-hw` model's datapath time, so the ISS
 //! and the cost model cannot drift apart.
 
+use crate::inst::PqUnit;
 use lac_hw::chien::PARALLEL_MULS;
 use lac_hw::mul_ter::{self, COEFFS_PER_READ, COEFFS_PER_WRITE};
 use lac_hw::sha256_unit::{self, CYCLES_PER_BLOCK};
@@ -111,6 +112,18 @@ impl PqAlu {
             sha_buf: Vec::new(),
             sha_digest: [0u8; 32],
             issue_counts: [0; 4],
+        }
+    }
+
+    /// Execute one PQ instruction on `unit`. Returns `(rd value, stall
+    /// cycles)`.
+    #[inline]
+    pub fn issue(&mut self, unit: PqUnit, rs1: u32, rs2: u32) -> (u32, u64) {
+        match unit {
+            PqUnit::MulTer => self.mul_ter(rs1, rs2),
+            PqUnit::MulChien => self.mul_chien(rs1, rs2),
+            PqUnit::Sha256 => self.sha256(rs1, rs2),
+            PqUnit::ModQ => self.modq(rs1, rs2),
         }
     }
 

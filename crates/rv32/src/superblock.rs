@@ -27,8 +27,13 @@
 //! * Every op records the PC of its first instruction and the prefix
 //!   cycle/instruction totals of the ops before it, so a trap mid-block
 //!   reconstructs the oracle's counter values and faulting PC exactly
-//!   (the oracle charges a faulting instruction its base cycle but not
-//!   its load-use stall; fused pairs charge the completed first half).
+//!   (`BlockOp::fault_point`: the oracle charges a faulting instruction
+//!   its base cycle but not its load-use stall; fused pairs charge the
+//!   completed first half).
+//! * Costs come from the timing table in [`crate::timing`]: an op costs
+//!   the sum of its instructions' [`crate::timing::static_cycles`], and a
+//!   fused compare-and-branch terminator records its pair's static cycles
+//!   for the taken penalty to add to.
 //! * Only statically-costed instructions enter block bodies. PQ-ALU ops
 //!   stay in the body but accumulate their device-reported stalls in a
 //!   dynamic side counter that trap paths fold in, so stall accounting
@@ -51,6 +56,7 @@
 
 use crate::inst::{AluOp, BranchOp, Inst, LoadOp, PqUnit, StoreOp};
 use crate::predecode::{PredecodeCache, Slot, LINE_BYTES};
+use crate::timing;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -217,6 +223,19 @@ pub struct BlockOp {
     pub kind: OpKind,
 }
 
+impl BlockOp {
+    /// What a memory fault inside this op adds to its prefix sums, as
+    /// `(cycles, instructions, faulting pc)`: the faulting access pays its
+    /// base cycle but no load-use stall, and the `auipc` half of a fused
+    /// `auipc`+load has already retired.
+    pub(crate) fn fault_point(&self) -> (u32, u32, u32) {
+        match self.kind {
+            OpKind::AuipcLoad { pc2, .. } => (2 * timing::BASE, 2, pc2),
+            _ => (timing::BASE, 1, self.pc),
+        }
+    }
+}
+
 /// How a block ends.
 #[derive(Debug, Clone, Copy)]
 pub enum Terminator {
@@ -252,6 +271,9 @@ pub enum Terminator {
         taken_pc: u32,
         /// Fall-through PC.
         fall_pc: u32,
+        /// Static cycles of the pair; a taken branch adds
+        /// [`crate::timing::TAKEN_BRANCH`].
+        cycles: u32,
     },
     /// The block ended at [`MAX_OPS`] or just before a slot that does not
     /// hold a decodable instruction; execution resumes at `term_pc`.
@@ -682,16 +704,6 @@ pub fn ends_block(inst: &Inst) -> bool {
     )
 }
 
-/// The static modelled cycles of the M-extension divider, charged
-/// unconditionally by the ALU for `div`/`divu`/`rem`/`remu`.
-#[inline]
-fn div_cycles(op: AluOp) -> u32 {
-    match op {
-        AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu => 34,
-        _ => 0,
-    }
-}
-
 /// One raw instruction collected before fusion.
 struct Raw {
     pc: u32,
@@ -779,16 +791,17 @@ pub fn compile(cache: &mut PredecodeCache, ram: &[u8], anchor: u32) -> Option<Ca
     let mut i = 0;
     while i < raws.len() {
         let raw = &raws[i];
-        let next = raws.get(i + 1);
-        let (kind, cost_cycles, cost_instrs, consumed) = fuse(raw, next);
+        let (kind, consumed) = fuse(raw, raws.get(i + 1));
         ops.push(BlockOp {
             pc: raw.pc,
             cycles_before: cycles,
             instrs_before: instrs,
             kind,
         });
-        cycles += cost_cycles;
-        instrs += cost_instrs;
+        for fused in &raws[i..i + consumed] {
+            cycles += timing::static_cycles(&fused.inst);
+        }
+        instrs += consumed as u32;
         i += consumed;
     }
 
@@ -798,17 +811,16 @@ pub fn compile(cache: &mut PredecodeCache, ram: &[u8], anchor: u32) -> Option<Ca
         None => Terminator::FallThrough,
         Some(t) => {
             term_instrs = 1;
-            let fused = fuse_cmp_branch(&t, ops.last());
+            // The last op is the one the branch would fuse with; its cost
+            // is whatever it added to the totals.
+            let last_cycles = ops.last().map_or(0, |op| cycles - op.cycles_before);
+            let fused = fuse_cmp_branch(&t, ops.last(), last_cycles);
             match fused {
                 Some(cmp) => {
                     // The ALU op moved into the terminator: un-count it.
                     let popped = ops.pop().expect("fuse_cmp_branch requires a last op");
-                    let popped_cost = match popped.kind {
-                        OpKind::OpImm { op, .. } | OpKind::Op { op, .. } => 1 + div_cycles(op),
-                        _ => unreachable!("only plain ALU ops fuse into branches"),
-                    };
-                    cycles -= popped_cost;
-                    instrs -= 1;
+                    cycles = popped.cycles_before;
+                    instrs = popped.instrs_before;
                     term_instrs = 2;
                     cmp
                 }
@@ -838,8 +850,8 @@ pub fn compile(cache: &mut PredecodeCache, ram: &[u8], anchor: u32) -> Option<Ca
 }
 
 /// Map one raw instruction (peeking at its successor for fusion) to an
-/// [`OpKind`] plus `(static_cycles, instructions, raws_consumed)`.
-fn fuse(raw: &Raw, next: Option<&Raw>) -> (OpKind, u32, u32, usize) {
+/// [`OpKind`] plus the number of raw instructions it consumed.
+fn fuse(raw: &Raw, next: Option<&Raw>) -> (OpKind, usize) {
     match raw.inst {
         Inst::Lui { rd, imm } => {
             // lui rd, hi ; addi rd, rd, lo  →  rd = hi + lo (folded).
@@ -856,20 +868,13 @@ fn fuse(raw: &Raw, next: Option<&Raw>) -> (OpKind, u32, u32, usize) {
                     {
                         if rs1 == rd && ard == rd {
                             let value = (imm as u32).wrapping_add(aimm as u32);
-                            return (OpKind::LoadImm { rd, value }, 2, 2, 2);
+                            return (OpKind::LoadImm { rd, value }, 2);
                         }
                     }
                 }
             }
-            (
-                OpKind::LoadImm {
-                    rd,
-                    value: imm as u32,
-                },
-                1,
-                1,
-                1,
-            )
+            let value = imm as u32;
+            (OpKind::LoadImm { rd, value }, 1)
         }
         Inst::Auipc { rd, imm } => {
             let value = raw.pc.wrapping_add(imm as u32);
@@ -893,12 +898,12 @@ fn fuse(raw: &Raw, next: Option<&Raw>) -> (OpKind, u32, u32, usize) {
                                 value,
                                 pc2: n.pc,
                             };
-                            return (kind, 3, 2, 2); // auipc 1 + load 2
+                            return (kind, 2);
                         }
                     }
                 }
             }
-            (OpKind::Auipc { rd, value }, 1, 1, 1)
+            (OpKind::Auipc { rd, value }, 1)
         }
         Inst::Load {
             op,
@@ -926,7 +931,7 @@ fn fuse(raw: &Raw, next: Option<&Raw>) -> (OpKind, u32, u32, usize) {
                                 ars1,
                                 asrc: Src2::Imm(imm as u32),
                             };
-                            return (kind, 3 + div_cycles(aop), 2, 2);
+                            return (kind, 2);
                         }
                         Inst::Op {
                             op: aop,
@@ -944,7 +949,7 @@ fn fuse(raw: &Raw, next: Option<&Raw>) -> (OpKind, u32, u32, usize) {
                                 ars1,
                                 asrc: Src2::Reg(ars2),
                             };
-                            return (kind, 3 + div_cycles(aop), 2, 2);
+                            return (kind, 2);
                         }
                         _ => {}
                     }
@@ -957,8 +962,6 @@ fn fuse(raw: &Raw, next: Option<&Raw>) -> (OpKind, u32, u32, usize) {
                     rs1,
                     offset: offset as u32,
                 },
-                2, // 1 + load-use stall
-                1,
                 1,
             )
         }
@@ -975,28 +978,15 @@ fn fuse(raw: &Raw, next: Option<&Raw>) -> (OpKind, u32, u32, usize) {
                 offset: offset as u32,
             },
             1,
-            1,
-            1,
         ),
-        Inst::OpImm { op, rd, rs1, imm } => (
-            OpKind::OpImm {
-                op,
-                rd,
-                rs1,
-                imm: imm as u32,
-            },
-            1 + div_cycles(op),
-            1,
-            1,
-        ),
-        Inst::Op { op, rd, rs1, rs2 } => {
-            (OpKind::Op { op, rd, rs1, rs2 }, 1 + div_cycles(op), 1, 1)
+        Inst::OpImm { op, rd, rs1, imm } => {
+            let imm = imm as u32;
+            (OpKind::OpImm { op, rd, rs1, imm }, 1)
         }
-        Inst::Fence => (OpKind::Fence, 1, 1, 1),
-        Inst::Pq { unit, rd, rs1, rs2 } => {
-            // 1 static cycle; the device stall is added dynamically.
-            (OpKind::Pq { unit, rd, rs1, rs2 }, 1, 1, 1)
-        }
+        Inst::Op { op, rd, rs1, rs2 } => (OpKind::Op { op, rd, rs1, rs2 }, 1),
+        Inst::Fence => (OpKind::Fence, 1),
+        // The device stall is added dynamically.
+        Inst::Pq { unit, rd, rs1, rs2 } => (OpKind::Pq { unit, rd, rs1, rs2 }, 1),
         Inst::Branch { .. }
         | Inst::Jal { .. }
         | Inst::Jalr { .. }
@@ -1007,8 +997,8 @@ fn fuse(raw: &Raw, next: Option<&Raw>) -> (OpKind, u32, u32, usize) {
 }
 
 /// Try to fuse the last body op (a plain ALU op whose result the branch
-/// compares) into the branch terminator.
-fn fuse_cmp_branch(term: &Raw, last: Option<&BlockOp>) -> Option<Terminator> {
+/// compares, costing `last_cycles`) into the branch terminator.
+fn fuse_cmp_branch(term: &Raw, last: Option<&BlockOp>, last_cycles: u32) -> Option<Terminator> {
     let Inst::Branch {
         op: bop,
         rs1: brs1,
@@ -1038,6 +1028,7 @@ fn fuse_cmp_branch(term: &Raw, last: Option<&BlockOp>) -> Option<Terminator> {
         brs2,
         taken_pc: term.pc.wrapping_add(offset as u32),
         fall_pc: term.pc.wrapping_add(u32::from(term.len)),
+        cycles: last_cycles + timing::static_cycles(&term.inst),
     })
 }
 

@@ -42,7 +42,7 @@
 //!   `SessionOpen`/`SessionMsg`/`SessionClose`;
 //! * [`client`] — blocking `std::net` endpoint speaking [`wire`], with
 //!   optional connect/read/write deadlines;
-//! * [`bench`] — one scheduled-arrival load driver: a KEM or session
+//! * [`bench`](mod@bench) — one scheduled-arrival load driver: a KEM or session
 //!   script dealt over connection lanes, closed-loop or paced at a target
 //!   rate, reporting wall-clock and modelled multi-core throughput,
 //!   interpolated tail latency (p50/p99/p999) and an arrival-independent

@@ -25,7 +25,7 @@
 //! connection's read, write or idle deadline, the drain deadline, or the
 //! refill of throttled accepts. With no timer armed it sleeps with no
 //! timeout. A pass then visits only the connections that had an event, a
-//! routed completion, or reads left over by the [`READ_ROUNDS`] fairness
+//! routed completion, or reads left over by the `READ_ROUNDS` fairness
 //! bound; an idle connection costs nothing until its deadline.
 //!
 //! **Vectored flushes.** Completed reply slots are promoted whole (the

@@ -127,6 +127,11 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 echo "  clippy clean"
 
 echo
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace --offline =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
+echo "  rustdoc clean"
+
+echo
 echo "== smoke: table1/table2/table3 (text + --json) =="
 for bin in table1 table2 table3; do
     cargo run -q --release --offline -p lac-bench --bin "$bin" > /dev/null

@@ -102,6 +102,50 @@ impl Options {
             .cloned()
             .unwrap_or_else(|| default.to_string())
     }
+
+    /// Refuse any given flag `command` does not read: a flag the run
+    /// would ignore is a mistake, not a no-op.
+    fn only(&self, command: &str, reads: &[&str]) -> Result<(), String> {
+        let mut given: Vec<&str> = self.flags.keys().map(String::as_str).collect();
+        given.extend(self.cycles.then_some("cycles"));
+        given.extend(self.json.then_some("json"));
+        given.sort_unstable();
+        match given.into_iter().find(|flag| !reads.contains(flag)) {
+            Some(flag) => Err(format!("{command} does not read --{flag}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The flags each command reads (`bench-serve` checks its own, per run
+/// shape, in [`unread_flag`]).
+fn command_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "info" => &["params"],
+        "keygen" => &["params", "backend", "seed", "rng", "cycles", "pk", "sk"],
+        "encaps" => &[
+            "params", "backend", "seed", "rng", "cycles", "pk", "ct", "key",
+        ],
+        "decaps" => &["params", "backend", "cycles", "sk", "ct", "key"],
+        "serve" => &[
+            "addr",
+            "workers",
+            "reactors",
+            "queue",
+            "seed",
+            "max-conns",
+            "accept-rps",
+            "idle-timeout-ms",
+            "read-timeout-ms",
+            "write-timeout-ms",
+            "max-write-buffer",
+            "drain-ms",
+            "session-capacity",
+            "session-rekey-after",
+        ],
+        "serve-ctl" => &["addr", "timeout-ms", "json", "per-shard"],
+        _ => return None,
+    })
 }
 
 fn read_file(path: &str) -> Result<Vec<u8>, String> {
@@ -445,6 +489,10 @@ fn cmd_serve_ctl(action: &str, opts: &Options) -> Result<String, String> {
 
 /// Run one CLI invocation; returns the text to print.
 fn run(command: &str, opts: &Options) -> Result<String, String> {
+    let name = command.split(' ').next().unwrap_or_default();
+    if let Some(reads) = command_flags(name) {
+        opts.only(name, reads)?;
+    }
     // Serving commands manage their own backends/params per request.
     match command {
         "serve" => return cmd_serve(opts),
@@ -563,10 +611,11 @@ fn make_rng(opts: &Options) -> Result<Box<dyn Rng>, String> {
 
 const USAGE: &str = "usage: lac-suite <command> [flags]
 
-  info|keygen|encaps|decaps      one-shot file-based KEM operations
+  info [--params P]              print a parameter set's sizes
+  keygen|encaps|decaps           one-shot file-based KEM operations
       [--params lac128|lac192|lac256] [--backend ref|ct|hw|hw-keccak]
-      [--seed N] [--rng sha256|shake128] [--cycles]
-      [--pk FILE] [--sk FILE] [--ct FILE] [--key FILE]
+      [--cycles] [--pk FILE] [--sk FILE] [--ct FILE] [--key FILE]
+      keygen, encaps: [--seed N] [--rng sha256|shake128]
   serve                          run the TCP KEM server until shutdown
       [--addr HOST:PORT] [--workers N] [--reactors N] [--queue N] [--seed N]
       [--max-conns N] [--accept-rps N] [--idle-timeout-ms N]
@@ -693,6 +742,23 @@ mod tests {
         for f in [pk, sk, ct, k1, k2] {
             let _ = fs::remove_file(f);
         }
+    }
+
+    #[test]
+    fn commands_reject_flags_they_do_not_read() {
+        for (command, flag) in [
+            ("info", "param"),
+            ("info", "backend"),
+            ("keygen", "jsn"),
+            ("decaps", "seed"),
+            ("serve", "worker"),
+            ("serve-ctl stats", "per-shards"),
+        ] {
+            let err = run(command, &opts(&[(flag, "1")], false)).unwrap_err();
+            assert!(err.contains(&format!("--{flag}")), "{command}: {err}");
+        }
+        let err = run("info", &opts(&[], true)).unwrap_err();
+        assert!(err.contains("--cycles"), "{err}");
     }
 
     #[test]

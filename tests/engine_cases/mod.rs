@@ -15,13 +15,11 @@
 //! and traps raised by the last instruction of a fused pair (prefix-sum
 //! accounting; the JIT's `EXIT_TRAP_MEM` path).
 
-use crate::common::{
-    encode_add, encode_addi, encode_bne, encode_li, encode_lui, encode_mul, encode_sltiu,
-    encode_sw, hot_self_modifying_words, machine_from_words, reg, ECALL,
-};
+use crate::common::{addi, bne, hot_self_modifying_words, li, machine_from_words, reg, word};
 use lac_rand::prop::{self, ensure, ensure_eq};
 use lac_rand::Rng;
-use lac_rv32::{jit, Engine, Machine, Trap};
+use lac_rv32::inst::{AluOp, LoadOp, StoreOp};
+use lac_rv32::{jit, Engine, Inst, Machine, Trap};
 
 /// Run the same program on the oracle and each of `engines` and demand
 /// identical outcomes.
@@ -79,7 +77,7 @@ pub fn body_line(rng: &mut impl Rng) -> String {
     let rd = reg(rng);
     let rs1 = reg(rng);
     let rs2 = reg(rng);
-    let imm = rng.gen_range_i64(-2048, 2048);
+    let imm = rng.gen_range_i64(-2048, 2047);
     let shamt = rng.gen_below_u32(32);
     let moff = 4 * rng.gen_below_u32(256); // word-aligned, in-window
     match rng.gen_below_u32(26) {
@@ -121,14 +119,9 @@ pub fn seed_regs(rng: &mut impl Rng) -> String {
     src
 }
 
-/// `JAL x0, offset` encoder (offset relative to this instruction).
-pub fn encode_jal_x0(offset: i32) -> u32 {
-    let o = offset as u32;
-    ((o >> 20 & 1) << 31)
-        | ((o >> 1 & 0x3FF) << 21)
-        | ((o >> 11 & 1) << 20)
-        | ((o >> 12 & 0xFF) << 12)
-        | 0x6F
+/// `j offset` (`jal x0`; offset relative to this instruction).
+pub fn j(offset: i32) -> Inst {
+    Inst::Jal { rd: 0, offset }
 }
 
 pub fn straight_line_programs_agree(engine: Engine) {
@@ -191,8 +184,8 @@ pub fn branchy_programs_agree(engine: Engine) {
 pub fn store_into_hot_block_bails_exactly(engine: Engine) {
     // Victim flips from `addi x26, x26, 1` to `addi x26, x26, 7` on
     // iteration 8 — well after the engine has compiled the loop.
-    let old = encode_addi(26, 26, 1);
-    let new = encode_addi(26, 26, 7);
+    let old = word(addi(26, 26, 1));
+    let new = word(addi(26, 26, 7));
     let words = hot_self_modifying_words(8, 12, old, new);
     let build = move || machine_from_words(&words);
     let outcome = differential(&[engine], &build, 10_000, None).expect("engines agree");
@@ -225,10 +218,15 @@ pub fn hot_self_modifying_loops_agree(engine: Engine) {
         // identically on every engine.
         let iterations = 5 + rng.gen_below_u32(12);
         let patch_at = 1 + rng.gen_below_u32(iterations);
-        let old = encode_addi(26, 26, 1);
+        let old = word(addi(26, 26, 1));
         let new = match rng.gen_below_u32(3) {
-            0 => encode_addi(26, 26, rng.gen_range_i64(-2048, 2048) as i32),
-            1 => encode_mul(26, 26, 26),
+            0 => word(addi(26, 26, rng.gen_range_i64(-2048, 2047) as i32)),
+            1 => word(Inst::Op {
+                op: AluOp::Mul,
+                rd: 26,
+                rs1: 26,
+                rs2: 26,
+            }),
             _ => rng.next_u32(), // possibly an illegal instruction
         };
         let words = hot_self_modifying_words(patch_at, iterations, old, new);
@@ -247,34 +245,60 @@ pub fn trap_on_last_instruction_of_fused_pair(engine: Engine) {
     // faults on the lw; the engine (the JIT on its EXIT_TRAP_MEM path:
     // auipc half retired, +2/+2) must report the identical trap, PC,
     // counters and x6.
-    let old_auipc = encode_lui(6, 0) & !0x7F | 0x17; // auipc x6, 0
-    let new_auipc: u32 = (0xFFFFF << 12) | (6 << 7) | 0x17; // auipc x6, 0xFFFFF
+    let old_auipc = word(Inst::Auipc { rd: 6, imm: 0 });
+    let new_auipc = word(Inst::Auipc { rd: 6, imm: -4096 }); // auipc x6, 0xfffff
     let patch_at = 8;
     let b_base = 256u32;
 
     let mut words = Vec::new();
-    words.extend(encode_li(20, 0)); // counter
-    words.extend(encode_li(23, old_auipc)); // stored word, accumulates delta
-    words.extend(encode_li(22, new_auipc.wrapping_sub(old_auipc)));
-    words.extend(encode_li(24, b_base)); // &B
+    words.extend(li(20, 0)); // counter
+    words.extend(li(23, old_auipc)); // stored word, accumulates delta
+    words.extend(li(22, new_auipc.wrapping_sub(old_auipc)));
+    words.extend(li(24, b_base)); // &B
     let a_loop = words.len();
-    words.push(encode_addi(20, 20, 1));
-    words.push(encode_addi(21, 20, -patch_at));
-    words.push(encode_sltiu(21, 21, 1));
-    words.push(encode_mul(25, 21, 22));
-    words.push(encode_add(23, 23, 25));
-    words.push(encode_sw(24, 23, 0)); // patch B's auipc (other line: no bail in A)
+    words.push(word(addi(20, 20, 1)));
+    words.push(word(addi(21, 20, -patch_at)));
+    words.push(word(Inst::OpImm {
+        op: AluOp::Sltu,
+        rd: 21,
+        rs1: 21,
+        imm: 1,
+    }));
+    words.push(word(Inst::Op {
+        op: AluOp::Mul,
+        rd: 25,
+        rs1: 21,
+        rs2: 22,
+    }));
+    words.push(word(Inst::Op {
+        op: AluOp::Add,
+        rd: 23,
+        rs1: 23,
+        rs2: 25,
+    }));
+    // Patch B's auipc (other line: no bail in A).
+    words.push(word(Inst::Store {
+        op: StoreOp::Word,
+        rs1: 24,
+        rs2: 23,
+        offset: 0,
+    }));
     let jal_index = words.len();
-    words.push(encode_jal_x0(b_base as i32 - (jal_index as i32) * 4));
+    words.push(word(j(b_base as i32 - (jal_index as i32) * 4)));
     while words.len() < (b_base / 4) as usize {
         words.push(0); // never executed
     }
     // Block B: the fused pair, then back to A.
     words.push(old_auipc); // auipc x6, 0        (pc = 256 → x6 = 256)
-    words.push((4 << 20) | (6 << 15) | (0b010 << 12) | (7 << 7) | 0x03); // lw x7, 4(x6)
+    words.push(word(Inst::Load {
+        op: LoadOp::Word,
+        rd: 7,
+        rs1: 6,
+        offset: 4,
+    })); // lw x7, 4(x6)
     let bne_index = words.len();
-    words.push(encode_bne(0, 20, (a_loop as i32 - bne_index as i32) * 4)); // always taken
-    words.push(ECALL); // unreachable (the run ends in the fault)
+    words.push(word(bne(0, 20, (a_loop as i32 - bne_index as i32) * 4))); // always taken
+    words.push(word(Inst::Ecall)); // unreachable (the run ends in the fault)
 
     let build = move || machine_from_words(&words);
     let outcome = differential(&[engine], &build, 100_000, None).expect("engines agree");
@@ -318,13 +342,14 @@ pub fn compressed_and_misaligned_word_instructions_agree(engine: Engine) {
                     | ((imm & 0x1F) as u16) << 2;
                 halves.push(half);
             } else {
-                let word = encode_addi(11, 11, rng.gen_range_i64(-2048, 2048) as i32);
-                halves.push(word as u16);
-                halves.push((word >> 16) as u16);
+                let full = word(addi(11, 11, rng.gen_range_i64(-2048, 2047) as i32));
+                halves.push(full as u16);
+                halves.push((full >> 16) as u16);
             }
         }
-        halves.push(ECALL as u16);
-        halves.push((ECALL >> 16) as u16);
+        let ecall = word(Inst::Ecall);
+        halves.push(ecall as u16);
+        halves.push((ecall >> 16) as u16);
         let bytes: Vec<u8> = halves.iter().flat_map(|h| h.to_le_bytes()).collect();
         let build = move || {
             let mut machine = Machine::assemble("ecall").expect("stub");

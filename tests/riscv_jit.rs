@@ -21,14 +21,12 @@
 mod common;
 mod engine_cases;
 
-use common::{
-    encode_add, encode_addi, encode_bne, encode_li, encode_mul, encode_sltiu, encode_sw,
-    machine_from_words, ECALL,
-};
-use engine_cases::{body_line, differential, encode_jal_x0, seed_regs};
+use common::{addi, bne, li, machine_from_words, word};
+use engine_cases::{body_line, differential, j, seed_regs};
 use lac_rand::prop::{self, ensure, ensure_eq};
 use lac_rand::Rng;
-use lac_rv32::{jit, Cpu, Engine, Machine, SharedTraceCache, Trap};
+use lac_rv32::inst::{AluOp, StoreOp};
+use lac_rv32::{jit, Cpu, Engine, Inst, Machine, SharedTraceCache, Trap};
 use std::sync::Arc;
 
 /// The engines the JIT-file-only cases check against the classic oracle.
@@ -84,12 +82,6 @@ fn branchy_programs_agree() {
     engine_cases::branchy_programs_agree(Engine::Jit);
 }
 
-/// `SB rs2, imm(rs1)` encoder.
-fn encode_sb(rs1: u32, rs2: u32, imm: i32) -> u32 {
-    let imm = imm as u32 & 0xFFF;
-    ((imm >> 5) << 25) | (rs2 << 20) | (rs1 << 15) | ((imm & 0x1F) << 7) | 0x23
-}
-
 #[test]
 fn self_modifying_store_word_takes_effect_on_all_engines() {
     prop::check("self_modifying_sw", 40, |rng| {
@@ -98,18 +90,23 @@ fn self_modifying_store_word_takes_effect_on_all_engines() {
         // line has been predecoded (everything lives in the first
         // 256-byte line, so fetching instruction 0 predecodes the stale
         // word at `patch`).
-        let imm = rng.gen_range_i64(-2048, 2048) as i32;
-        let rd = 10 + rng.gen_below_u32(4);
-        let patched = encode_addi(rd, rd, imm);
+        let imm = rng.gen_range_i64(-2048, 2047) as i32;
+        let rd = 10 + rng.gen_below_u32(4) as u8;
+        let patched = word(addi(rd, rd, imm));
         let mut words = Vec::new();
-        words.extend(encode_li(5, patched)); // x5 = new instruction word
+        words.extend(li(5, patched)); // x5 = new instruction word
         let patch_index = words.len() + 1 + 1 + rng.gen_below_usize(4);
-        words.push(encode_sw(0, 5, (patch_index * 4) as i32));
+        words.push(word(Inst::Store {
+            op: StoreOp::Word,
+            rs1: 0,
+            rs2: 5,
+            offset: (patch_index * 4) as i32,
+        }));
         while words.len() < patch_index {
-            words.push(encode_addi(9, 9, 1)); // filler (x9 never collides with rd)
+            words.push(word(addi(9, 9, 1))); // filler (x9 never collides with rd)
         }
-        words.push(encode_addi(8, 8, 1)); // the stale instruction (bumps x8)
-        words.push(ECALL);
+        words.push(word(addi(8, 8, 1))); // the stale instruction (bumps x8)
+        words.push(word(Inst::Ecall));
         let build = move || machine_from_words(&words);
         let outcome = differential(&FAST_ENGINES, &build, 1_000, Some((0x100, 64)))?;
         let exit = outcome.map_err(|t| format!("trapped: {t}"))?;
@@ -129,11 +126,16 @@ fn self_modifying_byte_store_into_instruction_middle_agrees() {
         let byte = rng.next_byte();
         let offset = rng.gen_below_u32(4); // which byte of the instruction
         let mut words = Vec::new();
-        words.extend(encode_li(5, u32::from(byte)));
+        words.extend(li(5, u32::from(byte)));
         let patch_index = words.len() + 1;
-        words.push(encode_sb(0, 5, (patch_index * 4 + offset as usize) as i32));
-        words.push(encode_addi(10, 10, 0x7F)); // the victim instruction
-        words.push(ECALL);
+        words.push(word(Inst::Store {
+            op: StoreOp::Byte,
+            rs1: 0,
+            rs2: 5,
+            offset: (patch_index * 4 + offset as usize) as i32,
+        }));
+        words.push(word(addi(10, 10, 0x7F))); // the victim instruction
+        words.push(word(Inst::Ecall));
         let build = move || machine_from_words(&words);
         // The mutated word may no longer decode (or may now trap); all
         // outcomes are acceptable as long as all engines agree bit-for-bit.
@@ -377,11 +379,6 @@ fn hot_loop_links_once_and_stays_linked() {
     }
 }
 
-/// `SLLI rd, rs1, shamt` encoder.
-fn encode_slli(rd: u32, rs1: u32, shamt: u32) -> u32 {
-    (shamt << 20) | (rs1 << 15) | (0b001 << 12) | (rd << 7) | 0x13
-}
-
 /// Two mutually-chained blocks where block A patches an instruction in
 /// block B on iteration `patch_at`: A keeps a counter, computes the patch
 /// delta and target address (off-iterations store the unchanged value to
@@ -393,36 +390,43 @@ fn chained_successor_patch_words(patch_at: u32, iterations: u32, old: u32, new: 
     let delta = new.wrapping_sub(old);
     let b_base = 512u32;
     let mut words = Vec::new();
-    words.extend(encode_li(20, 0));
-    words.extend(encode_li(23, old));
-    words.extend(encode_li(22, delta));
-    words.extend(encode_li(28, iterations));
+    let alu_imm = |op, rd, rs1, imm| word(Inst::OpImm { op, rd, rs1, imm });
+    let alu = |op, rd, rs1, rs2| word(Inst::Op { op, rd, rs1, rs2 });
+    words.extend(li(20, 0));
+    words.extend(li(23, old));
+    words.extend(li(22, delta));
+    words.extend(li(28, iterations));
     let a_loop = words.len(); // word 8
-    words.push(encode_addi(20, 20, 1));
-    words.push(encode_addi(21, 20, -(patch_at as i32)));
-    words.push(encode_sltiu(21, 21, 1)); // x21 = (iteration == patch_at)
-    words.push(encode_mul(25, 21, 22));
-    words.push(encode_add(23, 23, 25)); // x23 = old, or new at the patch
-    words.push(encode_sltiu(24, 21, 1)); // x24 = !x21
-    words.push(encode_slli(24, 24, 12));
-    words.push(encode_addi(24, 24, b_base as i32)); // 512, or 0x1200 off-patch
-    words.push(encode_sw(24, 23, 0));
+    words.push(word(addi(20, 20, 1)));
+    words.push(word(addi(21, 20, -(patch_at as i32))));
+    words.push(alu_imm(AluOp::Sltu, 21, 21, 1)); // x21 = (iteration == patch_at)
+    words.push(alu(AluOp::Mul, 25, 21, 22));
+    words.push(alu(AluOp::Add, 23, 23, 25)); // x23 = old, or new at the patch
+    words.push(alu_imm(AluOp::Sltu, 24, 21, 1)); // x24 = !x21
+    words.push(alu_imm(AluOp::Sll, 24, 24, 12));
+    words.push(word(addi(24, 24, b_base as i32))); // 512, or 0x1200 off-patch
+    words.push(word(Inst::Store {
+        op: StoreOp::Word,
+        rs1: 24,
+        rs2: 23,
+        offset: 0,
+    }));
     let jal_index = words.len();
-    words.push(encode_jal_x0(b_base as i32 - (jal_index as i32) * 4));
+    words.push(word(j(b_base as i32 - (jal_index as i32) * 4)));
     while words.len() < (b_base / 4) as usize {
         words.push(0);
     }
     words.push(old); // the victim, at byte 512
     let bne_index = words.len();
-    words.push(encode_bne(20, 28, (a_loop as i32 - bne_index as i32) * 4));
-    words.push(ECALL);
+    words.push(word(bne(20, 28, (a_loop as i32 - bne_index as i32) * 4)));
+    words.push(word(Inst::Ecall));
     words
 }
 
 #[test]
 fn store_into_chained_successor_unlinks_and_bails_exactly() {
-    let old = encode_addi(26, 26, 1);
-    let new = encode_addi(26, 26, 7);
+    let old = word(addi(26, 26, 1));
+    let new = word(addi(26, 26, 7));
     let (patch_at, iterations) = (8u32, 14u32);
     let words = chained_successor_patch_words(patch_at, iterations, old, new);
     let build = move || machine_from_words(&words);
@@ -508,31 +512,31 @@ fn direct_mapped_eviction_severs_links() {
     let a_base = 0x100u32;
     let b_base = 0x2100u32;
     let mut words = Vec::new();
-    words.extend(encode_li(27, inner));
-    words.extend(encode_li(20, 0));
-    words.extend(encode_li(28, outer));
+    words.extend(li(27, inner));
+    words.extend(li(20, 0));
+    words.extend(li(28, outer));
     let outer_head = words.len(); // word 6, byte 0x18
-    words.push(encode_addi(21, 0, 0));
+    words.push(word(addi(21, 0, 0)));
     let jump_a = words.len();
-    words.push(encode_jal_x0(a_base as i32 - (jump_a as i32) * 4));
+    words.push(word(j(a_base as i32 - (jump_a as i32) * 4)));
     while words.len() < (a_base / 4) as usize {
         words.push(0);
     }
-    words.push(encode_addi(21, 21, 1)); // A loop head
-    words.push(encode_bne(21, 27, -4));
-    words.push(encode_addi(22, 0, 0));
+    words.push(word(addi(21, 21, 1))); // A loop head
+    words.push(word(bne(21, 27, -4)));
+    words.push(word(addi(22, 0, 0)));
     let jump_b = words.len();
-    words.push(encode_jal_x0(b_base as i32 - (jump_b as i32) * 4));
+    words.push(word(j(b_base as i32 - (jump_b as i32) * 4)));
     while words.len() < (b_base / 4) as usize {
         words.push(0);
     }
-    words.push(encode_addi(22, 22, 1)); // B loop head
-    words.push(encode_bne(22, 27, -4));
-    words.push(encode_addi(20, 20, 1));
-    words.push(encode_bne(20, 28, 8)); // another round → trampoline
-    words.push(ECALL);
+    words.push(word(addi(22, 22, 1))); // B loop head
+    words.push(word(bne(22, 27, -4)));
+    words.push(word(addi(20, 20, 1)));
+    words.push(word(bne(20, 28, 8))); // another round → trampoline
+    words.push(word(Inst::Ecall));
     let tramp = words.len();
-    words.push(encode_jal_x0((outer_head as i32 - tramp as i32) * 4));
+    words.push(word(j((outer_head as i32 - tramp as i32) * 4)));
 
     let build = move || machine_from_words(&words);
     let outcome = differential(&FAST_ENGINES, &build, 100_000, None).expect("engines agree");

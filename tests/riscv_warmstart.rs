@@ -20,14 +20,12 @@
 
 mod common;
 
-use common::{
-    encode_addi, encode_bne, encode_li, encode_mul, hot_self_modifying_words, machine_from_words,
-    reg, ECALL,
-};
+use common::{addi, bne, hot_self_modifying_words, li, machine_from_words, reg, word};
 use lac_rand::prop::{self, ensure, ensure_eq};
 use lac_rand::Rng;
+use lac_rv32::inst::AluOp;
 use lac_rv32::superblock::{SuperblockCache, DEFAULT_SLOTS};
-use lac_rv32::{Cpu, Engine, Machine, SharedTraceCache, Trap};
+use lac_rv32::{Cpu, Engine, Inst, Machine, SharedTraceCache, Trap};
 use std::sync::Arc;
 
 /// Compare the complete observable state of two CPUs: outcome of the last
@@ -59,7 +57,7 @@ fn alu_line(rng: &mut impl Rng) -> String {
     let rd = reg(rng);
     let rs1 = reg(rng);
     let rs2 = reg(rng);
-    let imm = rng.gen_range_i64(-2048, 2048);
+    let imm = rng.gen_range_i64(-2048, 2047);
     match rng.gen_below_u32(6) {
         0 => format!("add x{rd}, x{rs1}, x{rs2}"),
         1 => format!("sub x{rd}, x{rs1}, x{rs2}"),
@@ -147,10 +145,15 @@ fn store_invalidates_a_snapshotted_superblock_exactly() {
         // the continuation then rewrites.
         let iterations = 10 + rng.gen_below_u32(8);
         let patch_at = 7 + rng.gen_below_u32(iterations - 7);
-        let old = encode_addi(26, 26, 1);
+        let old = word(addi(26, 26, 1));
         let new = match rng.gen_below_u32(2) {
-            0 => encode_addi(26, 26, rng.gen_range_i64(-2048, 2048) as i32),
-            _ => encode_mul(26, 26, 26),
+            0 => word(addi(26, 26, rng.gen_range_i64(-2048, 2047) as i32)),
+            _ => word(Inst::Op {
+                op: AluOp::Mul,
+                rd: 26,
+                rs1: 26,
+                rs2: 26,
+            }),
         };
         let words = hot_self_modifying_words(patch_at, iterations, old, new);
 
@@ -192,22 +195,22 @@ fn host_write_after_restore_invalidates_snapshotted_blocks() {
     // loop is hot and fused, restore, patch the loop's victim instruction
     // with `write_bytes`, and demand the patch takes effect (x26 steps by
     // 7, not 1) exactly as on a classic machine given the same treatment.
-    let old = encode_addi(26, 26, 1);
-    let new = encode_addi(26, 26, 7);
+    let old = word(addi(26, 26, 1));
+    let new = word(addi(26, 26, 7));
     let mut words = Vec::new();
-    words.extend(encode_li(20, 0)); // counter
-    words.extend(encode_li(28, 40)); // bound
+    words.extend(li(20, 0)); // counter
+    words.extend(li(28, 40)); // bound
     let loop_index = words.len();
-    words.push(encode_addi(20, 20, 1));
+    words.push(word(addi(20, 20, 1)));
     let victim_index = words.len();
     words.push(old);
     let bne_index = words.len();
-    words.push(encode_bne(
+    words.push(word(bne(
         20,
         28,
         (loop_index as i32 - bne_index as i32) * 4,
-    ));
-    words.push(ECALL);
+    )));
+    words.push(word(Inst::Ecall));
     let setup = loop_index as u64; // instructions before the first iteration
 
     let run_patched = |engine: Engine| {
