@@ -12,25 +12,19 @@
 
 use lac::{AcceleratedBackend, Kem, Params};
 use lac_bench::{thousands, Flags};
+use lac_hw::mul_ter::PAPER_LEN;
 use lac_hw::MulTer;
 use lac_meter::{CycleLedger, NullMeter};
 use lac_rand::Sha256CtrRng;
-use lac_ring::split::split_mul_high;
+use lac_ring::split::mul_on_unit;
 use lac_ring::{Convolution, Poly, TernaryPoly};
 
-/// Cycles for a length-`n` product on a length-`unit` MUL TER.
+/// Cycles for a length-`n` product on a length-`unit` MUL TER, if the
+/// unit can run it.
 fn mul_cycles(unit: usize, n: usize) -> Option<u64> {
-    let t = TernaryPoly::zero(n);
-    let g = Poly::zero(n);
+    let (t, g, conv) = (TernaryPoly::zero(n), Poly::zero(n), Convolution::Negacyclic);
     let mut ledger = CycleLedger::new();
-    if n == unit {
-        MulTer::new(unit).multiply(&t, &g, Convolution::Negacyclic, &mut ledger);
-    } else if n == 2 * unit {
-        let mut m = MulTer::new(unit);
-        split_mul_high(&mut m, &t, &g, Convolution::Negacyclic, &mut ledger);
-    } else {
-        return None; // padding would change the ring; unsupported
-    }
+    mul_on_unit(&mut MulTer::new(unit), &t, &g, conv, &mut ledger)?;
     Some(ledger.total())
 }
 
@@ -41,7 +35,7 @@ fn main() {
         "{:>9} {:>14} {:>15} {:>10} {:>12}",
         "unit len", "mul n=512", "mul n=1024", "LUTs", "registers"
     );
-    for unit in [256usize, 512, 1024] {
+    for unit in [PAPER_LEN / 2, PAPER_LEN, 2 * PAPER_LEN] {
         let area = MulTer::new(unit).resources();
         let m512 = mul_cycles(unit, 512).map_or("-".into(), thousands);
         let m1024 = mul_cycles(unit, 1024).map_or("-".into(), thousands);
@@ -52,7 +46,7 @@ fn main() {
     }
 
     println!("\nLAC-256 decapsulation with each viable unit:");
-    for unit in [512usize, 1024] {
+    for unit in [PAPER_LEN, 2 * PAPER_LEN] {
         let kem = Kem::new(Params::lac256());
         let mut backend = AcceleratedBackend::with_unit_len(unit);
         let mut rng = Sha256CtrRng::seed_from_u64(1);

@@ -12,6 +12,9 @@
 //!       [--json] [--iters N] [--engine classic|superblock|jit]
 //!       [--sweep [--cells N] [--threads N]] [--smc]`
 //!
+//! `--iters` and `--cells` must be at least 1: a zero size is a usage
+//! error (exit 2), not an empty run.
+//!
 //! With `--engine`, only that engine is measured (no differential check);
 //! the default compares every engine plus the JIT with chaining off, and
 //! also prints the `"jit_over_superblock"` and `"jit_chain_over_jit"`
@@ -31,6 +34,7 @@
 
 use lac_bench::{iss, shard, thousands, Flags};
 use lac_rv32::Engine;
+use std::num::{NonZeroU32, NonZeroUsize};
 use std::process::ExitCode;
 
 fn json_run(r: &iss::IssRun) -> String {
@@ -76,8 +80,8 @@ fn run_sweep(flags: &Flags) -> ExitCode {
     flags.only(&["sweep", "json", "cells", "iters", "threads"]);
     // Sweep cells are small by default: the point is fleet setup cost,
     // not per-cell run length.
-    let cells = flags.value("cells").unwrap_or(48);
-    let iters = flags.value("iters").unwrap_or(40);
+    let cells = flags.value("cells").map_or(48, NonZeroUsize::get);
+    let iters = flags.value("iters").map_or(40, NonZeroU32::get);
     let threads = shard::thread_count(flags.value("threads"));
     let report = iss::sweep(cells, iters, threads);
 
@@ -185,7 +189,7 @@ fn main() -> ExitCode {
     }
     flags.only(&["json", "iters", "engine"]);
     let json = flags.has("json");
-    let iters = flags.value("iters").unwrap_or(2_000);
+    let iters = flags.value("iters").map_or(2_000, NonZeroU32::get);
     let only = match flags.value::<String>("engine") {
         None => None,
         Some(name) => match iss::parse_engine(&name) {

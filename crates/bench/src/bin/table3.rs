@@ -13,9 +13,38 @@ use lac_bench::{json, Flags};
 use lac_hw::area::{
     ResourceEstimate, KECCAK_ACCELERATOR_REF8, NTT_ACCELERATOR_REF8, PERIPHERALS, RISCY_BASE,
 };
-use lac_hw::{ChienUnit, ModQ, MulTer, Sha256Unit};
+use lac_hw::{mul_ter, ChienUnit, ModQ, MulTer, Sha256Unit};
 
-fn row(label: &str, r: ResourceEstimate, paper: Option<(u32, u32, u32, u32)>) {
+/// The paper's synthesis result: LUTs, registers, BRAMs, DSPs.
+type Paper = Option<(u32, u32, u32, u32)>;
+
+/// One table row: the text label, the JSON key, our estimate and the
+/// paper's figure.
+type Row = (&'static str, &'static str, ResourceEstimate, Paper);
+
+/// The table's rows in print order, and the PQ-ALU total. The text table
+/// prints a blank line before the last two rows (the reference design).
+#[rustfmt::skip]
+fn rows() -> ([Row; 8], ResourceEstimate) {
+    let mul_ter = MulTer::new(mul_ter::PAPER_LEN).resources();
+    let chien = ChienUnit::new().resources();
+    let sha = Sha256Unit::new().resources();
+    let modq = ModQ::new().resources();
+    let total = mul_ter + chien + sha + modq;
+    let rows = [
+        ("Peripherals/Memory", "peripherals_memory", PERIPHERALS, Some((8_769, 7_369, 32, 0))),
+        ("RISC-V core total", "riscv_core_total", total + RISCY_BASE, Some((53_819, 13_928, 0, 10))),
+        (" - Ternary Multiplier", "ternary_multiplier", mul_ter, Some((31_465, 9_305, 0, 0))),
+        (" - GF-Multipliers", "gf_multipliers", chien, Some((86, 158, 0, 0))),
+        (" - SHA256", "sha256", sha, Some((1_031, 1_556, 0, 0))),
+        (" - Modulo (Barrett)", "modulo_barrett", modq, Some((35, 0, 0, 2))),
+        ("NTT accelerator [8]", "ntt_accelerator_ref8", NTT_ACCELERATOR_REF8, None),
+        ("Keccak accelerator [8]", "keccak_accelerator_ref8", KECCAK_ACCELERATOR_REF8, None),
+    ];
+    (rows, total)
+}
+
+fn row(&(label, _, r, paper): &Row) {
     print!(
         "{:<28} {:>8} {:>10} {:>7} {:>6}",
         label, r.luts, r.regs, r.brams, r.dsps
@@ -26,9 +55,9 @@ fn row(label: &str, r: ResourceEstimate, paper: Option<(u32, u32, u32, u32)>) {
     println!();
 }
 
-fn json_row(label: &str, r: ResourceEstimate, paper: Option<(u32, u32, u32, u32)>) -> String {
+fn json_row(&(_, key, r, paper): &Row) -> String {
     let mut fields = vec![
-        json::str_field("unit", label),
+        json::str_field("unit", key),
         format!(
             "\"luts\": {}, \"regs\": {}, \"brams\": {}, \"dsps\": {}",
             r.luts, r.regs, r.brams, r.dsps
@@ -43,33 +72,8 @@ fn json_row(label: &str, r: ResourceEstimate, paper: Option<(u32, u32, u32, u32)
 }
 
 fn emit_json() {
-    let mul_ter = MulTer::new(512);
-    let chien = ChienUnit::new();
-    let sha = Sha256Unit::new();
-    let modq = ModQ::new();
-    let accel_total = mul_ter.resources() + chien.resources() + sha.resources() + modq.resources();
-    let rows = [
-        json_row(
-            "peripherals_memory",
-            PERIPHERALS,
-            Some((8_769, 7_369, 32, 0)),
-        ),
-        json_row(
-            "riscv_core_total",
-            accel_total + RISCY_BASE,
-            Some((53_819, 13_928, 0, 10)),
-        ),
-        json_row(
-            "ternary_multiplier",
-            mul_ter.resources(),
-            Some((31_465, 9_305, 0, 0)),
-        ),
-        json_row("gf_multipliers", chien.resources(), Some((86, 158, 0, 0))),
-        json_row("sha256", sha.resources(), Some((1_031, 1_556, 0, 0))),
-        json_row("modulo_barrett", modq.resources(), Some((35, 0, 0, 2))),
-        json_row("ntt_accelerator_ref8", NTT_ACCELERATOR_REF8, None),
-        json_row("keccak_accelerator_ref8", KECCAK_ACCELERATOR_REF8, None),
-    ];
+    let (rows, accel_total) = rows();
+    let rows: Vec<String> = rows.iter().map(json_row).collect();
     println!("{{");
     println!("  \"table\": \"III\",");
     println!("  \"rows\": [\n{}\n  ],", rows.join(",\n"));
@@ -91,39 +95,11 @@ fn main() {
         "", "LUTs", "Registers", "BRAMs", "DSPs"
     );
 
-    let mul_ter = MulTer::new(512);
-    let chien = ChienUnit::new();
-    let sha = Sha256Unit::new();
-    let modq = ModQ::new();
-
-    let accel_total = mul_ter.resources() + chien.resources() + sha.resources() + modq.resources();
-    let core_total = accel_total + RISCY_BASE;
-
-    row(
-        "Peripherals/Memory",
-        PERIPHERALS,
-        Some((8_769, 7_369, 32, 0)),
-    );
-    row(
-        "RISC-V core total",
-        core_total,
-        Some((53_819, 13_928, 0, 10)),
-    );
-    row(
-        " - Ternary Multiplier",
-        mul_ter.resources(),
-        Some((31_465, 9_305, 0, 0)),
-    );
-    row(
-        " - GF-Multipliers",
-        chien.resources(),
-        Some((86, 158, 0, 0)),
-    );
-    row(" - SHA256", sha.resources(), Some((1_031, 1_556, 0, 0)));
-    row(" - Modulo (Barrett)", modq.resources(), Some((35, 0, 0, 2)));
+    let (rows, accel_total) = rows();
+    let (pq_alu, reference) = rows.split_at(6);
+    pq_alu.iter().for_each(row);
     println!();
-    row("NTT accelerator [8]", NTT_ACCELERATOR_REF8, None);
-    row("Keccak accelerator [8]", KECCAK_ACCELERATOR_REF8, None);
+    reference.iter().for_each(row);
 
     println!("\nDerived comparisons (Section VI):");
     println!(

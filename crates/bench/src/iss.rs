@@ -3,10 +3,10 @@
 //!
 //! Every figure elsewhere in this repo is a deterministic *modelled* cycle
 //! count; this module is the one place that measures the simulator itself
-//! (retired instructions per wall-second, "MIPS"). It drives a
-//! `tests/riscv_decrypt.rs`-style workload — the LAC decryption recover
-//! loop with `pq.modq`, byte loads/stores and a backward branch — on the
-//! three execution engines of `lac-rv32`:
+//! (retired instructions per wall-second, "MIPS"). Its workload repeats
+//! the LAC-128 decryption recover loop of [`lac_rv32::kernels`] — a
+//! `pq.modq` per coefficient, byte loads/stores and a backward branch —
+//! on deterministic inputs, on the three execution engines of `lac-rv32`:
 //!
 //! * the **JIT engine** (superblocks lowered to host machine code; falls
 //!   back to the superblock interpreter on unsupported hosts),
@@ -23,19 +23,11 @@
 //! at least 1.3× faster than the same JIT with block chaining off).
 
 use crate::shard;
+use lac_rv32::kernels::{self, LV};
 use lac_rv32::{Cpu, Engine, Machine, SharedTraceCache, SharedTraceStats};
 use lac_sha256::Sha256;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Base address of the v̂-style input bytes.
-const VHAT_BASE: u32 = 0x8000;
-/// Base address of the u·s-style input bytes.
-const US_BASE: u32 = 0xA000;
-/// Base address of the recovered-bit output buffer.
-const OUT_BASE: u32 = 0xC000;
-/// Coefficients per recover pass (the paper's l_v for LAC-128).
-const COEFFS: u32 = 400;
 
 /// The engines under measurement, slowest first.
 pub const ENGINES: [Engine; 3] = [Engine::Classic, Engine::Superblock, Engine::Jit];
@@ -123,50 +115,35 @@ pub struct IssReport {
 ///
 /// # Panics
 ///
-/// Panics if the embedded program fails to assemble (a build-time bug).
+/// Panics if `iters` is zero (the loop counts down from it), or if the
+/// program fails to assemble (a build-time bug).
 pub fn workload(iters: u32) -> Machine {
+    assert!(iters > 0, "the ISS workload needs at least one iteration");
     let src = format!(
         r#"
             li   s0, 0
             li   s1, {iters}
         outer:
-            li   t2, {VHAT_BASE}
-            li   t4, {US_BASE}
-            li   t5, {OUT_BASE}
-            li   t3, {COEFFS}
-            li   s2, 251
-        recover:
-            lbu  t0, 0(t2)
-            lbu  t1, 0(t4)
-            add  t0, t0, s2
-            sub  t0, t0, t1
-            pq.modq t0, t0, zero
-            addi t0, t0, -63
-            sltiu t0, t0, 126
-            sb   t0, 0(t5)
-            addi t2, t2, 1
-            addi t4, t4, 1
-            addi t5, t5, 1
-            addi t3, t3, -1
-            bnez t3, recover
+            {recover}
             addi s0, s0, 1
             bne  s0, s1, outer
             ecall
-        "#
+        "#,
+        recover = kernels::recover_loop()
     );
     let mut machine = Machine::assemble(&src).expect("ISS workload assembles");
     // Deterministic pseudo-inputs in [0, 251), independent of any RNG so
     // the workload is a pure function of `iters`.
-    let vhat: Vec<u8> = (0..COEFFS).map(|i| ((i * 7 + 3) % 251) as u8).collect();
-    let us: Vec<u8> = (0..COEFFS).map(|i| ((i * 13 + 11) % 251) as u8).collect();
-    machine.cpu_mut().write_bytes(VHAT_BASE, &vhat);
-    machine.cpu_mut().write_bytes(US_BASE, &us);
+    let vhat: Vec<u8> = (0..LV).map(|i| ((i * 7 + 3) % 251) as u8).collect();
+    let us: Vec<u8> = (0..LV).map(|i| ((i * 13 + 11) % 251) as u8).collect();
+    machine.cpu_mut().write_bytes(kernels::V_HAT, &vhat);
+    machine.cpu_mut().write_bytes(kernels::US, &us);
     machine
 }
 
 /// The instruction budget for an `iters`-sized workload.
 fn budget(iters: u32) -> u64 {
-    40 * u64::from(iters) * u64::from(COEFFS) + 1_000_000
+    40 * u64::from(iters) * LV as u64 + 1_000_000
 }
 
 /// Run an already-configured CPU to `ecall` and measure it. The digest
@@ -190,7 +167,7 @@ fn measure_cpu(cpu: &mut Cpu, iters: u32) -> IssRun {
     hash.update(&exit.pc.to_le_bytes());
     hash.update(&exit.cycles.to_le_bytes());
     hash.update(&exit.instructions.to_le_bytes());
-    hash.update(cpu.read_bytes(OUT_BASE, COEFFS as usize));
+    hash.update(cpu.read_bytes(kernels::BITS, LV));
     let digest: String = hash.finalize().iter().map(|b| format!("{b:02x}")).collect();
 
     let jit = cpu.jit_stats();
@@ -454,7 +431,7 @@ mod tests {
         assert_eq!(report.classic.instructions, report.jit.instructions);
         assert_eq!(report.classic.cycles, report.superblock.cycles);
         assert_eq!(report.classic.cycles, report.jit.cycles);
-        assert!(report.classic.instructions > 2 * u64::from(COEFFS));
+        assert!(report.classic.instructions > 2 * LV as u64);
     }
 
     #[test]

@@ -20,7 +20,12 @@ use crate::area::{
 use crate::UnitStats;
 use lac_meter::{Meter, Op, Phase};
 use lac_ring::split::TernaryMulUnit;
-use lac_ring::{Convolution, Poly, TernaryPoly, Q};
+use lac_ring::{add_mod, sub_mod, Convolution, Poly, TernaryPoly};
+
+/// The paper's unit length: §IV-A picks a length-512 array as the
+/// trade-off between speed and area. LAC-128 products run on it directly
+/// and LAC-192/256 products through Algorithms 1–2.
+pub const PAPER_LEN: usize = 512;
 
 /// Coefficient pairs transferred per `pq.mul_ter` input instruction
 /// (Section V: five general + five ternary coefficients across rs1/rs2).
@@ -58,7 +63,7 @@ pub struct MulTer {
 }
 
 impl MulTer {
-    /// Create a unit for length-`n` polynomials (the paper uses n = 512).
+    /// Create a unit for length-`n` polynomials (the paper's: [`PAPER_LEN`]).
     ///
     /// # Panics
     ///
@@ -102,14 +107,8 @@ impl MulTer {
     #[inline]
     fn mau(c: u8, b: u8, a: i8) -> u8 {
         match a {
-            1 => {
-                let s = u16::from(c) + u16::from(b);
-                (if s >= Q { s - Q } else { s }) as u8
-            }
-            -1 => {
-                let d = i16::from(c) - i16::from(b);
-                (if d < 0 { d + Q as i16 } else { d }) as u8
-            }
+            1 => add_mod(c, b),
+            -1 => sub_mod(c, b),
             _ => c,
         }
     }

@@ -14,10 +14,10 @@
 //! with a different hash unit.
 
 use lac_bch::{BchCode, Decoded};
-use lac_hw::{ChienUnit, KeccakUnit, MulTer, Sha256Unit};
+use lac_hw::{mul_ter, ChienUnit, KeccakUnit, MulTer, Sha256Unit};
 use lac_meter::Meter;
 use lac_ring::mul::mul_ternary;
-use lac_ring::split::split_mul_high;
+use lac_ring::split::mul_on_unit;
 use lac_ring::trunc::mul_ternary_truncated;
 use lac_ring::{Convolution, Poly, TernaryPoly};
 
@@ -183,7 +183,7 @@ impl Default for AcceleratedBackend {
 impl AcceleratedBackend {
     /// A backend with the paper's length-512 MUL TER unit.
     pub fn new() -> Self {
-        Self::with_unit_len(512)
+        Self::with_unit_len(mul_ter::PAPER_LEN)
     }
 
     /// A backend with a custom MUL TER length (the paper discusses larger
@@ -221,19 +221,14 @@ impl AcceleratedBackend {
 }
 
 impl Backend for AcceleratedBackend {
-    fn ring_mul(&mut self, t: &TernaryPoly, g: &Poly, mut meter: &mut dyn Meter) -> Poly {
-        let unit = self.mul_ter.len();
-        if t.len() == unit {
-            self.mul_ter
-                .multiply(t, g, Convolution::Negacyclic, &mut meter)
-        } else if t.len() == 2 * unit {
-            split_mul_high(&mut self.mul_ter, t, g, Convolution::Negacyclic, meter)
-        } else {
+    fn ring_mul(&mut self, t: &TernaryPoly, g: &Poly, meter: &mut dyn Meter) -> Poly {
+        mul_on_unit(&mut self.mul_ter, t, g, Convolution::Negacyclic, meter).unwrap_or_else(|| {
             panic!(
-                "ring dimension {} is not supported by a length-{unit} MUL TER unit",
-                t.len()
-            );
-        }
+                "ring dimension {} is not supported by a length-{} MUL TER unit",
+                t.len(),
+                self.mul_ter.len()
+            )
+        })
     }
 
     fn hash(&mut self, data: &[u8], mut meter: &mut dyn Meter) -> [u8; 32] {

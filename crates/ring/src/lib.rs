@@ -18,7 +18,7 @@
 //!   multiplier unit for length-n products via two levels of splitting;
 //! * [`barrett_reduce`] / [`reduce_i32`] — constant-time modular reduction
 //!   by q = 251 (the paper's *MOD q* unit implements the same Barrett
-//!   algorithm in hardware).
+//!   algorithm in hardware), and [`add_mod`] / [`sub_mod`].
 //!
 //! # Example
 //!
@@ -86,6 +86,20 @@ pub fn barrett_reduce(x: u32) -> u8 {
 pub fn reduce_i32(x: i32) -> u8 {
     debug_assert!(x > -SIGNED_OFFSET);
     barrett_reduce((x + SIGNED_OFFSET) as u32)
+}
+
+/// `(a + b) mod q` for `a, b < q`: the MUL TER MAU's add.
+#[inline]
+pub fn add_mod(a: u8, b: u8) -> u8 {
+    let s = u16::from(a) + u16::from(b);
+    (if s >= Q { s - Q } else { s }) as u8
+}
+
+/// `(a − b) mod q` for `a, b < q`: the MUL TER MAU's subtract.
+#[inline]
+pub fn sub_mod(a: u8, b: u8) -> u8 {
+    let d = i16::from(a) - i16::from(b);
+    (if d < 0 { d + Q as i16 } else { d }) as u8
 }
 
 /// Charge the modelled software cost of one Barrett reduction.
@@ -175,10 +189,7 @@ impl Poly {
             .coeffs
             .iter()
             .zip(&other.coeffs)
-            .map(|(&a, &b)| {
-                let s = u16::from(a) + u16::from(b);
-                (if s >= Q { s - Q } else { s }) as u8
-            })
+            .map(|(&a, &b)| add_mod(a, b))
             .collect();
         meter.charge(Op::Load, 2 * self.len() as u64);
         meter.charge(Op::Alu, 2 * self.len() as u64);
@@ -198,10 +209,7 @@ impl Poly {
             .coeffs
             .iter()
             .zip(&other.coeffs)
-            .map(|(&a, &b)| {
-                let d = i16::from(a) - i16::from(b);
-                (if d < 0 { d + Q as i16 } else { d }) as u8
-            })
+            .map(|(&a, &b)| sub_mod(a, b))
             .collect();
         meter.charge(Op::Load, 2 * self.len() as u64);
         meter.charge(Op::Alu, 2 * self.len() as u64);

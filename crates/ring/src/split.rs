@@ -12,7 +12,10 @@
 //!   in R_2u by calling Algorithm 2 four times and folding the x^u and x^2u
 //!   terms back with the ring's wrap sign.
 //!
-//! Both functions are generic over the multiplier through the
+//! [`mul_on_unit`] decides how a length-n product runs on a length-u
+//! unit: directly, through Algorithm 1, or not at all.
+//!
+//! All three functions are generic over the multiplier through the
 //! [`TernaryMulUnit`] trait, so the same code drives the software schoolbook
 //! backend (for validation) and the cycle-accurate hardware model in
 //! `lac-hw`.
@@ -21,7 +24,7 @@
 //! but needs general × general multiplications the ternary unit cannot do —
 //! we follow the paper and use the four-product form.
 
-use crate::{mul::mul_ternary, Convolution, Poly, TernaryPoly, Q};
+use crate::{add_mod, mul::mul_ternary, sub_mod, Convolution, Poly, TernaryPoly};
 use lac_meter::{Meter, Op, Phase};
 
 /// A multiplier for ternary × general products of a fixed unit length,
@@ -78,18 +81,6 @@ impl TernaryMulUnit for SchoolbookUnit {
         assert_eq!(a.len(), self.len, "operand length != unit length");
         mul_ternary(a, b, conv, &mut meter)
     }
-}
-
-#[inline]
-fn add_mod(a: u8, b: u8) -> u8 {
-    let s = u16::from(a) + u16::from(b);
-    (if s >= Q { s - Q } else { s }) as u8
-}
-
-#[inline]
-fn sub_mod(a: u8, b: u8) -> u8 {
-    let d = i16::from(a) - i16::from(b);
-    (if d < 0 { d + Q as i16 } else { d }) as u8
 }
 
 /// Zero-pad a ternary polynomial to `len`.
@@ -244,6 +235,27 @@ pub fn split_mul_high(
     meter.leave();
 
     Poly::from_coeffs(c)
+}
+
+/// Multiply two length-n operands in R_n on a length-u unit: directly
+/// when n = u, through [`split_mul_high`] when n = 2u. Any other n returns
+/// `None`: the unit only reduces by x^u ∓ 1, and zero-padding to a longer
+/// unit would change the ring.
+pub fn mul_on_unit(
+    unit: &mut dyn TernaryMulUnit,
+    a: &TernaryPoly,
+    b: &Poly,
+    conv: Convolution,
+    meter: &mut dyn Meter,
+) -> Option<Poly> {
+    let u = unit.unit_len();
+    if a.len() == u {
+        Some(unit.mul_unit(a, b, conv, meter))
+    } else if a.len() == 2 * u {
+        Some(split_mul_high(unit, a, b, conv, meter))
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]

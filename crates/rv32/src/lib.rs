@@ -32,9 +32,10 @@
 //!   invalidation for self-modifying code;
 //! * [`superblock`] — straight-line block discovery, macro-op fusion and
 //!   the PC-indexed trace cache behind the superblock engine;
-//! * [`pq`] — the PQ-ALU device state machines (input buffers, busy
-//!   cycles, result read-out) wired to the same datapath math as the
-//!   `lac-hw` models;
+//! * [`pq`] — the PQ-ALU device: the `pq.*` register protocol in both
+//!   directions (decoder and encoders) in front of the `lac-hw` units;
+//! * [`kernels`] — the LAC-128 decryption kernels the ISS runs (the MUL
+//!   TER driver and the recover loop) and their memory map;
 //! * [`asm`] — a small two-pass assembler (labels, ABI register names,
 //!   common pseudo-instructions, and the `pq.*` mnemonics) so tests and
 //!   examples can write RISC-V programs directly; it rejects operands
@@ -64,6 +65,7 @@ pub mod cpu;
 pub mod disasm;
 pub mod inst;
 pub mod jit;
+pub mod kernels;
 pub mod pq;
 pub mod predecode;
 pub mod superblock;

@@ -6,6 +6,8 @@
 //! Run: `cargo run --release --example riscv_accel`
 
 use lac_gf::Field;
+use lac_ring::Convolution;
+use lac_rv32::pq::{self, ctrl};
 use lac_rv32::Machine;
 use lac_sha256::sha256;
 
@@ -86,32 +88,24 @@ fn sha256_demo() {
 /// pq.mul_chien: evaluate one step of Λ(αⁱ) with the 4-wide GF multiplier.
 fn chien_demo() {
     let gf = Field::gf512();
-    // Constants α¹..α⁴, values λ₁..λ₄.
+    // Constants α¹..α⁴, values λ₁..λ₄: two writes each, one pair per write.
     let lambda = [33u16, 402, 7, 129];
-    let pack = |a: u16, b: u16| u32::from(a) | (u32::from(b) << 16);
-    let c01 = pack(gf.exp(1), gf.exp(2));
-    let c23 = pack(gf.exp(3), gf.exp(4));
-    let v01 = pack(lambda[0], lambda[1]);
-    let v23 = pack(lambda[2], lambda[3]);
+    let consts = pq::mul_chien_loads(ctrl::LOAD, [1, 2, 3, 4].map(|k| gf.exp(k)));
+    let values = pq::mul_chien_loads(ctrl::LOAD_VALUES, lambda);
+    let loads: String = consts
+        .iter()
+        .chain(&values)
+        .map(|(rs1, rs2)| format!("li t0, {rs1}\nli t1, {rs2}\npq.mul_chien zero, t0, t1\n"))
+        .collect();
 
     let src = format!(
         r#"
-            li   t0, {c01}
-            li   t1, 0x20000000      # LOAD consts, pair 0
-            pq.mul_chien zero, t0, t1
-            li   t0, {c23}
-            li   t1, 0x20000001      # LOAD consts, pair 1
-            pq.mul_chien zero, t0, t1
-            li   t0, {v01}
-            li   t1, 0x50000000      # LOAD values, pair 0
-            pq.mul_chien zero, t0, t1
-            li   t0, {v23}
-            li   t1, 0x50000001      # LOAD values, pair 1
-            pq.mul_chien zero, t0, t1
-            li   t1, 0x30000000      # COMPUTE: rd = xor of 4 products
+            {loads}
+            li   t1, {compute}       # COMPUTE: rd = xor of 4 products
             pq.mul_chien a0, zero, t1
             ecall
-        "#
+        "#,
+        compute = pq::control(ctrl::START, 0),
     );
     let mut m = Machine::assemble(&src).expect("assembles");
     let exit = m.run(10_000).expect("runs");
@@ -124,21 +118,16 @@ fn chien_demo() {
     );
 }
 
-/// pq.mul_ter: multiply (1 + 2x)·(3 + 5x) on the 512-wide unit (inputs
+/// pq.mul_ter: multiply (1 − x)·(3 + 5x) on the 512-wide unit (inputs
 /// zero-padded, cyclic mode) and read the first four result coefficients.
 fn mul_ter_demo() {
-    // generals 3,5 at positions 0,1; ternary +1 at 0 and +1 at 1 would give
-    // (1 + x)(3 + 5x); use ternary (+1, -1) to check subtraction too:
-    // (1 - x)(3 + 5x) = 3 + 2x - 5x^2  →  3, 2, 246 mod 251.
-    let rs1 = u32::from_le_bytes([3, 5, 0, 0]);
-    let ternary = 0b01u32 | (0b10 << 2); // +1, −1
-    let load = (2u32 << 28) | (ternary << 8);
-    let start = 3u32 << 28; // cyclic (bit0 = 0)
-    let read = 4u32 << 28;
+    // Ternary (+1, −1) checks subtraction too:
+    // (1 − x)(3 + 5x) = 3 + 2x − 5x²  →  3, 2, 246 mod 251.
+    let (rs1, load) = pq::mul_ter_loads(&[1, -1], &[3, 5])[0];
 
     let src = format!(
         r#"
-            li   t1, 0x10000000      # RESET
+            li   t1, {reset}
             pq.mul_ter zero, zero, t1
             li   t0, {rs1}
             li   t1, {load}
@@ -148,7 +137,10 @@ fn mul_ter_demo() {
             li   t1, {read}
             pq.mul_ter a0, zero, t1      # first 4 coefficients
             ecall
-        "#
+        "#,
+        reset = pq::control(ctrl::RESET, 0),
+        start = pq::mul_ter_start(Convolution::Cyclic),
+        read = pq::control(ctrl::READ, 0),
     );
     let mut m = Machine::assemble(&src).expect("assembles");
     let exit = m.run(10_000).expect("runs");

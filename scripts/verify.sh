@@ -140,6 +140,17 @@ for bin in table1 table2 table3; do
 done
 
 echo
+echo "== smoke: every example runs to a zero exit =="
+# The examples assert their own results (riscv_accel checks each pq.*
+# instruction against the native code; timing_leak and riscv_accel
+# regenerate DESIGN.md's E4/E5), so a failing one is a failing check.
+for src in examples/*.rs; do
+    ex=$(basename "$src" .rs)
+    cargo run -q --release --offline --example "$ex" > /dev/null
+    echo "  $ex OK"
+done
+
+echo
 echo "== smoke: sharded table sweeps are thread-count invariant =="
 # The modelled-cycle output must be byte-identical for any worker count.
 # (Warm-vs-cold ISS invariance is iss_bench --sweep's gate, below.)

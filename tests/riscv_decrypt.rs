@@ -1,7 +1,8 @@
 //! End-to-end capstone: the LAC-128 decryption datapath as a RISC-V
 //! program on the extended core.
 //!
-//! The assembly program:
+//! The program is `lac_rv32::kernels`' MUL TER driver followed by its
+//! recover loop. It:
 //! 1. streams the secret s (ternary) and the ciphertext's u (general)
 //!    into MUL TER (103 packed `pq.mul_ter` writes),
 //! 2. starts the negacyclic multiplication (512+2-cycle stall),
@@ -16,34 +17,23 @@
 //! arithmetic core of the decryption runs as simulated RISC-V code using
 //! the paper's custom instructions.
 
-use lac::{Lac, Params, SoftwareBackend};
+use lac::{Ciphertext, Lac, Params, SecretKey, SoftwareBackend};
 use lac_meter::NullMeter;
 use lac_rand::Rng;
 use lac_rand::Sha256CtrRng;
-use lac_rv32::Machine;
+use lac_ring::{mul::mul_ternary, Convolution};
+use lac_rv32::{kernels, ExitState, Machine};
 
-/// Pack the MUL TER operand stream (5 coefficient pairs per write) the way
-/// the driver in Section V does.
-fn pack_mul_ter_stream(ternary: &[i8], general: &[u8]) -> Vec<u32> {
-    let n = ternary.len();
-    let mut words = Vec::new();
-    for chunk in 0..n.div_ceil(5) {
-        let base = chunk * 5;
-        let gen = |i: usize| u32::from(general.get(base + i).copied().unwrap_or(0));
-        let ter = |i: usize| match ternary.get(base + i).copied().unwrap_or(0) {
-            1 => 0b01u32,
-            -1 => 0b10,
-            _ => 0b00,
-        };
-        let rs1 = gen(0) | (gen(1) << 8) | (gen(2) << 16) | (gen(3) << 24);
-        let mut rs2 = (2u32 << 28) | gen(4);
-        for i in 0..5 {
-            rs2 |= ter(i) << (8 + 2 * i);
-        }
-        words.push(rs1);
-        words.push(rs2);
-    }
-    words
+/// Run the on-core decryption of `ct` under `sk`.
+fn decrypt_on_core(sk: &SecretKey, ct: &Ciphertext) -> (Machine, ExitState) {
+    let src = [kernels::mul_ter_driver(), kernels::recover_loop()].concat() + "ecall";
+    let mut machine = Machine::assemble(&src).expect("assembles");
+    kernels::write_stream(machine.cpu_mut(), sk.s().coeffs(), ct.u().coeffs());
+    // v̂: the decompressed 4-bit v values, (v << 4) + 8, one byte each.
+    let v_hat: Vec<u8> = ct.v().iter().map(|&v| (v << 4) + 8).collect();
+    machine.cpu_mut().write_bytes(kernels::V_HAT, &v_hat);
+    let exit = machine.run(50_000_000).expect("runs to ecall");
+    (machine, exit)
 }
 
 #[test]
@@ -57,74 +47,15 @@ fn lac128_decryption_on_the_extended_core() {
     let mut msg = [0u8; 32];
     rng.fill_bytes(&mut msg);
     let ct = lac.encrypt(&pk, &msg, &[0x42u8; 32], &mut backend, &mut NullMeter);
+    assert_eq!(params.lv(), kernels::LV);
 
-    let lv = params.lv(); // 400 carried coefficients
-
-    // --- Prepare the program's data memory.
-    // 0x4000: MUL TER operand stream (s ternary × u general).
-    let stream = pack_mul_ter_stream(sk.s().coeffs(), ct.u().coeffs());
-    // 0x8000: v̂ (decompressed 4-bit v values: (v << 4) + 8), one byte each.
-    let v_hat: Vec<u8> = ct.v().iter().map(|&v| (v << 4) + 8).collect();
-    // 0xA000: output area for u·s (512 bytes).
-    // 0xC000: output area for the 400 recovered codeword bits.
-
-    let src = r#"
-            li   t1, 0x10000000
-            pq.mul_ter zero, zero, t1      # reset
-            li   t2, 0x4000                # operand stream
-            li   t3, 103
-        load:
-            lw   t0, 0(t2)
-            lw   t1, 4(t2)
-            pq.mul_ter zero, t0, t1
-            addi t2, t2, 8
-            addi t3, t3, -1
-            bnez t3, load
-
-            li   t1, 0x30000001            # start, negacyclic
-            pq.mul_ter zero, zero, t1
-
-            li   t2, 0xA000                # write u*s back to RAM
-            li   t3, 128
-            li   t1, 0x40000000
-        readout:
-            pq.mul_ter t0, zero, t1
-            sw   t0, 0(t2)
-            addi t2, t2, 4
-            addi t3, t3, -1
-            bnez t3, readout
-
-            # Recover w_i = v_hat_i - us_i (mod q) and threshold-decode.
-            li   t2, 0x8000                # v_hat base
-            li   t4, 0xA000                # us base
-            li   t5, 0xC000                # bit output base
-            li   t3, 400
-            li   s2, 251
-        recover:
-            lbu  t0, 0(t2)
-            lbu  t1, 0(t4)
-            add  t0, t0, s2                # avoid underflow: + q
-            sub  t0, t0, t1
-            pq.modq t0, t0, zero           # w in [0, q)
-            addi t0, t0, -63               # bit = (w - 63) <= 125 unsigned
-            sltiu t0, t0, 126
-            sb   t0, 0(t5)
-            addi t2, t2, 1
-            addi t4, t4, 1
-            addi t5, t5, 1
-            addi t3, t3, -1
-            bnez t3, recover
-            ecall
-        "#;
-
-    let mut machine = Machine::assemble(src).expect("assembles");
-    let stream_bytes: Vec<u8> = stream.iter().flat_map(|w| w.to_le_bytes()).collect();
-    machine.cpu_mut().write_bytes(0x4000, &stream_bytes);
-    machine.cpu_mut().write_bytes(0x8000, &v_hat);
-    let exit = machine.run(50_000_000).expect("runs to ecall");
+    let (machine, exit) = decrypt_on_core(&sk, &ct);
 
     // --- Host side: BCH-decode the bits the RISC-V program produced.
-    let bits = machine.cpu().read_bytes(0xC000, lv).to_vec();
+    let bits = machine
+        .cpu()
+        .read_bytes(kernels::BITS, kernels::LV)
+        .to_vec();
     let decoded = lac.bch().decode_constant_time(&bits, &mut NullMeter);
     assert_eq!(decoded.message, msg, "on-core decryption failed");
 
@@ -156,12 +87,7 @@ fn recovered_bits_match_native_word_for_word() {
     let lv = params.lv();
 
     // Native recomputation of the codeword bits.
-    let us = lac_ring::mul::mul_ternary(
-        sk.s(),
-        ct.u(),
-        lac_ring::Convolution::Negacyclic,
-        &mut NullMeter,
-    );
+    let us = mul_ternary(sk.s(), ct.u(), Convolution::Negacyclic, &mut NullMeter);
     let native_bits: Vec<u8> = (0..lv)
         .map(|i| {
             let v_hat = i32::from(ct.v()[i]) * 16 + 8;
@@ -170,59 +96,11 @@ fn recovered_bits_match_native_word_for_word() {
         })
         .collect();
 
-    // Program identical to the capstone test (shared source would hide the
-    // point; keep it explicit).
-    let src = r#"
-            li   t1, 0x10000000
-            pq.mul_ter zero, zero, t1
-            li   t2, 0x4000
-            li   t3, 103
-        load:
-            lw   t0, 0(t2)
-            lw   t1, 4(t2)
-            pq.mul_ter zero, t0, t1
-            addi t2, t2, 8
-            addi t3, t3, -1
-            bnez t3, load
-            li   t1, 0x30000001
-            pq.mul_ter zero, zero, t1
-            li   t2, 0xA000
-            li   t3, 128
-            li   t1, 0x40000000
-        readout:
-            pq.mul_ter t0, zero, t1
-            sw   t0, 0(t2)
-            addi t2, t2, 4
-            addi t3, t3, -1
-            bnez t3, readout
-            li   t2, 0x8000
-            li   t4, 0xA000
-            li   t5, 0xC000
-            li   t3, 400
-            li   s2, 251
-        recover:
-            lbu  t0, 0(t2)
-            lbu  t1, 0(t4)
-            add  t0, t0, s2
-            sub  t0, t0, t1
-            pq.modq t0, t0, zero
-            addi t0, t0, -63
-            sltiu t0, t0, 126
-            sb   t0, 0(t5)
-            addi t2, t2, 1
-            addi t4, t4, 1
-            addi t5, t5, 1
-            addi t3, t3, -1
-            bnez t3, recover
-            ecall
-        "#;
-    let mut machine = Machine::assemble(src).expect("assembles");
-    let stream = pack_mul_ter_stream(sk.s().coeffs(), ct.u().coeffs());
-    let stream_bytes: Vec<u8> = stream.iter().flat_map(|w| w.to_le_bytes()).collect();
-    machine.cpu_mut().write_bytes(0x4000, &stream_bytes);
-    let v_hat: Vec<u8> = ct.v().iter().map(|&v| (v << 4) + 8).collect();
-    machine.cpu_mut().write_bytes(0x8000, &v_hat);
-    machine.run(50_000_000).expect("runs");
-
-    assert_eq!(machine.cpu().read_bytes(0xC000, lv), &native_bits[..]);
+    let (machine, _) = decrypt_on_core(&sk, &ct);
+    assert_eq!(
+        machine.cpu().read_bytes(kernels::BITS, lv),
+        &native_bits[..]
+    );
+    // The whole product, not only the carried coefficients.
+    assert_eq!(machine.cpu().read_bytes(kernels::US, 512), us.coeffs());
 }

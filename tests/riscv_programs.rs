@@ -2,9 +2,11 @@
 //! implementations — the ISA-extension story of Section V, end to end.
 
 use lac_gf::Field;
-use lac_ring::mul::mul_ternary;
+use lac_rand::{prop, Rng};
+use lac_ring::mul::{mul_full, mul_ternary, reduce_full};
 use lac_ring::{Convolution, Poly, TernaryPoly};
-use lac_rv32::{Machine, Trap};
+use lac_rv32::pq::{self, ctrl, PqAlu};
+use lac_rv32::{kernels, Machine, Trap};
 use lac_sha256::sha256;
 
 #[test]
@@ -66,30 +68,22 @@ fn pq_sha256_program_hashes_a_memory_buffer() {
 fn pq_mul_chien_two_rounds_use_feedback() {
     let gf = Field::gf512();
     let lambda = [400u16, 3, 222, 97];
-    let pack = |a: u16, b: u16| u32::from(a) | (u32::from(b) << 16);
+    let consts = pq::mul_chien_loads(ctrl::LOAD, [1, 2, 3, 4].map(|k| gf.exp(k)));
+    let values = pq::mul_chien_loads(ctrl::LOAD_VALUES, lambda);
+    let loads: String = consts
+        .iter()
+        .chain(&values)
+        .map(|(rs1, rs2)| format!("li t0, {rs1}\nli t1, {rs2}\npq.mul_chien zero, t0, t1\n"))
+        .collect();
     let src = format!(
         r#"
-            li t0, {c01}
-            li t1, 0x20000000
-            pq.mul_chien zero, t0, t1
-            li t0, {c23}
-            li t1, 0x20000001
-            pq.mul_chien zero, t0, t1
-            li t0, {v01}
-            li t1, 0x50000000
-            pq.mul_chien zero, t0, t1
-            li t0, {v23}
-            li t1, 0x50000001
-            pq.mul_chien zero, t0, t1
-            li t1, 0x30000000
+            {loads}
+            li t1, {compute}
             pq.mul_chien a0, zero, t1    # Λ-step at α¹·k
             pq.mul_chien a1, zero, t1    # feedback: now at α²·k
             ecall
         "#,
-        c01 = pack(gf.exp(1), gf.exp(2)),
-        c23 = pack(gf.exp(3), gf.exp(4)),
-        v01 = pack(lambda[0], lambda[1]),
-        v23 = pack(lambda[2], lambda[3]),
+        compute = pq::control(ctrl::START, 0),
     );
     let mut m = Machine::assemble(&src).expect("assembles");
     let exit = m.run(10_000).expect("runs");
@@ -105,7 +99,7 @@ fn pq_mul_chien_two_rounds_use_feedback() {
 #[test]
 fn pq_mul_ter_full_polynomial_through_memory() {
     // Drive a complete 512-coefficient multiplication through the ISA:
-    // the program streams packed operands from RAM (5 pairs per
+    // the kernel streams packed operands from RAM (5 pairs per
     // instruction), starts the unit in negacyclic mode, and writes the
     // 512-byte result back to RAM.
     let n = 512usize;
@@ -116,64 +110,65 @@ fn pq_mul_ter_full_polynomial_through_memory() {
     );
     let b = Poly::from_coeffs((0..n).map(|i| (i * 31 % 251) as u8).collect());
 
-    // Pre-pack the operand stream: per write, one word for rs1 (4 general
-    // bytes) and one for rs2 (control | ternary crumbs | 5th general).
-    let mut stream: Vec<u32> = Vec::new();
-    for chunk in 0..n.div_ceil(5) {
-        let base = chunk * 5;
-        let gen = |i: usize| -> u32 { u32::from(b.coeffs().get(base + i).copied().unwrap_or(0)) };
-        let ter = |i: usize| -> u32 {
-            match a.coeffs().get(base + i).copied().unwrap_or(0) {
-                1 => 0b01,
-                -1 => 0b10,
-                _ => 0b00,
-            }
-        };
-        let rs1 = gen(0) | (gen(1) << 8) | (gen(2) << 16) | (gen(3) << 24);
-        let mut rs2 = (2u32 << 28) | gen(4);
-        for i in 0..5 {
-            rs2 |= ter(i) << (8 + 2 * i);
-        }
-        stream.push(rs1);
-        stream.push(rs2);
-    }
-
-    let src = r#"
-            li   t1, 0x10000000
-            pq.mul_ter zero, zero, t1    # reset
-            li   t2, 0x4000              # operand stream pointer
-            li   t3, 103                 # number of LOAD writes
-        load:
-            lw   t0, 0(t2)
-            lw   t1, 4(t2)
-            pq.mul_ter zero, t0, t1
-            addi t2, t2, 8
-            addi t3, t3, -1
-            bnez t3, load
-            li   t1, 0x30000001          # start, negacyclic
-            pq.mul_ter zero, zero, t1
-            li   t2, 0x8000              # result pointer
-            li   t3, 128                 # 512 / 4 reads
-            li   t1, 0x40000000
-        readout:
-            pq.mul_ter t0, zero, t1
-            sw   t0, 0(t2)
-            addi t2, t2, 4
-            addi t3, t3, -1
-            bnez t3, readout
-            ecall
-        "#;
-    let mut m = Machine::assemble(src).expect("assembles");
-    let bytes: Vec<u8> = stream.iter().flat_map(|w| w.to_le_bytes()).collect();
-    m.cpu_mut().write_bytes(0x4000, &bytes);
+    let mut m =
+        Machine::assemble(&format!("{}ecall", kernels::mul_ter_driver())).expect("assembles");
+    kernels::write_stream(m.cpu_mut(), a.coeffs(), b.coeffs());
     let exit = m.run(10_000_000).expect("runs");
 
     let expect = mul_ternary(&a, &b, Convolution::Negacyclic, &mut lac_meter::NullMeter);
-    let got = m.cpu().read_bytes(0x8000, n).to_vec();
+    let got = m.cpu().read_bytes(kernels::US, n).to_vec();
     assert_eq!(got, expect.coeffs(), "ISA-driven product mismatch");
     // The unit's 514-cycle compute stall plus the streaming overhead must
     // all be visible in the cycle count.
     assert!(exit.cycles > 514);
+}
+
+#[test]
+fn prop_pq_protocol_round_trips() {
+    // The encoders and the device's decoder against oracles that share
+    // neither: `mul_full` + `reduce_full` for MUL TER, `Field::mul` sums
+    // for MUL CHIEN.
+    let gf = Field::gf512();
+    prop::check("pq_protocol_round_trips", 24, |rng| {
+        // Operands of length n, zero-padded to the unit's 512.
+        let n = 1 + rng.gen_below_usize(512);
+        let mut ternary = prop::vec_i8(rng, 512, -1, 1);
+        let mut general = prop::vec_u8(rng, 512, 251);
+        ternary[n..].fill(0);
+        general[n..].fill(0);
+        let full = mul_full(
+            &TernaryPoly::from_coeffs(ternary.clone()),
+            &Poly::from_coeffs(general.clone()),
+        );
+        for conv in [Convolution::Cyclic, Convolution::Negacyclic] {
+            let mut alu = PqAlu::new();
+            for (rs1, rs2) in pq::mul_ter_loads(&ternary[..n], &general[..n]) {
+                alu.mul_ter(rs1, rs2);
+            }
+            alu.mul_ter(0, pq::mul_ter_start(conv));
+            let read = pq::control(ctrl::READ, 0);
+            let got: Vec<u8> = (0..128)
+                .flat_map(|_| alu.mul_ter(0, read).0.to_le_bytes())
+                .collect();
+            prop::ensure_eq(&got[..], reduce_full(&full, 512, conv).coeffs())?;
+        }
+
+        let consts: [u16; 4] = prop::vec_u16(rng, 4, 512).try_into().unwrap();
+        let lambda: [u16; 4] = prop::vec_u16(rng, 4, 512).try_into().unwrap();
+        let mut alu = PqAlu::new();
+        let loads = pq::mul_chien_loads(ctrl::LOAD, consts);
+        for (rs1, rs2) in loads
+            .into_iter()
+            .chain(pq::mul_chien_loads(ctrl::LOAD_VALUES, lambda))
+        {
+            alu.mul_chien(rs1, rs2);
+        }
+        let expect = (0..4).fold(0, |acc, k| acc ^ gf.mul(lambda[k], consts[k]));
+        prop::ensure_eq(
+            alu.mul_chien(0, pq::control(ctrl::START, 0)).0,
+            u32::from(expect),
+        )
+    });
 }
 
 #[test]

@@ -25,7 +25,7 @@ use lac_rand::prop::{self, ensure, ensure_eq};
 use lac_rand::Rng;
 use lac_rv32::inst::AluOp;
 use lac_rv32::superblock::{SuperblockCache, DEFAULT_SLOTS};
-use lac_rv32::{Cpu, Engine, Inst, Machine, SharedTraceCache, Trap};
+use lac_rv32::{kernels, Cpu, Engine, Inst, Machine, SharedTraceCache, Trap};
 use std::sync::Arc;
 
 /// Compare the complete observable state of two CPUs: outcome of the last
@@ -240,37 +240,20 @@ fn host_write_after_restore_invalidates_snapshotted_blocks() {
 
 #[test]
 fn shared_and_private_caches_digest_identically_under_concurrency() {
-    // One pq.modq recover-style workload, many concurrent CPUs: half
+    // The LAC-128 recover loop repeated, many concurrent CPUs: half
     // attach one process-wide SharedTraceCache (racing publish/install),
     // half keep private caches, and one classic oracle supplies the
     // reference. Every final state must be identical.
-    let src = r#"
-            li   s0, 0
-            li   s1, 12
-        outer:
-            li   t2, 0x8000
-            li   t5, 0x9000
-            li   t3, 96
-            li   s2, 251
-        recover:
-            lbu  t0, 0(t2)
-            add  t0, t0, s2
-            pq.modq t0, t0, zero
-            addi t0, t0, -63
-            sltiu t0, t0, 126
-            sb   t0, 0(t5)
-            addi t2, t2, 1
-            addi t5, t5, 1
-            addi t3, t3, -1
-            bnez t3, recover
-            addi s0, s0, 1
-            bne  s0, s1, outer
-            ecall
-    "#;
+    let src = format!(
+        "li s0, 0\nli s1, 12\nouter:\n{}\naddi s0, s0, 1\nbne s0, s1, outer\necall\n",
+        kernels::recover_loop()
+    );
     let build = || {
-        let mut machine = Machine::assemble(src).expect("workload assembles");
-        let input: Vec<u8> = (0..96u32).map(|i| ((i * 7 + 3) % 251) as u8).collect();
-        machine.cpu_mut().write_bytes(0x8000, &input);
+        let mut machine = Machine::assemble(&src).expect("workload assembles");
+        let input: Vec<u8> = (0..kernels::LV)
+            .map(|i| ((i * 7 + 3) % 251) as u8)
+            .collect();
+        machine.cpu_mut().write_bytes(kernels::V_HAT, &input);
         machine
     };
 
@@ -286,8 +269,13 @@ fn shared_and_private_caches_digest_identically_under_concurrency() {
     let mut primer = Cpu::from_image(&image);
     primer.attach_shared_cache(Arc::clone(&shared));
     primer.run(1_000_000).expect("primer finishes");
-    ensure_same_state("primer", oracle.cpu(), &primer, Some((0x9000, 96)))
-        .expect("primer divergence");
+    ensure_same_state(
+        "primer",
+        oracle.cpu(),
+        &primer,
+        Some((kernels::BITS, kernels::LV)),
+    )
+    .expect("primer divergence");
 
     let cpus: Vec<Cpu> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
@@ -311,8 +299,13 @@ fn shared_and_private_caches_digest_identically_under_concurrency() {
     });
 
     for (i, cpu) in cpus.iter().enumerate() {
-        ensure_same_state(&format!("cpu {i}"), oracle.cpu(), cpu, Some((0x9000, 96)))
-            .expect("shared/private divergence");
+        ensure_same_state(
+            &format!("cpu {i}"),
+            oracle.cpu(),
+            cpu,
+            Some((kernels::BITS, kernels::LV)),
+        )
+        .expect("shared/private divergence");
     }
     let stats = shared.stats();
     assert!(stats.publishes > 0, "someone must publish: {stats:?}");
