@@ -15,6 +15,11 @@
 //!
 //! The decoded result equals the variable-time decoder's for any pattern of
 //! up to t errors; only the cost model (and the real-world leakage) differs.
+//!
+//! [`decode_with`] is the one home of this pipeline, with the Chien step
+//! as an argument: the software decoder passes its full-range search,
+//! `lac-hw`'s accelerated decoder the MUL CHIEN unit's, so both share
+//! every other charge.
 
 use crate::{BchCode, Decoded};
 use lac_meter::{Meter, Op, Phase};
@@ -24,10 +29,7 @@ use lac_meter::{Meter, Op, Phase};
 /// For each syndrome index i, walks all transmitted positions accumulating
 /// `mask(r_p) & α^(i·p)` with an incrementally maintained exponent. The
 /// charge per (syndrome, position) pair is fixed.
-///
-/// Public so that the hardware-accelerated decoder (constant-time software
-/// syndromes + software Berlekamp–Massey + *MUL CHIEN* search) can reuse it.
-pub fn syndromes<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -> Vec<u16> {
+fn syndromes<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -> Vec<u16> {
     let gf = code.field();
     let two_t = 2 * code.t();
     let order = u32::from(gf.order());
@@ -58,9 +60,7 @@ pub fn syndromes<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -> Ve
 ///
 /// Produces a scalar multiple of the error-locator polynomial (same roots,
 /// same degree). Coefficient arrays have fixed length t+1.
-///
-/// Public so that the hardware-accelerated decoder can reuse it.
-pub fn berlekamp_massey<M: Meter>(code: &BchCode, s: &[u16], meter: &mut M) -> Vec<u16> {
+fn berlekamp_massey<M: Meter>(code: &BchCode, s: &[u16], meter: &mut M) -> Vec<u16> {
     let gf = code.field();
     let t = code.t();
     let two_t = 2 * t;
@@ -131,7 +131,7 @@ pub fn berlekamp_massey<M: Meter>(code: &BchCode, s: &[u16], meter: &mut M) -> V
 /// t+1 terms with the shift-and-add GF multiplication (fixed m iterations
 /// each). Returns a branchlessly-built error mask per position, plus the
 /// root count.
-fn chien<M: Meter>(code: &BchCode, lambda: &[u16], meter: &mut M) -> (Vec<u8>, usize) {
+pub(crate) fn chien<M: Meter>(code: &BchCode, lambda: &[u16], meter: &mut M) -> (Vec<u8>, usize) {
     let gf = code.field();
     let n = code.n();
     let t = code.t();
@@ -179,7 +179,20 @@ fn chien<M: Meter>(code: &BchCode, lambda: &[u16], meter: &mut M) -> (Vec<u8>, u
     (error_mask, roots)
 }
 
-pub(crate) fn decode<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -> Decoded {
+/// The constant-time decode pipeline, each step under its own phase:
+/// syndromes, Berlekamp–Massey, the Chien step `search` (given the error
+/// locator, λ₀ first; returning the per-position error mask and the root
+/// count), then the branchless flip and the message read-out as glue.
+///
+/// # Panics
+///
+/// Panics if `received.len() != code.codeword_len()`.
+pub fn decode_with<M: Meter>(
+    code: &BchCode,
+    received: &[u8],
+    meter: &mut M,
+    search: impl FnOnce(&BchCode, &[u16], &mut M) -> (Vec<u8>, usize),
+) -> Decoded {
     assert_eq!(
         received.len(),
         code.codeword_len(),
@@ -196,7 +209,7 @@ pub(crate) fn decode<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -
 
     meter.enter(Phase::BchChien);
     let locator_degree = lambda.len() - 1;
-    let (error_mask, errors_located) = chien(code, &lambda, meter);
+    let (error_mask, errors_located) = search(code, &lambda, meter);
     meter.leave();
 
     meter.enter(Phase::BchGlue);

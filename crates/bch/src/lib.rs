@@ -25,7 +25,8 @@
 //!
 //! Both decoders share the same algebra, correct up to `t` errors and
 //! return the same [`Decoded`] — as does the accelerated pipeline in
-//! `lac-hw`, so the decoder is a cost-model choice, not a type.
+//! `lac-hw`, which is [`ct::decode_with`] run with the *MUL CHIEN* unit's
+//! search, so the decoder is a cost-model choice, not a type.
 //!
 //! # Example
 //!
@@ -47,11 +48,11 @@
 mod constant_time;
 mod variable_time;
 
-/// Constant-time decoder building blocks, re-exported for the
-/// hardware-accelerated decode pipeline (software syndromes and
-/// Berlekamp–Massey feeding the *MUL CHIEN* unit).
+/// The constant-time decode pipeline with a pluggable Chien step, for the
+/// hardware-accelerated decoder (software syndromes and Berlekamp–Massey
+/// feeding the *MUL CHIEN* unit).
 pub mod ct {
-    pub use crate::constant_time::{berlekamp_massey, syndromes};
+    pub use crate::constant_time::decode_with;
 }
 
 use lac_gf::poly::{cyclotomic_coset, minimal_polynomial, BinPoly};
@@ -295,7 +296,7 @@ impl BchCode {
     ///
     /// Panics if `received.len() != codeword_len()`.
     pub fn decode_constant_time<M: Meter>(&self, received: &[u8], meter: &mut M) -> Decoded {
-        constant_time::decode(self, received, meter)
+        constant_time::decode_with(self, received, meter, constant_time::chien)
     }
 }
 

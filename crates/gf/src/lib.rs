@@ -5,11 +5,14 @@
 //! This crate provides:
 //!
 //! * [`Field`] — a field context carrying log/antilog tables for fast
-//!   table-based multiplication (the software decoder's method) and a
-//!   bit-serial shift-and-add multiplication mirroring the paper's *MUL GF*
-//!   hardware datapath (the constant-time method);
-//! * [`poly::GfPoly`] — polynomials with coefficients in the field, used for
-//!   the error-locator computation;
+//!   table-based multiplication (the software decoder's method);
+//! * [`mul_shift_add`] — the bit-serial shift-and-add multiplication of the
+//!   paper's *MUL GF* datapath (Fig. 3), written once: the constant-time
+//!   software multiply [`Field::mul_shift_add_metered`] and `lac-hw`'s
+//!   `MulGf` unit model both run it and charge their own costs;
+//! * [`poly::GfPoly`] — polynomials with coefficients in the field, used to
+//!   build minimal polynomials (the BCH decoders keep their error locators
+//!   as plain coefficient vectors);
 //! * [`poly::BinPoly`] — dense polynomials over GF(2), used for BCH
 //!   generator polynomials and LFSR-style systematic encoding;
 //! * [`poly::minimal_polynomial`] / [`poly::cyclotomic_coset`] — the number
@@ -30,10 +33,43 @@
 
 pub mod poly;
 
-use lac_meter::{Meter, NullMeter, Op};
+use lac_meter::{Meter, Op};
 
 /// The primitive polynomial of LAC's BCH field: p(x) = 1 + x⁴ + x⁹.
 pub const LAC_PRIMITIVE_POLY: u32 = (1 << 9) | (1 << 4) | 1;
+
+/// Bit-serial shift-and-add multiplication with interleaved reduction in
+/// GF(2^m) generated by the primitive polynomial `poly` — the exact
+/// dataflow of the paper's *MUL GF* hardware (Fig. 3), in exactly `m`
+/// iterations regardless of operand values.
+///
+/// # Example
+///
+/// ```
+/// use lac_gf::{mul_shift_add, Field, LAC_PRIMITIVE_POLY};
+///
+/// let gf = Field::gf512();
+/// let (a, b) = (gf.exp(100), gf.exp(200));
+/// assert_eq!(mul_shift_add(9, LAC_PRIMITIVE_POLY, a, b), gf.exp(300));
+/// ```
+#[inline]
+pub fn mul_shift_add(m: u32, poly: u32, a: u16, b: u16) -> u16 {
+    let mut c: u32 = 0;
+    // Process b from the most significant bit down, as the hardware's
+    // Control Unit does (it forwards b_{m-1} first).
+    for i in (0..m).rev() {
+        // Shift left; reduce by the primitive polynomial if the bit
+        // leaving the register is set (feedback loop in Fig. 3).
+        c <<= 1;
+        let overflow = (c >> m) & 1;
+        c ^= overflow.wrapping_neg() & poly;
+        // Add a if the current bit of b is set (AND gates in Fig. 3).
+        let bit = u32::from((b >> i) & 1);
+        c ^= bit.wrapping_neg() & u32::from(a);
+    }
+    debug_assert!(c >> m == 0, "operands must be field elements");
+    c as u16
+}
 
 /// A binary-extension field GF(2^m), 2 ≤ m ≤ 16.
 ///
@@ -158,37 +194,12 @@ impl Field {
         self.alog[self.log[a as usize] as usize + self.log[b as usize] as usize]
     }
 
-    /// Bit-serial shift-and-add multiplication with interleaved reduction —
-    /// the exact dataflow of the paper's *MUL GF* hardware (Fig. 3) and the
-    /// constant-time software fallback. Runs in exactly `m` iterations
-    /// regardless of operand values.
-    pub fn mul_shift_add(&self, a: u16, b: u16) -> u16 {
-        self.mul_shift_add_metered(a, b, &mut NullMeter)
-    }
-
-    /// Metered variant of [`Field::mul_shift_add`].
-    ///
-    /// Charges m loop iterations of branch-free masking arithmetic, the cost
-    /// profile of a constant-time software GF multiply on RV32.
+    /// [`mul_shift_add`] in this field, charged as constant-time software
+    /// on RV32: m loop iterations of branch-free masking arithmetic.
     pub fn mul_shift_add_metered<M: Meter>(&self, a: u16, b: u16, meter: &mut M) -> u16 {
-        let m = self.m;
-        let mut c: u32 = 0;
-        // Process b from the most significant bit down, as the hardware's
-        // Control Unit does (it forwards b_{m-1} first).
-        for i in (0..m).rev() {
-            // Shift left; reduce by the primitive polynomial if the bit
-            // leaving the register is set (feedback loop in Fig. 3).
-            c <<= 1;
-            let overflow = (c >> m) & 1;
-            c ^= overflow.wrapping_neg() & self.poly;
-            // Add a if the current bit of b is set (AND gates in Fig. 3).
-            let bit = u32::from((b >> i) & 1);
-            c ^= bit.wrapping_neg() & u32::from(a);
-        }
-        meter.charge(Op::LoopIter, u64::from(m));
-        meter.charge(Op::Alu, u64::from(m) * 3); // shift / reduce-mask / add-mask per bit
-        debug_assert!(c <= u32::from(self.order));
-        c as u16
+        meter.charge(Op::LoopIter, u64::from(self.m));
+        meter.charge(Op::Alu, u64::from(self.m) * 3); // shift / reduce-mask / add-mask per bit
+        mul_shift_add(self.m, self.poly, a, b)
     }
 
     /// Branch-free table multiplication with a *fixed* operation sequence.
@@ -237,7 +248,7 @@ impl Field {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lac_meter::CycleLedger;
+    use lac_meter::{CycleLedger, NullMeter};
     use lac_rand::prop;
 
     #[test]
@@ -307,7 +318,7 @@ mod tests {
         let gf = Field::new(4, 0b10011);
         for a in 0..16u16 {
             for b in 0..16u16 {
-                assert_eq!(gf.mul_shift_add(a, b), gf.mul(a, b), "{a} * {b}");
+                assert_eq!(mul_shift_add(4, 0b10011, a, b), gf.mul(a, b), "{a} * {b}");
             }
         }
     }
@@ -394,7 +405,7 @@ mod tests {
         prop::check("gf_shift_add_matches_table", 256, |rng| {
             let (a, b) = gf512_pair(rng);
             let gf = Field::gf512();
-            prop::ensure_eq(gf.mul_shift_add(a, b), gf.mul(a, b))
+            prop::ensure_eq(gf.mul_shift_add_metered(a, b, &mut NullMeter), gf.mul(a, b))
         });
     }
 

@@ -1,7 +1,7 @@
 //! Polynomials over GF(2^m) and over GF(2).
 //!
-//! [`GfPoly`] carries field-element coefficients (error-locator polynomials,
-//! minimal-polynomial construction); [`BinPoly`] is a dense bit-packed
+//! [`GfPoly`] carries field-element coefficients (minimal-polynomial
+//! construction); [`BinPoly`] is a dense bit-packed
 //! polynomial over GF(2) (BCH generator polynomials, codeword arithmetic).
 
 use crate::Field;

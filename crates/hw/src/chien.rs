@@ -10,11 +10,16 @@
 //! Because LAC's codeword is systematic and the message is only 256 bits,
 //! the search only visits the 257 exponents covering the message positions
 //! (α¹¹²…α³⁶⁸ for t = 16, α¹⁸⁴…α⁴⁴⁰ for t = 8) — Section IV-B.
+//!
+//! [`ChienUnit::search`] is the unit's step; the rest of the accelerated
+//! decode — syndromes, Berlekamp–Massey, the branchless correction and
+//! every phase — is `lac_bch::ct::decode_with`, the one constant-time
+//! pipeline the software decoder runs too.
 
 use crate::area::{ResourceEstimate, CHIEN_GLUE_LUTS, CHIEN_GLUE_REGS};
 use crate::mul_gf::MulGf;
 use lac_bch::{BchCode, Decoded};
-use lac_meter::{Meter, NullMeter, Op, Phase};
+use lac_meter::{Meter, NullMeter, Op};
 
 /// Number of parallel GF multipliers in the paper's unit.
 pub const PARALLEL_MULS: usize = 4;
@@ -102,10 +107,12 @@ impl ChienUnit {
     /// per-position error mask over the stored (shortened) codeword and the
     /// number of roots found in the window.
     ///
-    /// Cycle charges (under [`Phase::BchChien`]) follow the Section V
-    /// protocol: two operand-load instructions per group on the first
-    /// evaluation, then per position one compute instruction per group with
-    /// a 9-cycle datapath stall and a result read.
+    /// Cycle charges follow the Section V protocol: two operand-load
+    /// instructions per group on the first evaluation, then per position
+    /// one compute instruction per group with a 9-cycle datapath stall and
+    /// a result read. They land in the caller's phase; [`ChienUnit::decode`]
+    /// runs the search under
+    /// [`Phase::BchChien`](lac_meter::Phase::BchChien).
     ///
     /// # Panics
     ///
@@ -129,8 +136,6 @@ impl ChienUnit {
         let window = code.chien_window();
         let (lo, hi) = (*window.start(), *window.end());
         let groups = t / width;
-
-        meter.enter(Phase::BchChien);
 
         // Software preprocessing: start the window at α^lo by loading
         // λ_k·α^((lo−1)·k) instead of λ_k (t table multiplications) — the
@@ -187,14 +192,13 @@ impl ChienUnit {
             meter.charge(Op::Store, 1);
             meter.charge(Op::LoopIter, 1);
         }
-
-        meter.leave();
         (error_mask, roots)
     }
 
-    /// Full hardware-accelerated constant-time BCH decode: software
-    /// constant-time syndromes and Berlekamp–Massey (from `lac-bch`)
-    /// followed by the accelerated Chien search and branchless correction.
+    /// Full hardware-accelerated constant-time BCH decode:
+    /// `lac_bch::ct::decode_with` (software constant-time syndromes,
+    /// Berlekamp–Massey and branchless correction) with this unit's
+    /// [`ChienUnit::search`] as the Chien step.
     ///
     /// This is the decode pipeline behind the paper's "LAC opt." rows
     /// (Table II, BCH Dec. column).
@@ -203,48 +207,16 @@ impl ChienUnit {
     ///
     /// Panics if `received.len() != code.codeword_len()`.
     pub fn decode<M: Meter>(&mut self, code: &BchCode, received: &[u8], meter: &mut M) -> Decoded {
-        assert_eq!(
-            received.len(),
-            code.codeword_len(),
-            "received word has wrong length"
-        );
-        meter.enter(Phase::BchSyndrome);
-        let s = lac_bch::ct::syndromes(code, received, meter);
-        meter.leave();
-
-        meter.enter(Phase::BchErrorLocator);
-        let lambda = lac_bch::ct::berlekamp_massey(code, &s, meter);
-        meter.leave();
-
-        let locator_degree = lambda.len() - 1;
-        let (error_mask, errors_located) = self.search(code, &lambda, meter);
-
-        meter.enter(Phase::BchGlue);
-        let mut corrected = received.to_vec();
-        for (c, &e) in corrected.iter_mut().zip(error_mask.iter()) {
-            *c ^= e;
-            meter.charge(Op::Load, 2);
-            meter.charge(Op::Alu, 1);
-            meter.charge(Op::Store, 1);
-            meter.charge(Op::LoopIter, 1);
-        }
-        let message = code.message_of(&corrected);
-        meter.charge(Op::Load, 256);
-        meter.charge(Op::Alu, 256);
-        meter.leave();
-
-        Decoded {
-            message,
-            locator_degree,
-            errors_located,
-        }
+        lac_bch::ct::decode_with(code, received, meter, |code, lambda, meter| {
+            self.search(code, lambda, meter)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lac_meter::{CycleLedger, NullMeter};
+    use lac_meter::{CycleLedger, NullMeter, Phase};
 
     fn flip(cw: &mut [u8], positions: &[usize]) {
         for &p in positions {
@@ -389,7 +361,7 @@ mod tests {
 #[cfg(test)]
 mod width_tests {
     use super::*;
-    use lac_meter::{CycleLedger, NullMeter};
+    use lac_meter::{CycleLedger, NullMeter, Phase};
 
     #[test]
     fn all_widths_decode_identically() {

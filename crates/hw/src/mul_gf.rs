@@ -4,11 +4,14 @@
 //! polynomial p(x) = 1 + x⁴ + x⁹: the Control Unit feeds the bits of `b`
 //! from b₈ downwards into the AND gates, the shift register `c` rotates with
 //! a feedback tap from c₈ into c₀ and c₄, and after m = 9 clock cycles the
-//! register holds the product. This model steps those registers literally.
+//! register holds the product. The register steps are `lac_gf`'s
+//! [`mul_shift_add`], the one home of that loop (the constant-time software
+//! multiply runs it too); this model adds the unit's 9 datapath cycles and
+//! its usage statistics.
 
 use crate::area::{ResourceEstimate, MUL_GF_LUTS, MUL_GF_REGS};
 use crate::UnitStats;
-use lac_gf::LAC_PRIMITIVE_POLY;
+use lac_gf::{mul_shift_add, LAC_PRIMITIVE_POLY};
 use lac_meter::Meter;
 
 /// Field degree m = 9.
@@ -52,32 +55,17 @@ impl MulGf {
         }
     }
 
-    /// Multiply two field elements in exactly m = 9 datapath cycles.
-    ///
-    /// The register-transfer steps mirror Fig. 3: per cycle, the shift
-    /// register rotates left with the c₈ feedback xored into the taps of the
-    /// primitive polynomial, then `a` masked by the current bit of `b` is
-    /// xored in.
+    /// Multiply two field elements in exactly m = 9 datapath cycles, the
+    /// m register steps of [`mul_shift_add`] (Fig. 3).
     ///
     /// # Panics
     ///
     /// Panics if an operand is not a 9-bit field element.
     pub fn multiply<M2: Meter>(&mut self, a: u16, b: u16, meter: &mut M2) -> u16 {
         assert!(a < 512 && b < 512, "operands must be 9-bit field elements");
-        let mut c: u32 = 0;
-        for cycle in 0..M {
-            // Shift register advance with feedback (reduction taps).
-            c <<= 1;
-            let feedback = (c >> M) & 1;
-            c ^= feedback.wrapping_neg() & LAC_PRIMITIVE_POLY;
-            // AND gates: a masked by b's serialized bit (b₈ first).
-            let bit = u32::from((b >> (M - 1 - cycle)) & 1);
-            c ^= bit.wrapping_neg() & u32::from(a);
-        }
         meter.charge_cycles(u64::from(M));
         self.stats.record(u64::from(M));
-        debug_assert!(c < 512);
-        c as u16
+        mul_shift_add(M, LAC_PRIMITIVE_POLY, a, b)
     }
 }
 

@@ -1,18 +1,20 @@
 //! Seed expansion and sampling: `GenA` and the fixed-weight ternary
 //! distribution.
 //!
-//! Both samplers draw their randomness from SHA-256 in counter mode
-//! **through the backend**, so the software profile charges the metered
-//! software compression function while the accelerated profile charges the
-//! SHA256 unit's byte-wise I/O protocol. Per-byte/per-draw glue (rejection
-//! test, swap, store) is charged directly here — it is the part the paper
-//! does *not* accelerate, which is why `GenA` and `Sample poly` improve far
-//! less than the multiplication in Table II.
+//! Both samplers draw their randomness from `lac_sha256::Expander`'s
+//! counter-mode stream with each block hashed **through the backend**, so
+//! the software profile charges the metered software compression function
+//! while the accelerated profiles charge their hash unit's byte-wise I/O
+//! protocol. Per-byte/per-draw glue (rejection test, swap, store) is
+//! charged directly here — it is the part the paper does *not* accelerate,
+//! which is why `GenA` and `Sample poly` improve far less than the
+//! multiplication in Table II.
 
 use crate::backend::Backend;
 use crate::SEED_BYTES;
 use lac_meter::{Meter, Op, Phase};
 use lac_ring::{Poly, TernaryPoly, Q};
+use lac_sha256::Expander;
 
 /// Which fixed-weight sampler the scheme uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,48 +45,25 @@ pub(crate) fn sample_ternary_with<B: Backend + ?Sized>(
     }
 }
 
-/// Counter-mode byte stream over `backend.hash(seed ‖ domain ‖ counter)`.
-pub(crate) struct BackendStream<'a, B: Backend + ?Sized> {
-    backend: &'a mut B,
-    seed: [u8; SEED_BYTES],
-    domain: u8,
-    counter: u32,
-    buf: [u8; 32],
-    used: usize,
+/// Next byte of `stream`, each block hashed by `backend` — so the
+/// accelerated profiles charge their hash unit.
+fn next_byte<B: Backend + ?Sized>(
+    stream: &mut Expander,
+    backend: &mut B,
+    meter: &mut dyn Meter,
+) -> u8 {
+    stream.next_byte_with(|block| backend.hash(block, meter))
 }
 
-impl<'a, B: Backend + ?Sized> BackendStream<'a, B> {
-    pub(crate) fn new(backend: &'a mut B, seed: &[u8; SEED_BYTES], domain: u8) -> Self {
-        Self {
-            backend,
-            seed: *seed,
-            domain,
-            counter: 0,
-            buf: [0u8; 32],
-            used: 32,
-        }
-    }
-
-    pub(crate) fn next_byte(&mut self, meter: &mut dyn Meter) -> u8 {
-        if self.used == 32 {
-            let mut input = [0u8; SEED_BYTES + 5];
-            input[..SEED_BYTES].copy_from_slice(&self.seed);
-            input[SEED_BYTES] = self.domain;
-            input[SEED_BYTES + 1..].copy_from_slice(&self.counter.to_le_bytes());
-            self.buf = self.backend.hash(&input, meter);
-            self.counter += 1;
-            self.used = 0;
-        }
-        let b = self.buf[self.used];
-        self.used += 1;
-        b
-    }
-
-    pub(crate) fn next_u16(&mut self, meter: &mut dyn Meter) -> u16 {
-        let lo = self.next_byte(meter);
-        let hi = self.next_byte(meter);
-        u16::from_le_bytes([lo, hi])
-    }
+/// Two bytes of `stream`, little-endian (see [`next_byte`]).
+fn next_u16<B: Backend + ?Sized>(
+    stream: &mut Expander,
+    backend: &mut B,
+    meter: &mut dyn Meter,
+) -> u16 {
+    let lo = next_byte(stream, backend, meter);
+    let hi = next_byte(stream, backend, meter);
+    u16::from_le_bytes([lo, hi])
 }
 
 /// `GenA`: expand a seed into the public polynomial `a` with coefficients
@@ -98,10 +77,10 @@ pub(crate) fn gen_a<B: Backend + ?Sized>(
     meter: &mut dyn Meter,
 ) -> Poly {
     meter.enter(Phase::GenA);
-    let mut stream = BackendStream::new(backend, seed, 0x41);
+    let mut stream = Expander::new(seed, 0x41);
     let mut coeffs = Vec::with_capacity(n);
     while coeffs.len() < n {
-        let b = stream.next_byte(meter);
+        let b = next_byte(&mut stream, backend, meter);
         // Per-byte modelling glue: load from the PRG buffer, compare against
         // q, branch, store on acceptance.
         meter.charge(Op::Load, 1);
@@ -139,11 +118,11 @@ pub(crate) fn sample_ternary<B: Backend + ?Sized>(
 ) -> TernaryPoly {
     assert!(weight % 2 == 0 && weight <= n, "invalid fixed weight");
     meter.enter(Phase::SamplePoly);
-    let mut stream = BackendStream::new(backend, seed, domain);
+    let mut stream = Expander::new(seed, domain);
     let mut coeffs = vec![0i8; n];
     let mut placed = 0usize;
     while placed < weight {
-        let r = stream.next_u16(meter);
+        let r = next_u16(&mut stream, backend, meter);
         // Multiply-shift range reduction onto [0, n).
         let pos = ((u32::from(r) * n as u32) >> 16) as usize;
         // Per-draw glue: range reduction, occupancy check, store.
@@ -191,14 +170,15 @@ pub(crate) fn sample_ternary_ct<B: Backend + ?Sized>(
     assert!(weight % 2 == 0 && weight <= n, "invalid fixed weight");
     assert!(n.is_power_of_two(), "n must be a power of two");
     meter.enter(Phase::SamplePoly);
-    let mut stream = BackendStream::new(backend, seed, domain);
+    let mut stream = Expander::new(seed, domain);
 
     // Element = random 30-bit key in the high bits, 2-bit tag in the low
     // bits (01 = +1, 10 = −1, 00 = zero). Sorting by the full word sorts by
     // the random key; the tag rides along.
     let mut elements: Vec<u32> = Vec::with_capacity(n);
     for i in 0..n {
-        let key = u32::from(stream.next_u16(meter)) << 16 | u32::from(stream.next_u16(meter));
+        let key = u32::from(next_u16(&mut stream, backend, meter)) << 16
+            | u32::from(next_u16(&mut stream, backend, meter));
         let tag: u32 = if i < weight / 2 {
             0b01
         } else if i < weight {

@@ -96,12 +96,6 @@ impl Sha256CtrRng {
         Self::from_seed(os_entropy_seed())
     }
 
-    /// Number of SHA-256 compressions performed so far (cost visibility,
-    /// mirroring `Expander::blocks_hashed`).
-    pub fn blocks_hashed(&self) -> u64 {
-        self.expander.blocks_hashed()
-    }
-
     /// Derive an independent child DRBG for lane `index`.
     ///
     /// The child seed is `SHA-256(tag ‖ root_seed ‖ LE64(index))`, so forking
@@ -144,9 +138,8 @@ impl Rng for Sha256CtrRng {
 ///
 /// Absorbs a tagged seed into a SHAKE128 sponge and squeezes the output
 /// stream incrementally. This is the RNG matching the paper's future-work
-/// direction (replacing the SHA256 unit with a Keccak unit); the
-/// `newhope` baseline and the `ablation_keccak` harness use it so their
-/// randomness flows through the same primitive family they model.
+/// direction (replacing the SHA256 unit with a Keccak unit). The CLI's
+/// `--rng shake128` selects it; nothing else in the workspace does.
 ///
 /// # Example
 ///

@@ -64,17 +64,13 @@ pub enum Trap {
         /// Raw instruction bits.
         word: u32,
     },
-    /// A data access fell outside RAM.
+    /// An access fell outside RAM: a data access, or an instruction fetch
+    /// (then `addr` is the fetch PC).
     MemoryFault {
         /// Faulting PC.
         pc: u32,
-        /// Faulting data address.
+        /// Faulting address.
         addr: u32,
-    },
-    /// Instruction fetch fell outside RAM.
-    FetchFault {
-        /// Faulting PC.
-        pc: u32,
     },
     /// `ebreak` executed.
     Breakpoint {
@@ -94,7 +90,6 @@ impl fmt::Display for Trap {
             Trap::MemoryFault { pc, addr } => {
                 write!(f, "memory fault at address {addr:#010x} (pc {pc:#010x})")
             }
-            Trap::FetchFault { pc } => write!(f, "fetch fault at {pc:#010x}"),
             Trap::Breakpoint { pc } => write!(f, "breakpoint at {pc:#010x}"),
             Trap::OutOfFuel => write!(f, "instruction budget exhausted"),
         }
@@ -465,20 +460,12 @@ impl Cpu {
     /// Returns a [`Trap`] on decode/memory faults or `ebreak`.
     pub fn step(&mut self) -> Result<bool, Trap> {
         let pc = self.pc;
-        let half = self.load(pc, pc, 2)? as u16;
-        let (word, len) = if half & 0x3 == 0x3 {
-            (self.load(pc, pc, 4)?, 4)
-        } else {
-            let full =
-                decompress(half).map_err(|e| Trap::IllegalInstruction { pc, word: e.word })?;
-            (full, 2)
-        };
-        let inst = decode(word).map_err(|e| Trap::IllegalInstruction { pc, word: e.word })?;
+        let (inst, word, len) = fetch(&self.ram, pc)?;
         let mut flight = Flight {
             cycles: self.cycles + u64::from(timing::BASE),
             instructions: self.instructions + 1,
         };
-        let outcome = self.execute(pc, word, inst, len, &mut flight);
+        let outcome = self.execute(pc, word, inst, u32::from(len), &mut flight);
         self.cycles = flight.cycles;
         self.instructions = flight.instructions;
         match outcome? {
@@ -861,15 +848,7 @@ impl Cpu {
                 fuel -= 1;
                 let mut slot = self.cache.slot_at(pc);
                 if let Slot::Empty = slot {
-                    slot = match self.cache.fill(&self.ram, pc) {
-                        Some(slot) => slot,
-                        // Beyond RAM entirely: the slow path's 2-byte
-                        // fetch faults.
-                        None => {
-                            sync!();
-                            return Err(Trap::MemoryFault { pc, addr: pc });
-                        }
-                    };
+                    slot = self.cache.fill(&self.ram, pc);
                 }
                 match slot {
                     Slot::Inst { inst, word, len } => {
@@ -1321,6 +1300,29 @@ impl Cpu {
             instructions: self.instructions,
         }
     }
+}
+
+/// Fetch the instruction at `pc` from `ram`: the decoded form, the raw
+/// (decompressed) 32-bit word and the length in bytes (2 or 4), or the
+/// trap the core raises — a `MemoryFault` at `pc` when the halfword, or a
+/// 32-bit encoding's tail, runs off RAM, and an `IllegalInstruction` when
+/// decompression or decode fails. The one place an instruction is read
+/// from RAM: [`Cpu::step`] fetches through it on every instruction, and
+/// the predecode fill caches its result, trap included, per halfword slot.
+#[inline]
+pub(crate) fn fetch(ram: &[u8], pc: u32) -> Result<(Inst, u32, u8), Trap> {
+    let halfword = |a: usize| ram.get(a..a + 2).map(|b| u16::from_le_bytes([b[0], b[1]]));
+    let fault = Trap::MemoryFault { pc, addr: pc };
+    let half = halfword(pc as usize).ok_or(fault)?;
+    let (word, len) = if half & 0x3 == 0x3 {
+        let tail = halfword(pc as usize + 2).ok_or(fault)?;
+        (u32::from(tail) << 16 | u32::from(half), 4)
+    } else {
+        let word = decompress(half).map_err(|e| Trap::IllegalInstruction { pc, word: e.word })?;
+        (word, 2)
+    };
+    let inst = decode(word).map_err(|e| Trap::IllegalInstruction { pc, word: e.word })?;
+    Ok((inst, word, len))
 }
 
 /// The branch comparison, shared by the execute core and the fused

@@ -20,9 +20,12 @@
 //!   overlap; decoding each 2-byte offset independently sidesteps all
 //!   alignment questions. A 32-bit instruction whose bytes straddle a line
 //!   boundary is cached in the line containing its *first* byte.
-//! * **Decode errors are cached, not raised.** Predecoding a line may run
-//!   the decoder over data or padding that never executes. Such slots
-//!   store the exact [`Trap`] the slow path would raise — the trap fires
+//! * **One fetch, decode errors cached, not raised.** A line fill runs
+//!   the core's one instruction fetch (the function
+//!   [`crate::cpu::Cpu::step`] calls) at every halfword of the line, so
+//!   each slot holds exactly what the slow path would fetch there.
+//!   Predecoding a line may run the decoder over data or padding that
+//!   never executes; such slots store the fetch's [`Trap`], which fires
 //!   only if the PC actually reaches the slot.
 //! * **Stores invalidate.** A store to byte `a` can rewrite any
 //!   instruction starting in `[a - 3, a + size)` (a 32-bit instruction
@@ -32,8 +35,8 @@
 //!   path. Host-side writes ([`crate::cpu::Cpu::write_bytes`] /
 //!   [`crate::cpu::Cpu::load_words`]) invalidate the same way.
 
-use crate::cpu::Trap;
-use crate::inst::{decode, decompress, Inst};
+use crate::cpu::{fetch, Trap};
+use crate::inst::Inst;
 
 /// Bytes of code covered by one predecode line.
 pub const LINE_BYTES: u32 = 256;
@@ -116,9 +119,9 @@ impl PredecodeCache {
 
     /// Read-only hot-path probe: the slot for `pc` (which must be even).
     /// Returns [`Slot::Empty`] both for undecoded lines and for PCs beyond
-    /// RAM coverage — the caller resolves the distinction via
-    /// [`PredecodeCache::fill`]. Deliberately takes no RAM reference so
-    /// the dispatch loop touches nothing but the slot table on a hit.
+    /// RAM coverage — [`PredecodeCache::fill`] resolves either.
+    /// Deliberately takes no RAM reference so the dispatch loop touches
+    /// nothing but the slot table on a hit.
     #[inline]
     pub fn slot_at(&self, pc: u32) -> Slot {
         debug_assert_eq!(pc & 1, 0, "predecode slots are halfword-aligned");
@@ -129,35 +132,34 @@ impl PredecodeCache {
     }
 
     /// Look up the slot for `pc` (which must be even), predecoding the
-    /// containing line on a miss. Returns `None` when `pc` is beyond the
-    /// cache's RAM coverage (the caller raises the fetch fault). Never
-    /// returns [`Slot::Empty`].
+    /// containing line on a miss. Never returns [`Slot::Empty`].
     #[inline]
-    pub fn lookup(&mut self, ram: &[u8], pc: u32) -> Option<Slot> {
+    pub fn lookup(&mut self, ram: &[u8], pc: u32) -> Slot {
         match self.slot_at(pc) {
             Slot::Empty => self.fill(ram, pc),
-            slot => Some(slot),
+            slot => slot,
         }
     }
 
-    /// Decode the line covering `pc` into the table (or report
-    /// out-of-coverage as `None`). Kept out of line so hit paths stay tiny.
+    /// Decode the line covering `pc` into the table and return `pc`'s
+    /// slot. A `pc` beyond RAM coverage caches nothing and gets the fetch
+    /// fault. Kept out of line so hit paths stay tiny.
     #[cold]
-    pub fn fill(&mut self, ram: &[u8], pc: u32) -> Option<Slot> {
+    pub fn fill(&mut self, ram: &[u8], pc: u32) -> Slot {
         let line_index = (pc >> LINE_SHIFT) as usize;
         if line_index >= self.line_count {
-            return None;
+            return fetch_slot(ram, pc);
         }
         let base = line_index * SLOTS_PER_LINE;
         let pc_base = (line_index as u32) << LINE_SHIFT;
         for i in 0..SLOTS_PER_LINE {
-            self.slots[base + i] = predecode_slot(ram, pc_base + 2 * i as u32);
+            self.slots[base + i] = fetch_slot(ram, pc_base + 2 * i as u32);
         }
         self.filled[line_index >> 6] |= 1 << (line_index & 63);
         self.fills += 1;
         self.filled_lo = self.filled_lo.min(line_index);
         self.filled_hi = self.filled_hi.max(line_index);
-        Some(self.slots[(pc >> 1) as usize])
+        self.slots[(pc >> 1) as usize]
     }
 
     /// Drop every line that could cache an instruction overlapping the
@@ -320,33 +322,11 @@ impl PredecodeImage {
     }
 }
 
-/// Decode the single slot at `pc`. Mirrors [`crate::cpu::Cpu::step`]'s
-/// fetch sequence exactly, including the trap values it would produce.
-fn predecode_slot(ram: &[u8], pc: u32) -> Slot {
-    let a = pc as usize;
-    if a + 2 > ram.len() {
-        return Slot::Trap(Trap::MemoryFault { pc, addr: pc });
-    }
-    let half = u16::from_le_bytes([ram[a], ram[a + 1]]);
-    let (word, len) = if half & 0x3 == 0x3 {
-        if a + 4 > ram.len() {
-            return Slot::Trap(Trap::MemoryFault { pc, addr: pc });
-        }
-        (
-            u32::from_le_bytes([ram[a], ram[a + 1], ram[a + 2], ram[a + 3]]),
-            4u8,
-        )
-    } else {
-        match decompress(half) {
-            Ok(word) => (word, 2u8),
-            Err(e) => {
-                return Slot::Trap(Trap::IllegalInstruction { pc, word: e.word });
-            }
-        }
-    };
-    match decode(word) {
-        Ok(inst) => Slot::Inst { inst, word, len },
-        Err(e) => Slot::Trap(Trap::IllegalInstruction { pc, word: e.word }),
+/// The slot for `pc`: what [`fetch`] reads there, its trap included.
+fn fetch_slot(ram: &[u8], pc: u32) -> Slot {
+    match fetch(ram, pc) {
+        Ok((inst, word, len)) => Slot::Inst { inst, word, len },
+        Err(trap) => Slot::Trap(trap),
     }
 }
 
@@ -367,11 +347,8 @@ mod tests {
         // addi x1, x0, 5 encodes as 0x00500093.
         let ram = ram_with(&[0x0050_0093]);
         let mut cache = PredecodeCache::new(ram.len());
-        assert!(matches!(
-            cache.lookup(&ram, 0),
-            Some(Slot::Inst { len: 4, .. })
-        ));
-        assert!(matches!(cache.lookup(&ram, 0), Some(Slot::Inst { .. })));
+        assert!(matches!(cache.lookup(&ram, 0), Slot::Inst { len: 4, .. }));
+        assert!(matches!(cache.lookup(&ram, 0), Slot::Inst { .. }));
         assert_eq!(cache.stats().0, 1, "second lookup hits the cached line");
     }
 
@@ -380,7 +357,7 @@ mod tests {
         let ram = ram_with(&[0xffff_ffff]);
         let mut cache = PredecodeCache::new(ram.len());
         match cache.lookup(&ram, 0) {
-            Some(Slot::Trap(Trap::IllegalInstruction { pc: 0, word })) => {
+            Slot::Trap(Trap::IllegalInstruction { pc: 0, word }) => {
                 assert_eq!(word, 0xffff_ffff);
             }
             other => panic!("{other:?}"),
@@ -388,10 +365,15 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_pc_is_none() {
+    fn out_of_range_pc_faults_and_caches_nothing() {
         let ram = ram_with(&[]);
         let mut cache = PredecodeCache::new(ram.len());
-        assert!(cache.lookup(&ram, 1 << 20).is_none());
+        let pc = 1 << 20;
+        match cache.lookup(&ram, pc) {
+            Slot::Trap(trap) => assert_eq!(trap, Trap::MemoryFault { pc, addr: pc }),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(cache.lines_filled(), 0);
     }
 
     #[test]
@@ -462,7 +444,7 @@ mod tests {
         ram2[a] = 0x03; // low bits 11 → 32-bit encoding, but only 2 bytes left
         ram2[a + 1] = 0x00;
         match cache.lookup(&ram2, last) {
-            Some(Slot::Trap(Trap::MemoryFault { pc, addr })) => {
+            Slot::Trap(Trap::MemoryFault { pc, addr }) => {
                 assert_eq!((pc, addr), (last, last));
             }
             other => panic!("{other:?}"),

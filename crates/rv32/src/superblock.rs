@@ -725,11 +725,7 @@ pub fn compile(cache: &mut PredecodeCache, ram: &[u8], anchor: u32) -> Option<Ca
     let mut term: Option<Raw> = None;
     let mut pc = anchor;
     while raws.len() < MAX_OPS {
-        let slot = match cache.lookup(ram, pc) {
-            Some(slot) => slot,
-            None => break, // beyond RAM: fall through, the fetch will fault
-        };
-        match slot {
+        match cache.lookup(ram, pc) {
             Slot::Trap(_) => break, // raised only if the PC gets here
             Slot::Empty => unreachable!("lookup never returns Empty"),
             Slot::Inst { inst, word, len } => {

@@ -1,14 +1,21 @@
 //! Counter-mode seed expansion.
 //!
 //! LAC expands 32-byte seeds into arbitrarily long pseudo-random byte
-//! streams by hashing `seed ‖ domain ‖ counter` with SHA-256 and
-//! concatenating the digests — this is the "repetitively uses a SHA256
-//! accelerator" pattern of the paper's `GenA` and `Sample poly` bottlenecks.
+//! streams by hashing `seed ‖ domain ‖ counter` and concatenating the
+//! digests — this is the "repetitively uses a SHA256 accelerator" pattern
+//! of the paper's `GenA` and `Sample poly` bottlenecks. [`Expander`] is
+//! the one home of that stream: the DRBG and the session keystream read it
+//! through SHA-256, and LAC's `GenA` and samplers through their backend's
+//! hash, so the accelerated profiles charge their hash unit per block.
 
-use crate::Sha256;
-use lac_meter::{Meter, NullMeter};
+use crate::sha256;
 
-/// Deterministic byte stream derived from a seed via SHA-256 in counter mode.
+/// Bytes of one hashed block: a 32-byte seed, the domain byte and the
+/// 4-byte little-endian counter.
+const BLOCK_BYTES: usize = 32 + 1 + 4;
+
+/// Deterministic byte stream derived from a seed by hashing
+/// `seed ‖ domain ‖ counter` in counter mode.
 ///
 /// # Example
 ///
@@ -32,7 +39,6 @@ pub struct Expander {
     counter: u32,
     buffer: [u8; 32],
     used: usize,
-    blocks_hashed: u64,
 }
 
 impl Expander {
@@ -44,77 +50,44 @@ impl Expander {
             counter: 0,
             buffer: [0u8; 32],
             used: 32, // force refill on first read
-            blocks_hashed: 0,
         }
     }
 
-    /// Number of SHA-256 invocations performed so far (each hashes one
-    /// 37-byte input, i.e. one 64-byte compression block plus padding).
-    pub fn blocks_hashed(&self) -> u64 {
-        self.blocks_hashed
-    }
-
-    fn refill<M: Meter>(&mut self, meter: &mut M) {
-        let mut h = Sha256::new();
-        h.update_metered(&self.seed, meter);
-        h.update_metered(&[self.domain], meter);
-        h.update_metered(&self.counter.to_le_bytes(), meter);
-        self.buffer = h.finalize_metered(meter);
-        self.counter = self
-            .counter
-            .checked_add(1)
-            .expect("expander counter overflow");
-        self.used = 0;
-        self.blocks_hashed += 1;
-    }
-
-    /// Next pseudo-random byte.
-    pub fn next_byte(&mut self) -> u8 {
-        self.next_byte_metered(&mut NullMeter)
-    }
-
-    /// Next pseudo-random byte, charging hash costs to `meter`.
-    pub fn next_byte_metered<M: Meter>(&mut self, meter: &mut M) -> u8 {
+    /// Next pseudo-random byte, hashing each new block with the caller's
+    /// `hash` (LAC passes its backend's, so a hash unit's model or the
+    /// metered software compression is charged per block).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the 32-bit block counter would wrap.
+    #[inline]
+    pub fn next_byte_with(&mut self, hash: impl FnOnce(&[u8]) -> [u8; 32]) -> u8 {
         if self.used == 32 {
-            self.refill(meter);
+            let mut block = [0u8; BLOCK_BYTES];
+            block[..32].copy_from_slice(&self.seed);
+            block[32] = self.domain;
+            block[33..].copy_from_slice(&self.counter.to_le_bytes());
+            self.buffer = hash(&block);
+            self.counter = self
+                .counter
+                .checked_add(1)
+                .expect("expander counter overflow");
+            self.used = 0;
         }
         let b = self.buffer[self.used];
         self.used += 1;
         b
     }
 
+    /// Next pseudo-random byte.
+    pub fn next_byte(&mut self) -> u8 {
+        self.next_byte_with(sha256)
+    }
+
     /// Fill `out` with pseudo-random bytes.
     pub fn fill(&mut self, out: &mut [u8]) {
-        self.fill_metered(out, &mut NullMeter);
-    }
-
-    /// Fill `out`, charging hash costs to `meter`.
-    pub fn fill_metered<M: Meter>(&mut self, out: &mut [u8], meter: &mut M) {
         for b in out.iter_mut() {
-            *b = self.next_byte_metered(meter);
-        }
-    }
-
-    /// Next value uniform in `[0, bound)` by rejection sampling on bytes.
-    ///
-    /// Used with `bound = q = 251` for `GenA`: bytes ≥ 251 are rejected, so
-    /// acceptance probability is 251/256 per byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0` or `bound > 256`.
-    pub fn next_below(&mut self, bound: u16) -> u8 {
-        self.next_below_metered(bound, &mut NullMeter)
-    }
-
-    /// Metered variant of [`Expander::next_below`].
-    pub fn next_below_metered<M: Meter>(&mut self, bound: u16, meter: &mut M) -> u8 {
-        assert!(bound > 0 && bound <= 256, "bound must be in 1..=256");
-        loop {
-            let b = self.next_byte_metered(meter);
-            if u16::from(b) < bound {
-                return b;
-            }
+            *b = self.next_byte();
         }
     }
 }
@@ -122,6 +95,7 @@ impl Expander {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256_metered;
     use lac_meter::CycleLedger;
 
     #[test]
@@ -173,55 +147,37 @@ mod tests {
     }
 
     #[test]
-    fn next_below_respects_bound() {
-        let mut e = Expander::new(&[7u8; 32], 2);
-        for _ in 0..2000 {
-            assert!(e.next_below(251) < 251);
+    fn blocks_are_seed_domain_counter_hashed_once_each() {
+        let seed = [5u8; 32];
+        let mut blocks = Vec::new();
+        let mut e = Expander::new(&seed, 7);
+        let streamed: Vec<u8> = (0..65)
+            .map(|_| {
+                e.next_byte_with(|block| {
+                    blocks.push(block.to_vec());
+                    sha256(block)
+                })
+            })
+            .collect();
+        // 65 bytes need ceil(65/32) = 3 digests, of counters 0, 1, 2.
+        assert_eq!(blocks.len(), 3);
+        for (counter, block) in blocks.iter().enumerate() {
+            assert_eq!(block[..32], seed);
+            assert_eq!(block[32], 7);
+            assert_eq!(block[33..], (counter as u32).to_le_bytes());
         }
-    }
-
-    #[test]
-    fn next_below_is_roughly_uniform() {
-        // Chi-squared-lite: every residue class mod 8 of outputs below 248
-        // should appear with frequency within a loose band.
-        let mut e = Expander::new(&[13u8; 32], 2);
-        let mut buckets = [0u32; 8];
-        let samples = 16_000;
-        for _ in 0..samples {
-            let v = e.next_below(248);
-            buckets[(v % 8) as usize] += 1;
-        }
-        for (i, count) in buckets.iter().enumerate() {
-            let expected = samples / 8;
-            assert!(
-                (*count as i64 - expected as i64).unsigned_abs() < expected as u64 / 4,
-                "bucket {i}: {count}"
-            );
-        }
-    }
-
-    #[test]
-    fn blocks_hashed_counts_refills() {
-        let mut e = Expander::new(&[0u8; 32], 0);
-        let mut buf = [0u8; 65];
-        e.fill(&mut buf);
-        // 65 bytes need ceil(65/32) = 3 digests.
-        assert_eq!(e.blocks_hashed(), 3);
+        let mut filled = [0u8; 65];
+        Expander::new(&seed, 7).fill(&mut filled);
+        assert_eq!(streamed, filled);
     }
 
     #[test]
     fn metering_charges_hash_work() {
         let mut ledger = CycleLedger::new();
         let mut e = Expander::new(&[0u8; 32], 0);
-        let mut buf = [0u8; 256];
-        e.fill_metered(&mut buf, &mut ledger);
+        for _ in 0..256 {
+            e.next_byte_with(|block| sha256_metered(block, &mut ledger));
+        }
         assert!(ledger.total() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bound must be in 1..=256")]
-    fn next_below_rejects_zero_bound() {
-        let mut e = Expander::new(&[0u8; 32], 0);
-        e.next_below(0);
     }
 }

@@ -1,14 +1,14 @@
 #!/bin/sh
 # Bench regression gate: re-run the table benches and compare every
-# numeric field against the checked-in baselines/ JSON.
+# numeric field against the checked-in baselines/ JSON, exactly.
 #
-#   scripts/bench_compare.sh            # 2% tolerance on cycle tables
+#   scripts/bench_compare.sh
 #
-# The cycle model is deterministic, so drift only appears when code
-# changes the model; the tolerance exists so that small intentional
-# recalibrations do not force a baseline refresh, while real regressions
-# (>2%) fail loudly. Table III is synthesis constants and must match
-# exactly. Refresh baselines on purposeful changes with:
+# The cycle model is deterministic, so a table moves only when code
+# changes the model, and a refactor must move none of it. Any difference
+# in any cell of Table I, II or III fails. A deliberate model change
+# refreshes baselines/ in the same change and records each moved cell
+# (old -> new, and why) in CHANGES.md. Refresh with:
 #
 #   for t in table1 table2 table3; do \
 #     ./target/release/$t --json > baselines/$t.json; done
@@ -18,7 +18,6 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-TOL=2
 STATUS=0
 
 # Flatten machine-generated JSON to "key value" lines, one per numeric
@@ -61,7 +60,6 @@ check_json() {
 
 compare() {
     bin="$1"
-    tol="$2"
     table_ok=1
     baseline="baselines/$bin.json"
     if ! check_json "$baseline"; then
@@ -79,7 +77,7 @@ compare() {
         STATUS=1
         table_ok=0
     else
-        if ! paste "$base_flat" "$cur_flat" | awk -v tol="$tol" -v bin="$bin" '
+        if ! paste "$base_flat" "$cur_flat" | awk -v bin="$bin" '
             {
                 bk = $1; bv = $2; ck = $3; cv = $4
                 if (bk != ck) {
@@ -87,11 +85,10 @@ compare() {
                     fail = 1
                     exit 1
                 }
-                if (bv == 0) { drift = (cv == 0) ? 0 : 100 }
-                else { drift = (cv - bv) / bv * 100 }
-                if (drift < 0) drift = -drift
-                if (drift > tol) {
-                    printf "bench-compare: %s regression in \"%s\": %s -> %s (%.2f%% > %s%%)\n", bin, bk, bv, cv, drift, tol
+                # Compared as text: the model is deterministic, so any
+                # difference, even in the last printed digit, is a change.
+                if (bv "" != cv "") {
+                    printf "bench-compare: %s changed \"%s\" (field %d): %s -> %s\n", bin, bk, NR, bv, cv
                     fail = 1
                 }
             }
@@ -103,14 +100,14 @@ compare() {
     fi
     rm -f "$current" "$base_flat" "$cur_flat"
     if [ "$table_ok" = 1 ]; then
-        echo "bench-compare: $bin OK (tolerance ${tol}%)"
+        echo "bench-compare: $bin OK (exact)"
     fi
     return 0
 }
 
-compare table1 "$TOL"
-compare table2 "$TOL"
-compare table3 0
+compare table1
+compare table2
+compare table3
 
 # ISS throughput floor: the superblock interpreter's wall-clock MIPS
 # (iss_bench's "mips_fast") must stay above the recorded floor. This is a
@@ -143,4 +140,4 @@ if [ "$STATUS" != 0 ]; then
     echo "bench-compare: FAILED" >&2
     exit 1
 fi
-echo "bench-compare: all tables within tolerance"
+echo "bench-compare: all tables match baselines/ exactly"

@@ -1,12 +1,13 @@
 //! Integration checks on the paper-facing claims of the cycle model: the
 //! orderings and factors that Tables I and II assert must hold in the
 //! reproduction (exact constants live in EXPERIMENTS.md; here we pin the
-//! *shape* so refactoring cannot silently destroy it).
+//! *shape* so refactoring cannot silently destroy it), plus one fixture
+//! that pins every charge by phase and by op.
 
-use lac::{AcceleratedBackend, Backend, Kem, Params, SoftwareBackend};
+use lac::{AcceleratedBackend, Backend, BackendKind, Kem, Params, SamplerKind, SoftwareBackend};
 use lac_bch::BchCode;
-use lac_meter::{CycleLedger, NullMeter, Phase};
-use lac_rand::Sha256CtrRng;
+use lac_meter::{CycleLedger, NullMeter, Op, Phase};
+use lac_rand::{Rng, Sha256CtrRng};
 
 fn decaps_cycles(params: Params, backend: &mut dyn Backend) -> CycleLedger {
     let kem = Kem::new(params);
@@ -262,4 +263,87 @@ fn ct_sampler_roundtrips_and_costs_more() {
     let (pk3, _) = hardened.keygen(&mut rng, &mut backend, &mut hard);
     assert!(hard.phase_total(Phase::SamplePoly) > 2 * plain.phase_total(Phase::SamplePoly));
     let _ = (pk2, pk3);
+}
+
+/// One ledger as a canonical line: the total, all 12 phase totals and
+/// all 9 op counts.
+fn render_ledger(text: &mut String, label: &str, ledger: &CycleLedger) {
+    let phases = Phase::ALL.map(|phase| format!("; {phase} {}", ledger.phase_total(phase)));
+    let ops = Op::ALL.map(|op| format!("; {} {}", op.name(), ledger.op_count(op)));
+    let total = ledger.total();
+    *text += &format!(
+        "{label}: total {total}{}{}\n",
+        phases.concat(),
+        ops.concat()
+    );
+}
+
+#[test]
+fn every_charge_is_pinned_by_phase_and_op() {
+    // `baselines/` pins totals and Table II's four columns; this pins the
+    // rest of each ledger: every phase (glue, hash, serialize and compare
+    // included) and every per-op count, for keygen, encaps and decaps on
+    // each parameter set × sampler × backend and for each BCH decoder on
+    // both codes at 0, 1, t/2, t and t+1 errors. A refactor that moves a charge site
+    // must keep the digest; a deliberate model change replaces it and
+    // records the moved cells.
+    const PINNED: &str = "1520153f4fc453cd51d321b5a0bd9bae369b471ef10b758a788e2052dd63a036";
+    let mut text = String::new();
+    for params in Params::ALL {
+        for sampler in [SamplerKind::Rejection, SamplerKind::ConstantTime] {
+            let kem = Kem::with_sampler(params, sampler);
+            for kind in BackendKind::ALL {
+                let backend = &mut *kind.build();
+                let mut rng = Sha256CtrRng::seed_from_u64(21);
+                let mut ledgers = [CycleLedger::new(), CycleLedger::new(), CycleLedger::new()];
+                let (pk, sk) = kem.keygen(&mut rng, backend, &mut ledgers[0]);
+                let (ct, _) = kem.encapsulate(&mut rng, &pk, backend, &mut ledgers[1]);
+                kem.decapsulate(&sk, &ct, backend, &mut ledgers[2]);
+                for (op, ledger) in ["keygen", "encaps", "decaps"].iter().zip(&ledgers) {
+                    let label = format!("{} {sampler:?} {} {op}", params.name(), kind.name());
+                    render_ledger(&mut text, &label, ledger);
+                }
+            }
+        }
+    }
+    for code in [BchCode::lac_t8(), BchCode::lac_t16()] {
+        let t = code.t();
+        for errors in [0, 1, t / 2, t, t + 1] {
+            let mut rng = Sha256CtrRng::seed_from_u64((t * 100 + errors) as u64);
+            let mut msg = [0u8; 32];
+            rng.fill_bytes(&mut msg);
+            let mut cw = code.encode(&msg, &mut NullMeter);
+            let mut flipped = Vec::new();
+            while flipped.len() < errors {
+                let p = rng.gen_below_usize(cw.len());
+                if !flipped.contains(&p) {
+                    flipped.push(p);
+                    cw[p] ^= 1;
+                }
+            }
+            for decoder in ["vt", "ct", "chien-unit"] {
+                let mut ledger = CycleLedger::new();
+                let out = match decoder {
+                    "vt" => code.decode_variable_time(&cw, &mut ledger),
+                    "ct" => code.decode_constant_time(&cw, &mut ledger),
+                    _ => lac_hw::ChienUnit::new().decode(&code, &cw, &mut ledger),
+                };
+                let label = format!(
+                    "t={t} errors={errors} {decoder} (degree {}, located {}, message ok {})",
+                    out.locator_degree,
+                    out.errors_located,
+                    out.message == msg
+                );
+                render_ledger(&mut text, &label, &ledger);
+            }
+        }
+    }
+    let digest: String = lac_sha256::sha256(text.as_bytes())
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(
+        digest, PINNED,
+        "charges moved; the ledgers now read:\n{text}"
+    );
 }

@@ -172,11 +172,20 @@ fn fuel_exhaustion_accounting_is_identical() {
 #[test]
 fn zeroed_ram_and_out_of_range_fetch_trap_identically() {
     // Walking zeroed RAM hits an illegal compressed instruction (0x0000);
-    // a PC at/after the end of RAM hits the cache's out-of-range fill.
-    // All engines must produce the same trap with the same accounting.
-    for start_pc in [0u32, 4094, 4096, 8192] {
+    // a PC at/after the end of RAM hits the cache's out-of-range fill; a
+    // 32-bit encoding (low bits 11) in RAM's last halfword runs its tail
+    // off RAM. All engines must produce the same trap with the same
+    // accounting.
+    for (start_pc, last_half) in [
+        (0u32, 0u16),
+        (4094, 0),
+        (4096, 0),
+        (8192, 0),
+        (4094, 0x0003),
+    ] {
         let run = |engine: Engine| {
             let mut cpu = Cpu::new(4096);
+            cpu.write_bytes(4094, &last_half.to_le_bytes());
             cpu.set_engine(engine);
             cpu.set_pc(start_pc);
             let outcome = cpu.run(1_000_000);
@@ -184,6 +193,13 @@ fn zeroed_ram_and_out_of_range_fetch_trap_identically() {
             (outcome, cpu.cycles(), cpu.instructions(), cpu.pc())
         };
         let oracle = run(Engine::Classic);
+        if last_half == 0x0003 {
+            let fault = Trap::MemoryFault {
+                pc: 4094,
+                addr: 4094,
+            };
+            assert_eq!(oracle.0, Err(fault), "tail past the end of RAM");
+        }
         for engine in FAST_ENGINES {
             assert_eq!(oracle, run(engine), "pc {start_pc} ({engine:?})");
         }
