@@ -253,7 +253,7 @@ mod tests {
         let out = code.decode_constant_time(&cw, &mut NullMeter);
         assert_eq!(out.message, msg);
         assert_eq!(out.locator_degree, 0);
-        assert!(out.likely_ok());
+        assert_eq!(out.errors_located, out.locator_degree);
     }
 
     #[test]
@@ -266,7 +266,7 @@ mod tests {
             cw[p] ^= 1;
             let out = code.decode_constant_time(&cw, &mut NullMeter);
             assert_eq!(out.message, msg, "error at {p}");
-            assert!(out.likely_ok());
+            assert_eq!(out.errors_located, out.locator_degree);
         }
     }
 

@@ -72,16 +72,11 @@ pub struct Decoded {
     pub message: [u8; MESSAGE_BYTES],
     /// Degree of the error-locator polynomial (estimated error count).
     pub locator_degree: usize,
-    /// Roots of the locator the Chien search found.
+    /// Roots of the locator the Chien search found: over the whole
+    /// codeword for the software decoders, over the 257-point message
+    /// window for the MUL CHIEN unit (`lac_hw::ChienUnit`), which never
+    /// locates an error in the parity bits.
     pub errors_located: usize,
-}
-
-impl Decoded {
-    /// `true` when the decode is internally consistent: every error the
-    /// locator polynomial announces was located (and corrected).
-    pub fn likely_ok(&self) -> bool {
-        self.errors_located == self.locator_degree
-    }
 }
 
 /// A binary BCH code over GF(2⁹), shortened to a 256-bit message.

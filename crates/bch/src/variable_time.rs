@@ -234,7 +234,7 @@ mod tests {
         let out = code.decode_variable_time(&cw, &mut NullMeter);
         assert_eq!(out.message, msg);
         assert_eq!(out.locator_degree, 0);
-        assert!(out.likely_ok());
+        assert_eq!(out.errors_located, out.locator_degree);
     }
 
     #[test]
@@ -248,7 +248,7 @@ mod tests {
             let out = code.decode_variable_time(&cw, &mut NullMeter);
             assert_eq!(out.message, msg, "error at {p}");
             assert_eq!(out.locator_degree, 1);
-            assert!(out.likely_ok());
+            assert_eq!(out.errors_located, out.locator_degree);
         }
     }
 
@@ -274,8 +274,9 @@ mod tests {
     #[test]
     fn detects_overload_beyond_t() {
         // t+2 errors: decoding must not silently claim success with a wrong
-        // message AND likely_ok true in the common case. (BCH can miscorrect,
-        // but for this fixed pattern it reports inconsistency.)
+        // message AND every announced error located in the common case.
+        // (BCH can miscorrect, but for this fixed pattern it reports
+        // inconsistency.)
         let code = BchCode::lac_t8();
         let msg = [0x11u8; 32];
         let mut cw = code.encode(&msg, &mut NullMeter);

@@ -4,12 +4,10 @@
 //! 0 and 16 injected errors.
 //!
 //! Run: `cargo run --release -p lac-bench --bin table1`
-//! (`--json` emits the same data as machine-readable JSON; `--threads N`
-//! caps the shard worker count, default all cores)
+//! (`--json` emits the same data as machine-readable JSON)
 
 use lac_bench::{table1, Flags};
 
 fn main() {
-    let flags = Flags::parse(&["json"], &["threads"]);
-    table1::run(flags.has("json"), flags.value("threads"));
+    table1::run(Flags::parse(&["json"], &[]).has("json"));
 }

@@ -9,12 +9,10 @@
 //! configuration and printed next to \[8\]'s published numbers.
 //!
 //! Run: `cargo run --release -p lac-bench --bin table2`
-//! (`--json` emits the same data as machine-readable JSON; `--threads N`
-//! caps the shard worker count, default all cores)
+//! (`--json` emits the same data as machine-readable JSON)
 
 use lac_bench::{table2, Flags};
 
 fn main() {
-    let flags = Flags::parse(&["json"], &["threads"]);
-    table2::run(flags.has("json"), flags.value("threads"));
+    table2::run(Flags::parse(&["json"], &[]).has("json"));
 }

@@ -1,14 +1,13 @@
-//! Sharded benchmark sweeps over `std::thread` workers.
+//! Sharded sweeps over `std::thread` workers.
 //!
-//! The table sweeps are embarrassingly parallel — every cell (one
-//! parameter-set/backend combination) is an independent, deterministic
-//! measurement — so this module fans a fixed job list out across a worker
-//! pool and merges the results back **by job index**. The output is
+//! The one user is the ISS cold-versus-warm sweep ([`crate::iss::sweep`],
+//! `iss_bench --sweep`). Every sweep cell is an independent,
+//! deterministic run, so this module fans a fixed job list out across a
+//! worker pool and merges the results back **by job index**. The output is
 //! therefore byte-identical regardless of thread count or scheduling
-//! order; `scripts/verify.sh` asserts exactly that by diffing sharded
-//! `--json` output against a `--threads 1` run.
+//! order.
 //!
-//! The thread count is an explicit `--threads N` flag, else
+//! The thread count is `iss_bench`'s explicit `--threads N` flag, else
 //! [`std::thread::available_parallelism`] (all cores).
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,12 +1,9 @@
 //! Table I rendering: BCH(511,367,16) decoder cycle counts.
 //!
-//! The four measured cells (submission vs constant-time decoder, at 0 and
-//! 16 injected errors) are independent deterministic measurements, so they
-//! are fanned out over [`crate::shard`] workers — one cell per job — and
-//! merged back in row order. The `--json` output is byte-identical for any
-//! thread count.
+//! Four measured cells: the submission and the constant-time decoder, at
+//! 0 and 16 injected errors.
 
-use crate::{json, ratio, shard, thousands, PAPER_TABLE1};
+use crate::{json, ratio, thousands, PAPER_TABLE1};
 use lac_bch::BchCode;
 use lac_meter::{CycleLedger, NullMeter, Phase};
 
@@ -50,16 +47,14 @@ pub fn measure(code: &BchCode, constant_time: bool, errors: usize) -> Measured {
     }
 }
 
-/// Measure the four table cells, one shard job per cell, in row order
-/// (submission 0/16 errors, then constant-time 0/16 errors).
-pub fn measure_cells(threads: usize) -> Vec<Measured> {
-    shard::run_indexed(PAPER_TABLE1.len(), threads, |i| {
-        let (label, fails, _) = PAPER_TABLE1[i];
-        // Each job derives its own code tables; construction is cheap
-        // relative to a decode and keeps the jobs fully independent.
-        let code = BchCode::lac_t16();
-        measure(&code, label.starts_with("Walters"), fails)
-    })
+/// Measure the four table cells in row order (submission 0/16 errors,
+/// then constant-time 0/16 errors).
+pub fn measure_cells() -> Vec<Measured> {
+    let code = BchCode::lac_t16();
+    PAPER_TABLE1
+        .iter()
+        .map(|&(label, fails, _)| measure(&code, label.starts_with("Walters"), fails))
+        .collect()
 }
 
 fn emit_json(cells: &[Measured]) {
@@ -99,12 +94,8 @@ fn emit_json(cells: &[Measured]) {
 }
 
 /// Render Table I to stdout.
-///
-/// `threads = None` resolves via [`shard::thread_count`] (available
-/// parallelism). Measurement values are independent of the
-/// thread count.
-pub fn run(emit_json_output: bool, threads: Option<usize>) {
-    let cells = measure_cells(shard::thread_count(threads));
+pub fn run(emit_json_output: bool) {
+    let cells = measure_cells();
     if emit_json_output {
         emit_json(&cells);
         return;
@@ -162,16 +153,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cells_are_thread_count_invariant() {
-        let single = measure_cells(1);
-        let sharded = measure_cells(4);
-        for (a, b) in single.iter().zip(&sharded) {
-            assert_eq!(a.syndrome, b.syndrome);
-            assert_eq!(a.err_loc, b.err_loc);
-            assert_eq!(a.chien, b.chien);
-            assert_eq!(a.decode, b.decode);
-        }
-        // Constant-time cells are input-independent.
-        assert_eq!(single[2].decode, single[3].decode);
+    fn constant_time_cells_are_input_independent() {
+        let cells = measure_cells();
+        assert_eq!(cells[2].decode, cells[3].decode);
     }
 }

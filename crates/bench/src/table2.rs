@@ -1,12 +1,9 @@
 //! Table II rendering: CCA-KEM cycle counts and bottleneck columns.
 //!
-//! The nine measured rows (LAC-128/192/256 × {reference, constant-time
-//! BCH, optimized}) are independent deterministic measurements, so they
-//! are fanned out over [`crate::shard`] workers — one parameter-set/
-//! backend cell per job — and merged back in row order. The `--json`
-//! output is byte-identical for any thread count.
+//! Nine measured rows: LAC-128/192/256 × {reference, constant-time BCH,
+//! optimized}.
 
-use crate::{json, measure_kem, ratio, shard, thousands, KemRow, PAPER_TABLE2};
+use crate::{json, measure_kem, ratio, thousands, KemRow, PAPER_TABLE2};
 use lac::{BackendKind, Params};
 
 /// The paper's backend configurations, in table order.
@@ -28,15 +25,17 @@ fn decaps_speedup(rows: &[KemRow], params: Params) -> f64 {
     decaps(BackendKind::Ct) as f64 / decaps(BackendKind::Hw) as f64
 }
 
-/// Measure the nine table rows, one shard job per cell, in table order
-/// (ref. 128/192/256, const. BCH 128/192/256, opt. 128/192/256).
-pub fn measure_rows(threads: usize) -> Vec<KemRow> {
-    let jobs = CONFIGS.len() * Params::ALL.len();
-    shard::run_indexed(jobs, threads, |i| {
-        let kind = CONFIGS[i / Params::ALL.len()];
-        let params = Params::ALL[i % Params::ALL.len()];
-        measure_kem(params, kind.build().as_mut(), &row_label(kind, params))
-    })
+/// Measure the nine table rows in table order (ref. 128/192/256,
+/// const. BCH 128/192/256, opt. 128/192/256).
+pub fn measure_rows() -> Vec<KemRow> {
+    let mut rows = Vec::new();
+    for kind in CONFIGS {
+        for params in Params::ALL {
+            let label = row_label(kind, params);
+            rows.push(measure_kem(params, kind.build().as_mut(), &label));
+        }
+    }
+    rows
 }
 
 fn print_row(row: &KemRow, paper: Option<&[u64; 7]>) {
@@ -110,12 +109,8 @@ fn emit_json(rows: &[KemRow]) {
 }
 
 /// Render Table II to stdout.
-///
-/// `threads = None` resolves via [`shard::thread_count`] (available
-/// parallelism). Measurement values are independent of the
-/// thread count.
-pub fn run(emit_json_output: bool, threads: Option<usize>) {
-    let rows = measure_rows(shard::thread_count(threads));
+pub fn run(emit_json_output: bool) {
+    let rows = measure_rows();
     if emit_json_output {
         emit_json(&rows);
         return;
@@ -226,22 +221,17 @@ mod tests {
 
     #[test]
     fn rows_come_back_in_table_order() {
-        // Thread-count invariance of the *order* is the load-bearing
-        // property; use the cheap opt. backend cells only via a tiny
-        // stand-in check on labels from a single-threaded run.
-        let labels: Vec<String> = (0..9)
-            .map(|i| {
-                row_label(
-                    CONFIGS[i / Params::ALL.len()],
-                    Params::ALL[i % Params::ALL.len()],
-                )
-            })
+        // The labels `measure_rows` gives, in its loop order, without
+        // running the nine KEM measurements.
+        let labels: Vec<String> = CONFIGS
+            .iter()
+            .flat_map(|&kind| Params::ALL.map(|params| row_label(kind, params)))
             .collect();
         assert_eq!(labels[0], "LAC-128 ref.");
         assert_eq!(labels[3], "LAC-128 const. BCH");
         assert_eq!(labels[8], "LAC-256 opt.");
         for (i, (label, _)) in PAPER_TABLE2.iter().enumerate() {
-            assert_eq!(&labels[i], label, "shard order matches paper order");
+            assert_eq!(&labels[i], label, "row order matches paper order");
         }
     }
 }

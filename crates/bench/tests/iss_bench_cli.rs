@@ -1,5 +1,20 @@
-//! `iss_bench` refuses a size it cannot run, naming the flag, before it
-//! runs anything.
+//! The `lac-bench` binaries refuse a flag or size they cannot run, naming
+//! it, before they run anything.
+
+/// Run `bin` with `args`: it must exit 2 with nothing on stdout and
+/// `needle` on stderr.
+fn assert_usage_error(bin: &str, args: &[&str], needle: &str) {
+    let out = std::process::Command::new(bin)
+        .args(args)
+        .output()
+        .expect("binary starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(
+        stderr.contains(needle) && out.stdout.is_empty(),
+        "{bin} {args:?}: {stderr}"
+    );
+}
 
 #[test]
 fn zero_sizes_are_usage_errors_naming_the_flag() {
@@ -9,16 +24,13 @@ fn zero_sizes_are_usage_errors_naming_the_flag() {
         (&["--sweep", "--cells", "2", "--iters", "0"], "--iters"),
         (&["--sweep", "--cells", "0", "--json"], "--cells"),
     ] {
-        let bin = env!("CARGO_BIN_EXE_iss_bench");
-        let out = std::process::Command::new(bin)
-            .args(args)
-            .output()
-            .expect("iss_bench starts");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(
-            stderr.contains(flag) && out.stdout.is_empty(),
-            "{args:?}: {stderr}"
-        );
+        assert_usage_error(env!("CARGO_BIN_EXE_iss_bench"), args, flag);
+    }
+}
+
+#[test]
+fn tables_take_no_threads_flag() {
+    for bin in [env!("CARGO_BIN_EXE_table1"), env!("CARGO_BIN_EXE_table2")] {
+        assert_usage_error(bin, &["--threads", "2"], "unknown flag --threads");
     }
 }

@@ -134,19 +134,9 @@ impl Field {
         self.m
     }
 
-    /// The primitive polynomial as a bit mask.
-    pub fn primitive_poly(&self) -> u32 {
-        self.poly
-    }
-
     /// Order of the multiplicative group, 2^m − 1.
     pub fn order(&self) -> u16 {
         self.order
-    }
-
-    /// Number of field elements, 2^m.
-    pub fn size(&self) -> u32 {
-        u32::from(self.order) + 1
     }
 
     /// α^i (power → vector representation), for any i (reduced mod 2^m − 1).
@@ -237,11 +227,6 @@ impl Field {
         }
         let l = u64::from(self.log[base as usize]) * u64::from(e);
         self.alog[(l % u64::from(self.order)) as usize]
-    }
-
-    /// Iterator over all nonzero field elements in power order: α⁰, α¹, …
-    pub fn powers(&self) -> impl Iterator<Item = u16> + '_ {
-        (0..u32::from(self.order)).map(|i| self.exp(i))
     }
 }
 
@@ -341,16 +326,6 @@ mod tests {
         let mut lnz = CycleLedger::new();
         gf.mul_metered(3, 7, &mut lnz);
         assert!(lnz.total() > lz.total());
-    }
-
-    #[test]
-    fn powers_iterator_covers_group() {
-        let gf = Field::new(4, 0b10011);
-        let mut seen: Vec<u16> = gf.powers().collect();
-        assert_eq!(seen.len(), 15);
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 15, "powers repeat: α must be primitive");
     }
 
     #[test]

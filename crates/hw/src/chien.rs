@@ -41,47 +41,15 @@ pub const PARALLEL_MULS: usize = 4;
 /// let out = unit.decode(&code, &cw, &mut NullMeter);
 /// assert_eq!(out.message, msg);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChienUnit {
-    muls: Vec<MulGf>,
-}
-
-impl Default for ChienUnit {
-    fn default() -> Self {
-        Self::new()
-    }
+    muls: [MulGf; PARALLEL_MULS],
 }
 
 impl ChienUnit {
     /// Create the paper's unit: four parallel GF multipliers.
     pub fn new() -> Self {
-        Self::with_multipliers(PARALLEL_MULS)
-    }
-
-    /// Create a unit with a custom multiplier count — the design-space
-    /// knob behind Eq. (4): `t` must be divisible by the count, so valid
-    /// values for LAC are 1, 2, 4, 8 (and 16 for the t = 16 codes). More
-    /// multipliers mean fewer sequential groups per evaluated power (less
-    /// time) and proportionally more area.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn with_multipliers(count: usize) -> Self {
-        assert!(count > 0, "at least one multiplier");
-        Self {
-            muls: vec![MulGf::new(); count],
-        }
-    }
-
-    /// Number of parallel GF multipliers.
-    pub fn multipliers(&self) -> usize {
-        self.muls.len()
-    }
-
-    /// Total busy cycles across the four multipliers.
-    pub fn busy_cycles(&self) -> u64 {
-        self.muls.iter().map(|m| m.stats().busy_cycles).sum()
+        Self::default()
     }
 
     /// Structural resource estimate: four GF multipliers plus the operand
@@ -124,18 +92,21 @@ impl ChienUnit {
         meter: &mut M,
     ) -> (Vec<u8>, usize) {
         let t = code.t();
-        let width = self.muls.len();
         assert!(
             lambda.len() <= t + 1,
             "locator degree exceeds the code's correction capability"
         );
-        assert_eq!(t % width, 0, "t must be a multiple of the multiplier count");
+        assert_eq!(
+            t % PARALLEL_MULS,
+            0,
+            "t must be a multiple of the multiplier count"
+        );
         let gf = code.field();
         let n = code.n();
         let len = code.codeword_len();
         let window = code.chien_window();
         let (lo, hi) = (*window.start(), *window.end());
-        let groups = t / width;
+        let groups = t / PARALLEL_MULS;
 
         // Software preprocessing: start the window at α^lo by loading
         // λ_k·α^((lo−1)·k) instead of λ_k (t table multiplications) — the
@@ -171,8 +142,8 @@ impl ChienUnit {
                 // group, so the parallel multiplies run under a NullMeter
                 // and the stall is charged once.
                 let mut out = 0u16;
-                for slot in 0..width {
-                    let k = 1 + width * g + slot;
+                for slot in 0..PARALLEL_MULS {
+                    let k = 1 + PARALLEL_MULS * g + slot;
                     let stepped =
                         self.muls[slot].multiply(terms[k], gf.exp(k as u32), &mut NullMeter);
                     terms[k] = stepped;
@@ -355,58 +326,5 @@ mod tests {
         assert_eq!(r.regs, 158, "paper: 158 registers");
         assert_eq!(r.brams, 0);
         assert_eq!(r.dsps, 0);
-    }
-}
-// (appended tests for the parallelism design-space knob)
-#[cfg(test)]
-mod width_tests {
-    use super::*;
-    use lac_meter::{CycleLedger, NullMeter, Phase};
-
-    #[test]
-    fn all_widths_decode_identically() {
-        let code = BchCode::lac_t16();
-        let msg = [0x6du8; 32];
-        let mut cw = code.encode(&msg, &mut NullMeter);
-        for i in 0..12 {
-            cw[code.parity_len() + 4 + i * 19] ^= 1;
-        }
-        let reference = ChienUnit::new().decode(&code, &cw, &mut NullMeter);
-        for width in [1usize, 2, 8, 16] {
-            let out = ChienUnit::with_multipliers(width).decode(&code, &cw, &mut NullMeter);
-            assert_eq!(out.message, reference.message, "width {width}");
-            assert_eq!(out.errors_located, reference.errors_located);
-        }
-        assert_eq!(reference.message, msg);
-    }
-
-    #[test]
-    fn wider_units_are_faster_and_bigger() {
-        let code = BchCode::lac_t16();
-        let cw = code.encode(&[3u8; 32], &mut NullMeter);
-        let mut prev_cycles = u64::MAX;
-        let mut prev_luts = 0u32;
-        for width in [1usize, 2, 4, 8, 16] {
-            let mut unit = ChienUnit::with_multipliers(width);
-            let mut ledger = CycleLedger::new();
-            unit.decode(&code, &cw, &mut ledger);
-            let chien = ledger.phase_total(Phase::BchChien);
-            assert!(chien < prev_cycles, "width {width} must cut Chien time");
-            prev_cycles = chien;
-            let luts = unit.resources().luts;
-            assert!(luts > prev_luts, "width {width} must grow area");
-            prev_luts = luts;
-        }
-    }
-
-    #[test]
-    fn incompatible_width_rejected() {
-        // t = 8 is not divisible by 16.
-        let code = BchCode::lac_t8();
-        let cw = code.encode(&[0u8; 32], &mut NullMeter);
-        let result = std::panic::catch_unwind(move || {
-            ChienUnit::with_multipliers(16).decode(&code, &cw, &mut NullMeter)
-        });
-        assert!(result.is_err());
     }
 }

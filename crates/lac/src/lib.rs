@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 mod backend;
-mod cpa;
 mod kem;
 mod keys;
 mod params;
@@ -53,7 +52,6 @@ mod pke;
 mod sample;
 
 pub use backend::{AcceleratedBackend, Backend, BackendKind, BchDecoderKind, SoftwareBackend};
-pub use cpa::{CpaKem, CpaSharedSecret};
 pub use kem::{Kem, KemKeyPair, KemPublicKey, KemSecretKey, SharedSecret};
 pub use keys::{Ciphertext, PublicKey, SecretKey};
 pub use lac_bch::Decoded;

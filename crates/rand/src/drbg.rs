@@ -1,7 +1,6 @@
-//! The two deterministic random-bit generators and OS seeding.
+//! The SHA-256 counter-mode DRBG and OS seeding.
 
 use crate::Rng;
-use lac_keccak::Shake128;
 use lac_sha256::{Expander, Sha256};
 
 /// Domain-separation byte for the SHA-256-CTR DRBG output stream, distinct
@@ -11,9 +10,6 @@ const DOMAIN_DRBG: u8 = 0xD6;
 
 /// Prefix mixed into `u64` convenience seeds before expansion.
 const SEED_FROM_U64_TAG: &[u8] = b"lac-rand:seed_from_u64:v1";
-
-/// Prefix absorbed by the SHAKE128 DRBG ahead of the seed.
-const SHAKE_SEED_TAG: &[u8] = b"lac-rand:shake128:v1";
 
 /// Prefix mixed into child seeds derived by [`Sha256CtrRng::fork`].
 const FORK_TAG: &[u8] = b"lac-rand:fork:v1";
@@ -54,7 +50,7 @@ pub fn os_entropy_seed() -> [u8; 32] {
     h.finalize()
 }
 
-/// SHA-256 counter-mode DRBG — the workspace's default RNG.
+/// SHA-256 counter-mode DRBG — the workspace's one RNG.
 ///
 /// Output block `i` is `SHA-256(seed ‖ 0xD6 ‖ LE32(i))`, i.e. exactly the
 /// counter-mode expansion LAC uses for `GenA` and sampling (and which the
@@ -134,53 +130,6 @@ impl Rng for Sha256CtrRng {
     }
 }
 
-/// SHAKE128-sponge DRBG — the Keccak flavour of [`Sha256CtrRng`].
-///
-/// Absorbs a tagged seed into a SHAKE128 sponge and squeezes the output
-/// stream incrementally. This is the RNG matching the paper's future-work
-/// direction (replacing the SHA256 unit with a Keccak unit). The CLI's
-/// `--rng shake128` selects it; nothing else in the workspace does.
-///
-/// # Example
-///
-/// ```
-/// use lac_rand::{Rng, Shake128Rng};
-///
-/// let mut a = Shake128Rng::seed_from_u64(1);
-/// let mut b = Shake128Rng::seed_from_u64(1);
-/// assert_eq!(a.next_u32(), b.next_u32());
-/// ```
-#[derive(Debug, Clone)]
-pub struct Shake128Rng {
-    xof: Shake128,
-}
-
-impl Shake128Rng {
-    /// DRBG from a full 32-byte seed.
-    pub fn from_seed(seed: [u8; 32]) -> Self {
-        let mut xof = Shake128::new();
-        xof.absorb(SHAKE_SEED_TAG);
-        xof.absorb(&seed);
-        Self { xof }
-    }
-
-    /// DRBG from a `u64` convenience seed (tagged and hashed to 32 bytes).
-    pub fn seed_from_u64(value: u64) -> Self {
-        Self::from_seed(expand_u64_seed(value))
-    }
-
-    /// DRBG seeded from best-effort OS entropy (see [`os_entropy_seed`]).
-    pub fn from_os_entropy() -> Self {
-        Self::from_seed(os_entropy_seed())
-    }
-}
-
-impl Rng for Shake128Rng {
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.xof.squeeze(dest);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,33 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn shake128_is_deterministic_and_seed_sensitive() {
-        let a = stream(&mut Shake128Rng::from_seed([1u8; 32]), 128);
-        let b = stream(&mut Shake128Rng::from_seed([1u8; 32]), 128);
-        let c = stream(&mut Shake128Rng::from_seed([2u8; 32]), 128);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn the_two_drbgs_produce_distinct_streams() {
-        let sha = stream(&mut Sha256CtrRng::seed_from_u64(7), 64);
-        let shake = stream(&mut Shake128Rng::seed_from_u64(7), 64);
-        assert_ne!(sha, shake);
-    }
-
-    #[test]
     fn stream_is_contiguous_across_read_sizes() {
         let big = stream(&mut Sha256CtrRng::seed_from_u64(3), 100);
         let mut rng = Sha256CtrRng::seed_from_u64(3);
-        let mut pieced = Vec::new();
-        for chunk_len in [1usize, 2, 3, 31, 32, 31] {
-            pieced.extend_from_slice(&stream(&mut rng, chunk_len));
-        }
-        assert_eq!(pieced, big);
-
-        let big = stream(&mut Shake128Rng::seed_from_u64(3), 100);
-        let mut rng = Shake128Rng::seed_from_u64(3);
         let mut pieced = Vec::new();
         for chunk_len in [1usize, 2, 3, 31, 32, 31] {
             pieced.extend_from_slice(&stream(&mut rng, chunk_len));

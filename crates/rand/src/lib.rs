@@ -4,21 +4,18 @@
 //! (tier-1 verify runs `cargo build --release --offline`), and everything
 //! the scheme itself needs is deterministic, seedable randomness: LAC
 //! expands 32-byte seeds through SHA-256 in counter mode for `GenA` and
-//! polynomial sampling, and the paper's future-work variant does the same
-//! through Keccak. This crate builds the workspace's RNGs on exactly those
-//! primitives instead of pulling in `rand`:
+//! polynomial sampling. This crate builds the workspace's RNG on exactly
+//! that primitive instead of pulling in `rand`:
 //!
 //! * [`Rng`] — the trait every KEM/PKE entry point is generic over
 //!   (`fill_bytes`, `next_u32`, `next_u64`, plus unbiased range and
 //!   shuffle helpers);
-//! * [`Sha256CtrRng`] — a SHA-256 counter-mode DRBG (the workspace
-//!   default, mirroring LAC's own expansion pattern);
-//! * [`Shake128Rng`] — a SHAKE128-sponge DRBG (the Keccak future-work
-//!   flavour);
+//! * [`Sha256CtrRng`] — a SHA-256 counter-mode DRBG (mirroring LAC's own
+//!   expansion pattern);
 //! * [`prop`] — a small seeded randomized-property harness replacing
 //!   `proptest` for the workspace's property tests.
 //!
-//! Both DRBGs are seedable from a 32-byte seed, a `u64` convenience seed,
+//! The DRBG is seedable from a 32-byte seed, a `u64` convenience seed,
 //! or best-effort OS entropy (`/dev/urandom`, with a documented
 //! deterministic fallback for platforms without it).
 //!
@@ -44,7 +41,7 @@
 mod drbg;
 pub mod prop;
 
-pub use drbg::{os_entropy_seed, Sha256CtrRng, Shake128Rng};
+pub use drbg::{os_entropy_seed, Sha256CtrRng};
 
 /// A deterministic random-number generator.
 ///
@@ -53,8 +50,8 @@ pub use drbg::{os_entropy_seed, Sha256CtrRng, Shake128Rng};
 /// they are unbiased for every bound.
 ///
 /// The trait is object-safe (the generic [`Rng::shuffle`] helper is
-/// `Self: Sized`-bound), so `&mut dyn Rng` works where runtime backend
-/// selection is needed (e.g. the CLI's `--rng` flag).
+/// `Self: Sized`-bound), so `&mut dyn Rng` works where the generator is
+/// chosen at run time.
 pub trait Rng {
     /// Fill `dest` with pseudo-random bytes.
     fn fill_bytes(&mut self, dest: &mut [u8]);
@@ -158,12 +155,6 @@ pub trait Rng {
 }
 
 impl<R: Rng + ?Sized> Rng for &mut R {
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        (**self).fill_bytes(dest);
-    }
-}
-
-impl<R: Rng + ?Sized> Rng for Box<R> {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest);
     }

@@ -173,11 +173,6 @@ impl Poly {
         &self.coeffs
     }
 
-    /// Mutable coefficient view (caller must keep values < q).
-    pub fn coeffs_mut(&mut self) -> &mut [u8] {
-        &mut self.coeffs
-    }
-
     /// Coefficient-wise addition mod q. Both operands must share a length.
     ///
     /// # Panics

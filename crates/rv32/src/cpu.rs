@@ -324,13 +324,6 @@ impl Cpu {
         self.regs[i]
     }
 
-    /// Write register `x<i>` (writes to x0 are ignored).
-    pub fn set_reg(&mut self, i: usize, value: u32) {
-        if i != 0 {
-            self.regs[i] = value;
-        }
-    }
-
     /// Hot-path register read: the decoder guarantees indices are 5-bit,
     /// but a predecoded index is a `u8` loaded from the slot table, so
     /// mask to elide the bounds check the optimizer cannot prove away.

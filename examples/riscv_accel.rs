@@ -41,35 +41,41 @@ fn modq_demo() {
 /// pq.sha256: hash "abc" byte by byte through the unit and read back the
 /// first digest word.
 fn sha256_demo() {
-    let mut m = Machine::assemble(
+    let src = format!(
         r#"
-            # reset the unit (control = 1 in rs2[31:28])
-            li   t1, 0x10000000
+            # reset the unit (RESET)
+            li   t1, {reset}
             pq.sha256 zero, zero, t1
-            # write 'a','b','c' (control = 2)
-            li   t1, 0x20000000
+            # write 'a','b','c' (LOAD, the byte in rs1[7:0])
+            li   t1, {write}
             li   t0, 97
             pq.sha256 zero, t0, t1
             li   t0, 98
             pq.sha256 zero, t0, t1
             li   t0, 99
             pq.sha256 zero, t0, t1
-            # finalize (control = 3)
-            li   t1, 0x30000000
+            # finalize (START)
+            li   t1, {finalize}
             pq.sha256 zero, zero, t1
-            # read digest bytes 0..3 (control = 4, byte index in rs2[5:0])
-            li   t1, 0x40000000
+            # read digest bytes 0..3 (READ, byte index in rs2[4:0])
+            li   t1, {read0}
             pq.sha256 a0, zero, t1
             ori  t1, t1, 1
             pq.sha256 a1, zero, t1
-            li   t1, 0x40000002
+            li   t1, {read2}
             pq.sha256 a2, zero, t1
-            li   t1, 0x40000003
+            li   t1, {read3}
             pq.sha256 a3, zero, t1
             ecall
         "#,
-    )
-    .expect("assembles");
+        reset = pq::control(ctrl::RESET, 0),
+        write = pq::control(ctrl::LOAD, 0),
+        finalize = pq::control(ctrl::START, 0),
+        read0 = pq::control(ctrl::READ, 0),
+        read2 = pq::control(ctrl::READ, 2),
+        read3 = pq::control(ctrl::READ, 3),
+    );
+    let mut m = Machine::assemble(&src).expect("assembles");
     let exit = m.run(10_000).expect("runs");
     let expect = sha256(b"abc");
     for (i, reg) in (10..14).enumerate() {

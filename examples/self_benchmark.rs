@@ -5,6 +5,8 @@
 //!
 //! Run: `cargo run --release --example self_benchmark`
 
+use lac_ring::Convolution;
+use lac_rv32::pq::{self, ctrl};
 use lac_rv32::Machine;
 
 /// Run a measurement program that leaves the cycle delta in a0.
@@ -33,40 +35,46 @@ fn main() {
     println!("  pq.modq            : {modq:>4} cycles (incl. 2x li setup)");
     println!("  remu (M extension) : {div:>4} cycles (iterative divider)");
 
-    let sha_block = measure(
+    let sha_block = measure(&format!(
         r#"
-            li   t1, 0x10000000
+            li   t1, {reset}
             pq.sha256 zero, zero, t1
-            li   t1, 0x20000000
+            li   t1, {write}
             li   t3, 64
         fill:
             pq.sha256 zero, t3, t1
             addi t3, t3, -1
             bnez t3, fill
-            li   t1, 0x30000000
+            li   t1, {finalize}
             pq.sha256 zero, zero, t1
         "#,
-    );
+        reset = pq::control(ctrl::RESET, 0),
+        write = pq::control(ctrl::LOAD, 0),
+        finalize = pq::control(ctrl::START, 0),
+    ));
     println!("\nSHA-256, one 64-byte block through the unit:");
     println!("  write 64 bytes + generate : {sha_block:>5} cycles");
 
-    let chien_step = measure(
+    let chien_step = measure(&format!(
         r#"
-            li   t1, 0x30000000
+            li   t1, {compute}
             pq.mul_chien t2, zero, t1
         "#,
-    );
+        compute = pq::control(ctrl::START, 0),
+    ));
     println!("\nChien evaluation step (4 parallel GF multipliers):");
     println!("  pq.mul_chien compute : {chien_step:>4} cycles (9-cycle datapath + issue)");
 
-    let mul_start = measure(
+    let mul_start = measure(&format!(
         r#"
-            li   t1, 0x10000000
+            li   t1, {reset}
             pq.mul_ter zero, zero, t1
-            li   t1, 0x30000001
+            li   t1, {start}
             pq.mul_ter zero, zero, t1
         "#,
-    );
+        reset = pq::control(ctrl::RESET, 0),
+        start = pq::mul_ter_start(Convolution::Negacyclic),
+    ));
     println!("\nMUL TER compute phase (n = 512):");
     println!("  reset + start (stalls until done) : {mul_start:>4} cycles");
     assert!(

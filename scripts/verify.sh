@@ -30,22 +30,25 @@ echo "== cargo fmt --check =="
 cargo fmt --check
 
 echo
-echo "== cargo build --release --offline --workspace =="
+echo "== cargo build --release --offline --locked --workspace =="
 # --workspace: the acceptance gates below run member binaries
-# (iss_bench, table*) straight from target/release.
-cargo build --release --offline --workspace
+# (iss_bench, table*) straight from target/release. --locked: a manifest
+# edit that would rewrite Cargo.lock fails here instead of silently.
+cargo build --release --offline --locked --workspace
 
 echo
 echo "== cargo test -q --offline --workspace =="
 cargo test -q --offline --workspace
 
 echo
-echo "== cargo test --release --offline (perfbench) =="
+echo "== cargo test --release --offline --locked (perfbench) =="
 # The benchmark is a package of its own, outside the workspace, that
 # drives the system through lac-serve's public API (Server, Client,
 # ServePool). Building and testing it here makes an API change that
-# breaks the benchmark fail tier-1, in both modes.
-cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+# breaks the benchmark fail tier-1, in both modes. --locked: a
+# [dependencies] edit in any crate it builds would rewrite
+# perfbench/Cargo.lock, so it fails here instead.
+cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
 
 echo
 echo "== smoke: self-modifying unlink digest parity =="
@@ -148,20 +151,6 @@ for src in examples/*.rs; do
     ex=$(basename "$src" .rs)
     cargo run -q --release --offline --example "$ex" > /dev/null
     echo "  $ex OK"
-done
-
-echo
-echo "== smoke: sharded table sweeps are thread-count invariant =="
-# The modelled-cycle output must be byte-identical for any worker count.
-# (Warm-vs-cold ISS invariance is iss_bench --sweep's gate, below.)
-for bin in table1 table2; do
-    ONE=$(./target/release/"$bin" --json --threads 1)
-    MANY=$(./target/release/"$bin" --json --threads 4)
-    if [ "$ONE" != "$MANY" ]; then
-        echo "sharding smoke: $bin --json differs between --threads 1 and 4" >&2
-        exit 1
-    fi
-    echo "  $bin sharding deterministic (1 vs 4 threads)"
 done
 
 echo

@@ -3,7 +3,7 @@
 //! Re-exports every workspace crate so integration tests, examples and
 //! downstream users can reach the whole system through one dependency:
 //!
-//! * [`lac`] — the LAC scheme (PKE, CCA/CPA KEMs, backends);
+//! * [`lac`] — the LAC scheme (PKE, CCA KEM, backends);
 //! * [`newhope`] — the NewHope CPA baseline of the paper's reference \[8\];
 //! * [`lac_bch`], [`lac_gf`], [`lac_ring`], [`lac_sha256`], [`lac_keccak`]
 //!   — the arithmetic and hashing substrates;

@@ -31,7 +31,7 @@
 
 use lac::{BackendKind, Ciphertext, Kem, KemPublicKey, KemSecretKey};
 use lac_meter::{report, CycleLedger, Meter, NullMeter};
-use lac_rand::{Rng, Sha256CtrRng, Shake128Rng};
+use lac_rand::{Rng, Sha256CtrRng};
 use lac_serve::bench::{self, json_u64, Script};
 use lac_serve::client::Client;
 use lac_serve::params_parse;
@@ -122,10 +122,8 @@ impl Options {
 fn command_flags(command: &str) -> Option<&'static [&'static str]> {
     Some(match command {
         "info" => &["params"],
-        "keygen" => &["params", "backend", "seed", "rng", "cycles", "pk", "sk"],
-        "encaps" => &[
-            "params", "backend", "seed", "rng", "cycles", "pk", "ct", "key",
-        ],
+        "keygen" => &["params", "backend", "seed", "cycles", "pk", "sk"],
+        "encaps" => &["params", "backend", "seed", "cycles", "pk", "ct", "key"],
         "decaps" => &["params", "backend", "cycles", "sk", "ct", "key"],
         "serve" => &[
             "addr",
@@ -586,27 +584,16 @@ fn run(command: &str, opts: &Options) -> Result<String, String> {
     Ok(out)
 }
 
-/// RNG: OS entropy by default; `--seed <u64>` for reproducible tests;
-/// `--rng sha256|shake128` selects the DRBG (SHA-256-CTR is the default,
-/// matching LAC's own expansion primitive).
-fn make_rng(opts: &Options) -> Result<Box<dyn Rng>, String> {
-    let seed = if let Ok(seed) = opts.get("seed") {
-        let value: u64 = seed.parse().map_err(|_| format!("bad --seed '{seed}'"))?;
-        Some(value)
-    } else {
-        None
-    };
-    match opts.get_or("rng", "sha256").as_str() {
-        "sha256" => Ok(match seed {
-            Some(v) => Box::new(Sha256CtrRng::seed_from_u64(v)),
-            None => Box::new(Sha256CtrRng::from_os_entropy()),
-        }),
-        "shake128" => Ok(match seed {
-            Some(v) => Box::new(Shake128Rng::seed_from_u64(v)),
-            None => Box::new(Shake128Rng::from_os_entropy()),
-        }),
-        other => Err(format!("unknown rng '{other}' (expected sha256|shake128)")),
-    }
+/// RNG: the SHA-256-CTR DRBG, seeded from `--seed <u64>` for reproducible
+/// runs, else from OS entropy.
+fn make_rng(opts: &Options) -> Result<Sha256CtrRng, String> {
+    Ok(match opts.flags.get("seed") {
+        Some(seed) => {
+            let value: u64 = seed.parse().map_err(|_| format!("bad --seed '{seed}'"))?;
+            Sha256CtrRng::seed_from_u64(value)
+        }
+        None => Sha256CtrRng::from_os_entropy(),
+    })
 }
 
 const USAGE: &str = "usage: lac-suite <command> [flags]
@@ -615,7 +602,7 @@ const USAGE: &str = "usage: lac-suite <command> [flags]
   keygen|encaps|decaps           one-shot file-based KEM operations
       [--params lac128|lac192|lac256] [--backend ref|ct|hw|hw-keccak]
       [--cycles] [--pk FILE] [--sk FILE] [--ct FILE] [--key FILE]
-      keygen, encaps: [--seed N] [--rng sha256|shake128]
+      keygen, encaps: [--seed N]
   serve                          run the TCP KEM server until shutdown
       [--addr HOST:PORT] [--workers N] [--reactors N] [--queue N] [--seed N]
       [--max-conns N] [--accept-rps N] [--idle-timeout-ms N]
@@ -771,6 +758,13 @@ mod tests {
             assert!(err.contains("unknown command"), "{err}");
         }
         assert!(run("keygen", &opts(&[("pk", "/nonexistent/x")], false)).is_err());
+        // The CLI has one DRBG, SHA-256-CTR, and no flag that picks one.
+        let flag = "rng";
+        let err = run("keygen", &opts(&[(flag, "sha256")], false)).unwrap_err();
+        assert!(
+            err.contains(&format!("keygen does not read --{flag}")),
+            "{err}"
+        );
         assert!(run(
             "decaps",
             &opts(

@@ -70,9 +70,10 @@ fn all_zero_and_all_one_messages() {
 
 #[test]
 fn decoder_reports_overload_distinctly() {
-    // With 2t errors the decode is allowed to fail, but `likely_ok` must
-    // signal the inconsistency for typical patterns (rather than silently
-    // returning a wrong message with a clean status).
+    // With 2t errors the decode is allowed to fail, but a located-root
+    // count below the locator degree must signal the inconsistency for
+    // typical patterns (rather than silently returning a wrong message with
+    // a clean status).
     let code = BchCode::lac_t8();
     let msg = [0x31u8; 32];
     let mut cw = code.encode(&msg, &mut NullMeter);
@@ -83,7 +84,7 @@ fn decoder_reports_overload_distinctly() {
     if ct.message != msg {
         // Any failure must be observable via the consistency check.
         assert!(
-            !ct.likely_ok() || ct.locator_degree > code.t(),
+            ct.errors_located != ct.locator_degree || ct.locator_degree > code.t(),
             "silent miscorrection with clean status"
         );
     }

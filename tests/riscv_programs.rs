@@ -29,33 +29,37 @@ fn pq_modq_program_matches_barrett() {
 #[test]
 fn pq_sha256_program_hashes_a_memory_buffer() {
     // Hash 100 bytes stored in RAM through the unit, byte by byte, then
-    // compare the first 8 digest bytes.
+    // compare the first 4 digest bytes.
     let data: Vec<u8> = (0..100u32).map(|i| (i * 7 % 256) as u8).collect();
-    let src = r#"
-            li   t1, 0x10000000
-            pq.sha256 zero, zero, t1     # reset
+    let reads: String = (0..4)
+        .map(|i| {
+            let read = pq::control(ctrl::READ, i);
+            format!("li t1, {read}\npq.sha256 a{i}, zero, t1\n")
+        })
+        .collect();
+    let src = format!(
+        r#"
+            li   t1, {reset}
+            pq.sha256 zero, zero, t1
             li   t2, 0x2000              # data pointer
             li   t3, 100                 # length
-            li   t1, 0x20000000
+            li   t1, {write}
         feed:
             lbu  t0, 0(t2)
             pq.sha256 zero, t0, t1
             addi t2, t2, 1
             addi t3, t3, -1
             bnez t3, feed
-            li   t1, 0x30000000
-            pq.sha256 zero, zero, t1     # finalize
-            li   t1, 0x40000000
-            pq.sha256 a0, zero, t1       # digest[0]
-            li   t1, 0x40000001
-            pq.sha256 a1, zero, t1
-            li   t1, 0x40000002
-            pq.sha256 a2, zero, t1
-            li   t1, 0x40000003
-            pq.sha256 a3, zero, t1
+            li   t1, {finalize}
+            pq.sha256 zero, zero, t1
+            {reads}
             ecall
-        "#;
-    let mut m = Machine::assemble(src).expect("assembles");
+        "#,
+        reset = pq::control(ctrl::RESET, 0),
+        write = pq::control(ctrl::LOAD, 0),
+        finalize = pq::control(ctrl::START, 0),
+    );
+    let mut m = Machine::assemble(&src).expect("assembles");
     m.cpu_mut().write_bytes(0x2000, &data);
     let exit = m.run(100_000).expect("runs");
     let expect = sha256(&data);
