@@ -8,17 +8,21 @@
 //! via the `sel` multiplexers (active once the cycle counter passes
 //! n−1−cntr).
 //!
-//! The model simulates one architectural cycle per serialized coefficient
-//! (n compute cycles total) and charges the Section V register I/O protocol:
-//! five 8-bit general coefficients and five 2-bit ternary coefficients per
-//! `pq.mul_ter` write (packed across rs1/rs2), four 8-bit result
-//! coefficients per read.
+//! [`MulTer::multiply`] charges one architectural cycle per serialized
+//! coefficient (n compute cycles total) and the Section V register I/O
+//! protocol: five 8-bit general coefficients and five 2-bit ternary
+//! coefficients per `pq.mul_ter` write (packed across rs1/rs2), four 8-bit
+//! result coefficients per read. It takes the product's value from
+//! `lac_ring::mul::ternary_product`; [`MulTer::multiply_rtl`] steps the
+//! datapath cycle by cycle and is the reference the tests check it
+//! against.
 
 use crate::area::{
     ResourceEstimate, MAU_LUTS, MAU_REGS, MUL_TER_CONTROL_LUTS, MUL_TER_CONTROL_REGS,
 };
 use crate::UnitStats;
 use lac_meter::{Meter, Op, Phase};
+use lac_ring::mul::ternary_product;
 use lac_ring::split::TernaryMulUnit;
 use lac_ring::{add_mod, sub_mod, Convolution, Poly, TernaryPoly};
 
@@ -102,24 +106,18 @@ impl MulTer {
         }
     }
 
-    /// One MAU operation: add / subtract / forward mod q, selected by the
-    /// serialized ternary coefficient.
-    #[inline]
-    fn mau(c: u8, b: u8, a: i8) -> u8 {
-        match a {
-            1 => add_mod(c, b),
-            -1 => sub_mod(c, b),
-            _ => c,
-        }
-    }
-
     /// Multiply `a · b mod (xⁿ ∓ 1)` on the unit, charging the full
     /// software-visible cost (input packing, n compute cycles, output
-    /// unpacking) to `meter` under [`Phase::Mul`].
+    /// unpacking) to `meter` under [`Phase::Mul`]. An operand shorter than
+    /// the unit is zero-extended to it (Algorithm 2's padding) and charged
+    /// as a unit-length product.
+    ///
+    /// The value comes from [`ternary_product`], the one product kernel;
+    /// [`MulTer::multiply_rtl`] steps the datapath that computes it.
     ///
     /// # Panics
     ///
-    /// Panics if the operand lengths differ from the unit length.
+    /// Panics if an operand is longer than the unit.
     pub fn multiply<M: Meter>(
         &mut self,
         a: &TernaryPoly,
@@ -127,8 +125,6 @@ impl MulTer {
         conv: Convolution,
         meter: &mut M,
     ) -> Poly {
-        assert_eq!(a.len(), self.n, "a length != unit length");
-        assert_eq!(b.len(), self.n, "b length != unit length");
         let n = self.n;
         meter.enter(Phase::Mul);
 
@@ -143,35 +139,8 @@ impl MulTer {
         meter.charge(Op::LoopIter, writes);
 
         // ---- Compute phase: the Control Unit serializes a₀…a_{n−1}, one
-        // per cycle. At the cycle with counter value `cntr`, the running
-        // result held in the register chain corresponds to the partial
-        // products of a₀…a_cntr; coefficients that wrap past xⁿ are negated
-        // when the `sel` multiplexers engage (negative convolution).
-        //
-        // Architecturally this is: c += a_k · (b rotated by k), with the
-        // wrapped part of the rotation sign-adjusted — one column of Eq. (1)
-        // per clock.
-        let mut c = vec![0u8; n];
-        for (k, &ak) in a.coeffs().iter().enumerate() {
-            if ak != 0 {
-                for (i, ci) in c.iter_mut().enumerate() {
-                    // b coefficient feeding MAU i at serialization step k.
-                    let (bj, wrapped) = if i >= k {
-                        (b.coeffs()[i - k], false)
-                    } else {
-                        (b.coeffs()[n + i - k], true)
-                    };
-                    // sel mux: negate the serialized coefficient for the
-                    // wrapped taps under negative convolution.
-                    let eff = if wrapped && conv == Convolution::Negacyclic {
-                        -ak
-                    } else {
-                        ak
-                    };
-                    *ci = Self::mau(*ci, bj, eff);
-                }
-            }
-        }
+        // per cycle, whatever their values.
+        let c = ternary_product(a, b, n, conv, n);
         meter.charge_cycles(compute_cycles(n));
         self.stats.record(compute_cycles(n));
 
@@ -183,13 +152,24 @@ impl MulTer {
         meter.charge(Op::LoopIter, reads);
 
         meter.leave();
-        Poly::from_coeffs(c)
+        c
     }
 }
 
 impl MulTer {
+    /// One MAU operation: add / subtract / forward mod q, selected by the
+    /// serialized ternary coefficient.
+    #[inline]
+    fn mau(c: u8, b: u8, a: i8) -> u8 {
+        match a {
+            1 => add_mod(c, b),
+            -1 => sub_mod(c, b),
+            _ => c,
+        }
+    }
+
     /// Register-transfer-level simulation of Fig. 2's datapath, for
-    /// cross-validation of [`MulTer::multiply`]'s algebraic model.
+    /// cross-validation of [`MulTer::multiply`]'s value.
     ///
     /// Steps the actual hardware structure cycle by cycle: per clock, the
     /// Control Unit broadcasts the serialized coefficient a_cntr to all n
@@ -250,9 +230,15 @@ impl TernaryMulUnit for MulTer {
 mod tests {
     use super::*;
     use lac_meter::{CycleLedger, NullMeter};
-    use lac_rand::prop;
-    use lac_ring::mul::mul_ternary;
+    use lac_rand::{prop, Rng};
+    use lac_ring::mul::{mul_full, mul_ternary, reduce_full};
     use lac_ring::split::split_mul_high;
+
+    /// The product in R_n by the reference that shares no code with the
+    /// product kernel.
+    fn reference(a: &TernaryPoly, b: &Poly, n: usize, conv: Convolution) -> Poly {
+        reduce_full(&mul_full(a, b), n, conv)
+    }
 
     #[test]
     fn matches_software_multiplication_small() {
@@ -261,8 +247,7 @@ mod tests {
         let b = Poly::from_coeffs(vec![3, 1, 4, 1, 5, 9, 2, 6]);
         for conv in [Convolution::Cyclic, Convolution::Negacyclic] {
             let hw = unit.multiply(&a, &b, conv, &mut NullMeter);
-            let sw = mul_ternary(&a, &b, conv, &mut NullMeter);
-            assert_eq!(hw, sw, "{conv:?}");
+            assert_eq!(hw, reference(&a, &b, 8, conv), "{conv:?}");
         }
     }
 
@@ -275,8 +260,7 @@ mod tests {
         let a = TernaryPoly::from_coeffs(coeffs);
         let b = Poly::from_coeffs((0..512u32).map(|i| (i * 7 % 251) as u8).collect());
         let hw = unit.multiply(&a, &b, Convolution::Negacyclic, &mut NullMeter);
-        let sw = mul_ternary(&a, &b, Convolution::Negacyclic, &mut NullMeter);
-        assert_eq!(hw, sw);
+        assert_eq!(hw, reference(&a, &b, 512, Convolution::Negacyclic));
     }
 
     #[test]
@@ -320,8 +304,7 @@ mod tests {
         let a = TernaryPoly::from_coeffs(coeffs);
         let b = Poly::from_coeffs((0..1024u32).map(|i| (i * 13 % 251) as u8).collect());
         let hw = split_mul_high(&mut unit, &a, &b, Convolution::Negacyclic, &mut NullMeter);
-        let sw = mul_ternary(&a, &b, Convolution::Negacyclic, &mut NullMeter);
-        assert_eq!(hw, sw);
+        assert_eq!(hw, reference(&a, &b, 1024, Convolution::Negacyclic));
     }
 
     #[test]
@@ -372,11 +355,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unit length")]
-    fn length_mismatch_rejected() {
+    #[should_panic(expected = "operand longer than")]
+    fn longer_than_unit_rejected() {
         let mut unit = MulTer::new(8);
-        let a = TernaryPoly::zero(4);
-        let b = Poly::zero(8);
+        let a = TernaryPoly::zero(8);
+        let b = Poly::zero(10);
         unit.multiply(&a, &b, Convolution::Cyclic, &mut NullMeter);
     }
 
@@ -419,15 +402,24 @@ mod tests {
 
     #[test]
     fn prop_matches_software() {
+        // Operands up to the unit's length: a shorter one is zero-extended
+        // and still charged as a full product.
+        let mut full_cost = CycleLedger::new();
+        let zero = (TernaryPoly::zero(16), Poly::zero(16));
+        MulTer::new(16).multiply(&zero.0, &zero.1, Convolution::Cyclic, &mut full_cost);
         prop::check("mul_ter_matches_software", 48, |rng| {
             let mut unit = MulTer::new(16);
-            let a = TernaryPoly::from_coeffs(prop::vec_i8(rng, 16, -1, 1));
-            let b = Poly::from_coeffs(prop::vec_u8(rng, 16, 251));
+            let la = rng.gen_range_usize(1..17);
+            let lb = rng.gen_range_usize(1..17);
+            let a = TernaryPoly::from_coeffs(prop::vec_i8(rng, la, -1, 1));
+            let b = Poly::from_coeffs(prop::vec_u8(rng, lb, 251));
             for conv in [Convolution::Cyclic, Convolution::Negacyclic] {
+                let mut cost = CycleLedger::new();
                 prop::ensure_eq(
-                    unit.multiply(&a, &b, conv, &mut NullMeter),
-                    mul_ternary(&a, &b, conv, &mut NullMeter),
+                    unit.multiply(&a, &b, conv, &mut cost),
+                    reference(&a, &b, 16, conv),
                 )?;
+                prop::ensure_eq(&cost, &full_cost)?;
             }
             Ok(())
         });

@@ -12,8 +12,10 @@
 //! * [`TernaryPoly`] — ternary polynomials;
 //! * [`Convolution`] — positive (xⁿ−1) vs negative (xⁿ+1) wrapped
 //!   convolution, both supported by the multiplier (Fig. 2);
-//! * [`mul::mul_ternary`] — the metered software schoolbook multiplication
-//!   (the LAC reference implementation's cost profile);
+//! * [`mul::ternary_product`] — the one ternary × general product, unmetered
+//!   and branch-free, that every metered multiplier takes its values from;
+//! * [`mul::mul_ternary`] / [`mul::mul_ternary_truncated`] — the product
+//!   charged as the LAC reference implementation's schoolbook loop;
 //! * [`split`] — the paper's Algorithms 1 and 2, which reuse a length-n/2
 //!   multiplier unit for length-n products via two levels of splitting;
 //! * [`barrett_reduce`] / [`reduce_i32`] — constant-time modular reduction
@@ -35,10 +37,8 @@
 
 #![warn(missing_docs)]
 
-pub mod karatsuba;
 pub mod mul;
 pub mod split;
-pub mod trunc;
 
 use lac_meter::{Meter, Op};
 use std::fmt;
@@ -100,13 +100,6 @@ pub fn add_mod(a: u8, b: u8) -> u8 {
 pub fn sub_mod(a: u8, b: u8) -> u8 {
     let d = i16::from(a) - i16::from(b);
     (if d < 0 { d + Q as i16 } else { d }) as u8
-}
-
-/// Charge the modelled software cost of one Barrett reduction.
-#[inline]
-pub fn charge_barrett<M: Meter>(meter: &mut M) {
-    meter.charge(Op::Mul, 2);
-    meter.charge(Op::Alu, 4);
 }
 
 /// Which wrapped convolution the ring uses (Section IV-A).

@@ -1,22 +1,83 @@
-//! Software polynomial multiplication (the LAC reference implementation's
-//! cost profile).
+//! Ternary × general polynomial multiplication: the one product kernel and
+//! the LAC reference implementation's cost profile.
+//!
+//! [`ternary_product`] is the only code that evaluates Eq. (1). It charges
+//! nothing: each caller charges the algorithm it models and takes the
+//! values from the kernel. [`mul_ternary`] and [`mul_ternary_truncated`]
+//! charge the reference schoolbook; `lac-hw`'s `MulTer::multiply` charges
+//! the MUL TER unit.
 //!
 //! The reference LAC code multiplies a ternary polynomial by a general one
 //! with a plain n² schoolbook loop — Table II measures this at ~2.38M cycles
 //! for n = 512 and ~9.48M for n = 1024 (independent of the secret's weight,
-//! i.e. the inner loop runs for zero coefficients too). [`mul_ternary`]
-//! charges exactly that profile: per inner iteration two loads, one
-//! multiply, one accumulate and the loop overhead (9 modelled cycles), plus
-//! a final Barrett reduction pass.
+//! i.e. the inner loop runs for zero coefficients too). Per inner iteration
+//! it costs two loads, one multiply, one accumulate and the loop overhead (9
+//! modelled cycles), plus a final Barrett reduction pass. LAC's encryption
+//! only needs the first `lv` coefficients of `b·s'` (the ones that carry the
+//! BCH codeword), and the reference implementation exploits this: its cost
+//! is `out_len · n` inner iterations instead of `n²`. Table II's LAC-192
+//! encapsulation (13.4M cycles, not 19.8M) reflects exactly this
+//! optimization. The charges depend only on n and `out_len`, so both
+//! functions charge them once, in closed form.
 
-use crate::{charge_barrett, reduce_i32, Convolution, Poly, TernaryPoly};
+use crate::{reduce_i32, Convolution, Poly, TernaryPoly};
 use lac_meter::{Meter, Op, Phase};
 
-/// Multiply a ternary polynomial by a general polynomial in
-/// Z_q\[x\]/(xⁿ ∓ 1), schoolbook, metered under [`Phase::Mul`].
+/// The first `out_len` coefficients of `a · b mod (xⁿ ∓ 1)`, unmetered.
 ///
 /// Implements Eq. (1) of the paper:
 /// cᵢ = Σ_{j≤i} aⱼ b_{i−j} ± Σ_{j>i} aⱼ b_{n+i−j} (sign by convolution).
+/// Operands shorter than n are zero-extended without a copy — the sums run
+/// only over coefficients that exist — so Algorithm 2's zero-padded halves
+/// cost a quarter of a full product. Each row accumulates its unwrapped and
+/// its wrapped range in `i32` and is reduced once with Barrett; nothing
+/// branches or indexes on a coefficient's value.
+///
+/// # Panics
+///
+/// Panics if an operand is longer than n or `out_len` exceeds n.
+pub fn ternary_product(
+    a: &TernaryPoly,
+    b: &Poly,
+    n: usize,
+    conv: Convolution,
+    out_len: usize,
+) -> Poly {
+    assert!(
+        a.len() <= n && b.len() <= n,
+        "operand longer than the ring dimension {n}"
+    );
+    assert!(out_len <= n, "out_len exceeds ring dimension");
+    // Reversed, aⱼ runs down as b_{s−j} runs up: each range is a forward
+    // dot product.
+    let a_rev: Vec<i8> = a.coeffs().iter().rev().copied().collect();
+    let b = b.coeffs();
+    let wrap = conv.wrap_sign();
+    let coeffs = (0..out_len)
+        .map(|i| reduce_i32(diagonal(&a_rev, b, i) + wrap * diagonal(&a_rev, b, n + i)))
+        .collect();
+    Poly::from_coeffs(coeffs)
+}
+
+/// Σ aⱼ·b_{s−j} over every j where both coefficients exist, `a_rev` being
+/// `a` reversed.
+#[inline]
+fn diagonal(a_rev: &[i8], b: &[u8], s: usize) -> i32 {
+    let la = a_rev.len();
+    let (lo, hi) = ((s + 1).saturating_sub(b.len()), (s + 1).min(la));
+    if lo >= hi {
+        return 0;
+    }
+    a_rev[la - hi..la - lo]
+        .iter()
+        .zip(&b[s + 1 - hi..s + 1 - lo])
+        .map(|(&x, &y)| i32::from(x) * i32::from(y))
+        .sum()
+}
+
+/// Multiply a ternary polynomial by a general polynomial in
+/// Z_q\[x\]/(xⁿ ∓ 1), charging the reference schoolbook under
+/// [`Phase::Mul`].
 ///
 /// # Panics
 ///
@@ -24,43 +85,63 @@ use lac_meter::{Meter, Op, Phase};
 pub fn mul_ternary<M: Meter>(a: &TernaryPoly, b: &Poly, conv: Convolution, meter: &mut M) -> Poly {
     assert_eq!(a.len(), b.len(), "length mismatch");
     let n = a.len();
-    let wrap = conv.wrap_sign();
     meter.enter(Phase::Mul);
-    let mut acc = vec![0i32; n];
-    for (j, &aj) in a.coeffs().iter().enumerate() {
-        let aj = i32::from(aj);
-        for (k, &bk) in b.coeffs().iter().enumerate() {
-            let i = j + k;
-            let (idx, sign) = if i < n { (i, 1) } else { (i - n, wrap) };
-            acc[idx] += sign * aj * i32::from(bk);
-        }
-        // Reference-implementation cost: the inner loop runs over all n
-        // positions with a multiply-accumulate regardless of aj's value.
-        meter.charge(Op::Load, 2 * n as u64);
-        meter.charge(Op::Mul, n as u64);
-        meter.charge(Op::Alu, n as u64);
-        meter.charge(Op::LoopIter, n as u64);
-        meter.charge(Op::LoopIter, 1);
-        meter.charge(Op::Load, 1);
-    }
-    let coeffs = acc.iter().map(|&v| reduce_i32(v)).collect();
-    for _ in 0..n {
-        charge_barrett(meter);
-        meter.charge(Op::Load, 1);
-        meter.charge(Op::Store, 1);
-        meter.charge(Op::LoopIter, 1);
-    }
+    let c = ternary_product(a, b, n, conv, n);
+    // The full loop runs over the secret, loading each aⱼ once, then over
+    // all n positions whatever aⱼ's value.
+    meter.charge(Op::Load, n as u64);
+    charge_reference(n, n, meter);
     meter.leave();
-    Poly::from_coeffs(coeffs)
+    c
+}
+
+/// Compute the first `out_len` coefficients of `a · b mod (xⁿ ∓ 1)`,
+/// charging the reference schoolbook's `out_len · n` inner iterations
+/// under [`Phase::Mul`].
+///
+/// # Panics
+///
+/// Panics if the operands differ in length or `out_len` exceeds it.
+pub fn mul_ternary_truncated<M: Meter>(
+    a: &TernaryPoly,
+    b: &Poly,
+    conv: Convolution,
+    out_len: usize,
+    meter: &mut M,
+) -> Poly {
+    assert_eq!(a.len(), b.len(), "length mismatch");
+    let n = a.len();
+    meter.enter(Phase::Mul);
+    let c = ternary_product(a, b, n, conv, out_len);
+    charge_reference(n, out_len, meter);
+    meter.leave();
+    c
+}
+
+/// Charge `rows` rows of the reference schoolbook — n inner iterations
+/// each plus the row's loop overhead — and its Barrett pass over the
+/// `rows` outputs.
+fn charge_reference<M: Meter>(n: usize, rows: usize, meter: &mut M) {
+    let (n, rows) = (n as u64, rows as u64);
+    meter.charge(Op::Load, rows * 2 * n);
+    meter.charge(Op::Mul, rows * n);
+    meter.charge(Op::Alu, rows * n);
+    meter.charge(Op::LoopIter, rows * (n + 1));
+    // Per output: Barrett (two multiplies, four ALU ops), a load, a store
+    // and the loop.
+    meter.charge(Op::Mul, 2 * rows);
+    meter.charge(Op::Alu, 4 * rows);
+    meter.charge(Op::Load, rows);
+    meter.charge(Op::Store, rows);
+    meter.charge(Op::LoopIter, rows);
 }
 
 /// Full (unreduced) product of a ternary and a general polynomial: the
-/// result has length `2n − 1` and no ring reduction is applied. Used as the
-/// reference to validate the split algorithms and the hardware model.
+/// result has length `a.len() + b.len() − 1` and no ring reduction is
+/// applied. The reference that tests check [`ternary_product`], the split
+/// algorithms and the hardware model against.
 pub fn mul_full(a: &TernaryPoly, b: &Poly) -> Vec<i32> {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    let n = a.len();
-    let mut acc = vec![0i32; 2 * n - 1];
+    let mut acc = vec![0i32; (a.len() + b.len()).saturating_sub(1)];
     for (j, &aj) in a.coeffs().iter().enumerate() {
         if aj == 0 {
             continue;
@@ -72,7 +153,7 @@ pub fn mul_full(a: &TernaryPoly, b: &Poly) -> Vec<i32> {
     acc
 }
 
-/// Reduce a full product (length 2n−1 or 2n) into R_n with the given
+/// Reduce a full product (at most 2n coefficients) into R_n with the given
 /// convolution. Reference helper for tests.
 pub fn reduce_full(full: &[i32], n: usize, conv: Convolution) -> Poly {
     assert!(full.len() <= 2 * n, "full product too long for ring");
@@ -92,7 +173,7 @@ pub fn reduce_full(full: &[i32], n: usize, conv: Convolution) -> Poly {
 mod tests {
     use super::*;
     use lac_meter::{CycleLedger, NullMeter};
-    use lac_rand::prop;
+    use lac_rand::{prop, Rng};
 
     fn tp(c: &[i8]) -> TernaryPoly {
         TernaryPoly::from_coeffs(c.to_vec())
@@ -221,16 +302,60 @@ mod tests {
     }
 
     #[test]
+    fn cost_scales_with_out_len() {
+        let a = TernaryPoly::zero(128);
+        let b = Poly::zero(128);
+        let mut half = CycleLedger::new();
+        mul_ternary_truncated(&a, &b, Convolution::Negacyclic, 64, &mut half);
+        let mut full = CycleLedger::new();
+        mul_ternary_truncated(&a, &b, Convolution::Negacyclic, 128, &mut full);
+        let ratio = full.total() as f64 / half.total() as f64;
+        assert!((1.9..2.1).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    #[should_panic(expected = "out_len exceeds")]
+    fn oversized_out_len_rejected() {
+        let a = TernaryPoly::zero(8);
+        let b = Poly::zero(8);
+        mul_ternary_truncated(&a, &b, Convolution::Cyclic, 9, &mut NullMeter);
+    }
+
+    #[test]
     fn prop_matches_reference_reduction() {
         prop::check("mul_matches_reference_reduction", 64, |rng| {
-            let a = TernaryPoly::from_coeffs(prop::vec_i8(rng, 16, -1, 1));
-            let b = Poly::from_coeffs(prop::vec_u8(rng, 16, 251));
+            let n = [8, 16, 512][rng.gen_below_usize(3)];
+            // Operands as long as the ring, or shorter (zero-extended).
+            let mut len = || {
+                if rng.gen_bool() {
+                    n
+                } else {
+                    rng.gen_range_usize(1..n + 1)
+                }
+            };
+            let (la, lb) = (len(), len());
+            let a = if rng.gen_bool() {
+                TernaryPoly::from_coeffs(prop::vec_i8(rng, la, -1, 1))
+            } else {
+                // A fixed-weight secret: ±1 at distinct positions.
+                let mut c = vec![0i8; la];
+                for p in prop::distinct_positions(rng, la, la / 2) {
+                    c[p] = if rng.gen_bool() { 1 } else { -1 };
+                }
+                TernaryPoly::from_coeffs(c)
+            };
+            let b = Poly::from_coeffs(prop::vec_u8(rng, lb, 251));
+            let out_len = [0, 1, rng.gen_below_usize(n + 1), n][rng.gen_below_usize(4)];
             let full = mul_full(&a, &b);
             for conv in [Convolution::Cyclic, Convolution::Negacyclic] {
-                prop::ensure_eq(
-                    mul_ternary(&a, &b, conv, &mut NullMeter),
-                    reduce_full(&full, 16, conv),
-                )?;
+                let expect = reduce_full(&full, n, conv);
+                let prefix = &expect.coeffs()[..out_len];
+                prop::ensure_eq(ternary_product(&a, &b, n, conv, out_len).coeffs(), prefix)?;
+                if la == n && lb == n {
+                    prop::ensure_eq(mul_ternary(&a, &b, conv, &mut NullMeter), expect.clone())?;
+                    let low = mul_ternary_truncated(&a, &b, conv, out_len, &mut NullMeter);
+                    prop::ensure_eq(low.coeffs(), prefix)?;
+                }
             }
             Ok(())
         });

@@ -7,7 +7,8 @@
 //! * [`split_mul_low`] (Algorithm 2) multiplies two length-u polynomials
 //!   *without* ring reduction by splitting them into u/2-halves, computing
 //!   the four half-products on the length-u unit (zero-padded, so no wrap
-//!   occurs), and recombining per Eq. (2);
+//!   occurs), and recombining per Eq. (2). The padding is implicit: the
+//!   halves go to the unit as they are, and the unit zero-extends them;
 //! * [`split_mul_high`] (Algorithm 1) multiplies two length-2u polynomials
 //!   in R_2u by calling Algorithm 2 four times and folding the x^u and x^2u
 //!   terms back with the ring's wrap sign.
@@ -16,31 +17,30 @@
 //! unit: directly, through Algorithm 1, or not at all.
 //!
 //! All three functions are generic over the multiplier through the
-//! [`TernaryMulUnit`] trait, so the same code drives the software schoolbook
-//! backend (for validation) and the cycle-accurate hardware model in
-//! `lac-hw`.
+//! [`TernaryMulUnit`] trait, which the cycle-accurate `MulTer` model in
+//! `lac-hw` implements (and this module's tests, with a free software
+//! unit).
 //!
 //! The paper notes that Karatsuba would save one of the four half-products
 //! but needs general × general multiplications the ternary unit cannot do —
 //! we follow the paper and use the four-product form.
 
-use crate::{add_mod, mul::mul_ternary, sub_mod, Convolution, Poly, TernaryPoly};
+use crate::{add_mod, sub_mod, Convolution, Poly, TernaryPoly};
 use lac_meter::{Meter, Op, Phase};
 
 /// A multiplier for ternary × general products of a fixed unit length,
 /// reducing by x^len ± 1.
-///
-/// Implementors: the software schoolbook ([`SchoolbookUnit`]) and the
-/// cycle-accurate `MulTer` hardware model in `lac-hw`.
 pub trait TernaryMulUnit {
     /// The unit's polynomial length (512 in the paper).
     fn unit_len(&self) -> usize;
 
-    /// Compute `a · b mod (x^unit_len ∓ 1)`.
+    /// Compute `a · b mod (x^unit_len ∓ 1)`. An operand shorter than the
+    /// unit is zero-extended to it — Algorithm 2's padding, implicit and
+    /// charged as a unit-length product.
     ///
     /// # Panics
     ///
-    /// Implementations panic if the operand lengths differ from
+    /// Implementations panic if an operand is longer than
     /// [`TernaryMulUnit::unit_len`].
     fn mul_unit(
         &mut self,
@@ -51,56 +51,10 @@ pub trait TernaryMulUnit {
     ) -> Poly;
 }
 
-/// Pure-software unit: schoolbook multiplication with the reference cost
-/// profile. Used to validate the split algorithms against the hardware
-/// model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchoolbookUnit {
-    len: usize,
-}
-
-impl SchoolbookUnit {
-    /// A software unit of the given length.
-    pub fn new(len: usize) -> Self {
-        Self { len }
-    }
-}
-
-impl TernaryMulUnit for SchoolbookUnit {
-    fn unit_len(&self) -> usize {
-        self.len
-    }
-
-    fn mul_unit(
-        &mut self,
-        a: &TernaryPoly,
-        b: &Poly,
-        conv: Convolution,
-        mut meter: &mut dyn Meter,
-    ) -> Poly {
-        assert_eq!(a.len(), self.len, "operand length != unit length");
-        mul_ternary(a, b, conv, &mut meter)
-    }
-}
-
-/// Zero-pad a ternary polynomial to `len`.
-fn pad_ternary(p: &TernaryPoly, len: usize) -> TernaryPoly {
-    let mut c = p.coeffs().to_vec();
-    c.resize(len, 0);
-    TernaryPoly::from_coeffs(c)
-}
-
-/// Zero-pad a general polynomial to `len`.
-fn pad_poly(p: &Poly, len: usize) -> Poly {
-    let mut c = p.coeffs().to_vec();
-    c.resize(len, 0);
-    Poly::from_coeffs(c)
-}
-
 /// Algorithm 2 — `split_mul_low`: full (unreduced) product of two length-u
 /// polynomials on a length-u multiplier unit.
 ///
-/// The u/2-halves are zero-padded to u, so the unit's ring reduction never
+/// The unit zero-extends the u/2-halves to u, so its ring reduction never
 /// triggers (the products have degree < u) and either convolution setting
 /// yields the exact product. The result has length 2u, coefficients in
 /// `[0, q)`.
@@ -121,10 +75,6 @@ pub fn split_mul_low(
 
     let (al, ah) = a.halves();
     let (bl, bh) = b.halves();
-    let al = pad_ternary(&al, u);
-    let ah = pad_ternary(&ah, u);
-    let bl = pad_poly(&bl, u);
-    let bh = pad_poly(&bh, u);
 
     // Line 1–2: the four half products on the unit (order as in the paper).
     let cll = unit.mul_unit(&al, &bl, Convolution::Cyclic, meter);
@@ -261,16 +211,43 @@ pub fn mul_on_unit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mul::{mul_full, reduce_full, ternary_product};
     use lac_meter::{CycleLedger, NullMeter};
     use lac_rand::prop;
 
+    /// The product kernel as a length-`.0` unit that charges nothing, so a
+    /// ledger sees only the split algorithms' own cost.
+    struct SchoolbookUnit(usize);
+
+    impl TernaryMulUnit for SchoolbookUnit {
+        fn unit_len(&self) -> usize {
+            self.0
+        }
+
+        fn mul_unit(
+            &mut self,
+            a: &TernaryPoly,
+            b: &Poly,
+            conv: Convolution,
+            _meter: &mut dyn Meter,
+        ) -> Poly {
+            ternary_product(a, b, self.0, conv, self.0)
+        }
+    }
+
+    /// The product in R_n by the reference that shares no code with the
+    /// kernel.
+    fn direct(a: &TernaryPoly, b: &Poly, conv: Convolution) -> Poly {
+        reduce_full(&mul_full(a, b), a.len(), conv)
+    }
+
     #[test]
     fn split_low_matches_full_product() {
-        let mut unit = SchoolbookUnit::new(8);
+        let mut unit = SchoolbookUnit(8);
         let a = TernaryPoly::from_coeffs(vec![1, -1, 0, 1, 0, 0, 1, -1]);
         let b = Poly::from_coeffs(vec![3, 1, 4, 1, 5, 9, 2, 6]);
         let got = split_mul_low(&mut unit, &a, &b, &mut NullMeter);
-        let full = crate::mul::mul_full(&a, &b);
+        let full = mul_full(&a, &b);
         for (i, coeff) in got.coeffs().iter().enumerate() {
             let expect = full.get(i).copied().unwrap_or(0);
             assert_eq!(i32::from(*coeff), expect.rem_euclid(251), "coeff {i}");
@@ -279,55 +256,37 @@ mod tests {
 
     #[test]
     fn split_high_matches_direct_negacyclic() {
-        let mut unit = SchoolbookUnit::new(8);
+        let mut unit = SchoolbookUnit(8);
         let a = TernaryPoly::from_coeffs(vec![1, 0, -1, 1, 0, 1, -1, 0, 1, 1, 0, -1, 0, 0, 1, -1]);
         let b = Poly::from_coeffs((0u8..16).map(|i| i * 13 % 251).collect());
-        let direct = mul_ternary(&a, &b, Convolution::Negacyclic, &mut NullMeter);
         let split = split_mul_high(&mut unit, &a, &b, Convolution::Negacyclic, &mut NullMeter);
-        assert_eq!(split, direct);
+        assert_eq!(split, direct(&a, &b, Convolution::Negacyclic));
     }
 
     #[test]
     fn split_high_matches_direct_cyclic() {
-        let mut unit = SchoolbookUnit::new(8);
+        let mut unit = SchoolbookUnit(8);
         let a = TernaryPoly::from_coeffs(vec![-1, 0, 1, 1, 0, -1, 1, 0, 0, 1, -1, 0, 1, 0, 0, 1]);
         let b = Poly::from_coeffs((0u8..16).map(|i| (i * 7 + 3) % 251).collect());
-        let direct = mul_ternary(&a, &b, Convolution::Cyclic, &mut NullMeter);
         let split = split_mul_high(&mut unit, &a, &b, Convolution::Cyclic, &mut NullMeter);
-        assert_eq!(split, direct);
+        assert_eq!(split, direct(&a, &b, Convolution::Cyclic));
     }
 
     #[test]
     fn split_high_full_lac_sizes() {
         // The real configuration: length-512 unit, length-1024 operands.
-        let mut unit = SchoolbookUnit::new(512);
+        let mut unit = SchoolbookUnit(512);
         let coeffs: Vec<i8> = (0..1024).map(|i| [0i8, 1, 0, -1][i % 4]).collect();
         let a = TernaryPoly::from_coeffs(coeffs);
         let b = Poly::from_coeffs((0..1024u32).map(|i| (i * 31 % 251) as u8).collect());
-        let direct = mul_ternary(&a, &b, Convolution::Negacyclic, &mut NullMeter);
         let split = split_mul_high(&mut unit, &a, &b, Convolution::Negacyclic, &mut NullMeter);
-        assert_eq!(split, direct);
+        assert_eq!(split, direct(&a, &b, Convolution::Negacyclic));
     }
 
     #[test]
     fn recombination_overhead_is_charged() {
-        // With a free unit (NullUnit), only the recombination cost remains.
-        struct FreeUnit(usize);
-        impl TernaryMulUnit for FreeUnit {
-            fn unit_len(&self) -> usize {
-                self.0
-            }
-            fn mul_unit(
-                &mut self,
-                a: &TernaryPoly,
-                b: &Poly,
-                conv: Convolution,
-                _meter: &mut dyn Meter,
-            ) -> Poly {
-                mul_ternary(a, b, conv, &mut NullMeter)
-            }
-        }
-        let mut unit = FreeUnit(512);
+        // With a free unit, only the recombination cost remains.
+        let mut unit = SchoolbookUnit(512);
         let a = TernaryPoly::zero(1024);
         let b = Poly::zero(1024);
         let mut ledger = CycleLedger::new();
@@ -345,7 +304,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "2 × unit length")]
     fn wrong_length_rejected() {
-        let mut unit = SchoolbookUnit::new(8);
+        let mut unit = SchoolbookUnit(8);
         let a = TernaryPoly::zero(8);
         let b = Poly::zero(8);
         split_mul_high(&mut unit, &a, &b, Convolution::Negacyclic, &mut NullMeter);
@@ -354,13 +313,12 @@ mod tests {
     #[test]
     fn prop_split_high_equals_direct() {
         prop::check("split_high_equals_direct", 64, |rng| {
-            let mut unit = SchoolbookUnit::new(16);
+            let mut unit = SchoolbookUnit(16);
             let a = TernaryPoly::from_coeffs(prop::vec_i8(rng, 32, -1, 1));
             let b = Poly::from_coeffs(prop::vec_u8(rng, 32, 251));
             for conv in [Convolution::Cyclic, Convolution::Negacyclic] {
-                let direct = mul_ternary(&a, &b, conv, &mut NullMeter);
                 let split = split_mul_high(&mut unit, &a, &b, conv, &mut NullMeter);
-                prop::ensure_eq(&split, &direct)?;
+                prop::ensure_eq(split, direct(&a, &b, conv))?;
             }
             Ok(())
         });
@@ -369,11 +327,11 @@ mod tests {
     #[test]
     fn prop_split_low_is_full_product() {
         prop::check("split_low_is_full_product", 64, |rng| {
-            let mut unit = SchoolbookUnit::new(16);
+            let mut unit = SchoolbookUnit(16);
             let a = TernaryPoly::from_coeffs(prop::vec_i8(rng, 16, -1, 1));
             let b = Poly::from_coeffs(prop::vec_u8(rng, 16, 251));
             let got = split_mul_low(&mut unit, &a, &b, &mut NullMeter);
-            let full = crate::mul::mul_full(&a, &b);
+            let full = mul_full(&a, &b);
             for (i, coeff) in got.coeffs().iter().enumerate() {
                 let expect = full.get(i).copied().unwrap_or(0).rem_euclid(251);
                 prop::ensure_eq(i32::from(*coeff), expect)?;

@@ -192,16 +192,6 @@ impl Cpu {
         self.shared = Some(shared);
     }
 
-    /// Detach the shared trace cache (locally-installed blocks remain).
-    pub fn detach_shared_cache(&mut self) {
-        self.shared = None;
-    }
-
-    /// The attached shared trace cache, if any.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedTraceCache>> {
-        self.shared.as_ref()
-    }
-
     /// Capture the whole machine — architectural state, RAM, predecoded
     /// lines with their generation counters, and the compiled superblock
     /// cache — into a cheaply-cloneable [`WarmImage`]. The shared-cache
@@ -270,11 +260,6 @@ impl Cpu {
     /// The currently selected execution engine.
     pub fn engine(&self) -> Engine {
         self.engine
-    }
-
-    /// Predecode-cache lifetime counters: `(lines_filled, lines_invalidated)`.
-    pub fn predecode_stats(&self) -> (u64, u64) {
-        self.cache.stats()
     }
 
     /// Superblock-engine lifetime counters.

@@ -203,11 +203,9 @@ impl PqAlu {
             }
             ctrl::START => {
                 let conv = CONVS[(rs2 & 1) as usize];
-                let mut a = self.ter_a.clone();
-                let mut b = self.ter_b.clone();
-                a.resize(n, 0);
-                b.resize(n, 0);
-                let (a, b) = (TernaryPoly::from_coeffs(a), Poly::from_coeffs(b));
+                // The unit zero-extends operands loaded short of its length.
+                let a = TernaryPoly::from_coeffs(self.ter_a.clone());
+                let b = Poly::from_coeffs(self.ter_b.clone());
                 self.ter_out = self.mul_ter.multiply(&a, &b, conv, &mut NullMeter);
                 self.ter_read_ptr = 0;
                 (0, mul_ter::compute_cycles(n))

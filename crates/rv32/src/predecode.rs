@@ -97,8 +97,6 @@ pub struct PredecodeCache {
     /// redundant scan, never a stale slot.
     filled_lo: usize,
     filled_hi: usize,
-    fills: u64,
-    invalidations: u64,
 }
 
 impl PredecodeCache {
@@ -112,8 +110,6 @@ impl PredecodeCache {
             line_count,
             filled_lo: usize::MAX,
             filled_hi: 0,
-            fills: 0,
-            invalidations: 0,
         }
     }
 
@@ -156,7 +152,6 @@ impl PredecodeCache {
             self.slots[base + i] = fetch_slot(ram, pc_base + 2 * i as u32);
         }
         self.filled[line_index >> 6] |= 1 << (line_index & 63);
-        self.fills += 1;
         self.filled_lo = self.filled_lo.min(line_index);
         self.filled_hi = self.filled_hi.max(line_index);
         self.slots[(pc >> 1) as usize]
@@ -189,7 +184,6 @@ impl PredecodeCache {
                 self.filled[line >> 6] &= !(1 << (line & 63));
                 self.slots[line * SLOTS_PER_LINE..(line + 1) * SLOTS_PER_LINE].fill(Slot::Empty);
                 self.gens[line] += 1;
-                self.invalidations += 1;
                 bumped = true;
             }
         }
@@ -206,7 +200,6 @@ impl PredecodeCache {
                 self.filled[line >> 6] &= !(1 << (line & 63));
                 self.slots[line * SLOTS_PER_LINE..(line + 1) * SLOTS_PER_LINE].fill(Slot::Empty);
                 self.gens[line] += 1;
-                self.invalidations += 1;
                 bumped = true;
             }
         }
@@ -235,13 +228,8 @@ impl PredecodeCache {
         (self.filled[line >> 6] >> (line & 63)) & 1 == 1
     }
 
-    /// Lifetime (fills, invalidated-line) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.fills, self.invalidations)
-    }
-
-    /// Capture the filled lines, all generation counters and the
-    /// bookkeeping counters (see [`crate::warm::WarmImage`]). Sparse in
+    /// Capture the filled lines, all generation counters and the filled
+    /// range (see [`crate::warm::WarmImage`]). Sparse in
     /// the filled lines — an idle cache snapshots to almost nothing.
     pub(crate) fn snapshot(&self) -> PredecodeImage {
         let mut lines = Vec::with_capacity(self.lines_filled());
@@ -259,8 +247,6 @@ impl PredecodeCache {
             gens: self.gens.clone().into_boxed_slice(),
             filled_lo: self.filled_lo,
             filled_hi: self.filled_hi,
-            fills: self.fills,
-            invalidations: self.invalidations,
         }
     }
 
@@ -295,14 +281,12 @@ impl PredecodeCache {
         self.gens.copy_from_slice(&image.gens);
         self.filled_lo = image.filled_lo;
         self.filled_hi = image.filled_hi;
-        self.fills = image.fills;
-        self.invalidations = image.invalidations;
     }
 }
 
 /// A point-in-time copy of a [`PredecodeCache`]'s decoded state: the
 /// filled lines (sparse), every per-line generation counter, and the
-/// bookkeeping counters. Part of [`crate::warm::WarmImage`].
+/// filled range. Part of [`crate::warm::WarmImage`].
 #[derive(Debug, Clone)]
 pub(crate) struct PredecodeImage {
     line_count: usize,
@@ -311,15 +295,6 @@ pub(crate) struct PredecodeImage {
     gens: Box<[u64]>,
     filled_lo: usize,
     filled_hi: usize,
-    fills: u64,
-    invalidations: u64,
-}
-
-impl PredecodeImage {
-    /// Number of predecoded lines captured.
-    pub(crate) fn lines_len(&self) -> usize {
-        self.lines.len()
-    }
 }
 
 /// The slot for `pc`: what [`fetch`] reads there, its trap included.
@@ -348,8 +323,11 @@ mod tests {
         let ram = ram_with(&[0x0050_0093]);
         let mut cache = PredecodeCache::new(ram.len());
         assert!(matches!(cache.lookup(&ram, 0), Slot::Inst { len: 4, .. }));
-        assert!(matches!(cache.lookup(&ram, 0), Slot::Inst { .. }));
-        assert_eq!(cache.stats().0, 1, "second lookup hits the cached line");
+        assert!(
+            matches!(cache.slot_at(0), Slot::Inst { .. }),
+            "second lookup hits the cached line"
+        );
+        assert_eq!(cache.lines_filled(), 1);
     }
 
     #[test]
@@ -388,7 +366,7 @@ mod tests {
         // instruction cached in line 0: both lines must drop.
         cache.invalidate(LINE_BYTES + 2, 1);
         assert_eq!(cache.lines_filled(), 0);
-        assert_eq!(cache.stats().1, 2);
+        assert_eq!((cache.line_gen(0), cache.line_gen(1)), (1, 1));
     }
 
     #[test]
@@ -412,7 +390,7 @@ mod tests {
         cache.invalidate(0, 1); // bump line 0's gen, drop it
         cache.lookup(&ram, 0); // refill
         let image = cache.snapshot();
-        assert_eq!(image.lines_len(), 2);
+        assert_eq!(image.lines.len(), 2);
 
         // Diverge: drop a line, fill a third, then restore.
         cache.invalidate(4 * LINE_BYTES, 1);
@@ -424,7 +402,6 @@ mod tests {
         assert_eq!(other.lines_filled(), 2);
         assert_eq!(cache.line_gen(0), 1, "generation restored, not reset");
         assert_eq!(other.line_gen(0), 1);
-        assert_eq!(cache.stats(), other.stats());
         assert!(matches!(cache.slot_at(0), Slot::Inst { .. }));
         assert!(
             matches!(cache.slot_at(8 * LINE_BYTES), Slot::Empty),

@@ -76,9 +76,4 @@ impl WarmImage {
             .filter(|s| s.block.is_some())
             .count()
     }
-
-    /// Predecoded code lines captured.
-    pub fn predecoded_lines(&self) -> usize {
-        self.state.pre.lines_len()
-    }
 }

@@ -295,8 +295,9 @@ struct WarmStart {
 
 impl WarmStart {
     fn prime() -> Self {
-        let machine = probe_machine();
-        let image = machine.snapshot();
+        // The assembled machine is dropped once imaged, so its 8 MiB
+        // predecode table is freed before the primer allocates its own.
+        let image = probe_machine().snapshot();
         let shared = Arc::new(SharedTraceCache::new());
         let mut primer = Cpu::from_image(&image);
         primer.set_engine(Engine::Jit);

@@ -8,8 +8,9 @@
 # Usage: scripts/verify.sh [--quick]
 #
 # --quick runs the CI-iteration subset — fmt, build, unit tests (the
-# workspace's and the benchmark package's) and a few smokes — and skips
-# the sweeps, bench-regression and serving gates.
+# workspace's and the benchmark package's), an exact compare of the three
+# tables with baselines/ and a few smokes — and skips the sweep,
+# MIPS-floor and serving gates.
 # Full mode (no flags) remains the tier-1 gate.
 set -eu
 
@@ -67,9 +68,18 @@ echo "  self-modifying unlink parity OK"
 
 if [ "$QUICK" = 1 ]; then
     echo
-    echo "== smoke: table2 (--json, quick mode) =="
-    cargo run -q --release --offline -p lac-bench --bin table2 -- --json > /dev/null
-    echo "  table2 OK"
+    echo "== tables equal baselines/ (--json, quick mode) =="
+    # The cycle model is deterministic, so a change that moves one
+    # modelled cycle fails here as well as in full mode's
+    # bench_compare.sh. All three tables take well under a second.
+    for bin in table1 table2 table3; do
+        cargo run -q --release --offline -p lac-bench --bin "$bin" -- --json \
+            | cmp -s - "baselines/$bin.json" || {
+            echo "quick mode: $bin --json differs from baselines/$bin.json" >&2
+            exit 1
+        }
+        echo "  $bin equals baselines/$bin.json"
+    done
     echo
     echo "== smoke: jit digest parity (quick mode) =="
     # One tiny program through the full engine compare: exits non-zero

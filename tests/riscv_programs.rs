@@ -3,7 +3,7 @@
 
 use lac_gf::Field;
 use lac_rand::{prop, Rng};
-use lac_ring::mul::{mul_full, mul_ternary, reduce_full};
+use lac_ring::mul::{mul_full, reduce_full};
 use lac_ring::{Convolution, Poly, TernaryPoly};
 use lac_rv32::pq::{self, ctrl, PqAlu};
 use lac_rv32::{kernels, Machine, Trap};
@@ -119,7 +119,7 @@ fn pq_mul_ter_full_polynomial_through_memory() {
     kernels::write_stream(m.cpu_mut(), a.coeffs(), b.coeffs());
     let exit = m.run(10_000_000).expect("runs");
 
-    let expect = mul_ternary(&a, &b, Convolution::Negacyclic, &mut lac_meter::NullMeter);
+    let expect = reduce_full(&mul_full(&a, &b), n, Convolution::Negacyclic);
     let got = m.cpu().read_bytes(kernels::US, n).to_vec();
     assert_eq!(got, expect.coeffs(), "ISA-driven product mismatch");
     // The unit's 514-cycle compute stall plus the streaming overhead must
