@@ -283,11 +283,12 @@ fn every_charge_is_pinned_by_phase_and_op() {
     // `baselines/` pins totals and Table II's four columns; this pins the
     // rest of each ledger: every phase (glue, hash, serialize and compare
     // included) and every per-op count, for keygen, encaps and decaps on
-    // each parameter set × sampler × backend and for each BCH decoder on
-    // both codes at 0, 1, t/2, t and t+1 errors. A refactor that moves a charge site
-    // must keep the digest; a deliberate model change replaces it and
-    // records the moved cells.
-    const PINNED: &str = "1520153f4fc453cd51d321b5a0bd9bae369b471ef10b758a788e2052dd63a036";
+    // each parameter set × sampler × backend, and for each BCH decoder on
+    // both codes at 0, 1, t/2, t, t+1, t+2 and 2t errors and on 8 uniformly
+    // random words, with every field of each `Decoded` in its label. A
+    // refactor that moves a charge site must keep the digest; a deliberate
+    // model change replaces it and records the moved cells.
+    const PINNED: &str = "71d016b2b2f0dcdb0c77fa43c21dfd7331f42b9311cb113c99acd71d1df24e20";
     let mut text = String::new();
     for params in Params::ALL {
         for sampler in [SamplerKind::Rejection, SamplerKind::ConstantTime] {
@@ -308,7 +309,12 @@ fn every_charge_is_pinned_by_phase_and_op() {
     }
     for code in [BchCode::lac_t8(), BchCode::lac_t16()] {
         let t = code.t();
-        for errors in [0, 1, t / 2, t, t + 1] {
+        // Seeded errors up to 2t reach BM's long updates and overloaded
+        // Chien searches; uniformly random words reach the submission
+        // decoder's weight-driven syndrome cost and roots at shortened
+        // positions.
+        let mut words = Vec::new();
+        for errors in [0, 1, t / 2, t, t + 1, t + 2, 2 * t] {
             let mut rng = Sha256CtrRng::seed_from_u64((t * 100 + errors) as u64);
             let mut msg = [0u8; 32];
             rng.fill_bytes(&mut msg);
@@ -321,18 +327,29 @@ fn every_charge_is_pinned_by_phase_and_op() {
                     cw[p] ^= 1;
                 }
             }
+            words.push((format!("errors={errors}"), cw, Some(msg)));
+        }
+        let mut rng = Sha256CtrRng::seed_from_u64((t * 100 + 99) as u64);
+        for i in 0..8 {
+            let cw: Vec<u8> = (0..code.codeword_len())
+                .map(|_| rng.next_byte() & 1)
+                .collect();
+            words.push((format!("random={i}"), cw, None));
+        }
+        for (case, cw, msg) in &words {
             for decoder in ["vt", "ct", "chien-unit"] {
                 let mut ledger = CycleLedger::new();
                 let out = match decoder {
-                    "vt" => code.decode_variable_time(&cw, &mut ledger),
-                    "ct" => code.decode_constant_time(&cw, &mut ledger),
-                    _ => lac_hw::ChienUnit::new().decode(&code, &cw, &mut ledger),
+                    "vt" => code.decode_variable_time(cw, &mut ledger),
+                    "ct" => code.decode_constant_time(cw, &mut ledger),
+                    _ => lac_hw::ChienUnit::new().decode(&code, cw, &mut ledger),
                 };
+                let message: String = out.message.iter().map(|b| format!("{b:02x}")).collect();
                 let label = format!(
-                    "t={t} errors={errors} {decoder} (degree {}, located {}, message ok {})",
+                    "t={t} {case} {decoder} (degree {}, located {}, message ok {}, message {message})",
                     out.locator_degree,
                     out.errors_located,
-                    out.message == msg
+                    msg.is_some_and(|m| out.message == m)
                 );
                 render_ledger(&mut text, &label, &ledger);
             }
