@@ -13,6 +13,12 @@
 //!   (Table I: 380k of 514k cycles);
 //! * corrections: branchless conditional flip at every position.
 //!
+//! Those are the modelled RISCY loops, charged in closed form from t, m and
+//! the codeword length alone. The host takes the syndromes and the Chien
+//! values from [`crate::kernel`] and runs the 2t Berlekamp–Massey
+//! iterations unmetered, with shift-and-add products and masked selects,
+//! so no branch or table index depends on the received word.
+//!
 //! The decoded result equals the variable-time decoder's for any pattern of
 //! up to t errors; only the cost model (and the real-world leakage) differs.
 //!
@@ -21,49 +27,17 @@
 //! `lac-hw`'s accelerated decoder the MUL CHIEN unit's, so both share
 //! every other charge.
 
-use crate::{BchCode, Decoded};
+use crate::{kernel, BchCode, Decoded, MESSAGE_BITS};
 use lac_meter::{Meter, Op, Phase};
 
-/// Branch-free syndrome computation over the shortened codeword.
+/// Inversion-free Berlekamp–Massey: 2t iterations of branch-free updates.
 ///
-/// For each syndrome index i, walks all transmitted positions accumulating
-/// `mask(r_p) & α^(i·p)` with an incrementally maintained exponent. The
-/// charge per (syndrome, position) pair is fixed.
-fn syndromes<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -> Vec<u16> {
-    let gf = code.field();
-    let two_t = 2 * code.t();
-    let order = u32::from(gf.order());
-    let len = code.codeword_len();
-    let mut s = vec![0u16; two_t];
-    for (i, si) in s.iter_mut().enumerate() {
-        let step = (i + 1) as u32;
-        let mut idx = 0u32;
-        let mut acc = 0u16;
-        for &bit in received.iter().take(len) {
-            let mask = (bit as u16).wrapping_neg();
-            acc ^= mask & gf.exp(idx);
-            idx += step;
-            // Branchless wrap: idx ∈ [0, 2·order) before this line.
-            idx -= order & ((idx >= order) as u32).wrapping_neg();
-            meter.charge(Op::Load, 1);
-            meter.charge(Op::Alu, 3);
-            meter.charge(Op::LoopIter, 1);
-        }
-        *si = acc;
-        meter.charge(Op::Store, 1);
-        meter.charge(Op::LoopIter, 1);
-    }
-    s
-}
-
-/// Inversion-free Berlekamp–Massey, fixed 2t iterations, branchless updates.
-///
-/// Produces a scalar multiple of the error-locator polynomial (same roots,
-/// same degree). Coefficient arrays have fixed length t+1.
-fn berlekamp_massey<M: Meter>(code: &BchCode, s: &[u16], meter: &mut M) -> Vec<u16> {
+/// Returns all t+2 coefficients of a scalar multiple of the error-locator
+/// polynomial (same roots, same degree) and its degree, found by a scan of
+/// every coefficient.
+fn berlekamp_massey(code: &BchCode, s: &[u16]) -> (Vec<u16>, usize) {
     let gf = code.field();
     let t = code.t();
-    let two_t = 2 * t;
     let mut lambda = vec![0u16; t + 2];
     let mut b = vec![0u16; t + 2];
     lambda[0] = 1;
@@ -71,117 +45,53 @@ fn berlekamp_massey<M: Meter>(code: &BchCode, s: &[u16], meter: &mut M) -> Vec<u
     let mut gamma: u16 = 1;
     let mut k: i32 = 0;
 
-    for r in 0..two_t {
-        // δ = Σ_{i=0}^{t} λ_i · S_{r−i} with a fixed t+1-term charge.
-        let mut delta = 0u16;
-        for i in 0..=t {
-            let s_val = if i <= r { s[r - i] } else { 0 };
-            delta ^= gf.mul_masked_metered(lambda[i], s_val, meter);
-            meter.charge(Op::Load, 2);
-            meter.charge(Op::Alu, 1);
-            meter.charge(Op::LoopIter, 1);
+    for r in 0..2 * t {
+        // δ = Σ_{i ≤ min(r, t)} λ_i · S_{r−i}.
+        let delta = (0..=r.min(t)).fold(0, |d, i| d ^ gf.mul_shift_add(lambda[i], s[r - i]));
+        // swap = (δ ≠ 0) ∧ (k ≥ 0), as a mask.
+        let swap = (u16::from(delta != 0) & u16::from(k >= 0)).wrapping_neg();
+        // λ ← γ·λ − δ·x·b and b ← swap ? λ : x·b, reading the old λ_i and
+        // b_{i−1} at each i.
+        let mut b_prev = 0;
+        for (l, b) in lambda.iter_mut().zip(b.iter_mut()) {
+            let (l_old, b_old) = (*l, *b);
+            *l = gf.mul_shift_add(gamma, l_old) ^ gf.mul_shift_add(delta, b_prev);
+            *b = (swap & l_old) | (!swap & b_prev);
+            b_prev = b_old;
         }
-        // λ_new = γ·λ − δ·x·b  (fixed t+2-term charge)
-        let mut lambda_new = vec![0u16; t + 2];
-        for i in 0..=t + 1 {
-            let shifted_b = if i > 0 { b[i - 1] } else { 0 };
-            lambda_new[i] = gf.mul_masked_metered(gamma, lambda[i], meter)
-                ^ gf.mul_masked_metered(delta, shifted_b, meter);
-            meter.charge(Op::Load, 2);
-            meter.charge(Op::Alu, 1);
-            meter.charge(Op::Store, 1);
-            meter.charge(Op::LoopIter, 1);
-        }
-        // Branchless control: swap = (δ ≠ 0) ∧ (k ≥ 0).
-        let swap = delta != 0 && k >= 0;
-        let mask = (swap as u16).wrapping_neg();
-        // Downward iteration: b[i] consumes b[i−1] (the x·b shift), so the
-        // write order must not clobber unread entries.
-        for i in (0..=t + 1).rev() {
-            let shifted_b = if i > 0 { b[i - 1] } else { 0 };
-            b[i] = (mask & lambda[i]) | (!mask & shifted_b);
-            meter.charge(Op::Load, 2);
-            meter.charge(Op::Alu, 3);
-            meter.charge(Op::Store, 1);
-            meter.charge(Op::LoopIter, 1);
-        }
-        gamma = (mask & delta) | (!mask & gamma);
-        k = if swap { -k - 1 } else { k + 1 };
-        meter.charge(Op::Alu, 6);
-        lambda = lambda_new;
-        meter.charge(Op::LoopIter, 1);
+        gamma = (swap & delta) | (!swap & gamma);
+        let swap = i32::from(swap as i16);
+        k = (swap & (-k - 1)) | (!swap & (k + 1));
     }
 
-    // Fixed-trace degree extraction: scan all coefficients.
-    let mut degree = 0usize;
-    for (i, &c) in lambda.iter().enumerate() {
-        let nz = (c != 0) as usize;
-        degree = nz * i + (1 - nz) * degree;
-        meter.charge(Op::Load, 1);
-        meter.charge(Op::Alu, 3);
-        meter.charge(Op::LoopIter, 1);
-    }
-    lambda.truncate(degree + 1);
-    lambda
+    let degree = lambda.iter().enumerate().fold(0, |degree, (i, &c)| {
+        let nz = usize::from(c != 0);
+        nz * i + (1 - nz) * degree
+    });
+    (lambda, degree)
 }
 
-/// Constant-time Chien search over the shortened codeword range.
+/// Constant-time Chien search over the shortened codeword range: every
+/// exponent α^l whose position n − l is transmitted.
 ///
-/// Evaluates Λ(α^l) for every l covering transmitted positions, stepping all
-/// t+1 terms with the shift-and-add GF multiplication (fixed m iterations
-/// each). Returns a branchlessly-built error mask per position, plus the
-/// root count.
+/// Charged as t+1 preloaded terms, then per point t+1 accumulating xors,
+/// the branchless root test and mask store, and t steps of the
+/// shift-and-add multiplication (m iterations of three ALU ops each) — the
+/// software analogue of the MUL GF datapath, and the cost the paper's
+/// MUL CHIEN unit eliminates.
 pub(crate) fn chien<M: Meter>(code: &BchCode, lambda: &[u16], meter: &mut M) -> (Vec<u8>, usize) {
-    let gf = code.field();
-    let n = code.n();
-    let t = code.t();
-    let len = code.codeword_len();
-    let lo = (n - (len - 1)) as u32; // exponent of the highest stored position
-
-    // terms[j] = λ_j · α^(j·lo) initially; stepping multiplies by α^j.
-    let mut terms = vec![0u16; t + 1];
-    for (j, term) in terms.iter_mut().enumerate() {
-        let lam = lambda.get(j).copied().unwrap_or(0);
-        *term = gf.mul(lam, gf.pow(gf.exp(1), (j as u32) * lo));
-        meter.charge(Op::Load, 3);
-        meter.charge(Op::Alu, 2);
-        meter.charge(Op::Store, 1);
-        meter.charge(Op::LoopIter, 1);
-    }
-
-    let mut error_mask = vec![0u8; len];
-    let mut roots = 0usize;
-    for l in lo..=(n as u32) {
-        let mut acc = 0u16;
-        for term in terms.iter() {
-            acc ^= term;
-            meter.charge(Op::Load, 1);
-            meter.charge(Op::Alu, 1);
-            meter.charge(Op::LoopIter, 1);
-        }
-        let is_root = (acc == 0) as u8;
-        let p = n - l as usize;
-        error_mask[p] = is_root;
-        roots += usize::from(is_root);
-        meter.charge(Op::Alu, 4);
-        meter.charge(Op::Store, 1);
-        // Step all terms with the constant-time shift-and-add multiplier —
-        // the software analogue of the MUL GF datapath (and the cost the
-        // paper's MUL CHIEN unit eliminates).
-        for (j, term) in terms.iter_mut().enumerate().skip(1) {
-            *term = gf.mul_shift_add_metered(*term, gf.exp(j as u32), meter);
-            meter.charge(Op::Load, 1);
-            meter.charge(Op::Store, 1);
-            meter.charge(Op::LoopIter, 1);
-        }
-        meter.charge(Op::LoopIter, 1);
-    }
-    (error_mask, roots)
+    let (n, len) = (code.n(), code.codeword_len());
+    let (t, m, points) = (code.t() as u64, u64::from(code.field().m()), len as u64);
+    meter.charge(Op::Load, 3 * (t + 1) + points * (2 * t + 1));
+    meter.charge(Op::Alu, 2 * (t + 1) + points * (t + 5 + 3 * m * t));
+    meter.charge(Op::Store, t + 1 + points * (t + 1));
+    meter.charge(Op::LoopIter, t + 1 + points * (t + 2 + t * (m + 1)));
+    kernel::chien(code, lambda, (n - (len - 1)) as u32..=n as u32)
 }
 
 /// The constant-time decode pipeline, each step under its own phase:
-/// syndromes, Berlekamp–Massey, the Chien step `search` (given the error
-/// locator, λ₀ first; returning the per-position error mask and the root
+/// syndromes, Berlekamp–Massey, the Chien step `search` (given λ₀…λ_t of
+/// the error locator; returning the per-position error mask and the root
 /// count), then the branchless flip and the message read-out as glue.
 ///
 /// # Panics
@@ -193,38 +103,46 @@ pub fn decode_with<M: Meter>(
     meter: &mut M,
     search: impl FnOnce(&BchCode, &[u16], &mut M) -> (Vec<u8>, usize),
 ) -> Decoded {
-    assert_eq!(
-        received.len(),
-        code.codeword_len(),
-        "received word has wrong length"
-    );
+    let (t, len) = (code.t() as u64, received.len() as u64);
 
+    // 2t passes over every position: a bit load, mask/and/xor, a loop
+    // step; a store and a loop step per syndrome.
     meter.enter(Phase::BchSyndrome);
-    let s = syndromes(code, received, meter);
+    let s = kernel::syndromes(code, received);
+    meter.charge(Op::Load, 2 * t * len);
+    meter.charge(Op::Alu, 2 * t * 3 * len);
+    meter.charge(Op::LoopIter, 2 * t * (len + 1));
+    meter.charge(Op::Store, 2 * t);
     meter.leave();
 
+    // Per iteration: t+1 discrepancy terms (a masked table product —
+    // three loads and eight ALU ops whatever its operands — two loads, a
+    // xor, a loop step), t+2 update terms (two products, two loads, a xor,
+    // a store, a loop step), t+2 terms of the branchless select of b (two
+    // loads, three ALU ops, a store, a loop step) and six control ALU ops
+    // with the loop step; then a (t+2)-term degree scan.
     meter.enter(Phase::BchErrorLocator);
-    let lambda = berlekamp_massey(code, &s, meter);
+    let (lambda, locator_degree) = berlekamp_massey(code, &s);
+    let (terms, row) = (t + 1, t + 2);
+    meter.charge(Op::Load, 2 * t * (5 * terms + 10 * row) + row);
+    meter.charge(Op::Alu, 2 * t * (9 * terms + 20 * row + 6) + 3 * row);
+    meter.charge(Op::Store, 2 * t * 2 * row);
+    meter.charge(Op::LoopIter, 2 * t * (terms + 2 * row + 1) + row);
     meter.leave();
 
     meter.enter(Phase::BchChien);
-    let locator_degree = lambda.len() - 1;
-    let (error_mask, errors_located) = search(code, &lambda, meter);
+    let (error_mask, errors_located) = search(code, &lambda[..=code.t()], meter);
     meter.leave();
 
+    // Per position two loads, the flip, a store and a loop step; then the
+    // read-out.
     meter.enter(Phase::BchGlue);
-    // Branchless conditional flip at every position.
-    let mut corrected = received.to_vec();
-    for (c, &e) in corrected.iter_mut().zip(error_mask.iter()) {
-        *c ^= e;
-        meter.charge(Op::Load, 2);
-        meter.charge(Op::Alu, 1);
-        meter.charge(Op::Store, 1);
-        meter.charge(Op::LoopIter, 1);
-    }
-    let message = code.message_of(&corrected);
-    meter.charge(Op::Load, crate::MESSAGE_BITS as u64);
-    meter.charge(Op::Alu, crate::MESSAGE_BITS as u64);
+    let message = code.corrected_message(received, &error_mask);
+    let bits = MESSAGE_BITS as u64;
+    meter.charge(Op::Load, 2 * len + bits);
+    meter.charge(Op::Alu, len + bits);
+    meter.charge(Op::Store, len);
+    meter.charge(Op::LoopIter, len);
     meter.leave();
 
     Decoded {

@@ -15,9 +15,10 @@
 //! Table I of the DATE 2020 paper:
 //!
 //! * [`BchCode::decode_variable_time`] — the NIST 2nd-round-submission style
-//!   decoder: early-exit Berlekamp–Massey and an early-exit Chien search.
-//!   Its modelled cycle count **depends on the error pattern**, which is the
-//!   timing side channel of D'Anvers et al.;
+//!   decoder: weight-driven syndromes, an early-exit Berlekamp–Massey, and
+//!   a Chien search over all n exponents at a fixed charge per point plus
+//!   a charge per root. Its modelled cycle count **depends on the error
+//!   pattern**, which is the timing side channel of D'Anvers et al.;
 //! * [`BchCode::decode_constant_time`] — a Walters–Roy style decoder:
 //!   branchless syndromes over the full code length, a fixed-iteration
 //!   inversion-free Berlekamp–Massey, and a full-range Chien search. Its
@@ -26,7 +27,9 @@
 //! Both decoders share the same algebra, correct up to `t` errors and
 //! return the same [`Decoded`] — as does the accelerated pipeline in
 //! `lac-hw`, which is [`ct::decode_with`] run with the *MUL CHIEN* unit's
-//! search, so the decoder is a cost-model choice, not a type.
+//! search, so the decoder is a cost-model choice, not a type. All three
+//! take their syndromes and Chien values from [`kernel`], computed once
+//! and branch-free, and charge their modelled loops in closed form.
 //!
 //! # Example
 //!
@@ -46,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod constant_time;
+pub mod kernel;
 mod variable_time;
 
 /// The constant-time decode pipeline with a pluggable Chien step, for the
@@ -72,10 +76,11 @@ pub struct Decoded {
     pub message: [u8; MESSAGE_BYTES],
     /// Degree of the error-locator polynomial (estimated error count).
     pub locator_degree: usize,
-    /// Roots of the locator the Chien search found: over the whole
-    /// codeword for the software decoders, over the 257-point message
-    /// window for the MUL CHIEN unit (`lac_hw::ChienUnit`), which never
-    /// locates an error in the parity bits.
+    /// Roots of the locator the Chien search found at transmitted
+    /// positions: over the whole codeword for the software decoders, over
+    /// the 256-point message window ([`BchCode::chien_window`]) for the
+    /// MUL CHIEN unit (`lac_hw::ChienUnit`), which never locates an error
+    /// in the parity bits.
     pub errors_located: usize,
 }
 
@@ -94,6 +99,9 @@ pub struct BchCode {
     generator: BinPoly,
     /// Generator polynomial bits, lowest degree first, length `n - k + 1`.
     generator_bits: Vec<u8>,
+    /// α^(i·p) for each transmitted position p and i = 1..=2t,
+    /// position-major: the columns of [`kernel::syndromes`].
+    syndrome_powers: Vec<u16>,
 }
 
 impl BchCode {
@@ -131,6 +139,13 @@ impl BchCode {
             "code dimension {k} cannot carry a {MESSAGE_BITS}-bit message"
         );
         let generator_bits = generator.to_bits(deg + 1);
+        let syndrome_powers = (0..(n - k + MESSAGE_BITS) as u32)
+            .flat_map(|p| {
+                (1..=2 * t as u32)
+                    .map(|i| gf.exp(i * p))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
         Self {
             gf,
             n,
@@ -138,6 +153,7 @@ impl BchCode {
             t,
             generator,
             generator_bits,
+            syndrome_powers,
         }
     }
 
@@ -192,11 +208,14 @@ impl BchCode {
     }
 
     /// Range of Chien-search exponents covering exactly the message bits of
-    /// the shortened codeword (the paper's α¹¹²…α³⁶⁸ / α¹⁸⁴…α⁴⁴⁰ window).
+    /// the shortened codeword: 256 exponents, α¹¹²…α³⁶⁷ for t = 16 and
+    /// α¹⁸⁴…α⁴³⁹ for t = 8.
     ///
     /// An error at codeword position `p` corresponds to a root `α^(n−p)` of
     /// the error locator, so message positions `parity_len()..parity_len()+255`
-    /// map to exponents `n − parity_len() − 255 ..= n − parity_len()`.
+    /// map to exponents `n − parity_len() − 255 ..= n − parity_len()`. The
+    /// paper quotes α¹¹²…α³⁶⁸ / α¹⁸⁴…α⁴⁴⁰, 257 exponents: one more, α³⁶⁸ /
+    /// α⁴⁴⁰, the top parity position.
     pub fn chien_window(&self) -> std::ops::RangeInclusive<u32> {
         let hi = (self.n - self.parity_len()) as u32;
         let lo = hi - (MESSAGE_BITS as u32 - 1);
@@ -260,6 +279,17 @@ impl BchCode {
             msg[i / 8] |= (cw[r + i] & 1) << (i % 8);
         }
         msg
+    }
+
+    /// The message of `received` with every position set in `error_mask`
+    /// flipped: the branchless correction both software decoders share.
+    fn corrected_message(&self, received: &[u8], error_mask: &[u8]) -> [u8; MESSAGE_BYTES] {
+        let corrected: Vec<u8> = received
+            .iter()
+            .zip(error_mask)
+            .map(|(r, e)| r ^ e)
+            .collect();
+        self.message_of(&corrected)
     }
 
     /// Check that `cw` is a valid codeword (divisible by g(x)). Test helper;

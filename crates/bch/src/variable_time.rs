@@ -1,57 +1,31 @@
 //! The variable-time (NIST-submission style) BCH decoder.
 //!
-//! This decoder mirrors the structure and the *timing behaviour* of the BCH
+//! This decoder models the structure and the *timing behaviour* of the BCH
 //! decoder shipped with the 2nd-round LAC submission, which Table I of the
 //! paper shows to be non-constant-time despite its countermeasure compile
 //! flag:
 //!
 //! * syndromes are accumulated only for the **set bits** of the received
 //!   word (cost follows the word's Hamming weight);
-//! * Berlekamp–Massey takes a cheap early-out on zero discrepancies, so an
-//!   error-free word costs a few hundred modelled cycles where a 16-error
-//!   word costs ~10k (the paper's 158 vs 10,172);
-//! * the Chien search walks the full exponent range evaluating a fixed
-//!   `t+1`-term array with zero-skipping table multiplications.
+//! * Berlekamp–Massey takes a cheap early-out on zero discrepancies and
+//!   skips table multiplications with a zero operand, so an error-free
+//!   word costs a few hundred modelled cycles where a 16-error word costs
+//!   ~10k (the paper's 158 vs 10,172);
+//! * the Chien search is not early-exit: it walks all n exponents,
+//!   evaluating a fixed `t+1`-term array at a fixed charge per point, plus
+//!   a position store per root.
 //!
 //! The modelled cycle count therefore **leaks the error pattern** — this is
 //! exactly the D'Anvers-et-al. side channel the constant-time decoder
 //! removes.
+//!
+//! The syndromes and the Chien values come from [`crate::kernel`]; their
+//! loops are charged in closed form from the word's weight, the roots over
+//! 1..=n and the located count. Berlekamp–Massey runs as modelled, with
+//! its charges inline.
 
-use crate::{BchCode, Decoded};
+use crate::{kernel, BchCode, Decoded, MESSAGE_BITS};
 use lac_meter::{Meter, Op, Phase};
-
-/// Compute the 2t syndromes S_i = r(α^i), i = 1..=2t, the submission way:
-/// iterate over codeword positions and accumulate `α^(i·p)` for set bits
-/// only. Cost is proportional to the received word's Hamming weight.
-fn syndromes<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -> Vec<u16> {
-    let gf = code.field();
-    let two_t = 2 * code.t();
-    let order = u32::from(gf.order());
-    let mut s = vec![0u16; two_t];
-    for (p, &bit) in received.iter().enumerate() {
-        meter.charge(Op::Load, 1);
-        meter.charge(Op::Branch, 1);
-        meter.charge(Op::LoopIter, 1);
-        if bit == 0 {
-            continue;
-        }
-        // idx walks i·p mod (2^m − 1) incrementally: add p per syndrome.
-        let mut idx = 0u32;
-        for si in s.iter_mut() {
-            idx += p as u32;
-            if idx >= order {
-                idx -= order;
-            }
-            *si ^= gf.exp(idx);
-            meter.charge(Op::Alu, 3); // index add, wrap compare/sub, xor
-            meter.charge(Op::Branch, 1);
-            meter.charge(Op::Load, 2); // alog table + syndrome load
-            meter.charge(Op::Store, 1);
-            meter.charge(Op::LoopIter, 1);
-        }
-    }
-    s
-}
 
 /// Standard Berlekamp–Massey with early outs (variable time).
 ///
@@ -118,100 +92,57 @@ fn berlekamp_massey<M: Meter>(code: &BchCode, s: &[u16], meter: &mut M) -> Vec<u
     lambda
 }
 
-/// Chien search: walk the full exponent range 1..=n, evaluating Λ(α^l) with a
-/// fixed (t+1)-term array. Term stepping is done in the log domain
-/// (`idx_j += j`, antilog lookup), whose cost is independent of the λ values
-/// — which is why Table I shows near-identical Chien cycles for 0 and 16
-/// errors in the submission decoder. Roots at exponent l flag an error at
-/// codeword position n − l.
-///
-/// Returns the located error positions (within the stored shortened buffer).
-fn chien<M: Meter>(code: &BchCode, lambda: &[u16], meter: &mut M) -> Vec<usize> {
-    let gf = code.field();
-    let n = code.n();
-    let t = code.t();
-    // terms[j] tracks λ_j · α^(j·l); start at l = 1.
-    let mut terms = vec![0u16; t + 1];
-    for (j, term) in terms.iter_mut().enumerate() {
-        let lam = lambda.get(j).copied().unwrap_or(0);
-        *term = gf.mul(lam, gf.exp(j as u32));
-        meter.charge(Op::Load, 3);
-        meter.charge(Op::Alu, 2);
-        meter.charge(Op::Store, 1);
-        meter.charge(Op::LoopIter, 1);
-    }
-    let mut positions = Vec::new();
-    for l in 1..=n as u32 {
-        // Λ(α^l) = λ0 + Σ terms[j]
-        let mut acc = lambda[0];
-        for term in terms.iter().skip(1) {
-            acc ^= term;
-            meter.charge(Op::Load, 1);
-            meter.charge(Op::Alu, 1);
-            meter.charge(Op::LoopIter, 1);
-        }
-        meter.charge(Op::Branch, 1);
-        if acc == 0 {
-            let p = n - l as usize;
-            if p < code.codeword_len() {
-                positions.push(p);
-            }
-            meter.charge(Op::Alu, 2);
-            meter.charge(Op::Store, 1);
-        }
-        // Advance every term by its constant: terms[j] *= α^j, charged as a
-        // log-domain step (index add + wrap + antilog load + store).
-        for (j, term) in terms.iter_mut().enumerate().skip(1) {
-            *term = gf.mul(*term, gf.exp(j as u32));
-            meter.charge(Op::Alu, 2);
-            meter.charge(Op::Load, 1);
-            meter.charge(Op::Store, 1);
-            meter.charge(Op::LoopIter, 1);
-        }
-        meter.charge(Op::LoopIter, 1);
-    }
-    positions
-}
-
 pub(crate) fn decode<M: Meter>(code: &BchCode, received: &[u8], meter: &mut M) -> Decoded {
-    assert_eq!(
-        received.len(),
-        code.codeword_len(),
-        "received word has wrong length"
-    );
+    let (n, t, len) = (code.n() as u64, code.t() as u64, received.len() as u64);
 
+    // Per position a bit load, a zero test and a loop step; per set bit,
+    // 2t steps of an index add, a wrap compare/sub, a xor, the wrap
+    // branch, antilog and syndrome loads and a store.
     meter.enter(Phase::BchSyndrome);
-    let s = syndromes(code, received, meter);
+    let s = kernel::syndromes(code, received);
+    let weight: u64 = received.iter().map(|&bit| u64::from(bit & 1)).sum();
+    let steps = 2 * t * weight;
+    meter.charge(Op::Load, len + 2 * steps);
+    meter.charge(Op::Branch, len + steps);
+    meter.charge(Op::LoopIter, len + steps);
+    meter.charge(Op::Alu, 3 * steps);
+    meter.charge(Op::Store, steps);
     meter.leave();
 
     meter.enter(Phase::BchErrorLocator);
     let lambda = berlekamp_massey(code, &s, meter);
     meter.leave();
 
+    // The submission code walks the Chien search unconditionally — even
+    // for a degree-0 locator (Table I: ~107k cycles at zero errors too).
+    // It loads t+1 terms (three loads, two ALU ops, a store each), then
+    // per exponent makes t accumulating xors, the root test, t log-domain
+    // steps (index add and wrap, antilog load, store) and the loop step;
+    // per root it stores the position.
     meter.enter(Phase::BchChien);
-    let locator_degree = lambda.len() - 1;
-    // The submission code walks the Chien search unconditionally — even for
-    // a degree-0 locator (Table I: ~107k cycles at zero errors too).
-    let positions = chien(code, &lambda, meter);
+    let (error_mask, roots) = kernel::chien(code, &lambda, 1..=code.n() as u32);
+    let roots = roots as u64;
+    meter.charge(Op::Load, 3 * (t + 1) + 2 * n * t);
+    meter.charge(Op::Alu, 2 * (t + 1) + 3 * n * t + 2 * roots);
+    meter.charge(Op::Store, t + 1 + n * t + roots);
+    meter.charge(Op::LoopIter, t + 1 + n * (2 * t + 1));
+    meter.charge(Op::Branch, n);
     meter.leave();
 
+    // A load, flip and store per located position, then the read-out.
     meter.enter(Phase::BchGlue);
-    let mut corrected = received.to_vec();
-    for &p in &positions {
-        corrected[p] ^= 1;
-        meter.charge(Op::Load, 1);
-        meter.charge(Op::Alu, 1);
-        meter.charge(Op::Store, 1);
-    }
-    let message = code.message_of(&corrected);
-    meter.charge(Op::Load, crate::MESSAGE_BITS as u64);
-    meter.charge(Op::Alu, crate::MESSAGE_BITS as u64);
+    let errors_located = error_mask.iter().map(|&e| usize::from(e)).sum();
+    let message = code.corrected_message(received, &error_mask);
+    let (located, bits) = (errors_located as u64, MESSAGE_BITS as u64);
+    meter.charge(Op::Load, located + bits);
+    meter.charge(Op::Alu, located + bits);
+    meter.charge(Op::Store, located);
     meter.leave();
 
     Decoded {
         message,
-        locator_degree,
-        errors_located: positions.len(),
+        locator_degree: lambda.len() - 1,
+        errors_located,
     }
 }
 

@@ -7,9 +7,9 @@
 //! * [`Field`] — a field context carrying log/antilog tables for fast
 //!   table-based multiplication (the software decoder's method);
 //! * [`mul_shift_add`] — the bit-serial shift-and-add multiplication of the
-//!   paper's *MUL GF* datapath (Fig. 3), written once: the constant-time
-//!   software multiply [`Field::mul_shift_add_metered`] and `lac-hw`'s
-//!   `MulGf` unit model both run it and charge their own costs;
+//!   paper's *MUL GF* datapath (Fig. 3), written once: the branch-free
+//!   product [`Field::mul_shift_add`] of the constant-time
+//!   Berlekamp–Massey and `lac-hw`'s `MulGf` unit model both run it;
 //! * [`poly::GfPoly`] — polynomials with coefficients in the field, used to
 //!   build minimal polynomials (the BCH decoders keep their error locators
 //!   as plain coefficient vectors);
@@ -184,29 +184,11 @@ impl Field {
         self.alog[self.log[a as usize] as usize + self.log[b as usize] as usize]
     }
 
-    /// [`mul_shift_add`] in this field, charged as constant-time software
-    /// on RV32: m loop iterations of branch-free masking arithmetic.
-    pub fn mul_shift_add_metered<M: Meter>(&self, a: u16, b: u16, meter: &mut M) -> u16 {
-        meter.charge(Op::LoopIter, u64::from(self.m));
-        meter.charge(Op::Alu, u64::from(self.m) * 3); // shift / reduce-mask / add-mask per bit
+    /// [`mul_shift_add`] in this field: the branch-free product, m
+    /// iterations whatever the operands.
+    #[inline]
+    pub fn mul_shift_add(&self, a: u16, b: u16) -> u16 {
         mul_shift_add(self.m, self.poly, a, b)
-    }
-
-    /// Branch-free table multiplication with a *fixed* operation sequence.
-    ///
-    /// Computes the same product as [`Field::mul`], but models the
-    /// constant-time software trick of always performing the log/antilog
-    /// lookups (with a dummy index for zero operands) and masking the result,
-    /// so the charged cost is independent of the operand values. This is the
-    /// multiplication used by the Walters–Roy style constant-time
-    /// Berlekamp–Massey.
-    pub fn mul_masked_metered<M: Meter>(&self, a: u16, b: u16, meter: &mut M) -> u16 {
-        // Fixed cost: two log loads, one antilog load, plus masking ALU ops.
-        meter.charge(Op::Load, 3);
-        meter.charge(Op::Alu, 8);
-        // Result is computed with the plain path; only the *charged* cost is
-        // what differs from `mul_metered`.
-        self.mul(a, b)
     }
 
     /// Multiplicative inverse.
@@ -233,7 +215,7 @@ impl Field {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lac_meter::{CycleLedger, NullMeter};
+    use lac_meter::CycleLedger;
     use lac_rand::prop;
 
     #[test]
@@ -309,16 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn shift_add_is_input_independent_in_cost() {
-        let gf = Field::gf512();
-        let mut l0 = CycleLedger::new();
-        gf.mul_shift_add_metered(0, 0, &mut l0);
-        let mut l1 = CycleLedger::new();
-        gf.mul_shift_add_metered(511, 509, &mut l1);
-        assert_eq!(l0.total(), l1.total());
-    }
-
-    #[test]
     fn table_mul_cost_depends_on_zero_operands() {
         let gf = Field::gf512();
         let mut lz = CycleLedger::new();
@@ -380,7 +352,7 @@ mod tests {
         prop::check("gf_shift_add_matches_table", 256, |rng| {
             let (a, b) = gf512_pair(rng);
             let gf = Field::gf512();
-            prop::ensure_eq(gf.mul_shift_add_metered(a, b, &mut NullMeter), gf.mul(a, b))
+            prop::ensure_eq(gf.mul_shift_add(a, b), gf.mul(a, b))
         });
     }
 

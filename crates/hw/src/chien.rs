@@ -8,18 +8,22 @@
 //! multiplication per term with **no reload**.
 //!
 //! Because LAC's codeword is systematic and the message is only 256 bits,
-//! the search only visits the 257 exponents covering the message positions
-//! (α¹¹²…α³⁶⁸ for t = 16, α¹⁸⁴…α⁴⁴⁰ for t = 8) — Section IV-B.
+//! the search only visits the 256 exponents of the message positions,
+//! [`BchCode::chien_window`]: α¹¹²…α³⁶⁷ for t = 16 and α¹⁸⁴…α⁴³⁹ for
+//! t = 8. Section IV-B quotes α¹¹²…α³⁶⁸ and α¹⁸⁴…α⁴⁴⁰, 257 exponents: its
+//! last one, α³⁶⁸ or α⁴⁴⁰, is the top parity position.
 //!
-//! [`ChienUnit::search`] is the unit's step; the rest of the accelerated
-//! decode — syndromes, Berlekamp–Massey, the branchless correction and
-//! every phase — is `lac_bch::ct::decode_with`, the one constant-time
-//! pipeline the software decoder runs too.
+//! [`ChienUnit::search`] is the unit's step: it charges the unit's protocol
+//! and stalls and takes its values from `lac_bch::kernel::chien`, the one
+//! Chien evaluation. The rest of the accelerated decode — syndromes,
+//! Berlekamp–Massey, the branchless correction and every phase — is
+//! `lac_bch::ct::decode_with`, the one constant-time pipeline the software
+//! decoder runs too.
 
 use crate::area::{ResourceEstimate, CHIEN_GLUE_LUTS, CHIEN_GLUE_REGS};
-use crate::mul_gf::MulGf;
-use lac_bch::{BchCode, Decoded};
-use lac_meter::{Meter, NullMeter, Op};
+use crate::mul_gf::{self, MulGf};
+use lac_bch::{kernel, BchCode, Decoded};
+use lac_meter::{Meter, Op};
 
 /// Number of parallel GF multipliers in the paper's unit.
 pub const PARALLEL_MULS: usize = 4;
@@ -42,14 +46,12 @@ pub const PARALLEL_MULS: usize = 4;
 /// assert_eq!(out.message, msg);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct ChienUnit {
-    muls: [MulGf; PARALLEL_MULS],
-}
+pub struct ChienUnit;
 
 impl ChienUnit {
     /// Create the paper's unit: four parallel GF multipliers.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Structural resource estimate: four GF multipliers plus the operand
@@ -57,28 +59,22 @@ impl ChienUnit {
     ///
     /// Matches Table III's "GF-Multipliers" row (86 LUTs, 158 registers).
     pub fn resources(&self) -> ResourceEstimate {
-        let mut r = ResourceEstimate {
-            luts: CHIEN_GLUE_LUTS,
-            regs: CHIEN_GLUE_REGS,
-            brams: 0,
-            dsps: 0,
-        };
-        for m in &self.muls {
-            r = r + m.resources();
-        }
-        r
+        let glue = ResourceEstimate::new(CHIEN_GLUE_LUTS, CHIEN_GLUE_REGS, 0, 0);
+        (0..PARALLEL_MULS).fold(glue, |r, _| r + MulGf::new().resources())
     }
 
-    /// Run the accelerated Chien search over the code's message window.
+    /// Run the accelerated Chien search over the code's message window,
+    /// [`BchCode::chien_window`].
     ///
     /// `lambda` is the error-locator polynomial (λ₀ first). Returns the
     /// per-position error mask over the stored (shortened) codeword and the
     /// number of roots found in the window.
     ///
-    /// Cycle charges follow the Section V protocol: two operand-load
-    /// instructions per group on the first evaluation, then per position
-    /// one compute instruction per group with a 9-cycle datapath stall and
-    /// a result read. They land in the caller's phase; [`ChienUnit::decode`]
+    /// Cycle charges follow the Section V protocol, in closed form from t
+    /// and the window's length: t preprocessing products, two operand-load
+    /// instructions per group on the first evaluation, then per point one
+    /// compute instruction per group with a 9-cycle datapath stall and a
+    /// result read. They land in the caller's phase; [`ChienUnit::decode`]
     /// runs the search under
     /// [`Phase::BchChien`](lac_meter::Phase::BchChien).
     ///
@@ -101,69 +97,33 @@ impl ChienUnit {
             0,
             "t must be a multiple of the multiplier count"
         );
-        let gf = code.field();
-        let n = code.n();
-        let len = code.codeword_len();
         let window = code.chien_window();
-        let (lo, hi) = (*window.start(), *window.end());
-        let groups = t / PARALLEL_MULS;
+        let points = u64::from(window.end() - window.start() + 1);
+        let (t, groups) = (t as u64, (t / PARALLEL_MULS) as u64);
 
         // Software preprocessing: start the window at α^lo by loading
-        // λ_k·α^((lo−1)·k) instead of λ_k (t table multiplications) — the
+        // λ_k·α^((lo−1)·k) instead of λ_k, one table multiplication per
+        // term (three loads, three ALU ops, a store, a loop step) — the
         // unit's feedback loop multiplies by α^k *before* each evaluation,
-        // so the first evaluated point is exactly α^lo.
-        let mut terms = vec![0u16; t + 1];
-        for (k, term) in terms.iter_mut().enumerate().skip(1) {
-            let lam = lambda.get(k).copied().unwrap_or(0);
-            *term = gf.mul(lam, gf.pow(gf.exp(1), (lo - 1) * k as u32));
-            meter.charge(Op::Load, 3);
-            meter.charge(Op::Alu, 3);
-            meter.charge(Op::Store, 1);
-            meter.charge(Op::LoopIter, 1);
-        }
-        // First-round operand loads: per group, two pq.mul_chien writes
+        // so the first evaluated point is exactly α^lo. Then the
+        // first-round operand loads: per group, two pq.mul_chien writes
         // (four 9-bit elements packed across rs1/rs2 each) for the λ terms
         // and the α^k constants.
-        meter.charge(Op::Load, groups as u64 * 8);
-        meter.charge(Op::Alu, groups as u64 * 12);
-        meter.charge(Op::LoopIter, groups as u64);
-
-        let lambda0 = lambda.first().copied().unwrap_or(0);
-        let mut error_mask = vec![0u8; len];
-        let mut roots = 0usize;
-
-        for l in lo..=hi {
-            let mut acc = lambda0;
-            for g in 0..groups {
-                // One compute/return instruction per group: the four
-                // multipliers step their terms by α^k in parallel (feedback
-                // loop), the adder tree xors them into out_j. Only one
-                // 9-cycle datapath stall is architecturally visible per
-                // group, so the parallel multiplies run under a NullMeter
-                // and the stall is charged once.
-                let mut out = 0u16;
-                for slot in 0..PARALLEL_MULS {
-                    let k = 1 + PARALLEL_MULS * g + slot;
-                    let stepped =
-                        self.muls[slot].multiply(terms[k], gf.exp(k as u32), &mut NullMeter);
-                    terms[k] = stepped;
-                    out ^= stepped;
-                }
-                meter.charge_cycles(u64::from(crate::mul_gf::M));
-                acc ^= out;
-                // Issue + result read + accumulate.
-                meter.charge(Op::Alu, 3);
-                meter.charge(Op::LoopIter, 1);
-            }
-            let is_root = (acc == 0) as u8;
-            let p = n - l as usize;
-            error_mask[p] = is_root;
-            roots += usize::from(is_root);
-            meter.charge(Op::Alu, 3);
-            meter.charge(Op::Store, 1);
-            meter.charge(Op::LoopIter, 1);
-        }
-        (error_mask, roots)
+        meter.charge(Op::Load, 3 * t + 8 * groups);
+        meter.charge(Op::Alu, 3 * t + 12 * groups);
+        meter.charge(Op::Store, t);
+        meter.charge(Op::LoopIter, t + groups);
+        // Per point, one compute/return instruction per group: the four
+        // multipliers step their terms by α^k in parallel (feedback loop)
+        // and the adder tree xors them into out_j. Only one 9-cycle
+        // datapath stall is architecturally visible per group; issue,
+        // result read and accumulate are three ALU ops and a loop step.
+        // Then the root test, the mask store and the loop step.
+        meter.charge_cycles(points * groups * u64::from(mul_gf::M));
+        meter.charge(Op::Alu, points * (3 * groups + 3));
+        meter.charge(Op::Store, points);
+        meter.charge(Op::LoopIter, points * (groups + 1));
+        kernel::chien(code, lambda, window)
     }
 
     /// Full hardware-accelerated constant-time BCH decode:

@@ -11,7 +11,6 @@
 //! unit's 1,031 LUTs, which is exactly the trade-off the paper discusses).
 
 use crate::area::{ResourceEstimate, KECCAK_ACCELERATOR_REF8};
-use crate::UnitStats;
 use lac_keccak::Sponge;
 use lac_meter::{Meter, Op};
 
@@ -31,19 +30,12 @@ pub const CYCLES_PER_PERMUTATION: u64 = 24;
 /// assert_eq!(d, lac_keccak::sha3_256(b"abc"));
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct KeccakUnit {
-    stats: UnitStats,
-}
+pub struct KeccakUnit;
 
 impl KeccakUnit {
     /// Create a unit.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Usage statistics.
-    pub fn stats(&self) -> UnitStats {
-        self.stats
+        Self
     }
 
     /// Structural resource estimate (the \[8\] synthesis constants: the full
@@ -66,7 +58,6 @@ impl KeccakUnit {
         meter.charge(Op::Alu, words_in); // issue per word
         meter.charge(Op::LoopIter, words_in);
         meter.charge_cycles(blocks * CYCLES_PER_PERMUTATION);
-        self.stats.record(blocks * CYCLES_PER_PERMUTATION);
         meter.charge(Op::Alu, 8);
         meter.charge(Op::Store, 8);
         meter.charge(Op::LoopIter, 8);
@@ -87,7 +78,6 @@ impl KeccakUnit {
         meter.charge(Op::Load, words_in);
         meter.charge(Op::Alu, words_in);
         meter.charge_cycles(permutations * CYCLES_PER_PERMUTATION);
-        self.stats.record(permutations * CYCLES_PER_PERMUTATION);
         // Output: word-wide reads.
         let words_out = (out.len() as u64).div_ceil(4);
         meter.charge(Op::Alu, words_out);

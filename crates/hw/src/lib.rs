@@ -13,11 +13,14 @@
 //! * [`Sha256Unit`] — a SHA-256 round engine with byte-wise register I/O;
 //! * [`ModQ`] — the combinational Barrett modulo-q reducer (two DSPs).
 //!
-//! Each model **simulates the documented datapath** (producing bit-exact
-//! results) and **counts the cycles** the unit and its software driver
-//! consume, including the register-packing I/O formats of Section V. Each
-//! model also reports a structural [`area::ResourceEstimate`] used to
-//! regenerate Table III.
+//! Each model produces bit-exact results and **counts the cycles** the unit
+//! and its software driver consume, including the register-packing I/O
+//! formats of Section V. [`MulGf`] and `MulTer::multiply_rtl` step the
+//! documented datapaths; `MulTer::multiply` and [`ChienUnit`] take their
+//! values from the one host kernel of their function
+//! (`lac_ring::mul::ternary_product`, `lac_bch::kernel::chien`) and charge
+//! the unit's cycles in closed form. Each model also reports a structural
+//! [`area::ResourceEstimate`] used to regenerate Table III.
 //!
 //! Since we have no FPGA, these models are the substitute substrate: the
 //! paper's claims under reproduction are cycle counts and resource ratios,
@@ -40,20 +43,3 @@ pub use mod_q::ModQ;
 pub use mul_gf::MulGf;
 pub use mul_ter::MulTer;
 pub use sha256_unit::Sha256Unit;
-
-/// Running usage statistics kept by every accelerator model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UnitStats {
-    /// Number of completed operations (unit-level invocations).
-    pub invocations: u64,
-    /// Cycles during which the unit's datapath was busy.
-    pub busy_cycles: u64,
-}
-
-impl UnitStats {
-    /// Record one invocation that kept the datapath busy for `cycles`.
-    pub(crate) fn record(&mut self, cycles: u64) {
-        self.invocations += 1;
-        self.busy_cycles += cycles;
-    }
-}

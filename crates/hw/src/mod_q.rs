@@ -6,7 +6,6 @@
 //! divider).
 
 use crate::area::{ResourceEstimate, MOD_Q_DSPS, MOD_Q_LUTS};
-use crate::UnitStats;
 use lac_meter::{Meter, Op};
 use lac_ring::barrett_reduce;
 
@@ -26,19 +25,12 @@ pub const CYCLES_PER_REDUCTION: u64 = 1;
 /// assert_eq!(unit.reduce(1000, &mut NullMeter), (1000 % 251) as u8);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct ModQ {
-    stats: UnitStats,
-}
+pub struct ModQ;
 
 impl ModQ {
     /// Create a unit.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Usage statistics.
-    pub fn stats(&self) -> UnitStats {
-        self.stats
+        Self
     }
 
     /// Structural resource estimate (Table III: 35 LUTs, 2 DSPs, no regs).
@@ -56,7 +48,6 @@ impl ModQ {
     pub fn reduce<M: Meter>(&mut self, x: u32, meter: &mut M) -> u8 {
         meter.charge(Op::Alu, 1); // pq.modq issue
         meter.charge_cycles(CYCLES_PER_REDUCTION);
-        self.stats.record(CYCLES_PER_REDUCTION);
         barrett_reduce(x)
     }
 }

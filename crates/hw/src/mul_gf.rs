@@ -6,11 +6,9 @@
 //! a feedback tap from c₈ into c₀ and c₄, and after m = 9 clock cycles the
 //! register holds the product. The register steps are `lac_gf`'s
 //! [`mul_shift_add`], the one home of that loop (the constant-time software
-//! multiply runs it too); this model adds the unit's 9 datapath cycles and
-//! its usage statistics.
+//! multiply runs it too); this model adds the unit's 9 datapath cycles.
 
 use crate::area::{ResourceEstimate, MUL_GF_LUTS, MUL_GF_REGS};
-use crate::UnitStats;
 use lac_gf::{mul_shift_add, LAC_PRIMITIVE_POLY};
 use lac_meter::Meter;
 
@@ -30,19 +28,12 @@ pub const M: u32 = 9;
 /// assert_eq!(unit.multiply(0b10, 0b10, &mut NullMeter), 0b100);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct MulGf {
-    stats: UnitStats,
-}
+pub struct MulGf;
 
 impl MulGf {
     /// Create a multiplier (primitive polynomial fixed to LAC's 1 + x⁴ + x⁹).
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Usage statistics.
-    pub fn stats(&self) -> UnitStats {
-        self.stats
+        Self
     }
 
     /// Structural resource estimate for one instance.
@@ -64,7 +55,6 @@ impl MulGf {
     pub fn multiply<M2: Meter>(&mut self, a: u16, b: u16, meter: &mut M2) -> u16 {
         assert!(a < 512 && b < 512, "operands must be 9-bit field elements");
         meter.charge_cycles(u64::from(M));
-        self.stats.record(u64::from(M));
         mul_shift_add(M, LAC_PRIMITIVE_POLY, a, b)
     }
 }
@@ -106,8 +96,6 @@ mod tests {
         let mut l = CycleLedger::new();
         unit.multiply(300, 450, &mut l);
         assert_eq!(l.total(), 9);
-        assert_eq!(unit.stats().busy_cycles, 9);
-        assert_eq!(unit.stats().invocations, 1);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 use crate::area::{
     ResourceEstimate, MAU_LUTS, MAU_REGS, MUL_TER_CONTROL_LUTS, MUL_TER_CONTROL_REGS,
 };
-use crate::UnitStats;
 use lac_meter::{Meter, Op, Phase};
 use lac_ring::mul::ternary_product;
 use lac_ring::split::TernaryMulUnit;
@@ -63,7 +62,6 @@ pub fn compute_cycles(n: usize) -> u64 {
 #[derive(Debug, Clone)]
 pub struct MulTer {
     n: usize,
-    stats: UnitStats,
 }
 
 impl MulTer {
@@ -75,10 +73,7 @@ impl MulTer {
     /// pairs and the splitting algorithms require even lengths).
     pub fn new(n: usize) -> Self {
         assert!(n > 0 && n % 2 == 0, "unit length must be positive and even");
-        Self {
-            n,
-            stats: UnitStats::default(),
-        }
+        Self { n }
     }
 
     /// The unit's polynomial length.
@@ -89,11 +84,6 @@ impl MulTer {
     /// Always false; the unit has a fixed nonzero length.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Usage statistics.
-    pub fn stats(&self) -> UnitStats {
-        self.stats
     }
 
     /// Structural resource estimate: n MAUs plus the serializing control.
@@ -142,7 +132,6 @@ impl MulTer {
         // per cycle, whatever their values.
         let c = ternary_product(a, b, n, conv, n);
         meter.charge_cycles(compute_cycles(n));
-        self.stats.record(compute_cycles(n));
 
         // ---- Output phase: ceil(n/4) pq.mul_ter reads; per read the driver
         // issues the instruction, splits rd into four bytes and stores them.
@@ -240,6 +229,15 @@ mod tests {
         reduce_full(&mul_full(a, b), n, conv)
     }
 
+    /// The unit's datapath cycles: what `l` holds beyond its op charges.
+    fn datapath_cycles(l: &CycleLedger) -> u64 {
+        l.total()
+            - Op::ALL
+                .iter()
+                .map(|&op| l.op_count(op) * op.cost())
+                .sum::<u64>()
+    }
+
     #[test]
     fn matches_software_multiplication_small() {
         let mut unit = MulTer::new(8);
@@ -294,7 +292,7 @@ mod tests {
             (120_000..185_000).contains(&total),
             "n=1024 split mul cost {total} (paper: 151,354)"
         );
-        assert_eq!(unit.stats().invocations, 16);
+        assert_eq!(datapath_cycles(&l), 16 * compute_cycles(512));
     }
 
     #[test]
@@ -344,14 +342,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn datapath_cycles_accumulate() {
         let mut unit = MulTer::new(8);
         let a = TernaryPoly::zero(8);
         let b = Poly::zero(8);
-        unit.multiply(&a, &b, Convolution::Cyclic, &mut NullMeter);
-        unit.multiply(&a, &b, Convolution::Cyclic, &mut NullMeter);
-        assert_eq!(unit.stats().invocations, 2);
-        assert_eq!(unit.stats().busy_cycles, 2 * (8 + 2));
+        let mut l = CycleLedger::new();
+        unit.multiply(&a, &b, Convolution::Cyclic, &mut l);
+        unit.multiply(&a, &b, Convolution::Cyclic, &mut l);
+        assert_eq!(datapath_cycles(&l), 2 * (8 + 2));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! reference \[8\]'s Keccak).
 
 use crate::area::{ResourceEstimate, SHA256_LUTS, SHA256_REGS};
-use crate::UnitStats;
 use lac_meter::{Meter, Op};
 use lac_sha256::Sha256;
 
@@ -35,19 +34,12 @@ pub fn padded_blocks(len: usize) -> u64 {
 /// assert_eq!(d, lac_sha256::sha256(b"abc"));
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Sha256Unit {
-    stats: UnitStats,
-}
+pub struct Sha256Unit;
 
 impl Sha256Unit {
     /// Create a unit.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Usage statistics.
-    pub fn stats(&self) -> UnitStats {
-        self.stats
+        Self
     }
 
     /// Structural resource estimate (256-bit state + round logic).
@@ -84,7 +76,6 @@ impl Sha256Unit {
         meter.charge(Op::LoopIter, bytes);
         // Compute: the round engine runs per block.
         meter.charge_cycles(blocks * CYCLES_PER_BLOCK);
-        self.stats.record(blocks * CYCLES_PER_BLOCK);
         // Output: 32 digest bytes read back (issue + store + poll).
         meter.charge(Op::Alu, 32);
         meter.charge(Op::Store, 32);
@@ -139,11 +130,11 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_blocks() {
-        let mut unit = Sha256Unit::new();
-        unit.digest(&[0u8; 120], &mut NullMeter); // 3 blocks with padding? (120+9)/64 -> 3
-        assert_eq!(unit.stats().invocations, 1);
-        assert_eq!(unit.stats().busy_cycles, 3 * CYCLES_PER_BLOCK);
+    fn datapath_cycles_track_blocks() {
+        let mut l = CycleLedger::new();
+        Sha256Unit::new().digest(&[0u8; 120], &mut l); // (120 + 9) / 64 → 3 blocks
+        let op_cycles: u64 = Op::ALL.iter().map(|&op| l.op_count(op) * op.cost()).sum();
+        assert_eq!(l.total() - op_cycles, 3 * CYCLES_PER_BLOCK);
     }
 
     #[test]

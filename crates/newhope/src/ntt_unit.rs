@@ -20,25 +20,12 @@ pub const SETUP_CYCLES: u64 = 700;
 
 /// Cycle model of the \[8\]-style NTT co-processor.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NttUnit {
-    invocations: u64,
-    busy_cycles: u64,
-}
+pub struct NttUnit;
 
 impl NttUnit {
     /// Create a unit.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of NTT operations performed.
-    pub fn invocations(&self) -> u64 {
-        self.invocations
-    }
-
-    /// Datapath-busy cycles (excluding bus transfers).
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
+        Self
     }
 
     /// Resource estimate (Table III's quoted \[8\] synthesis).
@@ -50,8 +37,6 @@ impl NttUnit {
         let words = n as u64; // one 14-bit coefficient per word transfer
         let compute = (n / 2) as u64 * u64::from(n.trailing_zeros());
         meter.charge_cycles(2 * words * BUS_CYCLES_PER_WORD + compute + SETUP_CYCLES);
-        self.invocations += 1;
-        self.busy_cycles += compute;
     }
 
     /// Forward NTT through the co-processor.
@@ -105,7 +90,6 @@ mod tests {
         let via_unit = unit.forward(&ntt, &poly, &mut NullMeter);
         assert_eq!(via_unit, ntt.forward(&poly, &mut NullMeter));
         assert_eq!(unit.inverse(&ntt, &via_unit, &mut NullMeter), poly);
-        assert_eq!(unit.invocations(), 2);
     }
 
     #[test]

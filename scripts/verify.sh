@@ -9,8 +9,8 @@
 #
 # --quick runs the CI-iteration subset — fmt, build, unit tests (the
 # workspace's and the benchmark package's), an exact compare of the three
-# tables with baselines/ and a few smokes — and skips the sweep,
-# MIPS-floor and serving gates.
+# tables with baselines/, the E4/E5 examples and a few smokes — and skips
+# the sweep, MIPS-floor and serving gates.
 # Full mode (no flags) remains the tier-1 gate.
 set -eu
 
@@ -79,6 +79,16 @@ if [ "$QUICK" = 1 ]; then
             exit 1
         }
         echo "  $bin equals baselines/$bin.json"
+    done
+    echo
+    echo "== smoke: the E4/E5 examples (quick mode) =="
+    # timing_leak asserts that the submission decoder's cost moves with
+    # the error count and the Walters decoder's does not; riscv_accel
+    # checks each pq.* result, pq.mul_chien included, against native
+    # code. Each runs in tens of milliseconds.
+    for ex in timing_leak riscv_accel; do
+        cargo run -q --release --offline --example "$ex" > /dev/null
+        echo "  $ex OK"
     done
     echo
     echo "== smoke: jit digest parity (quick mode) =="

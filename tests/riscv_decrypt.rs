@@ -21,7 +21,8 @@ use lac::{Ciphertext, Lac, Params, SecretKey, SoftwareBackend};
 use lac_meter::NullMeter;
 use lac_rand::Rng;
 use lac_rand::Sha256CtrRng;
-use lac_ring::{mul::mul_ternary, Convolution};
+use lac_ring::mul::{mul_full, reduce_full};
+use lac_ring::Convolution;
 use lac_rv32::{kernels, ExitState, Machine};
 
 /// Run the on-core decryption of `ct` under `sk`.
@@ -86,8 +87,14 @@ fn recovered_bits_match_native_word_for_word() {
     let ct = lac.encrypt(&pk, &[0x5au8; 32], &[1u8; 32], &mut backend, &mut NullMeter);
     let lv = params.lv();
 
-    // Native recomputation of the codeword bits.
-    let us = mul_ternary(sk.s(), ct.u(), Convolution::Negacyclic, &mut NullMeter);
+    // Native recomputation of the codeword bits. u·s comes from the full
+    // product reduced mod x^512 + 1, which shares no code with the
+    // product kernel that MUL TER's START runs.
+    let us = reduce_full(
+        &mul_full(sk.s(), ct.u()),
+        params.n(),
+        Convolution::Negacyclic,
+    );
     let native_bits: Vec<u8> = (0..lv)
         .map(|i| {
             let v_hat = i32::from(ct.v()[i]) * 16 + 8;

@@ -1,10 +1,14 @@
 //! Robustness: deserialization must reject, never panic, on arbitrary
 //! input; decoders must behave sanely beyond their design envelope.
 
-use lac::{Ciphertext, KemPublicKey, KemSecretKey, Params, PublicKey, SecretKey};
+use lac::{
+    AcceleratedBackend, Ciphertext, Kem, KemPublicKey, KemSecretKey, Params, PublicKey, SecretKey,
+    SoftwareBackend,
+};
 use lac_bch::BchCode;
+use lac_gf::Field;
 use lac_meter::NullMeter;
-use lac_rand::{prop, Rng};
+use lac_rand::{prop, Rng, Sha256CtrRng};
 
 #[test]
 fn pk_from_bytes_never_panics() {
@@ -78,6 +82,38 @@ fn decoder_never_panics_on_arbitrary_words() {
         code.decode_constant_time(&vec![0u8; 400], &mut l2);
         prop::ensure_eq(l1.total(), l2.total())
     });
+}
+
+#[test]
+fn locator_degree_above_t_decapsulates_on_every_backend() {
+    // A ciphertext with u = 0 decrypts to whatever word its v encodes. The
+    // generator of the t/2-error code is a word whose inversion-free
+    // Berlekamp–Massey locator has degree t+1, one past the t terms MUL
+    // CHIEN's multipliers hold: the accelerated backend must still answer,
+    // and with the constant-time backend's key.
+    for params in Params::ALL {
+        let kem = Kem::new(params);
+        let code = params.bch_code();
+        let weaker = BchCode::new(Field::gf512(), code.t() / 2);
+        let word = weaker.generator().to_bits(code.codeword_len());
+        let ct_decoded = code.decode_constant_time(&word, &mut NullMeter);
+        assert_eq!(ct_decoded.locator_degree, code.t() + 1);
+
+        let mut bytes = vec![0u8; params.n()];
+        let v: Vec<u8> = (0..params.lv()).map(|i| 8 * word[i % word.len()]).collect();
+        bytes.extend(v.chunks(2).map(|pair| pair[0] | pair[1] << 4));
+        let ct = Ciphertext::from_bytes(&params, &bytes).unwrap();
+        let mut rng = Sha256CtrRng::seed_from_u64(7);
+        let (_, sk) = kem.keygen(&mut rng, &mut SoftwareBackend::reference(), &mut NullMeter);
+        let hw = kem.decapsulate(&sk, &ct, &mut AcceleratedBackend::new(), &mut NullMeter);
+        let sw = kem.decapsulate(
+            &sk,
+            &ct,
+            &mut SoftwareBackend::constant_time(),
+            &mut NullMeter,
+        );
+        assert_eq!(hw, sw, "{}", params.name());
+    }
 }
 
 #[test]
