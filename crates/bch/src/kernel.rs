@@ -15,8 +15,10 @@ use std::ops::RangeInclusive;
 /// The syndromes S_i = r(α^i), i = 1..=2t, of `received` (one bit per
 /// `u8`, values 0/1, laid out as [`BchCode::encode`] returns them).
 ///
-/// Masked accumulation: each position p adds its precomputed column
-/// α^(i·p), i = 1..=2t, under the mask of its bit.
+/// Masked accumulation for odd i: each position p adds α^(i·p) under the
+/// mask of its bit, and the exponent i·p mod n is public. r has binary
+/// coefficients, so each even syndrome is a square, S_2i = S_i², taken
+/// with the branch-free shift-and-add product.
 ///
 /// # Panics
 ///
@@ -27,13 +29,22 @@ pub fn syndromes(code: &BchCode, received: &[u8]) -> Vec<u16> {
         code.codeword_len(),
         "received word has wrong length"
     );
+    let gf = code.field();
+    let order = u32::from(gf.order());
+    let powers: Vec<u16> = (0..order).map(|e| gf.exp(e)).collect();
     let mut s = vec![0u16; 2 * code.t()];
-    let columns = code.syndrome_powers.chunks_exact(s.len());
-    for (&bit, column) in received.iter().zip(columns) {
-        let mask = u16::from(bit & 1).wrapping_neg();
-        for (si, &power) in s.iter_mut().zip(column) {
-            *si ^= mask & power;
-        }
+    for i in 1..=s.len() {
+        s[i - 1] = if i % 2 == 0 {
+            gf.mul_shift_add(s[i / 2 - 1], s[i / 2 - 1])
+        } else {
+            let (mut e, mut acc) = (0, 0); // e = i·p mod n
+            for &bit in received {
+                acc ^= u16::from(bit & 1).wrapping_neg() & powers[e as usize];
+                e += i as u32;
+                e -= order & u32::from(e >= order).wrapping_neg();
+            }
+            acc
+        };
     }
     s
 }
@@ -86,9 +97,10 @@ pub fn chien(code: &BchCode, lambda: &[u16], exponents: RangeInclusive<u32>) -> 
         }
     };
     let coefficient = |j: usize| lambda.get(j).copied().unwrap_or(0);
+    let lambda0 = coefficient(0);
+    let coefficients = lanes(&|j| if j <= t { coefficient(j) } else { 0 });
     let mut terms = vec![[0; LANES]; chunks];
-    let lanes_of_lambda = lanes(&|j| if j <= t { coefficient(j) } else { 0 });
-    apply(&map(first), &lanes_of_lambda, &mut terms);
+    apply(&map(first), &coefficients, &mut terms);
     let step = map(1);
     let mut next = terms.clone();
     let mut error_mask = vec![0u8; code.codeword_len()];
@@ -100,7 +112,7 @@ pub fn chien(code: &BchCode, lambda: &[u16], exponents: RangeInclusive<u32>) -> 
             }
             acc
         });
-        let value = sum.iter().fold(coefficient(0), |acc, &v| acc ^ v);
+        let value = sum.iter().fold(lambda0, |acc, &v| acc ^ v);
         let root = u8::from(value == 0);
         roots += usize::from(root);
         if let Some(slot) = error_mask.get_mut(n - l as usize) {

@@ -99,9 +99,6 @@ pub struct BchCode {
     generator: BinPoly,
     /// Generator polynomial bits, lowest degree first, length `n - k + 1`.
     generator_bits: Vec<u8>,
-    /// α^(i·p) for each transmitted position p and i = 1..=2t,
-    /// position-major: the columns of [`kernel::syndromes`].
-    syndrome_powers: Vec<u16>,
 }
 
 impl BchCode {
@@ -139,13 +136,6 @@ impl BchCode {
             "code dimension {k} cannot carry a {MESSAGE_BITS}-bit message"
         );
         let generator_bits = generator.to_bits(deg + 1);
-        let syndrome_powers = (0..(n - k + MESSAGE_BITS) as u32)
-            .flat_map(|p| {
-                (1..=2 * t as u32)
-                    .map(|i| gf.exp(i * p))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
         Self {
             gf,
             n,
@@ -153,7 +143,6 @@ impl BchCode {
             t,
             generator,
             generator_bits,
-            syndrome_powers,
         }
     }
 
