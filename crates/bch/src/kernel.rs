@@ -23,7 +23,7 @@ use std::ops::RangeInclusive;
 /// # Panics
 ///
 /// Panics if `received.len() != code.codeword_len()`.
-pub fn syndromes(code: &BchCode, received: &[u8]) -> Vec<u16> {
+pub(crate) fn syndromes(code: &BchCode, received: &[u8]) -> Vec<u16> {
     assert_eq!(
         received.len(),
         code.codeword_len(),
