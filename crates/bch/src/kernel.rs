@@ -126,21 +126,19 @@ pub fn chien(code: &BchCode, lambda: &[u16], exponents: RangeInclusive<u32>) -> 
 
 #[cfg(test)]
 mod tests {
-    //! Oracles that share no code with the kernel: Horner's rule and direct
-    //! evaluation, both with `Field`'s table products.
+    //! Oracles that share no code with the kernel: Horner's rule
+    //! (`GfPoly::eval`) and direct evaluation, both with `Field`'s table
+    //! products. `GfPoly::mul` builds locators with chosen roots.
 
     use super::*;
+    use lac_gf::poly::GfPoly;
     use lac_meter::NullMeter;
     use lac_rand::{prop, Rng};
 
     /// r(α^i) by Horner's rule.
     fn horner(code: &BchCode, received: &[u8], i: u32) -> u16 {
-        let gf = code.field();
-        let x = gf.exp(i);
-        received
-            .iter()
-            .rev()
-            .fold(0, |acc, &bit| gf.mul(acc, x) ^ u16::from(bit))
+        let r: Vec<u16> = received.iter().map(|&bit| u16::from(bit)).collect();
+        GfPoly::from_coeffs(&r).eval(code.field(), code.field().exp(i))
     }
 
     /// Λ(α^l) = Σ_{j≤t} λ_j·(α^l)^j.
@@ -211,22 +209,17 @@ mod tests {
                         *window.start() as usize,
                         *window.end() as usize,
                     ];
-                    let mut lambda = vec![1u16];
+                    let mut lambda = GfPoly::one();
                     for _ in 1..terms {
                         let l = if rng.gen_bool() {
                             ends[rng.gen_below_usize(ends.len())]
                         } else {
                             1 + rng.gen_below_usize(n)
                         };
-                        let beta = gf.exp((n - l) as u32);
-                        let mut product = lambda.clone();
-                        product.push(0);
-                        for (j, &c) in lambda.iter().enumerate() {
-                            product[j + 1] ^= gf.mul(beta, c);
-                        }
-                        lambda = product;
+                        let factor = GfPoly::from_coeffs(&[1, gf.exp((n - l) as u32)]);
+                        lambda = lambda.mul(&factor, gf);
                     }
-                    lambda
+                    lambda.coeffs().to_vec()
                 };
                 let codeword = (n - (len - 1)) as u32..=n as u32;
                 for range in [1..=n as u32, codeword, window.clone()] {

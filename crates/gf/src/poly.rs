@@ -19,8 +19,7 @@ use crate::Field;
 /// let gf = Field::gf512();
 /// let p = GfPoly::from_coeffs(&[1, 0, 3]); // 1 + 3x²
 /// assert_eq!(p.degree(), Some(2));
-/// let x_plus_1 = GfPoly::from_coeffs(&[1, 1]);
-/// assert_eq!(p.mul(&x_plus_1, &gf).coeffs(), &[1, 1, 3, 3]);
+/// assert_eq!(p.eval(&gf, 1), 1 ^ 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GfPoly {
@@ -38,6 +37,16 @@ impl GfPoly {
         Self { coeffs: vec![1] }
     }
 
+    /// The monomial `c·x^k`.
+    pub fn monomial(c: u16, k: usize) -> Self {
+        if c == 0 {
+            return Self::zero();
+        }
+        let mut coeffs = vec![0u16; k + 1];
+        coeffs[k] = c;
+        Self { coeffs }
+    }
+
     /// Build from coefficients, lowest degree first (trailing zeros trimmed).
     pub fn from_coeffs(coeffs: &[u16]) -> Self {
         let mut coeffs = coeffs.to_vec();
@@ -52,6 +61,11 @@ impl GfPoly {
         &self.coeffs
     }
 
+    /// The coefficient of x^k (0 beyond the degree).
+    pub fn coeff(&self, k: usize) -> u16 {
+        self.coeffs.get(k).copied().unwrap_or(0)
+    }
+
     /// Degree, or `None` for the zero polynomial.
     pub fn degree(&self) -> Option<usize> {
         self.coeffs.len().checked_sub(1)
@@ -60,6 +74,16 @@ impl GfPoly {
     /// Is this the zero polynomial?
     pub fn is_zero(&self) -> bool {
         self.coeffs.is_empty()
+    }
+
+    /// Polynomial addition (characteristic 2: also subtraction).
+    pub fn add(&self, other: &Self) -> Self {
+        let n = self.coeffs.len().max(other.coeffs.len());
+        let mut out = vec![0u16; n];
+        for (i, c) in out.iter_mut().enumerate() {
+            *c = self.coeff(i) ^ other.coeff(i);
+        }
+        Self::from_coeffs(&out)
     }
 
     /// Polynomial multiplication in the given field.
@@ -77,6 +101,21 @@ impl GfPoly {
             }
         }
         Self::from_coeffs(&out)
+    }
+
+    /// Multiply by the scalar `c`.
+    pub fn scale(&self, c: u16, gf: &Field) -> Self {
+        let out: Vec<u16> = self.coeffs.iter().map(|&a| gf.mul(a, c)).collect();
+        Self::from_coeffs(&out)
+    }
+
+    /// Evaluate at `x` by Horner's rule.
+    pub fn eval(&self, gf: &Field, x: u16) -> u16 {
+        let mut acc = 0u16;
+        for &c in self.coeffs.iter().rev() {
+            acc = gf.mul(acc, x) ^ c;
+        }
+        acc
     }
 }
 
@@ -163,6 +202,11 @@ impl BinPoly {
     /// Is this the zero polynomial?
     pub fn is_zero(&self) -> bool {
         self.words.is_empty()
+    }
+
+    /// Number of nonzero coefficients.
+    pub fn weight(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Addition over GF(2) (XOR).
@@ -305,6 +349,20 @@ mod tests {
     }
 
     #[test]
+    fn gfpoly_add_is_xor_of_coeffs() {
+        let a = GfPoly::from_coeffs(&[1, 2, 3]);
+        let b = GfPoly::from_coeffs(&[3, 2, 1]);
+        assert_eq!(a.add(&b), GfPoly::from_coeffs(&[2, 0, 2]));
+    }
+
+    #[test]
+    fn gfpoly_add_cancels_leading_terms() {
+        let a = GfPoly::from_coeffs(&[1, 0, 7]);
+        let b = GfPoly::from_coeffs(&[0, 0, 7]);
+        assert_eq!(a.add(&b).degree(), Some(0));
+    }
+
+    #[test]
     fn gfpoly_mul_degree_adds() {
         let f = gf();
         let a = GfPoly::from_coeffs(&[1, 1]); // 1 + x
@@ -316,10 +374,41 @@ mod tests {
     }
 
     #[test]
+    fn gfpoly_eval_horner() {
+        let f = gf();
+        // p(x) = 3 + 5x + 7x²  at x = α.
+        let p = GfPoly::from_coeffs(&[3, 5, 7]);
+        let x = f.exp(1);
+        let direct = 3 ^ f.mul(5, x) ^ f.mul(7, f.mul(x, x));
+        assert_eq!(p.eval(&f, x), direct);
+    }
+
+    #[test]
+    fn gfpoly_eval_roots_of_factor() {
+        let f = gf();
+        // (x + α^5)(x + α^9) must vanish at α^5 and α^9.
+        let p = GfPoly::from_coeffs(&[f.exp(5), 1]).mul(&GfPoly::from_coeffs(&[f.exp(9), 1]), &f);
+        assert_eq!(p.eval(&f, f.exp(5)), 0);
+        assert_eq!(p.eval(&f, f.exp(9)), 0);
+        assert_ne!(p.eval(&f, f.exp(6)), 0);
+    }
+
+    #[test]
+    fn gfpoly_scale() {
+        let f = gf();
+        let p = GfPoly::from_coeffs(&[1, 2, 3]);
+        let s = p.scale(f.exp(4), &f);
+        for k in 0..3 {
+            assert_eq!(s.coeff(k), f.mul(p.coeff(k), f.exp(4)));
+        }
+    }
+
+    #[test]
     fn binpoly_basics() {
         let p = BinPoly::from_bits(&[1, 0, 1, 1]);
         assert_eq!(p.degree(), Some(3));
         assert!(p.get(0) && !p.get(1) && p.get(2) && p.get(3));
+        assert_eq!(p.weight(), 3);
         assert_eq!(BinPoly::zero().degree(), None);
     }
 
@@ -446,6 +535,24 @@ mod tests {
             let pa = GfPoly::from_coeffs(&prop::vec_u16(rng, a_len, 512));
             let pb = GfPoly::from_coeffs(&prop::vec_u16(rng, b_len, 512));
             prop::ensure_eq(pa.mul(&pb, &f), pb.mul(&pa, &f))
+        });
+    }
+
+    #[test]
+    fn prop_gfpoly_eval_is_ring_hom() {
+        prop::check("gfpoly_eval_is_ring_hom", 128, |rng| {
+            let a_len = rng.gen_below_usize(10);
+            let b_len = rng.gen_below_usize(10);
+            let f = Field::gf512();
+            let pa = GfPoly::from_coeffs(&prop::vec_u16(rng, a_len, 512));
+            let pb = GfPoly::from_coeffs(&prop::vec_u16(rng, b_len, 512));
+            let x = prop::vec_u16(rng, 1, 512)[0];
+            // eval(a*b) = eval(a)*eval(b), eval(a+b) = eval(a)+eval(b)
+            prop::ensure_eq(
+                pa.mul(&pb, &f).eval(&f, x),
+                f.mul(pa.eval(&f, x), pb.eval(&f, x)),
+            )?;
+            prop::ensure_eq(pa.add(&pb).eval(&f, x), pa.eval(&f, x) ^ pb.eval(&f, x))
         });
     }
 }
