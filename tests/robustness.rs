@@ -7,6 +7,7 @@ use lac::{
 };
 use lac_bch::BchCode;
 use lac_gf::Field;
+use lac_hw::ChienUnit;
 use lac_meter::NullMeter;
 use lac_rand::{prop, Rng, Sha256CtrRng};
 
@@ -84,21 +85,78 @@ fn decoder_never_panics_on_arbitrary_words() {
     });
 }
 
+/// Words whose inversion-free Berlekamp–Massey locator can have degree
+/// t+1, one past the t terms MUL CHIEN's multipliers hold: for each weaker
+/// t' < t, the generator of the t'-error code and 12 of its codewords,
+/// zero-padded to the code's length.
+fn weaker_code_words(code: &BchCode) -> Vec<Vec<u8>> {
+    let len = code.codeword_len();
+    let mut words = Vec::new();
+    for weaker_t in 1..code.t() {
+        let weaker = BchCode::new(Field::gf512(), weaker_t);
+        words.push(weaker.generator().to_bits(len));
+        let mut rng = Sha256CtrRng::seed_from_u64(weaker_t as u64);
+        for _ in 0..12 {
+            let mut msg = [0u8; 32];
+            rng.fill_bytes(&mut msg);
+            let mut word = weaker.encode(&msg, &mut NullMeter);
+            word.resize(len, 0);
+            words.push(word);
+        }
+    }
+    words
+}
+
+#[test]
+fn chien_unit_decodes_locator_degree_above_t_as_software_ct() {
+    for code in [BchCode::lac_t8(), BchCode::lac_t16()] {
+        let (gf, t) = (code.field(), code.t());
+        let (mut rooted, mut top_term) = (0, 0);
+        for word in weaker_code_words(&code) {
+            let sw = code.decode_constant_time(&word, &mut NullMeter);
+            if sw.locator_degree != t + 1 {
+                continue;
+            }
+            let hw = ChienUnit::new().decode(&code, &word, &mut NullMeter);
+            assert_eq!(hw.message, sw.message, "t={t}");
+            assert_eq!(hw.locator_degree, sw.locator_degree, "t={t}");
+
+            // The pipeline hands the Chien step λ₀…λ_t; the unit's count
+            // is their roots in its window, by direct evaluation.
+            let mut lambda = Vec::new();
+            lac_bch::ct::decode_with(&code, &word, &mut NullMeter, |code, l, _| {
+                lambda = l.to_vec();
+                (vec![0; code.codeword_len()], 0)
+            });
+            assert_eq!(lambda.len(), t + 1, "t={t}");
+            let value = |x| (0..=t).fold(0, |acc, j| acc ^ gf.mul(lambda[j], gf.pow(x, j as u32)));
+            let roots = code
+                .chien_window()
+                .filter(|&l| value(gf.exp(l)) == 0)
+                .count();
+            assert_eq!(hw.errors_located, roots, "t={t}");
+            rooted += usize::from(roots > 0);
+            top_term += usize::from(lambda[t] != 0);
+        }
+        assert!(
+            rooted > 0 && top_term > 0,
+            "t={t}: {rooted} words with roots in the window, {top_term} with λ_t ≠ 0"
+        );
+    }
+}
+
 #[test]
 fn locator_degree_above_t_decapsulates_on_every_backend() {
-    // A ciphertext with u = 0 decrypts to whatever word its v encodes. The
-    // generator of the t/2-error code is a word whose inversion-free
-    // Berlekamp–Massey locator has degree t+1, one past the t terms MUL
-    // CHIEN's multipliers hold: the accelerated backend must still answer,
-    // and with the constant-time backend's key.
+    // A ciphertext with u = 0 decrypts to whatever word its v encodes; here
+    // the generator of the t/2-error code, whose locator has degree t+1.
+    // Re-encryption never matches, so every backend returns the
+    // implicit-rejection key: the check is that the accelerated backend
+    // answers instead of panicking.
     for params in Params::ALL {
         let kem = Kem::new(params);
         let code = params.bch_code();
         let weaker = BchCode::new(Field::gf512(), code.t() / 2);
         let word = weaker.generator().to_bits(code.codeword_len());
-        let ct_decoded = code.decode_constant_time(&word, &mut NullMeter);
-        assert_eq!(ct_decoded.locator_degree, code.t() + 1);
-
         let mut bytes = vec![0u8; params.n()];
         let v: Vec<u8> = (0..params.lv()).map(|i| 8 * word[i % word.len()]).collect();
         bytes.extend(v.chunks(2).map(|pair| pair[0] | pair[1] << 4));
