@@ -1,7 +1,7 @@
 //! The Chien-search accelerator *MUL CHIEN* (Fig. 4).
 //!
-//! Four [`MulGf`] instances evaluate the error-locator polynomial four terms
-//! at a time (Eq. 4): Λ(αⁱ) = λ₀ + Σⱼ outⱼ where each outⱼ xors four
+//! Four GF multipliers evaluate the error-locator polynomial four terms at
+//! a time (Eq. 4): Λ(αⁱ) = λ₀ + Σⱼ outⱼ where each outⱼ xors four
 //! products λ_{k}·α^{i·k}. A feedback loop keeps the λ inputs loaded: after
 //! the first evaluation, each multiplier's second operand is its own
 //! previous output, so stepping to the next power of α costs one 9-cycle
@@ -28,7 +28,8 @@ use lac_meter::{Meter, Op};
 /// Number of parallel GF multipliers in the paper's unit.
 pub const PARALLEL_MULS: usize = 4;
 
-/// Cycle-accurate model of the MUL CHIEN unit.
+/// Cycle model of the MUL CHIEN unit: it charges the unit's protocol and
+/// stalls and takes its values from `lac_bch::kernel::chien`.
 ///
 /// # Example
 ///
@@ -38,18 +39,17 @@ pub const PARALLEL_MULS: usize = 4;
 /// use lac_meter::NullMeter;
 ///
 /// let code = BchCode::lac_t16();
-/// let mut unit = ChienUnit::new();
 /// let msg = [7u8; 32];
 /// let mut cw = code.encode(&msg, &mut NullMeter);
 /// cw[300] ^= 1;
-/// let out = unit.decode(&code, &cw, &mut NullMeter);
+/// let out = ChienUnit::new().decode(&code, &cw, &mut NullMeter);
 /// assert_eq!(out.message, msg);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ChienUnit;
 
 impl ChienUnit {
-    /// Create the paper's unit: four parallel GF multipliers.
+    /// Create the unit model.
     pub fn new() -> Self {
         Self
     }
@@ -82,7 +82,7 @@ impl ChienUnit {
     ///
     /// Panics if `lambda` has more than t+1 coefficients.
     pub fn search<M: Meter>(
-        &mut self,
+        &self,
         code: &BchCode,
         lambda: &[u16],
         meter: &mut M,
@@ -137,7 +137,7 @@ impl ChienUnit {
     /// # Panics
     ///
     /// Panics if `received.len() != code.codeword_len()`.
-    pub fn decode<M: Meter>(&mut self, code: &BchCode, received: &[u8], meter: &mut M) -> Decoded {
+    pub fn decode<M: Meter>(&self, code: &BchCode, received: &[u8], meter: &mut M) -> Decoded {
         lac_bch::ct::decode_with(code, received, meter, |code, lambda, meter| {
             self.search(code, lambda, meter)
         })
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn decodes_error_free() {
         let code = BchCode::lac_t16();
-        let mut unit = ChienUnit::new();
+        let unit = ChienUnit::new();
         let msg = [0x60u8; 32];
         let cw = code.encode(&msg, &mut NullMeter);
         let out = unit.decode(&code, &cw, &mut NullMeter);
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn corrects_message_errors_t16() {
         let code = BchCode::lac_t16();
-        let mut unit = ChienUnit::new();
+        let unit = ChienUnit::new();
         let msg = [0xceu8; 32];
         let mut cw = code.encode(&msg, &mut NullMeter);
         // All errors in the message region (the window the unit scans).
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn corrects_message_errors_t8() {
         let code = BchCode::lac_t8();
-        let mut unit = ChienUnit::new();
+        let unit = ChienUnit::new();
         let msg = [0x4bu8; 32];
         let mut cw = code.encode(&msg, &mut NullMeter);
         let positions: Vec<usize> = (0..8).map(|i| code.parity_len() + 1 + i * 30).collect();
@@ -198,7 +198,7 @@ mod tests {
         // Errors confined to parity bits: the windowed search cannot locate
         // them, but the recovered message must still be correct.
         let code = BchCode::lac_t16();
-        let mut unit = ChienUnit::new();
+        let unit = ChienUnit::new();
         let msg = [0x2au8; 32];
         let mut cw = code.encode(&msg, &mut NullMeter);
         flip(&mut cw, &[0, 20, 40, 60]);
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn agrees_with_software_ct_decoder() {
         let code = BchCode::lac_t16();
-        let mut unit = ChienUnit::new();
+        let unit = ChienUnit::new();
         let msg = [0xf0u8; 32];
         let clean = code.encode(&msg, &mut NullMeter);
         for errors in [0usize, 3, 16] {

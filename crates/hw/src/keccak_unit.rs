@@ -50,7 +50,7 @@ impl KeccakUnit {
     /// then 24 permutation cycles; output: 8 word reads. The word-wide
     /// interface (vs the SHA256 unit's byte-wide one) plus the 4x-larger
     /// rate is where the speedup comes from.
-    pub fn digest<M: Meter>(&mut self, data: &[u8], meter: &mut M) -> [u8; 32] {
+    pub fn digest<M: Meter>(&self, data: &[u8], meter: &mut M) -> [u8; 32] {
         let rate = 136usize;
         let blocks = (data.len() / rate + 1) as u64; // padding always adds one
         let words_in = blocks * (rate as u64 / 4);
@@ -67,7 +67,7 @@ impl KeccakUnit {
     /// SHAKE128-style expansion: absorb `seed ‖ domain` once, squeeze
     /// `out.len()` bytes, charging one permutation per 168-byte rate block
     /// plus word-wide read-out.
-    pub fn expand<M: Meter>(&mut self, seed: &[u8], domain: u8, out: &mut [u8], meter: &mut M) {
+    pub fn expand<M: Meter>(&self, seed: &[u8], domain: u8, out: &mut [u8], meter: &mut M) {
         let mut sponge = Sponge::new(168, 0x1f);
         sponge.absorb(seed);
         sponge.absorb(&[domain]);
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn digest_matches_software() {
-        let mut unit = KeccakUnit::new();
+        let unit = KeccakUnit::new();
         for data in [&b""[..], b"abc", &[7u8; 300]] {
             assert_eq!(
                 unit.digest(data, &mut NullMeter),
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn expand_produces_shake_stream() {
-        let mut unit = KeccakUnit::new();
+        let unit = KeccakUnit::new();
         let mut out = [0u8; 64];
         unit.expand(&[9u8; 32], 3, &mut out, &mut NullMeter);
         let mut reference = lac_keccak::Shake128::new();

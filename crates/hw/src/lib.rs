@@ -7,9 +7,10 @@
 //!   length-n array of Modular Arithmetic Units supporting both wrapped
 //!   convolutions;
 //! * [`MulGf`] — the bit-serial GF(2⁹) shift-and-add multiplier (Fig. 3);
-//! * [`ChienUnit`] — four `MulGf` instances with an adder tree and feedback
-//!   loop evaluating the error-locator polynomial four terms at a time
-//!   (Fig. 4 / Eq. 4);
+//! * [`ChienUnit`] — MUL CHIEN, four GF multipliers with an adder tree and
+//!   feedback loop evaluating the error-locator polynomial four terms at a
+//!   time (Fig. 4 / Eq. 4); the model charges the unit's protocol and takes
+//!   its values from `lac_bch::kernel::chien`;
 //! * [`Sha256Unit`] — a SHA-256 round engine with byte-wise register I/O;
 //! * [`ModQ`] — the combinational Barrett modulo-q reducer (two DSPs).
 //!

@@ -45,7 +45,7 @@ impl ModQ {
 
     /// Reduce `x` modulo 251 in one instruction (issue + single-cycle
     /// combinational result).
-    pub fn reduce<M: Meter>(&mut self, x: u32, meter: &mut M) -> u8 {
+    pub fn reduce<M: Meter>(&self, x: u32, meter: &mut M) -> u8 {
         meter.charge(Op::Alu, 1); // pq.modq issue
         meter.charge_cycles(CYCLES_PER_REDUCTION);
         barrett_reduce(x)
@@ -60,7 +60,7 @@ mod tests {
 
     #[test]
     fn reduces_correctly() {
-        let mut unit = ModQ::new();
+        let unit = ModQ::new();
         for x in [0u32, 1, 250, 251, 502, 65535, u32::MAX] {
             assert_eq!(u32::from(unit.reduce(x, &mut NullMeter)), x % 251);
         }
@@ -68,7 +68,7 @@ mod tests {
 
     #[test]
     fn constant_two_cycles_per_reduce() {
-        let mut unit = ModQ::new();
+        let unit = ModQ::new();
         let mut a = CycleLedger::new();
         unit.reduce(0, &mut a);
         let mut b = CycleLedger::new();
@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn much_cheaper_than_software_division() {
         // The software modulo costs a Div (35 cycles) on RISCY.
-        let mut unit = ModQ::new();
+        let unit = ModQ::new();
         let mut l = CycleLedger::new();
         unit.reduce(12345, &mut l);
         assert!(l.total() < lac_meter::Op::Div.cost());

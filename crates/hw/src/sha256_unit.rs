@@ -67,7 +67,7 @@ impl Sha256Unit {
     /// byte-granular blocking interface is why the paper's SHA acceleration
     /// yields far less than the datapath's raw speed (Section VI discusses
     /// the SHA256 unit's low performance next to \[8\]'s Keccak).
-    pub fn digest<M: Meter>(&mut self, data: &[u8], meter: &mut M) -> [u8; 32] {
+    pub fn digest<M: Meter>(&self, data: &[u8], meter: &mut M) -> [u8; 32] {
         let blocks = padded_blocks(data.len());
         let bytes = blocks * 64;
         meter.charge(Op::Load, bytes); // byte load
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn digest_matches_software() {
-        let mut unit = Sha256Unit::new();
+        let unit = Sha256Unit::new();
         for data in [&b""[..], b"abc", &[0u8; 200], &[0xff; 64]] {
             assert_eq!(unit.digest(data, &mut NullMeter), lac_sha256::sha256(data));
         }

@@ -163,7 +163,6 @@ impl Backend for SoftwareBackend {
 pub struct AcceleratedBackend {
     mul_ter: MulTer,
     hash: HashUnit,
-    chien: ChienUnit,
 }
 
 /// The PQ-ALU's hash accelerator.
@@ -195,7 +194,6 @@ impl AcceleratedBackend {
         Self {
             mul_ter: MulTer::new(unit_len),
             hash: HashUnit::Sha256(Sha256Unit::new()),
-            chien: ChienUnit::new(),
         }
     }
 
@@ -208,14 +206,9 @@ impl AcceleratedBackend {
         }
     }
 
-    /// The ternary-multiplier model (for stats/resources).
+    /// The ternary-multiplier model (for its resources).
     pub fn mul_ter(&self) -> &MulTer {
         &self.mul_ter
-    }
-
-    /// The Chien-search unit model.
-    pub fn chien_unit(&self) -> &ChienUnit {
-        &self.chien
     }
 }
 
@@ -231,7 +224,7 @@ impl Backend for AcceleratedBackend {
     }
 
     fn hash(&mut self, data: &[u8], mut meter: &mut dyn Meter) -> [u8; 32] {
-        match &mut self.hash {
+        match &self.hash {
             HashUnit::Sha256(unit) => unit.digest(data, &mut meter),
             HashUnit::Keccak(unit) => unit.digest(data, &mut meter),
         }
@@ -243,7 +236,7 @@ impl Backend for AcceleratedBackend {
         received: &[u8],
         mut meter: &mut dyn Meter,
     ) -> Decoded {
-        self.chien.decode(code, received, &mut meter)
+        ChienUnit::new().decode(code, received, &mut meter)
     }
 }
 

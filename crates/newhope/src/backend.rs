@@ -59,40 +59,27 @@ impl NhBackend for SoftwareBackend {
 /// loosely coupled (bus transfers dominate the NTT unit's latency — the
 /// integration style the paper contrasts with its own tightly-coupled
 /// PQ-ALU).
-#[derive(Debug, Clone, Default)]
-pub struct AcceleratedBackend {
-    ntt_unit: NttUnit,
-    keccak: KeccakUnit,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AcceleratedBackend;
 
 impl AcceleratedBackend {
     /// Create the accelerated backend.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The NTT accelerator model (stats/resources).
-    pub fn ntt_unit(&self) -> &NttUnit {
-        &self.ntt_unit
-    }
-
-    /// The Keccak accelerator model.
-    pub fn keccak_unit(&self) -> &KeccakUnit {
-        &self.keccak
+        Self
     }
 }
 
 impl NhBackend for AcceleratedBackend {
     fn xof_expand(&mut self, seed: &[u8], domain: u8, out: &mut [u8], mut meter: &mut dyn Meter) {
-        self.keccak.expand(seed, domain, out, &mut meter);
+        KeccakUnit::new().expand(seed, domain, out, &mut meter);
     }
 
     fn ntt_forward(&mut self, ntt: &Ntt, poly: &[u16], mut meter: &mut dyn Meter) -> Vec<u16> {
-        self.ntt_unit.forward(ntt, poly, &mut meter)
+        NttUnit::new().forward(ntt, poly, &mut meter)
     }
 
     fn ntt_inverse(&mut self, ntt: &Ntt, values: &[u16], mut meter: &mut dyn Meter) -> Vec<u16> {
-        self.ntt_unit.inverse(ntt, values, &mut meter)
+        NttUnit::new().inverse(ntt, values, &mut meter)
     }
 
     fn label(&self) -> &'static str {

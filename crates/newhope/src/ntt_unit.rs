@@ -33,30 +33,20 @@ impl NttUnit {
         NTT_ACCELERATOR_REF8
     }
 
-    fn charge<M: Meter + ?Sized>(&mut self, n: usize, meter: &mut M) {
+    fn charge<M: Meter + ?Sized>(&self, n: usize, meter: &mut M) {
         let words = n as u64; // one 14-bit coefficient per word transfer
         let compute = (n / 2) as u64 * u64::from(n.trailing_zeros());
         meter.charge_cycles(2 * words * BUS_CYCLES_PER_WORD + compute + SETUP_CYCLES);
     }
 
     /// Forward NTT through the co-processor.
-    pub fn forward<M: Meter + ?Sized>(
-        &mut self,
-        ntt: &Ntt,
-        poly: &[u16],
-        meter: &mut M,
-    ) -> Vec<u16> {
+    pub fn forward<M: Meter + ?Sized>(&self, ntt: &Ntt, poly: &[u16], meter: &mut M) -> Vec<u16> {
         self.charge(ntt.n(), meter);
         ntt.forward(poly, &mut lac_meter::NullMeter)
     }
 
     /// Inverse NTT through the co-processor.
-    pub fn inverse<M: Meter + ?Sized>(
-        &mut self,
-        ntt: &Ntt,
-        values: &[u16],
-        meter: &mut M,
-    ) -> Vec<u16> {
+    pub fn inverse<M: Meter + ?Sized>(&self, ntt: &Ntt, values: &[u16], meter: &mut M) -> Vec<u16> {
         self.charge(ntt.n(), meter);
         ntt.inverse(values, &mut lac_meter::NullMeter)
     }
@@ -72,7 +62,7 @@ mod tests {
         // [8]: 24,609 cycles per NTT operation at n = 1024.
         let ntt = Ntt::new(1024);
         let poly = vec![1u16; 1024];
-        let mut unit = NttUnit::new();
+        let unit = NttUnit::new();
         let mut l = CycleLedger::new();
         unit.forward(&ntt, &poly, &mut l);
         assert!(
@@ -86,7 +76,7 @@ mod tests {
     fn results_match_direct_ntt() {
         let ntt = Ntt::new(64);
         let poly: Vec<u16> = (0..64u32).map(|i| (i * 191 % 12289) as u16).collect();
-        let mut unit = NttUnit::new();
+        let unit = NttUnit::new();
         let via_unit = unit.forward(&ntt, &poly, &mut NullMeter);
         assert_eq!(via_unit, ntt.forward(&poly, &mut NullMeter));
         assert_eq!(unit.inverse(&ntt, &via_unit, &mut NullMeter), poly);

@@ -249,7 +249,7 @@ impl PqAlu {
             ctrl::START => {
                 let mut acc = 0u16;
                 let regs = self.chien_vals.iter_mut().zip(self.chien_consts);
-                for (mul, (val, konst)) in self.chien_muls.iter_mut().zip(regs) {
+                for (mul, (val, konst)) in self.chien_muls.iter().zip(regs) {
                     *val = mul.multiply(*val, konst, &mut NullMeter);
                     acc ^= *val;
                 }

@@ -89,10 +89,11 @@ fn main() {
 
     // Accelerator area.
     let lac_area = lac_backend.mul_ter().resources()
-        + lac_backend.chien_unit().resources()
+        + lac_hw::ChienUnit::new().resources()
         + lac_hw::Sha256Unit::new().resources()
         + lac_hw::ModQ::new().resources();
-    let nh_area = nh_backend.ntt_unit().resources() + nh_backend.keccak_unit().resources();
+    let nh_area =
+        newhope::ntt_unit::NttUnit::new().resources() + lac_hw::KeccakUnit::new().resources();
     println!(
         "{:<24} {:>14} {:>14}",
         "accelerator LUTs", lac_area.luts, nh_area.luts
