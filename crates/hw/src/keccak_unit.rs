@@ -25,7 +25,7 @@ pub const CYCLES_PER_PERMUTATION: u64 = 24;
 /// use lac_hw::KeccakUnit;
 /// use lac_meter::NullMeter;
 ///
-/// let mut unit = KeccakUnit::new();
+/// let unit = KeccakUnit::new();
 /// let d = unit.digest(b"abc", &mut NullMeter);
 /// assert_eq!(d, lac_keccak::sha3_256(b"abc"));
 /// ```

@@ -21,7 +21,7 @@ pub const CYCLES_PER_REDUCTION: u64 = 1;
 /// use lac_hw::ModQ;
 /// use lac_meter::NullMeter;
 ///
-/// let mut unit = ModQ::new();
+/// let unit = ModQ::new();
 /// assert_eq!(unit.reduce(1000, &mut NullMeter), (1000 % 251) as u8);
 /// ```
 #[derive(Debug, Clone, Default)]

@@ -23,7 +23,7 @@ pub const M: u32 = 9;
 /// use lac_hw::MulGf;
 /// use lac_meter::NullMeter;
 ///
-/// let mut unit = MulGf::new();
+/// let unit = MulGf::new();
 /// // α · α = α², i.e. 0b10 · 0b10 = 0b100.
 /// assert_eq!(unit.multiply(0b10, 0b10, &mut NullMeter), 0b100);
 /// ```

@@ -29,7 +29,7 @@ pub fn padded_blocks(len: usize) -> u64 {
 /// use lac_hw::Sha256Unit;
 /// use lac_meter::NullMeter;
 ///
-/// let mut unit = Sha256Unit::new();
+/// let unit = Sha256Unit::new();
 /// let d = unit.digest(b"abc", &mut NullMeter);
 /// assert_eq!(d, lac_sha256::sha256(b"abc"));
 /// ```
