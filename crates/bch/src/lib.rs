@@ -97,8 +97,9 @@ pub struct BchCode {
     k: usize,
     t: usize,
     generator: BinPoly,
-    /// Generator polynomial bits, lowest degree first, length `n - k + 1`.
-    generator_bits: Vec<u8>,
+    /// g(x) − x^r (r = n − k), coefficient j at bit j % 64 of word j / 64:
+    /// the encoder's feedback taps, ⌈r/64⌉ words.
+    feedback_taps: Vec<u64>,
 }
 
 impl BchCode {
@@ -135,14 +136,17 @@ impl BchCode {
             k >= MESSAGE_BITS,
             "code dimension {k} cannot carry a {MESSAGE_BITS}-bit message"
         );
-        let generator_bits = generator.to_bits(deg + 1);
+        let mut feedback_taps = vec![0u64; deg.div_ceil(64)];
+        for j in 0..deg {
+            feedback_taps[j / 64] |= u64::from(generator.get(j)) << (j % 64);
+        }
         Self {
             gf,
             n,
             k,
             t,
             generator,
-            generator_bits,
+            feedback_taps,
         }
     }
 
@@ -216,42 +220,51 @@ impl BchCode {
     /// Returns `codeword_len()` bits (one per `u8`, values 0/1): parity bits
     /// first, then the message bits (LSB-first within each byte).
     ///
-    /// The parity is computed with an LFSR division by g(x). The cost
-    /// charged to `meter` (under [`Phase::BchEncode`]) models the
-    /// reference implementation's **table-driven byte-wise** encoder: per
-    /// message byte, one 256-entry table lookup plus an `r`-bit register
-    /// shift-xor handled word-wise — a fixed operation sequence independent
-    /// of the message bits.
+    /// The parity is the remainder of m(x)·x^r by g(x), computed by an LFSR
+    /// held in ⌈r/64⌉ words: per message bit, one word-wide shift and an
+    /// XOR of g's taps under a mask built from the feedback bit, so nothing
+    /// branches or indexes on the message. The cost charged to `meter`
+    /// (under [`Phase::BchEncode`]) models the reference implementation's
+    /// **table-driven byte-wise** encoder: per message byte, one 256-entry
+    /// table lookup plus an `r`-bit register shift-xor handled word-wise —
+    /// a fixed operation sequence independent of the message bits, charged
+    /// once for all bytes.
     pub fn encode<M: Meter>(&self, message: &[u8; MESSAGE_BYTES], meter: &mut M) -> Vec<u8> {
         meter.enter(Phase::BchEncode);
         let r = self.parity_len();
-        // LFSR register holds the running remainder of m(x)·x^r mod g(x).
-        let mut lfsr = vec![0u8; r];
+        let taps = &self.feedback_taps;
+        let (last, top) = (taps.len() - 1, (r - 1) % 64);
+        // The register holds the running remainder of m(x)·x^r mod g(x) in
+        // its low r bits. Bits shifted past x^(r−1) are never fed back or
+        // read, so they need no clearing.
+        let mut lfsr = vec![0u64; taps.len()];
         // Feed message bits highest degree first (position k-1 .. 0); the
         // shortened positions (>= 256) are zero and contribute nothing, so
         // the software encoder skips them — as the LAC reference code does.
         for bit_index in (0..MESSAGE_BITS).rev() {
-            let bit = (message[bit_index / 8] >> (bit_index % 8)) & 1;
-            let feedback = bit ^ lfsr[r - 1];
-            for j in (1..r).rev() {
-                lfsr[j] = lfsr[j - 1] ^ (feedback & self.generator_bits[j]);
+            let bit = u64::from(message[bit_index / 8] >> (bit_index % 8)) & 1;
+            let feedback = 0u64.wrapping_sub(bit ^ (lfsr[last] >> top) & 1);
+            let mut carry = 0;
+            for (word, &tap) in lfsr.iter_mut().zip(taps) {
+                let out = *word >> 63;
+                *word = (*word << 1 | carry) ^ (feedback & tap);
+                carry = out;
             }
-            lfsr[0] = feedback & self.generator_bits[0];
         }
         // Cost model (byte-wise table-driven encoder): per message byte,
         // a table index computation, the parity-table load, and an
         // (r/32 + 1)-word register shift-xor.
-        let words = (r as u64).div_ceil(32) + 1;
-        for _ in 0..MESSAGE_BYTES {
-            meter.charge(Op::Load, 2); // message byte + table entry
-            meter.charge(Op::Alu, 3); // index xor/shift
-            meter.charge(Op::Load, words);
-            meter.charge(Op::Alu, 2 * words);
-            meter.charge(Op::Store, words);
-            meter.charge(Op::LoopIter, 1);
-        }
+        let (bytes, words) = (MESSAGE_BYTES as u64, (r as u64).div_ceil(32) + 1);
+        meter.charge(Op::Load, bytes * 2); // message byte + table entry
+        meter.charge(Op::Alu, bytes * 3); // index xor/shift
+        meter.charge(Op::Load, bytes * words);
+        meter.charge(Op::Alu, bytes * 2 * words);
+        meter.charge(Op::Store, bytes * words);
+        meter.charge(Op::LoopIter, bytes);
         let mut cw = vec![0u8; self.codeword_len()];
-        cw[..r].copy_from_slice(&lfsr);
+        for (j, cell) in cw[..r].iter_mut().enumerate() {
+            *cell = (lfsr[j / 64] >> (j % 64)) as u8 & 1;
+        }
         for i in 0..MESSAGE_BITS {
             cw[r + i] = (message[i / 8] >> (i % 8)) & 1;
         }
@@ -370,14 +383,22 @@ mod tests {
 
     #[test]
     fn encode_produces_valid_codeword() {
-        for code in [BchCode::lac_t8(), BchCode::lac_t16()] {
-            let msg = [0xc3u8; 32];
-            let cw = code.encode(&msg, &mut NullMeter);
-            assert_eq!(cw.len(), code.codeword_len());
-            assert!(cw.iter().all(|&b| b <= 1));
-            assert!(code.is_codeword(&cw));
-            assert_eq!(code.message_of(&cw), msg);
-        }
+        use lac_rand::{prop, Rng};
+        // For a given message exactly one word of this length is divisible
+        // by g(x) and carries the message: two such words differ by a
+        // multiple of g(x) of degree below r, which is zero.
+        prop::check("bch_encode_produces_valid_codeword", 32, |rng| {
+            for code in [BchCode::lac_t8(), BchCode::lac_t16()] {
+                let mut msg = [0u8; 32];
+                rng.fill_bytes(&mut msg);
+                let cw = code.encode(&msg, &mut NullMeter);
+                prop::ensure_eq(cw.len(), code.codeword_len())?;
+                prop::ensure(cw.iter().all(|&b| b <= 1), "a cell is not a bit")?;
+                prop::ensure(code.is_codeword(&cw), "not divisible by g(x)")?;
+                prop::ensure_eq(code.message_of(&cw), msg)?;
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -33,9 +33,11 @@ pub enum BchDecoderKind {
 ///
 /// `Send` is a supertrait so a `Box<dyn Backend>` can move into a worker
 /// thread: the serving layer (`lac-serve`) gives every worker its own
-/// backend instance. All in-tree backends are plain owned data (lookup
-/// tables and counters — no `Rc`, no interior mutability), so the bound
-/// costs nothing; see the `thread_safety` test module for the audit.
+/// backend instance. All in-tree backends are plain owned data: the
+/// software backend holds its BCH decoder choice, the accelerated one its
+/// MUL TER unit length and its hash-unit choice — no `Rc`, no interior
+/// mutability — so the bound costs nothing; see the `thread_safety` test
+/// module for the audit.
 pub trait Backend: Send {
     /// Negacyclic ring multiplication `t · g` in R_n.
     fn ring_mul(&mut self, t: &TernaryPoly, g: &Poly, meter: &mut dyn Meter) -> Poly;

@@ -23,15 +23,27 @@
 use crate::{reduce_i32, Convolution, Poly, TernaryPoly};
 use lac_meter::{Meter, Op, Phase};
 
+/// Output rows computed per pass: each load of the reversed secret feeds
+/// this many rows.
+const ROWS: usize = 8;
+
 /// The first `out_len` coefficients of `a · b mod (xⁿ ∓ 1)`, unmetered.
 ///
 /// Implements Eq. (1) of the paper:
 /// cᵢ = Σ_{j≤i} aⱼ b_{i−j} ± Σ_{j>i} aⱼ b_{n+i−j} (sign by convolution).
-/// Operands shorter than n are zero-extended without a copy — the sums run
-/// only over coefficients that exist — so Algorithm 2's zero-padded halves
-/// cost a quarter of a full product. Each row accumulates its unwrapped and
-/// its wrapped range in `i32` and is reduced once with Barrett; nothing
-/// branches or indexes on a coefficient's value.
+/// Both sums become one dot product over an extended copy `e` of b, built
+/// once per call: e[t] = ±b_t for t < n and b_{t−n} for t ≥ n, zero past
+/// each copy of b. With `a_rev` the secret reversed (length la),
+/// cᵢ = Σₖ a_rev[k]·e[n+i+1−la+k], so a full-length row is one fixed-length
+/// dot product. Each term |aⱼ·bₖ| ≤ 250 is an i16 × i16 product; a row
+/// accumulates in `i32` (up to 1024 · 250) and is reduced once with Barrett.
+/// Eight rows are computed per pass over the secret.
+///
+/// Operands shorter than n are zero-extended: e is zero past lb, and each
+/// block of rows runs only over the part of its window where e holds a
+/// copy of b, so Algorithm 2's zero-padded halves cost about a quarter of
+/// a full product. Loop bounds and indexes depend only on n, the operand
+/// lengths and `out_len`, never on a coefficient's value.
 ///
 /// # Panics
 ///
@@ -43,36 +55,64 @@ pub fn ternary_product(
     conv: Convolution,
     out_len: usize,
 ) -> Poly {
+    let (la, lb) = (a.len(), b.len());
     assert!(
-        a.len() <= n && b.len() <= n,
+        la <= n && lb <= n,
         "operand longer than the ring dimension {n}"
     );
     assert!(out_len <= n, "out_len exceeds ring dimension");
-    // Reversed, aⱼ runs down as b_{s−j} runs up: each range is a forward
-    // dot product.
-    let a_rev: Vec<i8> = a.coeffs().iter().rev().copied().collect();
-    let b = b.coeffs();
-    let wrap = conv.wrap_sign();
-    let coeffs = (0..out_len)
-        .map(|i| reduce_i32(diagonal(&a_rev, b, i) + wrap * diagonal(&a_rev, b, n + i)))
-        .collect();
+    let a_rev: Vec<i16> = a.coeffs().iter().rev().map(|&x| i16::from(x)).collect();
+    let wrap = conv.wrap_sign() as i16;
+    // The last block's rows past `out_len` read up to ROWS − 1 entries past
+    // 2n; they are zero and the rows are dropped.
+    let mut e = vec![0i16; 2 * n + ROWS - 1];
+    for (t, &bt) in b.coeffs().iter().enumerate() {
+        e[t] = wrap * i16::from(bt);
+        e[n + t] = i16::from(bt);
+    }
+    let mut coeffs = Vec::with_capacity(out_len);
+    for i0 in (0..out_len).step_by(ROWS) {
+        // Row i0 + r reads e[s + r + k] for k < la. Some row of the block
+        // reads the wrapped copy e[..lb] only for k < lo_end, and the
+        // unwrapped copy e[n..n + lb] only for hi_start ≤ k < hi_end.
+        let s = n + i0 + 1 - la;
+        let lo_end = la.min(lb.saturating_sub(s));
+        let hi_start = (n + 1).saturating_sub(s + ROWS);
+        let hi_end = la.min((n + lb).saturating_sub(s));
+        let mut acc = [0i32; ROWS];
+        if hi_start <= lo_end {
+            // No zero gap between the two ranges (hi_end ≥ lo_end): one
+            // pass, all of 0..la for full-length operands.
+            dot_rows(&a_rev[..hi_end], &e[s..], &mut acc);
+        } else {
+            dot_rows(&a_rev[..lo_end], &e[s..], &mut acc);
+            dot_rows(
+                &a_rev[hi_start..hi_end.max(hi_start)],
+                &e[s + hi_start..],
+                &mut acc,
+            );
+        }
+        coeffs.extend(acc.iter().take(out_len - i0).map(|&x| reduce_i32(x)));
+    }
     Poly::from_coeffs(coeffs)
 }
 
-/// Σ aⱼ·b_{s−j} over every j where both coefficients exist, `a_rev` being
-/// `a` reversed.
+/// `acc[r] += Σₖ a[k]·e[r + k]` for every row r < [`ROWS`]: i16 products
+/// summed in i32 lanes, which baseline x86-64 vectorises as `pmaddwd`.
 #[inline]
-fn diagonal(a_rev: &[i8], b: &[u8], s: usize) -> i32 {
-    let la = a_rev.len();
-    let (lo, hi) = ((s + 1).saturating_sub(b.len()), (s + 1).min(la));
-    if lo >= hi {
-        return 0;
+fn dot_rows(a: &[i16], e: &[i16], acc: &mut [i32; ROWS]) {
+    let len = a.len();
+    let windows: [&[i16]; ROWS] = std::array::from_fn(|r| &e[r..r + len]);
+    let mut sums = [0i32; ROWS];
+    for (k, &x) in a.iter().enumerate() {
+        let x = i32::from(x);
+        for (sum, w) in sums.iter_mut().zip(&windows) {
+            *sum += x * i32::from(w[k]);
+        }
     }
-    a_rev[la - hi..la - lo]
-        .iter()
-        .zip(&b[s + 1 - hi..s + 1 - lo])
-        .map(|(&x, &y)| i32::from(x) * i32::from(y))
-        .sum()
+    for (total, sum) in acc.iter_mut().zip(sums) {
+        *total += sum;
+    }
 }
 
 /// Multiply a ternary polynomial by a general polynomial in
@@ -321,10 +361,45 @@ mod tests {
         mul_ternary_truncated(&a, &b, Convolution::Cyclic, 9, &mut NullMeter);
     }
 
+    /// Checks the first `out_len` coefficients of the kernel, and of the
+    /// metered products on full-length operands, in both convolutions
+    /// against `mul_full` + `reduce_full`.
+    fn ensure_matches_reference(
+        a: &TernaryPoly,
+        b: &Poly,
+        n: usize,
+        out_len: usize,
+    ) -> Result<(), String> {
+        let full = mul_full(a, b);
+        for conv in [Convolution::Cyclic, Convolution::Negacyclic] {
+            let expect = reduce_full(&full, n, conv);
+            let prefix = &expect.coeffs()[..out_len];
+            prop::ensure_eq(ternary_product(a, b, n, conv, out_len).coeffs(), prefix)?;
+            if a.len() == n && b.len() == n {
+                prop::ensure_eq(mul_ternary(a, b, conv, &mut NullMeter), expect.clone())?;
+                let low = mul_ternary_truncated(a, b, conv, out_len, &mut NullMeter);
+                prop::ensure_eq(low.coeffs(), prefix)?;
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn prop_matches_reference_reduction() {
+        // Extreme magnitudes: every term is ±250, so a full-length row at
+        // n = 1024 sums to ±256,000; an accumulator too narrow for it
+        // panics on overflow in a debug build. Full length and halves.
+        for len in [1024, 512] {
+            for sign in [1i8, -1] {
+                let a = TernaryPoly::from_coeffs(vec![sign; len]);
+                let b = Poly::from_coeffs(vec![250; len]);
+                ensure_matches_reference(&a, &b, 1024, 1024).unwrap();
+            }
+        }
         prop::check("mul_matches_reference_reduction", 64, |rng| {
-            let n = [8, 16, 512][rng.gen_below_usize(3)];
+            // LAC's ring sizes, small ones, and sizes that are not a
+            // multiple of the kernel's row block.
+            let n = [2, 6, 8, 10, 16, 512, 1024][rng.gen_below_usize(7)];
             // Operands as long as the ring, or shorter (zero-extended).
             let mut len = || {
                 if rng.gen_bool() {
@@ -345,19 +420,8 @@ mod tests {
                 TernaryPoly::from_coeffs(c)
             };
             let b = Poly::from_coeffs(prop::vec_u8(rng, lb, 251));
-            let out_len = [0, 1, rng.gen_below_usize(n + 1), n][rng.gen_below_usize(4)];
-            let full = mul_full(&a, &b);
-            for conv in [Convolution::Cyclic, Convolution::Negacyclic] {
-                let expect = reduce_full(&full, n, conv);
-                let prefix = &expect.coeffs()[..out_len];
-                prop::ensure_eq(ternary_product(&a, &b, n, conv, out_len).coeffs(), prefix)?;
-                if la == n && lb == n {
-                    prop::ensure_eq(mul_ternary(&a, &b, conv, &mut NullMeter), expect.clone())?;
-                    let low = mul_ternary_truncated(&a, &b, conv, out_len, &mut NullMeter);
-                    prop::ensure_eq(low.coeffs(), prefix)?;
-                }
-            }
-            Ok(())
+            let out_len = [0, 1, rng.gen_below_usize(n + 1), n - 1, n][rng.gen_below_usize(5)];
+            ensure_matches_reference(&a, &b, n, out_len)
         });
     }
 

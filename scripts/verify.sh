@@ -66,6 +66,23 @@ printf '%s' "$SMC" | grep -q '"digests_match": true' || {
 }
 echo "  self-modifying unlink parity OK"
 
+echo
+echo "== outputs no table compares equal baselines/*.txt =="
+# failure_rate takes its error statistics from seeded encrypt/decrypt
+# transcripts through the ring product, and ablation_unit_len is the one
+# caller of MUL TER at unit lengths 256 and 1024; ablation_keccak prints
+# the hash-unit ablation. Their stdout is deterministic, so any change to
+# a product, a transcript or a modelled cycle they print fails here. The
+# three runs take under two seconds together.
+for bin in failure_rate ablation_unit_len ablation_keccak; do
+    cargo run -q --release --offline -p lac-bench --bin "$bin" \
+        | cmp -s - "baselines/$bin.txt" || {
+        echo "$bin output differs from baselines/$bin.txt" >&2
+        exit 1
+    }
+    echo "  $bin equals baselines/$bin.txt"
+done
+
 if [ "$QUICK" = 1 ]; then
     echo
     echo "== tables equal baselines/ (--json, quick mode) =="
