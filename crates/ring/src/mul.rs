@@ -32,12 +32,12 @@ const ROWS: usize = 8;
 /// Implements Eq. (1) of the paper:
 /// cᵢ = Σ_{j≤i} aⱼ b_{i−j} ± Σ_{j>i} aⱼ b_{n+i−j} (sign by convolution).
 /// Both sums become one dot product over an extended copy `e` of b, built
-/// once per call: e[t] = ±b_t for t < n and b_{t−n} for t ≥ n, zero past
+/// once per call: `e[t]` = ±b_t for t < n and b_{t−n} for t ≥ n, zero past
 /// each copy of b. With `a_rev` the secret reversed (length la),
-/// cᵢ = Σₖ a_rev[k]·e[n+i+1−la+k], so a full-length row is one fixed-length
-/// dot product. Each term |aⱼ·bₖ| ≤ 250 is an i16 × i16 product; a row
-/// accumulates in `i32` (up to 1024 · 250) and is reduced once with Barrett.
-/// Eight rows are computed per pass over the secret.
+/// `cᵢ = Σₖ a_rev[k]·e[n+i+1−la+k]`, so a full-length row is one
+/// fixed-length dot product. Each term |aⱼ·bₖ| ≤ 250 is an i16 × i16
+/// product; a row accumulates in `i32` (up to 1024 · 250) and is reduced
+/// once with Barrett. Eight rows are computed per pass over the secret.
 ///
 /// Operands shorter than n are zero-extended: e is zero past lb, and each
 /// block of rows runs only over the part of its window where e holds a
@@ -74,23 +74,20 @@ pub fn ternary_product(
     for i0 in (0..out_len).step_by(ROWS) {
         // Row i0 + r reads e[s + r + k] for k < la. Some row of the block
         // reads the wrapped copy e[..lb] only for k < lo_end, and the
-        // unwrapped copy e[n..n + lb] only for hi_start ≤ k < hi_end.
+        // unwrapped copy e[n..n + lb] only for hi_start ≤ k < hi_end;
+        // hi_end ≥ hi_start and hi_end ≥ lo_end for every shape.
         let s = n + i0 + 1 - la;
         let lo_end = la.min(lb.saturating_sub(s));
         let hi_start = (n + 1).saturating_sub(s + ROWS);
         let hi_end = la.min((n + lb).saturating_sub(s));
         let mut acc = [0i32; ROWS];
         if hi_start <= lo_end {
-            // No zero gap between the two ranges (hi_end ≥ lo_end): one
-            // pass, all of 0..la for full-length operands.
+            // No zero gap between the two ranges: one pass, all of 0..la
+            // for full-length operands.
             dot_rows(&a_rev[..hi_end], &e[s..], &mut acc);
         } else {
             dot_rows(&a_rev[..lo_end], &e[s..], &mut acc);
-            dot_rows(
-                &a_rev[hi_start..hi_end.max(hi_start)],
-                &e[s + hi_start..],
-                &mut acc,
-            );
+            dot_rows(&a_rev[hi_start..hi_end], &e[s + hi_start..], &mut acc);
         }
         coeffs.extend(acc.iter().take(out_len - i0).map(|&x| reduce_i32(x)));
     }
