@@ -16,7 +16,6 @@ use lac_hw::mul_ter::PAPER_LEN;
 use lac_hw::MulTer;
 use lac_meter::{CycleLedger, NullMeter};
 use lac_rand::Sha256CtrRng;
-use lac_ring::split::mul_on_unit;
 use lac_ring::{Convolution, Poly, TernaryPoly};
 
 /// Cycles for a length-`n` product on a length-`unit` MUL TER, if the
@@ -24,7 +23,7 @@ use lac_ring::{Convolution, Poly, TernaryPoly};
 fn mul_cycles(unit: usize, n: usize) -> Option<u64> {
     let (t, g, conv) = (TernaryPoly::zero(n), Poly::zero(n), Convolution::Negacyclic);
     let mut ledger = CycleLedger::new();
-    mul_on_unit(&mut MulTer::new(unit), &t, &g, conv, &mut ledger)?;
+    MulTer::new(unit).ring_product(&t, &g, conv, n, &mut ledger)?;
     Some(ledger.total())
 }
 

@@ -12,17 +12,22 @@
 //! coefficient (n compute cycles total) and the Section V register I/O
 //! protocol: five 8-bit general coefficients and five 2-bit ternary
 //! coefficients per `pq.mul_ter` write (packed across rs1/rs2), four 8-bit
-//! result coefficients per read. It takes the product's value from
-//! `lac_ring::mul::ternary_product`; [`MulTer::multiply_rtl`] steps the
-//! datapath cycle by cycle and is the reference the tests check it
-//! against.
+//! result coefficients per read. [`MulTer::ring_product`] is the one
+//! place that decides how a product in R_n runs on the unit: directly when
+//! n is the unit length, through the paper's Algorithms 1–2 when n is
+//! twice it, and not at all otherwise. Both take the product's value from
+//! one `lac_ring::mul::ternary_product` call and charge their modelled
+//! loops in closed form; [`MulTer::multiply_rtl`] steps the datapath
+//! cycle by cycle and is the reference the tests check the unit product
+//! against, and `lac_ring::split`'s tests hold the executable
+//! Algorithms 1–2.
 
 use crate::area::{
     ResourceEstimate, MAU_LUTS, MAU_REGS, MUL_TER_CONTROL_LUTS, MUL_TER_CONTROL_REGS,
 };
 use lac_meter::{Meter, Op, Phase};
 use lac_ring::mul::ternary_product;
-use lac_ring::split::TernaryMulUnit;
+use lac_ring::split::{charge_recombination, UNIT_PRODUCTS};
 use lac_ring::{add_mod, sub_mod, Convolution, Poly, TernaryPoly};
 
 /// The paper's unit length: §IV-A picks a length-512 array as the
@@ -53,11 +58,16 @@ pub fn compute_cycles(n: usize) -> u64 {
 /// use lac_meter::NullMeter;
 /// use lac_ring::{Convolution, Poly, TernaryPoly};
 ///
-/// let mut unit = MulTer::new(8);
+/// let unit = MulTer::new(8);
 /// let a = TernaryPoly::from_coeffs(vec![1, 0, -1, 0, 0, 0, 0, 0]);
 /// let b = Poly::from_coeffs(vec![1, 2, 3, 4, 5, 6, 7, 8]);
 /// let c = unit.multiply(&a, &b, Convolution::Negacyclic, &mut NullMeter);
 /// assert_eq!(c.coeffs().len(), 8);
+/// // A product in R_16 runs on the length-8 unit through Algorithms 1–2.
+/// let a16 = TernaryPoly::zero(16);
+/// let b16 = Poly::zero(16);
+/// let c16 = unit.ring_product(&a16, &b16, Convolution::Negacyclic, 16, &mut NullMeter);
+/// assert_eq!(c16.map(|c| c.len()), Some(16));
 /// ```
 #[derive(Debug, Clone)]
 pub struct MulTer {
@@ -99,8 +109,8 @@ impl MulTer {
     /// Multiply `a · b mod (xⁿ ∓ 1)` on the unit, charging the full
     /// software-visible cost (input packing, n compute cycles, output
     /// unpacking) to `meter` under [`Phase::Mul`]. An operand shorter than
-    /// the unit is zero-extended to it (Algorithm 2's padding) and charged
-    /// as a unit-length product.
+    /// the unit is zero-extended to it and charged as a unit-length
+    /// product.
     ///
     /// The value comes from [`ternary_product`], the one product kernel;
     /// [`MulTer::multiply_rtl`] steps the datapath that computes it.
@@ -109,39 +119,74 @@ impl MulTer {
     ///
     /// Panics if an operand is longer than the unit.
     pub fn multiply<M: Meter>(
-        &mut self,
+        &self,
         a: &TernaryPoly,
         b: &Poly,
         conv: Convolution,
         meter: &mut M,
     ) -> Poly {
-        let n = self.n;
-        meter.enter(Phase::Mul);
+        let c = ternary_product(a, b, self.n, conv, self.n);
+        self.charge_products(1, meter);
+        c
+    }
 
-        // ---- Input phase: ceil(n/5) pq.mul_ter writes. Per write, the
-        // driver packs five 8-bit general and five 2-bit ternary
-        // coefficients into rs1/rs2 (loads + shifts) and issues the custom
-        // instruction.
-        let writes = n.div_ceil(COEFFS_PER_WRITE) as u64;
+    /// The first `out_len` coefficients of `a · b` in R_n, n = `a.len()`
+    /// (b is zero-extended to n), computed on this length-u unit: `None`
+    /// unless n is u or 2u, because the unit only reduces by x^u ∓ 1 and
+    /// zero-padding to a longer unit would change the ring.
+    ///
+    /// At n = u the charge is one [`MulTer::multiply`]; at n = 2u it is
+    /// the paper's Algorithms 1–2: [`UNIT_PRODUCTS`] unit products plus
+    /// the recombination loops, in closed form
+    /// ([`charge_recombination`]). The charge depends on u and n alone —
+    /// not on `out_len`, because the unit always reads out whole products
+    /// — and the value is one [`ternary_product`] call, so a caller that
+    /// keeps only a prefix computes only that prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if b is longer than a or `out_len` exceeds n.
+    pub fn ring_product<M: Meter>(
+        &self,
+        a: &TernaryPoly,
+        b: &Poly,
+        conv: Convolution,
+        out_len: usize,
+        meter: &mut M,
+    ) -> Option<Poly> {
+        let (u, n) = (self.n, a.len());
+        if n != u && n != 2 * u {
+            return None;
+        }
+        let c = ternary_product(a, b, n, conv, out_len);
+        if n == u {
+            self.charge_products(1, meter);
+        } else {
+            self.charge_products(UNIT_PRODUCTS, meter);
+            charge_recombination(u, meter);
+        }
+        Some(c)
+    }
+
+    /// Charge `count` unit products under [`Phase::Mul`]: per product,
+    /// ⌈n/5⌉ `pq.mul_ter` writes (the driver packs five 8-bit general and
+    /// five 2-bit ternary coefficients into rs1/rs2 with loads and shifts,
+    /// then issues the instruction), n + 2 datapath cycles (the Control
+    /// Unit serializes a₀…a_{n−1}, one per cycle, whatever their values)
+    /// and ⌈n/4⌉ reads (issue, split rd into four bytes, store them).
+    fn charge_products<M: Meter>(&self, count: u64, meter: &mut M) {
+        let writes = count * self.n.div_ceil(COEFFS_PER_WRITE) as u64;
+        let reads = count * self.n.div_ceil(COEFFS_PER_READ) as u64;
+        meter.enter(Phase::Mul);
         meter.charge(Op::Load, writes * 2 * COEFFS_PER_WRITE as u64);
         meter.charge(Op::Alu, writes * 12); // shift/or packing for both registers
         meter.charge(Op::Alu, writes); // the pq.mul_ter issue itself
         meter.charge(Op::LoopIter, writes);
-
-        // ---- Compute phase: the Control Unit serializes a₀…a_{n−1}, one
-        // per cycle, whatever their values.
-        let c = ternary_product(a, b, n, conv, n);
-        meter.charge_cycles(compute_cycles(n));
-
-        // ---- Output phase: ceil(n/4) pq.mul_ter reads; per read the driver
-        // issues the instruction, splits rd into four bytes and stores them.
-        let reads = n.div_ceil(COEFFS_PER_READ) as u64;
+        meter.charge_cycles(count * compute_cycles(self.n));
         meter.charge(Op::Alu, reads * (1 + 3)); // issue + unpack shifts
         meter.charge(Op::Store, reads * COEFFS_PER_READ as u64);
         meter.charge(Op::LoopIter, reads);
-
         meter.leave();
-        c
     }
 }
 
@@ -199,29 +244,12 @@ impl MulTer {
     }
 }
 
-impl TernaryMulUnit for MulTer {
-    fn unit_len(&self) -> usize {
-        self.n
-    }
-
-    fn mul_unit(
-        &mut self,
-        a: &TernaryPoly,
-        b: &Poly,
-        conv: Convolution,
-        mut meter: &mut dyn Meter,
-    ) -> Poly {
-        self.multiply(a, b, conv, &mut meter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lac_meter::{CycleLedger, NullMeter};
     use lac_rand::{prop, Rng};
     use lac_ring::mul::{mul_full, mul_ternary, reduce_full};
-    use lac_ring::split::split_mul_high;
 
     /// The product in R_n by the reference that shares no code with the
     /// product kernel.
@@ -240,7 +268,7 @@ mod tests {
 
     #[test]
     fn matches_software_multiplication_small() {
-        let mut unit = MulTer::new(8);
+        let unit = MulTer::new(8);
         let a = TernaryPoly::from_coeffs(vec![1, -1, 0, 1, 0, 0, -1, 1]);
         let b = Poly::from_coeffs(vec![3, 1, 4, 1, 5, 9, 2, 6]);
         for conv in [Convolution::Cyclic, Convolution::Negacyclic] {
@@ -251,7 +279,7 @@ mod tests {
 
     #[test]
     fn matches_software_multiplication_n512() {
-        let mut unit = MulTer::new(512);
+        let unit = MulTer::new(512);
         let coeffs: Vec<i8> = (0..512)
             .map(|i| [1i8, 0, -1, 0, 0, 1, -1, 0][i % 8])
             .collect();
@@ -266,7 +294,7 @@ mod tests {
         // Table II: the optimized multiplication for n = 512 costs 6,390
         // cycles. Our model (I/O packing + 512 compute cycles) must land
         // within ~15%.
-        let mut unit = MulTer::new(512);
+        let unit = MulTer::new(512);
         let a = TernaryPoly::zero(512);
         let b = Poly::zero(512);
         let mut l = CycleLedger::new();
@@ -282,11 +310,12 @@ mod tests {
     fn split_1024_on_512_unit_cycle_cost() {
         // Table II: optimized n = 1024 multiplication costs 151,354 cycles
         // (16 unit invocations + software recombination).
-        let mut unit = MulTer::new(512);
+        let unit = MulTer::new(512);
         let a = TernaryPoly::zero(1024);
         let b = Poly::zero(1024);
         let mut l = CycleLedger::new();
-        split_mul_high(&mut unit, &a, &b, Convolution::Negacyclic, &mut l);
+        unit.ring_product(&a, &b, Convolution::Negacyclic, 1024, &mut l)
+            .unwrap();
         let total = l.total();
         assert!(
             (120_000..185_000).contains(&total),
@@ -297,18 +326,83 @@ mod tests {
 
     #[test]
     fn split_1024_on_512_unit_is_correct() {
-        let mut unit = MulTer::new(512);
+        let unit = MulTer::new(512);
         let coeffs: Vec<i8> = (0..1024).map(|i| [0i8, -1, 1, 0][i % 4]).collect();
         let a = TernaryPoly::from_coeffs(coeffs);
         let b = Poly::from_coeffs((0..1024u32).map(|i| (i * 13 % 251) as u8).collect());
-        let hw = split_mul_high(&mut unit, &a, &b, Convolution::Negacyclic, &mut NullMeter);
-        assert_eq!(hw, reference(&a, &b, 1024, Convolution::Negacyclic));
+        let hw = unit.ring_product(&a, &b, Convolution::Negacyclic, 1024, &mut NullMeter);
+        assert_eq!(hw, Some(reference(&a, &b, 1024, Convolution::Negacyclic)));
+    }
+
+    /// What Algorithms 1–2 charge for one length-2u product: 16 unit
+    /// products at u plus the closed-form recombination.
+    fn split_charge(u: usize) -> CycleLedger {
+        let unit = MulTer::new(u);
+        let (a, b) = (TernaryPoly::zero(u), Poly::zero(u));
+        let mut expect = CycleLedger::new();
+        for _ in 0..16 {
+            unit.multiply(&a, &b, Convolution::Cyclic, &mut expect);
+        }
+        charge_recombination(u, &mut expect);
+        expect
+    }
+
+    #[test]
+    fn ring_product_values_and_charges_at_2u() {
+        // Both convolutions, u ∈ {8, 16, 512}, out_len ∈ {1, odd, n}: the
+        // value is the prefix of the product in R_2u, and the charge is
+        // the whole product's, op by op and phase by phase.
+        let mut rng = lac_rand::Sha256CtrRng::seed_from_u64(28);
+        for u in [8, 16, 512] {
+            let (unit, n) = (MulTer::new(u), 2 * u);
+            let a = TernaryPoly::from_coeffs(prop::vec_i8(&mut rng, n, -1, 1));
+            let b = Poly::from_coeffs(prop::vec_u8(&mut rng, n, 251));
+            for conv in [Convolution::Cyclic, Convolution::Negacyclic] {
+                let expect = reference(&a, &b, n, conv);
+                for out_len in [1, u + 1, n] {
+                    let mut cost = CycleLedger::new();
+                    let got = unit.ring_product(&a, &b, conv, out_len, &mut cost).unwrap();
+                    assert_eq!(got.coeffs(), &expect.coeffs()[..out_len], "u={u} {conv:?}");
+                    assert_eq!(cost, split_charge(u), "u={u} out_len={out_len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_product_at_u_is_one_unit_product() {
+        let unit = MulTer::new(16);
+        let a = TernaryPoly::from_coeffs((0..16).map(|i| [1i8, 0, -1][i % 3]).collect());
+        let b = Poly::from_coeffs((0..16u8).map(|i| i * 15 % 251).collect());
+        for conv in [Convolution::Cyclic, Convolution::Negacyclic] {
+            let mut full = CycleLedger::new();
+            let product = unit.multiply(&a, &b, conv, &mut full);
+            assert_eq!(product, reference(&a, &b, 16, conv));
+            for out_len in [1, 7, 16] {
+                let mut cost = CycleLedger::new();
+                let got = unit.ring_product(&a, &b, conv, out_len, &mut cost);
+                assert_eq!(got.unwrap().coeffs(), &product.coeffs()[..out_len]);
+                assert_eq!(cost, full, "out_len={out_len}");
+            }
+        }
+    }
+
+    #[test]
+    fn ring_product_rejects_other_dimensions() {
+        let unit = MulTer::new(16);
+        for n in [8, 24, 64] {
+            let mut cost = CycleLedger::new();
+            let (a, b) = (TernaryPoly::zero(n), Poly::zero(n));
+            let got = unit.ring_product(&a, &b, Convolution::Negacyclic, n, &mut cost);
+            assert_eq!(got, None, "n={n}");
+            assert_eq!(cost, CycleLedger::new(), "n={n} charged");
+        }
     }
 
     #[test]
     fn hw_is_much_faster_than_software_model() {
         // The headline of the paper's multiplication column: ~372x for n=512.
-        let mut unit = MulTer::new(512);
+        let unit = MulTer::new(512);
         let a = TernaryPoly::zero(512);
         let b = Poly::zero(512);
         let mut hw = CycleLedger::new();
@@ -343,7 +437,7 @@ mod tests {
 
     #[test]
     fn datapath_cycles_accumulate() {
-        let mut unit = MulTer::new(8);
+        let unit = MulTer::new(8);
         let a = TernaryPoly::zero(8);
         let b = Poly::zero(8);
         let mut l = CycleLedger::new();
@@ -355,7 +449,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "operand longer than")]
     fn longer_than_unit_rejected() {
-        let mut unit = MulTer::new(8);
+        let unit = MulTer::new(8);
         let a = TernaryPoly::zero(8);
         let b = Poly::zero(10);
         unit.multiply(&a, &b, Convolution::Cyclic, &mut NullMeter);
@@ -369,7 +463,7 @@ mod tests {
 
     #[test]
     fn rtl_simulation_matches_algebraic_model_n512() {
-        let mut unit = MulTer::new(512);
+        let unit = MulTer::new(512);
         let coeffs: Vec<i8> = (0..512)
             .map(|i| [1i8, -1, 0, 0, 1, 0, -1, 1][i % 8])
             .collect();
@@ -406,7 +500,7 @@ mod tests {
         let zero = (TernaryPoly::zero(16), Poly::zero(16));
         MulTer::new(16).multiply(&zero.0, &zero.1, Convolution::Cyclic, &mut full_cost);
         prop::check("mul_ter_matches_software", 48, |rng| {
-            let mut unit = MulTer::new(16);
+            let unit = MulTer::new(16);
             let la = rng.gen_range_usize(1..17);
             let lb = rng.gen_range_usize(1..17);
             let a = TernaryPoly::from_coeffs(prop::vec_i8(rng, la, -1, 1));
@@ -426,7 +520,7 @@ mod tests {
     #[test]
     fn prop_rtl_matches_algebraic() {
         prop::check("mul_ter_rtl_matches_algebraic", 48, |rng| {
-            let mut unit = MulTer::new(16);
+            let unit = MulTer::new(16);
             let a = TernaryPoly::from_coeffs(prop::vec_i8(rng, 16, -1, 1));
             let b = Poly::from_coeffs(prop::vec_u8(rng, 16, 251));
             for conv in [Convolution::Cyclic, Convolution::Negacyclic] {

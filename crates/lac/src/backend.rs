@@ -17,7 +17,6 @@ use lac_bch::{BchCode, Decoded};
 use lac_hw::{mul_ter, ChienUnit, KeccakUnit, MulTer, Sha256Unit};
 use lac_meter::Meter;
 use lac_ring::mul::{mul_ternary, mul_ternary_truncated};
-use lac_ring::split::mul_on_unit;
 use lac_ring::{Convolution, Poly, TernaryPoly};
 
 /// Which BCH decoder a software backend uses.
@@ -43,20 +42,18 @@ pub trait Backend: Send {
     fn ring_mul(&mut self, t: &TernaryPoly, g: &Poly, meter: &mut dyn Meter) -> Poly;
 
     /// Negacyclic ring multiplication returning only the low `out_len`
-    /// coefficients. The software backend exploits this to skip work (the
-    /// reference implementation's `lv`-truncated product in encryption);
-    /// the hardware unit always computes the full product, so the PQ-ALU
-    /// backend keeps this default, which truncates it.
+    /// coefficients (the `lv`-truncated product in encryption). Both
+    /// backends compute only those coefficients. The software backend is
+    /// also charged only for them, as the reference implementation's loop
+    /// runs `out_len` rows; the PQ-ALU backend is charged for the whole
+    /// product, because the unit always reads one out.
     fn ring_mul_low(
         &mut self,
         t: &TernaryPoly,
         g: &Poly,
         out_len: usize,
         meter: &mut dyn Meter,
-    ) -> Poly {
-        let full = self.ring_mul(t, g, meter);
-        Poly::from_coeffs(full.coeffs()[..out_len].to_vec())
-    }
+    ) -> Poly;
 
     /// SHA-256 digest. No phase is entered — callers attribute the cost.
     fn hash(&mut self, data: &[u8], meter: &mut dyn Meter) -> [u8; 32];
@@ -212,17 +209,44 @@ impl AcceleratedBackend {
     pub fn mul_ter(&self) -> &MulTer {
         &self.mul_ter
     }
+
+    /// The low `out_len` coefficients of `t · g` on the MUL TER unit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the unit cannot run a product of `t`'s dimension.
+    fn product(
+        &self,
+        t: &TernaryPoly,
+        g: &Poly,
+        out_len: usize,
+        mut meter: &mut dyn Meter,
+    ) -> Poly {
+        self.mul_ter
+            .ring_product(t, g, Convolution::Negacyclic, out_len, &mut meter)
+            .unwrap_or_else(|| {
+                panic!(
+                    "ring dimension {} is not supported by a length-{} MUL TER unit",
+                    t.len(),
+                    self.mul_ter.len()
+                )
+            })
+    }
 }
 
 impl Backend for AcceleratedBackend {
     fn ring_mul(&mut self, t: &TernaryPoly, g: &Poly, meter: &mut dyn Meter) -> Poly {
-        mul_on_unit(&mut self.mul_ter, t, g, Convolution::Negacyclic, meter).unwrap_or_else(|| {
-            panic!(
-                "ring dimension {} is not supported by a length-{} MUL TER unit",
-                t.len(),
-                self.mul_ter.len()
-            )
-        })
+        self.product(t, g, t.len(), meter)
+    }
+
+    fn ring_mul_low(
+        &mut self,
+        t: &TernaryPoly,
+        g: &Poly,
+        out_len: usize,
+        meter: &mut dyn Meter,
+    ) -> Poly {
+        self.product(t, g, out_len, meter)
     }
 
     fn hash(&mut self, data: &[u8], mut meter: &mut dyn Meter) -> [u8; 32] {

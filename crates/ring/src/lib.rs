@@ -16,8 +16,9 @@
 //!   and branch-free, that every metered multiplier takes its values from;
 //! * [`mul::mul_ternary`] / [`mul::mul_ternary_truncated`] — the product
 //!   charged as the LAC reference implementation's schoolbook loop;
-//! * [`split`] — the paper's Algorithms 1 and 2, which reuse a length-n/2
-//!   multiplier unit for length-n products via two levels of splitting;
+//! * [`split`] — the cost of the paper's Algorithms 1 and 2, which reuse
+//!   a length-n/2 multiplier unit for length-n products via two levels of
+//!   splitting (the executable algorithms are its tests' reference);
 //! * [`barrett_reduce`] / [`reduce_i32`] — constant-time modular reduction
 //!   by q = 251 (the paper's *MOD q* unit implements the same Barrett
 //!   algorithm in hardware), and [`add_mod`] / [`sub_mod`].
@@ -205,24 +206,6 @@ impl Poly {
         meter.charge(Op::LoopIter, self.len() as u64);
         Self { coeffs }
     }
-
-    /// Split into the lower and higher halves (the paper's a^l, a^h).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is odd.
-    pub fn halves(&self) -> (Self, Self) {
-        assert_eq!(self.len() % 2, 0, "cannot halve an odd-length polynomial");
-        let half = self.len() / 2;
-        (
-            Self {
-                coeffs: self.coeffs[..half].to_vec(),
-            },
-            Self {
-                coeffs: self.coeffs[half..].to_vec(),
-            },
-        )
-    }
 }
 
 impl fmt::Display for Poly {
@@ -286,24 +269,6 @@ impl TernaryPoly {
     /// Number of nonzero coefficients (the fixed weight h in LAC).
     pub fn weight(&self) -> usize {
         self.coeffs.iter().filter(|&&c| c != 0).count()
-    }
-
-    /// Split into lower and higher halves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is odd.
-    pub fn halves(&self) -> (Self, Self) {
-        assert_eq!(self.len() % 2, 0, "cannot halve an odd-length polynomial");
-        let half = self.len() / 2;
-        (
-            Self {
-                coeffs: self.coeffs[..half].to_vec(),
-            },
-            Self {
-                coeffs: self.coeffs[half..].to_vec(),
-            },
-        )
     }
 
     /// View as a general polynomial (−1 ↦ q−1).
@@ -385,14 +350,6 @@ mod tests {
     fn ternary_to_poly_maps_minus_one() {
         let t = TernaryPoly::from_coeffs(vec![-1, 0, 1]);
         assert_eq!(t.to_poly().coeffs(), &[250, 0, 1]);
-    }
-
-    #[test]
-    fn halves_split_correctly() {
-        let p = Poly::from_coeffs(vec![1, 2, 3, 4]);
-        let (lo, hi) = p.halves();
-        assert_eq!(lo.coeffs(), &[1, 2]);
-        assert_eq!(hi.coeffs(), &[3, 4]);
     }
 
     #[test]
