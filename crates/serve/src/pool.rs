@@ -40,7 +40,7 @@ use crate::{BackendKind, Op};
 use lac::{Backend, Ciphertext, Kem, KemPublicKey, KemSecretKey, Params};
 use lac_meter::CycleLedger;
 use lac_rand::Sha256CtrRng;
-use lac_rv32::{Cpu, Engine, Machine, SharedTraceCache, SharedTraceStats, WarmImage};
+use lac_rv32::{Cpu, Engine, SharedTraceCache, SharedTraceStats, WarmImage};
 use lac_sha256::Sha256;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -223,6 +223,11 @@ const PROBE_COEFFS: u32 = 64;
 const PROBE_IN: u32 = 0x8000;
 /// Base address of the probe's output buffer.
 const PROBE_OUT: u32 = 0x9000;
+/// RAM of the probe's CPU. The program at address 0 and both buffers end
+/// below `0x9040`, and a CPU's predecode table takes 16 bytes per RAM
+/// halfword, so 64 KiB of RAM keeps the table at 512 KiB.
+const PROBE_RAM: usize = 1 << 16;
+const _: () = assert!((PROBE_OUT + PROBE_COEFFS) as usize <= PROBE_RAM);
 
 /// Assemble the warm-start probe: a miniature LAC recover loop (`pq.modq`,
 /// byte loads/stores, a backward branch) hot enough for the superblock
@@ -231,7 +236,7 @@ const PROBE_OUT: u32 = 0x9000;
 /// # Panics
 ///
 /// Panics if the embedded program fails to assemble (a build-time bug).
-fn probe_machine() -> Machine {
+fn probe_cpu() -> Cpu {
     let src = format!(
         r#"
             li   s0, 0
@@ -257,12 +262,13 @@ fn probe_machine() -> Machine {
             ecall
         "#
     );
-    let mut machine = Machine::assemble(&src).expect("warm probe assembles");
+    let mut cpu = Cpu::new(PROBE_RAM);
+    cpu.load_words(0, &lac_rv32::assemble(&src).expect("warm probe assembles"));
     let input: Vec<u8> = (0..PROBE_COEFFS)
         .map(|i| ((i * 11 + 5) % 251) as u8)
         .collect();
-    machine.cpu_mut().write_bytes(PROBE_IN, &input);
-    machine
+    cpu.write_bytes(PROBE_IN, &input);
+    cpu
 }
 
 /// Run the probe to `ecall` and hash the architectural exit state plus the
@@ -295,9 +301,7 @@ struct WarmStart {
 
 impl WarmStart {
     fn prime() -> Self {
-        // The assembled machine is dropped once imaged, so its 8 MiB
-        // predecode table is freed before the primer allocates its own.
-        let image = probe_machine().snapshot();
+        let image = probe_cpu().snapshot();
         let shared = Arc::new(SharedTraceCache::new());
         let mut primer = Cpu::from_image(&image);
         primer.set_engine(Engine::Jit);
