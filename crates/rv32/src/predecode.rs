@@ -190,24 +190,6 @@ impl PredecodeCache {
         bumped
     }
 
-    /// Drop everything (used when the host rewrites large RAM regions).
-    /// Returns `true` when any generation counter moved, exactly as
-    /// [`Self::invalidate`] does.
-    pub fn invalidate_all(&mut self) -> bool {
-        let mut bumped = false;
-        for line in 0..self.line_count {
-            if (self.filled[line >> 6] >> (line & 63)) & 1 == 1 {
-                self.filled[line >> 6] &= !(1 << (line & 63));
-                self.slots[line * SLOTS_PER_LINE..(line + 1) * SLOTS_PER_LINE].fill(Slot::Empty);
-                self.gens[line] += 1;
-                bumped = true;
-            }
-        }
-        self.filled_lo = usize::MAX;
-        self.filled_hi = 0;
-        bumped
-    }
-
     /// The invalidation generation of `line` (see the `gens` field). Lines
     /// beyond coverage report generation 0, which is also what a block
     /// compiled over them would have recorded — out-of-range code never
@@ -377,8 +359,6 @@ mod tests {
         cache.lookup(&ram, 4 * LINE_BYTES);
         cache.invalidate(0, 4);
         assert_eq!(cache.lines_filled(), 1, "distant line survives");
-        cache.invalidate_all();
-        assert_eq!(cache.lines_filled(), 0);
     }
 
     #[test]

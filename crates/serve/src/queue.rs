@@ -35,15 +35,6 @@ pub enum TryPushError<T> {
     Closed(T),
 }
 
-impl<T> TryPushError<T> {
-    /// Recover the rejected item.
-    pub fn into_item(self) -> T {
-        match self {
-            TryPushError::Full(item) | TryPushError::Closed(item) => item,
-        }
-    }
-}
-
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
@@ -171,11 +162,6 @@ impl<T> BoundedQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Whether `close()` has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue lock poisoned").closed
-    }
-
     /// Current queue depth.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("queue lock poisoned").items.len()
@@ -226,7 +212,6 @@ mod tests {
         q.try_push(3).unwrap();
         q.close();
         assert_eq!(q.try_push(4), Err(TryPushError::Closed(4)));
-        assert_eq!(TryPushError::Full(7u32).into_item(), 7);
     }
 
     #[test]
@@ -270,7 +255,6 @@ mod tests {
         for c in consumers {
             assert_eq!(c.join().unwrap(), None);
         }
-        assert!(q.is_closed());
     }
 
     #[test]
