@@ -8,6 +8,15 @@
 //! on, or indexes a table with, anything derived from the received word or
 //! the error locator: those values only ever meet masks. Loop bounds and
 //! table indexes come from the code and the exponent range alone.
+//!
+//! What was checked on the compiled code: in an x86-64 release build,
+//! `objdump` of `syndromes` shows no conditional jump over a move in
+//! the inlined `lac_gf::mul_shift_add` copies that square the even
+//! syndromes (the product's masks pass an optimisation barrier for this),
+//! and the constant-time decoders' host time is the same at 0 and 16
+//! errors (EXPERIMENTS E20). The other masks here are plain Rust, so a
+//! compiler may still turn one into a branch; no timing harness watches
+//! for that yet.
 
 use crate::BchCode;
 use std::ops::RangeInclusive;

@@ -169,11 +169,12 @@ impl MulTer {
     }
 
     /// Charge `count` unit products under [`Phase::Mul`]: per product,
-    /// ⌈n/5⌉ `pq.mul_ter` writes (the driver packs five 8-bit general and
-    /// five 2-bit ternary coefficients into rs1/rs2 with loads and shifts,
-    /// then issues the instruction), n + 2 datapath cycles (the Control
-    /// Unit serializes a₀…a_{n−1}, one per cycle, whatever their values)
-    /// and ⌈n/4⌉ reads (issue, split rd into four bytes, store them).
+    /// ⌈n/5⌉ `pq.mul_ter` writes (the software packs five 8-bit general
+    /// and five 2-bit ternary coefficients into rs1/rs2 with loads and
+    /// shifts, then executes the instruction), n + 2 datapath cycles (the
+    /// Control Unit serializes a₀…a_{n−1}, one per cycle, whatever their
+    /// values) and ⌈n/4⌉ reads (execute, split rd into four bytes, store
+    /// them).
     fn charge_products<M: Meter>(&self, count: u64, meter: &mut M) {
         let writes = count * self.n.div_ceil(COEFFS_PER_WRITE) as u64;
         let reads = count * self.n.div_ceil(COEFFS_PER_READ) as u64;

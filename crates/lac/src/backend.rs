@@ -209,14 +209,15 @@ impl AcceleratedBackend {
     pub fn mul_ter(&self) -> &MulTer {
         &self.mul_ter
     }
+}
 
-    /// The low `out_len` coefficients of `t · g` on the MUL TER unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the unit cannot run a product of `t`'s dimension.
-    fn product(
-        &self,
+impl Backend for AcceleratedBackend {
+    fn ring_mul(&mut self, t: &TernaryPoly, g: &Poly, meter: &mut dyn Meter) -> Poly {
+        self.ring_mul_low(t, g, t.len(), meter)
+    }
+
+    fn ring_mul_low(
+        &mut self,
         t: &TernaryPoly,
         g: &Poly,
         out_len: usize,
@@ -231,22 +232,6 @@ impl AcceleratedBackend {
                     self.mul_ter.len()
                 )
             })
-    }
-}
-
-impl Backend for AcceleratedBackend {
-    fn ring_mul(&mut self, t: &TernaryPoly, g: &Poly, meter: &mut dyn Meter) -> Poly {
-        self.product(t, g, t.len(), meter)
-    }
-
-    fn ring_mul_low(
-        &mut self,
-        t: &TernaryPoly,
-        g: &Poly,
-        out_len: usize,
-        meter: &mut dyn Meter,
-    ) -> Poly {
-        self.product(t, g, out_len, meter)
     }
 
     fn hash(&mut self, data: &[u8], mut meter: &mut dyn Meter) -> [u8; 32] {

@@ -41,7 +41,7 @@ pub const UNIT_PRODUCTS: u64 = 16;
 /// lines 3–7 for each of its four calls, then Algorithm 1's lines 3–12.
 ///
 /// The loops move and add byte-sized coefficients; the charges model the
-/// optimized driver handling four coefficients per 32-bit word, so each
+/// optimized code handling four coefficients per 32-bit word, so each
 /// loop over m coefficients is charged ⌈m/2⌉ iterations.
 pub fn charge_recombination<M: Meter>(u: usize, meter: &mut M) {
     let w = (u as u64).div_ceil(2);
@@ -127,7 +127,7 @@ mod tests {
     /// Algorithm 2 — `split_mul_low`: the full (unreduced) product of two
     /// length-u polynomials on a length-u unit. The unit zero-extends the
     /// u/2-halves to u, so its ring reduction never triggers. The result
-    /// has length 2u. Charges as the paper's driver does, loop by loop.
+    /// has length 2u. Charges as the paper's software does, loop by loop.
     fn split_mul_low(unit: &TestUnit, a: &TernaryPoly, b: &Poly, meter: &mut CycleLedger) -> Poly {
         let u = unit.0;
         assert_eq!((a.len(), b.len()), (u, u), "operand length != unit length");
