@@ -283,26 +283,34 @@ fn every_charge_is_pinned_by_phase_and_op() {
     // `baselines/` pins totals and Table II's four columns; this pins the
     // rest of each ledger: every phase (glue, hash, serialize and compare
     // included) and every per-op count, for keygen, encaps and decaps on
-    // each parameter set × sampler × backend, and for each BCH decoder on
+    // each parameter set × sampler × backend at DRBG seeds 21, 22 and 23
+    // (the rejection sampler's charges follow its draws, so one seed
+    // would pin one collision pattern), and for each BCH decoder on
     // both codes at 0, 1, t/2, t, t+1, t+2 and 2t errors and on 8 uniformly
     // random words, with every field of each `Decoded` in its label. A
     // refactor that moves a charge site must keep the digest; a deliberate
     // model change replaces it and records the moved cells.
-    const PINNED: &str = "71d016b2b2f0dcdb0c77fa43c21dfd7331f42b9311cb113c99acd71d1df24e20";
+    const PINNED: &str = "fa3f7b641701a73dadf5805b7a5f1b6f0fb0af2fb8e63e2c9484ff3516b6cd68";
     let mut text = String::new();
     for params in Params::ALL {
         for sampler in [SamplerKind::Rejection, SamplerKind::ConstantTime] {
             let kem = Kem::with_sampler(params, sampler);
             for kind in BackendKind::ALL {
                 let backend = &mut *kind.build();
-                let mut rng = Sha256CtrRng::seed_from_u64(21);
-                let mut ledgers = [CycleLedger::new(), CycleLedger::new(), CycleLedger::new()];
-                let (pk, sk) = kem.keygen(&mut rng, backend, &mut ledgers[0]);
-                let (ct, _) = kem.encapsulate(&mut rng, &pk, backend, &mut ledgers[1]);
-                kem.decapsulate(&sk, &ct, backend, &mut ledgers[2]);
-                for (op, ledger) in ["keygen", "encaps", "decaps"].iter().zip(&ledgers) {
-                    let label = format!("{} {sampler:?} {} {op}", params.name(), kind.name());
-                    render_ledger(&mut text, &label, ledger);
+                for seed in [21, 22, 23] {
+                    let mut rng = Sha256CtrRng::seed_from_u64(seed);
+                    let mut ledgers = [CycleLedger::new(), CycleLedger::new(), CycleLedger::new()];
+                    let (pk, sk) = kem.keygen(&mut rng, backend, &mut ledgers[0]);
+                    let (ct, _) = kem.encapsulate(&mut rng, &pk, backend, &mut ledgers[1]);
+                    kem.decapsulate(&sk, &ct, backend, &mut ledgers[2]);
+                    for (op, ledger) in ["keygen", "encaps", "decaps"].iter().zip(&ledgers) {
+                        let label = format!(
+                            "{} {sampler:?} {} seed {seed} {op}",
+                            params.name(),
+                            kind.name()
+                        );
+                        render_ledger(&mut text, &label, ledger);
+                    }
                 }
             }
         }
