@@ -148,11 +148,8 @@ impl Lac {
             let reduced = raw.rem_euclid(i32::from(Q)) as u8;
             // 4-bit compression: keep the top nibble.
             v.push(reduced >> 4);
-            meter.charge(Op::Load, 3);
-            meter.charge(Op::Alu, 5);
-            meter.charge(Op::Store, 1);
-            meter.charge(Op::LoopIter, 1);
         }
+        charge_loop(meter, lv, 3, 5);
         meter.leave();
 
         Ciphertext { u, v }
@@ -182,11 +179,8 @@ impl Lac {
             let v_hat = i32::from(ct.v[i]) * 16 + 8;
             let diff = (v_hat - i32::from(us.coeffs()[i])).rem_euclid(i32::from(Q));
             w.push(diff as u16);
-            meter.charge(Op::Load, 2);
-            meter.charge(Op::Alu, 4);
-            meter.charge(Op::Store, 1);
-            meter.charge(Op::LoopIter, 1);
         }
+        charge_loop(meter, lv, 2, 4);
 
         // Threshold decoding into codeword bits.
         let mut bits = vec![0u8; cw_len];
@@ -200,26 +194,30 @@ impl Lac {
                 let d0 = dist_to_zero(w0) + dist_to_zero(w1);
                 let d1 = dist_to_one(w0) + dist_to_one(w1);
                 bits[i] = u8::from(d1 < d0);
-                meter.charge(Op::Load, 2);
-                meter.charge(Op::Alu, 10);
-                meter.charge(Op::Store, 1);
-                meter.charge(Op::LoopIter, 1);
             }
+            charge_loop(meter, cw_len, 2, 10);
         } else {
             for i in 0..cw_len {
                 // bit = 1 iff w ∈ (q/4, 3q/4), i.e. [63, 188].
                 bits[i] = u8::from((63..=188).contains(&w[i]));
-                meter.charge(Op::Load, 1);
-                meter.charge(Op::Alu, 3);
-                meter.charge(Op::Store, 1);
-                meter.charge(Op::LoopIter, 1);
             }
+            charge_loop(meter, cw_len, 1, 3);
         }
         meter.leave();
 
         let info = backend.bch_decode(&self.code, &bits, meter);
         (info.message, info)
     }
+}
+
+/// Charge `iterations` passes of a serialize loop whose body loads
+/// `loads` values, runs `alus` ALU ops and stores one result.
+fn charge_loop(meter: &mut dyn Meter, iterations: usize, loads: u64, alus: u64) {
+    let iterations = iterations as u64;
+    meter.charge(Op::Load, loads * iterations);
+    meter.charge(Op::Alu, alus * iterations);
+    meter.charge(Op::Store, iterations);
+    meter.charge(Op::LoopIter, iterations);
 }
 
 #[cfg(test)]

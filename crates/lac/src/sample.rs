@@ -5,10 +5,13 @@
 //! counter-mode stream with each block hashed **through the backend**, so
 //! the software profile charges the metered software compression function
 //! while the accelerated profiles charge their hash unit's byte-wise I/O
-//! protocol. Per-byte/per-draw glue (rejection test, swap, store) is
-//! charged directly here — it is the part the paper does *not* accelerate,
-//! which is why `GenA` and `Sample poly` improve far less than the
-//! multiplication in Table II.
+//! protocol. The per-byte, per-draw and per-compare-exchange glue
+//! (rejection test, swap, store) is the part the paper does *not*
+//! accelerate, which is why `GenA` and `Sample poly` improve far less than
+//! the multiplication in Table II. Each loop counts its iterations
+//! locally and charges that glue once, in closed form, after the loop:
+//! from the bytes drawn in `GenA`, from the draws and the weight in the
+//! rejection sampler, and from n alone in the sorting-network sampler.
 
 use crate::backend::Backend;
 use crate::SEED_BYTES;
@@ -79,18 +82,20 @@ pub(crate) fn gen_a<B: Backend + ?Sized>(
     meter.enter(Phase::GenA);
     let mut stream = Expander::new(seed, 0x41);
     let mut coeffs = Vec::with_capacity(n);
+    let mut drawn = 0u64;
     while coeffs.len() < n {
         let b = next_byte(&mut stream, backend, meter);
-        // Per-byte modelling glue: load from the PRG buffer, compare against
-        // q, branch, store on acceptance.
-        meter.charge(Op::Load, 1);
-        meter.charge(Op::Branch, 1);
-        meter.charge(Op::LoopIter, 1);
+        drawn += 1;
         if u16::from(b) < Q {
             coeffs.push(b);
-            meter.charge(Op::Store, 1);
         }
     }
+    // Per-byte modelling glue: load from the PRG buffer, compare against
+    // q, branch; a store per accepted byte.
+    meter.charge(Op::Load, drawn);
+    meter.charge(Op::Branch, drawn);
+    meter.charge(Op::LoopIter, drawn);
+    meter.charge(Op::Store, n as u64);
     meter.leave();
     Poly::from_coeffs(coeffs)
 }
@@ -121,24 +126,27 @@ pub(crate) fn sample_ternary<B: Backend + ?Sized>(
     let mut stream = Expander::new(seed, domain);
     let mut coeffs = vec![0i8; n];
     let mut placed = 0usize;
+    let mut draws = 0u64;
     while placed < weight {
         let r = next_u16(&mut stream, backend, meter);
+        draws += 1;
         // Multiply-shift range reduction onto [0, n).
         let pos = ((u32::from(r) * n as u32) >> 16) as usize;
-        // Per-draw glue: range reduction, occupancy check, store.
-        meter.charge(Op::Mul, 1);
-        meter.charge(Op::Alu, 2);
-        meter.charge(Op::Load, 1);
-        meter.charge(Op::Branch, 1);
-        meter.charge(Op::LoopIter, 1);
         if coeffs[pos] != 0 {
             continue; // occupied: redraw
         }
         coeffs[pos] = if placed < weight / 2 { 1 } else { -1 };
         placed += 1;
-        meter.charge(Op::Store, 1);
-        meter.charge(Op::Alu, 1);
     }
+    // Per-draw glue: range reduction, occupancy load and check; a store
+    // and a sign select per placed coefficient. The draw count follows
+    // the collisions, so the charge does too.
+    meter.charge(Op::Mul, draws);
+    meter.charge(Op::Alu, 2 * draws + weight as u64);
+    meter.charge(Op::Load, draws);
+    meter.charge(Op::Branch, draws);
+    meter.charge(Op::LoopIter, draws);
+    meter.charge(Op::Store, weight as u64);
     meter.leave();
     TernaryPoly::from_coeffs(coeffs)
 }
@@ -187,37 +195,44 @@ pub(crate) fn sample_ternary_ct<B: Backend + ?Sized>(
             0b00
         };
         elements.push((key & !0b11) | tag);
-        meter.charge(Op::Alu, 3);
-        meter.charge(Op::Store, 1);
-        meter.charge(Op::LoopIter, 1);
     }
+    let n64 = n as u64;
+    meter.charge(Op::Alu, 3 * n64);
+    meter.charge(Op::Store, n64);
+    meter.charge(Op::LoopIter, n64);
 
     // Bitonic sort: fixed sequence of compare-exchanges, each branchless.
+    // Stage (k, j) pairs each i whose bit j is clear with l = i + j.
     let mut k = 2;
     while k <= n {
         let mut j = k / 2;
         while j > 0 {
-            for i in 0..n {
-                let l = i ^ j;
-                if l > i {
+            for base in (0..n).step_by(2 * j) {
+                for i in base..base + j {
+                    let l = i + j;
                     let ascending = i & k == 0;
                     let (a, b) = (elements[i], elements[l]);
                     // Branch-free conditional swap.
                     let swap_mask = if (a > b) == ascending { u32::MAX } else { 0 };
                     elements[i] = (a & !swap_mask) | (b & swap_mask);
                     elements[l] = (b & !swap_mask) | (a & swap_mask);
-                    // Fixed charge per compare-exchange: two loads, the
-                    // comparison, the masked swap, two stores.
-                    meter.charge(Op::Load, 2);
-                    meter.charge(Op::Alu, 7);
-                    meter.charge(Op::Store, 2);
                 }
-                meter.charge(Op::LoopIter, 1);
             }
             j /= 2;
         }
         k *= 2;
     }
+    // The modelled loop visits all n indices per stage (one loop iteration
+    // each) and compare-exchanges the n/2 with l > i: two loads, the
+    // comparison, the masked swap, two stores. A network on n = 2^m
+    // elements has m(m + 1)/2 stages.
+    let log_n = u64::from(n.trailing_zeros());
+    let stages = log_n * (log_n + 1) / 2;
+    let exchanges = stages * n64 / 2;
+    meter.charge(Op::Load, 2 * exchanges);
+    meter.charge(Op::Alu, 7 * exchanges);
+    meter.charge(Op::Store, 2 * exchanges);
+    meter.charge(Op::LoopIter, stages * n64);
 
     // The tag sequence is now a uniformly random permutation of the tag
     // multiset: read the coefficients off in order.
@@ -229,10 +244,10 @@ pub(crate) fn sample_ternary_ct<B: Backend + ?Sized>(
             _ => 0,
         })
         .collect();
-    meter.charge(Op::Load, n as u64);
-    meter.charge(Op::Alu, 2 * n as u64);
-    meter.charge(Op::Store, n as u64);
-    meter.charge(Op::LoopIter, n as u64);
+    meter.charge(Op::Load, n64);
+    meter.charge(Op::Alu, 2 * n64);
+    meter.charge(Op::Store, n64);
+    meter.charge(Op::LoopIter, n64);
     meter.leave();
     TernaryPoly::from_coeffs(coeffs)
 }

@@ -8,6 +8,14 @@
 //! metered: [`Sha256::update_metered`] charges the modelled RISCY cost of the
 //! compression function per processed block.
 //!
+//! Every user — [`Expander`], the FO hashes, `lac_hw::Sha256Unit` and the
+//! ISS's `pq.sha256` — folds its blocks through one compression function.
+//! On x86-64 hosts whose CPU reports the SHA extensions and SSE4.1 it runs
+//! on those instructions; on every other host it runs the portable body,
+//! which the tests also use as the oracle. The host body never changes a
+//! charge: the meter is charged the portable RISCY compression's cost per
+//! block either way, so the modelled cycles are the same on every host.
+//!
 //! # Example
 //!
 //! ```
@@ -93,7 +101,30 @@ fn big_sigma1(x: u32) -> u32 {
 }
 
 /// The SHA-256 compression function: fold one 64-byte block into `state`.
+///
+/// On x86-64 hosts whose CPU reports the SHA extensions and SSE4.1 it runs
+/// [`sha_ni::compress`] on those instructions; everywhere else it runs
+/// [`compress_portable`]. Both compute the same function, so no digest
+/// depends on the host, and neither is what [`charge_block`] models: the
+/// charge is the RISCY software cost of a portable compression, whichever
+/// body the host ran.
+#[inline]
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sha") && std::arch::is_x86_feature_detected!("sse4.1") {
+        // SAFETY: `sha_ni::compress` needs the `sha` and `sse4.1` target
+        // features, and the CPU has just reported both.
+        unsafe { sha_ni::compress(state, block) };
+        return;
+    }
+    compress_portable(state, block);
+}
+
+/// The portable compression: FIPS 180-4's message schedule and 64 rounds
+/// in plain 32-bit arithmetic. It runs on hosts without the SHA extensions
+/// and is the tests' oracle for [`sha_ni::compress`]. No branch or index
+/// depends on the state or the block.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (t, chunk) in block.chunks_exact(4).enumerate() {
         w[t] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -131,6 +162,107 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[5] = state[5].wrapping_add(f);
     state[6] = state[6].wrapping_add(g);
     state[7] = state[7].wrapping_add(h);
+}
+
+/// The compression on the x86-64 SHA extensions (`sha256rnds2`,
+/// `sha256msg1`, `sha256msg2`).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    /// The first 16 bytes of `words` as one vector.
+    #[inline(always)]
+    fn load<T>(words: &[T]) -> __m128i {
+        assert!(std::mem::size_of_val(words) >= 16);
+        // SAFETY: SSE2 is part of x86-64, and the assert keeps the
+        // unaligned 16-byte read inside `words`.
+        unsafe { _mm_loadu_si128(words.as_ptr().cast()) }
+    }
+
+    /// Write `v` to the first four words of `words`.
+    #[inline(always)]
+    fn store(words: &mut [u32], v: __m128i) {
+        assert!(words.len() >= 4);
+        // SAFETY: SSE2 is part of x86-64, and the assert keeps the
+        // unaligned 16-byte write inside `words`.
+        unsafe { _mm_storeu_si128(words.as_mut_ptr().cast(), v) }
+    }
+
+    /// Fold one 64-byte block into `state`, as `compress_portable` does.
+    ///
+    /// The registers hold the state as ABEF and CDGH, the layout
+    /// `sha256rnds2` takes. Each `four_rounds!` runs two `sha256rnds2`,
+    /// each fed two words of W + K, while the message schedule derives
+    /// four later words of W from the last sixteen. The sixteen groups are
+    /// written out, so nothing branches or indexes at run time.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `sha` and `sse4.1` target features.
+    #[target_feature(enable = "sha,sse4.1")]
+    // The schedule branches of the last groups are never taken, so the
+    // assignments in them are never read.
+    #[allow(unused_assignments)]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        // Byte order within each 32-bit word: the block is big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let message = |offset: usize| _mm_shuffle_epi8(load(&block[offset..offset + 16]), bswap);
+        let k = |group: usize| load(&K[4 * group..4 * group + 4]);
+
+        let cdab = _mm_shuffle_epi32(load(&state[..4]), 0xb1);
+        let efgh = _mm_shuffle_epi32(load(&state[4..]), 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        // W[4g..4g + 4] is in `$cur` at group g; `$next` and `$prev` hold
+        // the words of the groups after and before it.
+        let (mut m0, mut m1, mut m2, mut m3) = (message(0), message(16), message(32), message(48));
+        macro_rules! four_rounds {
+            ($group:literal, $cur:ident, $next:ident, $prev:ident) => {
+                let wk = _mm_add_epi32($cur, k($group));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                if (3..15).contains(&$group) {
+                    let w_minus_7 = _mm_alignr_epi8($cur, $prev, 4);
+                    $next = _mm_sha256msg2_epu32(_mm_add_epi32($next, w_minus_7), $cur);
+                }
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                if (1..13).contains(&$group) {
+                    $prev = _mm_sha256msg1_epu32($prev, $cur);
+                }
+            };
+        }
+        four_rounds!(0, m0, m1, m3);
+        four_rounds!(1, m1, m2, m0);
+        four_rounds!(2, m2, m3, m1);
+        four_rounds!(3, m3, m0, m2);
+        four_rounds!(4, m0, m1, m3);
+        four_rounds!(5, m1, m2, m0);
+        four_rounds!(6, m2, m3, m1);
+        four_rounds!(7, m3, m0, m2);
+        four_rounds!(8, m0, m1, m3);
+        four_rounds!(9, m1, m2, m0);
+        four_rounds!(10, m2, m3, m1);
+        four_rounds!(11, m3, m0, m2);
+        four_rounds!(12, m0, m1, m3);
+        four_rounds!(13, m1, m2, m0);
+        four_rounds!(14, m2, m3, m1);
+        four_rounds!(15, m3, m0, m2);
+
+        let feba = _mm_shuffle_epi32(_mm_add_epi32(abef, abef_in), 0x1b);
+        let dchg = _mm_shuffle_epi32(_mm_add_epi32(cdgh, cdgh_in), 0xb1);
+        let (dcba, hgfe) = (
+            _mm_blend_epi16(feba, dchg, 0xf0),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
+        store(&mut state[..4], dcba);
+        store(&mut state[4..], hgfe);
+    }
 }
 
 /// Incremental SHA-256 hasher.
@@ -266,46 +398,71 @@ mod tests {
         digest.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    // FIPS 180-4 / NIST CAVP reference vectors.
+    /// SHA-256 with every block folded by `compress_portable`, padded
+    /// here as FIPS 180-4 §5.1.1 says, so the portable body meets the
+    /// vectors on hosts where `compress` never runs it.
+    fn sha256_portable(data: &[u8]) -> [u8; 32] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            compress_portable(&mut state, block.try_into().expect("64-byte chunk"));
+        }
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// Each FIPS 180-4 / NIST CAVP vector through `sha256` (the dispatched
+    /// compression) and through `sha256_portable`.
+    fn assert_vector(data: &[u8], expect: &str) {
+        assert_eq!(hex(&sha256(data)), expect, "dispatched");
+        assert_eq!(hex(&sha256_portable(data)), expect, "portable");
+    }
+
     #[test]
     fn nist_vector_empty() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_vector(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn nist_vector_abc() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_vector(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn nist_vector_two_blocks() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn nist_vector_million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_vector(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
     #[test]
     fn padding_boundary_lengths() {
         // Lengths around the 56-byte padding boundary exercise both padding
-        // branches; compare one-shot against byte-at-a-time incremental.
+        // branches; compare one-shot against byte-at-a-time incremental
+        // and against the portable compression.
         for len in [54usize, 55, 56, 57, 63, 64, 65, 119, 120, 121] {
             let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
             let one_shot = sha256(&data);
@@ -314,7 +471,25 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), one_shot, "len {len}");
+            assert_eq!(sha256_portable(&data), one_shot, "len {len}");
         }
+    }
+
+    /// The dispatched `compress` against `compress_portable` on random
+    /// states and blocks. On a host without the SHA extensions `compress`
+    /// runs `compress_portable`, so there this compares the portable body
+    /// with itself, and only the FIPS vectors above check it.
+    #[test]
+    fn prop_dispatched_compress_matches_portable() {
+        use lac_rand::{prop, Rng};
+        prop::check("sha256_dispatched_compress_matches_portable", 256, |rng| {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
+            let block: [u8; 64] = prop::bytes(rng, 64).try_into().expect("64 bytes");
+            let (mut dispatched, mut portable) = (state, state);
+            compress(&mut dispatched, &block);
+            compress_portable(&mut portable, &block);
+            prop::ensure_eq(dispatched, portable)
+        });
     }
 
     #[test]
