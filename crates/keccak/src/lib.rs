@@ -7,12 +7,12 @@
 //! work"). This crate provides the software substrate for that extension:
 //!
 //! * [`keccak_f1600`] — the permutation (24 rounds);
-//! * [`Sponge`] — the sponge construction over it;
+//! * [`Sponge`] — the sponge construction over it, which NewHope's `GenA`
+//!   and `lac_hw::KeccakUnit::expand` squeeze at SHAKE128's rate (168
+//!   bytes per permutation, versus SHA-256's 32 bytes per compression —
+//!   the throughput root of the paper's comparison);
 //! * [`sha3_256`] — the fixed-output hash;
-//! * [`Shake128`] / [`Shake256`] — the XOFs used by NewHope-style `GenA`
-//!   (one 168/136-byte rate block per permutation, versus SHA-256's 32
-//!   bytes per compression — the throughput root of the paper's
-//!   comparison);
+//! * [`Shake128`] — the XOF, the reference `KeccakUnit`'s tests use;
 //! * metered variants charging a portable-software cost per permutation.
 //!
 //! # Example
@@ -257,38 +257,6 @@ impl Shake128 {
     }
 }
 
-/// SHAKE256 extendable-output function (rate 136).
-#[derive(Debug, Clone)]
-pub struct Shake256(Sponge);
-
-impl Default for Shake256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Shake256 {
-    /// Fresh XOF.
-    pub fn new() -> Self {
-        Self(Sponge::new(136, 0x1f))
-    }
-
-    /// Absorb input (must precede all squeezes).
-    pub fn absorb(&mut self, data: &[u8]) {
-        self.0.absorb(data);
-    }
-
-    /// Squeeze output.
-    pub fn squeeze(&mut self, out: &mut [u8]) {
-        self.0.squeeze(out);
-    }
-
-    /// Access the underlying sponge (metered use, statistics).
-    pub fn sponge_mut(&mut self) -> &mut Sponge {
-        &mut self.0
-    }
-}
-
 /// One-shot SHA3-256.
 ///
 /// # Example
@@ -349,18 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn shake256_empty() {
-        let mut xof = Shake256::new();
-        xof.absorb(b"");
-        let mut out = [0u8; 32];
-        xof.squeeze(&mut out);
-        assert_eq!(
-            hex(&out),
-            "46b9dd2b0ba88d13233b3feb743eeb243fcd52ea62b81b82b50c27646ed5762f"
-        );
-    }
-
-    #[test]
     fn shake128_abc_prefix() {
         // SHAKE128("abc"), first 16 bytes (NIST example value).
         let mut xof = Shake128::new();
@@ -388,14 +344,16 @@ mod tests {
 
     #[test]
     fn incremental_squeeze_matches_bulk() {
-        let mut bulk = Shake256::new();
+        // 400 bytes in 11-byte steps cross the 168-byte rate twice, each
+        // time inside a step.
+        let mut bulk = Shake128::new();
         bulk.absorb(b"seed");
-        let mut expect = [0u8; 300];
+        let mut expect = [0u8; 400];
         bulk.squeeze(&mut expect);
 
-        let mut step = Shake256::new();
+        let mut step = Shake128::new();
         step.absorb(b"seed");
-        let mut got = vec![0u8; 300];
+        let mut got = vec![0u8; 400];
         for chunk in got.chunks_mut(11) {
             step.squeeze(chunk);
         }
