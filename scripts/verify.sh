@@ -8,10 +8,11 @@
 # Usage: scripts/verify.sh [--quick]
 #
 # --quick runs the CI-iteration subset — fmt, build, unit tests (the
-# workspace's and the benchmark package's), rustdoc with warnings as
-# errors, an exact compare of the three tables with baselines/, the E4/E5
-# examples and a few smokes — and skips the sweep, MIPS-floor and serving
-# gates.
+# workspace's, the benchmark package's, and a release-mode run of
+# lac-sha256's, lac's, the charge fixture and the KATs), rustdoc with
+# warnings as errors, an exact compare of the three tables with
+# baselines/, the E4/E5 examples and a few smokes — and skips the sweep,
+# MIPS-floor and serving gates.
 # Full mode (no flags) remains the tier-1 gate.
 set -eu
 
@@ -51,6 +52,15 @@ echo "== cargo test --release --offline --locked (perfbench) =="
 # [dependencies] edit in any crate it builds would rewrite
 # perfbench/Cargo.lock, so it fails here instead.
 cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
+
+echo
+echo "== cargo test --release --offline --locked (SHA-256, lac, cycle_model, kat) =="
+# Both modes. The workspace tests above run in the debug profile; these
+# run lac-sha256's unsafe SHA-extension body and lac's closed-form loop
+# charges as release builds compile them (optimised, no overflow checks),
+# against the crates' own tests, the charge fixture and the KATs.
+cargo test --release --offline --locked -q -p lac-sha256 -p lac
+cargo test --release --offline --locked -q --test cycle_model --test kat
 
 echo
 echo "== smoke: self-modifying unlink digest parity =="
