@@ -105,9 +105,8 @@ fn big_sigma1(x: u32) -> u32 {
 /// On x86-64 hosts whose CPU reports the SHA extensions and SSE4.1 it runs
 /// [`sha_ni::compress`] on those instructions; everywhere else it runs
 /// [`compress_portable`]. Both compute the same function, so no digest
-/// depends on the host, and neither is what [`charge_block`] models: the
-/// charge is the RISCY software cost of a portable compression, whichever
-/// body the host ran.
+/// depends on the host, and [`charge_block`] charges the RISCY software
+/// cost of a portable compression whichever body the host ran.
 #[inline]
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     #[cfg(target_arch = "x86_64")]
