@@ -112,8 +112,10 @@ impl MulTer {
     /// the unit is zero-extended to it and charged as a unit-length
     /// product.
     ///
-    /// The value comes from [`ternary_product`], the one product kernel;
-    /// [`MulTer::multiply_rtl`] steps the datapath that computes it.
+    /// The value comes from [`ternary_product`], the one product kernel,
+    /// called inside [`Phase::Mul`] too, so a meter that times phases books
+    /// the host's product there; [`MulTer::multiply_rtl`] steps the
+    /// datapath that computes it.
     ///
     /// # Panics
     ///
@@ -125,8 +127,10 @@ impl MulTer {
         conv: Convolution,
         meter: &mut M,
     ) -> Poly {
+        meter.enter(Phase::Mul);
         let c = ternary_product(a, b, self.n, conv, self.n);
         self.charge_products(1, meter);
+        meter.leave();
         c
     }
 
@@ -140,8 +144,9 @@ impl MulTer {
     /// the recombination loops, in closed form
     /// ([`charge_recombination`]). The charge depends on u and n alone —
     /// not on `out_len`, because the unit always reads out whole products
-    /// — and the value is one [`ternary_product`] call, so a caller that
-    /// keeps only a prefix computes only that prefix.
+    /// — and the value is one [`ternary_product`] call inside
+    /// [`Phase::Mul`], so a caller that keeps only a prefix computes only
+    /// that prefix.
     ///
     /// # Panics
     ///
@@ -158,6 +163,7 @@ impl MulTer {
         if n != u && n != 2 * u {
             return None;
         }
+        meter.enter(Phase::Mul);
         let c = ternary_product(a, b, n, conv, out_len);
         if n == u {
             self.charge_products(1, meter);
@@ -165,6 +171,7 @@ impl MulTer {
             self.charge_products(UNIT_PRODUCTS, meter);
             charge_recombination(u, meter);
         }
+        meter.leave();
         Some(c)
     }
 

@@ -13,7 +13,9 @@
 //! * [`Convolution`] — positive (xⁿ−1) vs negative (xⁿ+1) wrapped
 //!   convolution, both supported by the multiplier (Fig. 2);
 //! * [`mul::ternary_product`] — the one ternary × general product, unmetered
-//!   and branch-free, that every metered multiplier takes its values from;
+//!   and branch-free, that every metered multiplier takes its values from
+//!   (on AVX2 byte lanes where the x86-64 host has them, on i16 lanes
+//!   everywhere else);
 //! * [`mul::mul_ternary`] / [`mul::mul_ternary_truncated`] — the product
 //!   charged as the LAC reference implementation's schoolbook loop;
 //! * [`split`] — the cost of the paper's Algorithms 1 and 2, which reuse
@@ -52,7 +54,8 @@ const BARRETT_M: u64 = (1u64 << 32) / Q as u64;
 
 /// Offset added before reducing signed accumulators: a multiple of q larger
 /// than any magnitude produced by a length-1024 ternary × general product
-/// (1024 · 250 = 256,000 < 251 · 2¹² = 1,028,096).
+/// (1024 · 251 = 257,024 < 251 · 2¹² = 1,028,096; the AVX2 product's
+/// wrapped bytes reach 251).
 const SIGNED_OFFSET: i32 = (Q as i32) << 12;
 
 /// Constant-time Barrett reduction of `x` modulo q = 251.

@@ -9,7 +9,8 @@
 #
 # --quick runs the CI-iteration subset — fmt, build, unit tests (the
 # workspace's, the benchmark package's, and a release-mode run of
-# lac-sha256's, lac's, the charge fixture and the KATs), rustdoc with
+# lac-sha256's, lac-ring's, lac's, lac-hw's, the charge fixture and the
+# KATs), rustdoc with
 # warnings as errors, an exact compare of the three tables with
 # baselines/, the E4/E5 examples and a few smokes — and skips the sweep,
 # MIPS-floor and serving gates.
@@ -54,12 +55,13 @@ echo "== cargo test --release --offline --locked (perfbench) =="
 cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
 
 echo
-echo "== cargo test --release --offline --locked (SHA-256, lac, cycle_model, kat) =="
+echo "== cargo test --release --offline --locked (SHA-256, ring, lac, hw, cycle_model, kat) =="
 # Both modes. The workspace tests above run in the debug profile; these
-# run lac-sha256's unsafe SHA-extension body and lac's closed-form loop
+# run lac-sha256's unsafe SHA-extension body, lac-ring's unsafe AVX2
+# product body, the MUL TER unit built on it and lac's closed-form loop
 # charges as release builds compile them (optimised, no overflow checks),
 # against the crates' own tests, the charge fixture and the KATs.
-cargo test --release --offline --locked -q -p lac-sha256 -p lac
+cargo test --release --offline --locked -q -p lac-sha256 -p lac-ring -p lac -p lac-hw
 cargo test --release --offline --locked -q --test cycle_model --test kat
 
 echo
