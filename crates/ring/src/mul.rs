@@ -243,7 +243,9 @@ mod avx2 {
             let sums = row_sums(&wide);
             coeffs.extend(sums.iter().take(out_len - i0).map(|&x| reduce_i32(x)));
         }
-        Poly::from_coeffs(coeffs)
+        // `reduce_i32` returns values below q, so the range check of
+        // `Poly::from_coeffs`, a branch on every output, is skipped.
+        Poly { coeffs }
     }
 
     /// The sum of each accumulator's eight i32 lanes, row by row.
