@@ -175,17 +175,16 @@ impl MulTer {
         Some(c)
     }
 
-    /// Charge `count` unit products under [`Phase::Mul`]: per product,
-    /// ⌈n/5⌉ `pq.mul_ter` writes (the software packs five 8-bit general
-    /// and five 2-bit ternary coefficients into rs1/rs2 with loads and
-    /// shifts, then executes the instruction), n + 2 datapath cycles (the
-    /// Control Unit serializes a₀…a_{n−1}, one per cycle, whatever their
-    /// values) and ⌈n/4⌉ reads (execute, split rd into four bytes, store
-    /// them).
+    /// Charge `count` unit products inside the caller's [`Phase::Mul`]:
+    /// per product, ⌈n/5⌉ `pq.mul_ter` writes (the software packs five
+    /// 8-bit general and five 2-bit ternary coefficients into rs1/rs2 with
+    /// loads and shifts, then executes the instruction), n + 2 datapath
+    /// cycles (the Control Unit serializes a₀…a_{n−1}, one per cycle,
+    /// whatever their values) and ⌈n/4⌉ reads (execute, split rd into four
+    /// bytes, store them).
     fn charge_products<M: Meter>(&self, count: u64, meter: &mut M) {
         let writes = count * self.n.div_ceil(COEFFS_PER_WRITE) as u64;
         let reads = count * self.n.div_ceil(COEFFS_PER_READ) as u64;
-        meter.enter(Phase::Mul);
         meter.charge(Op::Load, writes * 2 * COEFFS_PER_WRITE as u64);
         meter.charge(Op::Alu, writes * 12); // shift/or packing for both registers
         meter.charge(Op::Alu, writes); // the pq.mul_ter issue itself
@@ -194,7 +193,6 @@ impl MulTer {
         meter.charge(Op::Alu, reads * (1 + 3)); // issue + unpack shifts
         meter.charge(Op::Store, reads * COEFFS_PER_READ as u64);
         meter.charge(Op::LoopIter, reads);
-        meter.leave();
     }
 }
 

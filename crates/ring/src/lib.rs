@@ -53,9 +53,9 @@ pub const Q: u16 = 251;
 const BARRETT_M: u64 = (1u64 << 32) / Q as u64;
 
 /// Offset added before reducing signed accumulators: a multiple of q larger
-/// than any magnitude produced by a length-1024 ternary × general product
-/// (1024 · 251 = 257,024 < 251 · 2¹² = 1,028,096; the AVX2 product's
-/// wrapped bytes reach 251).
+/// than any row of a ternary × general product `mul::ternary_product`
+/// accepts (n ≤ 4096, and 251·n − 1 < 251 · 2¹² = 1,028,096; the AVX2
+/// product's wrapped bytes reach 251).
 const SIGNED_OFFSET: i32 = (Q as i32) << 12;
 
 /// Constant-time Barrett reduction of `x` modulo q = 251.

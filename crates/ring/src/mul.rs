@@ -60,7 +60,8 @@ const ROWS: usize = 8;
 ///
 /// # Panics
 ///
-/// Panics if an operand is longer than n or `out_len` exceeds n.
+/// Panics if an operand is longer than n, `out_len` exceeds n, or n
+/// exceeds 4096.
 pub fn ternary_product(
     a: &TernaryPoly,
     b: &Poly,
@@ -73,6 +74,10 @@ pub fn ternary_product(
         "operand longer than the ring dimension {n}"
     );
     assert!(out_len <= n, "out_len exceeds ring dimension");
+    // A row sums at most n − 1 wrapped terms of 251 (q − 0, in the AVX2
+    // body) and one unwrapped term of 250, so |cᵢ| ≤ 251·n − 1, inside
+    // `reduce_i32`'s range for n ≤ 4096.
+    assert!(n <= 4096, "ring dimension {n} above 4096");
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `avx2::ternary_product` needs the `avx2` target feature,
@@ -86,7 +91,7 @@ pub fn ternary_product(
 /// AVX2 and as the tests' oracle for `avx2::ternary_product`.
 ///
 /// `e[t]` = ±b_t below n. Each term |aⱼ·bₖ| ≤ 250 is an i16 × i16
-/// product; a row accumulates in `i32` (up to 1024 · 250). Each block of
+/// product; a row accumulates in `i32` (up to n · 250). Each block of
 /// rows runs only over the part of its window where e holds a copy of b,
 /// so a zero-extended operand costs less than a full one.
 fn ternary_product_portable(
@@ -516,6 +521,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "above 4096")]
+    fn oversized_ring_rejected() {
+        ternary_product(
+            &TernaryPoly::zero(0),
+            &Poly::zero(0),
+            4097,
+            Convolution::Negacyclic,
+            0,
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "out_len exceeds")]
     fn oversized_out_len_rejected() {
         let a = TernaryPoly::zero(8);
@@ -626,7 +643,8 @@ mod tests {
                 }
             }
         }
-        // b = 250: every coefficient of a·b is 250·a's sign in both rings.
+        // b = 250, a constant: every coefficient of a·b is 250 times a's
+        // sign in both rings.
         // In the AVX2 body the negacyclic rows sum up to 4095 wrapped terms
         // of ±251 (q − 0), so each i16 lane takes 64 pair sums of ±502
         // between widenings.

@@ -10,10 +10,9 @@
 # --quick runs the CI-iteration subset — fmt, build, unit tests (the
 # workspace's, the benchmark package's, and a release-mode run of
 # lac-sha256's, lac-ring's, lac's, lac-hw's, the charge fixture and the
-# KATs), rustdoc with
-# warnings as errors, an exact compare of the three tables with
-# baselines/, the E4/E5 examples and a few smokes — and skips the sweep,
-# MIPS-floor and serving gates.
+# KATs), rustdoc with warnings as errors, an exact compare of the three
+# tables with baselines/, the E4/E5 examples and a few smokes — and skips
+# the sweep, MIPS-floor and serving gates.
 # Full mode (no flags) remains the tier-1 gate.
 set -eu
 
