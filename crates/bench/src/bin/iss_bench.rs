@@ -9,11 +9,10 @@
 //! `scripts/bench_compare.sh`.
 //!
 //! Run: `cargo run --release -p lac-bench --bin iss_bench
-//!       [--json] [--iters N] [--engine classic|superblock|jit]
-//!       [--sweep [--cells N] [--threads N]] [--smc]`
+//!       [--json] [--iters N] [--engine classic|superblock|jit] [--smc]`
 //!
-//! `--iters` and `--cells` must be at least 1: a zero size is a usage
-//! error (exit 2), not an empty run.
+//! `--iters` must be at least 1: a zero size is a usage error (exit 2),
+//! not an empty run.
 //!
 //! With `--engine`, only that engine is measured (no differential check);
 //! the default compares every engine plus the JIT with chaining off, and
@@ -24,22 +23,16 @@
 //! the superblock interpreter and a one-line note is printed instead).
 //! With `--smc`, a self-modifying workload patches an already-chained
 //! block mid-run and the three engines' digests are compared — the
-//! unlink-exactness smoke behind `scripts/verify.sh --quick`. With
-//! `--sweep`, a fleet of `--cells` independent sweep cells runs on
-//! `--threads` workers twice
-//! — per-cell cold starts vs the warm-start layer (shared trace cache +
-//! snapshot/restore) — and reports the `"warm_speedup"` ratio plus a
-//! `"digests_match"` bit-identity check; this is the binary behind
-//! `scripts/verify.sh`'s warm-start gate (warm ≥ 1.5× cold).
+//! unlink-exactness smoke `scripts/verify.sh` runs in both modes.
 
-use lac_bench::{iss, shard, thousands, Flags};
+use lac_bench::{iss, thousands, Flags};
 use lac_rv32::Engine;
-use std::num::{NonZeroU32, NonZeroUsize};
+use std::num::NonZeroU32;
 use std::process::ExitCode;
 
 fn json_run(r: &iss::IssRun) -> String {
     format!(
-        "{{\"instructions\": {}, \"cycles\": {}, \"wall_us\": {}, \"mips\": {:.2}, \"digest\": \"{}\", \"jit_compiles\": {}, \"jit_dispatches\": {}, \"jit_shared_installs\": {}, \"jit_fallbacks\": {}, \"iss_jit_links_installed\": {}, \"iss_jit_chained_dispatches\": {}, \"iss_jit_unlinks\": {}}}",
+        "{{\"instructions\": {}, \"cycles\": {}, \"wall_us\": {}, \"mips\": {:.2}, \"digest\": \"{}\", \"jit_compiles\": {}, \"jit_dispatches\": {}, \"jit_fallbacks\": {}, \"iss_jit_links_installed\": {}, \"iss_jit_chained_dispatches\": {}, \"iss_jit_unlinks\": {}}}",
         r.instructions,
         r.cycles,
         r.wall_micros,
@@ -47,7 +40,6 @@ fn json_run(r: &iss::IssRun) -> String {
         r.digest,
         r.jit_compiles,
         r.jit_dispatches,
-        r.jit_shared_installs,
         r.jit_fallbacks,
         r.jit_links_installed,
         r.jit_chained_dispatches,
@@ -74,62 +66,6 @@ fn print_run(label: &str, r: &iss::IssRun) {
         r.wall_micros,
         r.mips
     );
-}
-
-fn run_sweep(flags: &Flags) -> ExitCode {
-    flags.only(&["sweep", "json", "cells", "iters", "threads"]);
-    // Sweep cells are small by default: the point is fleet setup cost,
-    // not per-cell run length.
-    let cells = flags.value("cells").map_or(48, NonZeroUsize::get);
-    let iters = flags.value("iters").map_or(40, NonZeroU32::get);
-    let threads = shard::thread_count(flags.value("threads"));
-    let report = iss::sweep(cells, iters, threads);
-
-    if flags.has("json") {
-        println!("{{");
-        println!("  \"bench\": \"iss_sweep\",");
-        println!("  \"cells\": {},", report.cells);
-        println!("  \"iters\": {},", report.iters);
-        println!("  \"threads\": {},", report.threads);
-        println!("  \"cold_wall_us\": {},", report.cold_wall_micros);
-        println!("  \"warm_wall_us\": {},", report.warm_wall_micros);
-        println!("  \"warm_speedup\": {:.2},", report.speedup);
-        println!("  \"shared_publishes\": {},", report.shared.publishes);
-        println!("  \"shared_installs\": {},", report.shared.installs);
-        println!("  \"shared_blocks\": {},", report.shared.blocks);
-        println!("  \"digest\": \"{}\",", report.digest);
-        println!("  \"digests_match\": {}", report.digests_match);
-        println!("}}");
-    } else {
-        println!(
-            "ISS warm-start sweep — {} cells x {} iters on {} threads",
-            report.cells, report.iters, report.threads
-        );
-        println!(
-            "  cold (per-cell setup):      {:>9} us",
-            report.cold_wall_micros
-        );
-        println!(
-            "  warm (image + shared cache):{:>9} us",
-            report.warm_wall_micros
-        );
-        println!("  speedup: {:.2}x", report.speedup);
-        println!(
-            "  shared cache: {} blocks published, {} installs across workers",
-            report.shared.publishes, report.shared.installs
-        );
-        println!(
-            "  digests match: {} ({})",
-            report.digests_match,
-            &report.digest[..16.min(report.digest.len())]
-        );
-    }
-
-    if !report.digests_match {
-        eprintln!("error: cold and warm fleets produced different architectural digests");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 fn run_smc(flags: &Flags) -> ExitCode {
@@ -177,15 +113,9 @@ fn run_smc(flags: &Flags) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let flags = Flags::parse(
-        &["json", "smc", "sweep"],
-        &["iters", "engine", "cells", "threads"],
-    );
+    let flags = Flags::parse(&["json", "smc"], &["iters", "engine"]);
     if flags.has("smc") {
         return run_smc(&flags);
-    }
-    if flags.has("sweep") {
-        return run_sweep(&flags);
     }
     flags.only(&["json", "iters", "engine"]);
     let json = flags.has("json");

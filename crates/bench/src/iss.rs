@@ -22,11 +22,9 @@
 //! chained JIT being at least 3× faster than the superblock engine and
 //! at least 1.3× faster than the same JIT with block chaining off).
 
-use crate::shard;
 use lac_rv32::kernels::{self, LV};
-use lac_rv32::{Cpu, Engine, Machine, SharedTraceCache, SharedTraceStats};
+use lac_rv32::{Cpu, Engine, Machine};
 use lac_sha256::Sha256;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The engines under measurement, slowest first.
@@ -68,8 +66,6 @@ pub struct IssRun {
     pub jit_compiles: u64,
     /// Emitted host-code block entries.
     pub jit_dispatches: u64,
-    /// Translations adopted from a shared trace cache instead of compiled.
-    pub jit_shared_installs: u64,
     /// Times `Engine::Jit` degraded to the superblock interpreter
     /// (unsupported host, exec-mmap denial, or a forced fallback).
     pub jit_fallbacks: u64,
@@ -78,7 +74,7 @@ pub struct IssRun {
     /// Block entries taken through a chain link without returning to the
     /// Rust dispatch loop.
     pub jit_chained_dispatches: u64,
-    /// Link slots severed by invalidation, eviction or restore.
+    /// Link slots severed by invalidation or eviction.
     pub jit_unlinks: u64,
 }
 
@@ -149,7 +145,7 @@ fn budget(iters: u32) -> u64 {
 /// Run an already-configured CPU to `ecall` and measure it. The digest
 /// covers the register file, PC, modelled cycles, retired instructions
 /// and the output buffer — wall-clock and cache counters are excluded, so
-/// cold, warm and shared-cache runs must all hash identically.
+/// every engine's run must hash identically.
 ///
 /// # Panics
 ///
@@ -180,7 +176,6 @@ fn measure_cpu(cpu: &mut Cpu, iters: u32) -> IssRun {
         digest,
         jit_compiles: jit.compiles,
         jit_dispatches: jit.dispatches,
-        jit_shared_installs: jit.shared_installs,
         jit_fallbacks: jit.fallbacks,
         jit_links_installed: jit.links_installed,
         jit_chained_dispatches: jit.chained_dispatches,
@@ -335,90 +330,6 @@ pub fn smc_check() -> SmcReport {
     }
 }
 
-/// A cold-vs-warm fleet comparison: `cells` independent sweep cells run
-/// on `threads` workers, once with per-cell cold starts (assemble, load,
-/// compile from scratch — today's table-sweep behaviour) and once through
-/// the warm-start layer (one pristine [`lac_rv32::WarmImage`] plus one
-/// priming run populating a [`SharedTraceCache`], then per-cell
-/// [`Cpu::restore`]). The image build and priming run are *inside* the
-/// warm timing, so the speedup is end-to-end honest.
-#[derive(Debug, Clone)]
-pub struct SweepReport {
-    /// Sweep cells per pass.
-    pub cells: usize,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Workload size per cell.
-    pub iters: u32,
-    /// Wall-clock of the cold pass, microseconds.
-    pub cold_wall_micros: u64,
-    /// Wall-clock of the warm pass (including image + priming run).
-    pub warm_wall_micros: u64,
-    /// `cold_wall / warm_wall` — the verify.sh warm-start gate figure.
-    pub speedup: f64,
-    /// Whether every cold cell, every warm cell and the priming run all
-    /// produced one identical architectural digest.
-    pub digests_match: bool,
-    /// That common digest (from the first cold cell).
-    pub digest: String,
-    /// Shared trace-cache counters after the warm pass.
-    pub shared: SharedTraceStats,
-}
-
-/// Run the cold-vs-warm sweep comparison (see [`SweepReport`]).
-///
-/// # Panics
-///
-/// Panics if the workload traps (a build-time bug).
-pub fn sweep(cells: usize, iters: u32, threads: usize) -> SweepReport {
-    // Cold pass: every cell pays full setup, as table sweeps do today.
-    let cold_started = Instant::now();
-    let cold: Vec<String> = shard::run_indexed(cells, threads, |_| {
-        run_path(iters, Engine::Superblock).digest
-    });
-    let cold_wall_micros = cold_started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-
-    // Warm pass: one image + one priming run, then restore per cell with
-    // a per-worker CPU reused across cells.
-    let warm_started = Instant::now();
-    let image = workload(iters).snapshot();
-    let shared = Arc::new(SharedTraceCache::new());
-    let mut primer = Cpu::from_image(&image);
-    primer.attach_shared_cache(Arc::clone(&shared));
-    let prime_digest = measure_cpu(&mut primer, iters).digest;
-    let warm: Vec<String> = shard::run_indexed_with(
-        cells,
-        threads,
-        || {
-            let mut cpu = Cpu::from_image(&image);
-            cpu.attach_shared_cache(Arc::clone(&shared));
-            cpu
-        },
-        |cpu, _| {
-            cpu.restore(&image);
-            measure_cpu(cpu, iters).digest
-        },
-    );
-    let warm_wall_micros = warm_started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-
-    let digest = cold.first().cloned().unwrap_or_default();
-    let digests_match = !digest.is_empty()
-        && prime_digest == digest
-        && cold.iter().all(|d| *d == digest)
-        && warm.iter().all(|d| *d == digest);
-    SweepReport {
-        cells,
-        threads,
-        iters,
-        cold_wall_micros,
-        warm_wall_micros,
-        speedup: cold_wall_micros.max(1) as f64 / warm_wall_micros.max(1) as f64,
-        digests_match,
-        digest,
-        shared: shared.stats(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,15 +385,6 @@ mod tests {
         assert_ne!(one.digest, three.digest);
         // Same shape twice → identical digest (pure function of iters).
         assert_eq!(run_path(3, Engine::Superblock).digest, three.digest);
-    }
-
-    #[test]
-    fn sweep_digests_match_across_cold_and_warm_fleets() {
-        let report = sweep(3, 2, 2);
-        assert!(report.digests_match, "{report:?}");
-        assert_eq!(report.digest, run_path(2, Engine::Superblock).digest);
-        assert!(report.shared.publishes > 0, "primer published nothing");
-        assert!(report.shared.installs > 0, "workers installed nothing");
     }
 
     #[test]

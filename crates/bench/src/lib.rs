@@ -24,7 +24,6 @@ use lac_rand::Sha256CtrRng;
 pub use lac_meter::report::thousands;
 
 pub mod iss;
-pub mod shard;
 pub mod table1;
 pub mod table2;
 
@@ -65,7 +64,7 @@ pub struct Flags {
 
 impl Flags {
     /// Parse the process arguments. `switches` take no value (`--json`);
-    /// `valued` flags take one (`--threads N` or `--threads=N`).
+    /// `valued` flags take one (`--iters N` or `--iters=N`).
     pub fn parse(switches: &[&str], valued: &[&str]) -> Self {
         Self::from_args(std::env::args().skip(1), switches, valued)
             .unwrap_or_else(|message| usage_error(&message))

@@ -29,11 +29,10 @@ use crate::jit::{self, JitCtx, JitState, JitStats};
 use crate::pq::PqAlu;
 use crate::predecode::{PredecodeCache, Slot};
 use crate::superblock::{
-    self, BlockSlot, CachedBlock, OpKind, SharedTraceCache, Src2, SuperblockCache, SuperblockStats,
-    Terminator, HOT_THRESHOLD, LINE_SHIFT, MAX_LINES, MAX_OPS,
+    self, BlockSlot, CachedBlock, OpKind, Src2, SuperblockCache, SuperblockStats, Terminator,
+    HOT_THRESHOLD, MAX_OPS,
 };
 use crate::timing;
-use crate::warm::{WarmImage, WarmState};
 use std::fmt;
 use std::sync::Arc;
 
@@ -151,9 +150,6 @@ pub struct Cpu {
     sb: SuperblockCache,
     jit: JitState,
     engine: Engine,
-    /// Process-wide compiled-block pool this CPU publishes to and installs
-    /// from (see [`SharedTraceCache`]); not part of snapshots.
-    shared: Option<Arc<SharedTraceCache>>,
 }
 
 /// How a superblock execution handed control back to the dispatch loop.
@@ -179,77 +175,7 @@ impl Cpu {
             sb: SuperblockCache::new(),
             jit: JitState::default(),
             engine: Engine::Superblock,
-            shared: None,
         }
-    }
-
-    /// Attach a process-wide [`SharedTraceCache`]: superblocks this CPU
-    /// compiles are published to it, and hot heads probe it before
-    /// compiling locally. Purely a host-speed optimisation — shared
-    /// entries are byte-validated on install and generation-validated on
-    /// dispatch, so architectural results are unchanged.
-    pub fn attach_shared_cache(&mut self, shared: Arc<SharedTraceCache>) {
-        self.shared = Some(shared);
-    }
-
-    /// Capture the whole machine — architectural state, RAM, predecoded
-    /// lines with their generation counters, and the compiled superblock
-    /// cache — into a cheaply-cloneable [`WarmImage`]. The shared-cache
-    /// attachment is not captured (see [`crate::warm`]).
-    pub fn snapshot(&self) -> WarmImage {
-        WarmImage {
-            state: Arc::new(WarmState {
-                regs: self.regs,
-                pc: self.pc,
-                cycles: self.cycles,
-                instructions: self.instructions,
-                mscratch: self.mscratch,
-                pq: self.pq.clone(),
-                ram: self.ram.clone(),
-                engine: self.engine,
-                pre: self.cache.snapshot(),
-                sb_slot_count: self.sb.slot_count(),
-                sb_slots: self.sb.snapshot_slots(),
-                sb_stats: self.sb.stats,
-            }),
-        }
-    }
-
-    /// Reset this CPU to the exact state captured in `image`, reusing its
-    /// allocations where shapes match (the warm-sweep hot path: a RAM
-    /// `memcpy` plus sparse cache copies instead of a full rebuild). RAM,
-    /// the predecode table (including generation counters) and every
-    /// superblock slot are replaced together, so no stale derived state
-    /// survives. The shared-cache attachment is left as-is.
-    pub fn restore(&mut self, image: &WarmImage) {
-        let state = &*image.state;
-        self.regs = state.regs;
-        self.pc = state.pc;
-        self.cycles = state.cycles;
-        self.instructions = state.instructions;
-        self.mscratch = state.mscratch;
-        self.pq = state.pq.clone();
-        if self.ram.len() == state.ram.len() {
-            self.ram.copy_from_slice(&state.ram);
-        } else {
-            self.ram = state.ram.clone();
-        }
-        self.engine = state.engine;
-        self.cache.restore(&state.pre);
-        self.sb
-            .restore_slots(state.sb_slot_count, &state.sb_slots, state.sb_stats);
-        // Chain links are process-local and reference blocks the restore
-        // just replaced: sever and drop them all. Restored blocks re-link
-        // lazily on their next dispatch.
-        self.jit.chain.clear();
-        self.jit.pending = None;
-    }
-
-    /// Build a fresh CPU from a [`WarmImage`] (see [`Cpu::restore`]).
-    pub fn from_image(image: &WarmImage) -> Self {
-        let mut cpu = Self::new(image.state.ram.len());
-        cpu.restore(image);
-        cpu
     }
 
     /// Select the execution engine (default: [`Engine::Superblock`]).
@@ -277,8 +203,7 @@ impl Cpu {
     /// Disabling severs every installed link and stops installing new
     /// ones; translations and every other JIT mechanism are untouched, so
     /// this isolates exactly the chaining win — `iss_bench` uses it to
-    /// measure the unchained baseline, and it doubles as an operational
-    /// kill-switch alongside [`Cpu::force_jit_fallback`].
+    /// measure the unchained baseline.
     pub fn set_jit_chaining(&mut self, enabled: bool) {
         self.jit.chain_enabled = enabled;
         if !enabled {
@@ -289,7 +214,8 @@ impl Cpu {
 
     /// Force [`Engine::Jit`] to behave exactly like an unsupported host:
     /// every run degrades to the superblock interpreter (counted in
-    /// [`JitStats::fallbacks`]). For tests and operational kill-switches.
+    /// [`JitStats::fallbacks`]). Tests use it to reach the fallback path
+    /// on hosts that have a JIT backend.
     pub fn force_jit_fallback(&mut self, forced: bool) {
         self.jit.forced_off = forced;
     }
@@ -717,22 +643,10 @@ impl Cpu {
                     }
                 }
             }
-            if block.is_none() && self.shared.is_some() {
-                // Probe the process-wide pool when the head is fresh (a
-                // warmed sibling likely compiled it already) or locally
-                // hot (incl. stale drops: the byte compare below rejects
-                // versions the store outdated). Lukewarm misses skip the
-                // map lock entirely.
-                let heat = self.sb.slot_mut(idx).heat;
-                if heat == 1 || heat >= HOT_THRESHOLD {
-                    block = self.install_shared(pc).map(Box::new);
-                }
-            }
             if block.is_none() && self.sb.slot_mut(idx).heat >= HOT_THRESHOLD {
                 match superblock::compile(&mut self.cache, &self.ram, pc) {
                     Some(b) => {
                         self.sb.stats.compiles += 1;
-                        self.publish_shared(pc, &b);
                         block = Some(Box::new(b));
                     }
                     // The head slot holds no decodable instruction: let
@@ -753,9 +667,7 @@ impl Cpu {
                     if jit_ready && b.chain_node().is_none() {
                         // Emitted code reads `ctx.node` on every static
                         // exit, so each JIT-dispatched block carries a
-                        // chain node. Clones adopted from warm images or
-                        // the shared pool arrive without one — links are
-                        // process-local, only translations are shared.
+                        // chain node, created at its first JIT dispatch.
                         let code = Arc::clone(b.jit_code().expect("jit_ready checked"));
                         let node = jit::ChainNode::new(pc, &b.block, &code, b.lines());
                         self.jit.chain.register(Arc::clone(&node));
@@ -864,72 +776,15 @@ impl Cpu {
         }
     }
 
-    /// Try to adopt a block for head `pc` from the attached shared cache.
-    /// On a byte-validated hit, every predecode line covering the block's
-    /// code span is filled (fill-before-recording: stores only bump the
-    /// generations of *filled* lines, so recording an unfilled line's
-    /// generation would miss a later invalidation) and the entry is
-    /// wrapped with this CPU's own `(line, generation)` pairs.
-    #[cold]
-    fn install_shared(&mut self, pc: u32) -> Option<CachedBlock> {
-        let shared = self.shared.as_ref()?;
-        let block = shared.lookup(pc, &self.ram)?;
-        let mut lines = [(0u32, 0u64); MAX_LINES];
-        let mut count = 0usize;
-        let first = pc >> LINE_SHIFT;
-        let last = block.end_pc.wrapping_sub(1) >> LINE_SHIFT;
-        for line in first..=last {
-            if !self.cache.line_is_filled(line as usize) {
-                // Any PC inside the line fills the whole line; the span
-                // is in RAM (the byte compare just read it).
-                self.cache.fill(&self.ram, line << LINE_SHIFT);
-            }
-            debug_assert!(count < MAX_LINES, "shared block spans too many lines");
-            lines[count] = (line, self.cache.line_gen(line as usize));
-            count += 1;
-        }
-        self.sb.stats.shared_installs += 1;
-        Some(CachedBlock::from_lines(block, &lines[..count]))
-    }
-
-    /// Publish a locally-compiled block to the attached shared cache,
-    /// together with the code bytes it was compiled from.
-    fn publish_shared(&mut self, pc: u32, cached: &CachedBlock) {
-        let Some(shared) = &self.shared else { return };
-        let (start, end) = (pc as usize, cached.block.end_pc as usize);
-        if start < end
-            && end <= self.ram.len()
-            && shared.publish(pc, &self.ram[start..end], &cached.block)
-        {
-            self.sb.stats.shared_publishes += 1;
-        }
-    }
-
-    /// Attach emitted host code to `cached`, adopting a shared translation
-    /// when the attached [`SharedTraceCache`] holds one for the same
-    /// `Arc<Block>` (zero-compile warm starts), otherwise emitting locally
-    /// and publishing. A failed exec-buffer mapping latches the JIT broken
-    /// for this CPU — every later dispatch interprets, counted once as a
-    /// fallback.
+    /// Attach emitted host code to `cached`. A failed exec-buffer mapping
+    /// latches the JIT broken for this CPU — every later dispatch
+    /// interprets, counted once as a fallback.
     #[cold]
     fn ensure_jit(&mut self, cached: &mut CachedBlock) {
-        if let Some(shared) = &self.shared {
-            if let Some(code) = shared.jit_lookup(&cached.block) {
-                self.jit.stats.shared_installs += 1;
-                cached.set_jit(code);
-                return;
-            }
-        }
         match jit::translate(&cached.block) {
             Some(code) => {
                 self.jit.stats.compiles += 1;
-                let code = Arc::new(code);
-                if let Some(shared) = &self.shared {
-                    if shared.jit_publish(&cached.block, &code) {
-                        self.jit.stats.shared_publishes += 1;
-                    }
-                }
-                cached.set_jit(code);
+                cached.set_jit(Arc::new(code));
             }
             None => {
                 self.jit.stats.fallbacks += 1;

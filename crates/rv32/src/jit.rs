@@ -58,12 +58,11 @@
 //! in, so loops self-link after one trip. Link slots live in ordinary
 //! (data) heap memory read indirectly by emitted code — installing or
 //! clearing a link never touches an RX page, so the W^X story below is
-//! unchanged. Links are process-local (host addresses never leave the
-//! CPU that installed them); the shared pool still shares only the
-//! translations. The `ChainRegistry` keeps every node alive until a
-//! Rust-side safe point and severs every slot that could reach a block
-//! whose predecode generations moved — see the registry docs for the
-//! unlink protocol.
+//! unchanged. Links are local to one CPU (host addresses never leave the
+//! CPU that installed them). The `ChainRegistry` keeps every node alive
+//! until a Rust-side safe point and severs every slot that could reach a
+//! block whose predecode generations moved — see the registry docs for
+//! the unlink protocol.
 //!
 //! # Host-register caching
 //!
@@ -97,10 +96,9 @@ use crate::inst::{AluOp, PqUnit};
 use crate::pq::PqAlu;
 use crate::predecode::PredecodeCache;
 use crate::superblock::{Block, MAX_LINES};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod emit_x86_64;
@@ -134,12 +132,9 @@ pub struct JitStats {
     pub chained_dispatches: u64,
     /// Chain links installed into out-slots by the dispatch loop.
     pub links_installed: u64,
-    /// Chain links severed (staleness sweeps, eviction GC, restore).
+    /// Chain links severed (staleness sweeps, eviction GC, chaining
+    /// disabled).
     pub unlinks: u64,
-    /// Translations adopted from a shared pool instead of emitted locally.
-    pub shared_installs: u64,
-    /// Locally-emitted translations published to a shared pool.
-    pub shared_publishes: u64,
     /// Times `Engine::Jit` degraded to the superblock interpreter
     /// (unsupported host, exec-buffer failure, or a forced fallback).
     pub fallbacks: u64,
@@ -320,14 +315,13 @@ pub(crate) mod node_off {
 /// unmapped mid-run. Nodes are reclaimed by [`ChainRegistry::gc`] at
 /// dispatch-loop safe points (slot eviction, stale drops) once nothing
 /// but the registry holds them, after severing any slot still pointing at
-/// them; [`ChainRegistry::clear`] does the same wholesale on
-/// snapshot-restore and engine reset.
+/// them.
 #[derive(Debug, Default)]
 pub(crate) struct ChainRegistry {
     nodes: Vec<Arc<ChainNode>>,
     /// Links installed (slot went from one target to another).
     pub(crate) links_installed: u64,
-    /// Links severed (staleness sweep, eviction GC, restore/reset).
+    /// Links severed (staleness sweep, eviction GC, chaining disabled).
     pub(crate) unlinks: u64,
 }
 
@@ -382,21 +376,6 @@ impl ChainRegistry {
         }
         self.unlinks += Self::clear_slots_into(&self.nodes, &dead);
         self.nodes.retain(|n| Arc::strong_count(n) > 1);
-    }
-
-    /// Sever every link and drop every node (snapshot-restore / reset:
-    /// the whole predecode world is being replaced).
-    pub(crate) fn clear(&mut self) {
-        let mut severed = 0u64;
-        for node in &self.nodes {
-            for slot in &node.out {
-                if slot.swap(0, Ordering::Relaxed) != 0 {
-                    severed += 1;
-                }
-            }
-        }
-        self.unlinks += severed;
-        self.nodes.clear();
     }
 
     /// Sever every link but keep the nodes (chaining disabled mid-run).
@@ -742,98 +721,16 @@ mod backend {
 
 pub(crate) use backend::{translate, JitCode};
 
-/// Entries a [`SharedJitPool`] retains at most (a runaway self-modifying
-/// workload would otherwise grow it without bound; 64Ki blocks is far
-/// beyond any real working set).
-const JIT_POOL_CAP: usize = 1 << 16;
-
-/// Point-in-time counters of the shared JIT pool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharedJitStats {
-    /// Lookups that adopted an existing translation.
-    pub installs: u64,
-    /// Translations published.
-    pub publishes: u64,
-    /// Translations currently held.
-    pub blocks: u64,
-}
-
-#[derive(Debug)]
-struct PoolEntry {
-    /// Keeps the keying `Arc<Block>` pointer unique for the entry's whole
-    /// lifetime (no ABA through allocator reuse).
-    _keepalive: Arc<Block>,
-    code: Arc<JitCode>,
-}
-
-/// A process-wide pool of emitted host code, embedded in
-/// [`crate::superblock::SharedTraceCache`] so warm fleet workers adopt the
-/// primer's translations with zero local JIT compiles.
-///
-/// Entries are keyed by the `Arc<Block>` pointer identity: emitted code is
-/// a pure function of the (immutable) block, and workers that install a
-/// shared superblock hold the *same* `Arc`, so pointer equality is exact.
-/// The stored keepalive `Arc` pins the allocation, making key reuse
-/// impossible while the entry lives. Host-code pointers never cross
-/// process boundaries — the pool lives inside in-process `Arc`s only.
-#[derive(Debug, Default)]
-pub(crate) struct SharedJitPool {
-    map: Mutex<HashMap<usize, PoolEntry>>,
-    installs: AtomicU64,
-    publishes: AtomicU64,
-}
-
-impl SharedJitPool {
-    /// Adopt the pooled translation for `block`, if any.
-    pub(crate) fn lookup(&self, block: &Arc<Block>) -> Option<Arc<JitCode>> {
-        let key = Arc::as_ptr(block) as usize;
-        let map = self.map.lock().expect("shared jit pool poisoned");
-        let entry = map.get(&key)?;
-        self.installs.fetch_add(1, Ordering::Relaxed);
-        Some(Arc::clone(&entry.code))
-    }
-
-    /// Publish a translation for `block`. Returns `true` if stored.
-    pub(crate) fn publish(&self, block: &Arc<Block>, code: &Arc<JitCode>) -> bool {
-        let key = Arc::as_ptr(block) as usize;
-        let mut map = self.map.lock().expect("shared jit pool poisoned");
-        if map.len() >= JIT_POOL_CAP || map.contains_key(&key) {
-            return false;
-        }
-        map.insert(
-            key,
-            PoolEntry {
-                _keepalive: Arc::clone(block),
-                code: Arc::clone(code),
-            },
-        );
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Point-in-time counters.
-    pub(crate) fn stats(&self) -> SharedJitStats {
-        let blocks = self.map.lock().expect("shared jit pool poisoned").len() as u64;
-        SharedJitStats {
-            installs: self.installs.load(Ordering::Relaxed),
-            publishes: self.publishes.load(Ordering::Relaxed),
-            blocks,
-        }
-    }
-}
-
 impl fmt::Display for JitStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "compiles {} dispatches {} chained {} links {} unlinks {} shared_installs {} shared_publishes {} fallbacks {}",
+            "compiles {} dispatches {} chained {} links {} unlinks {} fallbacks {}",
             self.compiles,
             self.dispatches,
             self.chained_dispatches,
             self.links_installed,
             self.unlinks,
-            self.shared_installs,
-            self.shared_publishes,
             self.fallbacks
         )
     }

@@ -70,15 +70,12 @@ pub mod pq;
 pub mod predecode;
 pub mod superblock;
 pub mod timing;
-pub mod warm;
 
 pub use asm::{assemble, AsmError};
 pub use cpu::{Cpu, Engine, ExitState, Trap};
 pub use disasm::disassemble;
 pub use inst::{decode, decompress, encode, EncodeError, Inst};
-pub use jit::{JitStats, SharedJitStats};
-pub use superblock::{SharedTraceCache, SharedTraceStats};
-pub use warm::WarmImage;
+pub use jit::JitStats;
 
 /// Convenience wrapper: assemble a program, load it at address 0 and run it.
 #[derive(Debug)]
@@ -118,18 +115,6 @@ impl Machine {
     /// `ecall` exit.
     pub fn run(&mut self, max_instructions: u64) -> Result<ExitState, Trap> {
         self.cpu.run(max_instructions)
-    }
-
-    /// Snapshot the machine into a [`WarmImage`] (see [`Cpu::snapshot`]).
-    pub fn snapshot(&self) -> WarmImage {
-        self.cpu.snapshot()
-    }
-
-    /// Build a machine from a [`WarmImage`] (see [`Cpu::from_image`]).
-    pub fn from_image(image: &WarmImage) -> Self {
-        Self {
-            cpu: Cpu::from_image(image),
-        }
     }
 }
 

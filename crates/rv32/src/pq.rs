@@ -121,9 +121,8 @@ pub fn mul_chien_loads(code: u32, values: [u16; PARALLEL_MULS]) -> [(u32, u32); 
     })
 }
 
-/// The PQ-ALU device state (one instance per CPU). `Clone` so a
-/// [`crate::warm::WarmImage`] can capture the device mid-operation.
-#[derive(Debug, Clone)]
+/// The PQ-ALU device state (one instance per CPU).
+#[derive(Debug)]
 pub struct PqAlu {
     // MUL TER: the loaded operands, the last product, the read pointer.
     mul_ter: MulTer,

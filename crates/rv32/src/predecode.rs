@@ -203,80 +203,6 @@ impl PredecodeCache {
     pub fn lines_filled(&self) -> usize {
         self.filled.iter().map(|w| w.count_ones() as usize).sum()
     }
-
-    /// Whether `line` is currently filled.
-    #[inline]
-    pub(crate) fn line_is_filled(&self, line: usize) -> bool {
-        (self.filled[line >> 6] >> (line & 63)) & 1 == 1
-    }
-
-    /// Capture the filled lines, all generation counters and the filled
-    /// range (see [`crate::warm::WarmImage`]). Sparse in
-    /// the filled lines — an idle cache snapshots to almost nothing.
-    pub(crate) fn snapshot(&self) -> PredecodeImage {
-        let mut lines = Vec::with_capacity(self.lines_filled());
-        if self.filled_lo <= self.filled_hi {
-            for line in self.filled_lo..=self.filled_hi.min(self.line_count - 1) {
-                if self.line_is_filled(line) {
-                    let base = line * SLOTS_PER_LINE;
-                    lines.push((line as u32, self.slots[base..base + SLOTS_PER_LINE].into()));
-                }
-            }
-        }
-        PredecodeImage {
-            line_count: self.line_count,
-            lines,
-            gens: self.gens.clone().into_boxed_slice(),
-            filled_lo: self.filled_lo,
-            filled_hi: self.filled_hi,
-        }
-    }
-
-    /// Restore a snapshot taken by [`PredecodeCache::snapshot`]. The
-    /// generation counters rewind with everything else; that is sound
-    /// because the caller ([`crate::cpu::Cpu::restore`]) replaces RAM, the
-    /// slot table and every superblock slot in the same operation, so no
-    /// stale derived artifact can survive to observe a rewound generation.
-    pub(crate) fn restore(&mut self, image: &PredecodeImage) {
-        if self.line_count != image.line_count {
-            *self = Self::new(image.line_count * LINE_BYTES as usize);
-        } else {
-            // Sparse-clear only the currently-filled lines, then zero the
-            // bitmap: cheaper than rewriting the whole slot table.
-            for (w, word) in self.filled.iter_mut().enumerate() {
-                let mut bits = *word;
-                while bits != 0 {
-                    let line = (w << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let base = line * SLOTS_PER_LINE;
-                    self.slots[base..base + SLOTS_PER_LINE].fill(Slot::Empty);
-                }
-                *word = 0;
-            }
-        }
-        for (line, slots) in &image.lines {
-            let line = *line as usize;
-            let base = line * SLOTS_PER_LINE;
-            self.slots[base..base + SLOTS_PER_LINE].copy_from_slice(slots);
-            self.filled[line >> 6] |= 1 << (line & 63);
-        }
-        self.gens.copy_from_slice(&image.gens);
-        self.filled_lo = image.filled_lo;
-        self.filled_hi = image.filled_hi;
-    }
-}
-
-/// A point-in-time copy of a [`PredecodeCache`]'s decoded state: the
-/// filled lines (sparse), every per-line generation counter, and the
-/// filled range. Part of [`crate::warm::WarmImage`].
-#[derive(Debug, Clone)]
-pub(crate) struct PredecodeImage {
-    line_count: usize,
-    /// `(line_index, that line's slots)` for each filled line.
-    lines: Vec<(u32, Box<[Slot]>)>,
-    gens: Box<[u64]>,
-    filled_lo: usize,
-    filled_hi: usize,
 }
 
 /// The slot for `pc`: what [`fetch`] reads there, its trap included.
@@ -359,34 +285,6 @@ mod tests {
         cache.lookup(&ram, 4 * LINE_BYTES);
         cache.invalidate(0, 4);
         assert_eq!(cache.lines_filled(), 1, "distant line survives");
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_lines_and_gens() {
-        let ram = ram_with(&[0x0050_0093; 512]);
-        let mut cache = PredecodeCache::new(ram.len());
-        cache.lookup(&ram, 0);
-        cache.lookup(&ram, 4 * LINE_BYTES);
-        cache.invalidate(0, 1); // bump line 0's gen, drop it
-        cache.lookup(&ram, 0); // refill
-        let image = cache.snapshot();
-        assert_eq!(image.lines.len(), 2);
-
-        // Diverge: drop a line, fill a third, then restore.
-        cache.invalidate(4 * LINE_BYTES, 1);
-        cache.lookup(&ram, 8 * LINE_BYTES);
-        let mut other = PredecodeCache::new(ram.len());
-        other.restore(&image);
-        cache.restore(&image);
-        assert_eq!(cache.lines_filled(), 2);
-        assert_eq!(other.lines_filled(), 2);
-        assert_eq!(cache.line_gen(0), 1, "generation restored, not reset");
-        assert_eq!(other.line_gen(0), 1);
-        assert!(matches!(cache.slot_at(0), Slot::Inst { .. }));
-        assert!(
-            matches!(cache.slot_at(8 * LINE_BYTES), Slot::Empty),
-            "post-snapshot fill rolled back"
-        );
     }
 
     #[test]

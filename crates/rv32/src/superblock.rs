@@ -57,9 +57,7 @@
 use crate::inst::{AluOp, BranchOp, Inst, LoadOp, PqUnit, StoreOp};
 use crate::predecode::{PredecodeCache, Slot, LINE_BYTES};
 use crate::timing;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Head executions before a block is compiled (the first probe counts).
 /// Small enough that short-running differential tests still exercise the
@@ -72,8 +70,8 @@ pub const HOT_THRESHOLD: u32 = 4;
 /// on the interpreted stretch between head probes.
 pub const MAX_OPS: usize = 64;
 
-/// Default trace-cache slot count (direct-mapped, power of two).
-pub const DEFAULT_SLOTS: usize = 4096;
+/// Trace-cache slot count (direct-mapped, power of two).
+pub const SLOTS: usize = 4096;
 
 /// Distinct predecode lines a maximal block can start instructions in:
 /// `MAX_OPS` 4-byte instructions from an arbitrary even offset span at
@@ -280,11 +278,10 @@ pub enum Terminator {
     FallThrough,
 }
 
-/// A compiled superblock: pure translated code, free of any per-`Cpu`
-/// validity metadata, so one `Arc<Block>` can be shared across CPUs
-/// through a [`SharedTraceCache`]. The store-sensitivity metadata — which
-/// predecode-line generations the installing CPU observed — lives in the
-/// per-`Cpu` [`CachedBlock`] wrapper.
+/// A compiled superblock: pure translated code, free of validity
+/// metadata. The store-sensitivity metadata — which predecode-line
+/// generations the compiling CPU observed — lives in the [`CachedBlock`]
+/// wrapper.
 #[derive(Debug)]
 pub struct Block {
     /// Anchor PC the block was compiled at — its dispatch head. Kept
@@ -300,12 +297,6 @@ pub struct Block {
     /// PC of the terminator (or the resume PC for
     /// [`Terminator::FallThrough`]).
     pub term_pc: u32,
-    /// First PC past the last byte the block was compiled from (the end
-    /// of the terminator's encoding, or the resume PC for
-    /// [`Terminator::FallThrough`]). `[head, end_pc)` is exactly the
-    /// code-byte span the compiled ops are a pure function of — the span
-    /// a [`SharedTraceCache`] byte-validates on install.
-    pub end_pc: u32,
     /// Total static body cycles (happy path adds once).
     pub body_cycles: u32,
     /// Total body instructions (happy path adds once).
@@ -315,44 +306,29 @@ pub struct Block {
     pub total_instrs: u64,
 }
 
-/// A block installed in one `Cpu`'s trace cache: the (possibly shared)
-/// compiled code plus this CPU's `(line, generation)` validity pairs.
-/// Any store that could rewrite the block's code bytes bumps one of the
+/// A block installed in one `Cpu`'s trace cache: the compiled code plus
+/// the `(line, generation)` validity pairs it was compiled against. Any
+/// store that could rewrite the block's code bytes bumps one of the
 /// generations, marking the entry stale; the engine checks at dispatch
 /// and immediately after every store the block executes.
 #[derive(Debug)]
 pub struct CachedBlock {
-    /// The compiled code (shareable across CPUs).
+    /// The compiled code (an `Arc` so chain nodes can keep it alive).
     pub block: Arc<Block>,
     /// `(line, generation)` pairs covering every byte of the block's code
-    /// span, recorded against the installing CPU's predecode cache.
+    /// span, recorded against the compiling CPU's predecode cache.
     lines: [(u32, u64); MAX_LINES],
     line_count: u8,
-    /// Host code emitted for `block` by the JIT tier, if any. Rides along
-    /// through clones (so warm snapshots keep their translations) but is
-    /// only consulted when the CPU runs [`crate::cpu::Engine::Jit`].
+    /// Host code emitted for `block` by the JIT tier, if any. Only
+    /// consulted when the CPU runs [`crate::cpu::Engine::Jit`].
     jit: Option<Arc<crate::jit::JitCode>>,
-    /// This CPU's chain node for the block (successor link slots). Never
-    /// cloned: link targets are process-local host addresses registered
-    /// with one CPU's [`crate::jit::ChainRegistry`], so a snapshot or
-    /// warm-image clone starts unlinked and re-links on its own CPU.
+    /// The block's chain node (successor link slots), registered with
+    /// this CPU's [`crate::jit::ChainRegistry`].
     chain: Option<Arc<crate::jit::ChainNode>>,
 }
 
-impl Clone for CachedBlock {
-    fn clone(&self) -> Self {
-        Self {
-            block: Arc::clone(&self.block),
-            lines: self.lines,
-            line_count: self.line_count,
-            jit: self.jit.clone(),
-            chain: None,
-        }
-    }
-}
-
 impl CachedBlock {
-    /// Wrap `block` with the `(line, generation)` pairs the installing
+    /// Wrap `block` with the `(line, generation)` pairs the compiling
     /// CPU observed.
     pub(crate) fn from_lines(block: Arc<Block>, lines: &[(u32, u64)]) -> Self {
         assert!(
@@ -371,7 +347,7 @@ impl CachedBlock {
     }
 
     /// Whether every predecode line this entry was validated against still
-    /// has the generation observed at install time.
+    /// has the generation observed at compile time.
     #[inline]
     pub fn lines_current(&self, cache: &PredecodeCache) -> bool {
         self.lines[..usize::from(self.line_count)]
@@ -422,11 +398,6 @@ pub struct SuperblockStats {
     pub stale_drops: u64,
     /// Mid-block bail-outs after a store invalidated the running block.
     pub store_bails: u64,
-    /// Blocks adopted from a [`SharedTraceCache`] instead of compiled
-    /// locally.
-    pub shared_installs: u64,
-    /// Locally-compiled blocks newly published to a [`SharedTraceCache`].
-    pub shared_publishes: u64,
 }
 
 /// One direct-mapped trace-cache entry.
@@ -442,241 +413,40 @@ pub struct BlockSlot {
     pub block: Option<Box<CachedBlock>>,
 }
 
-/// One snapshotted trace-cache slot (see [`crate::warm::WarmImage`]).
-#[derive(Debug, Clone)]
-pub(crate) struct SlotImage {
-    pub(crate) index: u32,
-    pub(crate) tag: u32,
-    pub(crate) heat: u32,
-    pub(crate) block: Option<CachedBlock>,
-}
-
 /// The PC-indexed trace cache plus engine counters.
 #[derive(Debug)]
 pub struct SuperblockCache {
     slots: Vec<BlockSlot>,
-    mask: usize,
     /// Engine lifetime counters.
     pub stats: SuperblockStats,
 }
 
 impl SuperblockCache {
-    /// An empty trace cache with [`DEFAULT_SLOTS`] slots.
+    /// An empty trace cache with [`SLOTS`] slots.
     pub fn new() -> Self {
-        Self::with_slots(DEFAULT_SLOTS)
-    }
-
-    /// An empty trace cache with an explicit capacity, clamped to
-    /// `[16, 1 << 20]` and rounded up to a power of two (the direct-mapped
-    /// index is a mask). Capacity only moves the hot/conflict trade-off —
-    /// it is never architecturally visible.
-    pub fn with_slots(slots: usize) -> Self {
-        let count = slots.clamp(16, 1 << 20).next_power_of_two();
-        let mut slots = Vec::with_capacity(count);
-        for _ in 0..count {
-            slots.push(BlockSlot {
+        let slots = (0..SLOTS)
+            .map(|_| BlockSlot {
                 tag: u32::MAX,
                 heat: 0,
                 block: None,
-            });
-        }
+            })
+            .collect();
         Self {
             slots,
-            mask: count - 1,
             stats: SuperblockStats::default(),
         }
-    }
-
-    /// The direct-mapped capacity of this cache.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
     }
 
     /// Direct-mapped slot index for head `pc` (even).
     #[inline]
     pub fn index(&self, pc: u32) -> usize {
-        (pc >> 1) as usize & self.mask
+        (pc >> 1) as usize & (SLOTS - 1)
     }
 
     /// The slot at `index`.
     #[inline]
     pub fn slot_mut(&mut self, index: usize) -> &mut BlockSlot {
         &mut self.slots[index]
-    }
-
-    /// Clear every slot back to empty (tags, heat and blocks).
-    pub(crate) fn reset(&mut self) {
-        for slot in &mut self.slots {
-            slot.tag = u32::MAX;
-            slot.heat = 0;
-            slot.block = None;
-        }
-    }
-
-    /// Sparse snapshot of the occupied slots (blocks are `Arc`-shared, so
-    /// this copies metadata, not compiled code).
-    pub(crate) fn snapshot_slots(&self) -> Vec<SlotImage> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.tag != u32::MAX)
-            .map(|(index, slot)| SlotImage {
-                index: index as u32,
-                tag: slot.tag,
-                heat: slot.heat,
-                block: slot.block.as_deref().cloned(),
-            })
-            .collect()
-    }
-
-    /// Restore a snapshot taken by [`SuperblockCache::snapshot_slots`],
-    /// rebuilding the slot table if the capacity differs.
-    pub(crate) fn restore_slots(
-        &mut self,
-        slot_count: usize,
-        images: &[SlotImage],
-        stats: SuperblockStats,
-    ) {
-        if self.slots.len() != slot_count {
-            *self = Self::with_slots(slot_count);
-        } else {
-            self.reset();
-        }
-        for image in images {
-            self.slots[image.index as usize] = BlockSlot {
-                tag: image.tag,
-                heat: image.heat,
-                block: image.block.clone().map(Box::new),
-            };
-        }
-        self.stats = stats;
-    }
-}
-
-/// Distinct code versions remembered per head PC in a
-/// [`SharedTraceCache`] (self-modifying heads cycle through versions; an
-/// unbounded list would leak under adversarial rewriting).
-const SHARED_VERSIONS_PER_HEAD: usize = 4;
-
-#[derive(Debug)]
-struct SharedEntry {
-    /// The exact code bytes (`[head, end_pc)`) the block was compiled
-    /// from, captured from the publishing CPU's RAM.
-    code: Box<[u8]>,
-    block: Arc<Block>,
-}
-
-/// Point-in-time counters of a [`SharedTraceCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharedTraceStats {
-    /// Lookups that found a byte-identical block to install.
-    pub installs: u64,
-    /// Lookups that found no matching entry.
-    pub misses: u64,
-    /// Blocks published (distinct `(head, code)` versions stored).
-    pub publishes: u64,
-    /// Entries currently held.
-    pub blocks: u64,
-}
-
-/// A process-wide pool of compiled superblocks, shared across CPUs behind
-/// an `Arc` so the first thread to compile a hot region pays for it once.
-///
-/// **Exactness.** A shared entry records the exact code bytes its block
-/// was compiled from. Installing into another CPU byte-compares that span
-/// against the installer's RAM — decode is a pure function of those
-/// bytes, so equality re-derives the identical block — and then records
-/// the installer's *own* predecode `(line, generation)` pairs in the
-/// per-CPU [`CachedBlock`], so dispatch-time and post-store generation
-/// validation work exactly as for locally-compiled blocks. Self-modifying
-/// code therefore stays bit-identical: a stale shared block either fails
-/// the byte compare at install or trips the generation check afterwards.
-#[derive(Debug, Default)]
-pub struct SharedTraceCache {
-    map: Mutex<HashMap<u32, Vec<SharedEntry>>>,
-    installs: AtomicU64,
-    misses: AtomicU64,
-    publishes: AtomicU64,
-    /// Emitted host code keyed by `Arc<Block>` identity, so fleet workers
-    /// adopting a shared block also adopt its translation (zero local JIT
-    /// compiles on warm workers).
-    jit: crate::jit::SharedJitPool,
-}
-
-impl SharedTraceCache {
-    /// An empty shared cache (wrap in an `Arc` to attach to CPUs).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Point-in-time counters.
-    pub fn stats(&self) -> SharedTraceStats {
-        let blocks = self
-            .map
-            .lock()
-            .expect("shared trace cache poisoned")
-            .values()
-            .map(|v| v.len() as u64)
-            .sum();
-        SharedTraceStats {
-            installs: self.installs.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            publishes: self.publishes.load(Ordering::Relaxed),
-            blocks,
-        }
-    }
-
-    /// Find a published block for head `pc` whose recorded code bytes
-    /// equal `ram` at that address (see the type docs for why byte
-    /// equality is sufficient).
-    pub(crate) fn lookup(&self, pc: u32, ram: &[u8]) -> Option<Arc<Block>> {
-        let map = self.map.lock().expect("shared trace cache poisoned");
-        if let Some(entries) = map.get(&pc) {
-            for entry in entries {
-                let span = ram.get(pc as usize..pc as usize + entry.code.len());
-                if span == Some(&entry.code[..]) {
-                    self.installs.fetch_add(1, Ordering::Relaxed);
-                    return Some(Arc::clone(&entry.block));
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Publish a locally-compiled block and the code bytes it depends on.
-    /// Returns `true` if stored (`false` when an identical version is
-    /// already present).
-    pub(crate) fn publish(&self, pc: u32, code: &[u8], block: &Arc<Block>) -> bool {
-        let mut map = self.map.lock().expect("shared trace cache poisoned");
-        let entries = map.entry(pc).or_default();
-        if entries.iter().any(|e| *e.code == *code) {
-            return false;
-        }
-        if entries.len() >= SHARED_VERSIONS_PER_HEAD {
-            entries.remove(0); // oldest version first
-        }
-        entries.push(SharedEntry {
-            code: code.into(),
-            block: Arc::clone(block),
-        });
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Adopt the pooled JIT translation for `block`, if one was published.
-    pub(crate) fn jit_lookup(&self, block: &Arc<Block>) -> Option<Arc<crate::jit::JitCode>> {
-        self.jit.lookup(block)
-    }
-
-    /// Publish emitted host code for `block` (keyed by `Arc` identity).
-    pub(crate) fn jit_publish(&self, block: &Arc<Block>, code: &Arc<crate::jit::JitCode>) -> bool {
-        self.jit.publish(block, code)
-    }
-
-    /// Point-in-time counters of the embedded JIT code pool.
-    pub fn jit_stats(&self) -> crate::jit::SharedJitStats {
-        self.jit.stats()
     }
 }
 
@@ -748,11 +518,6 @@ pub fn compile(cache: &mut PredecodeCache, ram: &[u8], anchor: u32) -> Option<Ca
         return None;
     }
     let term_pc = term.as_ref().map_or(pc, |t| t.pc);
-    // First PC past the last code byte the block depends on: every
-    // instruction's encoding lies inside `[anchor, end_pc)`.
-    let end_pc = term
-        .as_ref()
-        .map_or(pc, |t| t.pc.wrapping_add(u32::from(t.len)));
 
     // Record the lines instructions start in, before fusion loses PCs.
     let mut lines = [(0u32, 0u64); MAX_LINES];
@@ -834,7 +599,6 @@ pub fn compile(cache: &mut PredecodeCache, ram: &[u8], anchor: u32) -> Option<Ca
         ops: ops.into_boxed_slice(),
         term: terminator,
         term_pc,
-        end_pc,
         body_cycles: cycles,
         body_instrs: instrs,
         total_instrs: u64::from(instrs) + term_instrs,
@@ -1159,95 +923,5 @@ ecall",
         let block = compile(&mut cache, &ram, 0).unwrap().block;
         assert_eq!(block.body_instrs, 2, "no fusion");
         assert!(matches!(block.ops[0].kind, OpKind::LoadImm { rd: 0, .. }));
-    }
-
-    #[test]
-    fn end_pc_covers_the_terminator_encoding() {
-        let (mut cache, ram) = setup("addi t0, t0, 1\nnop\necall");
-        let block = compile(&mut cache, &ram, 0).unwrap().block;
-        assert_eq!(block.term_pc, 8);
-        assert_eq!(block.end_pc, 12, "ecall's 4 encoding bytes included");
-
-        // FallThrough: end_pc is the resume PC (first byte past the body).
-        let (mut cache, mut ram) = setup("addi t0, t0, 1\naddi t0, t0, 2");
-        ram[8..12].copy_from_slice(&0xffff_ffffu32.to_le_bytes());
-        let block = compile(&mut cache, &ram, 0).unwrap().block;
-        assert_eq!(block.end_pc, block.term_pc);
-    }
-
-    #[test]
-    fn with_slots_sizes_the_direct_map() {
-        let cache = SuperblockCache::with_slots(64);
-        assert_eq!(cache.slot_count(), 64);
-        // Two PCs that collide under 64 slots but not under the default.
-        assert_eq!(cache.index(0), cache.index(128));
-        let big = SuperblockCache::with_slots(DEFAULT_SLOTS);
-        assert_ne!(big.index(0), big.index(128));
-    }
-
-    #[test]
-    fn shared_cache_validates_code_bytes_on_lookup() {
-        let (mut cache, mut ram) = setup("addi t0, t0, 1\necall");
-        let cached = compile(&mut cache, &ram, 0).unwrap();
-        let block = &cached.block;
-        let code = ram[..block.end_pc as usize].to_vec();
-
-        let shared = SharedTraceCache::new();
-        assert!(shared.publish(0, &code, block));
-        assert!(!shared.publish(0, &code, block), "identical version dedups");
-
-        // Matching bytes → install; the returned Arc is the same block.
-        let hit = shared.lookup(0, &ram).expect("bytes match");
-        assert!(Arc::ptr_eq(&hit, block));
-
-        // Rewrite one code byte → the byte compare rejects the entry.
-        ram[0] ^= 0xff;
-        assert!(shared.lookup(0, &ram).is_none());
-
-        let stats = shared.stats();
-        assert_eq!(stats.publishes, 1);
-        assert_eq!(stats.installs, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.blocks, 1);
-    }
-
-    #[test]
-    fn shared_cache_bounds_versions_per_head() {
-        let (mut cache, ram) = setup("addi t0, t0, 1\necall");
-        let cached = compile(&mut cache, &ram, 0).unwrap();
-        let shared = SharedTraceCache::new();
-        for v in 0..2 * SHARED_VERSIONS_PER_HEAD as u8 {
-            assert!(shared.publish(0, &[v], &cached.block));
-        }
-        assert_eq!(
-            shared.stats().blocks,
-            SHARED_VERSIONS_PER_HEAD as u64,
-            "oldest versions evicted"
-        );
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_slots() {
-        let (mut pre, ram) = setup("addi t0, t0, 1\necall");
-        let cached = compile(&mut pre, &ram, 0).unwrap();
-        let mut cache = SuperblockCache::with_slots(64);
-        let idx = cache.index(0);
-        let slot = cache.slot_mut(idx);
-        slot.tag = 0;
-        slot.heat = HOT_THRESHOLD;
-        slot.block = Some(Box::new(cached));
-        cache.stats.compiles = 1;
-
-        let images = cache.snapshot_slots();
-        assert_eq!(images.len(), 1);
-        let stats = cache.stats;
-
-        let mut other = SuperblockCache::with_slots(16);
-        other.restore_slots(64, &images, stats);
-        assert_eq!(other.slot_count(), 64, "capacity follows the snapshot");
-        let restored = other.slot_mut(idx);
-        assert_eq!(restored.tag, 0);
-        assert!(restored.block.is_some());
-        assert_eq!(other.stats.compiles, 1);
     }
 }

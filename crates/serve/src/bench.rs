@@ -806,7 +806,7 @@ pub struct SweepReport {
 ///
 /// Propagates the first failing run; rejects an empty `worker_counts` or
 /// an external `addr` (worker count is a server-side property).
-pub fn run_sweep(cfg: &LoadConfig, worker_counts: &[usize]) -> Result<SweepReport, String> {
+pub fn sweep_workers(cfg: &LoadConfig, worker_counts: &[usize]) -> Result<SweepReport, String> {
     if worker_counts.is_empty() {
         return Err("sweep needs at least one worker count".into());
     }
@@ -950,18 +950,18 @@ mod tests {
 
     #[test]
     fn sweep_reports_scaling_and_determinism() {
-        let sweep = run_sweep(&tiny_kem(6), &[1, 2]).expect("sweep");
+        let sweep = sweep_workers(&tiny_kem(6), &[1, 2]).expect("sweep");
         assert_eq!(sweep.runs.len(), 2);
         assert!(sweep.deterministic);
         assert!(sweep.scaling > 1.0, "scaling {}", sweep.scaling);
         assert!(sweep.to_json().contains("\"deterministic\": true"));
         assert!(sweep.to_text().contains("modelled scaling"));
-        assert!(run_sweep(&tiny_kem(6), &[]).is_err());
+        assert!(sweep_workers(&tiny_kem(6), &[]).is_err());
         let external = LoadConfig {
             addr: Some("127.0.0.1:1".into()),
             ..tiny_kem(6)
         };
-        assert!(run_sweep(&external, &[1]).is_err());
+        assert!(sweep_workers(&external, &[1]).is_err());
     }
 
     #[test]

@@ -67,7 +67,6 @@
 //!     workers: 2,
 //!     queue_capacity: 8,
 //!     seed: [7u8; 32],
-//!     warm_iss: true,
 //!     ..ServeConfig::default()
 //! });
 //! let jobs = vec![

@@ -17,22 +17,6 @@
 //! multi-core RISCY machine (one core per worker), so the batch makespan
 //! in modelled time is the busiest worker's total — this is how the
 //! repo's wall-clock-free environment still measures worker scaling.
-//!
-//! **Warm start.** With [`ServeConfig::warm_iss`] on (the default), the
-//! pool builds one pristine [`WarmImage`] of a small `pq.modq` probe
-//! program, primes a process-wide [`SharedTraceCache`] with a single run
-//! on the pool thread, and every worker executes the probe from the image
-//! with the shared cache attached before entering its job loop. The first
-//! thread to compile a hot superblock pays for it once; siblings adopt it
-//! from the cache instead of re-compiling. The probe runs on
-//! [`lac_rv32::Engine::Jit`] — the fastest tier, degrading silently to
-//! the superblock interpreter on hosts without a JIT backend — so the
-//! priming run also publishes its emitted host code through the shared
-//! cache and warm workers start with zero local JIT compiles.
-//! [`ServePool::new`] returns only after every worker has reported its
-//! probe — all digests must equal the pool thread's reference (see
-//! [`WarmReport`]), which is how the cross-worker sharing path stays
-//! differentially checked at every pool startup.
 
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::BoundedQueue;
@@ -40,8 +24,6 @@ use crate::{BackendKind, Op};
 use lac::{Backend, Ciphertext, Kem, KemPublicKey, KemSecretKey, Params};
 use lac_meter::CycleLedger;
 use lac_rand::Sha256CtrRng;
-use lac_rv32::{Cpu, Engine, SharedTraceCache, SharedTraceStats, WarmImage};
-use lac_sha256::Sha256;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
@@ -157,11 +139,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Root seed all per-job DRBG lanes fork from.
     pub seed: [u8; 32],
-    /// Warm-start the workers' ISS state: prime a shared trace cache with
-    /// one probe run and have every worker start from a [`WarmImage`]
-    /// (see the module docs). Purely a startup optimisation — job results
-    /// are identical either way.
-    pub warm_iss: bool,
     /// Maximum simultaneously open connections (≥ 1); excess accepts are
     /// closed immediately and counted (`conns_rejected`).
     pub max_conns: usize,
@@ -201,7 +178,6 @@ impl Default for ServeConfig {
             reactors: 1,
             queue_capacity: 64,
             seed: [0u8; 32],
-            warm_iss: true,
             max_conns: 1024,
             accept_rps: 0,
             idle_timeout_ms: 60_000,
@@ -212,172 +188,6 @@ impl Default for ServeConfig {
             session_capacity: 1 << 17,
             session_rekey_after: 1 << 16,
         }
-    }
-}
-
-/// Iterations of the warm-start probe's outer loop.
-const PROBE_ITERS: u32 = 8;
-/// Coefficients per probe recover pass.
-const PROBE_COEFFS: u32 = 64;
-/// Base address of the probe's input bytes.
-const PROBE_IN: u32 = 0x8000;
-/// Base address of the probe's output buffer.
-const PROBE_OUT: u32 = 0x9000;
-/// RAM of the probe's CPU. The program at address 0 and both buffers end
-/// below `0x9040`, and a CPU's predecode table takes 16 bytes per RAM
-/// halfword, so 64 KiB of RAM keeps the table at 512 KiB.
-const PROBE_RAM: usize = 1 << 16;
-const _: () = assert!((PROBE_OUT + PROBE_COEFFS) as usize <= PROBE_RAM);
-
-/// Assemble the warm-start probe: a miniature LAC recover loop (`pq.modq`,
-/// byte loads/stores, a backward branch) hot enough for the superblock
-/// engine to compile and publish its traces.
-///
-/// # Panics
-///
-/// Panics if the embedded program fails to assemble (a build-time bug).
-fn probe_cpu() -> Cpu {
-    let src = format!(
-        r#"
-            li   s0, 0
-            li   s1, {PROBE_ITERS}
-        outer:
-            li   t2, {PROBE_IN}
-            li   t5, {PROBE_OUT}
-            li   t3, {PROBE_COEFFS}
-            li   s2, 251
-        recover:
-            lbu  t0, 0(t2)
-            add  t0, t0, s2
-            pq.modq t0, t0, zero
-            addi t0, t0, -63
-            sltiu t0, t0, 126
-            sb   t0, 0(t5)
-            addi t2, t2, 1
-            addi t5, t5, 1
-            addi t3, t3, -1
-            bnez t3, recover
-            addi s0, s0, 1
-            bne  s0, s1, outer
-            ecall
-        "#
-    );
-    let mut cpu = Cpu::new(PROBE_RAM);
-    cpu.load_words(0, &lac_rv32::assemble(&src).expect("warm probe assembles"));
-    let input: Vec<u8> = (0..PROBE_COEFFS)
-        .map(|i| ((i * 11 + 5) % 251) as u8)
-        .collect();
-    cpu.write_bytes(PROBE_IN, &input);
-    cpu
-}
-
-/// Run the probe to `ecall` and hash the architectural exit state plus the
-/// output buffer. Every warm worker must produce the pool thread's digest.
-///
-/// # Panics
-///
-/// Panics if the probe traps (a build-time bug).
-fn run_probe(cpu: &mut Cpu) -> String {
-    let exit = cpu.run(1_000_000).expect("warm probe runs to ecall");
-    let mut hash = Sha256::new();
-    hash.update(b"lac-serve:warm-probe:v1");
-    for reg in exit.regs {
-        hash.update(&reg.to_le_bytes());
-    }
-    hash.update(&exit.pc.to_le_bytes());
-    hash.update(&exit.cycles.to_le_bytes());
-    hash.update(&exit.instructions.to_le_bytes());
-    hash.update(cpu.read_bytes(PROBE_OUT, PROBE_COEFFS as usize));
-    hash.finalize().iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// The warm-start state every worker shares: one pristine probe image plus
-/// the process-wide trace cache, primed by a single pool-thread run.
-struct WarmStart {
-    image: WarmImage,
-    shared: Arc<SharedTraceCache>,
-    reference_digest: String,
-}
-
-impl WarmStart {
-    fn prime() -> Self {
-        let image = probe_cpu().snapshot();
-        let shared = Arc::new(SharedTraceCache::new());
-        let mut primer = Cpu::from_image(&image);
-        primer.set_engine(Engine::Jit);
-        primer.attach_shared_cache(Arc::clone(&shared));
-        let reference_digest = run_probe(&mut primer);
-        Self {
-            image,
-            shared,
-            reference_digest,
-        }
-    }
-}
-
-/// One worker's startup warm-probe result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarmProbe {
-    /// Worker index.
-    pub worker: usize,
-    /// Architectural digest of the worker's probe run.
-    pub digest: String,
-    /// Superblocks the worker adopted from the shared trace cache.
-    pub shared_installs: u64,
-    /// Superblocks the worker compiled locally (zero when the priming run
-    /// already published every hot block).
-    pub compiles: u64,
-    /// JIT translations the worker adopted from the shared trace cache.
-    pub jit_shared_installs: u64,
-    /// JIT translations the worker compiled locally (zero when the
-    /// priming run already published host code for every hot block; also
-    /// zero on hosts without a JIT backend).
-    pub jit_compiles: u64,
-    /// Chain links the worker's probe installed between translated
-    /// blocks (links are process-local per CPU, never shared).
-    pub jit_links_installed: u64,
-    /// Probe block entries taken through a chain link without returning
-    /// to the dispatch loop — the fleet-wide link-adoption signal.
-    pub jit_chained_dispatches: u64,
-    /// Probe chain links severed by invalidation, eviction or restore.
-    pub jit_unlinks: u64,
-}
-
-/// Pool-wide warm-start report: the priming run's reference digest, every
-/// worker's probe, and the shared trace-cache counters once all workers
-/// finished. Available from [`ServePool::warm_report`] when
-/// [`ServeConfig::warm_iss`] is on.
-#[derive(Debug, Clone)]
-pub struct WarmReport {
-    /// Digest of the pool-thread priming run.
-    pub reference_digest: String,
-    /// Per-worker probe results, in worker-index order.
-    pub probes: Vec<WarmProbe>,
-    /// Shared trace-cache counters after every probe completed.
-    pub shared: SharedTraceStats,
-}
-
-impl WarmReport {
-    /// Whether every worker's probe digest equals the reference — the
-    /// cross-worker exactness check.
-    pub fn digests_agree(&self) -> bool {
-        self.probes
-            .iter()
-            .all(|p| p.digest == self.reference_digest)
-    }
-
-    /// Fleet-wide chain-link adoption summed across every worker probe:
-    /// `(links_installed, chained_dispatches, unlinks)`. Links are
-    /// process-local per CPU, so the sum is the honest fleet total — no
-    /// double counting through the shared trace cache.
-    pub fn chain_totals(&self) -> (u64, u64, u64) {
-        self.probes.iter().fold((0, 0, 0), |(l, c, u), p| {
-            (
-                l + p.jit_links_installed,
-                c + p.jit_chained_dispatches,
-                u + p.jit_unlinks,
-            )
-        })
     }
 }
 
@@ -473,14 +283,10 @@ pub struct ServePool {
     worker_cycles: Arc<Vec<AtomicU64>>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     config: ServeConfig,
-    warm: Option<WarmReport>,
 }
 
 impl ServePool {
-    /// Spawn `config.workers` workers. With [`ServeConfig::warm_iss`] on,
-    /// this primes the shared trace cache and blocks until every worker
-    /// has run its warm-start probe (see the module docs), so the pool is
-    /// fully warmed when `new` returns.
+    /// Spawn `config.workers` workers.
     ///
     /// # Panics
     ///
@@ -492,46 +298,24 @@ impl ServePool {
         let worker_cycles: Arc<Vec<AtomicU64>> =
             Arc::new((0..config.workers).map(|_| AtomicU64::new(0)).collect());
         let root = Sha256CtrRng::from_seed(config.seed);
-        let warm_start = config.warm_iss.then(WarmStart::prime);
-        let (probe_tx, probe_rx) = mpsc::channel();
         let handles = (0..config.workers)
             .map(|index| {
                 let queue = Arc::clone(&queue);
                 let metrics = Arc::clone(&metrics);
                 let cycles = Arc::clone(&worker_cycles);
                 let root = root.clone();
-                let warm = warm_start
-                    .as_ref()
-                    .map(|w| (w.image.clone(), Arc::clone(&w.shared), probe_tx.clone()));
                 std::thread::Builder::new()
                     .name(format!("lac-serve-worker-{index}"))
-                    .spawn(move || worker_main(index, &queue, &metrics, &cycles, &root, warm))
+                    .spawn(move || worker_main(index, &queue, &metrics, &cycles, &root))
                     .expect("spawning worker thread")
             })
             .collect();
-        drop(probe_tx);
-        let warm = warm_start.map(|w| {
-            let mut probes: Vec<WarmProbe> = (0..config.workers)
-                .map(|_| {
-                    probe_rx
-                        .recv()
-                        .expect("every worker reports its warm probe")
-                })
-                .collect();
-            probes.sort_by_key(|p| p.worker);
-            WarmReport {
-                reference_digest: w.reference_digest,
-                probes,
-                shared: w.shared.stats(),
-            }
-        });
         Self {
             queue,
             metrics,
             worker_cycles,
             handles: Mutex::new(handles),
             config,
-            warm,
         }
     }
 
@@ -593,11 +377,6 @@ impl ServePool {
     /// The pool's configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
-    }
-
-    /// The warm-start report, when [`ServeConfig::warm_iss`] was on.
-    pub fn warm_report(&self) -> Option<&WarmReport> {
-        self.warm.as_ref()
     }
 
     /// Modelled cycles executed so far by each worker.
@@ -694,32 +473,7 @@ fn worker_main(
     metrics: &Metrics,
     cycles: &[AtomicU64],
     root: &Sha256CtrRng,
-    warm: Option<(WarmImage, Arc<SharedTraceCache>, mpsc::Sender<WarmProbe>)>,
 ) {
-    if let Some((image, shared, report)) = warm {
-        // Warm-start probe: run the shared workload from the pristine
-        // image with the process-wide trace cache attached, adopting the
-        // priming run's compiled superblocks instead of re-compiling.
-        let mut cpu = Cpu::from_image(&image);
-        cpu.set_engine(Engine::Jit);
-        cpu.attach_shared_cache(shared);
-        let digest = run_probe(&mut cpu);
-        let stats = cpu.superblock_stats();
-        let jit = cpu.jit_stats();
-        // The pool constructor waits for this; a dropped receiver only
-        // happens if `new` panicked, in which case the send result is moot.
-        let _ = report.send(WarmProbe {
-            worker: index,
-            digest,
-            shared_installs: stats.shared_installs,
-            compiles: stats.compiles,
-            jit_shared_installs: jit.shared_installs,
-            jit_compiles: jit.compiles,
-            jit_links_installed: jit.links_installed,
-            jit_chained_dispatches: jit.chained_dispatches,
-            jit_unlinks: jit.unlinks,
-        });
-    }
     let mut state = WorkerState::new();
     while let Some(task) = queue.pop() {
         let op = task.job.kind.op();
@@ -787,7 +541,6 @@ mod tests {
             workers,
             queue_capacity: 4,
             seed: [seed; 32],
-            warm_iss: true,
             ..ServeConfig::default()
         })
     }
@@ -957,64 +710,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_probe_runs_on_every_worker_and_shares_blocks() {
-        let pool = pool(4, 7);
-        let report = pool.warm_report().expect("warm start is on by default");
-        assert_eq!(report.probes.len(), 4);
-        assert!(report.digests_agree(), "{report:?}");
-        for probe in &report.probes {
-            // The priming run published every hot block before any worker
-            // started, so workers adopt instead of compiling — including
-            // the emitted host code on hosts with a JIT backend.
-            assert!(probe.shared_installs > 0, "{probe:?}");
-            assert_eq!(probe.compiles, 0, "{probe:?}");
-            assert_eq!(probe.jit_compiles, 0, "{probe:?}");
-            if lac_rv32::jit::host_supported() {
-                assert!(probe.jit_shared_installs > 0, "{probe:?}");
-            }
-        }
-        assert!(report.shared.publishes > 0);
-        assert!(report.shared.installs >= 4, "{report:?}");
-        // A warmed pool still serves jobs normally.
-        let replies = pool.submit_batch(vec![Job::new(
-            0,
-            Params::lac128(),
-            BackendKind::Ct,
-            JobKind::Keygen,
-        )]);
-        assert!(!replies[0].is_error());
-    }
-
-    #[test]
-    fn cold_pool_skips_the_warm_probe_and_serves_identically() {
-        let cold = ServePool::new(ServeConfig {
-            workers: 2,
-            queue_capacity: 4,
-            seed: [5; 32],
-            warm_iss: false,
-            ..ServeConfig::default()
-        });
-        assert!(cold.warm_report().is_none());
-        let jobs = |pool: &ServePool| {
-            pool.submit_batch(vec![Job::new(
-                0,
-                Params::lac128(),
-                BackendKind::Ct,
-                JobKind::Keygen,
-            )])
-        };
-        // Warm start is a host-speed optimisation only: same seed, same
-        // jobs, same replies with or without it.
-        assert_eq!(jobs(&cold), jobs(&pool(2, 5)));
-    }
-
-    #[test]
     fn try_submit_routes_completions_and_reports_overload() {
         let pool = ServePool::new(ServeConfig {
             workers: 1,
             queue_capacity: 1,
             seed: [8; 32],
-            warm_iss: false,
             ..ServeConfig::default()
         });
         let (tx, rx) = mpsc::channel();

@@ -67,7 +67,7 @@
 
 use crate::metrics::{MetricsSnapshot, ShardStats};
 use crate::pool::{
-    Completion, Job, JobKind, Reply, ReplySink, ServeConfig, ServePool, SubmitError, WarmReport,
+    Completion, Job, JobKind, Reply, ReplySink, ServeConfig, ServePool, SubmitError,
 };
 use crate::reactor::{self, IoStatus, Poller, TokenBucket, Waker};
 use crate::session::{self, Direction, SessionFrame, SessionState, SessionTable};
@@ -97,6 +97,24 @@ const MAX_PENDING_ACCEPTS: usize = 64;
 /// Linux; 64 keeps the slice array cheap while still coalescing deep
 /// pipelines).
 const MAX_WRITE_IOV: usize = 64;
+
+/// What [`Server::warm_report`] would describe; it never returns one.
+/// Kept only because the benchmark package names these fields
+/// (ROADMAP item 6(a) deletes them with that read).
+#[derive(Debug, Clone)]
+pub struct WarmReport {
+    /// One entry per worker.
+    pub probes: Vec<WarmProbe>,
+}
+
+/// One worker's entry in a [`WarmReport`].
+#[derive(Debug, Clone, Copy)]
+pub struct WarmProbe {
+    /// JIT translations the worker compiled.
+    pub jit_compiles: u64,
+    /// JIT translations the worker adopted from another worker.
+    pub jit_shared_installs: u64,
+}
 
 /// A bound-but-not-yet-running KEM server.
 pub struct Server {
@@ -157,12 +175,12 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The pool's warm-start report, when [`ServeConfig::warm_iss`] is
-    /// on: per-worker probe digests plus shared-cache and chain-link
-    /// adoption counters. Front-ends log this at startup so operators
-    /// can see fleet-wide JIT link adoption before traffic arrives.
+    /// Always `None`: the pool no longer runs an ISS warm-start probe.
+    /// Kept, with [`WarmReport`], only because the benchmark package
+    /// reads it for `setup.warm_jit_compiles`; ROADMAP item 6(a), a
+    /// benchmark change, deletes the read and then this stub.
     pub fn warm_report(&self) -> Option<&WarmReport> {
-        self.pool.warm_report()
+        None
     }
 
     /// Run the sharded event loops until a `SHUTDOWN` frame arrives (on
@@ -1251,7 +1269,6 @@ mod tests {
             workers,
             queue_capacity: 8,
             seed: [3u8; 32],
-            warm_iss: true,
             ..ServeConfig::default()
         })
     }
@@ -1425,7 +1442,6 @@ mod tests {
             workers: 1,
             queue_capacity: 8,
             seed: [3u8; 32],
-            warm_iss: false,
             idle_timeout_ms: 50,
             ..ServeConfig::default()
         });
@@ -1446,7 +1462,6 @@ mod tests {
             workers: 1,
             queue_capacity: 8,
             seed: [3u8; 32],
-            warm_iss: false,
             read_timeout_ms: 50,
             ..ServeConfig::default()
         });
@@ -1490,7 +1505,6 @@ mod tests {
             workers: 1,
             queue_capacity: 8,
             seed: [3u8; 32],
-            warm_iss: false,
             accept_rps: 2,
             ..ServeConfig::default()
         });
@@ -1531,7 +1545,6 @@ mod tests {
             workers: 1,
             queue_capacity: 8,
             seed: [3u8; 32],
-            warm_iss: false,
             max_write_buffer: 16 * 1024,
             ..ServeConfig::default()
         });
@@ -1594,7 +1607,6 @@ mod tests {
             workers: 1,
             queue_capacity: 8,
             seed: [3u8; 32],
-            warm_iss: false,
             ..ServeConfig::default()
         });
         let mut client = Client::connect(&addr.to_string()).expect("connect");
@@ -1628,7 +1640,6 @@ mod tests {
         // the test fails instead of waiting on one that runs.
         let ok = ServeConfig {
             workers: 1,
-            warm_iss: false,
             ..ServeConfig::default()
         };
         type Shrink = fn(&mut ServeConfig);
@@ -1670,7 +1681,6 @@ mod tests {
                 reactors,
                 queue_capacity: 8,
                 seed: [3u8; 32],
-                warm_iss: false,
                 max_conns,
                 ..ServeConfig::default()
             });
@@ -1703,7 +1713,6 @@ mod tests {
             reactors: 2,
             queue_capacity: 8,
             seed: [3u8; 32],
-            warm_iss: false,
             ..ServeConfig::default()
         });
         // Four sequential connections land two per shard.
@@ -1736,7 +1745,6 @@ mod tests {
             reactors: 3,
             queue_capacity: 8,
             seed: [3u8; 32],
-            warm_iss: false,
             ..ServeConfig::default()
         });
         // conn A → shard 0, conn B → shard 1: work runs on shard 0, the
@@ -1764,7 +1772,6 @@ mod tests {
             reactors: 2,
             queue_capacity: 8,
             seed: [3u8; 32],
-            warm_iss: false,
             idle_timeout_ms: 50,
             ..ServeConfig::default()
         });

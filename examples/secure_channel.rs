@@ -29,7 +29,6 @@ fn main() {
             workers: 2,
             queue_capacity: 16,
             seed: [7u8; 32],
-            warm_iss: true,
             ..ServeConfig::default()
         },
     )

@@ -12,8 +12,13 @@
 # lac-sha256's, lac-ring's, lac's, lac-hw's, the charge fixture and the
 # KATs), rustdoc with warnings as errors, an exact compare of the three
 # tables with baselines/, the E4/E5 examples and a few smokes — and skips
-# the sweep, MIPS-floor and serving gates.
-# Full mode (no flags) remains the tier-1 gate.
+# the serving gates and every wall-clock floor.
+# Full mode (no flags) remains the tier-1 gate. After the steps both
+# modes share, it runs every exact gate (digests, counts, modelled
+# scaling), then every wall-clock gate (speedup floors, the ISS MIPS
+# floor, shedding, reactor scaling). Each gate runs whatever an earlier
+# one read; the script prints every gate's result and exits non-zero at
+# the end, naming each gate that failed.
 set -eu
 
 QUICK=0
@@ -102,20 +107,31 @@ echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace --offline 
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
 echo "  rustdoc clean"
 
+echo
+echo "== tables equal baselines/ (--json) =="
+# The cycle model is deterministic, so a change that moves one modelled
+# cycle fails here, in both modes, before any wall-clock gate runs. All
+# three tables take well under a second.
+for bin in table1 table2 table3; do
+    cargo run -q --release --offline -p lac-bench --bin "$bin" -- --json \
+        | cmp -s - "baselines/$bin.json" || {
+        echo "$bin --json differs from baselines/$bin.json" >&2
+        exit 1
+    }
+    echo "  $bin equals baselines/$bin.json"
+done
+
+echo
+echo "== smoke: jit digest parity (engine compare) =="
+# One tiny program through the full engine compare: exits non-zero (and
+# digests_match goes false) if the JIT — or its superblock fallback on
+# unsupported hosts — diverges from the classic oracle. Both modes run
+# it; the speedup floors live in full mode's wall-clock phase.
+cargo run -q --release --offline -p lac-bench --bin iss_bench -- \
+    --json --iters 8 | grep -q '"digests_match": true'
+echo "  jit digest parity OK (engine compare)"
+
 if [ "$QUICK" = 1 ]; then
-    echo
-    echo "== tables equal baselines/ (--json, quick mode) =="
-    # The cycle model is deterministic, so a change that moves one
-    # modelled cycle fails here as well as in full mode's
-    # bench_compare.sh. All three tables take well under a second.
-    for bin in table1 table2 table3; do
-        cargo run -q --release --offline -p lac-bench --bin "$bin" -- --json \
-            | cmp -s - "baselines/$bin.json" || {
-            echo "quick mode: $bin --json differs from baselines/$bin.json" >&2
-            exit 1
-        }
-        echo "  $bin equals baselines/$bin.json"
-    done
     echo
     echo "== smoke: the E4/E5 examples (quick mode) =="
     # timing_leak asserts that the submission decoder's cost moves with
@@ -126,23 +142,6 @@ if [ "$QUICK" = 1 ]; then
         cargo run -q --release --offline --example "$ex" > /dev/null
         echo "  $ex OK"
     done
-    echo
-    echo "== smoke: jit digest parity (quick mode) =="
-    # One tiny program through the full engine compare: exits non-zero
-    # (and digests_match goes false) if the JIT — or its superblock
-    # fallback on unsupported hosts — diverges from the classic oracle.
-    # No speedup floor here; that gate lives in full mode.
-    cargo run -q --release --offline -p lac-bench --bin iss_bench -- \
-        --json --iters 8 | grep -q '"digests_match": true'
-    echo "  jit digest parity OK (engine compare)"
-    echo
-    echo "== smoke: warm-start sweep digest parity (quick mode) =="
-    # Small cold-vs-warm fleet; iss_bench exits non-zero on digest skew.
-    # No speedup floor here — tiny sweeps are wall-clock noise; the 1.5x
-    # gate lives in full mode.
-    cargo run -q --release --offline -p lac-bench --bin iss_bench -- \
-        --json --sweep --cells 4 --iters 8 --threads 2 | grep -q '"digests_match": true'
-    echo "  warm sweep digests match"
     echo
     echo "== smoke: session handshake round trip (quick mode) =="
     # One session through the full lifecycle: SESSION_OPEN handshake, one
@@ -185,12 +184,11 @@ echo "== cargo clippy --offline --workspace --all-targets -- -D warnings =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 echo "  clippy clean"
 
-
 echo
-echo "== smoke: table1/table2/table3 (text + --json) =="
+echo "== smoke: table1/table2/table3 (text) =="
+# Their --json output was compared with baselines/ above.
 for bin in table1 table2 table3; do
     cargo run -q --release --offline -p lac-bench --bin "$bin" > /dev/null
-    cargo run -q --release --offline -p lac-bench --bin "$bin" -- --json > /dev/null
     echo "  $bin OK"
 done
 
@@ -204,6 +202,275 @@ for src in examples/*.rs; do
     cargo run -q --release --offline --example "$ex" > /dev/null
     echo "  $ex OK"
 done
+
+# Every gate below runs whatever an earlier one read. `gate NAME CMD...`
+# runs one gate and records its result; the summary at the end prints
+# them all and the exit status is non-zero if any failed. A gate's
+# function returns 1 on failure instead of exiting (set -e does not
+# apply inside a command tested by `if`, so every check in a gate
+# returns explicitly).
+RESULTS=""
+FAILED=""
+gate() {
+    GATE_NAME=$1
+    shift
+    if "$@"; then
+        RESULTS="$RESULTS
+  pass  $GATE_NAME"
+    else
+        echo "  FAILED: $GATE_NAME"
+        RESULTS="$RESULTS
+  FAIL  $GATE_NAME"
+        FAILED="$FAILED
+  - $GATE_NAME"
+    fi
+}
+
+# retry CMD...: a wall-clock gate gets one retry before it counts as a
+# regression.
+retry() {
+    "$@" || { echo "  (wall-clock noise suspected; retrying once)"; "$@"; }
+}
+
+json_field() {
+    # json_field JSON KEY -> first top-level integer value for "KEY": N.
+    printf '%s' "$1" | grep -o "\"$2\": [0-9]*" | head -1 | awk '{print $2}'
+}
+
+json_float() {
+    printf '%s' "$1" | grep -o "\"$2\": [0-9.]*" | head -1 | awk '{print $2}'
+}
+
+json_digest() {
+    printf '%s' "$1" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p'
+}
+
+echo
+echo "######## exact gates: digests, counts, modelled scaling ########"
+
+echo
+echo "== smoke: serve / bench-serve / serve-ctl =="
+# A live 2-reactor server: closed and paced loads must produce the same
+# response digest, and STATS must count them and render both shards.
+serve_checks() {
+    ./target/release/lac-suite serve-ctl ping --addr "$ADDR" > /dev/null || return 1
+    CLASSIC=$(./target/release/lac-suite bench-serve --addr "$ADDR" --conns 2 --requests 8 \
+        --op encaps --seed 1 --json) || return 1
+    # The same load paced (pipelined frames on each connection) must
+    # produce the same response digest.
+    PIPELINED=$(./target/release/lac-suite bench-serve --addr "$ADDR" --conns 2 --requests 8 \
+        --op encaps --seed 1 --target-qps 200 --json) || return 1
+    CLASSIC_DIGEST=$(json_digest "$CLASSIC")
+    PIPELINED_DIGEST=$(json_digest "$PIPELINED")
+    if [ -z "$CLASSIC_DIGEST" ] || [ "$CLASSIC_DIGEST" != "$PIPELINED_DIGEST" ]; then
+        echo "serve smoke: pipelined digest '$PIPELINED_DIGEST' != classic '$CLASSIC_DIGEST'" >&2
+        return 1
+    fi
+    # Raw snapshot via --json; aggregated text and the per-shard breakdown
+    # must render the 2-reactor shape.
+    ./target/release/lac-suite serve-ctl stats --addr "$ADDR" --json | grep -q '"encaps": 16' || {
+        echo "serve smoke: STATS --json does not count 16 encaps" >&2
+        return 1
+    }
+    ./target/release/lac-suite serve-ctl stats --addr "$ADDR" | grep -q '2 reactors' || {
+        echo "serve smoke: STATS text lacks '2 reactors'" >&2
+        return 1
+    }
+    ./target/release/lac-suite serve-ctl stats --addr "$ADDR" --per-shard | grep -q 'shard 1:' || {
+        echo "serve smoke: STATS --per-shard lacks shard 1" >&2
+        return 1
+    }
+    ./target/release/lac-suite serve-ctl sessions --addr "$ADDR" --json --per-shard \
+        | grep -q '"per_shard": \[{"shard": 0' || {
+        echo "serve smoke: sessions --per-shard lacks shard 0" >&2
+        return 1
+    }
+}
+serve_smoke() {
+    SERVE_LOG=$(mktemp)
+    ./target/release/lac-suite serve --addr 127.0.0.1:0 --workers 2 --reactors 2 --seed 1 \
+        > "$SERVE_LOG" 2>&1 &
+    SERVE_PID=$!
+    # The server prints "lac-serve listening on HOST:PORT (...)" before blocking.
+    ADDR=""
+    for _ in $(seq 1 50); do
+        ADDR=$(sed -n 's/^lac-serve listening on \([0-9.:]*\) .*/\1/p' "$SERVE_LOG")
+        [ -n "$ADDR" ] && break
+        sleep 0.1
+    done
+    if [ -z "$ADDR" ]; then
+        echo "serve smoke: server never reported its address" >&2
+        kill "$SERVE_PID" 2>/dev/null || true
+        wait "$SERVE_PID" 2>/dev/null || true
+        cat "$SERVE_LOG" >&2
+        rm -f "$SERVE_LOG"
+        return 1
+    fi
+    SERVE_OK=0
+    serve_checks || SERVE_OK=1
+    # Shut the server down whatever the checks read.
+    ./target/release/lac-suite serve-ctl shutdown --addr "$ADDR" > /dev/null || {
+        SERVE_OK=1
+        kill "$SERVE_PID" 2>/dev/null || true
+    }
+    if ! wait "$SERVE_PID"; then
+        echo "serve smoke: server exited non-zero" >&2
+        cat "$SERVE_LOG" >&2
+        SERVE_OK=1
+    fi
+    grep -q "server shut down" "$SERVE_LOG" || SERVE_OK=1
+    rm -f "$SERVE_LOG"
+    [ "$SERVE_OK" = 0 ] || return 1
+    echo "  serve smoke OK ($ADDR)"
+}
+gate "serve smoke (closed == paced digest, STATS)" serve_smoke
+
+echo
+echo "== acceptance: worker scaling and determinism (bench-serve --sweep) =="
+scaling_gate() {
+    SWEEP=$(./target/release/lac-suite bench-serve --sweep 1,4 --conns 2 --requests 16 \
+        --op encaps --params lac128 --backend hw --seed 1 --json) || return 1
+    echo "$SWEEP" | grep -q '"deterministic": true' || {
+        echo "serve acceptance: digests differ across worker counts" >&2
+        echo "$SWEEP" >&2
+        return 1
+    }
+    echo "$SWEEP" | awk '
+        /"scaling":/ {
+            gsub(/[",]/, "")
+            for (i = 1; i <= NF; i++) if ($i == "scaling:") v = $(i + 1)
+        }
+        END {
+            if (v + 0 < 2.0) { print "serve acceptance: modelled scaling " v " < 2.0x" ; exit 1 }
+            print "  scaling 1 -> 4 workers: " v "x, deterministic: yes"
+        }
+    '
+}
+gate "worker scaling >= 2.0x (modelled) and determinism" scaling_gate
+
+echo
+echo "== smoke: open-loop tail-latency bench (bench-serve --target-qps) =="
+# Gentle fixed-rate run against an in-process server (90 requests at
+# 300/s): the report must be well-formed (interpolated p50/p99/p999) with
+# no transport errors, and the arrival rule must not change the replies —
+# the paced digest equals the closed-loop digest of the same script.
+open_loop_smoke() {
+    OPEN=$(./target/release/lac-suite bench-serve --target-qps 300 --requests 90 \
+        --conns 2 --workers 2 --op encaps --params lac128 --seed 1 --json) || return 1
+    CLOSED=$(./target/release/lac-suite bench-serve --requests 90 \
+        --conns 2 --workers 2 --op encaps --params lac128 --seed 1 --json) || return 1
+    printf '%s' "$OPEN" | grep -q '"bench": "serve-open-loop"' || {
+        echo "open-loop smoke: missing report header" >&2
+        echo "$OPEN" >&2
+        return 1
+    }
+    printf '%s' "$OPEN" | grep -q '"p999_us"' || {
+        echo "open-loop smoke: report lacks p999 tail quantile" >&2
+        echo "$OPEN" >&2
+        return 1
+    }
+    OPEN_COMP=$(json_field "$OPEN" completions)
+    OPEN_ERRS=$(json_field "$OPEN" errors)
+    if [ "${OPEN_COMP:-0}" -eq 0 ] || [ "${OPEN_ERRS:-1}" -ne 0 ]; then
+        echo "open-loop smoke: completions=$OPEN_COMP errors=$OPEN_ERRS" >&2
+        echo "$OPEN" >&2
+        return 1
+    fi
+    OPEN_DIGEST=$(json_digest "$OPEN")
+    CLOSED_DIGEST=$(json_digest "$CLOSED")
+    if [ -z "$OPEN_DIGEST" ] || [ "$OPEN_DIGEST" != "$CLOSED_DIGEST" ]; then
+        echo "open-loop smoke: paced digest '$OPEN_DIGEST' != closed '$CLOSED_DIGEST'" >&2
+        return 1
+    fi
+    echo "  open-loop report OK ($OPEN_COMP completions, p50/p99/p999 present, digest == closed loop)"
+}
+gate "open-loop smoke (paced == closed digest)" open_loop_smoke
+
+echo
+echo "== acceptance: session soak (open/chat/rekey/close, digest parity) =="
+# The full session lifecycle mix on 1 and 4 workers with the same seed:
+# per-job DRBG forks must make the client-visible crypto transcript
+# identical, every session must be opened, rekeyed once and reaped, and
+# a clean run has zero transport errors and zero sheds.
+session_mix() {
+    ./target/release/lac-suite bench-serve --sessions 24 --session-chats 4 \
+        --session-rekey-every 3 --conns 8 --workers "$1" --session-capacity 64 \
+        --params lac128 --backend ct --seed 1 --json
+}
+session_soak() {
+    SESS_ONE=$(session_mix 1) || return 1
+    SESS_FOUR=$(session_mix 4) || return 1
+    DIG_ONE=$(json_digest "$SESS_ONE")
+    DIG_FOUR=$(json_digest "$SESS_FOUR")
+    if [ -z "$DIG_ONE" ] || [ "$DIG_ONE" != "$DIG_FOUR" ]; then
+        echo "session soak: digest '$DIG_FOUR' (4 workers) != '$DIG_ONE' (1 worker)" >&2
+        return 1
+    fi
+    for RUN in "$SESS_ONE" "$SESS_FOUR"; do
+        S_OPENED=$(json_field "$RUN" opened)
+        S_REKEYS=$(json_field "$RUN" rekeys)
+        S_CLOSES=$(json_field "$RUN" closes)
+        S_BUSY=$(json_field "$RUN" busy)
+        S_ERRS=$(json_field "$RUN" errors)
+        S_LEFT=$(json_field "$RUN" open)
+        if [ "${S_OPENED:-0}" -ne 24 ] || [ "${S_REKEYS:-0}" -ne 24 ] || \
+           [ "${S_CLOSES:-0}" -ne 24 ] || [ "${S_BUSY:-1}" -ne 0 ] || \
+           [ "${S_ERRS:-1}" -ne 0 ] || [ "${S_LEFT:-1}" -ne 0 ]; then
+            echo "session soak: opened=$S_OPENED rekeys=$S_REKEYS closes=$S_CLOSES" \
+                 "busy=$S_BUSY errors=$S_ERRS open_at_end=$S_LEFT" >&2
+            echo "$RUN" >&2
+            return 1
+        fi
+    done
+    echo "  24 sessions x (open + 4 chats + rekey + close): digests match 1 vs 4 workers, all reaped"
+}
+SESS_FOUR=""
+gate "session soak (1 vs 4 workers digest, counts)" session_soak
+
+# The same mix paced at ~2x its unpaced completion rate: saturation shows
+# up as scheduled-time latency, never as transport errors or leaked
+# sessions.
+paced_soak() {
+    SESS_RATE=$(json_field "$SESS_FOUR" achieved_qps)
+    SOAK_RATE=$(awk "BEGIN { r = int(2 * ${SESS_RATE:-100}); if (r < 50) r = 50; print r }")
+    SOAK=$(./target/release/lac-suite bench-serve --sessions 24 --session-chats 4 \
+        --session-rekey-every 3 --conns 8 --workers 2 --session-capacity 64 \
+        --target-qps "$SOAK_RATE" --params lac128 --backend ct --seed 1 --json) || return 1
+    SOAK_ERRS=$(json_field "$SOAK" errors)
+    SOAK_BUSY=$(json_field "$SOAK" busy)
+    SOAK_LEFT=$(json_field "$SOAK" open)
+    if [ "${SOAK_ERRS:-1}" -ne 0 ] || [ "${SOAK_BUSY:-1}" -ne 0 ] || [ "${SOAK_LEFT:-1}" -ne 0 ]; then
+        echo "session soak: at ${SOAK_RATE}/s errors=$SOAK_ERRS busy=$SOAK_BUSY open_at_end=$SOAK_LEFT" >&2
+        echo "$SOAK" >&2
+        return 1
+    fi
+    echo "  at ${SOAK_RATE}/s (~2x saturation): 0 errors, 0 sheds, clean drain"
+}
+gate "paced session soak (0 errors, 0 sheds, clean drain)" paced_soak
+
+echo
+echo "== acceptance: bounded session table (LRU eviction under hold) =="
+# 48 held-open sessions against a 32-slot table: the oldest 16 must be
+# LRU-evicted, the table must sit exactly at capacity, and nothing may
+# error.
+lru_hold() {
+    HOLD=$(./target/release/lac-suite bench-serve --sessions 48 --session-chats 0 \
+        --session-hold --session-capacity 32 --conns 8 --workers 2 \
+        --params lac128 --backend ct --seed 1 --json) || return 1
+    HOLD_OPEN=$(json_field "$HOLD" open)
+    HOLD_EVICTED=$(json_field "$HOLD" evicted)
+    HOLD_ERRS=$(json_field "$HOLD" errors)
+    if [ "${HOLD_OPEN:-0}" -ne 32 ] || [ "${HOLD_EVICTED:-0}" -ne 16 ] || [ "${HOLD_ERRS:-1}" -ne 0 ]; then
+        echo "session hold: open=$HOLD_OPEN evicted=$HOLD_EVICTED errors=$HOLD_ERRS" >&2
+        echo "$HOLD" >&2
+        return 1
+    fi
+    echo "  48 sessions into 32 slots: 32 open, 16 evicted, 0 errors"
+}
+gate "LRU hold (48 into 32: 32 open, 16 evicted)" lru_hold
+
+echo
+echo "######## wall-clock gates: speedup floors, MIPS floor, shedding ########"
 
 echo
 echo "== acceptance: ISS superblock speedup and digest parity =="
@@ -227,7 +494,7 @@ iss_gate() {
         }
     '
 }
-iss_gate || { echo "  (wall-clock noise suspected; retrying once)"; iss_gate; }
+gate "superblock >= 3.0x over classic" retry iss_gate
 
 echo
 echo "== acceptance: JIT engine digest parity, superblock and chaining speedups =="
@@ -264,149 +531,13 @@ jit_gate() {
         }
     '
 }
-jit_gate || { echo "  (wall-clock noise suspected; retrying once)"; jit_gate; }
-
-echo
-echo "== acceptance: ISS warm-start sweep (shared cache + snapshot/restore) =="
-# The same fleet of sweep cells runs twice — per-cell cold starts vs the
-# warm-start layer. iss_bench exits non-zero if the two fleets' combined
-# architectural digests differ; the speedup floor is wall-clock, so allow
-# one retry before declaring a regression.
-warm_gate() {
-    WARM_JSON=$(./target/release/iss_bench --json --sweep --cells 48 --iters 40 --threads 4) || {
-        echo "warm sweep: cold and warm fleet digests diverged" >&2
-        echo "$WARM_JSON" >&2
-        return 1
-    }
-    echo "$WARM_JSON" | grep -q '"digests_match": true' || {
-        echo "warm sweep: digests_match missing or false" >&2
-        echo "$WARM_JSON" >&2
-        return 1
-    }
-    echo "$WARM_JSON" | awk '
-        /"warm_speedup":/ {
-            gsub(/[",]/, "")
-            for (i = 1; i <= NF; i++) if ($i == "warm_speedup:") v = $(i + 1)
-        }
-        END {
-            if (v + 0 < 1.5) { print "warm sweep: warm speedup " v " < 1.5x"; exit 1 }
-            print "  warm fleet: " v "x over cold starts, digests match"
-        }
-    '
-}
-warm_gate || { echo "  (wall-clock noise suspected; retrying once)"; warm_gate; }
+gate "jit >= 3.0x over superblock, chaining >= 1.3x" retry jit_gate
 
 echo
 echo "== bench regression gate (baselines/) =="
-scripts/bench_compare.sh
-
-echo
-echo "== smoke: serve / bench-serve / serve-ctl =="
-SERVE_LOG=$(mktemp)
-./target/release/lac-suite serve --addr 127.0.0.1:0 --workers 2 --reactors 2 --seed 1 > "$SERVE_LOG" 2>&1 &
-SERVE_PID=$!
-# The server prints "lac-serve listening on HOST:PORT (...)" before blocking.
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^lac-serve listening on \([0-9.:]*\) .*/\1/p' "$SERVE_LOG")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-if [ -z "$ADDR" ]; then
-    echo "serve smoke: server never reported its address" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
-    cat "$SERVE_LOG" >&2
-    exit 1
-fi
-./target/release/lac-suite serve-ctl ping --addr "$ADDR" > /dev/null
-CLASSIC=$(./target/release/lac-suite bench-serve --addr "$ADDR" --conns 2 --requests 8 \
-    --op encaps --seed 1 --json)
-# The same load paced (pipelined frames on each connection) must produce
-# the same response digest.
-PIPELINED=$(./target/release/lac-suite bench-serve --addr "$ADDR" --conns 2 --requests 8 \
-    --op encaps --seed 1 --target-qps 200 --json)
-CLASSIC_DIGEST=$(printf '%s' "$CLASSIC" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
-PIPELINED_DIGEST=$(printf '%s' "$PIPELINED" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
-if [ -z "$CLASSIC_DIGEST" ] || [ "$CLASSIC_DIGEST" != "$PIPELINED_DIGEST" ]; then
-    echo "serve smoke: pipelined digest '$PIPELINED_DIGEST' != classic '$CLASSIC_DIGEST'" >&2
-    exit 1
-fi
-# Raw snapshot via --json; aggregated text and the per-shard breakdown
-# must render the 2-reactor shape.
-./target/release/lac-suite serve-ctl stats --addr "$ADDR" --json | grep -q '"encaps": 16'
-./target/release/lac-suite serve-ctl stats --addr "$ADDR" | grep -q '2 reactors'
-./target/release/lac-suite serve-ctl stats --addr "$ADDR" --per-shard | grep -q 'shard 1:'
-./target/release/lac-suite serve-ctl sessions --addr "$ADDR" --json --per-shard \
-    | grep -q '"per_shard": \[{"shard": 0'
-./target/release/lac-suite serve-ctl shutdown --addr "$ADDR" > /dev/null
-if ! wait "$SERVE_PID"; then
-    echo "serve smoke: server exited non-zero" >&2
-    cat "$SERVE_LOG" >&2
-    exit 1
-fi
-grep -q "server shut down" "$SERVE_LOG"
-rm -f "$SERVE_LOG"
-echo "  serve smoke OK ($ADDR)"
-
-echo
-echo "== acceptance: worker scaling and determinism (bench-serve --sweep) =="
-SWEEP=$(./target/release/lac-suite bench-serve --sweep 1,4 --conns 2 --requests 16 \
-    --op encaps --params lac128 --backend hw --seed 1 --json)
-echo "$SWEEP" | grep -q '"deterministic": true' || {
-    echo "serve acceptance: digests differ across worker counts" >&2
-    echo "$SWEEP" >&2
-    exit 1
-}
-echo "$SWEEP" | awk '
-    /"scaling":/ {
-        gsub(/[",]/, "")
-        for (i = 1; i <= NF; i++) if ($i == "scaling:") v = $(i + 1)
-    }
-    END {
-        if (v + 0 < 2.0) { print "serve acceptance: modelled scaling " v " < 2.0x" ; exit 1 }
-        print "  scaling 1 -> 4 workers: " v "x, deterministic: yes"
-    }
-'
-
-json_field() {
-    # json_field JSON KEY -> first top-level integer value for "KEY": N.
-    printf '%s' "$1" | grep -o "\"$2\": [0-9]*" | head -1 | awk '{print $2}'
-}
-
-echo
-echo "== smoke: open-loop tail-latency bench (bench-serve --target-qps) =="
-# Gentle fixed-rate run against an in-process server (90 requests at
-# 300/s): the report must be well-formed (interpolated p50/p99/p999) with
-# no transport errors, and the arrival rule must not change the replies —
-# the paced digest equals the closed-loop digest of the same script.
-OPEN=$(./target/release/lac-suite bench-serve --target-qps 300 --requests 90 \
-    --conns 2 --workers 2 --op encaps --params lac128 --seed 1 --json)
-CLOSED=$(./target/release/lac-suite bench-serve --requests 90 \
-    --conns 2 --workers 2 --op encaps --params lac128 --seed 1 --json)
-printf '%s' "$OPEN" | grep -q '"bench": "serve-open-loop"' || {
-    echo "open-loop smoke: missing report header" >&2
-    echo "$OPEN" >&2
-    exit 1
-}
-printf '%s' "$OPEN" | grep -q '"p999_us"' || {
-    echo "open-loop smoke: report lacks p999 tail quantile" >&2
-    echo "$OPEN" >&2
-    exit 1
-}
-OPEN_COMP=$(json_field "$OPEN" completions)
-OPEN_ERRS=$(json_field "$OPEN" errors)
-if [ "${OPEN_COMP:-0}" -eq 0 ] || [ "${OPEN_ERRS:-1}" -ne 0 ]; then
-    echo "open-loop smoke: completions=$OPEN_COMP errors=$OPEN_ERRS" >&2
-    echo "$OPEN" >&2
-    exit 1
-fi
-OPEN_DIGEST=$(printf '%s' "$OPEN" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
-CLOSED_DIGEST=$(printf '%s' "$CLOSED" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
-if [ -z "$OPEN_DIGEST" ] || [ "$OPEN_DIGEST" != "$CLOSED_DIGEST" ]; then
-    echo "open-loop smoke: paced digest '$OPEN_DIGEST' != closed '$CLOSED_DIGEST'" >&2
-    exit 1
-fi
-echo "  open-loop report OK ($OPEN_COMP completions, p50/p99/p999 present, digest == closed loop)"
+# The exact table compares again, then the 220-MIPS ISS floor against
+# baselines/iss.json (no retry, as before).
+gate "ISS floor and table compares (bench_compare.sh)" scripts/bench_compare.sh
 
 echo
 echo "== acceptance: overload shedding at ~2x saturation =="
@@ -419,7 +550,7 @@ echo "== acceptance: overload shedding at ~2x saturation =="
 # of the 2x rate.
 overload_gate() {
     CAL=$(./target/release/lac-suite bench-serve --target-qps 50000 --requests 15000 \
-        --conns 4 --workers 1 --queue 2 --op keygen --params lac128 --seed 1 --json)
+        --conns 4 --workers 1 --queue 2 --op keygen --params lac128 --seed 1 --json) || return 1
     CAL_COMP=$(json_field "$CAL" completions)
     CAL_WALL=$(json_field "$CAL" wall_us)
     if [ "${CAL_COMP:-0}" -eq 0 ] || [ "${CAL_WALL:-0}" -eq 0 ]; then
@@ -430,7 +561,7 @@ overload_gate() {
     RATE=$(awk "BEGIN { r = int(2 * $CAL_COMP * 1000000 / $CAL_WALL); if (r < 200) r = 200; print r }")
     OVER=$(./target/release/lac-suite bench-serve --target-qps "$RATE" \
         --requests $(((RATE * 400 + 999) / 1000)) \
-        --conns 4 --workers 1 --queue 2 --op keygen --params lac128 --seed 1 --json)
+        --conns 4 --workers 1 --queue 2 --op keygen --params lac128 --seed 1 --json) || return 1
     OVER_COMP=$(json_field "$OVER" completions)
     OVER_BUSY=$(json_field "$OVER" busy)
     OVER_ERRS=$(json_field "$OVER" errors)
@@ -441,80 +572,7 @@ overload_gate() {
     fi
     echo "  at ${RATE}/s (~2x saturation): $OVER_COMP completed, $OVER_BUSY shed BUSY, 0 errors"
 }
-overload_gate || { echo "  (wall-clock noise suspected; retrying once)"; overload_gate; }
-
-echo
-echo "== acceptance: session soak (open/chat/rekey/close, digest parity) =="
-# The full session lifecycle mix on 1 and 4 workers with the same seed:
-# per-job DRBG forks must make the client-visible crypto transcript
-# identical, every session must be opened, rekeyed once and reaped, and
-# a clean run has zero transport errors and zero sheds.
-session_mix() {
-    ./target/release/lac-suite bench-serve --sessions 24 --session-chats 4 \
-        --session-rekey-every 3 --conns 8 --workers "$1" --session-capacity 64 \
-        --params lac128 --backend ct --seed 1 --json
-}
-SESS_ONE=$(session_mix 1)
-SESS_FOUR=$(session_mix 4)
-DIG_ONE=$(printf '%s' "$SESS_ONE" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
-DIG_FOUR=$(printf '%s' "$SESS_FOUR" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
-if [ -z "$DIG_ONE" ] || [ "$DIG_ONE" != "$DIG_FOUR" ]; then
-    echo "session soak: digest '$DIG_FOUR' (4 workers) != '$DIG_ONE' (1 worker)" >&2
-    exit 1
-fi
-for RUN in "$SESS_ONE" "$SESS_FOUR"; do
-    S_OPENED=$(json_field "$RUN" opened)
-    S_REKEYS=$(json_field "$RUN" rekeys)
-    S_CLOSES=$(json_field "$RUN" closes)
-    S_BUSY=$(json_field "$RUN" busy)
-    S_ERRS=$(json_field "$RUN" errors)
-    S_LEFT=$(json_field "$RUN" open)
-    if [ "${S_OPENED:-0}" -ne 24 ] || [ "${S_REKEYS:-0}" -ne 24 ] || \
-       [ "${S_CLOSES:-0}" -ne 24 ] || [ "${S_BUSY:-1}" -ne 0 ] || \
-       [ "${S_ERRS:-1}" -ne 0 ] || [ "${S_LEFT:-1}" -ne 0 ]; then
-        echo "session soak: opened=$S_OPENED rekeys=$S_REKEYS closes=$S_CLOSES" \
-             "busy=$S_BUSY errors=$S_ERRS open_at_end=$S_LEFT" >&2
-        echo "$RUN" >&2
-        exit 1
-    fi
-done
-echo "  24 sessions x (open + 4 chats + rekey + close): digests match 1 vs 4 workers, all reaped"
-
-# The same mix paced at ~2x its unpaced completion rate: saturation shows
-# up as scheduled-time latency, never as transport errors or leaked
-# sessions.
-SESS_RATE=$(json_field "$SESS_FOUR" achieved_qps)
-SOAK_RATE=$(awk "BEGIN { r = int(2 * ${SESS_RATE:-100}); if (r < 50) r = 50; print r }")
-SOAK=$(./target/release/lac-suite bench-serve --sessions 24 --session-chats 4 \
-    --session-rekey-every 3 --conns 8 --workers 2 --session-capacity 64 \
-    --target-qps "$SOAK_RATE" --params lac128 --backend ct --seed 1 --json)
-SOAK_ERRS=$(json_field "$SOAK" errors)
-SOAK_BUSY=$(json_field "$SOAK" busy)
-SOAK_LEFT=$(json_field "$SOAK" open)
-if [ "${SOAK_ERRS:-1}" -ne 0 ] || [ "${SOAK_BUSY:-1}" -ne 0 ] || [ "${SOAK_LEFT:-1}" -ne 0 ]; then
-    echo "session soak: at ${SOAK_RATE}/s errors=$SOAK_ERRS busy=$SOAK_BUSY open_at_end=$SOAK_LEFT" >&2
-    echo "$SOAK" >&2
-    exit 1
-fi
-echo "  at ${SOAK_RATE}/s (~2x saturation): 0 errors, 0 sheds, clean drain"
-
-echo
-echo "== acceptance: bounded session table (LRU eviction under hold) =="
-# 48 held-open sessions against a 32-slot table: the oldest 16 must be
-# LRU-evicted, the table must sit exactly at capacity, and nothing may
-# error.
-HOLD=$(./target/release/lac-suite bench-serve --sessions 48 --session-chats 0 \
-    --session-hold --session-capacity 32 --conns 8 --workers 2 \
-    --params lac128 --backend ct --seed 1 --json)
-HOLD_OPEN=$(json_field "$HOLD" open)
-HOLD_EVICTED=$(json_field "$HOLD" evicted)
-HOLD_ERRS=$(json_field "$HOLD" errors)
-if [ "${HOLD_OPEN:-0}" -ne 32 ] || [ "${HOLD_EVICTED:-0}" -ne 16 ] || [ "${HOLD_ERRS:-1}" -ne 0 ]; then
-    echo "session hold: open=$HOLD_OPEN evicted=$HOLD_EVICTED errors=$HOLD_ERRS" >&2
-    echo "$HOLD" >&2
-    exit 1
-fi
-echo "  48 sessions into 32 slots: 32 open, 16 evicted, 0 errors"
+gate "overload shedding at ~2x saturation" retry overload_gate
 
 echo
 echo "== acceptance: reactor scaling (sharded front-end, 1 vs 4 shards) =="
@@ -530,12 +588,9 @@ reactor_mix() {
         --conns 16 --workers 2 --reactors "$1" --session-capacity 64 \
         --params lac128 --backend ct --seed 5 --json
 }
-json_float() {
-    printf '%s' "$1" | grep -o "\"$2\": [0-9.]*" | head -1 | awk '{print $2}'
-}
 reactor_gate() {
-    R_ONE=$(reactor_mix 1)
-    R_FOUR=$(reactor_mix 4)
+    R_ONE=$(reactor_mix 1) || return 1
+    R_FOUR=$(reactor_mix 4) || return 1
     for RUN in "$R_ONE" "$R_FOUR"; do
         R_ERRS=$(json_field "$RUN" errors)
         R_BUSY=$(json_field "$RUN" busy)
@@ -545,8 +600,8 @@ reactor_gate() {
             return 1
         fi
     done
-    RDIG_ONE=$(printf '%s' "$R_ONE" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
-    RDIG_FOUR=$(printf '%s' "$R_FOUR" | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
+    RDIG_ONE=$(json_digest "$R_ONE")
+    RDIG_FOUR=$(json_digest "$R_FOUR")
     if [ -z "$RDIG_ONE" ] || [ "$RDIG_ONE" != "$RDIG_FOUR" ]; then
         echo "reactor gate: digest '$RDIG_FOUR' (4 reactors) != '$RDIG_ONE' (1 reactor)" >&2
         return 1
@@ -563,7 +618,7 @@ reactor_gate() {
         printf \"  frames/busy-s 1 -> 4 reactors: %.2fx, digests match, 0 errors\n\", r
     }"
 }
-reactor_gate || { echo "  (scheduler noise suspected; retrying once)"; reactor_gate; }
+gate "reactor scaling >= 1.8x (1 vs 4 shards, digests)" retry reactor_gate
 
 # Overload semantics must hold per shard: the tiny-queue server from the
 # overload gate, now sharded 4 ways, still sheds BUSY instead of
@@ -572,7 +627,7 @@ reactor_gate || { echo "  (scheduler noise suspected; retrying once)"; reactor_g
 shard_overload_gate() {
     SOVER=$(./target/release/lac-suite bench-serve --target-qps 50000 --requests 20000 \
         --conns 8 --workers 1 --reactors 4 --queue 2 --op keygen --params lac128 \
-        --seed 1 --json)
+        --seed 1 --json) || return 1
     SOVER_COMP=$(json_field "$SOVER" completions)
     SOVER_BUSY=$(json_field "$SOVER" busy)
     SOVER_ERRS=$(json_field "$SOVER" errors)
@@ -583,7 +638,15 @@ shard_overload_gate() {
     fi
     echo "  4-shard overload: $SOVER_COMP completed, $SOVER_BUSY shed BUSY, 0 errors, clean drain"
 }
-shard_overload_gate || { echo "  (wall-clock noise suspected; retrying once)"; shard_overload_gate; }
+gate "4-shard overload sheds BUSY" retry shard_overload_gate
 
+echo
+echo "== gate results =="
+printf '%s\n' "$RESULTS"
+if [ -n "$FAILED" ]; then
+    echo
+    echo "verify: FAILED — these gates did not pass:$FAILED" >&2
+    exit 1
+fi
 echo
 echo "verify: all checks passed"

@@ -188,7 +188,6 @@ fn cmd_serve(opts: &Options) -> Result<String, String> {
             reactors,
             queue_capacity,
             seed,
-            warm_iss: true,
             max_conns: parse_or(opts, "max-conns", defaults.max_conns)?,
             accept_rps: parse_or(opts, "accept-rps", defaults.accept_rps)?,
             idle_timeout_ms: parse_or(opts, "idle-timeout-ms", defaults.idle_timeout_ms)?,
@@ -211,14 +210,6 @@ fn cmd_serve(opts: &Options) -> Result<String, String> {
     println!(
         "lac-serve listening on {local} ({workers} workers, {reactors} reactors, queue {queue_capacity})"
     );
-    if let Some(warm) = server.warm_report() {
-        let (links, chained, unlinks) = warm.chain_totals();
-        println!(
-            "lac-serve warm: {} worker probes, digests agree: {}, jit chain links {links}, chained dispatches {chained}, unlinks {unlinks}",
-            warm.probes.len(),
-            warm.digests_agree()
-        );
-    }
     std::io::stdout().flush().ok();
     let snapshot = server.run();
     Ok(format!("server shut down\n{}", snapshot.to_text()))
@@ -319,7 +310,7 @@ fn cmd_bench_serve(opts: &Options) -> Result<String, String> {
                         .map_err(|_| format!("bad --sweep entry '{s}'"))
                 })
                 .collect::<Result<_, _>>()?;
-            let report = bench::run_sweep(&cfg, &counts).map_err(flagged)?;
+            let report = bench::sweep_workers(&cfg, &counts).map_err(flagged)?;
             Ok(render(report.to_json(), report.to_text()))
         }
         None => {

@@ -1,5 +1,5 @@
-//! Helpers shared by the ISS differential suites (`riscv_predecode.rs`,
-//! `riscv_jit.rs`, `riscv_warmstart.rs`): a register picker for random
+//! Helpers shared by the ISS differential suites (`riscv_predecode.rs`
+//! and `riscv_jit.rs`): a register picker for random
 //! programs and word-level program builders for exact-address
 //! self-modifying programs, whose patch words are encoded directly
 //! (`lac_rv32::encode`) so every store target is a known constant.

@@ -11,9 +11,9 @@
 //! alike: hot loops that must really JIT, self-modifying `sw`/`sb` (the
 //! store-driven invalidation and its 3-byte back-window), fetches from
 //! zeroed RAM, past the end of RAM and at an odd PC, CSR terminators,
-//! forced fallback, warm fleets sharing emitted code, and block chaining
-//! (self-links, stores into chained successors, fuel on chain edges,
-//! eviction-severed links). On hosts without an emitter every
+//! forced fallback, a host-side write over a hot compiled block, and
+//! block chaining (self-links, stores into chained successors, fuel on
+//! chain edges, eviction-severed links). On hosts without an emitter every
 //! `Engine::Jit` run silently degrades to the superblock interpreter, so
 //! the suite still passes — the JIT-actually-ran guards are gated on
 //! `jit::host_supported()`.
@@ -26,8 +26,7 @@ use engine_cases::{body_line, differential, j, seed_regs};
 use lac_rand::prop::{self, ensure, ensure_eq};
 use lac_rand::Rng;
 use lac_rv32::inst::{AluOp, StoreOp};
-use lac_rv32::{jit, Cpu, Engine, Inst, Machine, SharedTraceCache, Trap};
-use std::sync::Arc;
+use lac_rv32::{jit, Cpu, Engine, Inst, Machine, Trap};
 
 /// The engines the JIT-file-only cases check against the classic oracle.
 const FAST_ENGINES: [Engine; 2] = [Engine::Superblock, Engine::Jit];
@@ -264,66 +263,81 @@ fn forced_fallback_degrades_to_superblock_without_panicking() {
     }
 }
 
-/// The warm-fleet scenario: a primer runs the workload once with
-/// `Engine::Jit` and a `SharedTraceCache` attached, publishing both its
-/// superblocks and their emitted host code; warm workers restored from
-/// the same pre-run image then adopt everything — zero local superblock
-/// *and* JIT compiles — and must produce bit-identical results to a
-/// private (shared-less) run.
+/// A host-side `write_bytes` over code a hot compiled block was built
+/// from must take effect at once. Each counted loop runs 20 of its 40
+/// iterations, so its blocks are compiled (and, on the JIT, chained host
+/// code); the host then patches the loop's `addi x26, x26, 1` to step by
+/// 7, and the run finishes exactly as the classic oracle does given the
+/// same patch. In the first loop the victim sits in the block the run
+/// resumes at, which the dispatch loop re-validates; in the second it
+/// sits in a chained successor on another predecode line, which the
+/// resumed block reaches through a link, so only the host write's link
+/// sweep keeps the JIT exact. The engine cases patch hot code only from
+/// guest stores.
 #[test]
-fn warm_workers_share_jit_code_with_zero_local_compiles() {
-    if !jit::host_supported() {
-        return; // covered by the forced-fallback test elsewhere
-    }
-    let src = r#"
-            li   a0, 0
-            li   a1, 0
-            li   t0, 1
-            li   t1, 201
-        loop:
-            add  a0, a0, t0
-            mul  a1, a0, t0
-            sw   a1, 0x100(zero)
-            lw   t2, 0x100(zero)
-            add  a1, a1, t2
-            pq.modq a1, a1, zero
-            addi t0, t0, 1
-            bne  t0, t1, loop
-            ecall
-    "#;
-    let image = Machine::assemble(src).expect("assembles").snapshot();
-    let shared = Arc::new(SharedTraceCache::new());
+fn host_write_over_hot_fused_block_takes_effect() {
+    let setup = |words: &mut Vec<u32>| {
+        words.extend(li(20, 0)); // counter
+        words.extend(li(28, 40)); // bound
+        words.len()
+    };
+    // One block: `addi x20; addi x26 (victim); bne` back to its head.
+    let mut one_block = Vec::new();
+    let head = setup(&mut one_block);
+    one_block.push(word(addi(20, 20, 1)));
+    let one_victim = one_block.len();
+    one_block.push(word(addi(26, 26, 1)));
+    let back = one_block.len();
+    one_block.push(word(bne(20, 28, (head as i32 - back as i32) * 4)));
+    one_block.push(word(Inst::Ecall));
+    // Two blocks: `addi x20; j B` at the head and, 512 bytes on, B:
+    // `addi x26 (victim); bne` back to the head.
+    let mut two_blocks = Vec::new();
+    let head = setup(&mut two_blocks);
+    two_blocks.push(word(addi(20, 20, 1)));
+    let jump = two_blocks.len();
+    let b = 128;
+    two_blocks.push(word(j((b - jump as i32) * 4)));
+    two_blocks.resize(b as usize, 0);
+    let two_victim = two_blocks.len();
+    two_blocks.push(word(addi(26, 26, 1)));
+    let back = two_blocks.len();
+    two_blocks.push(word(bne(20, 28, (head as i32 - back as i32) * 4)));
+    two_blocks.push(word(Inst::Ecall));
 
-    let mut primer = Cpu::from_image(&image);
-    primer.set_engine(Engine::Jit);
-    primer.attach_shared_cache(Arc::clone(&shared));
-    let primer_exit = primer.run(1_000_000).expect("primer reaches ecall");
-    let primer_stats = primer.jit_stats();
-    assert!(primer_stats.compiles > 0, "{primer_stats:?}");
-    assert!(primer_stats.shared_publishes > 0, "{primer_stats:?}");
-    assert!(shared.jit_stats().blocks > 0);
-
-    let mut private = Cpu::from_image(&image);
-    private.set_engine(Engine::Jit);
-    let private_exit = private.run(1_000_000).expect("private reaches ecall");
-    assert_eq!(primer_exit, private_exit);
-
-    for _ in 0..4 {
-        let mut worker = Cpu::from_image(&image);
-        worker.set_engine(Engine::Jit);
-        worker.attach_shared_cache(Arc::clone(&shared));
-        let worker_exit = worker.run(1_000_000).expect("worker reaches ecall");
-        assert_eq!(worker_exit, private_exit, "shared vs private digests");
-
-        let jit_stats = worker.jit_stats();
-        let sb_stats = worker.superblock_stats();
-        assert_eq!(
-            jit_stats.compiles, 0,
-            "warm worker JIT-compiled: {jit_stats:?}"
-        );
-        assert_eq!(sb_stats.compiles, 0, "warm worker compiled: {sb_stats:?}");
-        assert!(jit_stats.shared_installs > 0, "{jit_stats:?}");
-        assert!(jit_stats.dispatches > 0, "{jit_stats:?}");
+    let new = word(addi(26, 26, 7));
+    for (words, victim, per_iteration) in
+        [(&one_block, one_victim, 3), (&two_blocks, two_victim, 4)]
+    {
+        let run_patched = |engine: Engine| {
+            let mut machine = machine_from_words(words);
+            machine.cpu_mut().set_engine(engine);
+            // Pause after exactly 20 of the 40 iterations.
+            let pause = head as u64 + per_iteration * 20;
+            assert_eq!(machine.cpu_mut().run(pause), Err(Trap::OutOfFuel));
+            machine
+                .cpu_mut()
+                .write_bytes(4 * victim as u32, &new.to_le_bytes());
+            let exit = machine
+                .cpu_mut()
+                .run(1_000_000)
+                .expect("patched loop reaches ecall");
+            (exit, machine.cpu().superblock_stats())
+        };
+        let (oracle, _) = run_patched(Engine::Classic);
+        // The 20 iterations before the patch step by 1, the 20 after it
+        // by 7: no compiled block kept running the old code.
+        assert_eq!(oracle.reg(26), 20 + 20 * 7);
+        for engine in FAST_ENGINES {
+            let (exit, stats) = run_patched(engine);
+            assert_eq!(exit, oracle, "{engine:?}, victim at word {victim}");
+            if engine == Engine::Superblock {
+                assert!(
+                    stats.stale_drops > 0,
+                    "the patched block must be dropped, not dispatched: {stats:?}"
+                );
+            }
+        }
     }
 }
 

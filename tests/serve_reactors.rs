@@ -144,7 +144,6 @@ fn sessions_do_not_cross_shard_boundaries() {
         reactors: 2,
         queue_capacity: 8,
         seed: [3u8; 32],
-        warm_iss: false,
         ..ServeConfig::default()
     });
     let kem = Kem::new(lac::Params::lac128());

@@ -25,7 +25,6 @@ fn config(workers: usize) -> ServeConfig {
         workers,
         queue_capacity: 8,
         seed: [3u8; 32],
-        warm_iss: false,
         ..ServeConfig::default()
     }
 }

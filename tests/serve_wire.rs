@@ -257,7 +257,6 @@ fn overloaded_server_sheds_busy_but_stays_responsive() {
             workers: 1,
             queue_capacity: 2,
             seed: [9u8; 32],
-            warm_iss: false,
             ..ServeConfig::default()
         },
     )
