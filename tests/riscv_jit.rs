@@ -276,14 +276,12 @@ fn forced_fallback_degrades_to_superblock_without_panicking() {
 /// guest stores.
 #[test]
 fn host_write_over_hot_fused_block_takes_effect() {
-    let setup = |words: &mut Vec<u32>| {
-        words.extend(li(20, 0)); // counter
-        words.extend(li(28, 40)); // bound
-        words.len()
-    };
-    // One block: `addi x20; addi x26 (victim); bne` back to its head.
     let mut one_block = Vec::new();
-    let head = setup(&mut one_block);
+    one_block.extend(li(20, 0)); // counter
+    one_block.extend(li(28, 40)); // bound
+    let head = one_block.len(); // instructions before the first iteration
+    let mut two_blocks = one_block.clone();
+    // One block: `addi x20; addi x26 (victim); bne` back to the head.
     one_block.push(word(addi(20, 20, 1)));
     let one_victim = one_block.len();
     one_block.push(word(addi(26, 26, 1)));
@@ -292,8 +290,6 @@ fn host_write_over_hot_fused_block_takes_effect() {
     one_block.push(word(Inst::Ecall));
     // Two blocks: `addi x20; j B` at the head and, 512 bytes on, B:
     // `addi x26 (victim); bne` back to the head.
-    let mut two_blocks = Vec::new();
-    let head = setup(&mut two_blocks);
     two_blocks.push(word(addi(20, 20, 1)));
     let jump = two_blocks.len();
     let b = 128;
